@@ -25,6 +25,7 @@
 //! reported numbers are the per-iteration mean, minimum, and standard
 //! deviation across the samples.
 
+use cmvrp_obs::json::quote;
 use cmvrp_util::Table;
 use std::time::Instant;
 
@@ -246,28 +247,15 @@ impl Harness {
     /// for benches that declared an item count). The schema is
     /// append-only: existing fields keep their names and meanings.
     pub fn snapshot_json(&self, notes: &[(&str, String)]) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"group\": \"{}\",\n", esc(&self.group)));
+        out.push_str(&format!("  \"group\": {},\n", quote(&self.group)));
         out.push_str("  \"notes\": {");
         for (i, (k, v)) in notes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    \"{}\": \"{}\"", esc(k), esc(v)));
+            out.push_str(&format!("\n    {}: {}", quote(k), quote(v)));
         }
         if !notes.is_empty() {
             out.push_str("\n  ");
@@ -284,10 +272,10 @@ impl Harness {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \
+                "\n    {{\"name\": {}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \
                  \"stddev_ns\": {:.1}, \"iters_per_sample\": {}, \
                  \"host_cpus\": {host_cpus}",
-                esc(&m.name),
+                quote(&m.name),
                 m.mean_ns,
                 m.min_ns,
                 m.stddev_ns,

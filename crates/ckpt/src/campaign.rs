@@ -1,7 +1,9 @@
 //! Campaign runner: a panel of named `cmvrp simulate` runs with
 //! checkpointing, bounded-backoff retries, and a dead-letter list.
 //!
-//! A campaign spec is a hand-rolled sectioned key/value file:
+//! A campaign spec is a sectioned key/value file, read by the scenario
+//! lexer ([`cmvrp_scenario::parse::lex`]) so it shares the comment,
+//! quoting and error-position rules of scenario files:
 //!
 //! ```text
 //! # keys before the first section are defaults for every run
@@ -36,6 +38,7 @@
 //! campaign status` renders it and `cmvrp campaign retry-dead` grants the
 //! dead runs a fresh budget.
 
+use cmvrp_scenario::parse::{lex, Lexeme};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -87,88 +90,68 @@ pub fn backoff_for(backoff_ms: u64, attempt: u32) -> u64 {
     backoff_ms.saturating_mul(1 << attempt.saturating_sub(1).min(BACKOFF_CAP_DOUBLINGS))
 }
 
-/// Parses a campaign spec. Errors carry the 1-based line number and name
-/// what was expected.
+/// Parses a campaign spec. Errors carry the 1-based line and column and
+/// name what was expected.
 pub fn parse_spec(text: &str) -> Result<CampaignSpec, String> {
-    struct Section {
-        name: String,
+    #[derive(Default)]
+    struct Section<'a> {
+        name: &'a str,
         line: usize,
-        workload: Option<String>,
+        col: usize,
+        workload: Option<&'a str>,
         args: Vec<String>,
         every: Option<u64>,
         retries: Option<u32>,
         backoff_ms: Option<u64>,
         inject_kill: Option<u32>,
     }
-    let mut defaults = Section {
-        name: String::new(),
-        line: 0,
-        workload: None,
-        args: Vec::new(),
-        every: None,
-        retries: None,
-        backoff_ms: None,
-        inject_kill: None,
-    };
+    let at = |line: usize, col: usize, msg: &str| format!("spec line {line}, col {col}: {msg}");
+    let mut defaults = Section::default();
     let mut sections: Vec<Section> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let n = i + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[') {
-            let name = name
-                .strip_suffix(']')
-                .ok_or_else(|| format!("spec line {n}: section header {line:?} misses ']'"))?
-                .trim();
-            if name.is_empty() {
-                return Err(format!("spec line {n}: empty run name"));
+    for lexeme in lex(text) {
+        match lexeme.map_err(|e| at(e.line, e.col, &e.msg))? {
+            Lexeme::Section { line, col, name } => {
+                if sections.iter().any(|s| s.name == name) {
+                    return Err(at(line, col, &format!("duplicate run name {name:?}")));
+                }
+                sections.push(Section {
+                    name,
+                    line,
+                    col,
+                    ..Section::default()
+                });
             }
-            if sections.iter().any(|s| s.name == name) {
-                return Err(format!("spec line {n}: duplicate run name {name:?}"));
-            }
-            sections.push(Section {
-                name: name.to_string(),
-                line: n,
-                workload: None,
-                args: Vec::new(),
-                every: None,
-                retries: None,
-                backoff_ms: None,
-                inject_kill: None,
-            });
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("spec line {n}: expected `key = value`, got {line:?}"))?;
-        let (key, value) = (key.trim(), value.trim());
-        if key.is_empty() || value.is_empty() {
-            return Err(format!(
-                "spec line {n}: expected `key = value`, got {line:?}"
-            ));
-        }
-        let target = sections.last_mut().unwrap_or(&mut defaults);
-        let bad = |what: &str| format!("spec line {n}: {key} needs {what}, got {value:?}");
-        match key {
-            "workload" => target.workload = Some(value.to_string()),
-            "checkpoint_every" => {
-                target.every = Some(value.parse().map_err(|_| bad("a round count >= 1"))?);
-                if target.every == Some(0) {
-                    return Err(bad("a round count >= 1"));
+            Lexeme::Pair {
+                line,
+                key,
+                vcol,
+                val,
+                ..
+            } => {
+                let target = sections.last_mut().unwrap_or(&mut defaults);
+                let bad = |what: &str| at(line, vcol, &format!("{key} needs {what}, got {val:?}"));
+                match key {
+                    "workload" => target.workload = Some(val),
+                    "checkpoint_every" => {
+                        target.every = Some(val.parse().map_err(|_| bad("a round count >= 1"))?);
+                        if target.every == Some(0) {
+                            return Err(bad("a round count >= 1"));
+                        }
+                    }
+                    "retries" => target.retries = Some(val.parse().map_err(|_| bad("a count"))?),
+                    "backoff_ms" => {
+                        target.backoff_ms = Some(val.parse().map_err(|_| bad("milliseconds"))?)
+                    }
+                    "inject_kill" => {
+                        target.inject_kill = Some(val.parse().map_err(|_| bad("a count"))?)
+                    }
+                    _ => target.args.push(if val == "true" {
+                        format!("--{key}")
+                    } else {
+                        format!("--{key}={val}")
+                    }),
                 }
             }
-            "retries" => target.retries = Some(value.parse().map_err(|_| bad("a count"))?),
-            "backoff_ms" => {
-                target.backoff_ms = Some(value.parse().map_err(|_| bad("milliseconds"))?)
-            }
-            "inject_kill" => target.inject_kill = Some(value.parse().map_err(|_| bad("a count"))?),
-            _ => target.args.push(if value == "true" {
-                format!("--{key}")
-            } else {
-                format!("--{key}={value}")
-            }),
         }
     }
     if sections.is_empty() {
@@ -177,19 +160,19 @@ pub fn parse_spec(text: &str) -> Result<CampaignSpec, String> {
     let runs = sections
         .into_iter()
         .map(|s| {
-            let workload = s
-                .workload
-                .or_else(|| defaults.workload.clone())
-                .ok_or(format!(
-                    "spec line {}: run {:?} has no `workload = shape:...` key",
-                    s.line, s.name
-                ))?;
+            let workload = s.workload.or(defaults.workload).ok_or_else(|| {
+                at(
+                    s.line,
+                    s.col,
+                    &format!("run {:?} has no `workload = shape:...` key", s.name),
+                )
+            })?;
             // Defaults first so a run's own flags win by coming later.
             let mut args = defaults.args.clone();
             args.extend(s.args);
             Ok(RunSpec {
-                name: s.name,
-                workload,
+                name: s.name.to_string(),
+                workload: workload.to_string(),
                 args,
                 checkpoint_every: s.every.or(defaults.every).unwrap_or(DEFAULT_EVERY),
                 retries: s.retries.or(defaults.retries).unwrap_or(DEFAULT_RETRIES),
@@ -536,6 +519,72 @@ check = true
         assert!(err.contains("no runs"), "{err}");
         let err = parse_spec("[a]\nworkload = x\ncheckpoint_every = 0\n").unwrap_err();
         assert!(err.contains(">= 1"), "{err}");
+    }
+
+    #[test]
+    fn parse_errors_carry_columns() {
+        let err = parse_spec("[a]\nworkload = x\nretries =  many\n").unwrap_err();
+        assert!(
+            err.starts_with("spec line 3, col 12: retries needs a count"),
+            "{err}"
+        );
+        let err = parse_spec("[a]\nworkload = x\n  [a]\n").unwrap_err();
+        assert!(
+            err.starts_with("spec line 3, col 4: duplicate run name"),
+            "{err}"
+        );
+        let err = parse_spec("[a]\n[b]\nworkload = x\n").unwrap_err();
+        assert!(
+            err.starts_with("spec line 1, col 2: run \"a\" has no"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn hash_in_a_value_is_not_a_comment() {
+        // Comments start at the start of a line or after whitespace only.
+        let spec = parse_spec(
+            "# defaults\nthreads = 2 # two workers\n\
+             [run#1]\nworkload = point:grid=9,demand=5\ntrace-jsonl = run#1.jsonl\n",
+        )
+        .expect("parse");
+        let run = &spec.runs[0];
+        assert_eq!(run.name, "run#1");
+        assert_eq!(run.args, vec!["--threads=2", "--trace-jsonl=run#1.jsonl"]);
+    }
+
+    /// Deterministic byte flips of a real spec, then plain garbage: parsing
+    /// returns runs or an error that names its position, and never panics.
+    #[test]
+    fn random_mutations_are_scoped_errors() {
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut rng = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for round in 0..4000 {
+            let bytes: Vec<u8> = if round % 2 == 0 {
+                let mut bytes = SPEC.as_bytes().to_vec();
+                for _ in 0..=(rng() % 3) {
+                    let i = (rng() % bytes.len() as u64) as usize;
+                    bytes[i] ^= (rng() % 255 + 1) as u8;
+                }
+                bytes
+            } else {
+                const PIECES: &[u8] = b"[]=#\"\n abcdekorstwy_0123456789";
+                (0..rng() % 96)
+                    .map(|_| PIECES[(rng() % PIECES.len() as u64) as usize])
+                    .collect()
+            };
+            if let Err(e) = parse_spec(&String::from_utf8_lossy(&bytes)) {
+                assert!(
+                    e.starts_with("spec line ") || e.starts_with("spec has no runs"),
+                    "{e}"
+                );
+            }
+        }
     }
 
     #[test]

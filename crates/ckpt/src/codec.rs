@@ -10,15 +10,13 @@
 //! The run frame carries the whole-run header (input fingerprint, round /
 //! epoch / trace cursors, the execution-shape stamp, and the shard
 //! count); each shard frame carries one [`ShardCheckpoint`] with its
-//! vehicles inline. All integer fields are LEB128 varints; signed values
-//! (cube and position coordinates) are zigzag-mapped first, coordinate
-//! vectors are `varint(len)` + zigzag elements, optional values a single
-//! tag byte (0 = absent, 1 = present), and the one `u128` field
-//! (`delay_sum`) is split into low/high `u64` halves. The same
-//! append-only discipline as the `CMVB` trace format applies: decoders
-//! ignore trailing bytes inside a frame so later versions can append
-//! fields, while an empty frame, an unknown enum byte, or a bumped
-//! version byte is a hard error.
+//! vehicles inline. The frame layer — varints, zigzag, arrays, the header
+//! check, frame iteration and the scoped [`FrameError`] — is
+//! [`cmvrp_obs::frame`], shared with the `CMVB` trace format. This module
+//! adds only the field lists: optional values are a tag byte (0 = absent,
+//! 1 = present), enums one byte each, and the one `u128` field
+//! (`delay_sum`) is split into low/high `u64` halves. Extra frames after
+//! the last shard are ignored, like trailing bytes inside a frame.
 //!
 //! [`write_checkpoint`] is atomic — the bytes go to a `.tmp` sibling
 //! which is then renamed over the destination — so a crash mid-write
@@ -26,6 +24,7 @@
 //! checkpoint-cadence fault recovery sound.
 
 use cmvrp_engine::{EngineCheckpoint, Schedule, ShardCheckpoint, VehicleCheckpoint};
+use cmvrp_obs::frame::{self, put_frame, put_i64s, put_u64, put_u64s, Cursor, FrameError};
 use cmvrp_online::WorkState;
 use std::fmt;
 use std::fs;
@@ -37,39 +36,6 @@ pub const CKPT_MAGIC: [u8; 4] = *b"CMVC";
 
 /// The format version this build writes and the highest it reads.
 pub const CKPT_VERSION: u8 = 1;
-
-// ---- varint primitives (same discipline as the CMVB trace format) ----
-
-fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    put_u64(buf, zigzag(v));
-}
-
-fn put_pos(buf: &mut Vec<u8>, pos: &[i64]) {
-    put_u64(buf, pos.len() as u64);
-    for &c in pos {
-        put_i64(buf, c);
-    }
-}
 
 fn put_bool(buf: &mut Vec<u8>, v: bool) {
     buf.push(u8::from(v));
@@ -91,155 +57,7 @@ fn put_opt_pos(buf: &mut Vec<u8>, v: &Option<Vec<i64>>) {
         None => buf.push(0),
         Some(p) => {
             buf.push(1);
-            put_pos(buf, p);
-        }
-    }
-}
-
-/// A scoped decode error: `frame` is 1-based (frame 0 means the 5-byte
-/// header itself was bad) and `offset` is the absolute byte position the
-/// error was detected at, mirroring the binary trace format's errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CkptError {
-    /// 1-based index of the offending frame; 0 for header errors.
-    pub frame: usize,
-    /// Absolute byte offset where decoding failed.
-    pub offset: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl fmt::Display for CkptError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.frame == 0 {
-            write!(f, "header at byte {}: {}", self.offset, self.msg)
-        } else {
-            write!(
-                f,
-                "frame {} at byte {}: {}",
-                self.frame, self.offset, self.msg
-            )
-        }
-    }
-}
-
-impl std::error::Error for CkptError {}
-
-/// Bounds-checked cursor over one frame's payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Absolute offset of `bytes[0]` in the file, for error reporting.
-    base: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn err(&self, msg: impl Into<String>) -> (usize, String) {
-        (self.base + self.pos, msg.into())
-    }
-
-    fn u8(&mut self) -> Result<u8, (usize, String)> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| self.err("payload truncated"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, (usize, String)> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift == 63 && b > 1 {
-                return Err(self.err("varint overflows u64"));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(self.err("varint longer than 10 bytes"));
-            }
-        }
-    }
-
-    fn i64(&mut self) -> Result<i64, (usize, String)> {
-        Ok(unzigzag(self.u64()?))
-    }
-
-    fn usize(&mut self) -> Result<usize, (usize, String)> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| self.err(format!("value {v} overflows usize")))
-    }
-
-    fn pos_arr(&mut self) -> Result<Vec<i64>, (usize, String)> {
-        let len = self.usize()?;
-        // Each element is ≥1 byte; reject lengths the payload cannot hold
-        // before allocating.
-        if len > self.bytes.len().saturating_sub(self.pos) {
-            return Err(self.err(format!("array length {len} exceeds payload")));
-        }
-        let mut arr = Vec::with_capacity(len);
-        for _ in 0..len {
-            arr.push(self.i64()?);
-        }
-        Ok(arr)
-    }
-
-    fn u64_arr(&mut self) -> Result<Vec<u64>, (usize, String)> {
-        let len = self.usize()?;
-        if len > self.bytes.len().saturating_sub(self.pos) {
-            return Err(self.err(format!("array length {len} exceeds payload")));
-        }
-        let mut arr = Vec::with_capacity(len);
-        for _ in 0..len {
-            arr.push(self.u64()?);
-        }
-        Ok(arr)
-    }
-
-    fn bool(&mut self) -> Result<bool, (usize, String)> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(self.err(format!("bad bool byte {other}"))),
-        }
-    }
-
-    fn opt_pair(&mut self) -> Result<Option<(u64, u64)>, (usize, String)> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some((self.u64()?, self.u64()?))),
-            other => Err(self.err(format!("bad option tag {other}"))),
-        }
-    }
-
-    fn opt_pos(&mut self) -> Result<Option<Vec<i64>>, (usize, String)> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.pos_arr()?)),
-            other => Err(self.err(format!("bad option tag {other}"))),
-        }
-    }
-
-    fn schedule(&mut self) -> Result<Schedule, (usize, String)> {
-        match self.u8()? {
-            0 => Ok(Schedule::Static),
-            1 => Ok(Schedule::Steal),
-            2 => Ok(Schedule::Rebalance),
-            other => Err(self.err(format!("unknown schedule byte {other}"))),
-        }
-    }
-
-    fn work(&mut self) -> Result<WorkState, (usize, String)> {
-        match self.u8()? {
-            0 => Ok(WorkState::Idle),
-            1 => Ok(WorkState::Active),
-            2 => Ok(WorkState::Done),
-            other => Err(self.err(format!("unknown work-state byte {other}"))),
+            put_i64s(buf, p);
         }
     }
 }
@@ -260,11 +78,45 @@ fn work_byte(w: WorkState) -> u8 {
     }
 }
 
+fn opt_pair(c: &mut Cursor<'_>) -> Result<Option<(u64, u64)>, FrameError> {
+    match c.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some((c.u64()?, c.u64()?))),
+        other => Err(c.err(format!("bad option tag {other}"))),
+    }
+}
+
+fn opt_pos(c: &mut Cursor<'_>) -> Result<Option<Vec<i64>>, FrameError> {
+    match c.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(c.i64s()?)),
+        other => Err(c.err(format!("bad option tag {other}"))),
+    }
+}
+
+fn schedule(c: &mut Cursor<'_>) -> Result<Schedule, FrameError> {
+    match c.u8()? {
+        0 => Ok(Schedule::Static),
+        1 => Ok(Schedule::Steal),
+        2 => Ok(Schedule::Rebalance),
+        other => Err(c.err(format!("unknown schedule byte {other}"))),
+    }
+}
+
+fn work(c: &mut Cursor<'_>) -> Result<WorkState, FrameError> {
+    match c.u8()? {
+        0 => Ok(WorkState::Idle),
+        1 => Ok(WorkState::Active),
+        2 => Ok(WorkState::Done),
+        other => Err(c.err(format!("unknown work-state byte {other}"))),
+    }
+}
+
 // ---- encode ----
 
 fn encode_vehicle(buf: &mut Vec<u8>, v: &VehicleCheckpoint) {
     put_u64(buf, v.global_id);
-    put_pos(buf, &v.pos);
+    put_i64s(buf, &v.pos);
     buf.push(work_byte(v.work));
     put_u64(buf, v.energy_used);
     put_u64(buf, v.moves);
@@ -273,10 +125,7 @@ fn encode_vehicle(buf: &mut Vec<u8>, v: &VehicleCheckpoint) {
     put_opt_pos(buf, &v.summon_dest);
     put_bool(buf, v.failed_search);
     put_opt_pos(buf, &v.arrived);
-    put_u64(buf, v.neighbors.len() as u64);
-    for &n in &v.neighbors {
-        put_u64(buf, n);
-    }
+    put_u64s(buf, &v.neighbors);
     for &c in &v.msg_counts {
         put_u64(buf, c);
     }
@@ -296,10 +145,7 @@ fn encode_shard(buf: &mut Vec<u8>, s: &ShardCheckpoint) {
     put_u64(buf, s.total_lost);
     put_u64(buf, s.total_to_crashed);
     put_u64(buf, s.queue_depth_max);
-    put_u64(buf, s.delay_counts.len() as u64);
-    for &c in &s.delay_counts {
-        put_u64(buf, c);
-    }
+    put_u64s(buf, &s.delay_counts);
     put_u64(buf, s.delay_count);
     put_u64(buf, s.delay_sum as u64);
     put_u64(buf, (s.delay_sum >> 64) as u64);
@@ -311,11 +157,11 @@ fn encode_shard(buf: &mut Vec<u8>, s: &ShardCheckpoint) {
     put_u64(buf, s.failed_replacements);
     put_u64(buf, s.cubes.len() as u64);
     for cube in &s.cubes {
-        put_pos(buf, cube);
+        put_i64s(buf, cube);
     }
     put_u64(buf, s.pair_active.len() as u64);
     for (cube, idx, vid) in &s.pair_active {
-        put_pos(buf, cube);
+        put_i64s(buf, cube);
         put_u64(buf, *idx);
         put_u64(buf, *vid);
     }
@@ -325,17 +171,9 @@ fn encode_shard(buf: &mut Vec<u8>, s: &ShardCheckpoint) {
     }
 }
 
-/// Appends one frame (varint length prefix + payload) to `out`.
-fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    put_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-}
-
 /// Encodes a checkpoint into the `CMVC` byte format.
 pub fn encode_checkpoint(ckpt: &EngineCheckpoint) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&CKPT_MAGIC);
-    out.push(CKPT_VERSION);
+    let mut out = frame::header(CKPT_MAGIC, CKPT_VERSION).to_vec();
     let mut buf = Vec::new();
     put_u64(&mut buf, ckpt.fingerprint);
     put_u64(&mut buf, ckpt.rounds_completed);
@@ -356,237 +194,77 @@ pub fn encode_checkpoint(ckpt: &EngineCheckpoint) -> Vec<u8> {
 
 // ---- decode ----
 
-fn decode_vehicle(c: &mut Cursor<'_>) -> Result<VehicleCheckpoint, (usize, String)> {
+fn decode_vehicle(c: &mut Cursor<'_>) -> Result<VehicleCheckpoint, FrameError> {
     Ok(VehicleCheckpoint {
         global_id: c.u64()?,
-        pos: c.pos_arr()?,
-        work: c.work()?,
+        pos: c.i64s()?,
+        work: work(c)?,
         energy_used: c.u64()?,
         moves: c.u64()?,
         serves: c.u64()?,
-        claimed_by: c.opt_pair()?,
-        summon_dest: c.opt_pos()?,
+        claimed_by: opt_pair(c)?,
+        summon_dest: opt_pos(c)?,
         failed_search: c.bool()?,
-        arrived: c.opt_pos()?,
-        neighbors: c.u64_arr()?,
+        arrived: opt_pos(c)?,
+        neighbors: c.u64s()?,
         msg_counts: [c.u64()?, c.u64()?, c.u64()?, c.u64()?],
         diffusions: (c.u64()?, c.u64()?, c.u64()?),
-        engine_init: c.opt_pair()?,
+        engine_init: opt_pair(c)?,
         engine_next_generation: c.u64()?,
     })
 }
 
-fn decode_shard(c: &mut Cursor<'_>) -> Result<ShardCheckpoint, (usize, String)> {
-    let now = c.u64()?;
-    let seq = c.u64()?;
-    let rng_state = c.u64()?;
-    let total_sent = c.u64()?;
-    let total_delivered = c.u64()?;
-    let total_lost = c.u64()?;
-    let total_to_crashed = c.u64()?;
-    let queue_depth_max = c.u64()?;
-    let delay_counts = c.u64_arr()?;
-    let delay_count = c.u64()?;
-    let sum_lo = c.u64()?;
-    let sum_hi = c.u64()?;
-    let delay_max = c.u64()?;
-    let released = c.u64()?;
-    let served = c.u64()?;
-    let unserved = c.u64()?;
-    let replacements = c.u64()?;
-    let failed_replacements = c.u64()?;
-    let n_cubes = c.usize()?;
-    let mut cubes = Vec::with_capacity(n_cubes.min(1 << 16));
-    for _ in 0..n_cubes {
-        cubes.push(c.pos_arr()?);
-    }
-    let n_pairs = c.usize()?;
-    let mut pair_active = Vec::with_capacity(n_pairs.min(1 << 16));
-    for _ in 0..n_pairs {
-        pair_active.push((c.pos_arr()?, c.u64()?, c.u64()?));
-    }
-    let n_vehicles = c.usize()?;
-    let mut vehicles = Vec::with_capacity(n_vehicles.min(1 << 16));
-    for _ in 0..n_vehicles {
-        vehicles.push(decode_vehicle(c)?);
-    }
+/// Reads one shard frame; fields are read in struct order.
+fn decode_shard(c: &mut Cursor<'_>) -> Result<ShardCheckpoint, FrameError> {
     Ok(ShardCheckpoint {
-        now,
-        seq,
-        rng_state,
-        total_sent,
-        total_delivered,
-        total_lost,
-        total_to_crashed,
-        queue_depth_max,
-        delay_counts,
-        delay_count,
-        delay_sum: u128::from(sum_lo) | (u128::from(sum_hi) << 64),
-        delay_max,
-        released,
-        served,
-        unserved,
-        replacements,
-        failed_replacements,
-        cubes,
-        pair_active,
-        vehicles,
+        now: c.u64()?,
+        seq: c.u64()?,
+        rng_state: c.u64()?,
+        total_sent: c.u64()?,
+        total_delivered: c.u64()?,
+        total_lost: c.u64()?,
+        total_to_crashed: c.u64()?,
+        queue_depth_max: c.u64()?,
+        delay_counts: c.u64s()?,
+        delay_count: c.u64()?,
+        delay_sum: u128::from(c.u64()?) | (u128::from(c.u64()?) << 64),
+        delay_max: c.u64()?,
+        released: c.u64()?,
+        served: c.u64()?,
+        unserved: c.u64()?,
+        replacements: c.u64()?,
+        failed_replacements: c.u64()?,
+        cubes: c.array(Cursor::i64s)?,
+        pair_active: c.array(|c| Ok((c.i64s()?, c.u64()?, c.u64()?)))?,
+        vehicles: c.array(decode_vehicle)?,
     })
-}
-
-/// A decoded frame: its 1-based index, payload slice, and the payload's
-/// absolute byte offset in the file (for scoped errors).
-type Frame<'a> = (usize, &'a [u8], usize);
-
-/// Yields `(frame_index, payload, payload_base)` triples over the byte
-/// stream after the header, replicating the trace reader's frame errors.
-struct Frames<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    frame: usize,
-}
-
-impl<'a> Frames<'a> {
-    fn next_frame(&mut self) -> Option<Result<Frame<'a>, CkptError>> {
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        self.frame += 1;
-        let frame_start = self.pos;
-        let fail = |offset: usize, msg: String| CkptError {
-            frame: self.frame,
-            offset,
-            msg,
-        };
-        // Decode the length varint inline so truncation inside it is
-        // reported on the frame, not as a payload error.
-        let mut len: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Some(Err(fail(frame_start, "truncated frame length".to_string())));
-            };
-            self.pos += 1;
-            if shift == 63 && b > 1 {
-                return Some(Err(fail(
-                    frame_start,
-                    "frame length overflows u64".to_string(),
-                )));
-            }
-            len |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-            if shift > 63 {
-                return Some(Err(fail(
-                    frame_start,
-                    "frame length overflows u64".to_string(),
-                )));
-            }
-        }
-        if len == 0 {
-            return Some(Err(fail(frame_start, "empty frame".to_string())));
-        }
-        let remaining = self.bytes.len() - self.pos;
-        let len = len as usize;
-        if len > remaining {
-            return Some(Err(fail(
-                frame_start,
-                format!("frame length {len} exceeds remaining {remaining} bytes"),
-            )));
-        }
-        let payload = &self.bytes[self.pos..self.pos + len];
-        let base = self.pos;
-        self.pos += len;
-        Some(Ok((self.frame, payload, base)))
-    }
 }
 
 /// Decodes a `CMVC` byte stream back into an [`EngineCheckpoint`].
 /// Never panics: corrupt or truncated input comes back as a scoped
-/// [`CkptError`]. Trailing bytes inside a frame and extra frames after
+/// [`FrameError`]. Trailing bytes inside a frame and extra frames after
 /// the last shard are ignored (append-tolerant schema evolution).
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<EngineCheckpoint, CkptError> {
-    if bytes.len() < 5 {
-        return Err(CkptError {
-            frame: 0,
-            offset: 0,
-            msg: format!("truncated header: {} bytes, need 5", bytes.len()),
-        });
-    }
-    if bytes[..4] != CKPT_MAGIC {
-        return Err(CkptError {
-            frame: 0,
-            offset: 0,
-            msg: format!("bad magic {:?}, expected {CKPT_MAGIC:?}", &bytes[..4]),
-        });
-    }
-    if bytes[4] > CKPT_VERSION {
-        return Err(CkptError {
-            frame: 0,
-            offset: 4,
-            msg: format!(
-                "format version {} is newer than supported version {CKPT_VERSION}",
-                bytes[4]
-            ),
-        });
-    }
-    let mut frames = Frames {
-        bytes,
-        pos: 5,
-        frame: 0,
-    };
-    let (frame, payload, base) = frames.next_frame().ok_or_else(|| CkptError {
-        frame: 1,
-        offset: bytes.len(),
-        msg: "missing run frame".to_string(),
-    })??;
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-        base,
-    };
-    let header = (|| -> Result<_, (usize, String)> {
-        Ok((
-            c.u64()?,
-            c.u64()?,
-            c.u64()?,
-            c.u64()?,
-            c.u64()?,
-            c.schedule()?,
-            c.bool()?,
-            c.usize()?,
-        ))
-    })()
-    .map_err(|(offset, msg)| CkptError { frame, offset, msg })?;
-    let (
-        fingerprint,
-        rounds_completed,
-        next_epoch,
-        trace_events,
-        threads,
-        schedule,
-        checked,
-        n_shards,
-    ) = header;
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<EngineCheckpoint, FrameError> {
+    let mut file = Cursor::open(bytes, CKPT_MAGIC, CKPT_VERSION)?;
+    let mut run = file
+        .next_frame()
+        .unwrap_or_else(|| Err(file.missing("missing run frame")))?;
+    let fingerprint = run.u64()?;
+    let rounds_completed = run.u64()?;
+    let next_epoch = run.u64()?;
+    let trace_events = run.u64()?;
+    let threads = run.u64()?;
+    let schedule = schedule(&mut run)?;
+    let checked = run.bool()?;
+    let n_shards = run.usize()?;
     let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
     for i in 0..n_shards {
-        let (frame, payload, base) = frames.next_frame().ok_or_else(|| CkptError {
-            frame: 1 + i,
-            offset: bytes.len(),
-            msg: format!("checkpoint ends after {i} of {n_shards} shard frames"),
-        })??;
-        let mut c = Cursor {
-            bytes: payload,
-            pos: 0,
-            base,
-        };
-        shards.push(decode_shard(&mut c).map_err(|(offset, msg)| CkptError {
-            frame,
-            offset,
-            msg,
-        })?);
+        let mut shard = file.next_frame().unwrap_or_else(|| {
+            Err(file.missing(format!(
+                "checkpoint ends after {i} of {n_shards} shard frames"
+            )))
+        })?;
+        shards.push(decode_shard(&mut shard)?);
     }
     Ok(EngineCheckpoint {
         fingerprint,

@@ -4,15 +4,15 @@
 //!
 //! Two halves:
 //!
-//! * [`codec`] — the `CMVC` on-disk checkpoint format: a versioned,
-//!   length-prefixed binary encoding of [`cmvrp_engine::EngineCheckpoint`]
-//!   following the same frame discipline as the `CMVB` trace format
-//!   (magic + version header, varint-length-prefixed frames, scoped
-//!   decode errors, append-tolerant payloads), written atomically via a
-//!   temp file and rename so a crash mid-write never corrupts the last
-//!   good snapshot.
-//! * [`campaign`] — a panel runner: parse a hand-rolled spec of named
-//!   `cmvrp simulate` runs, execute them with per-run checkpointing,
+//! * [`codec`] — the `CMVC` on-disk checkpoint format: the field lists of
+//!   [`cmvrp_engine::EngineCheckpoint`] over the frame module it shares
+//!   with the `CMVB` trace format ([`cmvrp_obs::frame`]: magic + version
+//!   header, varint-length-prefixed frames, scoped decode errors,
+//!   append-tolerant payloads), written atomically via a temp file and
+//!   rename so a crash mid-write never corrupts the last good snapshot.
+//! * [`campaign`] — a panel runner: parse a spec of named `cmvrp
+//!   simulate` runs (sectioned like scenario files, and read by the same
+//!   lexer), execute them with per-run checkpointing,
 //!   retry failed or killed runs from their last checkpoint with bounded
 //!   exponential backoff, and park runs that exhaust their retries in a
 //!   dead-letter list persisted next to the checkpoints.
@@ -30,6 +30,6 @@ pub use campaign::{
     ProcessExecutor, RunRecord, RunSpec,
 };
 pub use codec::{
-    decode_checkpoint, encode_checkpoint, inspect, read_checkpoint, write_checkpoint, CkptError,
-    CKPT_MAGIC, CKPT_VERSION,
+    decode_checkpoint, encode_checkpoint, inspect, read_checkpoint, write_checkpoint, CKPT_MAGIC,
+    CKPT_VERSION,
 };

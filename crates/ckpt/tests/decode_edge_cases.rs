@@ -1,12 +1,12 @@
 //! Edge cases for the `CMVC` checkpoint decoder: every truncation and
-//! corruption shape must come back as a scoped [`CkptError`], never a
+//! corruption shape must come back as a scoped `FrameError`, never a
 //! panic, both from bytes and through the filesystem path.
 
 use cmvrp_ckpt::{
     decode_checkpoint, encode_checkpoint, read_checkpoint, write_checkpoint, CKPT_MAGIC,
     CKPT_VERSION,
 };
-use cmvrp_engine::{EngineCheckpoint, Schedule};
+use cmvrp_engine::{EngineCheckpoint, Schedule, ShardCheckpoint};
 
 fn tmp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(format!("cmvrp_ckpt_{name}"));
@@ -25,6 +25,36 @@ fn sample_bytes() -> Vec<u8> {
         schedule: Schedule::Static,
         checked: false,
         shards: vec![],
+    })
+}
+
+/// A checkpoint with `n` small shards (every frame length fits one byte).
+fn sharded_bytes(n: u64) -> Vec<u8> {
+    let shard = |now| ShardCheckpoint {
+        now,
+        seq: 1,
+        rng_state: 7,
+        total_sent: 0,
+        total_delivered: 0,
+        total_lost: 0,
+        total_to_crashed: 0,
+        queue_depth_max: 0,
+        delay_counts: vec![1, 2],
+        delay_count: 3,
+        delay_sum: 4,
+        delay_max: 2,
+        released: 5,
+        served: 5,
+        unserved: 0,
+        replacements: 0,
+        failed_replacements: 0,
+        cubes: vec![vec![0, -3]],
+        pair_active: vec![(vec![0, -3], 1, 2)],
+        vehicles: vec![],
+    };
+    encode_checkpoint(&EngineCheckpoint {
+        shards: (0..n).map(shard).collect(),
+        ..decode_checkpoint(&sample_bytes()).unwrap()
     })
 }
 
@@ -146,4 +176,55 @@ fn write_then_read_roundtrips_through_the_path_api() {
     write_checkpoint(&path, &ckpt).unwrap();
     assert_eq!(read_checkpoint(&path).unwrap(), ckpt);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn missing_shard_frames_name_the_frame_that_is_missing() {
+    let bytes = sharded_bytes(3);
+    assert_eq!(decode_checkpoint(&bytes).unwrap().shards.len(), 3);
+    // Frame 1 is the run frame; shard i is frame i + 2.
+    let run_end = 6 + usize::from(bytes[5]);
+    let err = decode_checkpoint(&bytes[..run_end]).unwrap_err();
+    assert_eq!((err.frame, err.offset), (2, run_end));
+    assert_eq!(err.msg, "checkpoint ends after 0 of 3 shard frames");
+    let shard_end = run_end + 1 + usize::from(bytes[run_end]);
+    let err = decode_checkpoint(&bytes[..shard_end]).unwrap_err();
+    assert_eq!((err.frame, err.offset), (3, shard_end));
+    assert_eq!(err.msg, "checkpoint ends after 1 of 3 shard frames");
+}
+
+/// Deterministic byte flips of a real checkpoint, then plain garbage
+/// (half of it behind a valid header): the decoder returns a checkpoint or
+/// a scoped error whose offset lies inside the input, and never panics.
+#[test]
+fn random_corruption_is_a_scoped_error() {
+    let clean = sharded_bytes(2);
+    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut rng = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    for round in 0..4000 {
+        let bytes: Vec<u8> = if round % 2 == 0 {
+            let mut bytes = clean.clone();
+            for _ in 0..=(rng() % 3) {
+                let i = (rng() % bytes.len() as u64) as usize;
+                bytes[i] ^= (rng() % 255 + 1) as u8;
+            }
+            bytes
+        } else {
+            let mut bytes: Vec<u8> = (0..rng() % 96).map(|_| (rng() & 0xff) as u8).collect();
+            if rng() % 2 == 0 && bytes.len() >= 5 {
+                bytes[..4].copy_from_slice(&CKPT_MAGIC);
+                bytes[4] = CKPT_VERSION;
+            }
+            bytes
+        };
+        if let Err(e) = decode_checkpoint(&bytes) {
+            assert!(e.offset <= bytes.len(), "{e}");
+            assert!(!e.msg.is_empty());
+        }
+    }
 }

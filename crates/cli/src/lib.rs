@@ -1003,8 +1003,7 @@ fn cmd_scenario(args: &[String]) -> Result<String, UsageError> {
 
 fn cmd_replay(path: &str) -> Result<String, UsageError> {
     let text = read_trace(path)?;
-    let summary = cmvrp_obs::summarize(text.lines())
-        .map_err(|(line, msg)| UsageError(format!("{path}:{line}: {msg}")))?;
+    let summary = cmvrp_obs::summarize(text.lines()).map_err(at_line(path))?;
     let mut table = cmvrp_util::Table::new(vec!["quantity", "value"]);
     for (name, value) in summary.rows() {
         table.row(vec![name, value]);
@@ -1024,6 +1023,11 @@ fn load_trace_file(path: &str) -> Result<cmvrp_obs::LoadedTrace, UsageError> {
 /// to JSON lines, so every trace-reading subcommand accepts both formats.
 fn read_trace(path: &str) -> Result<String, UsageError> {
     Ok(load_trace_file(path)?.text)
+}
+
+/// Scopes a trace parse error `(line, message)` to `path:line`.
+fn at_line(path: &str) -> impl Fn((usize, String)) -> UsageError + '_ {
+    move |(line, msg)| UsageError(format!("{path}:{line}: {msg}"))
 }
 
 /// Parses the shared `--where=EXPR` analytics option (and rejects
@@ -1054,12 +1058,8 @@ fn cmd_trace_stats(path: &str, opts: &[String]) -> Result<String, UsageError> {
     if let Some(expr) = &filter {
         let mut kept = String::new();
         let mut matched = 0usize;
-        for (i, line) in body.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let ev = Event::from_json(line)
-                .map_err(|msg| UsageError(format!("{path}:{}: {msg}", i + 1)))?;
+        for item in cmvrp_obs::jsonl_events(body.lines()) {
+            let (_, line, ev) = item.map_err(at_line(path))?;
             if expr.matches(&ev) {
                 matched += 1;
                 kept.push_str(line);
@@ -1069,8 +1069,7 @@ fn cmd_trace_stats(path: &str, opts: &[String]) -> Result<String, UsageError> {
         let _ = writeln!(out, "where: {matched} of {} events match", loaded.events);
         body = kept;
     }
-    let summary = cmvrp_obs::summarize(body.lines())
-        .map_err(|(line, msg)| UsageError(format!("{path}:{line}: {msg}")))?;
+    let summary = cmvrp_obs::summarize(body.lines()).map_err(at_line(path))?;
     let mut table = cmvrp_util::Table::new(vec!["quantity", "value"]);
     for (name, value) in summary.rows() {
         table.row(vec![name, value]);
@@ -1169,15 +1168,11 @@ fn cmd_trace_query(expr_src: &str, path: &str) -> Result<String, UsageError> {
     let loaded = load_trace_file(path)?;
     let mut out = String::new();
     let mut matched = 0usize;
-    for (i, line) in loaded.text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev =
-            Event::from_json(line).map_err(|msg| UsageError(format!("{path}:{}: {msg}", i + 1)))?;
+    for item in cmvrp_obs::jsonl_events(loaded.text.lines()) {
+        let (n, line, ev) = item.map_err(at_line(path))?;
         if expr.matches(&ev) {
             matched += 1;
-            let _ = writeln!(out, "{}: {}", i + 1, line.trim());
+            let _ = writeln!(out, "{n}: {}", line.trim());
         }
     }
     let _ = writeln!(
@@ -1198,13 +1193,9 @@ fn cmd_trace_explain(selector: &str, path: &str) -> Result<String, UsageError> {
     let loaded = load_trace_file(path)?;
     let mut checker = cmvrp_obs::TraceChecker::new();
     checker.record_causality();
-    for (i, line) in loaded.text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev =
-            Event::from_json(line).map_err(|msg| UsageError(format!("{path}:{}: {msg}", i + 1)))?;
-        checker.observe_at(i + 1, &ev);
+    for item in cmvrp_obs::jsonl_events(loaded.text.lines()) {
+        let (n, _, ev) = item.map_err(at_line(path))?;
+        checker.observe_at(n, &ev);
     }
     let ix = checker
         .into_causal_index()
@@ -1286,13 +1277,8 @@ fn cmd_trace_convert(input: &str, output: &str) -> Result<String, UsageError> {
             .map_err(|e| UsageError(format!("{input}: not UTF-8 JSONL: {e}")))?;
         let mut sink = BinSink::create(output)
             .map_err(|e| UsageError(format!("cannot create {output:?}: {e}")))?;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let ev = Event::from_json(line)
-                .map_err(|msg| UsageError(format!("{input}:{}: {msg}", i + 1)))?;
-            sink.record(&ev);
+        for item in cmvrp_obs::jsonl_events(text.lines()) {
+            sink.record(&item.map_err(at_line(input))?.2);
         }
         let events = sink
             .finish()
@@ -1321,12 +1307,8 @@ fn cmd_trace_profile(path: &str) -> Result<String, UsageError> {
     // so insertion keeps one copy per round.
     let mut rounds: std::collections::BTreeMap<u64, (u64, u64, u64, u64)> =
         std::collections::BTreeMap::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev =
-            Event::from_json(line).map_err(|msg| UsageError(format!("{path}:{}: {msg}", i + 1)))?;
+    for item in cmvrp_obs::jsonl_events(text.lines()) {
+        let (_, _, ev) = item.map_err(at_line(path))?;
         if let Event::RoundProfile {
             round,
             worker,
@@ -1449,8 +1431,7 @@ fn cmd_trace_check(path: &str, opts: &[String]) -> Result<String, UsageError> {
         }
     }
     let text = read_trace(path)?;
-    let report = cmvrp_obs::check_lines(text.lines(), capacity)
-        .map_err(|(line, msg)| UsageError(format!("{path}:{line}: {msg}")))?;
+    let report = cmvrp_obs::check_lines(text.lines(), capacity).map_err(at_line(path))?;
     if report.is_clean() {
         return Ok(format!(
             "trace OK: {} events, {} invariants checked ({})\n",
@@ -1490,19 +1471,15 @@ fn cmd_trace_timeline(proc_arg: &str, path: &str, opts: &[String]) -> Result<Str
     let mut checker = cmvrp_obs::TraceChecker::new();
     let mut table = cmvrp_util::Table::new(vec!["line", "lamport", "event"]);
     let mut shown = 0u64;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = cmvrp_obs::Event::from_json(line)
-            .map_err(|msg| UsageError(format!("{path}:{}: {msg}", i + 1)))?;
+    for item in cmvrp_obs::jsonl_events(text.lines()) {
+        let (n, line, ev) = item.map_err(at_line(path))?;
         // The checker attributes each event to one acting process and
         // advances that process' Lamport clock; the timeline is the slice
         // of that ledger belonging to `proc`.
-        if let Some((actor, lamport)) = checker.observe_at(i + 1, &ev) {
+        if let Some((actor, lamport)) = checker.observe_at(n, &ev) {
             if actor == proc && filter.as_ref().is_none_or(|expr| expr.matches(&ev)) {
                 table.row(vec![
-                    (i + 1).to_string(),
+                    n.to_string(),
                     lamport.to_string(),
                     line.trim().to_string(),
                 ]);
@@ -1525,13 +1502,9 @@ fn cmd_trace_spans(path: &str) -> Result<String, UsageError> {
     // name -> (count, total_ns, max_ns)
     let mut agg: std::collections::BTreeMap<String, (u64, u64, u64)> =
         std::collections::BTreeMap::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = cmvrp_obs::Event::from_json(line)
-            .map_err(|msg| UsageError(format!("{path}:{}: {msg}", i + 1)))?;
-        if let cmvrp_obs::Event::PhaseSpan {
+    for item in cmvrp_obs::jsonl_events(text.lines()) {
+        let (_, _, ev) = item.map_err(at_line(path))?;
+        if let Event::PhaseSpan {
             name,
             start_ns,
             end_ns,

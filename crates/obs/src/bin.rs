@@ -1,32 +1,26 @@
 //! Binary trace format: the same [`Event`] vocabulary as the JSONL schema
-//! in a compact, length-prefixed frame encoding.
-//!
-//! A binary trace is:
+//! in the length-prefixed frames of [`crate::frame`], under the magic
+//! `CMVB`. Each frame holds one event:
 //!
 //! ```text
-//! magic "CMVB" (4 bytes) | version (1 byte) | frame*
-//! frame := varint(payload_len) | payload
 //! payload := tag (1 byte) | fields
 //! ```
 //!
-//! All integer fields are LEB128 varints; signed values (position
-//! coordinates, `round_profile` nanoseconds) are zigzag-mapped first so
-//! small magnitudes stay short. Strings are `varint(len)` + UTF-8 bytes,
-//! coordinate vectors `varint(len)` + zigzag elements, and the optional
-//! message `kind` a single byte (0 = absent). The format is append-only in
-//! the same sense as the JSONL schema: decoders ignore trailing bytes
-//! inside a frame so later versions can append fields, while an unknown
-//! tag or a bumped version byte is a hard error.
+//! Fields use the frame encodings: varints, zigzag for the signed values
+//! (position coordinates, `round_profile` nanoseconds), length-prefixed
+//! strings and coordinate vectors; the optional message `kind` is a single
+//! byte (0 = absent). The format is append-only in the same sense as the
+//! JSONL schema, and an unknown tag is a hard error.
 //!
 //! [`BinSink`] is the write side — a [`Sink`] like [`crate::JsonlSink`]
 //! but with no per-event allocation (one reusable scratch buffer) —
-//! and [`BinReader`] the read side: an iterator of events whose errors
-//! carry the 1-based frame index and absolute byte offset, and which
-//! never panics on truncated or corrupt input.
+//! and [`BinReader`] the read side: an iterator of events whose
+//! [`FrameError`]s carry the 1-based frame index and absolute byte offset,
+//! and which never panics on truncated or corrupt input.
 
 use crate::event::{DropReason, Event, MsgKind};
+use crate::frame::{self, put_i64, put_i64s, put_str, put_u64, Cursor, FrameError};
 use crate::sink::{Sink, StaticSink};
-use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -41,44 +35,6 @@ pub const BIN_VERSION: u8 = 1;
 /// `cmvrp trace …` to accept either encoding transparently.
 pub fn is_binary_trace(bytes: &[u8]) -> bool {
     bytes.starts_with(&BIN_MAGIC)
-}
-
-// ---- varint primitives ----
-
-fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    put_u64(buf, zigzag(v));
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_pos(buf: &mut Vec<u8>, pos: &[i64]) {
-    put_u64(buf, pos.len() as u64);
-    for &c in pos {
-        put_i64(buf, c);
-    }
 }
 
 fn put_kind(buf: &mut Vec<u8>, kind: &Option<MsgKind>) {
@@ -153,7 +109,7 @@ fn encode_payload(ev: &Event, buf: &mut Vec<u8>) {
             buf.push(TAG_JOB_ARRIVED);
             put_u64(buf, *t);
             put_u64(buf, *seq);
-            put_pos(buf, pos);
+            put_i64s(buf, pos);
         }
         Event::JobServed {
             t,
@@ -198,7 +154,7 @@ fn encode_payload(ev: &Event, buf: &mut Vec<u8>) {
             buf.push(TAG_REPLACEMENT_CYCLE);
             put_u64(buf, *t);
             put_u64(buf, *vehicle as u64);
-            put_pos(buf, dest);
+            put_i64s(buf, dest);
             put_u64(buf, *dist);
         }
         Event::HeartbeatMissed { t, watcher, peer } => {
@@ -291,10 +247,10 @@ impl<W: Write> BinSink<W> {
             written: 0,
             error: None,
         };
-        let mut header = [0u8; 5];
-        header[..4].copy_from_slice(&BIN_MAGIC);
-        header[4] = BIN_VERSION;
-        if let Err(e) = sink.writer.write_all(&header) {
+        if let Err(e) = sink
+            .writer
+            .write_all(&frame::header(BIN_MAGIC, BIN_VERSION))
+        {
             sink.error = Some(e);
         }
         sink
@@ -341,19 +297,7 @@ impl<W: Write> Sink for BinSink<W> {
         // The length prefix is at most 10 varint bytes; stage it on the
         // stack so a frame is exactly two `write_all` calls.
         let mut prefix = [0u8; 10];
-        let mut v = self.scratch.len() as u64;
-        let mut n = 0;
-        loop {
-            let b = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                prefix[n] = b;
-                n += 1;
-                break;
-            }
-            prefix[n] = b | 0x80;
-            n += 1;
-        }
+        let n = frame::varint(self.scratch.len() as u64, &mut prefix);
         let res = self
             .writer
             .write_all(&prefix[..n])
@@ -375,149 +319,33 @@ impl<W: Write> Sink for BinSink<W> {
 
 impl<W: Write> StaticSink for BinSink<W> {}
 
-/// A scoped decode error: which frame broke, and where in the file.
-///
-/// `frame` is 1-based (frame 0 means the 5-byte header itself was bad) and
-/// `offset` is the absolute byte position the error was detected at, so
-/// `trace check` over a binary trace can anchor violations the same way
-/// line numbers anchor them in JSONL.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinError {
-    /// 1-based index of the offending frame; 0 for header errors.
-    pub frame: usize,
-    /// Absolute byte offset where decoding failed.
-    pub offset: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl fmt::Display for BinError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.frame == 0 {
-            write!(f, "header at byte {}: {}", self.offset, self.msg)
-        } else {
-            write!(
-                f,
-                "frame {} at byte {}: {}",
-                self.frame, self.offset, self.msg
-            )
-        }
-    }
-}
-
-impl std::error::Error for BinError {}
-
-/// Bounds-checked cursor over one frame's payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Absolute offset of `bytes[0]` in the file, for error reporting.
-    base: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn err(&self, msg: impl Into<String>) -> (usize, String) {
-        (self.base + self.pos, msg.into())
-    }
-
-    fn u8(&mut self) -> Result<u8, (usize, String)> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| self.err("payload truncated"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, (usize, String)> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift == 63 && b > 1 {
-                return Err(self.err("varint overflows u64"));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(self.err("varint longer than 10 bytes"));
-            }
-        }
-    }
-
-    fn i64(&mut self) -> Result<i64, (usize, String)> {
-        Ok(unzigzag(self.u64()?))
-    }
-
-    fn usize(&mut self) -> Result<usize, (usize, String)> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| self.err(format!("value {v} overflows usize")))
-    }
-
-    fn str(&mut self) -> Result<String, (usize, String)> {
-        let len = self.usize()?;
-        if len > self.bytes.len().saturating_sub(self.pos) {
-            return Err(self.err(format!("string length {len} exceeds payload")));
-        }
-        let raw = &self.bytes[self.pos..self.pos + len];
-        let s = std::str::from_utf8(raw)
-            .map_err(|e| self.err(format!("string is not UTF-8: {e}")))?
-            .to_string();
-        self.pos += len;
-        Ok(s)
-    }
-
-    fn pos_arr(&mut self) -> Result<Vec<i64>, (usize, String)> {
-        let len = self.usize()?;
-        // Each element is ≥1 byte; reject lengths the payload cannot hold
-        // before allocating.
-        if len > self.bytes.len().saturating_sub(self.pos) {
-            return Err(self.err(format!("array length {len} exceeds payload")));
-        }
-        let mut arr = Vec::with_capacity(len);
-        for _ in 0..len {
-            arr.push(self.i64()?);
-        }
-        Ok(arr)
-    }
-
-    fn kind(&mut self) -> Result<Option<MsgKind>, (usize, String)> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(MsgKind::Query)),
-            2 => Ok(Some(MsgKind::Reply)),
-            3 => Ok(Some(MsgKind::Move)),
-            4 => Ok(Some(MsgKind::Heartbeat)),
-            other => Err(self.err(format!("unknown msg-kind byte {other}"))),
-        }
+fn kind(c: &mut Cursor<'_>) -> Result<Option<MsgKind>, FrameError> {
+    match c.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(MsgKind::Query)),
+        2 => Ok(Some(MsgKind::Reply)),
+        3 => Ok(Some(MsgKind::Move)),
+        4 => Ok(Some(MsgKind::Heartbeat)),
+        other => Err(c.err(format!("unknown msg-kind byte {other}"))),
     }
 }
 
 /// Decodes one frame payload. Trailing bytes are ignored (append-only
 /// schema evolution, mirroring "readers must ignore unknown fields").
-fn decode_payload(bytes: &[u8], base: usize) -> Result<Event, (usize, String)> {
-    let mut c = Cursor {
-        bytes,
-        pos: 0,
-        base,
-    };
-    let tag = c.u8()?;
-    let ev = match tag {
+fn decode_payload(c: &mut Cursor<'_>) -> Result<Event, FrameError> {
+    let ev = match c.u8()? {
         TAG_MSG_SENT => Event::MsgSent {
             t: c.u64()?,
             from: c.usize()?,
             to: c.usize()?,
-            kind: c.kind()?,
+            kind: kind(c)?,
         },
         TAG_MSG_DELIVERED => Event::MsgDelivered {
             t: c.u64()?,
             from: c.usize()?,
             to: c.usize()?,
             delay: c.u64()?,
-            kind: c.kind()?,
+            kind: kind(c)?,
         },
         TAG_MSG_DROPPED => Event::MsgDropped {
             t: c.u64()?,
@@ -528,12 +356,12 @@ fn decode_payload(bytes: &[u8], base: usize) -> Result<Event, (usize, String)> {
                 1 => DropReason::RecipientCrashed,
                 other => return Err(c.err(format!("unknown drop-reason byte {other}"))),
             },
-            kind: c.kind()?,
+            kind: kind(c)?,
         },
         TAG_JOB_ARRIVED => Event::JobArrived {
             t: c.u64()?,
             seq: c.u64()?,
-            pos: c.pos_arr()?,
+            pos: c.i64s()?,
         },
         TAG_JOB_SERVED => Event::JobServed {
             t: c.u64()?,
@@ -550,16 +378,12 @@ fn decode_payload(bytes: &[u8], base: usize) -> Result<Event, (usize, String)> {
             t: c.u64()?,
             initiator: c.usize()?,
             generation: c.u64()?,
-            found: match c.u8()? {
-                0 => false,
-                1 => true,
-                other => return Err(c.err(format!("bad bool byte {other}"))),
-            },
+            found: c.bool()?,
         },
         TAG_REPLACEMENT_CYCLE => Event::ReplacementCycle {
             t: c.u64()?,
             vehicle: c.usize()?,
-            dest: c.pos_arr()?,
+            dest: c.i64s()?,
             dist: c.u64()?,
         },
         TAG_HEARTBEAT_MISSED => Event::HeartbeatMissed {
@@ -592,7 +416,7 @@ fn decode_payload(bytes: &[u8], base: usize) -> Result<Event, (usize, String)> {
             events: c.u64()?,
             steals: c.u64()?,
         },
-        other => return Err((base, format!("unknown event tag {other}"))),
+        other => return Err(c.err(format!("unknown event tag {other}"))),
     };
     Ok(ev)
 }
@@ -604,9 +428,7 @@ fn decode_payload(bytes: &[u8], base: usize) -> Result<Event, (usize, String)> {
 /// trustworthy past a corrupt frame); errors are values, never panics.
 #[derive(Debug)]
 pub struct BinReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    frame: usize,
+    frames: Cursor<'a>,
     failed: bool,
 }
 
@@ -615,112 +437,29 @@ impl<'a> BinReader<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a frame-0 [`BinError`] when the magic bytes are wrong, the
+    /// Returns a frame-0 [`FrameError`] when the magic bytes are wrong, the
     /// header is truncated, or the version is newer than this build reads.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, BinError> {
-        if bytes.len() < 5 {
-            return Err(BinError {
-                frame: 0,
-                offset: bytes.len(),
-                msg: format!("truncated header: {} bytes, need 5", bytes.len()),
-            });
-        }
-        if bytes[..4] != BIN_MAGIC {
-            return Err(BinError {
-                frame: 0,
-                offset: 0,
-                msg: format!("bad magic {:?}, expected {BIN_MAGIC:?}", &bytes[..4]),
-            });
-        }
-        if bytes[4] > BIN_VERSION {
-            return Err(BinError {
-                frame: 0,
-                offset: 4,
-                msg: format!(
-                    "format version {} is newer than supported version {BIN_VERSION}",
-                    bytes[4]
-                ),
-            });
-        }
+    pub fn new(bytes: &'a [u8]) -> Result<Self, FrameError> {
         Ok(BinReader {
-            bytes,
-            pos: 5,
-            frame: 0,
+            frames: Cursor::open(bytes, BIN_MAGIC, BIN_VERSION)?,
             failed: false,
         })
     }
-
-    /// Frames successfully decoded so far.
-    pub fn frames(&self) -> usize {
-        self.frame
-    }
-
-    fn fail(&mut self, offset: usize, msg: String) -> BinError {
-        self.failed = true;
-        BinError {
-            frame: self.frame + 1,
-            offset,
-            msg,
-        }
-    }
 }
 
-impl<'a> Iterator for BinReader<'a> {
-    type Item = Result<Event, BinError>;
+impl Iterator for BinReader<'_> {
+    type Item = Result<Event, FrameError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.pos >= self.bytes.len() {
+        if self.failed {
             return None;
         }
-        let frame_start = self.pos;
-        // Frame length prefix, decoded in place so truncation mid-varint
-        // is caught here rather than in the payload cursor.
-        let mut len: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Some(Err(
-                    self.fail(frame_start, "truncated frame length".to_string())
-                ));
-            };
-            self.pos += 1;
-            if shift == 63 && b > 1 {
-                return Some(Err(
-                    self.fail(frame_start, "frame length overflows u64".to_string())
-                ));
-            }
-            len |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-            if shift > 63 {
-                return Some(Err(self.fail(
-                    frame_start,
-                    "frame length varint longer than 10 bytes".to_string(),
-                )));
-            }
-        }
-        let remaining = self.bytes.len() - self.pos;
-        if len == 0 {
-            return Some(Err(self.fail(frame_start, "empty frame".to_string())));
-        }
-        if len > remaining as u64 {
-            return Some(Err(self.fail(
-                frame_start,
-                format!("frame length {len} exceeds remaining {remaining} bytes"),
-            )));
-        }
-        let payload = &self.bytes[self.pos..self.pos + len as usize];
-        let base = self.pos;
-        self.pos += len as usize;
-        match decode_payload(payload, base) {
-            Ok(ev) => {
-                self.frame += 1;
-                Some(Ok(ev))
-            }
-            Err((offset, msg)) => Some(Err(self.fail(offset, msg))),
-        }
+        let item = self
+            .frames
+            .next_frame()?
+            .and_then(|mut c| decode_payload(&mut c));
+        self.failed = item.is_err();
+        Some(item)
     }
 }
 
@@ -728,36 +467,14 @@ impl<'a> Iterator for BinReader<'a> {
 ///
 /// # Errors
 ///
-/// Returns the first [`BinError`] — bad header or first corrupt frame.
-pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Event>, BinError> {
+/// Returns the first [`FrameError`] — bad header or first corrupt frame.
+pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Event>, FrameError> {
     BinReader::new(bytes)?.collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zigzag_roundtrips_edges() {
-        for v in [0i64, 1, -1, 2, -2, i64::MAX, i64::MIN, 1 << 40, -(1 << 40)] {
-            assert_eq!(unzigzag(zigzag(v)), v, "value {v}");
-        }
-    }
-
-    #[test]
-    fn varint_roundtrips_edges() {
-        for v in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
-            let mut buf = Vec::new();
-            put_u64(&mut buf, v);
-            let mut c = Cursor {
-                bytes: &buf,
-                pos: 0,
-                base: 0,
-            };
-            assert_eq!(c.u64().unwrap(), v);
-            assert_eq!(c.pos, buf.len(), "value {v} left trailing bytes");
-        }
-    }
 
     #[test]
     fn header_is_magic_plus_version() {

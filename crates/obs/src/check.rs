@@ -1297,12 +1297,9 @@ where
     if let Some(w) = capacity {
         checker.set_capacity(w);
     }
-    for (i, line) in lines.into_iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = Event::from_json(line).map_err(|e| (i + 1, e))?;
-        checker.observe_at(i + 1, &ev);
+    for item in crate::event::jsonl_events(lines) {
+        let (line, _, ev) = item?;
+        checker.observe_at(line, &ev);
     }
     checker.finish();
     let active = checker.active_invariants();

@@ -26,6 +26,7 @@
 //! traces, so line numbers here are frame numbers there.
 
 use crate::event::Event;
+use crate::json::Object;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -212,12 +213,16 @@ impl<'a, I: Iterator<Item = &'a str>> Stream<'a, I> {
         Some(item)
     }
 
-    fn parse(&self, item: (usize, &'a str)) -> Result<Event, DiffError> {
-        Event::from_json(item.1).map_err(|msg| DiffError {
+    /// Reads a line as an object (for field-level reports) and an event.
+    fn parse(&self, item: (usize, &'a str)) -> Result<(Object<'a>, Event), DiffError> {
+        let scoped = |msg| DiffError {
             side: self.side,
             line: item.0,
             msg,
-        })
+        };
+        let object = Object::parse(item.1).map_err(scoped)?;
+        let event = Event::from_object(&object).map_err(scoped)?;
+        Ok((object, event))
     }
 
     /// Anchors the context window here: everything consumed so far (up to
@@ -248,7 +253,7 @@ impl<'a, I: Iterator<Item = &'a str>> Stream<'a, I> {
     fn drain_band(&mut self, t: u64, seed: &'a str) -> Result<Vec<&'a str>, DiffError> {
         let mut band = vec![seed];
         while let Some(item) = self.peek() {
-            let ev = self.parse(item)?;
+            let (_, ev) = self.parse(item)?;
             if ev.time() == Some(t) {
                 self.next_line();
                 band.push(item.1);
@@ -260,100 +265,30 @@ impl<'a, I: Iterator<Item = &'a str>> Stream<'a, I> {
     }
 }
 
-/// Splits a canonical flat-JSON event line into raw `(key, value)` pairs.
-/// Values keep their exact JSON spelling so the field report shows what
-/// the trace shows. Returns `None` for lines this simple splitter cannot
-/// handle (the caller then falls back to a whole-line report).
-fn split_fields(line: &str) -> Option<Vec<(String, String)>> {
-    let inner = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let bytes = inner.as_bytes();
-    let mut fields = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        // Key: a quoted string.
-        if bytes[i] != b'"' {
-            return None;
-        }
-        let key_start = i + 1;
-        let mut j = key_start;
-        while j < bytes.len() && bytes[j] != b'"' {
-            if bytes[j] == b'\\' {
-                j += 1;
-            }
-            j += 1;
-        }
-        if j >= bytes.len() {
-            return None;
-        }
-        let key = inner[key_start..j].to_string();
-        i = j + 1;
-        if bytes.get(i) != Some(&b':') {
-            return None;
-        }
-        i += 1;
-        // Value: scan to the next top-level comma, respecting strings
-        // (with escapes) and integer arrays.
-        let val_start = i;
-        let mut depth = 0usize;
-        let mut in_str = false;
-        while i < bytes.len() {
-            let b = bytes[i];
-            if in_str {
-                if b == b'\\' {
-                    i += 1;
-                } else if b == b'"' {
-                    in_str = false;
-                }
-            } else {
-                match b {
-                    b'"' => in_str = true,
-                    b'[' => depth += 1,
-                    b']' => depth = depth.saturating_sub(1),
-                    b',' if depth == 0 => break,
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        fields.push((key, inner[val_start..i].to_string()));
-        i += 1; // past the comma (or the end)
-    }
-    Some(fields)
+/// The exact spelling of `key`'s value in `o`.
+fn raw_value<'a>(o: &Object<'a>, key: &str) -> Option<&'a str> {
+    o.fields().find(|&(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Field-by-field comparison of two same-kind event lines.
-fn field_deltas(a: &str, b: &str) -> Vec<FieldDelta> {
+/// Field-by-field comparison of two same-kind events, each value in its
+/// exact spelling so the report shows what the traces show.
+fn field_deltas(a: &Object<'_>, b: &Object<'_>) -> Vec<FieldDelta> {
     const ABSENT: &str = "<absent>";
-    let (Some(fa), Some(fb)) = (split_fields(a), split_fields(b)) else {
-        return vec![FieldDelta {
-            field: "<line>".into(),
-            a: a.to_string(),
-            b: b.to_string(),
-        }];
+    let delta = |field: &str, a: &str, b: &str| FieldDelta {
+        field: field.to_string(),
+        a: a.to_string(),
+        b: b.to_string(),
     };
     let mut deltas = Vec::new();
-    for (key, va) in &fa {
-        match fb.iter().find(|(k, _)| k == key) {
-            Some((_, vb)) if vb == va => {}
-            Some((_, vb)) => deltas.push(FieldDelta {
-                field: key.clone(),
-                a: va.clone(),
-                b: vb.clone(),
-            }),
-            None => deltas.push(FieldDelta {
-                field: key.clone(),
-                a: va.clone(),
-                b: ABSENT.into(),
-            }),
+    for (key, va) in a.fields() {
+        match raw_value(b, key) {
+            Some(vb) if vb == va => {}
+            vb => deltas.push(delta(key, va, vb.unwrap_or(ABSENT))),
         }
     }
-    for (key, vb) in &fb {
-        if !fa.iter().any(|(k, _)| k == key) {
-            deltas.push(FieldDelta {
-                field: key.clone(),
-                a: ABSENT.into(),
-                b: vb.clone(),
-            });
+    for (key, vb) in b.fields() {
+        if raw_value(a, key).is_none() {
+            deltas.push(delta(key, ABSENT, vb));
         }
     }
     deltas
@@ -425,8 +360,8 @@ where
                 }
                 // First textual difference: parse both sides, anchor the
                 // context windows at the diverging lines, and classify.
-                let ev_a = sa.parse((la, ta))?;
-                let ev_b = sb.parse((lb, tb))?;
+                let (obj_a, ev_a) = sa.parse((la, ta))?;
+                let (obj_b, ev_b) = sb.parse((lb, tb))?;
                 sa.next_line();
                 sb.next_line();
                 sa.mark();
@@ -460,7 +395,7 @@ where
                     if ev_a.kind() == ev_b.kind() {
                         DivergenceKind::PayloadDrift {
                             kind: ev_a.kind().to_string(),
-                            fields: field_deltas(ta, tb),
+                            fields: field_deltas(&obj_a, &obj_b),
                         }
                     } else {
                         DivergenceKind::EventSet {
@@ -633,17 +568,24 @@ mod tests {
     }
 
     #[test]
-    fn split_fields_handles_strings_arrays_and_escapes() {
-        let fields =
-            split_fields("{\"ev\":\"phase_span\",\"name\":\"a,\\\"b[\",\"pos\":[1,-2],\"t\":3}")
+    fn field_deltas_report_raw_spellings_of_strings_arrays_and_escapes() {
+        let a =
+            Object::parse("{\"ev\":\"phase_span\",\"name\":\"a,\\\"b[\",\"pos\":[1,-2],\"t\":3}")
                 .unwrap();
+        let b =
+            Object::parse("{\"ev\":\"phase_span\",\"name\":\"a,\\\"c[\",\"pos\":[1,-2],\"u\":3}")
+                .unwrap();
+        let delta = |field: &str, a: &str, b: &str| FieldDelta {
+            field: field.into(),
+            a: a.into(),
+            b: b.into(),
+        };
         assert_eq!(
-            fields,
+            field_deltas(&a, &b),
             vec![
-                ("ev".to_string(), "\"phase_span\"".to_string()),
-                ("name".to_string(), "\"a,\\\"b[\"".to_string()),
-                ("pos".to_string(), "[1,-2]".to_string()),
-                ("t".to_string(), "3".to_string()),
+                delta("name", "\"a,\\\"b[\"", "\"a,\\\"c[\""),
+                delta("t", "3", "<absent>"),
+                delta("u", "<absent>", "3"),
             ]
         );
     }

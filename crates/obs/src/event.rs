@@ -5,6 +5,7 @@
 //! inverse on every variant (tested). The schema is documented in the crate
 //! docs ([`crate`]).
 
+use crate::json::{self, Object};
 use std::fmt::Write as _;
 
 /// Why a message never reached its recipient.
@@ -393,20 +394,9 @@ impl Event {
                 start_ns,
                 end_ns,
             } => {
-                // Phase names are workspace-chosen identifiers; escape the
-                // two characters that could break the quoting anyway.
-                let escaped: String = name
-                    .chars()
-                    .flat_map(|c| match c {
-                        '"' => vec!['\\', '"'],
-                        '\\' => vec!['\\', '\\'],
-                        c => vec![c],
-                    })
-                    .collect();
-                let _ = write!(
-                    s,
-                    ",\"name\":\"{escaped}\",\"start_ns\":{start_ns},\"end_ns\":{end_ns}"
-                );
+                s.push_str(",\"name\":");
+                json::write_str(&mut s, name);
+                let _ = write!(s, ",\"start_ns\":{start_ns},\"end_ns\":{end_ns}");
             }
             Event::RoundProfile {
                 round,
@@ -435,91 +425,104 @@ impl Event {
     ///
     /// Returns a message describing the first malformed construct.
     pub fn from_json(line: &str) -> Result<Event, String> {
-        let fields = parse_flat_object(line)?;
-        let kind = fields.get_str("ev")?;
-        let ev = match kind {
+        Event::from_object(&Object::parse(line)?)
+    }
+
+    /// Reads an event from a parsed line. Keys outside the event's schema
+    /// are ignored: the schema is append-only.
+    pub(crate) fn from_object(o: &Object<'_>) -> Result<Event, String> {
+        let missing = |key: &str| format!("missing field {key:?}");
+        let u = |key: &str| o.u64(key)?.ok_or_else(|| missing(key));
+        let id = |key: &str| u(key).map(|v| v as usize);
+        let i = |key: &str| o.i64(key)?.ok_or_else(|| missing(key));
+        let s = |key: &str| o.str(key)?.ok_or_else(|| missing(key));
+        let pos = |key: &str| o.arr(key)?.map(<[i64]>::to_vec).ok_or_else(|| missing(key));
+        let kind = || o.str("kind")?.map(MsgKind::parse).transpose();
+        let ev = match s("ev")? {
             "msg_sent" => Event::MsgSent {
-                t: fields.get_u64("t")?,
-                from: fields.get_u64("from")? as usize,
-                to: fields.get_u64("to")? as usize,
-                kind: fields.get_kind_opt()?,
+                t: u("t")?,
+                from: id("from")?,
+                to: id("to")?,
+                kind: kind()?,
             },
             "msg_delivered" => Event::MsgDelivered {
-                t: fields.get_u64("t")?,
-                from: fields.get_u64("from")? as usize,
-                to: fields.get_u64("to")? as usize,
-                delay: fields.get_u64("delay")?,
-                kind: fields.get_kind_opt()?,
+                t: u("t")?,
+                from: id("from")?,
+                to: id("to")?,
+                delay: u("delay")?,
+                kind: kind()?,
             },
             "msg_dropped" => Event::MsgDropped {
-                t: fields.get_u64("t")?,
-                from: fields.get_u64("from")? as usize,
-                to: fields.get_u64("to")? as usize,
-                reason: match fields.get_str("reason")? {
+                t: u("t")?,
+                from: id("from")?,
+                to: id("to")?,
+                reason: match s("reason")? {
                     "lost" => DropReason::Lost,
                     "crashed" => DropReason::RecipientCrashed,
                     other => return Err(format!("unknown drop reason {other:?}")),
                 },
-                kind: fields.get_kind_opt()?,
+                kind: kind()?,
             },
             "job_arrived" => Event::JobArrived {
-                t: fields.get_u64("t")?,
-                seq: fields.get_u64("seq")?,
-                pos: fields.get_arr("pos")?,
+                t: u("t")?,
+                seq: u("seq")?,
+                pos: pos("pos")?,
             },
             "job_served" => Event::JobServed {
-                t: fields.get_u64("t")?,
-                seq: fields.get_u64("seq")?,
-                vehicle: fields.get_u64("vehicle")? as usize,
-                cost: fields.get_u64("cost")?,
+                t: u("t")?,
+                seq: u("seq")?,
+                vehicle: id("vehicle")?,
+                cost: u("cost")?,
             },
             "diffusion_started" => Event::DiffusionStarted {
-                t: fields.get_u64("t")?,
-                initiator: fields.get_u64("initiator")? as usize,
-                generation: fields.get_u64("generation")?,
+                t: u("t")?,
+                initiator: id("initiator")?,
+                generation: u("generation")?,
             },
             "diffusion_completed" => Event::DiffusionCompleted {
-                t: fields.get_u64("t")?,
-                initiator: fields.get_u64("initiator")? as usize,
-                generation: fields.get_u64("generation")?,
-                found: fields.get_bool("found")?,
+                t: u("t")?,
+                initiator: id("initiator")?,
+                generation: u("generation")?,
+                found: o.bool("found")?.ok_or_else(|| missing("found"))?,
             },
             "replacement_cycle" => Event::ReplacementCycle {
-                t: fields.get_u64("t")?,
-                vehicle: fields.get_u64("vehicle")? as usize,
-                dest: fields.get_arr("dest")?,
+                t: u("t")?,
+                vehicle: id("vehicle")?,
+                dest: pos("dest")?,
                 // `dist` joined the schema in v2; pre-v2 traces omit it.
-                dist: fields.get_u64_or("dist", 0)?,
+                dist: o.u64("dist")?.unwrap_or(0),
             },
             "heartbeat_missed" => Event::HeartbeatMissed {
-                t: fields.get_u64("t")?,
-                watcher: fields.get_u64("watcher")? as usize,
-                peer: fields.get_u64("peer")? as usize,
+                t: u("t")?,
+                watcher: id("watcher")?,
+                peer: id("peer")?,
             },
             "fleet_provisioned" => Event::FleetProvisioned {
-                t: fields.get_u64("t")?,
-                vehicles: fields.get_u64("vehicles")?,
-                capacity: fields.get_u64("capacity")?,
+                t: u("t")?,
+                vehicles: u("vehicles")?,
+                capacity: u("capacity")?,
             },
             "process_crashed" => Event::ProcessCrashed {
-                t: fields.get_u64("t")?,
-                proc: fields.get_u64("proc")? as usize,
+                t: u("t")?,
+                proc: id("proc")?,
             },
             "phase_span" => Event::PhaseSpan {
-                name: fields.get_str("name")?.to_string(),
-                start_ns: fields.get_u64("start_ns")?,
-                end_ns: fields.get_u64("end_ns")?,
+                name: s("name")?.to_string(),
+                start_ns: u("start_ns")?,
+                end_ns: u("end_ns")?,
             },
+            // Signed durations: a corrupted (negative) sample parses so the
+            // `profile` monitor, not the parser, is what rejects it.
             "round_profile" => Event::RoundProfile {
-                round: fields.get_u64("round")?,
-                worker: fields.get_u64("worker")?,
-                workers: fields.get_u64("workers")?,
-                busy_ns: fields.get_i64("busy_ns")?,
-                barrier_wait_ns: fields.get_i64("barrier_wait_ns")?,
-                merge_ns: fields.get_i64("merge_ns")?,
-                sink_ns: fields.get_i64("sink_ns")?,
-                events: fields.get_u64("events")?,
-                steals: fields.get_u64("steals")?,
+                round: u("round")?,
+                worker: u("worker")?,
+                workers: u("workers")?,
+                busy_ns: i("busy_ns")?,
+                barrier_wait_ns: i("barrier_wait_ns")?,
+                merge_ns: i("merge_ns")?,
+                sink_ns: i("sink_ns")?,
+                events: u("events")?,
+                steals: u("steals")?,
             },
             other => return Err(format!("unknown event kind {other:?}")),
         };
@@ -527,196 +530,21 @@ impl Event {
     }
 }
 
-/// A parsed flat-JSON value (the schema uses no nesting beyond integer
-/// arrays).
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Num(i128),
-    Str(String),
-    Bool(bool),
-    Arr(Vec<i64>),
-}
-
-#[derive(Debug, Default)]
-struct Fields {
-    entries: Vec<(String, Value)>,
-}
-
-impl Fields {
-    fn get(&self, key: &str) -> Result<&Value, String> {
-        self.entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    fn get_u64(&self, key: &str) -> Result<u64, String> {
-        match self.get(key)? {
-            Value::Num(n) if *n >= 0 && *n <= u64::MAX as i128 => Ok(*n as u64),
-            other => Err(format!("field {key:?} is not a u64: {other:?}")),
-        }
-    }
-
-    /// Signed duration fields (`round_profile` nanoseconds): negatives are
-    /// *representable* here so the `profile` monitor — not the parser — is
-    /// what rejects a corrupted sample.
-    fn get_i64(&self, key: &str) -> Result<i64, String> {
-        match self.get(key)? {
-            Value::Num(n) if *n >= i64::MIN as i128 && *n <= i64::MAX as i128 => Ok(*n as i64),
-            other => Err(format!("field {key:?} is not an i64: {other:?}")),
-        }
-    }
-
-    /// Like [`Fields::get_u64`] but falls back to `default` when the field
-    /// is absent (still rejects present-but-malformed values).
-    fn get_u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        if self.entries.iter().any(|(k, _)| k == key) {
-            self.get_u64(key)
-        } else {
-            Ok(default)
-        }
-    }
-
-    /// The optional `"kind"` message classification.
-    fn get_kind_opt(&self) -> Result<Option<MsgKind>, String> {
-        if self.entries.iter().any(|(k, _)| k == "kind") {
-            MsgKind::parse(self.get_str("kind")?).map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn get_str(&self, key: &str) -> Result<&str, String> {
-        match self.get(key)? {
-            Value::Str(s) => Ok(s),
-            other => Err(format!("field {key:?} is not a string: {other:?}")),
-        }
-    }
-
-    fn get_bool(&self, key: &str) -> Result<bool, String> {
-        match self.get(key)? {
-            Value::Bool(b) => Ok(*b),
-            other => Err(format!("field {key:?} is not a bool: {other:?}")),
-        }
-    }
-
-    fn get_arr(&self, key: &str) -> Result<Vec<i64>, String> {
-        match self.get(key)? {
-            Value::Arr(a) => Ok(a.clone()),
-            other => Err(format!("field {key:?} is not an array: {other:?}")),
-        }
-    }
-}
-
-/// Hand-rolled parser for the flat object lines this crate emits:
-/// `{"key":value,...}` where values are integers, quoted strings (with
-/// `\"`/`\\` escapes), `true`/`false`, or arrays of integers.
-fn parse_flat_object(line: &str) -> Result<Fields, String> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: {s:?}"))?;
-    let mut fields = Fields::default();
-    let mut chars = inner.chars().peekable();
-    loop {
-        // Key.
-        skip_ws(&mut chars);
-        if chars.peek().is_none() {
-            break;
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        skip_ws(&mut chars);
-        // Value.
-        let value = match chars.peek() {
-            Some('"') => Value::Str(parse_string(&mut chars)?),
-            Some('[') => {
-                chars.next();
-                let mut arr = Vec::new();
-                loop {
-                    skip_ws(&mut chars);
-                    match chars.peek() {
-                        Some(']') => {
-                            chars.next();
-                            break;
-                        }
-                        Some(',') => {
-                            chars.next();
-                        }
-                        Some(_) => {
-                            let n = parse_number(&mut chars)?;
-                            arr.push(i64::try_from(n).map_err(|_| "array element out of i64")?);
-                        }
-                        None => return Err("unterminated array".into()),
-                    }
-                }
-                Value::Arr(arr)
-            }
-            Some('t') | Some('f') => {
-                let mut word = String::new();
-                while matches!(chars.peek(), Some(c) if c.is_ascii_alphabetic()) {
-                    word.push(chars.next().unwrap());
-                }
-                match word.as_str() {
-                    "true" => Value::Bool(true),
-                    "false" => Value::Bool(false),
-                    other => return Err(format!("bad literal {other:?}")),
-                }
-            }
-            Some(_) => Value::Num(parse_number(&mut chars)?),
-            None => return Err(format!("missing value for key {key:?}")),
-        };
-        fields.entries.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            None => break,
-            Some(c) => return Err(format!("unexpected {c:?} between fields")),
-        }
-    }
-    Ok(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while matches!(chars.peek(), Some(c) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected string".into());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some(c @ ('"' | '\\')) => out.push(c),
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".into()),
-        }
-    }
-}
-
-fn parse_number(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<i128, String> {
-    let mut text = String::new();
-    if chars.peek() == Some(&'-') {
-        text.push('-');
-        chars.next();
-    }
-    while matches!(chars.peek(), Some(c) if c.is_ascii_digit()) {
-        text.push(chars.next().unwrap());
-    }
-    text.parse::<i128>()
-        .map_err(|_| format!("bad number {text:?}"))
+/// Reads the events of a JSONL trace, one per line. Blank lines are
+/// skipped but still counted, so every item carries its 1-based physical
+/// line number and the line itself; a malformed line yields
+/// `Err((line number, parse error))`.
+pub fn jsonl_events<'a>(
+    lines: impl IntoIterator<Item = &'a str>,
+) -> impl Iterator<Item = Result<(usize, &'a str, Event), (usize, String)>> {
+    lines
+        .into_iter()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| match Event::from_json(line) {
+            Ok(ev) => Ok((i + 1, line, ev)),
+            Err(msg) => Err((i + 1, msg)),
+        })
 }
 
 #[cfg(test)]
@@ -844,12 +672,22 @@ mod tests {
 
     #[test]
     fn escaped_span_name_roundtrips() {
-        let ev = Event::PhaseSpan {
-            name: "we\"ird\\name".into(),
-            start_ns: 0,
-            end_ns: 1,
-        };
-        assert_eq!(Event::from_json(&ev.to_json()).unwrap(), ev);
+        for name in ["we\"ird\\name", "a\nb", "tab\there\r\u{1}\u{7f}", "π/∑ 😀"] {
+            let ev = Event::PhaseSpan {
+                name: name.into(),
+                start_ns: 0,
+                end_ns: 1,
+            };
+            let line = ev.to_json();
+            assert!(!line.contains('\n'), "{line}");
+            assert_eq!(Event::from_json(&line).unwrap(), ev, "{line}");
+        }
+        // Every escape the escaper writes reads back, plus `\/`.
+        let ev = Event::from_json(
+            "{\"ev\":\"phase_span\",\"name\":\"a\\nb\\/c\\u0001\",\"start_ns\":0,\"end_ns\":1}",
+        )
+        .unwrap();
+        assert!(matches!(ev, Event::PhaseSpan { name, .. } if name == "a\nb/c\u{1}"));
     }
 
     #[test]
@@ -878,6 +716,64 @@ mod tests {
             "{\"ev\":\"msg_sent\",\"t\":1,\"from\":0,\"to\":1,\"kind\":\"telegram\"}"
         )
         .is_err());
+        // Malformed arrays, a trailing comma, and a repeated key.
+        for pos in ["[1 2]", "[1,,2]", "[,]", "[1,2,]"] {
+            let line = format!("{{\"ev\":\"job_arrived\",\"t\":1,\"seq\":0,\"pos\":{pos}}}");
+            assert!(Event::from_json(&line).is_err(), "{line}");
+        }
+        assert!(Event::from_json("{\"ev\":\"process_crashed\",\"t\":1,\"proc\":2,}").is_err());
+        let e = Event::from_json("{\"ev\":\"process_crashed\",\"t\":1,\"t\":2,\"proc\":2}")
+            .unwrap_err();
+        assert!(e.contains("duplicate key \"t\""), "{e}");
+    }
+
+    /// Deterministic byte flips of every sample line, then plain garbage:
+    /// the parser returns an event or an error, never panics, and every
+    /// event it accepts writes back to a line that parses to itself.
+    #[test]
+    fn random_mutations_parse_or_fail_cleanly() {
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut rng = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let lines: Vec<String> = samples().iter().map(Event::to_json).collect();
+        for round in 0..4000 {
+            let bytes: Vec<u8> = if round % 2 == 0 {
+                let mut bytes = lines[round / 2 % lines.len()].clone().into_bytes();
+                for _ in 0..=(rng() % 3) {
+                    let i = (rng() % bytes.len() as u64) as usize;
+                    bytes[i] ^= (rng() % 255 + 1) as u8;
+                }
+                bytes
+            } else {
+                const PIECES: &[u8] = b"{}[]\",:-0123456789 tfnu\\evtkind";
+                (0..rng() % 48)
+                    .map(|_| PIECES[(rng() % PIECES.len() as u64) as usize])
+                    .collect()
+            };
+            let line = String::from_utf8_lossy(&bytes);
+            match Event::from_json(&line) {
+                Ok(ev) => assert_eq!(Event::from_json(&ev.to_json()).unwrap(), ev, "{line}"),
+                Err(e) => assert!(!e.is_empty(), "{line}"),
+            }
+        }
+    }
+
+    #[test]
+    fn jsonl_events_number_physical_lines() {
+        let text = "{\"ev\":\"process_crashed\",\"t\":1,\"proc\":2}\n\n  \nnot json\n";
+        let items: Vec<_> = jsonl_events(text.lines()).collect();
+        assert_eq!(items.len(), 2);
+        let (n, line, ev) = items[0].clone().unwrap();
+        assert_eq!(
+            (n, line),
+            (1, "{\"ev\":\"process_crashed\",\"t\":1,\"proc\":2}")
+        );
+        assert_eq!(ev, Event::ProcessCrashed { t: 1, proc: 2 });
+        assert_eq!(items[1].clone().unwrap_err().0, 4);
     }
 
     #[test]

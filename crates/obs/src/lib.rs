@@ -9,6 +9,11 @@
 //!
 //! ## Pieces
 //!
+//! - [`json`] / [`frame`] — the one implementation of each format the
+//!   workspace reads back: the flat-JSON reader and string escaper (trace
+//!   events, `trace diff`, the `cmvrp serve` wire), and the
+//!   length-prefixed binary frame codec under both `CMVB` traces and
+//!   `CMVC` checkpoints, with its scoped [`FrameError`].
 //! - [`Event`] — the typed trace vocabulary (messages, jobs, diffusion
 //!   lifecycle, replacement cycles, heartbeat misses, wall-clock phase
 //!   spans).
@@ -87,7 +92,13 @@
 //! ```
 //!
 //! The schema is append-only: readers must ignore unknown fields, and new
-//! event kinds may appear in later versions.
+//! event kinds may appear in later versions. Lines are read by the one
+//! flat-JSON reader, [`json::Object`], and strings are written by its
+//! escaper, [`json::quote`]: string values (the `phase_span` name)
+//! accept the escapes `\" \\ \/ \n \t \r \uXXXX`, so every event is
+//! exactly one line whatever its name holds. A key repeated within one
+//! line is an error. [`jsonl_events`] reads a whole trace, numbering
+//! physical lines.
 //!
 //! The same vocabulary also has a compact binary form ([`bin`]): a
 //! magic/versioned header followed by length-prefixed varint frames,
@@ -117,6 +128,8 @@ pub mod bin;
 pub mod check;
 pub mod diff;
 pub mod event;
+pub mod frame;
+pub mod json;
 pub mod load;
 pub mod metrics;
 pub mod query;
@@ -124,13 +137,14 @@ pub mod replay;
 pub mod sink;
 pub mod span;
 
-pub use bin::{decode_trace, is_binary_trace, BinError, BinReader, BinSink};
+pub use bin::{decode_trace, is_binary_trace, BinReader, BinSink};
 pub use check::{
     check_lines, CausalIndex, CausalNode, CheckReport, CheckSink, MergeChecker, TraceChecker,
     Violation, INVARIANTS,
 };
 pub use diff::{diff_lines, DiffError, DiffReport, Divergence, DivergenceKind, FieldDelta, Side};
-pub use event::{DropReason, Event, MsgKind};
+pub use event::{jsonl_events, DropReason, Event, MsgKind};
+pub use frame::FrameError;
 pub use load::{
     load_trace, load_trace_bytes, LoadError, LoadedTrace, TraceEncoding, JSONL_SCHEMA_VERSION,
 };

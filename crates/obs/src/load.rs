@@ -93,7 +93,7 @@ impl LoadedTrace {
 /// - an empty input (nothing to sniff);
 /// - a strict prefix of the binary magic/header (a truncated binary
 ///   trace, which must not be misread as JSONL);
-/// - a corrupt binary trace (the underlying [`crate::BinError`], with
+/// - a corrupt binary trace (the underlying [`crate::FrameError`], with
 ///   frame and byte offset);
 /// - non-UTF-8 bytes without the binary magic;
 /// - a JSONL input whose final line is unterminated *and* unparseable —

@@ -199,12 +199,8 @@ where
     I: IntoIterator<Item = &'a str>,
 {
     let mut summary = ReplaySummary::default();
-    for (i, line) in lines.into_iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = Event::from_json(line).map_err(|e| (i + 1, e))?;
-        summary.absorb(&ev);
+    for item in crate::event::jsonl_events(lines) {
+        summary.absorb(&item?.2);
     }
     Ok(summary)
 }

@@ -5,10 +5,11 @@
 //! failures replay exactly.
 
 use cmvrp_obs::{decode_trace, is_binary_trace, BinReader, BinSink, DropReason, Event, MsgKind};
-use cmvrp_obs::{Sink, StaticSink};
+use cmvrp_obs::{jsonl_events, load_trace_bytes, Sink, StaticSink};
 
 /// One event of every variant, with annotated and unannotated message
-/// forms, negative coordinates, and an escaped span name.
+/// forms, negative coordinates, and span names that need escaping in
+/// JSON: quotes, backslashes, and control characters.
 fn samples() -> Vec<Event> {
     vec![
         Event::FleetProvisioned {
@@ -88,6 +89,11 @@ fn samples() -> Vec<Event> {
             start_ns: 12,
             end_ns: 456,
         },
+        Event::PhaseSpan {
+            name: "two\nlines\tand\u{1}".into(),
+            start_ns: 12,
+            end_ns: 456,
+        },
         Event::RoundProfile {
             round: 42,
             worker: 1,
@@ -130,6 +136,20 @@ fn jsonl_and_binary_encodings_agree() {
     let back = decode_trace(&encode(&parsed)).unwrap();
     let relines: Vec<String> = back.iter().map(Event::to_json).collect();
     assert_eq!(relines, lines);
+}
+
+#[test]
+fn binary_to_jsonl_to_binary_is_byte_identical() {
+    // The `trace convert` path in the other direction: the loader's JSONL
+    // holds one line per event, and re-encoding it reproduces the bytes.
+    let bytes = encode(&samples());
+    let loaded = load_trace_bytes(&bytes).unwrap();
+    assert_eq!(loaded.events, samples().len());
+    assert_eq!(loaded.text.lines().count(), samples().len());
+    let events: Vec<Event> = jsonl_events(loaded.text.lines())
+        .map(|item| item.unwrap().2)
+        .collect();
+    assert_eq!(encode(&events), bytes);
 }
 
 #[test]

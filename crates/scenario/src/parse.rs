@@ -1,11 +1,13 @@
 //! The scenario file parser: a hand-rolled, zero-dependency reader for the
 //! sectioned `key = value` grammar described in the crate docs.
 //!
-//! Errors carry 1-based line *and* column positions scoped to the
-//! offending token, in the house style of the campaign INI parser
-//! (line-scoped `spec line N:` errors) and the trace query language
-//! (column-scoped `col N:` errors): every rejection names what was seen
-//! and the supported alternatives.
+//! [`lex`] is the one lexer for sectioned files: scenario files here and
+//! campaign specs in `cmvrp-ckpt` both read through it, and each format
+//! applies its own rules to the [`Lexeme`]s it yields. Errors carry
+//! 1-based line *and* column positions scoped to the offending token, in
+//! the house style of the trace query language (column-scoped `col N:`
+//! errors): every rejection names what was seen and the supported
+//! alternatives.
 
 use crate::{ArrivalSpec, Baseline, FaultScript, ReportSpec, Scenario};
 use cmvrp_workloads::WorkloadConfig;
@@ -45,8 +47,113 @@ fn err(line: usize, col: usize, msg: impl Into<String>) -> ScenarioError {
 
 const SECTIONS: &[&str] = &["substrate", "demand", "arrivals", "faults", "report"];
 
-/// A raw `key = value` entry with source positions: `col` points at the
-/// key, `vcol` at the first character of the value.
+/// One meaningful line of a sectioned file, with 1-based positions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lexeme<'a> {
+    /// A `[name]` header; `col` points at the name.
+    Section {
+        /// 1-based line.
+        line: usize,
+        /// 1-based column of the name.
+        col: usize,
+        /// The name, trimmed.
+        name: &'a str,
+    },
+    /// A `key = value` line; `col` points at the key and `vcol` at the
+    /// value, whose surrounding double quotes, if any, are stripped.
+    Pair {
+        /// 1-based line.
+        line: usize,
+        /// 1-based column of the key.
+        col: usize,
+        /// The key, trimmed.
+        key: &'a str,
+        /// 1-based column of the value.
+        vcol: usize,
+        /// The value, trimmed and unquoted.
+        val: &'a str,
+    },
+}
+
+/// Splits a sectioned file into `[section]` headers and `key = value`
+/// pairs, skipping blank lines and comments. `#` starts a comment at the
+/// start of a line or after whitespace, never inside double quotes, so
+/// `path = run#1.jsonl` keeps its `#`.
+pub fn lex(text: &str) -> impl Iterator<Item = Result<Lexeme<'_>, ScenarioError>> {
+    text.lines()
+        .enumerate()
+        .filter_map(|(i, raw)| lex_line(i + 1, raw).transpose())
+}
+
+/// Where a line's comment begins, or its length when it has none.
+fn comment_start(raw: &str) -> usize {
+    let mut quoted = false;
+    let mut after_space = true;
+    for (i, b) in raw.bytes().enumerate() {
+        match b {
+            b'"' => quoted = !quoted,
+            b'#' if after_space && !quoted => return i,
+            _ => {}
+        }
+        after_space = b.is_ascii_whitespace();
+    }
+    raw.len()
+}
+
+fn lex_line(line: usize, raw: &str) -> Result<Option<Lexeme<'_>>, ScenarioError> {
+    let body = &raw[..comment_start(raw)];
+    let trimmed = body.trim();
+    if trimmed.is_empty() {
+        return Ok(None);
+    }
+    let start = body.len() - body.trim_start().len() + 1; // 1-based col
+    if let Some(inner) = trimmed.strip_prefix('[') {
+        let inner = inner.strip_suffix(']').ok_or_else(|| {
+            err(
+                line,
+                start,
+                format!("section header {trimmed:?} is missing its `]`"),
+            )
+        })?;
+        let name = inner.trim();
+        if name.is_empty() {
+            return Err(err(line, start, "empty section name `[]`"));
+        }
+        let col = start + 1 + inner.len() - inner.trim_start().len();
+        return Ok(Some(Lexeme::Section { line, col, name }));
+    }
+    let eq = body.find('=').ok_or_else(|| {
+        err(
+            line,
+            start,
+            format!("expected `key = value` or `[section]`, got {trimmed:?}"),
+        )
+    })?;
+    let key = body[..eq].trim();
+    if key.is_empty() {
+        return Err(err(line, start, "empty key before `=`"));
+    }
+    let rest = &body[eq + 1..];
+    let val = rest.trim();
+    if val.is_empty() {
+        return Err(err(line, eq + 2, format!("key {key:?} has an empty value")));
+    }
+    let vcol = eq + 2 + rest.len() - rest.trim_start().len();
+    let val = match val.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+        Some(unquoted) => unquoted,
+        None => val,
+    };
+    Ok(Some(Lexeme::Pair {
+        line,
+        col: start,
+        key,
+        vcol,
+        val,
+    }))
+}
+
+/// A `key = value` entry with source positions: `col` points at the key,
+/// `vcol` at the first character of the value.
 #[derive(Debug, Clone)]
 struct Entry {
     line: usize,
@@ -61,104 +168,63 @@ type Section = BTreeMap<String, Entry>;
 pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let mut sections: BTreeMap<String, (usize, Section)> = BTreeMap::new();
     let mut top: Section = BTreeMap::new();
-    let mut current: Option<String> = None;
-
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = match raw.find('#') {
-            Some(cut) => &raw[..cut],
-            None => raw,
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let start = line.len() - line.trim_start().len() + 1; // 1-based col
-        if let Some(inner) = trimmed.strip_prefix('[') {
-            let name = inner.strip_suffix(']').ok_or_else(|| {
-                err(
-                    lineno,
-                    start,
-                    format!("section header {trimmed:?} is missing its `]`"),
-                )
-            })?;
-            if !SECTIONS.contains(&name) {
-                return Err(err(
-                    lineno,
-                    start + 1,
-                    format!(
-                        "unknown section [{name}]; supported sections: {}",
-                        SECTIONS
-                            .iter()
-                            .map(|s| format!("[{s}]"))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                ));
+    let mut current: Option<&str> = None;
+    for lexeme in lex(text) {
+        match lexeme? {
+            Lexeme::Section { line, col, name } => {
+                if !SECTIONS.contains(&name) {
+                    return Err(err(
+                        line,
+                        col,
+                        format!(
+                            "unknown section [{name}]; supported sections: {}",
+                            SECTIONS
+                                .iter()
+                                .map(|s| format!("[{s}]"))
+                                .collect::<Vec<_>>()
+                                .join(", ")
+                        ),
+                    ));
+                }
+                if let Some((first, _)) = sections.get(name) {
+                    return Err(err(
+                        line,
+                        col,
+                        format!("duplicate section [{name}] (first defined on line {first})"),
+                    ));
+                }
+                sections.insert(name.to_string(), (line, Section::new()));
+                current = Some(name);
             }
-            if let Some((first, _)) = sections.get(name) {
-                return Err(err(
-                    lineno,
-                    start + 1,
-                    format!("duplicate section [{name}] (first defined on line {first})"),
-                ));
+            Lexeme::Pair {
+                line,
+                col,
+                key,
+                vcol,
+                val,
+            } => {
+                let dest = match current {
+                    None => &mut top,
+                    Some(name) => &mut sections.get_mut(name).expect("current section exists").1,
+                };
+                if let Some(prev) = dest.get(key) {
+                    return Err(err(
+                        line,
+                        col,
+                        format!("duplicate key {key:?} (first set on line {})", prev.line),
+                    ));
+                }
+                let entry = Entry {
+                    line,
+                    col,
+                    vcol,
+                    val: val.to_string(),
+                };
+                dest.insert(key.to_string(), entry);
             }
-            sections.insert(name.to_string(), (lineno, Section::new()));
-            current = Some(name.to_string());
-            continue;
         }
-        let eq = line.find('=').ok_or_else(|| {
-            err(
-                lineno,
-                start,
-                format!("expected `key = value` or `[section]`, got {trimmed:?}"),
-            )
-        })?;
-        let key = line[..eq].trim();
-        if key.is_empty() {
-            return Err(err(lineno, start, "empty key before `=`"));
-        }
-        let key_col = line.find(key).map_or(start, |i| i + 1);
-        let val_raw = line[eq + 1..].trim();
-        if val_raw.is_empty() {
-            return Err(err(
-                lineno,
-                eq + 2,
-                format!("key {key:?} has an empty value"),
-            ));
-        }
-        let vcol = eq + 1 + line[eq + 1..].find(val_raw).unwrap_or(0) + 1;
-        let val = unquote(val_raw);
-        let entry = Entry {
-            line: lineno,
-            col: key_col,
-            vcol,
-            val,
-        };
-        let dest = match &current {
-            None => &mut top,
-            Some(name) => &mut sections.get_mut(name).expect("current section exists").1,
-        };
-        if let Some(prev) = dest.get(key) {
-            return Err(err(
-                lineno,
-                key_col,
-                format!("duplicate key {key:?} (first set on line {})", prev.line),
-            ));
-        }
-        dest.insert(key.to_string(), entry);
     }
-
     compile(top, sections)
-}
-
-fn unquote(v: &str) -> String {
-    let v = v.trim();
-    if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') {
-        v[1..v.len() - 1].to_string()
-    } else {
-        v.to_string()
-    }
 }
 
 /// Rejects keys outside `allowed`, column-scoped to the stray key.

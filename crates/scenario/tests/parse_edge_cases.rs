@@ -248,3 +248,89 @@ fn report_baselines_capacity_and_vehicles_parse() {
     assert!(e.msg.contains("unknown baseline \"optimal\""), "{e}");
     assert!(e.msg.contains("becker, gn, none"), "{e}");
 }
+
+#[test]
+fn hash_comments_need_whitespace_before_them_and_stop_at_quotes() {
+    // `#` opens a comment only at the start of a line or after whitespace,
+    // and never inside double quotes.
+    let text = format!("name = \"a # b\"  # the name\n{MINIMAL}");
+    assert_eq!(
+        Scenario::parse_file(&text).unwrap().name.as_deref(),
+        Some("a # b")
+    );
+    let text = format!("name = run#1\n{MINIMAL}");
+    assert_eq!(
+        Scenario::parse_file(&text).unwrap().name.as_deref(),
+        Some("run#1")
+    );
+    let e = parse_err("[substrate]\nside = 9#x\n");
+    assert_eq!((e.line, e.col), (2, 8));
+    assert!(e.msg.contains("\"9#x\" is not an unsigned integer"), "{e}");
+}
+
+#[test]
+fn lexer_yields_positions_for_sections_and_pairs() {
+    use cmvrp_scenario::parse::{lex, Lexeme};
+    let items: Vec<Lexeme> = lex("# c\n  [ demand ]\nshape =  \"point\"\n")
+        .collect::<Result<_, _>>()
+        .unwrap();
+    assert_eq!(
+        items,
+        vec![
+            Lexeme::Section {
+                line: 2,
+                col: 5,
+                name: "demand"
+            },
+            Lexeme::Pair {
+                line: 3,
+                col: 1,
+                key: "shape",
+                vcol: 10,
+                val: "point"
+            },
+        ]
+    );
+    let e = lex("[]\n").next().unwrap().unwrap_err();
+    assert_eq!((e.line, e.col), (1, 1));
+}
+
+/// Deterministic byte flips of a full scenario, then garbage built from
+/// the grammar's own characters: parsing returns a scenario or a scoped
+/// error with a real position, and never panics.
+#[test]
+fn random_mutations_are_scoped_errors() {
+    const FULL: &str = "name = \"quake\" # c\n[substrate]\nkind = grid\nside = 12\n\
+                        [demand]\nshape = clusters\nk = 3\njobs = 40\nseed = 2\n\
+                        [arrivals]\nmode = diurnal\nwaves = 3\n\
+                        [faults]\ncrash_at_rounds = 2, 5\n\
+                        [report]\nbaselines = becker, gn\ncapacity = auto\n";
+    Scenario::parse_file(FULL).unwrap();
+    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut rng = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    for round in 0..4000 {
+        let bytes: Vec<u8> = if round % 2 == 0 {
+            let mut bytes = FULL.as_bytes().to_vec();
+            for _ in 0..=(rng() % 3) {
+                let i = (rng() % bytes.len() as u64) as usize;
+                bytes[i] ^= (rng() % 255 + 1) as u8;
+            }
+            bytes
+        } else {
+            const PIECES: &[u8] = b"[]=#\"\n ,abcdefgkmnoprstuwy0123456789";
+            (0..rng() % 96)
+                .map(|_| PIECES[(rng() % PIECES.len() as u64) as usize])
+                .collect()
+        };
+        let text = String::from_utf8_lossy(&bytes);
+        if let Err(e) = Scenario::parse_file(&text) {
+            assert!(e.line >= 1 && e.col >= 1, "{e}");
+            assert!(e.line <= text.lines().count().max(1), "{e}");
+        }
+    }
+}

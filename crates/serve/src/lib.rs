@@ -4,7 +4,7 @@
 //! `cmvrp serve`: a hermetic multi-tenant simulation service.
 //!
 //! A [`Server`] listens on a `std::net::TcpListener` and hosts engine
-//! [`Session`]s behind a hand-rolled, line-delimited JSON protocol: each
+//! [`Session`]s behind a line-delimited JSON protocol: each
 //! request is one flat JSON object on one line, each response is one JSON
 //! line (plus, for `trace`, a counted block of raw event lines). One
 //! connection owns its sessions — they are created, stepped, and closed
@@ -22,6 +22,11 @@
 //! value     := string | integer | "true" | "false" | array
 //! array     := "[" [ integer ("," integer)* ] "]"
 //! ```
+//!
+//! Requests are read by the workspace's one flat-JSON reader,
+//! [`cmvrp_obs::json::Object`], which also accepts the string escapes
+//! `\" \\ \/ \n \t \r \uXXXX` and rejects a repeated key by name;
+//! replies are written with its escaper, [`cmvrp_obs::json::quote`].
 //!
 //! Operations (`op` selects; every request names its `session` except
 //! nothing — `open` creates it, the rest address it):
@@ -41,6 +46,7 @@
 
 use cmvrp_engine::{ExecConfig, Session};
 use cmvrp_grid::pt2;
+use cmvrp_obs::json::{quote, Object};
 use cmvrp_obs::VecSink;
 use cmvrp_online::OnlineConfig;
 use cmvrp_scenario::Scenario;
@@ -203,33 +209,33 @@ impl Connection {
         self.stats.requests += 1;
         match self.dispatch(line) {
             Ok(lines) => lines,
-            Err(msg) => vec![format!("{{\"ok\":false,\"error\":{}}}", json_str(&msg))],
+            Err(msg) => vec![format!("{{\"ok\":false,\"error\":{}}}", quote(&msg))],
         }
     }
 
     fn dispatch(&mut self, line: &str) -> Result<Vec<String>, String> {
-        let mut fields = parse_flat(line)?;
-        let op = fields
-            .take_str("op")?
+        let req = Object::parse(line)?;
+        let op = req
+            .str("op")?
             .ok_or_else(|| format!("request has no \"op\"; supported ops: {OPS}"))?;
-        match op.as_str() {
-            "open" => self.op_open(fields),
-            "inject" => self.op_inject(fields),
-            "advance" => self.op_advance(fields),
-            "query" => self.op_query(fields),
-            "trace" => self.op_trace(fields),
-            "close" => self.op_close(fields),
+        match op {
+            "open" => self.op_open(&req),
+            "inject" => self.op_inject(&req),
+            "advance" => self.op_advance(&req),
+            "query" => self.op_query(&req),
+            "trace" => self.op_trace(&req),
+            "close" => self.op_close(&req),
             other => Err(format!("unknown op {other:?}; supported ops: {OPS}")),
         }
     }
 
     /// The session a request addresses, or a rejection naming the open
     /// ones.
-    fn session_id(&self, fields: &mut Fields) -> Result<String, String> {
-        let id = fields
-            .take_str("session")?
+    fn session_id<'r>(&self, req: &'r Object<'_>) -> Result<&'r str, String> {
+        let id = req
+            .str("session")?
             .ok_or_else(|| "request has no \"session\" id".to_string())?;
-        if self.tenants.contains_key(&id) {
+        if self.tenants.contains_key(id) {
             return Ok(id);
         }
         let mut open: Vec<&str> = self.tenants.keys().map(String::as_str).collect();
@@ -241,11 +247,11 @@ impl Connection {
         ))
     }
 
-    fn op_open(&mut self, mut fields: Fields) -> Result<Vec<String>, String> {
-        let id = fields.take_str("session")?.ok_or_else(|| {
+    fn op_open(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+        let id = req.str("session")?.ok_or_else(|| {
             "open needs a \"session\" id (any string the client picks)".to_string()
         })?;
-        if self.tenants.contains_key(&id) {
+        if self.tenants.contains_key(id) {
             return Err(format!(
                 "session {id:?} is already open; close it first, or pick \
                  another id"
@@ -259,7 +265,7 @@ impl Connection {
                 self.tenants.len()
             ));
         }
-        let spec = fields.take_str("workload")?.ok_or_else(|| {
+        let spec = req.str("workload")?.ok_or_else(|| {
             "open needs a \"workload\" spec, e.g. \"point:grid=11,demand=60\" \
              (shapes: point, line, square, uniform, clusters) or \
              \"@scenario.toml\""
@@ -279,25 +285,29 @@ impl Connection {
             ));
         }
         let mut online = OnlineConfig {
-            seed: fields.take_num("seed")?.unwrap_or(1) as u64,
+            seed: req.i64("seed")?.unwrap_or(1) as u64,
             ..OnlineConfig::default()
         };
-        if let Some(w) = fields.take_num("capacity")? {
+        if let Some(w) = req.i64("capacity")? {
             online.capacity_override = Some(w as u64);
         }
-        let threads = fields.take_num("threads")?.unwrap_or(1);
+        let threads = req.i64("threads")?.unwrap_or(1);
         if threads < 1 {
             return Err("\"threads\" must be at least 1".to_string());
         }
-        let schedule = match fields.take_str("schedule")? {
+        let schedule = match req.str("schedule")? {
             Some(s) => s.parse().map_err(|e: String| e)?,
             None => Default::default(),
         };
-        let check = fields.take_bool("check")?.unwrap_or(false);
-        let preload = fields.take_bool("preload")?.unwrap_or(true);
-        fields.no_extras(
+        let check = req.bool("check")?.unwrap_or(false);
+        let preload = req.bool("preload")?.unwrap_or(true);
+        no_extras(
+            req,
             "open",
-            "session, workload, seed, capacity, threads, schedule, check, preload",
+            &[
+                "op", "session", "workload", "seed", "capacity", "threads", "schedule", "check",
+                "preload",
+            ],
         )?;
         let exec = ExecConfig::new()
             .threads(threads as usize)
@@ -314,14 +324,14 @@ impl Connection {
         let resp = format!(
             "{{\"ok\":true,\"op\":\"open\",\"session\":{},\"capacity\":{},\
              \"cube_side\":{},\"shards\":{},\"queued\":{}}}",
-            json_str(&id),
+            quote(id),
             prov.capacity,
             prov.side,
             session.shard_count(),
             session.work_remaining(),
         );
         self.tenants.insert(
-            id,
+            id.to_string(),
             Tenant {
                 session,
                 sink: VecSink::new(),
@@ -331,12 +341,12 @@ impl Connection {
         Ok(vec![resp])
     }
 
-    fn op_inject(&mut self, mut fields: Fields) -> Result<Vec<String>, String> {
-        let id = self.session_id(&mut fields)?;
-        let job = fields
-            .take_arr("job")?
+    fn op_inject(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+        let id = self.session_id(req)?;
+        let job = req
+            .arr("job")?
             .ok_or_else(|| "inject needs a \"job\" coordinate array, e.g. [5,5]".to_string())?;
-        fields.no_extras("inject", "session, job")?;
+        no_extras(req, "inject", &["op", "session", "job"])?;
         let [x, y] = job[..] else {
             return Err(format!(
                 "\"job\" has {} coordinate(s) but sessions run on the \
@@ -344,24 +354,24 @@ impl Connection {
                 job.len()
             ));
         };
-        let tenant = self.tenants.get_mut(&id).expect("session checked above");
+        let tenant = self.tenants.get_mut(id).expect("session checked above");
         tenant
             .session
             .inject(pt2(x, y))
             .map_err(|e| e.to_string())?;
         Ok(vec![format!(
             "{{\"ok\":true,\"op\":\"inject\",\"session\":{},\"pending\":{}}}",
-            json_str(&id),
+            quote(id),
             tenant.session.pending_injections(),
         )])
     }
 
-    fn op_advance(&mut self, mut fields: Fields) -> Result<Vec<String>, String> {
-        let id = self.session_id(&mut fields)?;
-        let until = fields.take_num("until")?;
-        let rounds = fields.take_num("rounds")?;
-        fields.no_extras("advance", "session, until, rounds")?;
-        let tenant = self.tenants.get_mut(&id).expect("session checked above");
+    fn op_advance(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+        let id = self.session_id(req)?;
+        let until = req.i64("until")?;
+        let rounds = req.i64("rounds")?;
+        no_extras(req, "advance", &["op", "session", "until", "rounds"])?;
+        let tenant = self.tenants.get_mut(id).expect("session checked above");
         let step = match (until, rounds) {
             (Some(_), Some(_)) => {
                 return Err("advance accepts \"until\":T or \"rounds\":N, not both; \
@@ -375,7 +385,7 @@ impl Connection {
         Ok(vec![format!(
             "{{\"ok\":true,\"op\":\"advance\",\"session\":{},\"rounds\":{},\
              \"events\":{},\"now\":{},\"idle\":{}}}",
-            json_str(&id),
+            quote(id),
             step.rounds,
             step.events,
             step.now,
@@ -383,16 +393,16 @@ impl Connection {
         )])
     }
 
-    fn op_query(&mut self, mut fields: Fields) -> Result<Vec<String>, String> {
-        let id = self.session_id(&mut fields)?;
-        fields.no_extras("query", "session")?;
-        let tenant = &self.tenants[&id];
+    fn op_query(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+        let id = self.session_id(req)?;
+        no_extras(req, "query", &["op", "session"])?;
+        let tenant = &self.tenants[id];
         let report = tenant.session.report();
         Ok(vec![format!(
             "{{\"ok\":true,\"op\":\"query\",\"session\":{},\"now\":{},\
              \"rounds\":{},\"events\":{},\"served\":{},\"unserved\":{},\
              \"backlog\":{},\"injected\":{},\"idle\":{}}}",
-            json_str(&id),
+            quote(id),
             tenant.session.now(),
             tenant.session.rounds(),
             tenant.session.events(),
@@ -404,24 +414,24 @@ impl Connection {
         )])
     }
 
-    fn op_trace(&mut self, mut fields: Fields) -> Result<Vec<String>, String> {
-        let id = self.session_id(&mut fields)?;
-        fields.no_extras("trace", "session")?;
-        let tenant = &self.tenants[&id];
+    fn op_trace(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+        let id = self.session_id(req)?;
+        no_extras(req, "trace", &["op", "session"])?;
+        let tenant = &self.tenants[id];
         let mut lines = Vec::with_capacity(tenant.sink.len() + 1);
         lines.push(format!(
             "{{\"ok\":true,\"op\":\"trace\",\"session\":{},\"lines\":{}}}",
-            json_str(&id),
+            quote(id),
             tenant.sink.len(),
         ));
         lines.extend(tenant.sink.events().iter().map(|ev| ev.to_json()));
         Ok(lines)
     }
 
-    fn op_close(&mut self, mut fields: Fields) -> Result<Vec<String>, String> {
-        let id = self.session_id(&mut fields)?;
-        fields.no_extras("close", "session")?;
-        let tenant = self.tenants.remove(&id).expect("session checked above");
+    fn op_close(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+        let id = self.session_id(req)?;
+        no_extras(req, "close", &["op", "session"])?;
+        let tenant = self.tenants.remove(id).expect("session checked above");
         let events = tenant.session.events();
         let run = tenant.session.finish();
         let check = match &run.check {
@@ -431,7 +441,7 @@ impl Connection {
         Ok(vec![format!(
             "{{\"ok\":true,\"op\":\"close\",\"session\":{},\"served\":{},\
              \"unserved\":{},\"max_energy\":{},\"events\":{}{}}}",
-            json_str(&id),
+            quote(id),
             run.report.served,
             run.report.unserved,
             run.report.max_energy_used,
@@ -467,9 +477,9 @@ pub fn send(addr: &str, input: &mut dyn BufRead, out: &mut dyn Write) -> std::io
         writer.write_all(b"\n")?;
         writer.flush()?;
         let header = read_response_line(&mut reader)?;
-        let body_lines = parse_flat(&header)
+        let body_lines = Object::parse(&header)
             .ok()
-            .and_then(|mut f| f.take_num("lines").ok().flatten())
+            .and_then(|o| o.i64("lines").ok().flatten())
             .unwrap_or(0);
         writeln!(out, "{header}")?;
         for _ in 0..body_lines {
@@ -489,238 +499,15 @@ fn read_response_line(reader: &mut impl BufRead) -> std::io::Result<String> {
     Ok(line.trim_end().to_string())
 }
 
-// ---------------------------------------------------------------------------
-// The hand-rolled flat JSON reader for request lines (strings, integers,
-// booleans, and integer arrays — the protocol needs nothing deeper).
-
-/// A parsed request: key/value pairs, consumed by `take_*` so leftovers
-/// can be rejected by name.
-struct Fields {
-    pairs: Vec<(String, Val)>,
-}
-
-enum Val {
-    Str(String),
-    Num(i64),
-    Bool(bool),
-    Arr(Vec<i64>),
-}
-
-impl Val {
-    fn kind(&self) -> &'static str {
-        match self {
-            Val::Str(_) => "a string",
-            Val::Num(_) => "an integer",
-            Val::Bool(_) => "a boolean",
-            Val::Arr(_) => "an array",
-        }
+/// Rejects any key outside `known`, naming the op and its supported keys.
+fn no_extras(req: &Object<'_>, op: &str, known: &[&str]) -> Result<(), String> {
+    match req.unknown_key(known) {
+        None => Ok(()),
+        Some(k) => Err(format!(
+            "unknown key {k:?} for op {op:?}; supported keys: {}",
+            known.join(", ")
+        )),
     }
-}
-
-impl Fields {
-    fn take(&mut self, key: &str) -> Option<Val> {
-        let at = self.pairs.iter().position(|(k, _)| k == key)?;
-        Some(self.pairs.remove(at).1)
-    }
-
-    fn take_str(&mut self, key: &str) -> Result<Option<String>, String> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Val::Str(s)) => Ok(Some(s)),
-            Some(v) => Err(format!("key {key:?} must be a string, not {}", v.kind())),
-        }
-    }
-
-    fn take_num(&mut self, key: &str) -> Result<Option<i64>, String> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Val::Num(n)) => Ok(Some(n)),
-            Some(v) => Err(format!("key {key:?} must be an integer, not {}", v.kind())),
-        }
-    }
-
-    fn take_bool(&mut self, key: &str) -> Result<Option<bool>, String> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Val::Bool(b)) => Ok(Some(b)),
-            Some(v) => Err(format!("key {key:?} must be a boolean, not {}", v.kind())),
-        }
-    }
-
-    fn take_arr(&mut self, key: &str) -> Result<Option<Vec<i64>>, String> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Val::Arr(a)) => Ok(Some(a)),
-            Some(v) => Err(format!(
-                "key {key:?} must be an integer array, not {}",
-                v.kind()
-            )),
-        }
-    }
-
-    /// Rejects any key the op did not consume, naming the supported set.
-    fn no_extras(&self, op: &str, supported: &str) -> Result<(), String> {
-        match self.pairs.first() {
-            None => Ok(()),
-            Some((k, _)) => Err(format!(
-                "unknown key {k:?} for op {op:?}; supported keys: op, {supported}"
-            )),
-        }
-    }
-}
-
-/// Parses one flat request object. Errors carry enough context to send
-/// straight back to the client.
-fn parse_flat(line: &str) -> Result<Fields, String> {
-    let mut chars = line.chars().peekable();
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("request must be one JSON object per line, starting with '{'".to_string());
-    }
-    let mut pairs = Vec::new();
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return Ok(Fields { pairs });
-    }
-    loop {
-        skip_ws(&mut chars);
-        if chars.next() != Some('"') {
-            return Err("expected a '\"'-quoted key".to_string());
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("key {key:?} must be followed by ':'"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => {
-                chars.next();
-                Val::Str(parse_string(&mut chars)?)
-            }
-            Some('t') | Some('f') => {
-                let mut word = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                    word.push(chars.next().expect("peeked"));
-                }
-                match word.as_str() {
-                    "true" => Val::Bool(true),
-                    "false" => Val::Bool(false),
-                    other => {
-                        return Err(format!(
-                            "key {key:?} has unrecognized value {other:?}; \
-                             values are strings, integers, true/false, or \
-                             integer arrays"
-                        ))
-                    }
-                }
-            }
-            Some('[') => {
-                chars.next();
-                let mut items = Vec::new();
-                skip_ws(&mut chars);
-                if chars.peek() == Some(&']') {
-                    chars.next();
-                } else {
-                    loop {
-                        skip_ws(&mut chars);
-                        items.push(parse_int(&mut chars)?);
-                        skip_ws(&mut chars);
-                        match chars.next() {
-                            Some(',') => continue,
-                            Some(']') => break,
-                            _ => return Err(format!("array for key {key:?} must close with ']'")),
-                        }
-                    }
-                }
-                Val::Arr(items)
-            }
-            Some(c) if *c == '-' || c.is_ascii_digit() => Val::Num(parse_int(&mut chars)?),
-            _ => {
-                return Err(format!(
-                    "key {key:?} has an unrecognized value; values are \
-                     strings, integers, true/false, or integer arrays"
-                ))
-            }
-        };
-        pairs.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            _ => return Err("object must close with '}'".to_string()),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing content after the request object".to_string());
-    }
-    Ok(Fields { pairs })
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-/// Parses the body of a string whose opening quote is already consumed.
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('r') => out.push('\r'),
-                other => {
-                    return Err(format!(
-                        "unsupported string escape {other:?}; supported: \
-                         \\\" \\\\ \\/ \\n \\t \\r"
-                    ))
-                }
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
-fn parse_int(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<i64, String> {
-    let mut text = String::new();
-    if chars.peek() == Some(&'-') {
-        text.push(chars.next().expect("peeked"));
-    }
-    while chars.peek().is_some_and(char::is_ascii_digit) {
-        text.push(chars.next().expect("peeked"));
-    }
-    text.parse::<i64>()
-        .map_err(|_| format!("{text:?} is not an integer"))
-}
-
-/// Serializes a string as a JSON literal (quotes, backslashes, and
-/// control characters escaped).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -885,6 +672,11 @@ mod tests {
         assert!(resp.contains("supported keys"), "{resp}");
         let resp = one(
             &mut conn,
+            "{\"op\":\"query\",\"session\":\"a\",\"session\":\"b\"}",
+        );
+        assert!(resp.contains(r#"duplicate key \"session\""#), "{resp}");
+        let resp = one(
+            &mut conn,
             "{\"op\":\"inject\",\"session\":\"a\",\"job\":[1,2,3]}",
         );
         assert!(resp.contains("2-dimensional"), "{resp}");
@@ -931,15 +723,66 @@ mod tests {
 
     #[test]
     fn parser_handles_escapes_and_rejects_garbage() {
-        let mut f = parse_flat("{\"op\":\"open\",\"session\":\"a\\\"b\"}").unwrap();
-        assert_eq!(f.take_str("session").unwrap().unwrap(), "a\"b");
-        assert!(parse_flat("{\"x\":1.5}").is_err());
-        assert!(parse_flat("{\"x\":{}}").is_err());
-        assert!(parse_flat("{\"x\":1}extra").is_err());
-        assert!(parse_flat("[1,2]").is_err());
-        let mut f = parse_flat(" { \"a\" : [ 1 , -2 ] , \"b\" : true } ").unwrap();
-        assert_eq!(f.take_arr("a").unwrap().unwrap(), vec![1, -2]);
-        assert_eq!(f.take_bool("b").unwrap(), Some(true));
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        // Requests go through the shared flat-JSON reader: escapes decode,
+        // and malformed requests come back as one rejection line each.
+        let mut conn = Connection::new(1);
+        let resp = one(
+            &mut conn,
+            " { \"op\" : \"query\" , \"session\" : \"a\\u0022b\" } ",
+        );
+        assert!(resp.contains(r#"no open session \"a\\\"b\""#), "{resp}");
+        for bad in ["{\"x\":1.5}", "{\"x\":{}}", "{\"x\":1}extra", "[1,2]", ""] {
+            let resp = one(&mut conn, bad);
+            assert!(
+                resp.starts_with("{\"ok\":false,\"error\":"),
+                "{bad}: {resp}"
+            );
+        }
+        assert_eq!(quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+    }
+
+    /// Valid requests, deterministic byte flips of them, and plain garbage:
+    /// every line gets a reply block, `{"ok":false,...}` on rejection, and
+    /// the connection never panics.
+    #[test]
+    fn random_requests_never_panic() {
+        const REQUESTS: &[&str] = &[
+            "{\"op\":\"open\",\"session\":\"s\",\"workload\":\"point:grid=5,demand=3\"}",
+            "{\"op\":\"inject\",\"session\":\"s\",\"job\":[2,2]}",
+            "{\"op\":\"advance\",\"session\":\"s\",\"rounds\":2}",
+            "{\"op\":\"query\",\"session\":\"s\"}",
+            "{\"op\":\"trace\",\"session\":\"s\"}",
+            "{\"op\":\"close\",\"session\":\"s\"}",
+        ];
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut rng = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut conn = Connection::new(2);
+        let mut accepted = 0;
+        for round in 0..1500 {
+            // Clean requests keep a live session around for the mutants.
+            let mut bytes = REQUESTS[round / 3 % REQUESTS.len()].as_bytes().to_vec();
+            if round % 3 == 1 {
+                for _ in 0..=(rng() % 3) {
+                    let i = (rng() % bytes.len() as u64) as usize;
+                    bytes[i] ^= (rng() % 255 + 1) as u8;
+                }
+            } else if round % 3 == 2 {
+                bytes = (0..rng() % 64).map(|_| (rng() & 0xff) as u8).collect();
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            let reply = conn.handle(&line);
+            assert!(!reply.is_empty(), "{line}");
+            assert!(reply[0].starts_with("{\"ok\":"), "{line}: {}", reply[0]);
+            accepted += usize::from(reply[0].starts_with("{\"ok\":true"));
+            for out in &reply {
+                assert!(!out.contains('\n'), "{line}: {out}");
+            }
+        }
+        assert!(accepted > 400, "only {accepted} requests were served");
     }
 }

@@ -26,6 +26,12 @@ fi
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
+echo "==> benchmark package (build + tests)"
+# `benchmark/` is a package of its own (not a workspace member) that
+# compiles against cmvrp-obs, cmvrp-bench and the engine crates; build and
+# test it here so an API change to those crates cannot break it unnoticed.
+CARGO_TARGET_DIR=target cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
