@@ -66,13 +66,6 @@ pub struct RunSpec {
     pub inject_kill: u32,
 }
 
-/// A parsed campaign: the runs in spec order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignSpec {
-    /// The runs, in the order their sections appear.
-    pub runs: Vec<RunSpec>,
-}
-
 /// Default checkpoint cadence when neither the defaults block nor the run
 /// sets `checkpoint_every`.
 const DEFAULT_EVERY: u64 = 1;
@@ -90,9 +83,10 @@ pub fn backoff_for(backoff_ms: u64, attempt: u32) -> u64 {
     backoff_ms.saturating_mul(1 << attempt.saturating_sub(1).min(BACKOFF_CAP_DOUBLINGS))
 }
 
-/// Parses a campaign spec. Errors carry the 1-based line and column and
-/// name what was expected.
-pub fn parse_spec(text: &str) -> Result<CampaignSpec, String> {
+/// Parses a campaign spec into its runs, in the order their sections
+/// appear. Errors carry the 1-based line and column and name what was
+/// expected.
+pub fn parse_spec(text: &str) -> Result<Vec<RunSpec>, String> {
     #[derive(Default)]
     struct Section<'a> {
         name: &'a str,
@@ -157,7 +151,7 @@ pub fn parse_spec(text: &str) -> Result<CampaignSpec, String> {
     if sections.is_empty() {
         return Err("spec has no runs: add a `[name]` section per run".to_string());
     }
-    let runs = sections
+    sections
         .into_iter()
         .map(|s| {
             let workload = s.workload.or(defaults.workload).ok_or_else(|| {
@@ -183,8 +177,7 @@ pub fn parse_spec(text: &str) -> Result<CampaignSpec, String> {
                 inject_kill: s.inject_kill.or(defaults.inject_kill).unwrap_or(0),
             })
         })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(CampaignSpec { runs })
+        .collect()
 }
 
 /// Outcome of one attempt of one run.
@@ -242,18 +235,17 @@ impl fmt::Display for RunRecord {
     }
 }
 
-/// Runs every run in `spec`, checkpointing into `dir`, retrying failures
-/// from their last checkpoint, and parking retry-exhausted runs in the
+/// Runs each of `runs`, checkpointing into `dir`, retrying failures from
+/// their last checkpoint, and parking retry-exhausted runs in the
 /// dead-letter list. `progress` receives one line per attempt and
-/// verdict. Returns the records in spec order.
+/// verdict. Returns the records in the order of `runs`.
 pub fn run_campaign(
-    spec: &CampaignSpec,
+    runs: &[RunSpec],
     dir: &Path,
     exec: &mut dyn Executor,
     progress: &mut dyn FnMut(&str),
 ) -> Vec<RunRecord> {
-    spec.runs
-        .iter()
+    runs.iter()
         .map(|run| retry_run(run, dir, exec, progress))
         .collect()
 }
@@ -472,9 +464,9 @@ check = true
 
     #[test]
     fn parses_sections_defaults_and_flag_rendering() {
-        let spec = parse_spec(SPEC).expect("parse");
-        assert_eq!(spec.runs.len(), 2);
-        let hot = &spec.runs[0];
+        let runs = parse_spec(SPEC).expect("parse");
+        assert_eq!(runs.len(), 2);
+        let hot = &runs[0];
         assert_eq!(hot.name, "hot");
         assert_eq!(hot.workload, "point:grid=12,demand=120");
         assert_eq!(hot.args, vec!["--threads=2", "--schedule=steal"]);
@@ -482,7 +474,7 @@ check = true
             (hot.checkpoint_every, hot.retries, hot.backoff_ms),
             (2, 1, 10)
         );
-        let cold = &spec.runs[1];
+        let cold = &runs[1];
         assert_eq!(cold.retries, 0);
         assert_eq!(cold.args, vec!["--threads=2", "--check"]);
     }
@@ -495,7 +487,7 @@ check = true
         // point resolves it.
         let spec = parse_spec("[quake]\nworkload = @scenarios/earthquake.toml\nthreads = 2\n")
             .expect("parse");
-        let run = &spec.runs[0];
+        let run = &spec[0];
         assert_eq!(run.workload, "@scenarios/earthquake.toml");
         let exec = ProcessExecutor {
             bin: PathBuf::from("cmvrp"),
@@ -548,7 +540,7 @@ check = true
              [run#1]\nworkload = point:grid=9,demand=5\ntrace-jsonl = run#1.jsonl\n",
         )
         .expect("parse");
-        let run = &spec.runs[0];
+        let run = &spec[0];
         assert_eq!(run.name, "run#1");
         assert_eq!(run.args, vec!["--threads=2", "--trace-jsonl=run#1.jsonl"]);
     }

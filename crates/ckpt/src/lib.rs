@@ -26,8 +26,8 @@ pub mod campaign;
 pub mod codec;
 
 pub use campaign::{
-    load_state, parse_spec, run_campaign, save_state, AttemptOutcome, CampaignSpec, Executor,
-    ProcessExecutor, RunRecord, RunSpec,
+    load_state, parse_spec, run_campaign, save_state, AttemptOutcome, Executor, ProcessExecutor,
+    RunRecord, RunSpec,
 };
 pub use codec::{
     decode_checkpoint, encode_checkpoint, inspect, read_checkpoint, write_checkpoint, CKPT_MAGIC,

@@ -1015,7 +1015,7 @@ fn cmd_replay(path: &str) -> Result<String, UsageError> {
 /// (empty files, truncated magics, and partial trailing lines all come
 /// back as scoped errors), keeping the identity header for reports.
 fn load_trace_file(path: &str) -> Result<cmvrp_obs::LoadedTrace, UsageError> {
-    cmvrp_obs::load_trace(path).map_err(|e| UsageError(e.msg))
+    cmvrp_obs::load_trace(path).map_err(UsageError)
 }
 
 /// Loads a trace file as canonical JSONL text, whichever encoding it is
@@ -1614,16 +1614,15 @@ fn cmd_campaign_run(args: &[String], only_dead: bool) -> Result<(String, i32), U
     let (spec_path, dir, bin) = campaign_opts(verb, args)?;
     let text = std::fs::read_to_string(&spec_path)
         .map_err(|e| UsageError(format!("cannot read campaign spec {spec_path:?}: {e}")))?;
-    let mut spec =
+    let mut runs =
         cmvrp_ckpt::parse_spec(&text).map_err(|e| UsageError(format!("{spec_path}: {e}")))?;
     std::fs::create_dir_all(&dir)
         .map_err(|e| UsageError(format!("cannot create campaign dir {dir:?}: {e}")))?;
     let mut prior: Vec<cmvrp_ckpt::RunRecord> = Vec::new();
     if only_dead {
         prior = cmvrp_ckpt::load_state(&dir).map_err(UsageError)?;
-        spec.runs
-            .retain(|r| prior.iter().any(|p| p.name == r.name && !p.done));
-        if spec.runs.is_empty() {
+        runs.retain(|r| prior.iter().any(|p| p.name == r.name && !p.done));
+        if runs.is_empty() {
             return Ok((
                 "dead-letter list is empty; nothing to retry\n".to_string(),
                 0,
@@ -1632,7 +1631,7 @@ fn cmd_campaign_run(args: &[String], only_dead: bool) -> Result<(String, i32), U
     }
     let mut exec = cmvrp_ckpt::ProcessExecutor { bin };
     let mut log: Vec<String> = Vec::new();
-    let records = cmvrp_ckpt::run_campaign(&spec, &dir, &mut exec, &mut |line| {
+    let records = cmvrp_ckpt::run_campaign(&runs, &dir, &mut exec, &mut |line| {
         log.push(line.to_string())
     });
     // retry-dead folds the fresh verdicts back over the previous state.

@@ -14,9 +14,9 @@
 //!
 //! [`BinSink`] is the write side — a [`Sink`] like [`crate::JsonlSink`]
 //! but with no per-event allocation (one reusable scratch buffer) —
-//! and [`BinReader`] the read side: an iterator of events whose
-//! [`FrameError`]s carry the 1-based frame index and absolute byte offset,
-//! and which never panics on truncated or corrupt input.
+//! and [`decode_trace`] the read side: its [`FrameError`]s carry the
+//! 1-based frame index and absolute byte offset, and no truncated or
+//! corrupt input makes it panic.
 
 use crate::event::{DropReason, Event, MsgKind};
 use crate::frame::{self, put_i64, put_i64s, put_str, put_u64, Cursor, FrameError};
@@ -421,55 +421,21 @@ fn decode_payload(c: &mut Cursor<'_>) -> Result<Event, FrameError> {
     Ok(ev)
 }
 
-/// Iterator over the events of an in-memory binary trace.
-///
-/// Construction validates the header; each [`Iterator::next`] decodes one
-/// frame. The first error ends iteration (the stream position is no longer
-/// trustworthy past a corrupt frame); errors are values, never panics.
-#[derive(Debug)]
-pub struct BinReader<'a> {
-    frames: Cursor<'a>,
-    failed: bool,
-}
-
-impl<'a> BinReader<'a> {
-    /// Wraps a complete binary trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns a frame-0 [`FrameError`] when the magic bytes are wrong, the
-    /// header is truncated, or the version is newer than this build reads.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, FrameError> {
-        Ok(BinReader {
-            frames: Cursor::open(bytes, BIN_MAGIC, BIN_VERSION)?,
-            failed: false,
-        })
-    }
-}
-
-impl Iterator for BinReader<'_> {
-    type Item = Result<Event, FrameError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let item = self
-            .frames
-            .next_frame()?
-            .and_then(|mut c| decode_payload(&mut c));
-        self.failed = item.is_err();
-        Some(item)
-    }
-}
-
-/// Decodes a whole binary trace into events.
+/// Decodes a whole binary trace into events, stopping at the first error:
+/// past a corrupt frame no later frame boundary can be trusted.
 ///
 /// # Errors
 ///
-/// Returns the first [`FrameError`] — bad header or first corrupt frame.
+/// The first [`FrameError`]: frame 0 when the magic bytes are wrong, the
+/// header is truncated, or the version is newer than this build reads;
+/// otherwise the first corrupt frame. No input makes it panic.
 pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Event>, FrameError> {
-    BinReader::new(bytes)?.collect()
+    let mut frames = Cursor::open(bytes, BIN_MAGIC, BIN_VERSION)?;
+    let mut events = Vec::new();
+    while let Some(frame) = frames.next_frame() {
+        events.push(decode_payload(&mut frame?)?);
+    }
+    Ok(events)
 }
 
 #[cfg(test)]

@@ -102,7 +102,7 @@ impl<'a> Object<'a> {
     /// # Errors
     ///
     /// Names the first construct outside the grammar, with its 1-based
-    /// byte column, or the first key that appears twice.
+    /// byte column, or a key that appears twice.
     pub fn parse(src: &'a str) -> Result<Object<'a>, String> {
         let mut r = Reader { src, pos: 0 };
         r.ws();
@@ -172,19 +172,13 @@ impl<'a> Object<'a> {
     /// The unsigned integer at `key`; `None` when the key is absent, an
     /// error when it holds another type or a value outside `u64`.
     pub fn u64(&self, key: &str) -> Result<Option<u64>, String> {
-        self.typed(key, "an unsigned integer", |v| match v {
-            Value::Int(n) => u64::try_from(*n).ok(),
-            _ => None,
-        })
+        self.int(key, "an unsigned integer", |n| u64::try_from(n).ok())
     }
 
     /// The signed integer at `key`; `None` when the key is absent, an
     /// error when it holds another type or a value outside `i64`.
     pub fn i64(&self, key: &str) -> Result<Option<i64>, String> {
-        self.typed(key, "an integer", |v| match v {
-            Value::Int(n) => i64::try_from(*n).ok(),
-            _ => None,
-        })
+        self.int(key, "an integer", |n| i64::try_from(n).ok())
     }
 
     /// The boolean at `key`; `None` when the key is absent, an error when
@@ -205,6 +199,22 @@ impl<'a> Object<'a> {
         })
     }
 
+    /// An integer getter: a value of another type is named by its type,
+    /// an integer that `fit` rejects by its value.
+    fn int<T>(
+        &self,
+        key: &str,
+        what: &str,
+        fit: impl FnOnce(i128) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let n = self.typed(key, what, |v| match v {
+            Value::Int(n) => Some(*n),
+            _ => None,
+        })?;
+        n.map(|n| fit(n).ok_or_else(|| format!("key {key:?} must be {what}, not {n}")))
+            .transpose()
+    }
+
     fn typed<'s, T>(
         &'s self,
         key: &str,
@@ -214,26 +224,16 @@ impl<'a> Object<'a> {
         let Some(field) = self.fields.iter().find(|f| f.key == key) else {
             return Ok(None);
         };
-        pick(&field.value).map(Some).ok_or_else(|| {
-            let seen = match field.value {
-                Value::Int(_) => field.raw,
-                ref other => other.kind(),
-            };
-            format!("key {key:?} must be {what}, not {seen}")
-        })
+        pick(&field.value)
+            .map(Some)
+            .ok_or_else(|| format!("key {key:?} must be {what}, not {}", field.value.kind()))
     }
 }
 
-/// The first key that appears twice, found without quadratic work on
-/// hostile objects with many keys.
+/// A key that appears more than once (the smallest, if several do). The
+/// keys are sorted rather than compared pairwise, so a hostile object
+/// with many keys costs `n log n`, not `n²`.
 fn repeated_key<'f>(fields: &'f [Field<'_>]) -> Option<&'f str> {
-    if fields.len() <= 16 {
-        return fields
-            .iter()
-            .enumerate()
-            .find(|(i, f)| fields[..*i].iter().any(|g| g.key == f.key))
-            .map(|(_, f)| &*f.key);
-    }
     let mut keys: Vec<&str> = fields.iter().map(|f| &*f.key).collect();
     keys.sort_unstable();
     keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
@@ -441,6 +441,10 @@ mod tests {
             o.i64("s").unwrap_err(),
             "key \"s\" must be an integer, not a string"
         );
+        assert_eq!(
+            o.str("t").unwrap_err(),
+            "key \"t\" must be a string, not an integer"
+        );
     }
 
     #[test]
@@ -483,7 +487,7 @@ mod tests {
             Object::parse("{\"t\":1,\"u\":2,\"t\":3}").unwrap_err(),
             "duplicate key \"t\""
         );
-        // The sort-based path for objects with many keys.
+        // An object with many keys.
         let mut many: Vec<String> = (0..40).map(|i| format!("\"k{i}\":{i}")).collect();
         many.push("\"k7\":0".into());
         let line = format!("{{{}}}", many.join(","));

@@ -102,7 +102,7 @@
 //!
 //! The same vocabulary also has a compact binary form ([`bin`]): a
 //! magic/versioned header followed by length-prefixed varint frames,
-//! written by [`BinSink`] and decoded by [`BinReader`]. `cmvrp trace
+//! written by [`BinSink`] and decoded by [`decode_trace`]. `cmvrp trace
 //! convert` translates between the two losslessly, and every trace
 //! consumer sniffs the magic bytes to accept either encoding.
 //!
@@ -137,7 +137,7 @@ pub mod replay;
 pub mod sink;
 pub mod span;
 
-pub use bin::{decode_trace, is_binary_trace, BinReader, BinSink};
+pub use bin::{decode_trace, is_binary_trace, BinSink};
 pub use check::{
     check_lines, CausalIndex, CausalNode, CheckReport, CheckSink, MergeChecker, TraceChecker,
     Violation, INVARIANTS,
@@ -145,9 +145,7 @@ pub use check::{
 pub use diff::{diff_lines, DiffError, DiffReport, Divergence, DivergenceKind, FieldDelta, Side};
 pub use event::{jsonl_events, DropReason, Event, MsgKind};
 pub use frame::FrameError;
-pub use load::{
-    load_trace, load_trace_bytes, LoadError, LoadedTrace, TraceEncoding, JSONL_SCHEMA_VERSION,
-};
+pub use load::{load_trace, load_trace_bytes, LoadedTrace, TraceEncoding, JSONL_SCHEMA_VERSION};
 pub use metrics::{Histogram, Metrics, DEFAULT_BUCKETS};
 pub use query::{parse_query, Expr as QueryExpr, QueryError};
 pub use replay::{summarize, ReplaySummary};

@@ -9,12 +9,11 @@
 //! The loader is where the file-shaped edge cases are caught once, for
 //! everyone: an empty file, a file shorter than the binary magic, and a
 //! JSONL file whose last line was truncated mid-write all come back as
-//! scoped [`LoadError`]s — never panics, and never a silently misparsed
+//! scoped error messages — never panics, and never a silently misparsed
 //! trace.
 
 use crate::bin::{decode_trace, is_binary_trace, BIN_MAGIC};
 use crate::event::Event;
-use std::fmt;
 
 /// The JSONL schema generation this build writes (v2 added the
 /// `replacement_cycle.dist` field; v1 traces still parse).
@@ -37,25 +36,6 @@ impl TraceEncoding {
             TraceEncoding::Binary => "CMVB",
         }
     }
-}
-
-/// A trace load failure, scoped to what was wrong with the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadError {
-    /// What went wrong, naming the offending location where one exists.
-    pub msg: String,
-}
-
-impl fmt::Display for LoadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.msg)
-    }
-}
-
-impl std::error::Error for LoadError {}
-
-fn err(msg: impl Into<String>) -> LoadError {
-    LoadError { msg: msg.into() }
 }
 
 /// A trace normalized to canonical JSONL, whichever encoding it was in.
@@ -90,6 +70,8 @@ impl LoadedTrace {
 ///
 /// # Errors
 ///
+/// A message naming what is wrong with the input:
+///
 /// - an empty input (nothing to sniff);
 /// - a strict prefix of the binary magic/header (a truncated binary
 ///   trace, which must not be misread as JSONL);
@@ -99,23 +81,24 @@ impl LoadedTrace {
 /// - a JSONL input whose final line is unterminated *and* unparseable —
 ///   the signature of a write cut off mid-line. (A parseable final line
 ///   merely missing its newline is accepted.)
-pub fn load_trace_bytes(bytes: &[u8]) -> Result<LoadedTrace, LoadError> {
+pub fn load_trace_bytes(bytes: &[u8]) -> Result<LoadedTrace, String> {
     if bytes.is_empty() {
-        return Err(err("empty file (0 bytes): not a trace in either encoding \
+        return Err("empty file (0 bytes): not a trace in either encoding \
              (JSONL traces have one event per line, binary traces open \
-             with the CMVB magic)"));
+             with the CMVB magic)"
+            .to_string());
     }
     if bytes.len() < BIN_MAGIC.len() && BIN_MAGIC.starts_with(bytes) {
-        return Err(err(format!(
+        return Err(format!(
             "file is {} byte(s), shorter than the {}-byte CMVB magic it \
              begins with: truncated binary trace",
             bytes.len(),
             BIN_MAGIC.len()
-        )));
+        ));
     }
     if is_binary_trace(bytes) {
         let version = bytes.get(4).copied().unwrap_or(0);
-        let events = decode_trace(bytes).map_err(|e| err(e.to_string()))?;
+        let events = decode_trace(bytes).map_err(|e| e.to_string())?;
         let mut text = String::with_capacity(events.len() * 64);
         for ev in &events {
             text.push_str(&ev.to_json());
@@ -129,7 +112,7 @@ pub fn load_trace_bytes(bytes: &[u8]) -> Result<LoadedTrace, LoadError> {
         });
     }
     let text = std::str::from_utf8(bytes)
-        .map_err(|e| err(format!("not UTF-8 JSONL (and no CMVB magic): {e}")))?;
+        .map_err(|e| format!("not UTF-8 JSONL (and no CMVB magic): {e}"))?;
     // A JSONL writer terminates every line; a final line with no newline
     // is suspect, and if it does not even parse it was cut off mid-write.
     let mut text = text.to_string();
@@ -137,10 +120,10 @@ pub fn load_trace_bytes(bytes: &[u8]) -> Result<LoadedTrace, LoadError> {
         let last_no = text.lines().count();
         let last = text.lines().last().unwrap_or("");
         if let Err(e) = Event::from_json(last) {
-            return Err(err(format!(
+            return Err(format!(
                 "line {last_no}: trailing partial line (no newline and \
                  unparseable — truncated write?): {e}"
-            )));
+            ));
         }
         text.push('\n');
     }
@@ -158,9 +141,9 @@ pub fn load_trace_bytes(bytes: &[u8]) -> Result<LoadedTrace, LoadError> {
 /// # Errors
 ///
 /// I/O failures plus everything [`load_trace_bytes`] rejects.
-pub fn load_trace(path: &str) -> Result<LoadedTrace, LoadError> {
-    let bytes = std::fs::read(path).map_err(|e| err(format!("cannot read {path:?}: {e}")))?;
-    load_trace_bytes(&bytes).map_err(|e| err(format!("{path}: {}", e.msg)))
+pub fn load_trace(path: &str) -> Result<LoadedTrace, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    load_trace_bytes(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
 #[cfg(test)]
@@ -199,14 +182,14 @@ mod tests {
     #[test]
     fn empty_file_is_a_scoped_error() {
         let e = load_trace_bytes(b"").unwrap_err();
-        assert!(e.msg.contains("empty file"), "{e}");
+        assert!(e.contains("empty file"), "{e}");
     }
 
     #[test]
     fn magic_prefix_shorter_than_magic_is_a_scoped_error() {
         for n in 1..BIN_MAGIC.len() {
             let e = load_trace_bytes(&BIN_MAGIC[..n]).unwrap_err();
-            assert!(e.msg.contains("truncated binary trace"), "{n}: {e}");
+            assert!(e.contains("truncated binary trace"), "{n}: {e}");
         }
     }
 
@@ -217,8 +200,8 @@ mod tests {
                     {\"ev\":\"job_served\",\"t\":1,\"seq\":0,\"vehicle\":2,\"cost\":1}\n\
                     {\"ev\":\"job_arr";
         let e = load_trace_bytes(text.as_bytes()).unwrap_err();
-        assert!(e.msg.contains("line 3"), "{e}");
-        assert!(e.msg.contains("partial"), "{e}");
+        assert!(e.contains("line 3"), "{e}");
+        assert!(e.contains("partial"), "{e}");
     }
 
     #[test]
@@ -231,7 +214,7 @@ mod tests {
     #[test]
     fn non_utf8_is_a_scoped_error() {
         let e = load_trace_bytes(&[0xff, 0xfe, 0x00, 0x01]).unwrap_err();
-        assert!(e.msg.contains("UTF-8"), "{e}");
+        assert!(e.contains("UTF-8"), "{e}");
     }
 
     #[test]
@@ -241,12 +224,12 @@ mod tests {
         let mut bytes = sink.into_writer().unwrap();
         bytes.truncate(bytes.len() - 1); // cut the last payload byte
         let e = load_trace_bytes(&bytes).unwrap_err();
-        assert!(e.msg.contains("frame 1"), "{e}");
+        assert!(e.contains("frame 1"), "{e}");
     }
 
     #[test]
     fn load_trace_prefixes_path() {
         let e = load_trace("/nonexistent/trace.jsonl").unwrap_err();
-        assert!(e.msg.contains("/nonexistent/trace.jsonl"), "{e}");
+        assert!(e.contains("/nonexistent/trace.jsonl"), "{e}");
     }
 }

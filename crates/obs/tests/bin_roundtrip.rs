@@ -1,10 +1,11 @@
-//! Adversarial decoder tests for the binary trace format: [`BinReader`]
+//! Adversarial decoder tests for the binary trace format: [`decode_trace`]
 //! must return a *scoped* error — frame index plus byte offset — and never
 //! panic, whatever bytes it is handed. Corruption is generated
 //! deterministically (a hand-rolled LCG, no third-party fuzzer) so
 //! failures replay exactly.
 
-use cmvrp_obs::{decode_trace, is_binary_trace, BinReader, BinSink, DropReason, Event, MsgKind};
+use cmvrp_obs::bin::BIN_VERSION;
+use cmvrp_obs::{decode_trace, is_binary_trace, BinSink, DropReason, Event, MsgKind};
 use cmvrp_obs::{jsonl_events, load_trace_bytes, Sink, StaticSink};
 
 /// One event of every variant, with annotated and unannotated message
@@ -161,7 +162,7 @@ fn empty_trace_is_just_the_header() {
 
 #[test]
 fn bad_magic_is_a_header_error() {
-    let err = BinReader::new(b"NOPE\x01rest").unwrap_err();
+    let err = decode_trace(b"NOPE\x01rest").unwrap_err();
     assert_eq!(err.frame, 0);
     assert_eq!(err.offset, 0);
     assert!(err.to_string().contains("magic"), "{err}");
@@ -170,7 +171,7 @@ fn bad_magic_is_a_header_error() {
 #[test]
 fn truncated_header_is_a_header_error() {
     for n in 0..5 {
-        let err = BinReader::new(&b"CMVB\x01"[..n]).unwrap_err();
+        let err = decode_trace(&b"CMVB\x01"[..n]).unwrap_err();
         assert_eq!(err.frame, 0, "prefix of {n} bytes");
         assert!(err.to_string().contains("header"), "{err}");
     }
@@ -178,7 +179,7 @@ fn truncated_header_is_a_header_error() {
 
 #[test]
 fn future_version_is_refused_by_name() {
-    let err = BinReader::new(b"CMVB\x63").unwrap_err();
+    let err = decode_trace(b"CMVB\x63").unwrap_err();
     assert_eq!(err.frame, 0);
     assert_eq!(err.offset, 4);
     assert!(err.to_string().contains("version 99"), "{err}");
@@ -189,20 +190,14 @@ fn every_truncation_errors_with_scope_and_never_panics() {
     let events = samples();
     let bytes = encode(&events);
     for n in 5..bytes.len() {
-        let mut decoded = 0usize;
-        let mut err = None;
-        for item in BinReader::new(&bytes[..n]).unwrap() {
-            match item {
-                Ok(_) => decoded += 1,
-                Err(e) => err = Some(e),
-            }
-        }
         // A cut can only land cleanly between frames (fewer events) or
         // inside one (scoped error); it can never invent events.
-        assert!(decoded < events.len(), "prefix of {n} bytes");
-        if let Some(e) = err {
-            assert!(e.frame >= 1, "prefix of {n}: {e}");
-            assert!(e.offset <= n, "prefix of {n}: {e}");
+        match decode_trace(&bytes[..n]) {
+            Ok(decoded) => assert!(decoded.len() < events.len(), "prefix of {n} bytes"),
+            Err(e) => {
+                assert!(e.frame >= 1, "prefix of {n}: {e}");
+                assert!(e.offset <= n, "prefix of {n}: {e}");
+            }
         }
     }
 }
@@ -240,19 +235,10 @@ fn unknown_tag_is_scoped_to_its_frame() {
     assert!(err.to_string().contains("unknown event tag"), "{err}");
 }
 
-#[test]
-fn errors_end_iteration_rather_than_looping() {
-    let bytes = encode(&samples());
-    let mut corrupt = bytes.clone();
-    corrupt[6] = 0xEE; // first frame's tag
-    let items: Vec<_> = BinReader::new(&corrupt).unwrap().collect();
-    assert_eq!(items.len(), 1, "one scoped error, then the end");
-    assert!(items[0].is_err());
-}
-
 /// Deterministic byte-flip fuzzing: whatever we do to the stream, the
-/// reader must hand back values (events or scoped errors), never panic,
-/// and every reported offset must lie inside the input.
+/// decoder must hand back events or a scoped error, never panic: a header
+/// error names frame 0, a frame error a real frame, and every reported
+/// offset lies inside the input.
 #[test]
 fn random_byte_flips_never_panic() {
     let events = samples();
@@ -270,19 +256,10 @@ fn random_byte_flips_never_panic() {
             let i = (rng() % bytes.len() as u64) as usize;
             bytes[i] ^= (rng() % 255 + 1) as u8;
         }
-        match BinReader::new(&bytes) {
-            Err(e) => {
-                assert_eq!(e.frame, 0);
-                assert!(e.offset <= bytes.len());
-            }
-            Ok(reader) => {
-                for item in reader {
-                    if let Err(e) = item {
-                        assert!(e.frame >= 1, "{e}");
-                        assert!(e.offset <= bytes.len(), "{e}");
-                    }
-                }
-            }
+        if let Err(e) = decode_trace(&bytes) {
+            let header_ok = is_binary_trace(&bytes) && bytes[4] <= BIN_VERSION;
+            assert_eq!(e.frame == 0, !header_ok, "{e}");
+            assert!(e.offset <= bytes.len(), "{e}");
         }
     }
 }
@@ -306,12 +283,8 @@ fn random_garbage_never_panics() {
             bytes[..4].copy_from_slice(b"CMVB");
             bytes[4] = 1;
         }
-        if let Ok(reader) = BinReader::new(&bytes) {
-            for item in reader {
-                if let Err(e) = item {
-                    assert!(e.offset <= bytes.len(), "{e}");
-                }
-            }
+        if let Err(e) = decode_trace(&bytes) {
+            assert!(e.offset <= bytes.len(), "{e}");
         }
     }
 }

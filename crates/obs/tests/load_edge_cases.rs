@@ -1,5 +1,5 @@
 //! Edge cases for the encoding-sniffing trace loader: every truncation
-//! and corruption shape must come back as a scoped [`LoadError`], never a
+//! and corruption shape must come back as a scoped error message, never a
 //! panic, both from bytes and through the filesystem path.
 
 use cmvrp_obs::{load_trace, load_trace_bytes, TraceEncoding};
@@ -13,12 +13,12 @@ fn tmp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
 #[test]
 fn zero_byte_file_is_a_scoped_error() {
     let err = load_trace_bytes(b"").unwrap_err();
-    assert!(err.msg.contains("empty file"), "{}", err.msg);
+    assert!(err.contains("empty file"), "{err}");
     let path = tmp("empty.jsonl", b"");
     let err = load_trace(path.to_str().unwrap()).unwrap_err();
     // Through the path API the error is prefixed with the file name.
-    assert!(err.msg.contains("empty.jsonl"), "{}", err.msg);
-    assert!(err.msg.contains("empty file"), "{}", err.msg);
+    assert!(err.contains("empty.jsonl"), "{err}");
+    assert!(err.contains("empty file"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -29,14 +29,13 @@ fn file_shorter_than_the_magic_is_a_scoped_error() {
     for len in 1..4 {
         let err = load_trace_bytes(&b"CMVB"[..len]).unwrap_err();
         assert!(
-            err.msg.contains("truncated binary trace"),
-            "prefix len {len}: {}",
-            err.msg
+            err.contains("truncated binary trace"),
+            "prefix len {len}: {err}"
         );
     }
     let path = tmp("short.bin", b"CM");
     let err = load_trace(path.to_str().unwrap()).unwrap_err();
-    assert!(err.msg.contains("truncated binary trace"), "{}", err.msg);
+    assert!(err.contains("truncated binary trace"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -45,12 +44,12 @@ fn trailing_partial_line_is_a_scoped_error() {
     // A crash mid-write leaves an unterminated, unparseable last line.
     let bytes = b"{\"ev\":\"job_arrived\",\"t\":1,\"seq\":0,\"pos\":[0,0]}\n{\"ev\":\"job_ser";
     let err = load_trace_bytes(bytes).unwrap_err();
-    assert!(err.msg.contains("line 2"), "{}", err.msg);
-    assert!(err.msg.contains("trailing partial line"), "{}", err.msg);
+    assert!(err.contains("line 2"), "{err}");
+    assert!(err.contains("trailing partial line"), "{err}");
     let path = tmp("partial.jsonl", bytes);
     let err = load_trace(path.to_str().unwrap()).unwrap_err();
-    assert!(err.msg.contains("partial.jsonl"), "{}", err.msg);
-    assert!(err.msg.contains("line 2"), "{}", err.msg);
+    assert!(err.contains("partial.jsonl"), "{err}");
+    assert!(err.contains("line 2"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -67,13 +66,13 @@ fn unterminated_but_parseable_last_line_is_accepted() {
 #[test]
 fn missing_file_error_names_the_path() {
     let err = load_trace("/nonexistent/cmvrp_x.jsonl").unwrap_err();
-    assert!(err.msg.contains("cmvrp_x.jsonl"), "{}", err.msg);
+    assert!(err.contains("cmvrp_x.jsonl"), "{err}");
 }
 
 #[test]
 fn non_utf8_bytes_are_a_scoped_error_not_a_panic() {
     let err = load_trace_bytes(&[0xff, 0xfe, 0xfd]).unwrap_err();
-    assert!(!err.msg.is_empty());
+    assert!(!err.is_empty());
 }
 
 #[test]
@@ -115,5 +114,5 @@ fn truncated_binary_body_is_a_scoped_error() {
     let bytes = sink.into_writer().unwrap();
     // Chop the last frame in half: decode must fail cleanly.
     let err = load_trace_bytes(&bytes[..bytes.len() - 2]).unwrap_err();
-    assert!(!err.msg.is_empty());
+    assert!(!err.is_empty());
 }
