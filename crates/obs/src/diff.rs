@@ -220,7 +220,7 @@ impl<'a, I: Iterator<Item = &'a str>> Stream<'a, I> {
             line: item.0,
             msg,
         };
-        let object = Object::parse(item.1).map_err(scoped)?;
+        let object = Object::parse(item.1, "event").map_err(scoped)?;
         let event = Event::from_object(&object).map_err(scoped)?;
         Ok((object, event))
     }
@@ -569,12 +569,16 @@ mod tests {
 
     #[test]
     fn field_deltas_report_raw_spellings_of_strings_arrays_and_escapes() {
-        let a =
-            Object::parse("{\"ev\":\"phase_span\",\"name\":\"a,\\\"b[\",\"pos\":[1,-2],\"t\":3}")
-                .unwrap();
-        let b =
-            Object::parse("{\"ev\":\"phase_span\",\"name\":\"a,\\\"c[\",\"pos\":[1,-2],\"u\":3}")
-                .unwrap();
+        let a = Object::parse(
+            "{\"ev\":\"phase_span\",\"name\":\"a,\\\"b[\",\"pos\":[1,-2],\"t\":3}",
+            "event",
+        )
+        .unwrap();
+        let b = Object::parse(
+            "{\"ev\":\"phase_span\",\"name\":\"a,\\\"c[\",\"pos\":[1,-2],\"u\":3}",
+            "event",
+        )
+        .unwrap();
         let delta = |field: &str, a: &str, b: &str| FieldDelta {
             field: field.into(),
             a: a.into(),

@@ -425,7 +425,7 @@ impl Event {
     ///
     /// Returns a message describing the first malformed construct.
     pub fn from_json(line: &str) -> Result<Event, String> {
-        Event::from_object(&Object::parse(line)?)
+        Event::from_object(&Object::parse(line, "event")?)
     }
 
     /// Reads an event from a parsed line. Keys outside the event's schema

@@ -15,7 +15,9 @@
 //!
 //! and [`quote`] writes every string with that escape set, so whatever
 //! it writes reads back unchanged. A repeated key is an error naming the
-//! key. Syntax errors carry the 1-based byte column where reading stopped.
+//! key. Syntax errors keep the wording the serve wire has always replied
+//! with, e.g. `request must be one JSON object per line, starting with
+//! '{'`.
 //!
 //! One [`Object`] serves every caller. The typed getters read a key when
 //! it is present and name the key and the expected type when it holds
@@ -97,27 +99,33 @@ pub struct Object<'a> {
 }
 
 impl<'a> Object<'a> {
-    /// Parses one object, surrounded by optional whitespace.
+    /// Parses one object, surrounded by optional whitespace. `what` names
+    /// the line (`request`, `event`) in the errors about its framing.
     ///
     /// # Errors
     ///
-    /// Names the first construct outside the grammar, with its 1-based
-    /// byte column, or a key that appears twice.
-    pub fn parse(src: &'a str) -> Result<Object<'a>, String> {
+    /// Names the first construct outside the grammar, in the words the
+    /// serve wire has always used, or a key that appears twice.
+    pub fn parse(src: &'a str, what: &str) -> Result<Object<'a>, String> {
         let mut r = Reader { src, pos: 0 };
         r.ws();
         if !r.eat(b'{') {
-            return Err(r.err("expected a JSON object starting with '{'"));
+            return Err(format!(
+                "{what} must be one JSON object per line, starting with '{{'"
+            ));
         }
         let mut fields: Vec<Field<'a>> = Vec::new();
         r.ws();
         if !r.eat(b'}') {
             loop {
                 r.ws();
-                let key = r.string("a '\"'-quoted key")?;
+                if !r.eat(b'"') {
+                    return Err("expected a '\"'-quoted key".to_string());
+                }
+                let key = r.string()?;
                 r.ws();
                 if !r.eat(b':') {
-                    return Err(r.err(format!("expected ':' after key {key:?}")));
+                    return Err(format!("key {key:?} must be followed by ':'"));
                 }
                 r.ws();
                 let start = r.pos;
@@ -132,13 +140,13 @@ impl<'a> Object<'a> {
                     break;
                 }
                 if !r.eat(b',') {
-                    return Err(r.err("expected ',' or '}' after a value"));
+                    return Err("object must close with '}'".to_string());
                 }
             }
         }
         r.ws();
         if r.pos < src.len() {
-            return Err(r.err("trailing content after the object"));
+            return Err(format!("trailing content after the {what} object"));
         }
         if let Some(key) = repeated_key(&fields) {
             return Err(format!("duplicate key {key:?}"));
@@ -200,7 +208,8 @@ impl<'a> Object<'a> {
     }
 
     /// An integer getter: a value of another type is named by its type,
-    /// an integer that `fit` rejects by its value.
+    /// an integer that `fit` rejects by its value, as the reader names an
+    /// integer too long for it.
     fn int<T>(
         &self,
         key: &str,
@@ -211,7 +220,7 @@ impl<'a> Object<'a> {
             Value::Int(n) => Some(*n),
             _ => None,
         })?;
-        n.map(|n| fit(n).ok_or_else(|| format!("key {key:?} must be {what}, not {n}")))
+        n.map(|n| fit(n).ok_or_else(|| format!("\"{n}\" is not {what}")))
             .transpose()
     }
 
@@ -247,10 +256,6 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn err(&self, msg: impl std::fmt::Display) -> String {
-        format!("col {}: {msg}", self.pos + 1)
-    }
-
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
@@ -261,34 +266,31 @@ impl<'a> Reader<'a> {
         hit
     }
 
+    /// Advances over the bytes `keep` accepts.
+    fn skip(&mut self, keep: impl Fn(u8) -> bool) {
+        while self.peek().is_some_and(&keep) {
+            self.pos += 1;
+        }
+    }
+
     fn ws(&mut self) {
-        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
+        self.skip(|b| b.is_ascii_whitespace());
     }
 
-    /// Advances over bytes that need no unescaping.
-    fn plain_run(&mut self) {
-        while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-            self.pos += 1;
-        }
-    }
-
-    /// A quoted string, borrowed from the source unless it holds escapes.
-    fn string(&mut self, what: &str) -> Result<Cow<'a, str>, String> {
+    /// The rest of a string whose opening quote is consumed, borrowed
+    /// from the source unless it holds escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         let src = self.src;
-        if !self.eat(b'"') {
-            return Err(self.err(format!("expected {what}")));
-        }
+        let plain = |b: u8| b != b'"' && b != b'\\';
         let start = self.pos;
-        self.plain_run();
+        self.skip(plain);
         if self.eat(b'"') {
             return Ok(Cow::Borrowed(&src[start..self.pos - 1]));
         }
         let mut out = String::from(&src[start..self.pos]);
         loop {
             match self.peek() {
-                None => return Err(self.err("unterminated string")),
+                None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(Cow::Owned(out));
@@ -296,7 +298,7 @@ impl<'a> Reader<'a> {
                 Some(b'\\') => out.push(self.escape()?),
                 Some(_) => {
                     let run = self.pos;
-                    self.plain_run();
+                    self.skip(plain);
                     out.push_str(&src[run..self.pos]);
                 }
             }
@@ -318,55 +320,56 @@ impl<'a> Reader<'a> {
                 let hex = src
                     .get(self.pos + 1..self.pos + 5)
                     .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
-                    .ok_or_else(|| self.err("\\u must be followed by four hex digits"))?;
+                    .ok_or("\\u must be followed by four hex digits")?;
                 let c = u32::from_str_radix(hex, 16)
                     .ok()
                     .and_then(char::from_u32)
-                    .ok_or_else(|| self.err(format!("\\u{hex} is not a character")))?;
+                    .ok_or_else(|| format!("\\u{hex} is not a character"))?;
                 self.pos += 5;
                 return Ok(c);
             }
             _ => {
-                return Err(
-                    self.err("unsupported escape; supported: \\\" \\\\ \\/ \\n \\t \\r \\uXXXX")
-                )
+                let other = src[self.pos..].chars().next();
+                return Err(format!(
+                    "unsupported string escape {other:?}; supported: \\\" \\\\ \\/ \\n \\t \\r \\uXXXX"
+                ));
             }
         };
         self.pos += 1;
         Ok(c)
     }
 
-    fn int(&mut self) -> Result<i128, String> {
-        let src = self.src;
+    /// An optional minus and the digits after it, read as a `T`.
+    fn int<T: std::str::FromStr>(&mut self) -> Result<T, String> {
         let start = self.pos;
         self.eat(b'-');
-        let digits = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == digits {
-            self.pos = start;
-            return Err(self.err("expected an integer"));
-        }
-        src[start..self.pos].parse().map_err(|_| {
-            self.pos = start;
-            self.err("integer out of range")
-        })
+        self.skip(|b| b.is_ascii_digit());
+        let text = &self.src[start..self.pos];
+        text.parse()
+            .map_err(|_| format!("{text:?} is not an integer"))
     }
 
     fn value(&mut self, key: &str) -> Result<Value<'a>, String> {
         let src = self.src;
-        let rest = &src[self.pos..];
         Ok(match self.peek() {
-            Some(b'"') => Value::Str(self.string("a string")?),
-            Some(b'-' | b'0'..=b'9') => Value::Int(self.int()?),
-            Some(b't') if rest.starts_with("true") => {
-                self.pos += 4;
-                Value::Bool(true)
+            Some(b'"') => {
+                self.pos += 1;
+                Value::Str(self.string()?)
             }
-            Some(b'f') if rest.starts_with("false") => {
-                self.pos += 5;
-                Value::Bool(false)
+            Some(b'-' | b'0'..=b'9') => Value::Int(self.int()?),
+            Some(b't' | b'f') => {
+                let start = self.pos;
+                self.skip(|b| b.is_ascii_alphabetic());
+                match &src[start..self.pos] {
+                    "true" => Value::Bool(true),
+                    "false" => Value::Bool(false),
+                    word => {
+                        return Err(format!(
+                            "key {key:?} has unrecognized value {word:?}; values are \
+                             strings, integers, true/false, or integer arrays"
+                        ))
+                    }
+                }
             }
             Some(b'[') => {
                 self.pos += 1;
@@ -375,29 +378,23 @@ impl<'a> Reader<'a> {
                 if !self.eat(b']') {
                     loop {
                         self.ws();
-                        let at = self.pos;
-                        let n = i64::try_from(self.int()?).map_err(|_| {
-                            self.pos = at;
-                            self.err("array element out of i64 range")
-                        })?;
-                        items.push(n);
+                        items.push(self.int()?);
                         self.ws();
                         if self.eat(b']') {
                             break;
                         }
                         if !self.eat(b',') {
-                            return Err(self
-                                .err(format!("expected ',' or ']' in the array of key {key:?}")));
+                            return Err(format!("array for key {key:?} must close with ']'"));
                         }
                     }
                 }
                 Value::Arr(items)
             }
             _ => {
-                return Err(self.err(format!(
+                return Err(format!(
                     "key {key:?} has an unrecognized value; values are strings, \
                      integers, true/false, or integer arrays"
-                )))
+                ))
             }
         })
     }
@@ -409,8 +406,11 @@ mod tests {
 
     #[test]
     fn reads_every_value_type_with_raw_spellings() {
-        let o = Object::parse(" { \"a\" : [ 1 , -2 ] , \"b\" : true, \"s\":\"x\\\"y\", \"n\":-7} ")
-            .unwrap();
+        let o = Object::parse(
+            " { \"a\" : [ 1 , -2 ] , \"b\" : true, \"s\":\"x\\\"y\", \"n\":-7} ",
+            "event",
+        )
+        .unwrap();
         assert_eq!(o.arr("a").unwrap(), Some(&[1, -2][..]));
         assert_eq!(o.bool("b").unwrap(), Some(true));
         assert_eq!(o.str("s").unwrap(), Some("x\"y"));
@@ -427,15 +427,16 @@ mod tests {
             ]
         );
         assert_eq!(o.unknown_key(&["a", "b", "s"]), Some("n"));
-        assert_eq!(Object::parse("{}").unwrap().fields().count(), 0);
+        assert_eq!(Object::parse("{}", "event").unwrap().fields().count(), 0);
     }
 
     #[test]
     fn typed_getters_name_the_key_and_the_type() {
-        let o = Object::parse("{\"t\":-1,\"s\":\"x\"}").unwrap();
+        let o = Object::parse("{\"t\":-1,\"s\":\"x\",\"n\":9223372036854775808}", "event").unwrap();
+        assert_eq!(o.u64("t").unwrap_err(), "\"-1\" is not an unsigned integer");
         assert_eq!(
-            o.u64("t").unwrap_err(),
-            "key \"t\" must be an unsigned integer, not -1"
+            o.i64("n").unwrap_err(),
+            "\"9223372036854775808\" is not an integer"
         );
         assert_eq!(
             o.i64("s").unwrap_err(),
@@ -447,56 +448,100 @@ mod tests {
         );
     }
 
+    /// Every construct outside the grammar, with the message the serve
+    /// wire has always replied with (`what` = `request` there).
     #[test]
     fn rejects_what_the_grammar_does_not_hold() {
-        for bad in [
-            "",
-            "not json",
-            "[1,2]",
-            "{\"x\":1.5}",
-            "{\"x\":{}}",
-            "{\"x\":1}extra",
-            "{\"x\":1,}",
-            "{,}",
-            "{\"x\":[1 2]}",
-            "{\"x\":[1,,2]}",
-            "{\"x\":[,]}",
-            "{\"x\":[1,2,]}",
-            "{\"x\":null}",
-            "{\"x\":truex}",
-            "{\"x\":\"\\q\"}",
-            "{\"x\":\"\\ud800\"}",
-            "{\"x\":\"\\u12\"}",
-            "{\"x\":\"\\u+041\"}",
-            "{\"x\":\"open",
-            "{\"x\":99999999999999999999999999999999999999999}",
-            "{\"x\":[9223372036854775808]}",
-            "{\"x\":-}",
-            "{\"x\" 1}",
-            "{x:1}",
+        const VALUES: &str = "values are strings, integers, true/false, or integer arrays";
+        const ESCAPES: &str = "supported: \\\" \\\\ \\/ \\n \\t \\r \\uXXXX";
+        let framing = "event must be one JSON object per line, starting with '{'";
+        for (bad, msg) in [
+            ("", framing.to_string()),
+            ("not json", framing.to_string()),
+            ("[1,2]", framing.to_string()),
+            ("{\"x\":1.5}", "object must close with '}'".into()),
+            ("{\"x\":1 \"y\":2}", "object must close with '}'".into()),
+            ("{\"x\":1", "object must close with '}'".into()),
+            (
+                "{\"x\":{}}",
+                format!("key \"x\" has an unrecognized value; {VALUES}"),
+            ),
+            (
+                "{\"x\":null}",
+                format!("key \"x\" has an unrecognized value; {VALUES}"),
+            ),
+            (
+                "{\"x\":truex}",
+                format!("key \"x\" has unrecognized value \"truex\"; {VALUES}"),
+            ),
+            (
+                "{\"x\":1}extra",
+                "trailing content after the event object".into(),
+            ),
+            ("{\"x\":1,}", "expected a '\"'-quoted key".into()),
+            ("{,}", "expected a '\"'-quoted key".into()),
+            ("{x:1}", "expected a '\"'-quoted key".into()),
+            ("{", "expected a '\"'-quoted key".into()),
+            ("{\"x\" 1}", "key \"x\" must be followed by ':'".into()),
+            (
+                "{\"x\":[1 2]}",
+                "array for key \"x\" must close with ']'".into(),
+            ),
+            ("{\"x\":[1,,2]}", "\"\" is not an integer".into()),
+            ("{\"x\":[,]}", "\"\" is not an integer".into()),
+            ("{\"x\":[1,2,]}", "\"\" is not an integer".into()),
+            (
+                "{\"x\":[9223372036854775808]}",
+                "\"9223372036854775808\" is not an integer".into(),
+            ),
+            ("{\"x\":-}", "\"-\" is not an integer".into()),
+            (
+                "{\"x\":99999999999999999999999999999999999999999}",
+                "\"99999999999999999999999999999999999999999\" is not an integer".into(),
+            ),
+            (
+                "{\"x\":\"\\q\"}",
+                format!("unsupported string escape Some('q'); {ESCAPES}"),
+            ),
+            (
+                "{\"x\":\"\\",
+                format!("unsupported string escape None; {ESCAPES}"),
+            ),
+            ("{\"x\":\"\\ud800\"}", "\\ud800 is not a character".into()),
+            (
+                "{\"x\":\"\\u12\"}",
+                "\\u must be followed by four hex digits".into(),
+            ),
+            (
+                "{\"x\":\"\\u+041\"}",
+                "\\u must be followed by four hex digits".into(),
+            ),
+            ("{\"x\":\"open", "unterminated string".into()),
+            ("{} {}", "trailing content after the event object".into()),
         ] {
-            assert!(Object::parse(bad).is_err(), "{bad}");
+            assert_eq!(Object::parse(bad, "event").unwrap_err(), msg, "{bad}");
         }
-        let e = Object::parse("{\"x\":1 \"y\":2}").unwrap_err();
-        assert!(e.starts_with("col 8:"), "{e}");
     }
 
     #[test]
     fn repeated_keys_are_named() {
         assert_eq!(
-            Object::parse("{\"t\":1,\"u\":2,\"t\":3}").unwrap_err(),
+            Object::parse("{\"t\":1,\"u\":2,\"t\":3}", "event").unwrap_err(),
             "duplicate key \"t\""
         );
         // An object with many keys.
         let mut many: Vec<String> = (0..40).map(|i| format!("\"k{i}\":{i}")).collect();
         many.push("\"k7\":0".into());
         let line = format!("{{{}}}", many.join(","));
-        assert_eq!(Object::parse(&line).unwrap_err(), "duplicate key \"k7\"");
+        assert_eq!(
+            Object::parse(&line, "event").unwrap_err(),
+            "duplicate key \"k7\""
+        );
     }
 
     #[test]
     fn escapes_read_back() {
-        let o = Object::parse("{\"s\":\"a\\/b\\n\\t\\r\\u0001\\u00e9\"}").unwrap();
+        let o = Object::parse("{\"s\":\"a\\/b\\n\\t\\r\\u0001\\u00e9\"}", "event").unwrap();
         assert_eq!(o.str("s").unwrap(), Some("a/b\n\t\r\u{1}é"));
         assert_eq!(quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(quote("\u{1f}\t\r"), "\"\\u001f\\t\\r\"");
@@ -526,7 +571,7 @@ mod tests {
             write_str(&mut line, &s);
             line.push('}');
             assert!(!line.contains('\n'), "{line:?}");
-            let o = Object::parse(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            let o = Object::parse(&line, "event").unwrap_or_else(|e| panic!("{line:?}: {e}"));
             assert_eq!(o.str("k").unwrap(), Some(s.as_str()), "{line:?}");
         }
     }

@@ -214,7 +214,7 @@ impl Connection {
     }
 
     fn dispatch(&mut self, line: &str) -> Result<Vec<String>, String> {
-        let req = Object::parse(line)?;
+        let req = Object::parse(line, "request")?;
         let op = req
             .str("op")?
             .ok_or_else(|| format!("request has no \"op\"; supported ops: {OPS}"))?;
@@ -477,7 +477,7 @@ pub fn send(addr: &str, input: &mut dyn BufRead, out: &mut dyn Write) -> std::io
         writer.write_all(b"\n")?;
         writer.flush()?;
         let header = read_response_line(&mut reader)?;
-        let body_lines = Object::parse(&header)
+        let body_lines = Object::parse(&header, "reply")
             .ok()
             .and_then(|o| o.i64("lines").ok().flatten())
             .unwrap_or(0);
@@ -731,7 +731,33 @@ mod tests {
             " { \"op\" : \"query\" , \"session\" : \"a\\u0022b\" } ",
         );
         assert!(resp.contains(r#"no open session \"a\\\"b\""#), "{resp}");
-        for bad in ["{\"x\":1.5}", "{\"x\":{}}", "{\"x\":1}extra", "[1,2]", ""] {
+        // Malformed requests get the replies the wire has always given.
+        for (bad, error) in [
+            (
+                "not json",
+                "request must be one JSON object per line, starting with '{'",
+            ),
+            ("{\"x\":1.5}", "object must close with '}'"),
+            (
+                "{\"x\":1}extra",
+                "trailing content after the request object",
+            ),
+            ("{\"x\" 1}", r#"key \"x\" must be followed by ':'"#),
+            ("{\"x\":1,}", r#"expected a '\"'-quoted key"#),
+            (
+                "{\"op\":\"open\",\"session\":\"c\",\"workload\":\"point:grid=9,demand=5\",\
+                 \"seed\":99999999999999999999}",
+                r#"\"99999999999999999999\" is not an integer"#,
+            ),
+        ] {
+            let resp = one(&mut conn, bad);
+            assert_eq!(
+                resp,
+                format!("{{\"ok\":false,\"error\":\"{error}\"}}"),
+                "{bad}"
+            );
+        }
+        for bad in ["{\"x\":{}}", "[1,2]", ""] {
             let resp = one(&mut conn, bad);
             assert!(
                 resp.starts_with("{\"ok\":false,\"error\":"),
