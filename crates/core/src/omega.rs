@@ -10,12 +10,14 @@
 //! fixed point of the non-increasing step function `r ↦ ρ(r) = max_T
 //! Σ_{x∈T} d(x) / |N_r(T)|`, and each `ρ(k)` is an exact max-density value
 //! computed by `cmvrp-flow`. We scan integer steps `k = 0, 1, 2, …` until
-//! the crossing (interior `ρ(k) ∈ [k, k+1)`, or the boundary `k+1` when
-//! `ρ` jumps past it) — each step needs one Dinkelbach solve.
+//! the crossing (interior `ρ(k) ∈ [k, k+1)`, or the boundary `k` when `ρ`
+//! drops below it). A step only needs `ρ(k)` exactly when no cheap subset
+//! ratio already reaches `k+1`; the rest are certified without a max-flow
+//! (DESIGN.md §3.1).
 
 use cmvrp_flow::grid_density::DensityMethod;
 use cmvrp_flow::max_density_over_grid;
-use cmvrp_grid::{dilated_size, DemandMap, GridBounds, Point};
+use cmvrp_grid::{ball_size_clipped, dilated_size, DemandMap, GridBounds, Point};
 use cmvrp_util::Ratio;
 
 /// Solves `ω · |N_ω(T) ∩ bounds| = Σ_{x∈T} d(x)` for `ω` (equation (1.1)).
@@ -41,9 +43,8 @@ use cmvrp_util::Ratio;
 /// let b = GridBounds::square(21);
 /// let mut d = DemandMap::new();
 /// d.add(pt2(10, 10), 13);
-/// // |N_1| = 5, |N_2| = 13: 1·5 ≤ 13 wants ω=13/5 > 2, so crossing is on
-/// // the ω∈[2,3) step: 13/13 = 1 < 2 → the jump at 2 already exceeds:
-/// // 2·13 = 26 ≥ 13, and on [1,2): ω·5 = 13 → ω = 13/5 > 2. So ω = 2.
+/// // |N_1| = 5 and |N_2| = 13. On [1, 2) the left side ω·5 stays below
+/// // 2·5 = 10 < 13; at ω = 2 it jumps to 2·13 = 26 ≥ 13. So ω_T = 2.
 /// assert_eq!(solve_omega_t(&b, &d, &[pt2(10, 10)]), Ratio::from_integer(2));
 /// ```
 pub fn solve_omega_t<const D: usize>(
@@ -84,11 +85,14 @@ pub fn solve_omega_t<const D: usize>(
 pub struct OmegaStar<const D: usize> {
     /// `ω* = max_{T} ω_T`.
     pub value: Ratio,
-    /// A subset attaining the final density (a maximizer of
-    /// `Σ_{x∈T} d(x)/|N_k(T)|` at the fixed-point radius).
+    /// The largest maximizer of `Σ_{x∈T} d(x)/|N_k(T)|` at the fixed-point
+    /// radius `k` (the union of all densest subsets), in point order.
     pub witness: Vec<Point<D>>,
     /// Number of integer radius steps examined.
     pub radius_steps: u64,
+    /// Number of those steps that ran the exact max-density solve; the
+    /// others were certified by a cheap subset ratio.
+    pub exact_solves: u64,
 }
 
 /// `ρ(k) = max_T Σ_{x∈T} d(x) / |N_k(T)|` for an integer radius `k`.
@@ -99,9 +103,14 @@ pub fn rho<const D: usize>(bounds: &GridBounds<D>, demand: &DemandMap<D>, k: u64
 /// Computes `ω* = max_{T⊆Z^ℓ} ω_T` exactly (Lemma 2.2.3): the fixed point
 /// of `ω = ρ(⌊ω⌋)`.
 ///
-/// Runs one exact max-density solve per integer radius step; the number of
-/// steps is at most `ρ(0) = max_x d(x)` and in practice tiny because `ρ`
-/// falls off quickly.
+/// Scans integer radius steps `k`; the number of steps is at most
+/// `ρ(0) = max_x d(x)` and in practice tiny because `ρ` falls off quickly.
+/// Before solving `ρ(k)` exactly it tries three subset ratios, each a lower
+/// bound on `ρ(k)`: the heaviest point over its ball, the whole support, and
+/// the last exact witness, each over its radius-`k` dilation. When one
+/// reaches `k+1`, so does `ρ(k)`, and the scan moves on without a max-flow.
+/// The step the fixed point lands on always has `ρ(k) < k+1`, so it is
+/// always solved exactly.
 ///
 /// # Examples
 ///
@@ -113,11 +122,11 @@ pub fn rho<const D: usize>(bounds: &GridBounds<D>, demand: &DemandMap<D>, k: u64
 /// let b = GridBounds::square(21);
 /// let mut d = DemandMap::new();
 /// d.add(pt2(10, 10), 4);
-/// // ρ(0) = 4 ≥ 1; ρ(1) = 4/5 < 1 → boundary crossing at ω* where
-/// // ω·|N_ω| = 4 on step [0,1): ω·1 = 4 jumps; actual: 4/5 on [1,2) is < 1
-/// // so ω* = 1? No: fixed point of ω = ρ(⌊ω⌋): at ω ∈ [0,1), ρ(0)=4 > ω;
-/// // at ω ∈ [1,2), ρ(1) = 4/5 < 1 ≤ ω → crossing at the boundary ω* = 1.
-/// assert_eq!(omega_star(&b, &d).value, Ratio::ONE);
+/// // ρ(0) = 4 ≥ 1, so ω* ≥ 1. ρ(1) = 4/5 < 1, so ω = ρ(⌊ω⌋) has no
+/// // solution in [1, 2): the fixed point is the boundary ω* = 1.
+/// let star = omega_star(&b, &d);
+/// assert_eq!(star.value, Ratio::ONE);
+/// assert_eq!((star.radius_steps, star.exact_solves), (2, 1));
 /// ```
 pub fn omega_star<const D: usize>(bounds: &GridBounds<D>, demand: &DemandMap<D>) -> OmegaStar<D> {
     if demand.total() == 0 {
@@ -125,27 +134,43 @@ pub fn omega_star<const D: usize>(bounds: &GridBounds<D>, demand: &DemandMap<D>)
             value: Ratio::ZERO,
             witness: Vec::new(),
             radius_steps: 0,
+            exact_solves: 0,
         };
     }
+    let support: Vec<Point<D>> = demand.support().filter(|p| bounds.contains(*p)).collect();
+    let total = demand.sum_over(support.iter().copied());
+    let heaviest = support.iter().copied().max_by_key(|p| demand.get(*p));
+    // The witness of the last exact step, and its demand.
+    let mut solved: Option<(Vec<Point<D>>, u64)> = None;
+    let mut exact_solves = 0;
     let mut k: u64 = 0;
     loop {
-        let res = max_density_over_grid(bounds, demand, k, DensityMethod::Direct);
-        let rho_k = res.ratio;
-        // Does the fixed point land on this step, i.e. ρ(k) ∈ [k, k+1)?
-        if rho_k < Ratio::from_integer(k as i128) {
-            // ρ jumped below k between steps: the crossing was the boundary.
-            return OmegaStar {
-                value: Ratio::from_integer(k as i128),
-                witness: res.subset,
-                radius_steps: k + 1,
-            };
-        }
-        if rho_k < Ratio::from_integer(k as i128 + 1) {
-            return OmegaStar {
-                value: rho_k,
-                witness: res.subset,
-                radius_steps: k + 1,
-            };
+        // Does `weight / size` reach k+1? Each candidate is one subset's
+        // ratio, so a yes proves ρ(k) ≥ k+1.
+        let reaches = |weight: u64, size: u64| weight as u128 >= (k as u128 + 1) * size as u128;
+        let certified = heaviest
+            .is_some_and(|p| reaches(demand.get(p), ball_size_clipped(bounds, p, k)))
+            || solved.as_ref().is_some_and(|(witness, weight)| {
+                reaches(*weight, dilated_size(bounds, witness.iter().copied(), k))
+            })
+            || (!support.is_empty()
+                && reaches(total, dilated_size(bounds, support.iter().copied(), k)));
+        if !certified {
+            exact_solves += 1;
+            let res = max_density_over_grid(bounds, demand, k, DensityMethod::Direct);
+            // Does the fixed point land on this step, i.e. ρ(k) < k+1?
+            if res.ratio < Ratio::from_integer(k as i128 + 1) {
+                // Interior crossing ρ(k) ∈ [k, k+1), or ρ dropped below k
+                // between steps and the crossing is the boundary k.
+                return OmegaStar {
+                    value: res.ratio.max(Ratio::from_integer(k as i128)),
+                    witness: res.subset,
+                    radius_steps: k + 1,
+                    exact_solves,
+                };
+            }
+            let weight = demand.sum_over(res.subset.iter().copied());
+            solved = Some((res.subset, weight));
         }
         k += 1;
     }
@@ -186,16 +211,14 @@ mod tests {
     #[test]
     fn omega_t_interior_crossing() {
         let b = GridBounds::square(41);
-        // 60 units at a point: on step [3,4): |N_3| = 25, 60/25 = 2.4 < 3;
-        // step [2,3): |N_2| = 13, 60/13 ≈ 4.6 > 3 → boundary at 3.
-        // Let's verify against a hand-computed small case instead:
-        // d = 10: [1,2): 10/5 = 2 not < 2; [2,3): 10/13 < 2 → ω = 2.
+        // d = 10 jumps over the step [1, 2): 10/5 = 2 is not below 2, and on
+        // [2, 3) 10/13 < 2, so the crossing is the boundary ω = 2.
         let d = demand_of(&[(pt2(20, 20), 10)]);
         assert_eq!(
             solve_omega_t(&b, &d, &[pt2(20, 20)]),
             Ratio::from_integer(2)
         );
-        // d = 9: [1,2): 9/5 = 1.8 ∈ [1,2) → ω = 9/5.
+        // d = 9 crosses inside [1, 2): ω·5 = 9 at ω = 9/5.
         let d = demand_of(&[(pt2(20, 20), 9)]);
         assert_eq!(solve_omega_t(&b, &d, &[pt2(20, 20)]), Ratio::new(9, 5));
     }
@@ -294,6 +317,49 @@ mod tests {
         // is at least the boundary value otherwise.
         let w = solve_omega_t(&b, &d, &r.witness);
         assert!(w >= r.value || r.value.is_integer());
+    }
+
+    /// The work-count gate: value, steps, witness size and the number of
+    /// exact max-flow solves on the benchmark's demands. Counts, not
+    /// times, so it holds on any host.
+    #[test]
+    fn exact_solves_on_benchmark_demands() {
+        let cases = [
+            (
+                "uniform:grid=120,jobs=28800,seed=7",
+                Ratio::from_integer(2),
+                3,
+                12_437,
+                1,
+            ),
+            (
+                "clusters:grid=64,k=8,jobs=50000,seed=7",
+                Ratio::new(17662, 725),
+                25,
+                8,
+                2,
+            ),
+            (
+                "point:grid=1024,demand=2000",
+                Ratio::from_integer(10),
+                11,
+                1,
+                1,
+            ),
+        ];
+        for (spec, value, steps, witness, max_solves) in cases {
+            let config: cmvrp_workloads::WorkloadConfig = spec.parse().unwrap();
+            let (b, d) = config.generate().unwrap();
+            let star = omega_star(&b, &d);
+            assert_eq!(star.value, value, "{spec}");
+            assert_eq!(star.radius_steps, steps, "{spec}");
+            assert_eq!(star.witness.len(), witness, "{spec}");
+            assert!(
+                (1..=max_solves).contains(&star.exact_solves),
+                "{spec}: {} exact solves",
+                star.exact_solves
+            );
+        }
     }
 
     #[test]

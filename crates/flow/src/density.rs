@@ -11,6 +11,14 @@
 //! `q·w`, item → covered cell with capacity `∞`, cell → sink with capacity
 //! `p`). The maximizer is the source side of the cut; the ratio strictly
 //! increases each round, so the iteration terminates at the exact optimum.
+//!
+//! A cover may also be reached through *gadget* nodes (item → gadget → … →
+//! cell, all `∞`), which is how [`crate::grid_density`] encodes radius-`r`
+//! balls in `O(cells · r)` arcs. One network is built per solve and only its
+//! capacities change between guesses. Each guess after the first keeps only
+//! the items on the source side of the previous minimal cut: minimal cuts
+//! shrink as `λ` grows (Gallo, Grigoriadis & Tarjan 1989), so the restricted
+//! network has the same minimal cut and Dinkelbach visits the same guesses.
 
 use crate::maxflow::{FlowNetwork, INF};
 use cmvrp_util::Ratio;
@@ -31,8 +39,14 @@ use cmvrp_util::Ratio;
 #[derive(Debug, Clone)]
 pub struct DensityProblem {
     weights: Vec<u64>,
-    cover: Vec<Vec<usize>>,
     num_cells: usize,
+    num_gadgets: usize,
+    /// `∞` arcs in compressed rows: row `u` (items `0..n`, then gadget `g`
+    /// as row `n + g`) points at `targets[row_start[u]..row_start[u + 1]]`,
+    /// where target `j < num_cells` is cell `j` and `num_cells + g` is
+    /// gadget `g`.
+    row_start: Vec<usize>,
+    targets: Vec<u32>,
 }
 
 /// The result of a density solve: the optimal ratio and one maximizing
@@ -41,7 +55,8 @@ pub struct DensityProblem {
 pub struct DensityResult {
     /// The optimum `max_T Σ w / |cover(T)|`.
     pub ratio: Ratio,
-    /// A subset attaining the optimum (item indices, ascending).
+    /// The largest subset of positive-weight items attaining the optimum
+    /// (item indices, ascending).
     pub subset: Vec<usize>,
     /// Number of Dinkelbach iterations performed (for diagnostics/benches).
     pub iterations: usize,
@@ -69,16 +84,60 @@ impl DensityProblem {
                 "item {i} has positive weight but empty cover"
             );
         }
+        let rows = cover.iter().map(|c| c.iter().map(|&j| j as u32));
+        Self::with_gadgets(weights, num_cells, 0, rows)
+    }
+
+    /// Creates an instance whose covers run through `num_gadgets` gadget
+    /// nodes. `rows` yields the `∞` arcs of every item, then of every
+    /// gadget, as targets numbered like [`DensityProblem`]'s `targets`. The
+    /// cover of an item is every cell reachable from it; the caller
+    /// guarantees it is nonempty for positive weights.
+    pub(crate) fn with_gadgets<R, I>(
+        weights: Vec<u64>,
+        num_cells: usize,
+        num_gadgets: usize,
+        rows: R,
+    ) -> Self
+    where
+        R: IntoIterator<Item = I>,
+        I: IntoIterator<Item = u32>,
+    {
+        assert!(
+            num_cells + num_gadgets < u32::MAX as usize,
+            "too many cells for u32 targets"
+        );
+        let mut row_start = vec![0];
+        let mut targets = Vec::new();
+        for row in rows {
+            targets.extend(row);
+            row_start.push(targets.len());
+        }
+        assert_eq!(
+            row_start.len(),
+            weights.len() + num_gadgets + 1,
+            "one row per item and gadget"
+        );
+        debug_assert!(targets
+            .iter()
+            .all(|&j| (j as usize) < num_cells + num_gadgets));
         DensityProblem {
             weights,
-            cover,
             num_cells,
+            num_gadgets,
+            row_start,
+            targets,
         }
     }
 
     /// Number of items.
     pub fn num_items(&self) -> usize {
         self.weights.len()
+    }
+
+    /// The `∞` arcs leaving row `u` (an item, or gadget `u − n`).
+    fn row(&self, u: usize) -> &[u32] {
+        &self.targets[self.row_start[u]..self.row_start[u + 1]]
     }
 
     /// Evaluates `Σ_{i∈subset} w_i / |∪ cover|` for an explicit subset.
@@ -88,49 +147,32 @@ impl DensityProblem {
     /// Panics if the subset covers no cells (e.g. is empty).
     pub fn ratio_of(&self, subset: &[usize]) -> Ratio {
         let w: u64 = subset.iter().map(|&i| self.weights[i]).sum();
-        let mut cells = vec![false; self.num_cells];
-        for &i in subset {
-            for &c in &self.cover[i] {
-                cells[c] = true;
-            }
-        }
-        let n = cells.iter().filter(|&&b| b).count();
-        assert!(n > 0, "subset has empty cover");
-        Ratio::new(w as i128, n as i128)
-    }
-
-    /// For a guess `λ`, computes `max_T (Σ_{i∈T} w_i − λ·|cover(T)|)` (over
-    /// all subsets including the empty set) and a maximizing subset.
-    fn excess(&self, lambda: Ratio) -> (Ratio, Vec<usize>) {
-        let p = lambda.numer();
-        let q = lambda.denom();
-        assert!(p >= 0, "negative lambda");
         let n = self.weights.len();
-        let m = self.num_cells;
-        // Node layout: 0 = source, 1..=n items, n+1..=n+m cells, n+m+1 sink.
-        let source = 0usize;
-        let sink = n + m + 1;
-        let mut net = FlowNetwork::new(n + m + 2);
-        let mut total: i128 = 0;
-        for (i, &w) in self.weights.iter().enumerate() {
-            let cap = w as i128 * q;
-            total += cap;
-            net.add_edge(source, 1 + i, cap);
-            for &c in &self.cover[i] {
-                net.add_edge(1 + i, 1 + n + c, INF);
+        let mut seen = vec![false; self.num_cells + self.num_gadgets];
+        let mut rows: Vec<usize> = subset.to_vec();
+        let mut cells = 0usize;
+        while let Some(u) = rows.pop() {
+            for &j in self.row(u) {
+                let j = j as usize;
+                if !seen[j] {
+                    seen[j] = true;
+                    match j.checked_sub(self.num_cells) {
+                        None => cells += 1,
+                        Some(g) => rows.push(n + g),
+                    }
+                }
             }
         }
-        for c in 0..m {
-            net.add_edge(1 + n + c, sink, p);
-        }
-        let cut = net.max_flow(source, sink);
-        let side = net.min_cut_source_side(source);
-        let subset: Vec<usize> = (0..n).filter(|&i| side[1 + i]).collect();
-        (Ratio::new(total - cut, q), subset)
+        assert!(cells > 0, "subset has empty cover");
+        Ratio::new(w as i128, cells as i128)
     }
 
     /// Solves for the maximum density. Returns ratio 0 with an empty subset
     /// when every weight is zero.
+    ///
+    /// The returned subset is the union of all densest subsets of
+    /// positive-weight items: the last minimal cut Dinkelbach finds below
+    /// the optimum contains every one of them.
     pub fn solve(&self) -> DensityResult {
         let total_w: u64 = self.weights.iter().sum();
         if total_w == 0 {
@@ -140,28 +182,60 @@ impl DensityProblem {
                 iterations: 0,
             };
         }
+        let n = self.weights.len();
+        let m = self.num_cells;
+        // Node layout: 0 source, 1..=n items, then one node per target
+        // (cells, then gadgets), then the sink.
+        let source = 0usize;
+        let sink = 1 + n + m + self.num_gadgets;
+        let mut net = FlowNetwork::new(sink + 1);
+        let supply: Vec<_> = (0..n).map(|i| net.add_edge(source, 1 + i, 0)).collect();
+        for u in 0..n + self.num_gadgets {
+            let from = if u < n { 1 + u } else { 1 + m + u };
+            for &j in self.row(u) {
+                net.add_edge(from, 1 + n + j as usize, INF);
+            }
+        }
+        let drain: Vec<_> = (0..m).map(|c| net.add_edge(1 + n + c, sink, 0)).collect();
+
         // Initial guess: the ratio of the full support.
-        let support: Vec<usize> = (0..self.weights.len())
-            .filter(|&i| self.weights[i] > 0)
-            .collect();
-        let mut lambda = self.ratio_of(&support);
-        let mut best_subset = support;
+        let mut best: Vec<usize> = (0..n).filter(|&i| self.weights[i] > 0).collect();
+        let mut lambda = self.ratio_of(&best);
         let mut iterations = 0usize;
         loop {
             iterations += 1;
             assert!(iterations <= 10_000, "Dinkelbach failed to converge");
-            let (excess, subset) = self.excess(lambda);
-            if !excess.is_positive() || subset.is_empty() {
+            // The sign of max_T (q·Σw − p·|cover(T)|) over the items of the
+            // previous minimal cut (every positive item at first).
+            let (p, q) = (lambda.numer(), lambda.denom());
+            assert!(p >= 0, "negative lambda");
+            net.clear_flow();
+            for &edge in &supply {
+                net.set_capacity(edge, 0);
+            }
+            let mut total: i128 = 0;
+            for &i in &best {
+                let cap = self.weights[i] as i128 * q;
+                total += cap;
+                net.set_capacity(supply[i], cap);
+            }
+            for &edge in &drain {
+                net.set_capacity(edge, p);
+            }
+            let cut = net.max_flow(source, sink);
+            let side = net.min_cut_source_side(source);
+            let subset: Vec<usize> = best.iter().copied().filter(|&i| side[1 + i]).collect();
+            if total <= cut || subset.is_empty() {
                 return DensityResult {
                     ratio: lambda,
-                    subset: best_subset,
+                    subset: best,
                     iterations,
                 };
             }
             let next = self.ratio_of(&subset);
             debug_assert!(next > lambda, "Dinkelbach ratio must increase");
             lambda = next;
-            best_subset = subset;
+            best = subset;
         }
     }
 }
@@ -177,7 +251,7 @@ mod tests {
         let mut best = Ratio::ZERO;
         for mask in 1u32..(1 << n) {
             let subset: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
-            if subset.iter().all(|&i| problem.cover[i].is_empty()) {
+            if subset.iter().all(|&i| problem.row(i).is_empty()) {
                 continue;
             }
             let r = problem.ratio_of(&subset);

@@ -10,12 +10,11 @@
 //!   demand point floods exactly its radius-`r` ball. `Θ(m · r · ℓ)` edges
 //!   for `m` reachable cells, which wins for large radii.
 //!
-//! Both reduce to the abstract [`DensityProblem`](crate::density) /
-//! project-selection machinery and return identical exact results (this is
+//! Both only build a [`DensityProblem`](crate::density): one Dinkelbach
+//! loop solves either graph, and the exact results agree (this is
 //! property-tested).
 
 use crate::density::DensityProblem;
-use crate::maxflow::{FlowNetwork, INF};
 use cmvrp_grid::{dilate, DemandMap, GridBounds, Point};
 use cmvrp_util::Ratio;
 use std::collections::HashMap;
@@ -72,29 +71,11 @@ pub fn max_density_over_grid<const D: usize>(
             subset: Vec::new(),
         };
     }
-    match method {
-        DensityMethod::Direct => direct(bounds, demand, &support, r),
-        DensityMethod::Layered => layered(bounds, demand, &support, r),
-    }
-}
-
-fn direct<const D: usize>(
-    bounds: &GridBounds<D>,
-    demand: &DemandMap<D>,
-    support: &[Point<D>],
-    r: u64,
-) -> GridDensityResult<D> {
-    // Cells = every grid point some support point can cover.
-    let reach = dilate(bounds, support.iter().copied(), r);
-    let cells: Vec<Point<D>> = reach.iter().collect();
-    let cell_index: HashMap<Point<D>, usize> =
-        cells.iter().enumerate().map(|(i, p)| (*p, i)).collect();
     let weights: Vec<u64> = support.iter().map(|p| demand.get(*p)).collect();
-    let cover: Vec<Vec<usize>> = support
-        .iter()
-        .map(|p| bounds.ball(*p, r).map(|c| cell_index[&c]).collect())
-        .collect();
-    let problem = DensityProblem::new(weights, cover, cells.len());
+    let problem = match method {
+        DensityMethod::Direct => direct(bounds, &support, weights, r),
+        DensityMethod::Layered => layered(bounds, &support, weights, r),
+    };
     let result = problem.solve();
     GridDensityResult {
         ratio: result.ratio,
@@ -102,91 +83,62 @@ fn direct<const D: usize>(
     }
 }
 
-/// Dinkelbach over the layered gadget. Mirrors
-/// [`DensityProblem`](crate::density) but builds the flow network with
-/// `(cell, level)` nodes instead of direct coverage edges.
+/// One `∞` arc per (point, ball cell) pair. Cells are numbered in the order
+/// the balls first reach them, so the numbering is deterministic and cells
+/// near each other get nearby numbers.
+fn direct<const D: usize>(
+    bounds: &GridBounds<D>,
+    support: &[Point<D>],
+    weights: Vec<u64>,
+    r: u64,
+) -> DensityProblem {
+    let mut cell_index: HashMap<Point<D>, u32> = HashMap::new();
+    let rows: Vec<Vec<u32>> = support
+        .iter()
+        .map(|p| {
+            bounds
+                .ball(*p, r)
+                .map(|c| {
+                    let next = cell_index.len() as u32;
+                    *cell_index.entry(c).or_insert(next)
+                })
+                .collect()
+        })
+        .collect();
+    DensityProblem::with_gadgets(weights, cell_index.len(), 0, rows)
+}
+
+/// The layered gadget: cell `c` at level `t ≥ 1` is a gadget node with `∞`
+/// arcs to `c` and its neighbours at level `t − 1`; level 0 is the cells
+/// themselves. Each point enters at its own cell on level `r`, so it reaches
+/// exactly its radius-`r` ball.
 fn layered<const D: usize>(
     bounds: &GridBounds<D>,
-    demand: &DemandMap<D>,
     support: &[Point<D>],
+    weights: Vec<u64>,
     r: u64,
-) -> GridDensityResult<D> {
-    let reach = dilate(bounds, support.iter().copied(), r);
-    let cells: Vec<Point<D>> = reach.iter().collect();
+) -> DensityProblem {
+    let mut cells: Vec<Point<D>> = dilate(bounds, support.iter().copied(), r).iter().collect();
+    cells.sort_unstable();
     let cell_index: HashMap<Point<D>, usize> =
         cells.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-    let weights: Vec<u64> = support.iter().map(|p| demand.get(*p)).collect();
     let m = cells.len();
-    let n = support.len();
-    let levels = r as usize + 1;
-
-    // Node layout: 0 source; 1..=n items; then m*levels layer nodes
-    // (cell c at level t = 1 + n + c*levels + t); finally the sink.
-    let sink = 1 + n + m * levels;
-    let node_of = |c: usize, t: usize| 1 + n + c * levels + t;
-
-    // `excess(λ)` evaluator over the gadget.
-    let excess = |lambda: Ratio| -> (Ratio, Vec<usize>) {
-        let p = lambda.numer();
-        let q = lambda.denom();
-        let mut net = FlowNetwork::new(sink + 1);
-        let mut total: i128 = 0;
-        for (i, &w) in weights.iter().enumerate() {
-            let cap = w as i128 * q;
-            total += cap;
-            net.add_edge(0, 1 + i, cap);
-            // Item floods its own cell at the top level.
-            net.add_edge(1 + i, node_of(cell_index[&support[i]], r as usize), INF);
-        }
-        for (c, point) in cells.iter().enumerate() {
-            for t in (1..levels).rev() {
-                // Stay in place while descending a level...
-                net.add_edge(node_of(c, t), node_of(c, t - 1), INF);
-                // ...or step to a neighboring cell.
-                for nb in point.neighbors() {
-                    if let Some(&cnb) = cell_index.get(&nb) {
-                        net.add_edge(node_of(c, t), node_of(cnb, t - 1), INF);
-                    }
-                }
-            }
-            net.add_edge(node_of(c, 0), sink, p);
-        }
-        let cut = net.max_flow(0, sink);
-        let side = net.min_cut_source_side(0);
-        let subset: Vec<usize> = (0..n).filter(|&i| side[1 + i]).collect();
-        (Ratio::new(total - cut, q), subset)
-    };
-
-    let ratio_of = |subset: &[usize]| -> Ratio {
-        let w: u64 = subset.iter().map(|&i| weights[i]).sum();
-        let size = dilate(bounds, subset.iter().map(|&i| support[i]), r).len();
-        Ratio::new(w as i128, size as i128)
-    };
-
-    let total_w: u64 = weights.iter().sum();
-    if total_w == 0 {
-        return GridDensityResult {
-            ratio: Ratio::ZERO,
-            subset: Vec::new(),
-        };
-    }
-    let full: Vec<usize> = (0..n).filter(|&i| weights[i] > 0).collect();
-    let mut lambda = ratio_of(&full);
-    let mut best = full;
-    let mut rounds = 0;
-    loop {
-        rounds += 1;
-        assert!(rounds <= 10_000, "Dinkelbach failed to converge");
-        let (ex, subset) = excess(lambda);
-        if !ex.is_positive() || subset.is_empty() {
-            return GridDensityResult {
-                ratio: lambda,
-                subset: best.into_iter().map(|i| support[i]).collect(),
-            };
-        }
-        lambda = ratio_of(&subset);
-        best = subset;
-    }
+    let r = r as usize;
+    // Target of cell `c` at level `t` (gadget `c·r + t − 1` above level 0).
+    let node = |c: usize, t: usize| (if t == 0 { c } else { m + c * r + t - 1 }) as u32;
+    let items = support.iter().map(|p| vec![node(cell_index[p], r)]);
+    let gadgets = cells.iter().enumerate().flat_map(|(c, point)| {
+        let neighbours: Vec<usize> = point
+            .neighbors()
+            .filter_map(|nb| cell_index.get(&nb).copied())
+            .collect();
+        (1..=r).map(move |t| {
+            std::iter::once(node(c, t - 1))
+                .chain(neighbours.iter().map(|&nb| node(nb, t - 1)))
+                .collect::<Vec<u32>>()
+        })
+    });
+    DensityProblem::with_gadgets(weights, m, m * r, items.chain(gadgets))
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! This crate provides the machinery to compute **both sides of that
 //! equality exactly** on finite instances:
 //!
-//! * [`maxflow`] — Dinic's max-flow algorithm over `i128` capacities with
-//!   min-cut extraction.
+//! * [`maxflow`] — shortest-augmenting-path max-flow over `i128` capacities
+//!   with min-cut extraction.
 //! * [`density`] — the right-hand side: maximum-density subset selection via
 //!   exact-rational Dinkelbach iteration over project-selection min-cuts.
 //! * [`transport`] — the left-hand side: the radius-constrained

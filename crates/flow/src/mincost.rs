@@ -295,7 +295,7 @@ mod tests {
 
     #[test]
     fn matches_plain_maxflow_value() {
-        // Min-cost max-flow must reach the same *value* as Dinic.
+        // Min-cost max-flow must reach the same *value* as `FlowNetwork`.
         use crate::maxflow::FlowNetwork;
         let mut rng = cmvrp_util::Rng::seed_from_u64(31);
         for trial in 0..10 {

@@ -26,6 +26,12 @@ fi
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
+echo "==> offline_bounds bench (each case once, release)"
+# Runs every case of the off-line bounds bench once in the release profile
+# and writes no snapshot: the exact-ω* cases on the benchmark's uniform
+# 120² and clusters 64² demands must still build and solve.
+cargo bench --offline -p cmvrp-bench --bench offline_bounds -- --test
+
 echo "==> benchmark package (build + tests)"
 # `benchmark/` is a package of its own (not a workspace member) that
 # compiles against cmvrp-obs, cmvrp-bench and the engine crates; build and
