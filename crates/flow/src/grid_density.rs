@@ -34,7 +34,8 @@ pub enum DensityMethod {
 pub struct GridDensityResult<const D: usize> {
     /// The optimum `max_T Σ_{x∈T} d(x) / |N_r(T) ∩ bounds|`.
     pub ratio: Ratio,
-    /// A maximizing set `T` of demand points.
+    /// The largest maximizing set `T` of demand points (the union of all
+    /// densest sets), in point order.
     pub subset: Vec<Point<D>>,
 }
 
