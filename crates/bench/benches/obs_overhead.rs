@@ -1,23 +1,47 @@
 //! Bench: observability overhead — the same default on-line run through
 //! every sink flavor, so the `simulate --check` cost is a measured number
-//! rather than a guess. Writes `BENCH_obs.json` at the repo root with the
-//! CheckSink-vs-NullSink overhead delta in the notes (skipped in
+//! rather than a guess. Every run goes through `ExecConfig` on one worker,
+//! as `cmvrp simulate` runs it; a checked run puts a `TraceChecker` on
+//! every shard's buffering sink and a merge-time checker on the merged
+//! stream, so its overhead includes the buffering and the merge that an
+//! unchecked, untraced run skips. Writes `BENCH_obs.json` at the repo root
+//! with the checked-vs-unchecked overhead delta in the notes (skipped in
 //! `--quick` mode so test glue never clobbers the committed snapshot).
 
 use cmvrp_bench::default_workloads;
 use cmvrp_bench::harness::Harness;
+use cmvrp_engine::{ExecConfig, Execution};
 use cmvrp_grid::GridBounds;
-use cmvrp_obs::{BinSink, CheckSink, Event, JsonlSink, NullSink, RingSink, Sink, TraceChecker};
-use cmvrp_online::{OnlineConfig, OnlineSim};
-use cmvrp_workloads::{arrivals, spatial, Ordering};
+use cmvrp_obs::{BinSink, Event, JsonlSink, NullSink, RingSink, Sink, TraceChecker, VecSink};
+use cmvrp_online::OnlineConfig;
+use cmvrp_workloads::{arrivals, spatial, JobSequence, Ordering};
 use std::hint::black_box;
+
+/// One run on one worker, checked inline when `check` is set (the verdict
+/// must be clean).
+fn run(
+    check: bool,
+    bounds: GridBounds<2>,
+    jobs: &JobSequence<2>,
+    config: OnlineConfig,
+    sink: &mut dyn Sink,
+) -> Execution {
+    let run = ExecConfig::new()
+        .check(check)
+        .execute(bounds, jobs, config, sink)
+        .expect("engine run");
+    if let Some(verdict) = &run.check {
+        assert!(verdict.is_clean(), "{:?}", verdict.violations);
+    }
+    run
+}
 
 /// Least-noise paired estimate of the `--check` overhead on one workload:
 /// alternate the two modes run-by-run so both see the same machine-load
 /// epochs, and take min-of-samples on each side.
 fn paired_overhead(
     bounds: GridBounds<2>,
-    jobs: &cmvrp_workloads::JobSequence<2>,
+    jobs: &JobSequence<2>,
     config: OnlineConfig,
     reps: usize,
 ) -> (u64, u64) {
@@ -25,14 +49,10 @@ fn paired_overhead(
     let mut check_best = u64::MAX;
     for _ in 0..reps {
         let t = std::time::Instant::now();
-        black_box(OnlineSim::new(bounds, jobs, config).run());
+        black_box(run(false, bounds, jobs, config, &mut NullSink));
         null_best = null_best.min(t.elapsed().as_nanos() as u64);
         let t = std::time::Instant::now();
-        let mut sim = OnlineSim::with_sink(bounds, jobs, config, CheckSink::new(NullSink));
-        black_box(sim.run());
-        let (mut checker, _) = sim.into_sink().into_parts();
-        checker.finish();
-        assert!(checker.is_clean(), "{:?}", checker.violations());
+        black_box(run(true, bounds, jobs, config, &mut NullSink));
         check_best = check_best.min(t.elapsed().as_nanos() as u64);
     }
     (null_best, check_best)
@@ -74,30 +94,26 @@ fn main() {
     let config = OnlineConfig::default();
 
     h.bench("full_run/null_sink", || {
-        let report = OnlineSim::new(bounds, &jobs, config).run();
+        let report = run(false, bounds, &jobs, config, &mut NullSink).report;
         assert_eq!(report.unserved, 0);
         black_box(report);
     });
     h.bench("full_run/check_sink", || {
-        let mut sim = OnlineSim::with_sink(bounds, &jobs, config, CheckSink::new(NullSink));
-        let report = sim.run();
+        let report = run(true, bounds, &jobs, config, &mut NullSink).report;
         assert_eq!(report.unserved, 0);
-        let (mut checker, _) = sim.into_sink().into_parts();
-        checker.finish();
-        assert!(checker.is_clean(), "{:?}", checker.violations());
         black_box(report);
     });
     h.bench("full_run/ring_sink", || {
-        let mut sim = OnlineSim::with_sink(bounds, &jobs, config, RingSink::new(4096));
-        let report = sim.run();
-        black_box((report, sim.into_sink().len()));
+        let mut sink = RingSink::new(4096);
+        let report = run(false, bounds, &jobs, config, &mut sink).report;
+        black_box((report, sink.len()));
     });
     // Isolate the validator from the emit path: replay a captured event
     // stream straight through a TraceChecker.
     let events = {
-        let mut sim = OnlineSim::with_sink(bounds, &jobs, config, RingSink::new(1 << 16));
-        sim.run();
-        sim.into_sink().drain()
+        let mut sink = VecSink::new();
+        run(false, bounds, &jobs, config, &mut sink);
+        sink.drain()
     };
     h.bench("checker_only/replay", || {
         let mut checker = TraceChecker::new();
@@ -109,9 +125,8 @@ fn main() {
         black_box(checker.events());
     });
     h.bench("full_run/jsonl_sink_devnull", || {
-        let mut sim = OnlineSim::with_sink(bounds, &jobs, config, JsonlSink::new(std::io::sink()));
-        let report = sim.run();
-        let mut sink = sim.into_sink();
+        let mut sink = JsonlSink::new(std::io::sink());
+        let report = run(false, bounds, &jobs, config, &mut sink).report;
         sink.flush_events();
         black_box((report, sink.written()));
     });
@@ -143,6 +158,13 @@ fn main() {
         (
             "target",
             "check_sink overhead < 10% vs null_sink on the default workload panel".to_string(),
+        ),
+        (
+            "measures",
+            "ExecConfig::new().check(true) vs ExecConfig::new() into a NullSink, one worker: \
+             checking adds per-shard buffering sinks, the round-barrier merge and the \
+             monitors"
+                .to_string(),
         ),
     ];
     // The overhead deltas are computed from paired sampling, not the table

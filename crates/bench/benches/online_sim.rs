@@ -2,10 +2,20 @@
 //! whole-run cost across workload shapes and sizes.
 
 use cmvrp_bench::harness::Harness;
+use cmvrp_engine::ExecConfig;
 use cmvrp_grid::GridBounds;
-use cmvrp_online::{OnlineConfig, OnlineSim};
-use cmvrp_workloads::{arrivals, spatial, Ordering};
+use cmvrp_obs::NullSink;
+use cmvrp_online::{OnlineConfig, OnlineReport};
+use cmvrp_workloads::{arrivals, spatial, JobSequence, Ordering};
 use std::hint::black_box;
+
+/// One untraced run on one worker.
+fn run(bounds: GridBounds<2>, jobs: &JobSequence<2>, config: OnlineConfig) -> OnlineReport {
+    ExecConfig::new()
+        .execute(bounds, jobs, config, &mut NullSink)
+        .expect("engine run")
+        .report
+}
 
 fn main() {
     let mut h = Harness::start("online_sim");
@@ -15,7 +25,7 @@ fn main() {
         let demand = spatial::zipf_clusters(&bounds, 2, jobs_n, 4);
         let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 9);
         h.bench(&format!("full_run/{label}"), || {
-            let report = OnlineSim::new(bounds, &jobs, OnlineConfig::default()).run();
+            let report = run(bounds, &jobs, OnlineConfig::default());
             assert_eq!(report.unserved, 0);
             black_box(report);
         });
@@ -24,17 +34,12 @@ fn main() {
     let bounds = GridBounds::square(8);
     let demand = spatial::point(&bounds, 150);
     let jobs = arrivals::from_demand(&demand, Ordering::Sequential, 0);
+    let monitored = OnlineConfig {
+        monitored: true,
+        ..OnlineConfig::default()
+    };
     h.bench("full_run/monitored", || {
-        let report = OnlineSim::new(
-            bounds,
-            &jobs,
-            OnlineConfig {
-                monitored: true,
-                ..OnlineConfig::default()
-            },
-        )
-        .run();
-        black_box(report);
+        black_box(run(bounds, &jobs, monitored));
     });
     h.finish();
 }

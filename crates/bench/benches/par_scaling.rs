@@ -1,12 +1,11 @@
-//! Bench: parallel scaling of the sharded engine — the dense sequential
-//! engine vs the sparse sharded engine at 1/2/4/8 workers and across
-//! scheduling policies (static round-robin vs work stealing vs the
+//! Bench: parallel scaling of the sharded engine at 1/2/4/8 workers and
+//! across scheduling policies (static round-robin vs work stealing vs the
 //! between-round rebalancer) on the same workloads, reported as
 //! events/sec alongside wall-clock. Writes `BENCH_par.json` at the repo
-//! root; the notes carry paired min-of-samples speedups (same
-//! methodology as `BENCH_obs.json`: the modes alternate run-by-run so
-//! they see identical machine-load epochs), the steal-vs-static ratio
-//! per worker count, an events/s-per-worker scaling-efficiency row, the
+//! root; the notes carry the paired min-of-samples steal-vs-static ratio
+//! per worker count (same methodology as `BENCH_obs.json`: the modes
+//! alternate run-by-run so they see identical machine-load epochs), an
+//! events/s-per-worker scaling-efficiency row, the
 //! sparse-memory evidence from a million-vehicle grid, and a peak-RSS
 //! comparison of the streaming round-barrier merge against the old
 //! buffer-everything drain (each measured in its own subprocess, so the
@@ -16,7 +15,7 @@
 //! with events/s and the serving process' peak RSS in the notes.
 
 use cmvrp_bench::harness::{peak_rss_kb, Harness};
-use cmvrp_engine::{Engine, ExecConfig, Schedule, ShardedOnlineSim};
+use cmvrp_engine::{ExecConfig, Schedule, ShardedOnlineSim};
 use cmvrp_grid::GridBounds;
 use cmvrp_obs::{JsonlSink, NullSink, Sink, VecSink};
 use cmvrp_online::OnlineConfig;
@@ -36,44 +35,23 @@ fn jobs_for(cfg: &WorkloadConfig) -> (GridBounds<2>, JobSequence<2>) {
     )
 }
 
-/// Events in the run's trace (identical for every sharded worker count
-/// and schedule; the sequential stream has the same schema but its own
-/// interleaving).
-fn event_count(engine: &dyn Engine<2>, bounds: GridBounds<2>, jobs: &JobSequence<2>) -> u64 {
+/// Events in the run's trace (identical for every worker count and
+/// schedule).
+fn event_count(bounds: GridBounds<2>, jobs: &JobSequence<2>) -> u64 {
     let mut sink = VecSink::new();
-    let exec = engine
-        .run(bounds, jobs, OnlineConfig::default(), &mut sink)
+    let exec = ExecConfig::new()
+        .execute(bounds, jobs, OnlineConfig::default(), &mut sink)
         .expect("count run");
     assert_eq!(exec.report.unserved, 0);
     sink.len() as u64
 }
 
-/// Paired min-of-samples wall-clock for [sequential, sharded @ each worker
-/// count]: every rep runs all modes back-to-back, minima per mode.
-fn paired_modes(
-    bounds: GridBounds<2>,
-    jobs: &JobSequence<2>,
-    reps: usize,
-) -> (u64, [u64; WORKER_COUNTS.len()]) {
-    let config = OnlineConfig::default();
-    let mut seq_best = u64::MAX;
-    let mut par_best = [u64::MAX; WORKER_COUNTS.len()];
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        let exec = ExecConfig::new()
-            .run(bounds, jobs, config, &mut NullSink)
-            .expect("sequential");
-        black_box(exec.report);
-        seq_best = seq_best.min(t.elapsed().as_nanos() as u64);
-        for (slot, &threads) in par_best.iter_mut().zip(&WORKER_COUNTS) {
-            let exec = ExecConfig::new().threads(threads);
-            let t = std::time::Instant::now();
-            let mut sim = ShardedOnlineSim::<2>::new(bounds, jobs, config).expect("sharded");
-            black_box(sim.run(&exec));
-            *slot = (*slot).min(t.elapsed().as_nanos() as u64);
-        }
-    }
-    (seq_best, par_best)
+/// One untraced run on `exec`, timed by the caller.
+fn run_sharded(exec: &ExecConfig, bounds: GridBounds<2>, jobs: &JobSequence<2>) {
+    let mut sim = ShardedOnlineSim::<2>::new(bounds, jobs, OnlineConfig::default());
+    let report = sim.run(exec, &mut NullSink);
+    assert_eq!(report.unserved, 0);
+    black_box(report);
 }
 
 /// Paired min-of-samples wall-clock for static vs steal at every worker
@@ -84,7 +62,6 @@ fn paired_schedules(
     jobs: &JobSequence<2>,
     reps: usize,
 ) -> ([u64; WORKER_COUNTS.len()], [u64; WORKER_COUNTS.len()]) {
-    let config = OnlineConfig::default();
     let mut static_best = [u64::MAX; WORKER_COUNTS.len()];
     let mut steal_best = [u64::MAX; WORKER_COUNTS.len()];
     for _ in 0..reps {
@@ -92,8 +69,7 @@ fn paired_schedules(
             for schedule in [Schedule::Static, Schedule::Steal] {
                 let exec = ExecConfig::new().threads(threads).schedule(schedule);
                 let t = std::time::Instant::now();
-                let mut sim = ShardedOnlineSim::<2>::new(bounds, jobs, config).expect("sharded");
-                black_box(sim.run(&exec));
+                run_sharded(&exec, bounds, jobs);
                 let ns = t.elapsed().as_nanos() as u64;
                 let slot = match schedule {
                     Schedule::Steal => &mut steal_best[i],
@@ -130,7 +106,7 @@ fn rss_child(mode: &str) {
         "streaming" => {
             let mut sink = JsonlSink::new(std::io::sink());
             let exec = engine
-                .run(bounds, &jobs, config, &mut sink)
+                .execute(bounds, &jobs, config, &mut sink)
                 .expect("streaming run");
             assert_eq!(exec.report.unserved, 0);
             sink.written()
@@ -138,7 +114,7 @@ fn rss_child(mode: &str) {
         "buffered" => {
             let mut sink = VecSink::new();
             let exec = engine
-                .run(bounds, &jobs, config, &mut sink)
+                .execute(bounds, &jobs, config, &mut sink)
                 .expect("buffered run");
             assert_eq!(exec.report.unserved, 0);
             let events = sink.len() as u64;
@@ -331,16 +307,14 @@ fn main() {
     }
     let mut h = Harness::start("par_scaling");
     h.set_samples(8);
-    let config = OnlineConfig::default();
     // Flag oversubscribed worker counts up front: on a small host the wN
     // columns beyond host_cpus measure scheduling overhead, not speedup.
     for threads in WORKER_COUNTS {
         h.warn_if_oversubscribed(threads);
     }
 
-    // Two scaling workloads on a 64×64 grid (4096 vehicles — still within
-    // the dense engine's limit, so the sequential baseline is honest):
-    // spread-out uniform demand (many active cubes, balanced shards) and
+    // Two scaling workloads on a 64×64 grid (4096 vehicles): spread-out
+    // uniform demand (many active cubes, balanced shards) and
     // zipf clusters (diffusion-heavy, imbalanced shards — the regime the
     // steal and rebalance policies exist for).
     let panel = [
@@ -365,22 +339,10 @@ fn main() {
 
     for (label, cfg) in &panel {
         let (bounds, jobs) = jobs_for(cfg);
-        let seq_events = event_count(&ExecConfig::new(), bounds, &jobs);
-        h.bench_with_items(&format!("{label}/seq"), seq_events, || {
-            let exec = ExecConfig::new()
-                .run(bounds, &jobs, config, &mut NullSink)
-                .expect("sequential");
-            assert_eq!(exec.report.unserved, 0);
-            black_box(exec.report);
-        });
-        let shard_events = event_count(&ExecConfig::new().threads(1), bounds, &jobs);
+        let shard_events = event_count(bounds, &jobs);
         for threads in WORKER_COUNTS {
             h.bench_with_items(&format!("{label}/sharded_w{threads}"), shard_events, || {
-                let exec = ExecConfig::new().threads(threads);
-                let mut sim = ShardedOnlineSim::<2>::new(bounds, &jobs, config).expect("sharded");
-                let report = sim.run(&exec);
-                assert_eq!(report.unserved, 0);
-                black_box(report);
+                run_sharded(&ExecConfig::new().threads(threads), bounds, &jobs);
             });
         }
         // The non-default policies at the worker counts where they can
@@ -392,19 +354,15 @@ fn main() {
             for threads in [2, 4, 8] {
                 h.bench_with_items(&format!("{label}/{tag}_w{threads}"), shard_events, || {
                     let exec = ExecConfig::new().threads(threads).schedule(schedule);
-                    let mut sim =
-                        ShardedOnlineSim::<2>::new(bounds, &jobs, config).expect("sharded");
-                    let report = sim.run(&exec);
-                    assert_eq!(report.unserved, 0);
-                    black_box(report);
+                    run_sharded(&exec, bounds, &jobs);
                 });
             }
         }
     }
 
-    // The sparse-memory headline: a million-vehicle grid the dense engine
-    // refuses, timed at 4 workers (one active cube — this measures the
-    // sparse bookkeeping floor, not parallelism).
+    // The sparse-memory headline: a million-vehicle grid, timed at 4
+    // workers (one active cube — this measures the sparse bookkeeping
+    // floor, not parallelism).
     let bounds_1m = GridBounds::<2>::square(1024);
     let demand_1m = spatial::point(&bounds_1m, 2000);
     let jobs_1m = arrivals::from_demand(&demand_1m, Ordering::Shuffled, 7);
@@ -414,9 +372,8 @@ fn main() {
         "point1024/sharded_w4",
         jobs_1m.iter().count() as u64,
         || {
-            let mut sim =
-                ShardedOnlineSim::<2>::new(bounds_1m, &jobs_1m, config).expect("sparse build");
-            let report = sim.run(&ExecConfig::new().threads(4));
+            let mut sim = ShardedOnlineSim::<2>::new(bounds_1m, &jobs_1m, OnlineConfig::default());
+            let report = sim.run(&ExecConfig::new().threads(4), &mut NullSink);
             assert_eq!(report.unserved, 0);
             materialized = sim.materialized_vehicles();
             black_box(report);
@@ -443,7 +400,7 @@ fn main() {
     let mut notes: Vec<(&str, String)> = vec![
         (
             "methodology",
-            "paired min-of-samples: modes alternate run-by-run; speedup = seq_min/sharded_min; \
+            "paired min-of-samples: modes alternate run-by-run; \
              steal-vs-static = static_min/steal_min at the same worker count"
                 .to_string(),
         ),
@@ -451,42 +408,16 @@ fn main() {
         (
             "reading",
             format!(
-                "w1 vs seq isolates the sparse engine's algorithmic win; wN>1 adds OS threads, \
-                 which can only pay off when host_cpus > 1 (this host: {host_cpus}) — on a \
-                 single CPU the wN columns measure round-barrier overhead and the \
-                 steal-vs-static ratio measures deque overhead, honestly; rerun on a \
-                 multi-core host for the parallel headline"
+                "wN>1 adds OS threads, which can only pay off when host_cpus > 1 (this host: \
+                 {host_cpus}) — on fewer CPUs than workers the wN columns measure \
+                 round-barrier overhead and the steal-vs-static ratio measures deque \
+                 overhead, honestly; rerun on a multi-core host for the parallel headline"
             ),
         ),
     ];
     if !h.is_quick() {
         for (label, cfg) in &panel {
             let (bounds, jobs) = jobs_for(cfg);
-            let (seq_ns, par_ns) = paired_modes(bounds, &jobs, 8);
-            for (&threads, &ns) in WORKER_COUNTS.iter().zip(&par_ns) {
-                let speedup = seq_ns as f64 / ns as f64;
-                println!("{label}: seq {seq_ns} ns vs w{threads} {ns} ns -> {speedup:.2}x");
-            }
-            let best = par_ns.iter().min().copied().unwrap_or(u64::MAX);
-            notes.push((
-                match *label {
-                    "uniform64" => "uniform64_speedups",
-                    _ => "clusters64_speedups",
-                },
-                WORKER_COUNTS
-                    .iter()
-                    .zip(&par_ns)
-                    .map(|(t, &ns)| format!("w{t}={:.2}x", seq_ns as f64 / ns as f64))
-                    .collect::<Vec<_>>()
-                    .join(" "),
-            ));
-            notes.push((
-                match *label {
-                    "uniform64" => "uniform64_best_speedup",
-                    _ => "clusters64_best_speedup",
-                },
-                format!("{:.2}", seq_ns as f64 / best as f64),
-            ));
             // Steal vs static, paired per worker count, plus the
             // events/s-per-worker scaling efficiency of the steal engine
             // relative to its own single-worker run (perfect scaling =

@@ -16,7 +16,7 @@ use cmvrp_core::examples::{
 use cmvrp_core::{
     approx_woff, offline_factor, omega_c, omega_star, online_factor, plan_offline, verify_plan,
 };
-use cmvrp_engine::{ExecConfig, Schedule};
+use cmvrp_engine::{ExecConfig, ShardedOnlineSim};
 use cmvrp_ext::broken::gap_instance;
 use cmvrp_ext::transfer::{
     line_collector, max_energy_into_square, max_energy_into_square_series, transfer_lower_bound_w,
@@ -25,7 +25,8 @@ use cmvrp_ext::transfer::{
 use cmvrp_flow::alpha_h::{alpha_to_h, h_mass, h_to_alpha, is_laminar};
 use cmvrp_flow::{min_uniform_supply, transport_feasible};
 use cmvrp_grid::{pt2, DemandMap, GridBounds};
-use cmvrp_online::{OnlineConfig, OnlineSim, DENSE_VOLUME_LIMIT};
+use cmvrp_obs::NullSink;
+use cmvrp_online::{OnlineConfig, OnlineReport};
 use cmvrp_util::table::fmt_f64;
 use cmvrp_util::{Ratio, Table};
 use cmvrp_workloads::{arrivals, spatial, Ordering, WorkloadConfig};
@@ -287,18 +288,38 @@ pub fn e6(seeds: &[u64]) -> ExperimentOutput {
     }
 }
 
+/// One unchecked run of the protocol on one worker thread.
+fn run_online<const D: usize>(
+    bounds: GridBounds<D>,
+    jobs: &cmvrp_workloads::JobSequence<D>,
+) -> OnlineReport {
+    ExecConfig::new()
+        .execute(bounds, jobs, OnlineConfig::default(), &mut NullSink)
+        .expect("engine run")
+        .report
+}
+
+/// A simulator with the §3.2.5 heartbeat ring on, ready for fault
+/// injection.
+fn monitored_sim(
+    bounds: GridBounds<2>,
+    jobs: &cmvrp_workloads::JobSequence<2>,
+) -> ShardedOnlineSim<2> {
+    let config = OnlineConfig {
+        monitored: true,
+        ..OnlineConfig::default()
+    };
+    ShardedOnlineSim::new(bounds, jobs, config)
+}
+
 /// E7 (Thm 1.4.2): the on-line protocol serves everything within the
 /// theorem capacity; the empirical max energy over vehicles is `Θ(ω_c)`.
 /// Every run streams through the invariant monitors (`simulate --check`
-/// semantics), so the table also certifies protocol legality. Grids within
-/// the dense engine's volume limit run on the sequential engine; larger
-/// grids (the million-vehicle row) run on the sparse sharded engine — both
-/// behind the common [`Engine`] trait, feeding the identical checker.
+/// semantics), so the table also certifies protocol legality. Every row,
+/// the million-vehicle grid included, runs `ExecConfig::new().check(true)`.
 pub fn e7(configs: &[WorkloadConfig]) -> ExperimentOutput {
-    use cmvrp_obs::NullSink;
     let mut table = Table::new(vec![
         "workload",
-        "engine",
         "omega_c",
         "capacity",
         "max used",
@@ -314,12 +335,8 @@ pub fn e7(configs: &[WorkloadConfig]) -> ExperimentOutput {
     for cfg in configs {
         let (bounds, demand) = cfg.generate().expect("workload fits grid");
         let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
-        let sharded = bounds.volume() > DENSE_VOLUME_LIMIT;
-        let mut engine = ExecConfig::new().check(true);
-        if sharded {
-            engine = engine.threads(8).schedule(Schedule::Steal);
-        }
-        let exec = engine
+        let exec = ExecConfig::new()
+            .check(true)
             .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
             .expect("engine run");
         let report = exec.report;
@@ -332,7 +349,6 @@ pub fn e7(configs: &[WorkloadConfig]) -> ExperimentOutput {
         ok &= within && clean;
         table.row(vec![
             cfg.label(),
-            if sharded { "sharded:8/steal" } else { "dense" }.to_string(),
             format!("{wc:.2}"),
             report.capacity.to_string(),
             report.max_energy_used.to_string(),
@@ -367,14 +383,7 @@ pub fn e8() -> ExperimentOutput {
     let jobs = arrivals::from_demand(&demand, Ordering::Interleaved, 1);
     let mut ok = true;
     for scenario in ["faulty-done", "crashed", "both"] {
-        let mut sim = OnlineSim::new(
-            bounds,
-            &jobs,
-            OnlineConfig {
-                monitored: true,
-                ..OnlineConfig::default()
-            },
-        );
+        let mut sim = monitored_sim(bounds, &jobs);
         if scenario != "crashed" {
             let f = sim.responsible_home(pt2(3, 3));
             sim.set_faulty_at(f);
@@ -383,7 +392,7 @@ pub fn e8() -> ExperimentOutput {
             let c = sim.responsible_home(pt2(6, 6));
             sim.crash_vehicle_at(c);
         }
-        let report = sim.run();
+        let report = sim.run(&ExecConfig::new(), &mut NullSink);
         ok &= report.unserved <= 4;
         table.row(vec![
             scenario.to_string(),
@@ -684,7 +693,7 @@ pub fn e14(configs: &[WorkloadConfig]) -> ExperimentOutput {
         let check = verify_plan(&bounds, &demand, &plan);
         assert!(check.is_valid());
         let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 5);
-        let report = OnlineSim::new(bounds, &jobs, OnlineConfig::default()).run();
+        let report = run_online(bounds, &jobs);
         assert_eq!(report.unserved, 0, "{}", cfg.label());
         let ratio = report.max_energy_used as f64 / check.max_energy.max(1) as f64;
         worst = worst.max(ratio);
@@ -720,21 +729,14 @@ pub fn e15() -> ExperimentOutput {
     let jobs = arrivals::from_demand(&demand, Ordering::Sequential, 0);
     let mut degradation = Vec::new();
     for frac in [0.0f64, 0.25, 0.5, 1.0] {
-        let mut sim = OnlineSim::new(
-            bounds,
-            &jobs,
-            OnlineConfig {
-                monitored: true,
-                ..OnlineConfig::default()
-            },
-        );
+        let mut sim = monitored_sim(bounds, &jobs);
         let mut rng = cmvrp_util::Rng::seed_from_u64(7);
         for p in bounds.iter() {
             if rng.gen_bool(frac.min(1.0)) {
                 sim.set_longevity_at(p, 0.1); // breaks after 10% of W
             }
         }
-        let report = sim.run();
+        let report = sim.run(&ExecConfig::new(), &mut NullSink);
         degradation.push(report.unserved);
         table.row(vec![
             format!("{frac:.2}"),
@@ -827,7 +829,7 @@ pub fn e16() -> ExperimentOutput {
         let bounds = GridBounds::square(14);
         let demand = spatial::point(&bounds, d);
         let jobs = arrivals::from_demand(&demand, Ordering::Sequential, 0);
-        let report = OnlineSim::new(bounds, &jobs, OnlineConfig::default()).run();
+        let report = run_online(bounds, &jobs);
         assert_eq!(report.unserved, 0);
         let ratio = if report.replacements > 0 {
             report.messages as f64 / report.replacements as f64

@@ -9,8 +9,9 @@
 //! ```
 
 use cmvrp_bench::default_workloads;
-use cmvrp_obs::{CheckSink, NullSink};
-use cmvrp_online::{OnlineConfig, OnlineSim};
+use cmvrp_engine::ExecConfig;
+use cmvrp_obs::NullSink;
+use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, Ordering};
 use std::hint::black_box;
 
@@ -26,16 +27,24 @@ fn panel_overhead() {
         let mut null_best = u64::MAX;
         let mut check_best = u64::MAX;
         for _ in 0..60 {
-            let t = std::time::Instant::now();
-            black_box(OnlineSim::new(bounds, &jobs, config).run());
-            null_best = null_best.min(t.elapsed().as_nanos() as u64);
-            let t = std::time::Instant::now();
-            let mut sim = OnlineSim::with_sink(bounds, &jobs, config, CheckSink::new(NullSink));
-            black_box(sim.run());
-            let (mut checker, _) = sim.into_sink().into_parts();
-            checker.finish();
-            assert!(checker.is_clean(), "{:?}", checker.violations());
-            check_best = check_best.min(t.elapsed().as_nanos() as u64);
+            for check in [false, true] {
+                let t = std::time::Instant::now();
+                let run = ExecConfig::new()
+                    .check(check)
+                    .execute(bounds, &jobs, config, &mut NullSink)
+                    .expect("engine run");
+                let ns = t.elapsed().as_nanos() as u64;
+                if let Some(verdict) = &run.check {
+                    assert!(verdict.is_clean(), "{:?}", verdict.violations);
+                }
+                black_box(run);
+                let best = if check {
+                    &mut check_best
+                } else {
+                    &mut null_best
+                };
+                *best = (*best).min(ns);
+            }
         }
         let pct = (check_best as f64 - null_best as f64) / null_best as f64 * 100.0;
         println!("{w:?}: null {null_best} check {check_best} -> {pct:.1}%");

@@ -10,13 +10,18 @@
 //! The run frame carries the whole-run header (input fingerprint, round /
 //! epoch / trace cursors, the execution-shape stamp, and the shard
 //! count); each shard frame carries one [`ShardCheckpoint`] with its
-//! vehicles inline. The frame layer — varints, zigzag, arrays, the header
-//! check, frame iteration and the scoped [`FrameError`] — is
-//! [`cmvrp_obs::frame`], shared with the `CMVB` trace format. This module
-//! adds only the field lists: optional values are a tag byte (0 = absent,
-//! 1 = present), enums one byte each, and the one `u128` field
-//! (`delay_sum`) is split into low/high `u64` halves. Extra frames after
-//! the last shard are ignored, like trailing bytes inside a frame.
+//! vehicles inline, then — only when some vehicle has any — the §3.2.5
+//! ring section: one record per vehicle with ring state (global id, watch
+//! target, report-to, tick counter, heartbeat misses). Unmonitored runs
+//! therefore write the same layout as before the ring existed, and a file
+//! without the section reads back with every ring empty. The frame layer
+//! — varints, zigzag, arrays, the header check, frame iteration and the
+//! scoped [`FrameError`] — is [`cmvrp_obs::frame`], shared with the `CMVB`
+//! trace format. This module adds only the field lists: optional values
+//! are a tag byte (0 = absent, 1 = present), enums one byte each, and the
+//! one `u128` field (`delay_sum`) is split into low/high `u64` halves.
+//! Extra frames after the last shard are ignored, like trailing bytes
+//! inside the run frame.
 //!
 //! [`write_checkpoint`] is atomic — the bytes go to a `.tmp` sibling
 //! which is then renamed over the destination — so a crash mid-write
@@ -136,6 +141,33 @@ fn encode_vehicle(buf: &mut Vec<u8>, v: &VehicleCheckpoint) {
     put_u64(buf, v.engine_next_generation);
 }
 
+/// Whether a vehicle carries §3.2.5 ring state worth a ring record.
+fn has_ring(v: &VehicleCheckpoint) -> bool {
+    v.watch.is_some() || v.report_to.is_some() || v.ticks > 0 || v.heartbeat_misses > 0
+}
+
+fn encode_ring(buf: &mut Vec<u8>, v: &VehicleCheckpoint) {
+    put_u64(buf, v.global_id);
+    match &v.watch {
+        None => buf.push(0),
+        Some((peer, pos, seen)) => {
+            buf.push(1);
+            put_u64(buf, *peer);
+            put_i64s(buf, pos);
+            put_u64(buf, *seen);
+        }
+    }
+    match v.report_to {
+        None => buf.push(0),
+        Some(watcher) => {
+            buf.push(1);
+            put_u64(buf, watcher);
+        }
+    }
+    put_u64(buf, v.ticks);
+    put_u64(buf, v.heartbeat_misses);
+}
+
 fn encode_shard(buf: &mut Vec<u8>, s: &ShardCheckpoint) {
     put_u64(buf, s.now);
     put_u64(buf, s.seq);
@@ -168,6 +200,13 @@ fn encode_shard(buf: &mut Vec<u8>, s: &ShardCheckpoint) {
     put_u64(buf, s.vehicles.len() as u64);
     for v in &s.vehicles {
         encode_vehicle(buf, v);
+    }
+    let ring: Vec<&VehicleCheckpoint> = s.vehicles.iter().filter(|v| has_ring(v)).collect();
+    if !ring.is_empty() {
+        put_u64(buf, ring.len() as u64);
+        for v in ring {
+            encode_ring(buf, v);
+        }
     }
 }
 
@@ -211,12 +250,43 @@ fn decode_vehicle(c: &mut Cursor<'_>) -> Result<VehicleCheckpoint, FrameError> {
         diffusions: (c.u64()?, c.u64()?, c.u64()?),
         engine_init: opt_pair(c)?,
         engine_next_generation: c.u64()?,
+        watch: None,
+        report_to: None,
+        ticks: 0,
+        heartbeat_misses: 0,
     })
 }
 
-/// Reads one shard frame; fields are read in struct order.
+/// Reads one ring record into its vehicle, found by global id among the
+/// shard's vehicles (sorted by global id, as the engine writes them).
+fn decode_ring(c: &mut Cursor<'_>, vehicles: &mut [VehicleCheckpoint]) -> Result<(), FrameError> {
+    let id = c.u64()?;
+    let watch = match c.u8()? {
+        0 => None,
+        1 => Some((c.u64()?, c.i64s()?, c.u64()?)),
+        other => return Err(c.err(format!("bad option tag {other}"))),
+    };
+    let report_to = match c.u8()? {
+        0 => None,
+        1 => Some(c.u64()?),
+        other => return Err(c.err(format!("bad option tag {other}"))),
+    };
+    let (ticks, heartbeat_misses) = (c.u64()?, c.u64()?);
+    let at = vehicles
+        .binary_search_by_key(&id, |v| v.global_id)
+        .map_err(|_| c.err(format!("ring record for unknown vehicle {id}")))?;
+    let v = &mut vehicles[at];
+    v.watch = watch;
+    v.report_to = report_to;
+    v.ticks = ticks;
+    v.heartbeat_misses = heartbeat_misses;
+    Ok(())
+}
+
+/// Reads one shard frame; fields are read in struct order, then the ring
+/// section when the frame has one.
 fn decode_shard(c: &mut Cursor<'_>) -> Result<ShardCheckpoint, FrameError> {
-    Ok(ShardCheckpoint {
+    let mut shard = ShardCheckpoint {
         now: c.u64()?,
         seq: c.u64()?,
         rng_state: c.u64()?,
@@ -237,7 +307,11 @@ fn decode_shard(c: &mut Cursor<'_>) -> Result<ShardCheckpoint, FrameError> {
         cubes: c.array(Cursor::i64s)?,
         pair_active: c.array(|c| Ok((c.i64s()?, c.u64()?, c.u64()?)))?,
         vehicles: c.array(decode_vehicle)?,
-    })
+    };
+    if !c.at_end() {
+        c.array(|c| decode_ring(c, &mut shard.vehicles))?;
+    }
+    Ok(shard)
 }
 
 /// Decodes a `CMVC` byte stream back into an [`EngineCheckpoint`].
@@ -407,6 +481,10 @@ mod tests {
                         diffusions: (1, 1, 1),
                         engine_init: Some((17, 2)),
                         engine_next_generation: 3,
+                        watch: Some((18, vec![-2, 2], 4)),
+                        report_to: Some(25),
+                        ticks: 6,
+                        heartbeat_misses: 1,
                     }],
                 },
                 ShardCheckpoint {
@@ -470,6 +548,50 @@ mod tests {
         let mut bytes = encode_checkpoint(&ckpt);
         bytes.extend_from_slice(&[3, 1, 2, 3]); // one extra 3-byte frame
         assert_eq!(decode_checkpoint(&bytes).expect("decode"), ckpt);
+    }
+
+    /// `ckpt` with every vehicle's ring state cleared.
+    fn without_rings(mut ckpt: EngineCheckpoint) -> EngineCheckpoint {
+        for v in ckpt.shards.iter_mut().flat_map(|s| &mut s.vehicles) {
+            v.watch = None;
+            v.report_to = None;
+            v.ticks = 0;
+            v.heartbeat_misses = 0;
+        }
+        ckpt
+    }
+
+    #[test]
+    fn the_ring_section_is_written_only_when_a_vehicle_has_ring_state() {
+        let plain = without_rings(sample());
+        let plain_bytes = encode_checkpoint(&plain);
+        assert_eq!(decode_checkpoint(&plain_bytes).expect("decode"), plain);
+        // The sample's one ringed vehicle adds exactly one ring section.
+        let mut ring = Vec::new();
+        put_u64(&mut ring, 1);
+        encode_ring(&mut ring, &sample().shards[0].vehicles[0]);
+        let ringed_bytes = encode_checkpoint(&sample());
+        assert_eq!(ringed_bytes.len(), plain_bytes.len() + ring.len());
+    }
+
+    #[test]
+    fn a_ring_record_for_an_unknown_vehicle_is_a_scoped_error() {
+        let mut ckpt = without_rings(sample());
+        ckpt.shards.truncate(1);
+        let bytes = encode_checkpoint(&ckpt);
+        let mut payload = Vec::new();
+        encode_shard(&mut payload, &ckpt.shards[0]);
+        let mut frame = Vec::new();
+        put_frame(&mut frame, &payload);
+        let mut stranger = sample().shards[0].vehicles[0].clone();
+        stranger.global_id = 99;
+        put_u64(&mut payload, 1);
+        encode_ring(&mut payload, &stranger);
+        let mut bad = bytes[..bytes.len() - frame.len()].to_vec();
+        put_frame(&mut bad, &payload);
+        let err = decode_checkpoint(&bad).unwrap_err();
+        assert_eq!(err.frame, 2);
+        assert!(err.msg.contains("unknown vehicle 99"), "{err}");
     }
 
     #[test]

@@ -134,8 +134,8 @@ fn usage() -> String {
      SCENARIO RUN OPTIONS:\n\
        --seed=S        run seed (default 1; also the default arrival seed)\n\
        --capacity=W    override the Lemma 3.3.1 provisioning\n\
-       --threads=N     sharded engine (defaults to 2 when [faults] are\n\
-                       scripted, since crash+resume needs sessions)\n\
+       --threads=N     worker threads (default 1; the summary is the same\n\
+                       for every N)\n\
        --schedule=P    shard scheduling policy (static|steal|rebalance)\n\
        --check         verify the invariant monitors inline\n\
        --trace-jsonl=P stream the run's events to path P\n\
@@ -143,37 +143,36 @@ fn usage() -> String {
      SIMULATE OPTIONS:\n\
        --seed=S        message-delay seed (default 1)\n\
        --capacity=W    override the Lemma 3.3.1 provisioning\n\
-       --threads=N     sparse sharded parallel engine on up to N workers;\n\
-                       required above the dense engine's grid-volume limit,\n\
-                       traces are byte-identical for every N\n\
-       --schedule=P    shard scheduling policy for --threads=N:\n\
+       --threads=N     run the sharded engine on up to N worker threads\n\
+                       (default 1); traces are byte-identical for every N\n\
+       --schedule=P    shard scheduling policy:\n\
                        static (fixed round-robin ownership, the default),\n\
                        steal (idle workers steal ready shards within a\n\
                        round), rebalance (between-round repartition by\n\
                        active-cube count, plus stealing); traces are\n\
                        byte-identical for every policy\n\
-       --monitored     enable the §3.2.5 heartbeat ring (sequential engine\n\
-                       only — not combinable with --threads; --check and\n\
-                       --trace-jsonl work on every engine)\n\
+       --monitored     enable the §3.2.5 heartbeat ring: each shard ticks\n\
+                       its own cubes after every job it releases; combines\n\
+                       with every other option\n\
        --trace-jsonl P stream every event as JSON lines to path P\n\
        --trace-bin P   stream every event in the length-prefixed binary\n\
                        format to path P (same events, ~5x the write\n\
                        throughput; decode with `cmvrp trace convert`);\n\
                        not combinable with --trace-jsonl\n\
-       --profile       flight recorder (needs --threads): append one\n\
-                       round_profile sample per worker per round to the\n\
-                       trace — busy/barrier/merge/sink nanoseconds, event\n\
-                       and steal counts; analyze with `cmvrp trace profile`\n\
-       --progress      live progress line on stderr (needs --threads and a\n\
-                       terminal; --progress=force paints without one)\n\
+       --profile       flight recorder: append one round_profile sample\n\
+                       per worker per round to the trace —\n\
+                       busy/barrier/merge/sink nanoseconds, event and\n\
+                       steal counts; analyze with `cmvrp trace profile`\n\
+       --progress      live progress line on stderr (needs a terminal;\n\
+                       --progress=force paints without one)\n\
        --checkpoint=F  write a CMVC snapshot of the run to F at round\n\
-                       barriers, atomically (needs --threads); resume with\n\
-                       --resume-from, inspect with `cmvrp ckpt inspect`\n\
+                       barriers, atomically; resume with --resume-from,\n\
+                       inspect with `cmvrp ckpt inspect`\n\
        --checkpoint-every=R  snapshot every R rounds (default 1; counts\n\
                        absolute rounds, so a resumed run keeps the cadence;\n\
                        needs --checkpoint)\n\
-       --stop-at-round=K  stop after round K (needs --threads); with\n\
-                       --checkpoint the final snapshot lands at K\n\
+       --stop-at-round=K  stop after round K; with --checkpoint the final\n\
+                       snapshot lands at K\n\
        --resume-from=F continue a run from checkpoint F; the resumed trace\n\
                        tail is byte-identical to the uninterrupted run's,\n\
                        so concatenating head and tail traces equals a\n\
@@ -182,9 +181,9 @@ fn usage() -> String {
                        values and may not disagree with them\n\
        --metrics       print the always-on metrics registry\n\
        --check         verify the invariant monitors inline while the run\n\
-                       streams (with --threads: per-shard monitors plus\n\
-                       merge-time cross-shard monitors); any violation\n\
-                       fails the run naming the event and invariant\n\
+                       streams (per-shard monitors plus merge-time\n\
+                       cross-shard monitors); any violation fails the run\n\
+                       naming the event and invariant\n\
      \n\
      TRACE CHECK OPTIONS:\n\
        --capacity=W    battery capacity for traces without fleet_provisioned\n\
@@ -339,10 +338,9 @@ fn cmd_solve(spec: &str) -> Result<String, UsageError> {
 }
 
 /// One simulate run, streaming events into the caller's sink. The
-/// [`ExecConfig`] names the engine (dense sequential without worker
-/// threads, sparse sharded with them), the scheduling policy, and whether
-/// the run is verified inline — in which case the returned summary holds
-/// the verdict.
+/// [`ExecConfig`] names the worker count, the scheduling policy, and
+/// whether the run is verified inline — in which case the returned summary
+/// holds the verdict.
 fn run_simulation(
     bounds: cmvrp_grid::GridBounds<2>,
     jobs: &JobSequence<2>,
@@ -570,8 +568,8 @@ fn cmd_simulate(spec: &str, opts: &[String]) -> Result<String, UsageError> {
                 return Err(UsageError(format!(
                     "--resume-from={path}: no such checkpoint file; supported \
                      alternatives: write one first with `cmvrp simulate ... \
-                     --threads=N --checkpoint={path}`, or drop --resume-from \
-                     to start the run fresh"
+                     --checkpoint={path}`, or drop --resume-from to start the \
+                     run fresh"
                 )));
             }
             let ckpt = cmvrp_ckpt::read_checkpoint(Path::new(path)).map_err(UsageError)?;
@@ -606,7 +604,8 @@ fn cmd_simulate(spec: &str, opts: &[String]) -> Result<String, UsageError> {
             Some(ckpt)
         }
     };
-    let mut exec = ExecConfig::new()
+    let exec = ExecConfig::new()
+        .threads(threads.unwrap_or(1))
         .schedule(schedule.unwrap_or_default())
         .check(check)
         .profile(profile)
@@ -615,10 +614,6 @@ fn cmd_simulate(spec: &str, opts: &[String]) -> Result<String, UsageError> {
             every: checkpoint.as_ref().map(|_| checkpoint_every.unwrap_or(1)),
             stop_at,
         });
-    if let Some(n) = threads {
-        exec = exec.threads(n);
-    }
-    exec.validate().map_err(|e| UsageError(e.to_string()))?;
     // The scenario layer owns workload materialization: with the default
     // batch arrivals this is byte-for-byte the old generate-then-shuffle
     // path, so flag-built and scenario-file runs stay trace-identical.
@@ -790,8 +785,8 @@ fn cmd_scenario_check(path: &str) -> Result<String, UsageError> {
 fn cmd_scenario_run(path: &str, opts: &[String]) -> Result<String, UsageError> {
     let sc = load_scenario(path)?;
     let mut online = OnlineConfig::default();
-    let mut threads: Option<usize> = None;
-    let mut schedule: Option<Schedule> = None;
+    let mut threads = 1;
+    let mut schedule = Schedule::default();
     let mut check = false;
     let mut trace: Option<String> = None;
     for opt in opts {
@@ -811,9 +806,9 @@ fn cmd_scenario_run(path: &str, opts: &[String]) -> Result<String, UsageError> {
             if n == 0 {
                 return Err(UsageError("--threads must be at least 1".into()));
             }
-            threads = Some(n);
+            threads = n;
         } else if let Some(v) = opt.strip_prefix("--schedule=") {
-            schedule = Some(v.parse().map_err(UsageError)?);
+            schedule = v.parse().map_err(UsageError)?;
         } else if opt == "--check" {
             check = true;
         } else if let Some(v) = opt.strip_prefix("--trace-jsonl=") {
@@ -826,18 +821,10 @@ fn cmd_scenario_run(path: &str, opts: &[String]) -> Result<String, UsageError> {
             )));
         }
     }
-    // The fault script crashes and resumes sessions, which only exist on
-    // the sharded engine.
-    if !sc.faults.is_empty() && threads.is_none() {
-        threads = Some(2);
-    }
-    let mut exec = ExecConfig::new()
-        .schedule(schedule.unwrap_or_default())
+    let exec = ExecConfig::new()
+        .threads(threads)
+        .schedule(schedule)
         .check(check);
-    if let Some(n) = threads {
-        exec = exec.threads(n);
-    }
-    exec.validate().map_err(|e| UsageError(e.to_string()))?;
     let (bounds, demand, jobs) = sc
         .generate(online.seed)
         .map_err(|e| UsageError(e.to_string()))?;
@@ -2013,23 +2000,31 @@ mod tests {
 
     #[test]
     fn simulate_threads_traces_are_byte_identical() {
-        let mut traces = Vec::new();
-        for threads in [1, 8] {
-            let path = std::env::temp_dir().join(format!("cmvrp_cli_threads_{threads}.jsonl"));
-            let out = run(&[
-                "simulate".into(),
-                "point:grid=12,demand=250".into(),
-                format!("--threads={threads}"),
-                "--check".into(),
-                format!("--trace-jsonl={}", path.display()),
-            ])
-            .unwrap();
-            assert!(out.contains("all invariants hold"), "{out}");
-            assert!(out.contains("served: 250/250"), "{out}");
-            traces.push(std::fs::read(&path).unwrap());
-            let _ = std::fs::remove_file(&path);
+        // Leaving --threads out means one worker: the same bytes as
+        // --threads=1 and as eight workers, with and without the ring.
+        for (ring, monitored) in [("plain", ""), ("ring", " --monitored")] {
+            let mut traces = Vec::new();
+            for (tag, threads) in [
+                ("default", ""),
+                ("w1", " --threads=1"),
+                ("w8", " --threads=8"),
+            ] {
+                let path =
+                    std::env::temp_dir().join(format!("cmvrp_cli_threads_{ring}_{tag}.jsonl"));
+                let out = run(&argv(&format!(
+                    "simulate point:grid=12,demand=250{threads}{monitored} --check \
+                     --trace-jsonl={}",
+                    path.display()
+                )))
+                .unwrap();
+                assert!(out.contains("all invariants hold"), "{out}");
+                assert!(out.contains("served: 250/250"), "{out}");
+                traces.push(std::fs::read(&path).unwrap());
+                let _ = std::fs::remove_file(&path);
+            }
+            assert_eq!(traces[0], traces[1], "{ring}");
+            assert_eq!(traces[0], traces[2], "{ring}");
         }
-        assert_eq!(traces[0], traces[1]);
     }
 
     #[test]
@@ -2174,17 +2169,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_schedule_needs_threads_and_names_combinations() {
-        let err = run(&argv("simulate point:grid=8,demand=40 --schedule=steal")).unwrap_err();
-        // The error names the fix and the supported combinations.
-        assert!(err.0.contains("--threads"), "{err}");
-        assert!(err.0.contains("static"), "{err}");
-        // Explicit --schedule=static without --threads is the default; fine.
-        let out = run(&argv("simulate point:grid=8,demand=40 --schedule=static")).unwrap();
-        assert!(out.contains("served: 40/40"), "{out}");
-    }
-
-    #[test]
     fn simulate_rejects_unknown_schedule() {
         let err = run(&argv("simulate point:grid=8,demand=40 --schedule=zigzag")).unwrap_err();
         assert!(err.0.contains("zigzag"), "{err}");
@@ -2205,26 +2189,16 @@ mod tests {
     }
 
     #[test]
-    fn simulate_threads_rejects_monitored_and_zero() {
-        let err = run(&argv(
-            "simulate point:grid=8,demand=40 --threads=2 --monitored",
-        ))
-        .unwrap_err();
-        assert!(err.0.contains("monitored"), "{err}");
-        // The rejection names what still works on the sharded engine.
-        assert!(err.0.contains("--check"), "{err}");
-        assert!(err.0.contains("--trace-jsonl"), "{err}");
-        assert!(run(&argv("simulate point:grid=8,demand=40 --threads=0")).is_err());
+    fn simulate_rejects_zero_threads() {
+        let err = run(&argv("simulate point:grid=8,demand=40 --threads=0")).unwrap_err();
+        assert!(err.0.contains("--threads must be at least 1"), "{err}");
     }
 
     #[test]
-    fn simulate_dense_limit_points_at_sharded_engine() {
-        // 1024² exceeds the dense engine's volume limit; the error should
-        // steer the user to --threads, and the sharded engine should then
-        // handle the same workload.
-        let err = run(&argv("simulate point:grid=1024,demand=50")).unwrap_err();
-        assert!(err.0.contains("--threads"), "{err}");
-        let out = run(&argv("simulate point:grid=1024,demand=50 --threads=4")).unwrap();
+    fn simulate_million_vehicle_grid_runs_without_threads() {
+        // 1024² vehicles on the default single worker: only the cube the
+        // demand lands in ever materializes.
+        let out = run(&argv("simulate point:grid=1024,demand=50")).unwrap();
         assert!(out.contains("served: 50/50"), "{out}");
     }
 
@@ -2577,10 +2551,6 @@ mod tests {
 
     #[test]
     fn profile_and_progress_flag_validation() {
-        // --profile without --threads: structured error naming the fix.
-        let err = run(&argv("simulate point:grid=8,demand=40 --profile")).unwrap_err();
-        assert!(err.0.contains("--profile"), "{err}");
-        assert!(err.0.contains("--threads"), "{err}");
         // --progress without a terminal (the test harness captures
         // stderr): the error names the supported alternatives.
         let err = run(&argv(
@@ -2921,16 +2891,6 @@ mod tests {
         assert!(err.0.contains("no such checkpoint file"), "{err}");
         assert!(err.0.contains("--checkpoint="), "{err}");
         assert!(err.0.contains("drop --resume-from"), "{err}");
-        // Checkpointing needs the sharded engine.
-        let err = run(&argv(
-            "simulate point:grid=9,demand=30 --checkpoint=/tmp/x.cmvc",
-        ))
-        .unwrap_err();
-        assert!(err.0.contains("--checkpoint"), "{err}");
-        assert!(err.0.contains("--threads"), "{err}");
-        let err = run(&argv("simulate point:grid=9,demand=30 --stop-at-round=4")).unwrap_err();
-        assert!(err.0.contains("--stop-at-round"), "{err}");
-        assert!(err.0.contains("--threads"), "{err}");
     }
 
     #[test]

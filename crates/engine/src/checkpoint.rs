@@ -1,23 +1,25 @@
-//! Engine-level checkpoint state: a plain-data snapshot of a sharded run
-//! taken at a quiescent round barrier.
+//! Engine-level checkpoint state: a plain-data snapshot of a run taken at
+//! a quiescent round barrier.
 //!
-//! A checkpoint captures everything the sharded engine needs to continue
+//! A checkpoint captures everything the engine needs to continue
 //! a run as if it had never stopped: per-shard transport state (clock,
 //! sequence counter, delay-RNG state, delivery counters, delay
 //! histogram), the materialized cubes and pairing activations, every
 //! vehicle's durable state, the job ledger, and the round/epoch counters
-//! plus the canonical-trace cursor. Checkpoints are only taken at round
-//! barriers, where every shard is quiescent (no messages in flight, every
-//! diffusing computation terminated), so none of the transient simulator
-//! state — in-flight envelopes, per-channel FIFO clamps, diffusion
-//! bookkeeping — needs to be recorded; see the field docs for the
-//! arguments.
+//! plus the canonical-trace cursor. With monitoring on, each vehicle also
+//! carries its §3.2.5 ring state (watch target, report-to, heartbeat
+//! clock), so a monitored run resumes byte-identically. Checkpoints are
+//! only taken at round barriers, where every shard is quiescent (no
+//! messages in flight, every diffusing computation terminated), so none
+//! of the transient simulator state — in-flight envelopes, per-channel
+//! FIFO clamps, diffusion bookkeeping — needs to be recorded; see the
+//! field docs for the arguments.
 //!
 //! Everything here is engine-agnostic plain data (positions as `Vec<i64>`
 //! rather than `Point<D>`, process ids as *global* vertex indices rather
 //! than shard-local ids) so a serializer can encode a checkpoint without
-//! knowing the grid dimension, and so the bytes are independent of the
-//! order cubes happened to materialize in the original run.
+//! knowing the grid dimension, and so the bytes are the same for every
+//! worker count and schedule.
 //!
 //! The resume-equivalence invariant: running to round `k`, checkpointing,
 //! and resuming yields a trace tail byte-identical to the uninterrupted
@@ -116,7 +118,9 @@ pub struct ShardCheckpoint {
     pub replacements: u64,
     /// Failed replacement searches.
     pub failed_replacements: u64,
-    /// Materialized cube ids (coordinate vectors), sorted.
+    /// Materialized cube ids (coordinate vectors), in the order the shard
+    /// materialized them: resume re-materializes in this order, so local
+    /// process ids match the original run's.
     pub cubes: Vec<Vec<i64>>,
     /// Pairing activations `(cube id, pair index, global vehicle id)`,
     /// sorted.
@@ -162,6 +166,15 @@ pub struct VehicleCheckpoint {
     pub engine_init: Option<(u64, u64)>,
     /// Next generation number for computations this vehicle initiates.
     pub engine_next_generation: u64,
+    /// §3.2.5 ring: the watched peer `(global id, position, tick round it
+    /// was last heard from)`.
+    pub watch: Option<(u64, Vec<i64>, u64)>,
+    /// §3.2.5 ring: the watcher this vehicle heartbeats to, as a global id.
+    pub report_to: Option<u64>,
+    /// Tick rounds seen (the heartbeat clock).
+    pub ticks: u64,
+    /// Heartbeat timeouts detected as a watcher.
+    pub heartbeat_misses: u64,
 }
 
 /// Fingerprints the inputs that determine a run: grid bounds, the exact
@@ -199,7 +212,6 @@ pub fn run_fingerprint<const D: usize>(
         None => fp.word(0),
     }
     fp.word(u64::from(config.monitored));
-    fp.word(u64::from(config.ticks_per_job));
     fp.finish()
 }
 

@@ -1,9 +1,12 @@
 //! `cmvrp-engine` — a spatially sharded, deterministic, parallel execution
-//! engine for the CMVRP on-line protocol (Gao 2008, Chapter 3).
+//! engine for the CMVRP on-line protocol (Gao 2008, Chapter 3), and the
+//! one driver of that protocol: `cmvrp-online` holds the vehicle process
+//! and its messages, this crate delivers the jobs, keeps the physical
+//! layer (positions, pairings, neighbor lists, the §3.2.5 monitoring
+//! ring), and injects faults.
 //!
-//! The dense sequential driver in `cmvrp-online` allocates one process per
-//! grid vertex, which caps it at modest grids. This crate scales the same
-//! protocol to million-vehicle grids with three ingredients:
+//! It runs the protocol from a handful of vehicles to million-vehicle
+//! grids with three ingredients:
 //!
 //! - **Spatial sharding** ([`shard`]): the grid is partitioned into
 //!   contiguous, cube-aligned shards. Because the protocol's communication
@@ -21,11 +24,11 @@
 //!   home with a full battery is implicit — memory is proportional to
 //!   *active* vehicles, not grid volume.
 //!
-//! ## Picking an engine: [`ExecConfig`]
+//! ## Configuring a run: [`ExecConfig`]
 //!
-//! [`ExecConfig`] is the single construction path for both engines — a
-//! builder that starts at the dense sequential engine and switches to the
-//! sharded parallel engine when worker threads are requested:
+//! [`ExecConfig`] is the single construction path — a builder that starts
+//! at one worker thread and the static schedule, and adds workers,
+//! scheduling policy, inline checking, profiling and checkpointing:
 //!
 //! ```
 //! use cmvrp_engine::{ExecConfig, Schedule};
@@ -47,7 +50,7 @@
 //!
 //! ## Checkpoint and resume
 //!
-//! A sharded run can snapshot itself at any round barrier — every shard
+//! A run can snapshot itself at any round barrier — every shard
 //! quiescent, every emitted event already merged — into an
 //! [`EngineCheckpoint`], and a later process can
 //! [`resume`](ShardedOnlineSim::resume) from it: the trace tail after
@@ -61,15 +64,16 @@
 //!
 //! ## The streaming pipeline
 //!
-//! Events *flow* instead of accumulating: [`Engine::run`] takes a
+//! Events *flow* instead of accumulating: [`ExecConfig::execute`] takes a
 //! caller-supplied `&mut dyn Sink` and streams the canonical merged event
-//! order into it as the simulation executes. The sharded engine performs
-//! its `(time, shard, sequence)` k-way merge incrementally at each round
+//! order into it as the simulation executes. The engine performs its
+//! `(time, shard, sequence)` k-way merge incrementally at each round
 //! barrier, so peak buffering is one round's events rather than the whole
-//! trace. [`Engine::run_checked`] additionally validates the run inline —
-//! per-shard [`cmvrp_obs::TraceChecker`]s for the shard-local invariants
-//! plus a merge-time [`cmvrp_obs::MergeChecker`] for the global clock and
-//! job-ledger — and reports the verdict in [`Execution::check`].
+//! trace. With [`ExecConfig::check`] the run is additionally validated
+//! inline — per-shard [`cmvrp_obs::TraceChecker`]s for the shard-local
+//! invariants plus a merge-time [`cmvrp_obs::MergeChecker`] for the global
+//! clock and job-ledger — and the verdict comes back in
+//! [`Execution::check`].
 //!
 //! The observability stack is the determinism oracle: the merged JSONL
 //! trace is byte-identical for 1, 2, and 8 workers — under every
@@ -102,31 +106,13 @@ pub use session::{Session, StepReport};
 pub use shard::{ShardMap, MAX_SHARDS};
 
 use cmvrp_grid::GridBounds;
-use cmvrp_obs::{CheckSink, Metrics, Sink, Violation};
-use cmvrp_online::{DenseLimitError, OnlineConfig, OnlineReport, OnlineSim};
+use cmvrp_obs::{Metrics, Sink, Violation};
+use cmvrp_online::{OnlineConfig, OnlineReport};
 use cmvrp_workloads::JobSequence;
 
-/// Why an engine refused to run a simulation.
+/// Why the engine refused to resume or step a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineError {
-    /// The sharded engine does not model heartbeat monitoring: watchers
-    /// use local tick clocks that the lockstep rounds cannot reproduce
-    /// deterministically. Run monitored simulations on the sequential
-    /// engine.
-    MonitoredUnsupported,
-    /// A non-static [`Schedule`] was requested on the sequential engine,
-    /// which has no workers to schedule. The policy is carried so the
-    /// message can name it.
-    ScheduleNeedsThreads(Schedule),
-    /// Round-level profiling or live progress was requested on the
-    /// sequential engine, which has no lockstep rounds to sample. The
-    /// offending flag name is carried so the message can name it.
-    ProfilingNeedsThreads(&'static str),
-    /// Checkpointing or resuming was requested on the sequential engine;
-    /// checkpoints are taken at the sharded engine's round barriers, which
-    /// the sequential engine does not have. The offending flag name is
-    /// carried so the message can name it.
-    CheckpointNeedsThreads(&'static str),
     /// A checkpoint was written by a run with different inputs (grid
     /// bounds, job sequence, seed, or capacity override) than the run
     /// trying to resume from it. Both fingerprints are carried so the
@@ -137,51 +123,14 @@ pub enum EngineError {
         /// Fingerprint recorded in the checkpoint.
         found: u64,
     },
-    /// A step-session was requested on the sequential engine. Sessions
-    /// advance the sharded engine's lockstep rounds barrier by barrier,
-    /// which the sequential engine does not have.
-    SessionNeedsThreads,
     /// [`Session::inject`] was handed a job outside the grid bounds the
     /// session was built over.
     InjectOutOfBounds,
-    /// The dense sequential engine refused the grid as too large; the
-    /// inner error names the volume and the limit.
-    Dense(DenseLimitError),
 }
 
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineError::MonitoredUnsupported => write!(
-                f,
-                "the sharded engine does not support monitored mode \
-                 (heartbeat watchers need a per-tick global clock); drop \
-                 --monitored or use the sequential engine — tracing \
-                 (--trace-jsonl) and inline checking (--check) work on \
-                 every engine"
-            ),
-            EngineError::ScheduleNeedsThreads(schedule) => write!(
-                f,
-                "schedule {schedule:?} needs the sharded engine's worker \
-                 threads; add --threads=N. Supported combinations: the \
-                 sequential engine (no --threads) is static-only; with \
-                 --threads=N every schedule works (static, steal, \
-                 rebalance)",
-            ),
-            EngineError::ProfilingNeedsThreads(flag) => write!(
-                f,
-                "{flag} samples the sharded engine's lockstep rounds, which \
-                 the sequential engine does not have; add --threads=N. \
-                 Supported observability without threads: tracing \
-                 (--trace-jsonl, --trace-bin) and inline checking (--check)",
-            ),
-            EngineError::CheckpointNeedsThreads(flag) => write!(
-                f,
-                "{flag} snapshots the sharded engine's round barriers, \
-                 which the sequential engine does not have; add \
-                 --threads=N (any worker count works — checkpoints and \
-                 traces are thread-invariant)",
-            ),
             EngineError::ResumeMismatch { expected, found } => write!(
                 f,
                 "checkpoint was written by a different run: its input \
@@ -190,13 +139,6 @@ impl std::fmt::Display for EngineError {
                  sequence, seed, and capacity — only --threads and \
                  --schedule may differ",
             ),
-            EngineError::SessionNeedsThreads => write!(
-                f,
-                "sessions step the sharded engine's lockstep rounds, which \
-                 the sequential engine does not have; add --threads=N (any \
-                 worker count works — session traces are thread-invariant), \
-                 or use ExecConfig::execute for a one-shot sequential run",
-            ),
             EngineError::InjectOutOfBounds => write!(
                 f,
                 "injected job lies outside the session's grid bounds; \
@@ -204,24 +146,16 @@ impl std::fmt::Display for EngineError {
                  provisioned over — query Session::bounds for the valid \
                  region, or open a session over larger bounds",
             ),
-            EngineError::Dense(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
 
-impl From<DenseLimitError> for EngineError {
-    fn from(e: DenseLimitError) -> Self {
-        EngineError::Dense(e)
-    }
-}
-
 /// Where a checked run's violation was detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckScope {
-    /// Found on the canonical merged stream (the sequential engine's whole
-    /// trace, or the sharded engine's merge-time monitors).
+    /// Found on the canonical merged stream by the merge-time monitors.
     Merged,
     /// Found by the given shard's inline checker on its local stream;
     /// violation lines count that shard's events.
@@ -252,14 +186,14 @@ impl std::fmt::Display for ScopedViolation {
     }
 }
 
-/// Verdict of an [`Engine::run_checked`] run.
+/// Verdict of a checked run ([`ExecConfig::check`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckSummary {
     /// Events observed on the canonical merged stream (including the
     /// `fleet_provisioned` header).
     pub events: u64,
-    /// Every violation found, across the merged stream and (for the
-    /// sharded engine) each shard's inline checker.
+    /// Every violation found, across the merged stream and each shard's
+    /// inline checker.
     pub violations: Vec<ScopedViolation>,
 }
 
@@ -270,43 +204,43 @@ impl CheckSummary {
     }
 }
 
-/// The outcome of an [`Engine`] run: the Theorem 1.4.2 accounting, a
-/// snapshot of the always-on metrics registries, and — for checked runs —
-/// the inline verification verdict. The event stream itself went to the
-/// caller's sink.
+/// The outcome of a run: the Theorem 1.4.2 accounting, a snapshot of the
+/// always-on metrics registries, and — for checked runs — the inline
+/// verification verdict. The event stream itself went to the caller's
+/// sink.
 #[derive(Debug)]
 pub struct Execution {
     /// The on-line report (served/unserved, energy, replacements, …).
     pub report: OnlineReport,
     /// Always-on metrics: the `net.*` transport registry plus the
-    /// `online.*` fleet counters and energy distribution — and, for
-    /// sharded runs, the `engine.*` scheduler counters (rounds, per-worker
-    /// busy time, shards stepped, steals).
+    /// `online.*` fleet counters and energy distribution and the
+    /// `engine.*` scheduler counters (rounds, per-worker busy time, shards
+    /// stepped, steals).
     pub metrics: Metrics,
-    /// Inline verification verdict; `Some` exactly for
-    /// [`Engine::run_checked`].
+    /// Inline verification verdict; `Some` exactly for checked runs.
     pub check: Option<CheckSummary>,
 }
 
-/// How to execute the on-line protocol: the builder both engines consume,
-/// and the single construction path used by the CLI, the benches, and the
-/// tests.
+/// How to execute the on-line protocol: the single construction path used
+/// by the CLI, the server, the benches, and the tests.
 ///
-/// `ExecConfig::new()` is the dense sequential engine; [`threads`]
-/// switches to the sparse sharded parallel engine, where [`schedule`]
-/// picks the worker-scheduling policy. [`check`] makes every run verify
-/// the protocol invariants inline. The builder is `Copy`, so configs can
-/// be built inline at the call site:
+/// `ExecConfig::new()` runs the sharded engine on one worker thread;
+/// [`threads`] raises the worker bound, and [`schedule`] picks the
+/// worker-scheduling policy. Traces and reports are the same for every
+/// worker count and policy. [`check`] makes every run verify the protocol
+/// invariants inline. The builder is `Copy`, so configs can be built
+/// inline at the call site:
 ///
 /// ```
 /// use cmvrp_engine::{ExecConfig, Schedule};
 ///
-/// let quick = ExecConfig::new();                       // dense sequential
-/// let parallel = ExecConfig::new().threads(8);          // sharded, static
+/// let quick = ExecConfig::new();                       // one worker
+/// let parallel = ExecConfig::new().threads(8);          // eight, static
 /// let balanced = ExecConfig::new()
 ///     .threads(8)
 ///     .schedule(Schedule::Steal)
 ///     .check(true);                                     // verified inline
+/// assert_eq!(quick, ExecConfig::new().threads(1));
 /// assert_ne!(quick, parallel);
 /// assert!(balanced.is_checked());
 /// ```
@@ -314,9 +248,9 @@ pub struct Execution {
 /// [`threads`]: ExecConfig::threads
 /// [`schedule`]: ExecConfig::schedule
 /// [`check`]: ExecConfig::check
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
-    threads: Option<usize>,
+    threads: usize,
     schedule: Schedule,
     check: bool,
     profile: bool,
@@ -324,7 +258,7 @@ pub struct ExecConfig {
     ckpt: CheckpointPolicy,
 }
 
-/// When a sharded run snapshots itself: a cadence, a stop round, both, or
+/// When a run snapshots itself: a cadence, a stop round, both, or
 /// (the default) neither. The policy carries no file path — the engine
 /// hands [`EngineCheckpoint`]s to a caller-supplied observer, and where
 /// they go (a `CMVC` file, a test vector) is the caller's business.
@@ -348,24 +282,35 @@ impl CheckpointPolicy {
     }
 }
 
+impl Default for ExecConfig {
+    fn default() -> Self {
+        ExecConfig {
+            threads: 1,
+            schedule: Schedule::Static,
+            check: false,
+            profile: false,
+            progress: false,
+            ckpt: CheckpointPolicy::default(),
+        }
+    }
+}
+
 impl ExecConfig {
-    /// The default execution: dense sequential engine, static schedule,
-    /// no inline checking.
+    /// The default execution: one worker thread, static schedule, no
+    /// inline checking.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Selects the sharded parallel engine on up to `n` worker threads
-    /// (values below 1 are clamped to 1; the effective count is further
-    /// clamped to the shard count at run time).
+    /// Runs on up to `n` worker threads (values below 1 are clamped to 1;
+    /// the effective count is further clamped to the shard count at run
+    /// time).
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
+        self.threads = n.max(1);
         self
     }
 
-    /// Worker-scheduling policy for the sharded engine. Anything other
-    /// than [`Schedule::Static`] requires [`threads`](ExecConfig::threads)
-    /// — enforced with [`EngineError::ScheduleNeedsThreads`] at run time.
+    /// Worker-scheduling policy: which worker steps which shard.
     pub fn schedule(mut self, schedule: Schedule) -> Self {
         self.schedule = schedule;
         self
@@ -379,9 +324,8 @@ impl ExecConfig {
         self
     }
 
-    /// Worker-thread bound when the sharded engine is selected; `None`
-    /// means the dense sequential engine.
-    pub fn worker_threads(&self) -> Option<usize> {
+    /// The worker-thread bound.
+    pub fn worker_threads(&self) -> usize {
         self.threads
     }
 
@@ -395,13 +339,12 @@ impl ExecConfig {
         self.check
     }
 
-    /// Enables the flight recorder: at every round barrier the sharded
-    /// engine appends one [`cmvrp_obs::Event::RoundProfile`] sample per
-    /// worker to the trace — busy, barrier-wait, merge, and sink
-    /// nanoseconds plus event and steal counts. Samples are first-class
-    /// trace events with their own kind; stripping `round_profile` lines
-    /// recovers the unprofiled trace byte for byte. Requires
-    /// [`threads`](ExecConfig::threads).
+    /// Enables the flight recorder: at every round barrier the engine
+    /// appends one [`cmvrp_obs::Event::RoundProfile`] sample per worker to
+    /// the trace — busy, barrier-wait, merge, and sink nanoseconds plus
+    /// event and steal counts. Samples are first-class trace events with
+    /// their own kind; stripping `round_profile` lines recovers the
+    /// unprofiled trace byte for byte.
     pub fn profile(mut self, profile: bool) -> Self {
         self.profile = profile;
         self
@@ -409,7 +352,6 @@ impl ExecConfig {
 
     /// Enables the live progress line on stderr (round, events/s, jobs
     /// released, active vehicles, ETA), repainted at most every ~250 ms.
-    /// Requires [`threads`](ExecConfig::threads).
     pub fn progress(mut self, progress: bool) -> Self {
         self.progress = progress;
         self
@@ -427,9 +369,7 @@ impl ExecConfig {
 
     /// Installs a [`CheckpointPolicy`]: the cadence/stop-round contract
     /// under which [`execute_with_checkpoints`] hands snapshots to its
-    /// observer. A cadence of 0 is clamped to 1 (every round). Requires
-    /// [`threads`](ExecConfig::threads) — enforced with
-    /// [`EngineError::CheckpointNeedsThreads`] at run time.
+    /// observer. A cadence of 0 is clamped to 1 (every round).
     ///
     /// [`execute_with_checkpoints`]: ExecConfig::execute_with_checkpoints
     pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
@@ -445,39 +385,18 @@ impl ExecConfig {
         self.ckpt
     }
 
-    /// Checks the configuration is executable: non-static schedules,
-    /// round profiling, live progress, and checkpointing all need worker
-    /// threads.
-    pub fn validate(&self) -> Result<(), EngineError> {
-        if self.threads.is_none() {
-            if self.schedule != Schedule::Static {
-                return Err(EngineError::ScheduleNeedsThreads(self.schedule));
-            }
-            if self.profile {
-                return Err(EngineError::ProfilingNeedsThreads("--profile"));
-            }
-            if self.progress {
-                return Err(EngineError::ProfilingNeedsThreads("--progress"));
-            }
-            if self.ckpt.every.is_some() {
-                return Err(EngineError::CheckpointNeedsThreads("--checkpoint"));
-            }
-            if self.ckpt.stop_at.is_some() {
-                return Err(EngineError::CheckpointNeedsThreads("--stop-at-round"));
-            }
-        }
-        Ok(())
-    }
-
     /// Opens a [`Session`] over a preloaded job schedule: the resumable,
-    /// steppable form of [`execute`](ExecConfig::execute). Requires
-    /// [`threads`](ExecConfig::threads) — sessions advance the sharded
-    /// engine's round barriers.
+    /// steppable form of [`execute`](ExecConfig::execute).
     ///
     /// # Errors
     ///
-    /// [`EngineError::SessionNeedsThreads`] without worker threads; the
-    /// construction errors of [`execute`](ExecConfig::execute) otherwise.
+    /// None: the `Result` mirrors
+    /// [`resume_build`](ExecConfig::resume_build), which can refuse a
+    /// checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any job lies outside `bounds`.
     pub fn build<const D: usize>(
         &self,
         bounds: GridBounds<D>,
@@ -495,7 +414,7 @@ impl ExecConfig {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`build`](ExecConfig::build).
+    /// Same as [`build`](ExecConfig::build).
     pub fn build_live<const D: usize>(
         &self,
         bounds: GridBounds<D>,
@@ -512,8 +431,7 @@ impl ExecConfig {
     /// # Errors
     ///
     /// [`EngineError::ResumeMismatch`] when `resume` was written by a run
-    /// with different inputs; the conditions of
-    /// [`build`](ExecConfig::build) otherwise.
+    /// with different inputs.
     pub fn resume_build<const D: usize>(
         &self,
         bounds: GridBounds<D>,
@@ -524,14 +442,15 @@ impl ExecConfig {
         Session::open(self, bounds, jobs, config, Some(resume), true, true)
     }
 
-    /// Runs the configured engine, honoring [`check`](ExecConfig::check):
-    /// the one entry point the CLI and benches call.
+    /// Runs the engine to completion, honoring
+    /// [`check`](ExecConfig::check): the one-shot entry point the CLI and
+    /// benches call.
     ///
     /// # Errors
     ///
-    /// [`EngineError`] when the configuration cannot run (grid too large
-    /// for the dense engine, monitored mode or a non-static schedule
-    /// without worker threads).
+    /// None: the `Result` mirrors
+    /// [`execute_with_checkpoints`](ExecConfig::execute_with_checkpoints),
+    /// which can refuse a checkpoint.
     pub fn execute<const D: usize>(
         &self,
         bounds: GridBounds<D>,
@@ -551,21 +470,15 @@ impl ExecConfig {
     /// and a checked resume seeds the merge-time monitors from the
     /// checkpoint's cursors.
     ///
-    /// Since the session redesign this is a documented *thin wrapper*: on
-    /// the sharded engine it opens a [`Session`] (preloaded or resumed),
-    /// [`drain`](Session::drain_observed)s it to completion into `sink`,
-    /// and [`finish`](Session::finish)es it — one batch of the exact
-    /// round loop a stepped session runs, so behavior (trace bytes,
-    /// checkpoints, reports) is unchanged. Only the dense sequential
-    /// engine, which has no round structure to step, keeps a direct path.
+    /// This is a *thin wrapper*: it opens a [`Session`] (preloaded or
+    /// resumed), [`drain`](Session::drain_observed)s it to completion into
+    /// `sink`, and [`finish`](Session::finish)es it — one batch of the
+    /// exact round loop a stepped session runs.
     ///
     /// # Errors
     ///
-    /// [`EngineError::CheckpointNeedsThreads`] without
-    /// [`threads`](ExecConfig::threads);
     /// [`EngineError::ResumeMismatch`] when `resume` was written by a run
-    /// with different inputs; the usual [`execute`](ExecConfig::execute)
-    /// errors otherwise.
+    /// with different inputs.
     pub fn execute_with_checkpoints<const D: usize>(
         &self,
         bounds: GridBounds<D>,
@@ -575,12 +488,6 @@ impl ExecConfig {
         resume: Option<&EngineCheckpoint>,
         observer: &mut dyn FnMut(EngineCheckpoint),
     ) -> Result<Execution, EngineError> {
-        if resume.is_some() && self.threads.is_none() {
-            return Err(EngineError::CheckpointNeedsThreads("--resume-from"));
-        }
-        if self.threads.is_none() {
-            return self.execute_dense(bounds, jobs, config, sink);
-        }
         // The sink-enabled flag routes untraced, unobserved runs onto the
         // non-buffering shard sinks inside the session (profiling,
         // progress, and checkpointing force the streaming path — a
@@ -589,128 +496,5 @@ impl ExecConfig {
             Session::open(self, bounds, jobs, config, resume, true, sink.is_enabled())?;
         session.drain_observed(sink, observer);
         Ok(session.finish())
-    }
-
-    /// The dense sequential engine's direct path: no rounds, no shards,
-    /// no sessions — the whole trace streams from the single driver.
-    fn execute_dense<const D: usize>(
-        &self,
-        bounds: GridBounds<D>,
-        jobs: &JobSequence<D>,
-        config: OnlineConfig,
-        sink: &mut dyn Sink,
-    ) -> Result<Execution, EngineError> {
-        self.validate()?;
-        if self.check {
-            let mut sim = OnlineSim::try_with_sink(bounds, jobs, config, CheckSink::new(sink))?;
-            let report = sim.run();
-            let metrics = sim.metrics();
-            let (mut checker, inner) = sim.into_sink().into_parts();
-            inner.flush_events();
-            checker.finish();
-            let events = checker.events();
-            let violations = checker
-                .violations()
-                .iter()
-                .cloned()
-                .map(|violation| ScopedViolation {
-                    scope: CheckScope::Merged,
-                    violation,
-                })
-                .collect();
-            return Ok(Execution {
-                report,
-                metrics,
-                check: Some(CheckSummary { events, violations }),
-            });
-        }
-        if sink.is_enabled() {
-            let mut sim = OnlineSim::try_with_sink(bounds, jobs, config, sink)?;
-            let report = sim.run();
-            let metrics = sim.metrics();
-            sim.into_sink().flush_events();
-            Ok(Execution {
-                report,
-                metrics,
-                check: None,
-            })
-        } else {
-            let mut sim = OnlineSim::try_new(bounds, jobs, config)?;
-            let report = sim.run();
-            let metrics = sim.metrics();
-            Ok(Execution {
-                report,
-                metrics,
-                check: None,
-            })
-        }
-    }
-}
-
-/// A strategy for executing the on-line protocol over a job sequence.
-///
-/// Every implementation streams the same event schema in the same
-/// canonical order into the caller's sink, so callers (CLI, benchmarks,
-/// experiment drivers) select an engine without caring how it executes —
-/// including behind `&dyn Engine<D>`. [`ExecConfig`] is the canonical
-/// implementation; construct engines through it.
-pub trait Engine<const D: usize> {
-    /// Runs the protocol on `jobs` over `bounds`, streaming the canonical
-    /// event order into `sink` as the simulation executes. Pass
-    /// [`NullSink`] (which reports itself disabled) to skip event
-    /// recording entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EngineError`] when the engine cannot run this
-    /// configuration (grid too large for the dense engine, monitored mode
-    /// or a non-static schedule on the sequential engine).
-    fn run(
-        &self,
-        bounds: GridBounds<D>,
-        jobs: &JobSequence<D>,
-        config: OnlineConfig,
-        sink: &mut dyn Sink,
-    ) -> Result<Execution, EngineError>;
-
-    /// Like [`run`](Engine::run), but verifies the protocol invariants
-    /// inline while streaming: the returned [`Execution::check`] holds the
-    /// verdict. The event bytes reaching `sink` are identical to an
-    /// unchecked run.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Engine::run).
-    fn run_checked(
-        &self,
-        bounds: GridBounds<D>,
-        jobs: &JobSequence<D>,
-        config: OnlineConfig,
-        sink: &mut dyn Sink,
-    ) -> Result<Execution, EngineError>;
-}
-
-impl<const D: usize> Engine<D> for ExecConfig {
-    /// Honors the builder's [`check`](ExecConfig::check) flag, exactly
-    /// like [`ExecConfig::execute`].
-    fn run(
-        &self,
-        bounds: GridBounds<D>,
-        jobs: &JobSequence<D>,
-        config: OnlineConfig,
-        sink: &mut dyn Sink,
-    ) -> Result<Execution, EngineError> {
-        self.execute(bounds, jobs, config, sink)
-    }
-
-    fn run_checked(
-        &self,
-        bounds: GridBounds<D>,
-        jobs: &JobSequence<D>,
-        config: OnlineConfig,
-        sink: &mut dyn Sink,
-    ) -> Result<Execution, EngineError> {
-        self.check(true)
-            .execute_with_checkpoints(bounds, jobs, config, sink, None, &mut |_| {})
     }
 }

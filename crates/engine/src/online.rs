@@ -21,7 +21,7 @@
 //! in shard order, which is `(round, shard)` lexicographic order overall —
 //! exactly the order arrivals appear when the per-shard streams are merged
 //! by the canonical key `(t, shard, index)`, so the job-ledger monitor
-//! sees `seq` 0, 1, 2, … like it does on a sequential trace. Staging at
+//! sees `seq` 0, 1, 2, … like it does on a single-stream trace. Staging at
 //! the barrier (rather than pre-assigning at construction) is what lets a
 //! [`crate::Session`] append externally injected jobs to a shard's queue
 //! mid-run without breaking the contiguous global numbering. Because
@@ -32,18 +32,28 @@
 //! The merge itself happens *during* the run: at every round barrier the
 //! coordinator drains each shard's buffer, k-way merges that round's
 //! events, and pushes them straight into the caller's sink
-//! ([`ShardedOnlineSim::run_streaming`]). Because rounds occupy disjoint
-//! ascending time bands, concatenating per-round merges equals a
-//! whole-run merge — but peak memory is one round's events, not the
-//! whole trace.
+//! ([`ShardedOnlineSim::run`], or a [`crate::Session`]). Because rounds
+//! occupy disjoint ascending time bands, concatenating per-round merges
+//! equals a whole-run merge — but peak memory is one round's events, not
+//! the whole trace.
+//!
+//! ## Monitored mode
+//!
+//! With [`OnlineConfig::monitored`] each shard runs the §3.2.5 heartbeat
+//! ring over its own materialized cubes: after every released job it
+//! ticks its network once, and when a job is refused it ticks eight
+//! times, each followed by quiescence. Ticks never leave the shard, so the
+//! merged trace stays byte-identical for every worker count and schedule;
+//! a shard ticks only in rounds where it releases a job, so heartbeat
+//! traffic exists only in cubes that have seen demand (or a fault).
 //!
 //! ## Inline verification
 //!
 //! With `SS = CheckSink<VecSink>` every shard carries a full
 //! [`TraceChecker`] over its local stream (configured for the shard view:
-//! seeded capacity, gap-tolerant job ledger), and
-//! [`ShardedOnlineSim::run_streaming_checked`] feeds the merged stream
-//! through a [`MergeChecker`] that certifies the two properties only the
+//! seeded capacity, gap-tolerant job ledger), and a checked
+//! [`crate::Session`] feeds the merged stream through a
+//! [`cmvrp_obs::MergeChecker`] that certifies the two properties only the
 //! merge can see — the global clock and global job-seq contiguity.
 
 use crate::checkpoint::{run_fingerprint, EngineCheckpoint, ShardCheckpoint, VehicleCheckpoint};
@@ -60,7 +70,7 @@ use cmvrp_obs::{
     CheckSink, Event, Histogram, MergeChecker, Metrics, NullSink, Sink, StaticSink, TraceChecker,
     VecSink, Violation, DEFAULT_BUCKETS,
 };
-use cmvrp_online::vehicle::{ServeResult, Vehicle, VehicleSnapshot};
+use cmvrp_online::vehicle::{ServeResult, Vehicle, VehicleSnapshot, WorkState};
 use cmvrp_online::{provision, OnlineConfig, OnlineMsg, OnlineReport, Provisioning};
 use cmvrp_workloads::JobSequence;
 use std::cmp::Reverse;
@@ -113,17 +123,29 @@ fn shard_seed(seed: u64, shard: usize) -> u64 {
     seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// One shard's slice of the on-line simulation: a sparse mirror of
-/// `OnlineSim` restricted to the cubes this shard owns.
+/// Heartbeat tick rounds a monitored shard runs after each released job.
+const TICKS_PER_JOB: u32 = 1;
+
+/// Heartbeat tick rounds a monitored shard runs, each followed by
+/// quiescence, when a job's responsible vehicle cannot serve it.
+const RECOVERY_TICKS: u32 = 8;
+
+/// One shard's slice of the on-line simulation: the vehicles of the cubes
+/// this shard owns, materialized on first demand, and the physical layer
+/// over them (positions, pairings, neighbor lists, the monitoring ring).
 #[derive(Debug)]
 struct ShardSim<const D: usize, SS: ShardSink> {
     net: Network<Vehicle<D>, OnlineMsg<D>, SS>,
     bounds: GridBounds<D>,
     part: CubePartition<D>,
     comm_radius: u64,
+    monitored: bool,
     capacity: u64,
     /// Local process id → global vehicle id (lexicographic vertex index).
     global_ids: Vec<usize>,
+    /// Materialized cubes in materialization order, which fixes the local
+    /// process ids (and with them the order ticks visit vehicles in).
+    cubes: Vec<CubeId<D>>,
     id_of_home: HashMap<Point<D>, ProcessId>,
     pairings: HashMap<CubeId<D>, Pairing<D>>,
     pair_active: HashMap<(CubeId<D>, usize), ProcessId>,
@@ -174,8 +196,10 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             bounds,
             part,
             comm_radius: config.comm_radius,
+            monitored: config.monitored,
             capacity,
             global_ids: Vec::new(),
+            cubes: Vec::new(),
             id_of_home: HashMap::new(),
             pairings: HashMap::new(),
             pair_active: HashMap::new(),
@@ -195,9 +219,8 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
     }
 
     /// Materializes a cube on first demand: adds one vehicle per vertex
-    /// (ids in lexicographic vertex order, matching the dense engine's
-    /// numbering within the cube), pairs it, activates primaries, and
-    /// wires neighbor lists.
+    /// (ids in lexicographic vertex order), pairs it, activates
+    /// primaries, wires neighbor lists and, when monitored, the ring.
     fn ensure_cube(&mut self, cube_id: CubeId<D>) {
         if self.pairings.contains_key(&cube_id) {
             return;
@@ -221,11 +244,22 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             self.pair_active.insert((cube_id, idx), lid);
         }
         self.pairings.insert(cube_id, pairing);
+        self.cubes.push(cube_id);
         self.recompute_neighbors(cube_id);
+        if self.monitored {
+            self.rewire_monitors();
+        }
+    }
+
+    /// The local id of the vehicle whose home is `home`, materializing its
+    /// cube first.
+    fn vehicle_at(&mut self, home: Point<D>) -> ProcessId {
+        self.ensure_cube(self.part.cube_of(home));
+        self.id_of_home[&home]
     }
 
     /// Physical layer: recompute neighbor lists for all vehicles currently
-    /// inside `cube` (mirrors the dense driver, over local processes only).
+    /// inside `cube` (positions are dynamic but never leave the cube).
     fn recompute_neighbors(&mut self, cube: CubeId<D>) {
         let members: Vec<(ProcessId, Point<D>)> = (0..self.net.len())
             .filter(|&id| !self.net.is_crashed(id))
@@ -240,6 +274,45 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
                 .collect();
             self.net.process_mut(id).set_neighbors(neighbors);
         }
+    }
+
+    /// §3.2.5 monitoring ring: in each materialized cube, visited in
+    /// materialization order, the vehicles currently responsible for the
+    /// pairs watch one another in pair-index order. Crashed or silent
+    /// vehicles stay in the ring as *watched* targets (that is the point
+    /// of monitoring) but cannot act as watchers.
+    fn rewire_monitors(&mut self) {
+        for c in 0..self.cubes.len() {
+            let cube_id = self.cubes[c];
+            let npairs = self.pairings[&cube_id].pairs().len();
+            let members: Vec<ProcessId> = (0..npairs)
+                .filter_map(|idx| self.pair_active.get(&(cube_id, idx)).copied())
+                .collect();
+            for (k, &id) in members.iter().enumerate() {
+                if self.net.is_crashed(id) || self.net.process(id).work() != WorkState::Active {
+                    continue; // cannot act as a watcher
+                }
+                let target = members[(k + 1) % members.len()];
+                let watch = if target == id {
+                    None
+                } else {
+                    Some((target, self.net.process(target).pos()))
+                };
+                self.net.process_mut(id).set_watch(watch);
+                if target != id {
+                    // Tell the target where to send its heartbeats.
+                    self.net.process_mut(target).set_report_to(Some(id));
+                }
+            }
+        }
+    }
+
+    /// Ticks every vehicle of the shard once, then lets the network
+    /// quiesce and absorbs what happened.
+    fn tick_round(&mut self) {
+        self.net.tick_all();
+        self.net.run_to_quiescence();
+        self.absorb_events();
     }
 
     /// Driver bookkeeping after quiescence: absorb completed relocations
@@ -264,14 +337,20 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             self.pair_active.insert((cube, pair), id);
             self.recompute_neighbors(cube);
         }
+        if self.monitored {
+            self.rewire_monitors();
+        }
     }
 
-    /// Delivers one job and lets the shard quiesce; mirrors the dense
-    /// driver's two-attempt recovery loop (unmonitored mode).
+    /// Delivers one job and lets the shard quiesce. Returns whether it was
+    /// served.
     fn deliver(&mut self, seq: u64, job: Point<D>) -> bool {
         let cube = self.part.cube_of(job);
         let pair = self.pairings[&cube].pair_of(job).expect("job on grid");
         let mut served = false;
+        // Up to two attempts: if the first responsible vehicle cannot serve
+        // (exhausted or crashed), quiesce — letting replacement or
+        // monitoring run — and retry once.
         for attempt in 0..2 {
             let vid = match self.pair_active.get(&(cube, pair)) {
                 Some(&vid) => vid,
@@ -291,16 +370,31 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
                         self.net.sink_mut().record(&ev);
                     }
                     served = true;
+                    // The server may have gone done and started Phase I.
                     self.net.run_to_quiescence();
                     self.absorb_events();
                     break;
                 }
             }
-            self.net.run_to_quiescence();
-            self.absorb_events();
+            // Responsible vehicle unavailable: run recovery machinery.
+            if self.monitored {
+                for _ in 0..RECOVERY_TICKS {
+                    self.tick_round();
+                }
+            } else {
+                self.net.run_to_quiescence();
+                self.absorb_events();
+            }
             if attempt == 1 {
                 break;
             }
+        }
+        if self.monitored {
+            for _ in 0..TICKS_PER_JOB {
+                self.net.tick_all();
+            }
+            self.net.run_to_quiescence();
+            self.absorb_events();
         }
         served
     }
@@ -352,7 +446,7 @@ impl<const D: usize, SS: ShardSink> ShardWorker for ShardSim<D, SS> {
     /// (neighbor recomputation, message traffic), plus one unit while it
     /// still has jobs to release.
     fn load_hint(&self) -> u64 {
-        self.pairings.len() as u64 + u64::from(self.released < self.jobs.len())
+        self.cubes.len() as u64 + u64::from(self.released < self.jobs.len())
     }
 }
 
@@ -400,14 +494,13 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
 
     /// Captures this shard's durable state at a quiescent round barrier.
     ///
-    /// Every map-derived list is emitted sorted and every process
-    /// reference rewritten to its global id, so the record — and any
-    /// serialization of it — is byte-identical no matter which order this
-    /// run happened to materialize cubes in.
+    /// Cubes are listed in materialization order (a function of this
+    /// shard's own arrivals, never of the worker count), every other
+    /// map-derived list is emitted sorted, and every process reference is
+    /// rewritten to its global id, so the record — and any serialization
+    /// of it — is byte-identical for every worker count and schedule.
     fn checkpoint(&self) -> ShardCheckpoint {
         let transport = self.net.transport_snapshot();
-        let mut cubes: Vec<CubeId<D>> = self.pairings.keys().copied().collect();
-        cubes.sort();
         let mut pair_active: Vec<(Vec<i64>, u64, u64)> = self
             .pair_active
             .iter()
@@ -415,6 +508,7 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             .collect();
         pair_active.sort();
         let global_cid = |c: ComputationId| (self.global_ids[c.initiator] as u64, c.generation);
+        let global = |lid: ProcessId| self.global_ids[lid] as u64;
         let mut vehicles: Vec<VehicleCheckpoint> = (0..self.net.len())
             .map(|lid| {
                 let snap = self.net.process(lid).snapshot();
@@ -430,15 +524,17 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
                     summon_dest: snap.summon_dest.map(|p| p.coords().to_vec()),
                     failed_search: snap.failed_search,
                     arrived: snap.arrived.map(|p| p.coords().to_vec()),
-                    neighbors: snap
-                        .neighbors
-                        .iter()
-                        .map(|&n| self.global_ids[n] as u64)
-                        .collect(),
+                    neighbors: snap.neighbors.iter().map(|&n| global(n)).collect(),
                     msg_counts: snap.msg_counts,
                     diffusions: snap.diffusions,
                     engine_init: engine_init.map(global_cid),
                     engine_next_generation,
+                    watch: snap
+                        .watch
+                        .map(|(peer, pos, seen)| (global(peer), pos.coords().to_vec(), seen)),
+                    report_to: snap.report_to.map(global),
+                    ticks: snap.ticks,
+                    heartbeat_misses: snap.heartbeat_misses,
                 }
             })
             .collect();
@@ -461,7 +557,7 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             unserved: self.unserved,
             replacements: self.replacements,
             failed_replacements: self.failed_replacements,
-            cubes: cubes.into_iter().map(|c| c.0.to_vec()).collect(),
+            cubes: self.cubes.iter().map(|c| c.0.to_vec()).collect(),
             pair_active,
             vehicles,
         }
@@ -469,12 +565,11 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
 
     /// Reinjects checkpoint state into a freshly constructed shard.
     ///
-    /// Cubes re-materialize in the checkpoint's sorted order — local
-    /// process ids may therefore differ from the original run's, but the
-    /// within-cube numbering (lexicographic vertex order) is preserved and
-    /// traces carry global ids, so the merged stream is unaffected. Every
-    /// vehicle, pairing activation, counter, and the transport layer are
-    /// then overwritten with the recorded state.
+    /// Cubes re-materialize in the checkpoint's order, which is the
+    /// original run's materialization order, so every local process id —
+    /// and with it the order ticks visit vehicles in — matches the
+    /// original run's. Every vehicle, pairing activation, counter, and the
+    /// transport layer are then overwritten with the recorded state.
     fn restore(&mut self, ckpt: &ShardCheckpoint) {
         let cube_of = |coords: &[i64]| {
             let mut id = [0i64; D];
@@ -522,6 +617,13 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
                     v.engine_init.as_ref().map(local_cid),
                     v.engine_next_generation,
                 ),
+                watch: v
+                    .watch
+                    .as_ref()
+                    .map(|(peer, pos, seen)| (local_of[peer], point_of(pos), *seen)),
+                report_to: v.report_to.map(|g| local_of[&g]),
+                ticks: v.ticks,
+                heartbeat_misses: v.heartbeat_misses,
             };
             self.net.process_mut(local_of[&v.global_id]).restore(&snap);
         }
@@ -551,43 +653,54 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
     }
 }
 
-/// The merge key time of an event. Events without a simulation time
-/// (heartbeat tick-rounds, wall-clock spans) map to 0; the sharded engine
-/// never emits either — monitored mode is rejected at construction and
-/// spans come only from the offline algorithms.
-fn event_time(ev: &Event) -> u64 {
-    ev.time().unwrap_or(0)
+/// The merge key time of an event in one shard's stream. An event without
+/// a simulation time (a `heartbeat_missed`, clocked in the watcher's tick
+/// rounds) takes the time of the event before it in the same stream, so
+/// it merges next to the events around it; `last` carries that time.
+fn event_time(ev: &Event, last: &mut u64) -> u64 {
+    if let Some(t) = ev.time() {
+        *last = t;
+    }
+    *last
 }
 
-/// The sharded, sparse, deterministic parallel on-line simulator.
+/// The sharded, sparse, deterministic parallel on-line simulator — the
+/// one on-line engine.
 ///
 /// Construction partitions the grid into cube-aligned shards
 /// ([`ShardMap`]) and splits the job sequence among them; [`run`] executes
 /// conservative lockstep rounds under an [`ExecConfig`] (worker-thread
 /// bound plus [`crate::Schedule`] policy). With a buffering shard sink
-/// (`SS = VecSink` or `SS = CheckSink<VecSink>`), [`run_streaming`]
-/// instead merges the per-shard streams into a caller sink *at every
-/// round barrier*, producing the canonical merged trace — byte-identical
-/// for every thread count and schedule — with peak memory bounded by one
-/// round's events.
+/// (`SS = VecSink` or `SS = CheckSink<VecSink>`), `run` merges the
+/// per-shard streams into the caller's sink *at every round barrier*,
+/// producing the canonical merged trace — byte-identical for every thread
+/// count and schedule — with peak memory bounded by one round's events.
+///
+/// Most callers go through [`ExecConfig::execute`] or a
+/// [`crate::Session`]; a pre-built simulator is the way to inject faults
+/// before the run ([`crash_vehicle_at`], [`set_faulty_at`],
+/// [`set_longevity_at`]).
 ///
 /// [`run`]: ShardedOnlineSim::run
-/// [`run_streaming`]: ShardedOnlineSim::run_streaming
+/// [`crash_vehicle_at`]: ShardedOnlineSim::crash_vehicle_at
+/// [`set_faulty_at`]: ShardedOnlineSim::set_faulty_at
+/// [`set_longevity_at`]: ShardedOnlineSim::set_longevity_at
 ///
 /// # Examples
 ///
 /// ```
 /// use cmvrp_engine::{ExecConfig, Schedule, ShardedOnlineSim};
 /// use cmvrp_grid::GridBounds;
+/// use cmvrp_obs::NullSink;
 /// use cmvrp_online::OnlineConfig;
 /// use cmvrp_workloads::{arrivals, spatial, Ordering};
 ///
 /// let bounds = GridBounds::square(12);
 /// let demand = spatial::point(&bounds, 100);
 /// let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
-/// let mut sim =
-///     ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default()).unwrap();
-/// let report = sim.run(&ExecConfig::new().threads(4).schedule(Schedule::Steal));
+/// let mut sim = ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default());
+/// let exec = ExecConfig::new().threads(4).schedule(Schedule::Steal);
+/// let report = sim.run(&exec, &mut NullSink);
 /// assert_eq!(report.unserved, 0);
 /// ```
 #[derive(Debug)]
@@ -654,48 +767,30 @@ pub(crate) enum StepLimit {
 }
 
 impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
-    /// Builds the sharded simulation: derives the provisioning exactly as
-    /// the dense engine does ([`provision`]), lays out cube-aligned shards,
-    /// and splits the job sequence by shard (trace sequence numbers are
-    /// staged at the round barriers, in `(round, shard)` order). No
-    /// vehicles are materialized yet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::MonitoredUnsupported`] when
-    /// `config.monitored` is set: heartbeat monitoring uses watcher-local
-    /// tick clocks that the lockstep rounds do not model.
+    /// Builds the sharded simulation: derives the provisioning
+    /// ([`provision`]) from the sequence's induced demand, lays out
+    /// cube-aligned shards, and splits the job sequence by shard (trace
+    /// sequence numbers are staged at the round barriers, in
+    /// `(round, shard)` order). No vehicles are materialized yet.
     ///
     /// # Panics
     ///
     /// Panics if any job lies outside `bounds`.
-    pub fn new(
-        bounds: GridBounds<D>,
-        jobs: &JobSequence<D>,
-        config: OnlineConfig,
-    ) -> Result<Self, EngineError> {
+    pub fn new(bounds: GridBounds<D>, jobs: &JobSequence<D>, config: OnlineConfig) -> Self {
         Self::build(bounds, jobs, config, true)
     }
 
     /// Builds the sharded simulation provisioned for `jobs` — same fleet,
     /// cube side, and shard layout as [`new`](ShardedOnlineSim::new) —
     /// but with every job queue *empty*: arrivals are expected to stream
-    /// in later through [`inject_job`](ShardedOnlineSim::inject_job) (the
-    /// [`crate::Session`] "live" mode). `jobs` is the planning demand the
-    /// fleet is provisioned against, not a preloaded schedule.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`new`](ShardedOnlineSim::new).
+    /// in later through [`Session::inject`](crate::Session::inject) (the
+    /// session's "live" mode). `jobs` is the planning demand the fleet is
+    /// provisioned against, not a preloaded schedule.
     ///
     /// # Panics
     ///
     /// Panics if any job lies outside `bounds`.
-    pub fn new_live(
-        bounds: GridBounds<D>,
-        jobs: &JobSequence<D>,
-        config: OnlineConfig,
-    ) -> Result<Self, EngineError> {
+    pub fn new_live(bounds: GridBounds<D>, jobs: &JobSequence<D>, config: OnlineConfig) -> Self {
         Self::build(bounds, jobs, config, false)
     }
 
@@ -704,10 +799,7 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         jobs: &JobSequence<D>,
         config: OnlineConfig,
         preload: bool,
-    ) -> Result<Self, EngineError> {
-        if config.monitored {
-            return Err(EngineError::MonitoredUnsupported);
-        }
+    ) -> Self {
         for job in jobs.iter() {
             assert!(bounds.contains(job), "job at {job} outside bounds");
         }
@@ -726,7 +818,7 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
             .enumerate()
             .map(|(shard, jobs)| ShardSim::new(shard, bounds, part, &config, prov.capacity, jobs))
             .collect();
-        Ok(ShardedOnlineSim {
+        ShardedOnlineSim {
             shards,
             bounds,
             map,
@@ -734,7 +826,7 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
             stats: None,
             fingerprint: run_fingerprint(&bounds, jobs, &config),
             resume: None,
-        })
+        }
     }
 
     /// Builds the sharded simulation positioned at `ckpt`: constructs it
@@ -747,15 +839,14 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
     ///
     /// [`EngineError::ResumeMismatch`] when `ckpt` was written by a run
     /// with different inputs (bounds, jobs, or an execution-shaping
-    /// [`OnlineConfig`] field); the construction errors of
-    /// [`new`](ShardedOnlineSim::new) otherwise.
+    /// [`OnlineConfig`] field).
     pub fn resume(
         bounds: GridBounds<D>,
         jobs: &JobSequence<D>,
         config: OnlineConfig,
         ckpt: &EngineCheckpoint,
     ) -> Result<Self, EngineError> {
-        let mut sim = Self::new(bounds, jobs, config)?;
+        let mut sim = Self::new(bounds, jobs, config);
         if sim.fingerprint != ckpt.fingerprint {
             return Err(EngineError::ResumeMismatch {
                 expected: sim.fingerprint,
@@ -809,82 +900,30 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
     }
 
     /// Replays the job sequence in conservative lockstep rounds under
-    /// `exec` (worker-thread bound, defaulting to 1 when the config names
-    /// the sequential engine, plus [`crate::Schedule`] policy) and reports
-    /// the Theorem 1.4.2 accounting. The result — and, with a tracing
-    /// sink, the merged trace — is identical for every thread count and
-    /// schedule.
-    pub fn run(&mut self, exec: &ExecConfig) -> OnlineReport {
+    /// `exec` (worker-thread bound plus [`crate::Schedule`] policy),
+    /// streams the canonical merged trace into `sink`, and reports the
+    /// Theorem 1.4.2 accounting: a single `fleet_provisioned` header at
+    /// `t = 0`, then — at every round barrier — a stable k-way merge of
+    /// that round's (id-remapped) per-shard events keyed by
+    /// `(t, shard, index)`. Rounds occupy disjoint ascending time bands,
+    /// so the concatenation of per-round merges is exactly the whole-run
+    /// merge. The report and the merged bytes are identical for every
+    /// thread count and schedule. Only a buffering shard sink `SS` has
+    /// events to stream; with `SS = CheckSink<VecSink>` the shard-local
+    /// monitors run as well (see
+    /// [`take_shard_violations`](ShardedOnlineSim::take_shard_violations)).
+    pub fn run(&mut self, exec: &ExecConfig, sink: &mut dyn Sink) -> OnlineReport {
         let mut cur = self.cursor();
-        self.drive(exec, &mut NullSink, None, None, &mut cur, StepLimit::None);
-        self.report()
-    }
-
-    /// Like [`run`](ShardedOnlineSim::run), but streams the canonical
-    /// merged trace into `sink` while the rounds execute: a single
-    /// `fleet_provisioned` header at `t = 0`, then — at every round
-    /// barrier — a stable k-way merge of that round's (id-remapped)
-    /// per-shard events keyed by `(t, shard, index)`. Rounds occupy
-    /// disjoint ascending time bands, so the concatenation of per-round
-    /// merges is exactly the whole-run merge; peak buffering is one
-    /// round's events. The merged bytes are identical for every
-    /// thread count and schedule.
-    pub fn run_streaming(&mut self, exec: &ExecConfig, sink: &mut dyn Sink) -> OnlineReport {
-        self.stream(exec, sink, None, None)
-    }
-
-    /// [`run_streaming`](ShardedOnlineSim::run_streaming) with the merged
-    /// stream additionally fed through `cross`, the merge-time checker for
-    /// the invariants only the merged order can certify (global clock
-    /// monotonicity, global job-seq contiguity). Shard-local invariants
-    /// are covered by per-shard [`CheckSink`]s when `SS` carries them; see
-    /// [`take_shard_violations`](ShardedOnlineSim::take_shard_violations).
-    pub fn run_streaming_checked(
-        &mut self,
-        exec: &ExecConfig,
-        sink: &mut dyn Sink,
-        cross: &mut MergeChecker,
-    ) -> OnlineReport {
-        self.stream(exec, sink, Some(cross), None)
-    }
-
-    /// [`run_streaming`](ShardedOnlineSim::run_streaming) with checkpoint
-    /// capture: whenever [`crate::CheckpointPolicy`] says so — every `R`
-    /// rounds and/or at the stop round — `observer` receives an
-    /// [`EngineCheckpoint`] taken at that barrier, with every shard
-    /// quiescent and the merge already drained. With
-    /// [`CheckpointPolicy::stop_at`](crate::CheckpointPolicy::stop_at)
-    /// set, the run ends right after that round's checkpoint, mid-job-
-    /// sequence. `cross` carries the optional merge-time checker (pass the
-    /// result of [`MergeChecker::resume_at`] when resuming a checked run).
-    pub fn run_streaming_observed(
-        &mut self,
-        exec: &ExecConfig,
-        sink: &mut dyn Sink,
-        cross: Option<&mut MergeChecker>,
-        observer: &mut dyn FnMut(EngineCheckpoint),
-    ) -> OnlineReport {
-        self.stream(exec, sink, cross, Some(observer))
-    }
-
-    fn stream(
-        &mut self,
-        exec: &ExecConfig,
-        sink: &mut dyn Sink,
-        cross: Option<&mut MergeChecker>,
-        observer: Option<&mut dyn FnMut(EngineCheckpoint)>,
-    ) -> OnlineReport {
-        let mut cur = self.cursor();
-        self.drive(exec, sink, cross, observer, &mut cur, StepLimit::None);
+        self.drive(exec, sink, None, None, &mut cur, StepLimit::None);
         self.report()
     }
 
     /// Executes one *batch* of lockstep rounds — the single round loop
-    /// that every entry point ([`run`](ShardedOnlineSim::run), the
-    /// `run_streaming*` family, and [`crate::Session`]) drives. `cur` is
-    /// the continuation cursor: a caller that passes the same cursor back
-    /// produces, across any split into batches, exactly the rounds, trace
-    /// bytes, and checkpoints of one uninterrupted run. `limit` bounds the
+    /// that every entry point ([`run`](ShardedOnlineSim::run) and
+    /// [`crate::Session`]) drives. `cur` is the continuation cursor: a
+    /// caller that passes the same cursor back produces, across any split
+    /// into batches, exactly the rounds, trace bytes, and checkpoints of
+    /// one uninterrupted run. `limit` bounds the
     /// batch (in addition to the builder's
     /// [`crate::CheckpointPolicy::stop_at`]); the batch also ends when
     /// every shard goes idle.
@@ -936,7 +975,7 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         let profiled = exec.is_profiled();
         let policy = exec.checkpoint_policy();
         let fingerprint = self.fingerprint;
-        let threads = exec.worker_threads().unwrap_or(1);
+        let threads = exec.worker_threads();
         let schedule = exec.policy();
         let checked = exec.is_checked();
         let start = LockstepStart {
@@ -1117,11 +1156,90 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
             rounds_completed: cur.rounds_done,
             next_epoch: cur.next_epoch,
             trace_events: cur.merged_total,
-            threads: exec.worker_threads().unwrap_or(1) as u64,
+            threads: exec.worker_threads() as u64,
             schedule: exec.policy(),
             checked: exec.is_checked(),
             shards: self.shards.iter().map(|s| s.checkpoint()).collect(),
         }
+    }
+
+    /// The shard owning `home` and the local id of the vehicle whose home
+    /// it is, materializing that vehicle's cube first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home` is outside the grid.
+    fn vehicle_at(&mut self, home: Point<D>) -> (&mut ShardSim<D, SS>, ProcessId) {
+        assert!(self.bounds.contains(home), "no vehicle at {home}");
+        let shard = &mut self.shards[self.map.shard_of_point(home)];
+        let id = shard.vehicle_at(home);
+        (shard, id)
+    }
+
+    /// Crashes the vehicle at `home` (scenario 3): it goes silent and the
+    /// physical layer drops it from neighbor lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home` is outside the grid.
+    pub fn crash_vehicle_at(&mut self, home: Point<D>) {
+        let (shard, id) = self.vehicle_at(home);
+        shard.net.crash(id);
+        let cube = shard.part.cube_of(shard.net.process(id).pos());
+        shard.recompute_neighbors(cube);
+        if shard.monitored {
+            shard.rewire_monitors();
+        }
+    }
+
+    /// Marks the vehicle at `home` faulty (scenario 2): when it exhausts it
+    /// will not initiate its own replacement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home` is outside the grid.
+    pub fn set_faulty_at(&mut self, home: Point<D>) {
+        let (shard, id) = self.vehicle_at(home);
+        shard.net.process_mut(id).set_faulty(true);
+    }
+
+    /// Assigns a Chapter 4 longevity `p ∈ [0,1]` to the vehicle at `home`:
+    /// it breaks silently after spending `⌊p·W⌋` energy (scenario 4 when
+    /// applied to many vehicles).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home` is outside the grid or `p` is outside `[0,1]`.
+    pub fn set_longevity_at(&mut self, home: Point<D>, p: f64) {
+        assert!((0.0..=1.0).contains(&p), "longevity out of [0,1]");
+        let threshold = (p * self.prov.capacity as f64).floor() as u64;
+        let (shard, id) = self.vehicle_at(home);
+        shard.net.process_mut(id).set_breaks_at(threshold);
+    }
+
+    /// The home vertex of the vehicle currently responsible for jobs at
+    /// `p` (the active vehicle of `p`'s pair) — useful for targeting fault
+    /// injection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside the grid or its pair has no responsible
+    /// vehicle (only possible after an unrecovered failure).
+    pub fn responsible_home(&mut self, p: Point<D>) -> Point<D> {
+        let (shard, _) = self.vehicle_at(p);
+        let cube = shard.part.cube_of(p);
+        let pair = shard.pairings[&cube].pair_of(p).expect("p on grid");
+        let vid = shard.pair_active[&(cube, pair)];
+        shard.net.process(vid).home()
+    }
+
+    /// Number of vehicles that have broken (Chapter 4 accounting).
+    pub fn broken_count(&self) -> u64 {
+        self.shards
+            .iter()
+            .flat_map(|s| s.net.processes())
+            .filter(|v| v.is_broken())
+            .count() as u64
     }
 
     /// The grid bounds this simulation was constructed over.
@@ -1204,8 +1322,7 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         }
     }
 
-    /// The derived provisioning (side, `ω_c`, capacity) — identical to the
-    /// dense engine's for the same inputs.
+    /// The derived provisioning (side, `ω_c`, capacity).
     pub fn provisioning(&self) -> Provisioning {
         self.prov
     }
@@ -1231,8 +1348,7 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
 
     /// Snapshot of the always-on metrics, aggregated across shards: the
     /// merged `net.*` transport registry plus the fleet-level `online.*`
-    /// counters and the per-vehicle energy distribution (same namespaces
-    /// as the dense engine's `OnlineSim::metrics`). After a run, the
+    /// counters and the per-vehicle energy distribution. After a run, the
     /// `engine.*` namespace carries the scheduler counters: lockstep
     /// rounds plus per-worker busy time, shards stepped, and steals — the
     /// direct observation of scheduler skew.
@@ -1306,10 +1422,11 @@ fn merge_round<const D: usize, SS: ShardSink>(
         .map(|shard| shard.drain_remapped())
         .collect();
     let mut cursors = vec![0usize; streams.len()];
+    let mut clocks = vec![0u64; streams.len()];
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     for (shard, stream) in streams.iter().enumerate() {
         if let Some(first) = stream.first() {
-            heap.push(Reverse((event_time(first), shard)));
+            heap.push(Reverse((event_time(first, &mut clocks[shard]), shard)));
         }
     }
     let mut merged = 0u64;
@@ -1329,7 +1446,7 @@ fn merge_round<const D: usize, SS: ShardSink>(
         merged += 1;
         cursors[shard] += 1;
         if let Some(next) = streams[shard].get(cursors[shard]) {
-            heap.push(Reverse((event_time(next), shard)));
+            heap.push(Reverse((event_time(next, &mut clocks[shard]), shard)));
         }
     }
     (merged, sink_ns)
@@ -1398,5 +1515,252 @@ impl Progress {
         if self.last.is_some() {
             eprintln!();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cmvrp_core::{omega_c, online_factor};
+    use cmvrp_workloads::{arrivals, spatial, Ordering};
+
+    fn monitored() -> OnlineConfig {
+        OnlineConfig {
+            monitored: true,
+            ..OnlineConfig::default()
+        }
+    }
+
+    fn run(sim: &mut ShardedOnlineSim<2>) -> OnlineReport {
+        sim.run(&ExecConfig::new(), &mut NullSink)
+    }
+
+    fn run_workload(
+        demand: &cmvrp_grid::DemandMap<2>,
+        bounds: GridBounds<2>,
+        ordering: Ordering,
+        config: OnlineConfig,
+    ) -> OnlineReport {
+        let jobs = arrivals::from_demand(demand, ordering, 3);
+        run(&mut ShardedOnlineSim::new(bounds, &jobs, config))
+    }
+
+    #[test]
+    fn point_workload_all_served() {
+        let b = GridBounds::square(12);
+        let d = spatial::point(&b, 300);
+        let report = run_workload(&d, b, Ordering::Sequential, OnlineConfig::default());
+        assert_eq!(report.served, 300);
+        assert_eq!(report.unserved, 0);
+        assert_eq!(report.failed_replacements, 0);
+        assert!(report.replacements > 0, "exhaustions must occur");
+        assert!(report.max_energy_used <= report.capacity);
+    }
+
+    #[test]
+    fn line_workload_all_served() {
+        let b = GridBounds::square(12);
+        let d = spatial::line(&b, 8);
+        let report = run_workload(&d, b, Ordering::Interleaved, OnlineConfig::default());
+        assert_eq!(report.served, 96);
+        assert_eq!(report.unserved, 0);
+    }
+
+    #[test]
+    fn uniform_workload_all_served() {
+        let b = GridBounds::square(10);
+        let d = spatial::uniform_random(&b, 120, 5);
+        let report = run_workload(&d, b, Ordering::Shuffled, OnlineConfig::default());
+        assert_eq!(report.served, 120);
+        assert_eq!(report.unserved, 0);
+    }
+
+    #[test]
+    fn capacity_within_theorem_order() {
+        // The derived provisioning stays within a constant multiple of the
+        // theorem's (4·3^ℓ+ℓ)·ω_c (allowing discretization slack for tiny
+        // ω_c).
+        let b = GridBounds::square(12);
+        let d = spatial::point(&b, 200);
+        let jobs = arrivals::from_demand(&d, Ordering::Sequential, 0);
+        let sim = ShardedOnlineSim::<2>::new(b, &jobs, OnlineConfig::default());
+        let capacity = sim.provisioning().capacity;
+        let wc = omega_c(&b, &d).to_f64();
+        let theorem = online_factor(2) as f64 * wc.max(1.0);
+        assert!(
+            (capacity as f64) <= 2.0 * theorem + 10.0,
+            "capacity {capacity} vs theorem {theorem}"
+        );
+    }
+
+    #[test]
+    fn max_energy_bounded_by_capacity_across_seeds() {
+        let b = GridBounds::square(8);
+        let d = spatial::zipf_clusters(&b, 2, 80, 11);
+        for seed in 0..4u64 {
+            let config = OnlineConfig {
+                seed,
+                ..OnlineConfig::default()
+            };
+            let report = run_workload(&d, b, Ordering::Shuffled, config);
+            assert_eq!(report.unserved, 0, "seed {seed}");
+            assert!(report.max_energy_used <= report.capacity, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn starved_capacity_reports_unserved() {
+        // Capacity too small to serve everything: the engine must report
+        // the shortfall rather than panic.
+        let b = GridBounds::square(6);
+        let d = spatial::point(&b, 100);
+        let config = OnlineConfig {
+            capacity_override: Some(3),
+            ..OnlineConfig::default()
+        };
+        let report = run_workload(&d, b, Ordering::Sequential, config);
+        assert!(report.unserved > 0);
+        assert!(report.served < 100);
+    }
+
+    #[test]
+    fn empty_sequence() {
+        let b = GridBounds::square(4);
+        let jobs = JobSequence::default();
+        let report = run(&mut ShardedOnlineSim::new(
+            b,
+            &jobs,
+            OnlineConfig::default(),
+        ));
+        assert_eq!(report.served, 0);
+        assert_eq!(report.unserved, 0);
+        assert_eq!(report.max_energy_used, 0);
+    }
+
+    #[test]
+    fn scenario2_faulty_done_vehicle_recovered_by_monitor() {
+        let b = GridBounds::square(6);
+        let d = spatial::point(&b, 40);
+        let jobs = arrivals::from_demand(&d, Ordering::Sequential, 0);
+        let mut sim = ShardedOnlineSim::new(b, &jobs, monitored());
+        // The vehicle that first serves the center: make it faulty.
+        sim.set_faulty_at(spatial::center(&b));
+        let report = run(&mut sim);
+        assert_eq!(report.unserved, 0, "monitor must recover: {report:?}");
+    }
+
+    #[test]
+    fn scenario3_crashed_vehicle_recovered_by_monitor() {
+        let b = GridBounds::square(6);
+        let d = spatial::point(&b, 30);
+        let jobs = arrivals::from_demand(&d, Ordering::Sequential, 0);
+        let mut sim = ShardedOnlineSim::new(b, &jobs, monitored());
+        sim.crash_vehicle_at(spatial::center(&b));
+        let report = run(&mut sim);
+        // The crashed vehicle's jobs must eventually be served by a
+        // replacement; at most the first couple of arrivals are lost while
+        // detection runs.
+        assert!(report.unserved <= 2, "{report:?}");
+        assert!(report.served >= 28);
+        assert!(report.heartbeat_misses > 0, "{report:?}");
+    }
+
+    #[test]
+    fn observability_summaries() {
+        let b = GridBounds::square(10);
+        let d = spatial::point(&b, 300);
+        let jobs = arrivals::from_demand(&d, Ordering::Sequential, 0);
+        let mut sim = ShardedOnlineSim::<2>::new(b, &jobs, OnlineConfig::default());
+        let report = run(&mut sim);
+        assert_eq!(report.unserved, 0);
+        let metrics = sim.metrics();
+        let energy = metrics
+            .histogram("online.vehicle_energy")
+            .expect("energy histogram");
+        assert!(energy.count() >= 2, "several vehicles must participate");
+        assert_eq!(energy.max(), report.max_energy_used);
+        // Every message is delivered (no loss, no crash), and diffusing
+        // traffic runs once per replacement.
+        assert_eq!(metrics.counter("net.msgs_delivered"), report.messages);
+        assert!(report.messages > 0);
+        assert!(metrics.counter("online.diffusions_started") >= report.replacements);
+        assert_eq!(
+            report.heartbeat_misses, 0,
+            "heartbeats only in monitored mode"
+        );
+    }
+
+    #[test]
+    fn longevity_break_recovered_by_monitor() {
+        // Scenario 4 lite: one vehicle with p = 0.3 breaks mid-campaign and
+        // is silently replaced through the monitoring ring.
+        let b = GridBounds::square(8);
+        let d = spatial::point(&b, 200);
+        let jobs = arrivals::from_demand(&d, Ordering::Sequential, 0);
+        let mut sim = ShardedOnlineSim::new(b, &jobs, monitored());
+        let victim = sim.responsible_home(spatial::center(&b));
+        sim.set_longevity_at(victim, 0.3);
+        let report = run(&mut sim);
+        assert_eq!(report.unserved, 0, "{report:?}");
+        assert_eq!(sim.broken_count(), 1);
+        assert!(report.replacements >= 2, "{report:?}");
+    }
+
+    #[test]
+    fn many_broken_vehicles_degrade_service_honestly() {
+        // Scenario 4 proper: most of the hotspot cube's vehicles have tiny
+        // longevity; the report must surface the shortfall rather than
+        // panic.
+        let b = GridBounds::square(8);
+        let d = spatial::point(&b, 400);
+        let jobs = arrivals::from_demand(&d, Ordering::Sequential, 0);
+        let mut sim = ShardedOnlineSim::new(b, &jobs, monitored());
+        for p in b.iter() {
+            sim.set_longevity_at(p, 0.05);
+        }
+        let report = run(&mut sim);
+        assert_eq!(report.served + report.unserved, 400);
+        assert!(report.unserved > 0, "{report:?}");
+        assert!(sim.broken_count() > 1);
+    }
+
+    #[test]
+    fn longevity_one_is_harmless() {
+        let b = GridBounds::square(8);
+        let d = spatial::point(&b, 100);
+        let jobs = arrivals::from_demand(&d, Ordering::Sequential, 0);
+        let mut sim = ShardedOnlineSim::new(b, &jobs, OnlineConfig::default());
+        for p in b.iter() {
+            sim.set_longevity_at(p, 1.0);
+        }
+        let report = run(&mut sim);
+        assert_eq!(report.unserved, 0);
+        assert_eq!(sim.broken_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside bounds")]
+    fn job_outside_bounds_rejected() {
+        let b = GridBounds::square(4);
+        let jobs = JobSequence::new(vec![cmvrp_grid::pt2(9, 9)]);
+        let _ = ShardedOnlineSim::<2>::new(b, &jobs, OnlineConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "no vehicle at")]
+    fn fault_outside_bounds_rejected() {
+        let b = GridBounds::square(4);
+        let jobs = JobSequence::new(vec![cmvrp_grid::pt2(1, 1)]);
+        let mut sim = ShardedOnlineSim::<2>::new(b, &jobs, monitored());
+        sim.crash_vehicle_at(cmvrp_grid::pt2(9, 9));
+    }
+
+    #[test]
+    fn message_count_reported() {
+        let b = GridBounds::square(12);
+        let d = spatial::point(&b, 300);
+        let report = run_workload(&d, b, Ordering::Sequential, OnlineConfig::default());
+        assert!(report.messages > 0);
+        assert!(report.cube_side >= 1);
     }
 }

@@ -202,10 +202,6 @@ impl<const D: usize> Session<D> {
         preload: bool,
         sink_enabled: bool,
     ) -> Result<Self, EngineError> {
-        if exec.worker_threads().is_none() {
-            return Err(EngineError::SessionNeedsThreads);
-        }
-        exec.validate()?;
         let streaming = sink_enabled
             || exec.is_profiled()
             || exec.is_progress()
@@ -215,8 +211,8 @@ impl<const D: usize> Session<D> {
                 Some(ckpt) => {
                     ShardedOnlineSim::<D, CheckSink<VecSink>>::resume(bounds, jobs, config, ckpt)?
                 }
-                None if preload => ShardedOnlineSim::new(bounds, jobs, config)?,
-                None => ShardedOnlineSim::new_live(bounds, jobs, config)?,
+                None if preload => ShardedOnlineSim::new(bounds, jobs, config),
+                None => ShardedOnlineSim::new_live(bounds, jobs, config),
             };
             let mut cross = MergeChecker::new();
             if let Some(ckpt) = resume {
@@ -236,8 +232,8 @@ impl<const D: usize> Session<D> {
         } else if streaming {
             let sim = match resume {
                 Some(ckpt) => ShardedOnlineSim::<D, VecSink>::resume(bounds, jobs, config, ckpt)?,
-                None if preload => ShardedOnlineSim::new(bounds, jobs, config)?,
-                None => ShardedOnlineSim::new_live(bounds, jobs, config)?,
+                None if preload => ShardedOnlineSim::new(bounds, jobs, config),
+                None => ShardedOnlineSim::new_live(bounds, jobs, config),
             };
             let cur = sim.cursor();
             let fp = sim.fingerprint();
@@ -245,8 +241,8 @@ impl<const D: usize> Session<D> {
         } else {
             let sim = match resume {
                 Some(ckpt) => ShardedOnlineSim::<D, NullSink>::resume(bounds, jobs, config, ckpt)?,
-                None if preload => ShardedOnlineSim::new(bounds, jobs, config)?,
-                None => ShardedOnlineSim::new_live(bounds, jobs, config)?,
+                None if preload => ShardedOnlineSim::new(bounds, jobs, config),
+                None => ShardedOnlineSim::new_live(bounds, jobs, config),
             };
             let cur = sim.cursor();
             let fp = sim.fingerprint();

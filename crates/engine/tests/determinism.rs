@@ -1,9 +1,9 @@
 //! The determinism oracle: the sharded engine's merged trace must be
 //! byte-identical across worker counts *and schedule policies*, pass
 //! every `TraceChecker` monitor, and report the same accounting as a
-//! sequential run of the same rounds.
+//! one-worker run of the same rounds.
 
-use cmvrp_engine::{Engine, EngineError, ExecConfig, Schedule, ShardedOnlineSim};
+use cmvrp_engine::{ExecConfig, Schedule, ShardedOnlineSim};
 use cmvrp_grid::GridBounds;
 use cmvrp_obs::{check_lines, JsonlSink, NullSink};
 use cmvrp_online::OnlineConfig;
@@ -117,7 +117,7 @@ fn merged_trace_is_byte_identical_across_workers_and_schedules() {
 
 #[test]
 fn inline_checking_leaves_streamed_bytes_unchanged() {
-    // run_checked must be a pure observer: same merged bytes, same report.
+    // Checking must be a pure observer: same merged bytes, same report.
     for config in panel() {
         let exec = ExecConfig::new().threads(8).schedule(Schedule::Steal);
         let (plain, plain_report) = traced_run(&config, exec);
@@ -136,7 +136,8 @@ fn merged_trace_passes_every_monitor() {
         // Inline: per-shard monitors + merge-time cross-shard monitors.
         let run = ExecConfig::new()
             .threads(8)
-            .run_checked(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
+            .check(true)
+            .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
             .expect("sharded run");
         let report = run.report;
         let check = run.check.expect("checked run");
@@ -178,80 +179,13 @@ fn sharded_report_matches_across_thread_counts_without_tracing() {
     let mut reports = Vec::new();
     for threads in [1, 2, 4, 8] {
         for schedule in Schedule::ALL {
-            let mut sim =
-                ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default()).expect("build");
-            reports.push(sim.run(&ExecConfig::new().threads(threads).schedule(schedule)));
+            let mut sim = ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default());
+            let exec = ExecConfig::new().threads(threads).schedule(schedule);
+            reports.push(sim.run(&exec, &mut NullSink));
         }
     }
     for r in &reports[1..] {
         assert_eq!(*r, reports[0]);
-    }
-}
-
-#[test]
-fn monitored_mode_is_a_structured_error() {
-    let (bounds, demand) = WorkloadConfig::Point {
-        grid: 9,
-        demand: 40,
-    }
-    .generate()
-    .expect("workload fits grid");
-    let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
-    let config = OnlineConfig {
-        monitored: true,
-        ..OnlineConfig::default()
-    };
-    let err = ShardedOnlineSim::<2>::new(bounds, &jobs, config).unwrap_err();
-    assert_eq!(err, EngineError::MonitoredUnsupported);
-    assert!(err.to_string().contains("monitored"));
-}
-
-#[test]
-fn non_static_schedule_without_threads_is_a_structured_error() {
-    let (bounds, demand) = WorkloadConfig::Point {
-        grid: 9,
-        demand: 40,
-    }
-    .generate()
-    .expect("workload fits grid");
-    let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
-    for schedule in [Schedule::Steal, Schedule::Rebalance] {
-        let exec = ExecConfig::new().schedule(schedule);
-        let err = exec
-            .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
-            .unwrap_err();
-        assert_eq!(err, EngineError::ScheduleNeedsThreads(schedule));
-        // The message names the fix and the supported combinations.
-        let msg = err.to_string();
-        assert!(msg.contains("--threads"), "{msg}");
-        assert!(msg.contains("static"), "{msg}");
-    }
-}
-
-#[test]
-fn engine_trait_objects_match_exec_config() {
-    let config = WorkloadConfig::Point {
-        grid: 12,
-        demand: 120,
-    };
-    let (bounds, demand) = config.generate().expect("workload fits grid");
-    let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
-    let run_via = |engine: &dyn Engine<2>| {
-        let mut sink = JsonlSink::new(Vec::new());
-        let run = engine
-            .run(bounds, &jobs, OnlineConfig::default(), &mut sink)
-            .expect("run");
-        (sink.into_writer().expect("flush"), run.report)
-    };
-    // The same config behind `&dyn Engine` produces the same bytes as the
-    // inherent entry point, for both engines.
-    for exec in [ExecConfig::new(), ExecConfig::new().threads(2)] {
-        let mut sink = JsonlSink::new(Vec::new());
-        let run = exec
-            .execute(bounds, &jobs, OnlineConfig::default(), &mut sink)
-            .expect("run");
-        let direct = (sink.into_writer().expect("flush"), run.report);
-        assert_eq!(run_via(&exec), direct);
     }
 }
 
@@ -263,11 +197,11 @@ fn million_vehicle_grid_runs_sparse() {
     let bounds = GridBounds::<2>::square(1024);
     let demand = cmvrp_workloads::spatial::point(&bounds, 2000);
     let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
-    let mut sim =
-        ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default()).expect("build");
+    let mut sim = ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default());
     let prov = sim.provisioning();
     assert_eq!(prov.side, 7);
-    let report = sim.run(&ExecConfig::new().threads(8).schedule(Schedule::Rebalance));
+    let exec = ExecConfig::new().threads(8).schedule(Schedule::Rebalance);
+    let report = sim.run(&exec, &mut NullSink);
     assert_eq!(report.unserved, 0);
     // Theorem 1.4.2: energy per vehicle stays within 38·ω_c.
     assert!(

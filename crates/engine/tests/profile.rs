@@ -1,9 +1,8 @@
 //! Flight-recorder tests: `ExecConfig::profile` must append well-formed
 //! `round_profile` samples to the merged trace without perturbing a single
-//! byte of the protocol events, and the new flags must be refused with
-//! structured errors on the sequential engine.
+//! byte of the protocol events.
 
-use cmvrp_engine::{EngineError, ExecConfig, Schedule};
+use cmvrp_engine::{ExecConfig, Schedule};
 use cmvrp_obs::{check_lines, Event, JsonlSink, NullSink};
 use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, Ordering, WorkloadConfig};
@@ -109,24 +108,4 @@ fn profiling_with_a_disabled_sink_still_runs() {
         .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
         .expect("profiled run into NullSink");
     assert_eq!(run.report.unserved, 0);
-}
-
-#[test]
-fn profile_and_progress_without_threads_are_structured_errors() {
-    let (bounds, demand) = workload().generate().expect("workload fits grid");
-    let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
-    for (exec, flag) in [
-        (ExecConfig::new().profile(true), "--profile"),
-        (ExecConfig::new().progress(true), "--progress"),
-    ] {
-        let err = exec
-            .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
-            .unwrap_err();
-        assert_eq!(err, EngineError::ProfilingNeedsThreads(flag));
-        // The message names the fix and the supported alternatives.
-        let msg = err.to_string();
-        assert!(msg.contains(flag), "{msg}");
-        assert!(msg.contains("--threads"), "{msg}");
-        assert!(msg.contains("--trace-jsonl"), "{msg}");
-    }
 }

@@ -7,7 +7,7 @@
 use cmvrp_engine::{
     CheckpointPolicy, EngineCheckpoint, EngineError, ExecConfig, Schedule, ShardedOnlineSim,
 };
-use cmvrp_obs::{JsonlSink, NullSink};
+use cmvrp_obs::JsonlSink;
 use cmvrp_online::{OnlineConfig, OnlineReport};
 use cmvrp_workloads::{arrivals, Ordering, WorkloadConfig};
 
@@ -176,54 +176,4 @@ fn resume_refuses_a_checkpoint_from_different_inputs() {
     let msg = err.to_string();
     assert!(msg.contains("fingerprint"), "{msg}");
     assert!(msg.contains("--threads"), "{msg}");
-}
-
-#[test]
-fn checkpoint_work_requires_worker_threads() {
-    let (bounds, jobs) = workload();
-    for (exec, flag) in [
-        (
-            ExecConfig::new().checkpoint(CheckpointPolicy {
-                every: Some(2),
-                stop_at: None,
-            }),
-            "--checkpoint",
-        ),
-        (
-            ExecConfig::new().checkpoint(CheckpointPolicy {
-                every: None,
-                stop_at: Some(4),
-            }),
-            "--stop-at-round",
-        ),
-    ] {
-        let err = exec
-            .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
-            .unwrap_err();
-        assert_eq!(err, EngineError::CheckpointNeedsThreads(flag));
-        let msg = err.to_string();
-        assert!(msg.contains("--threads"), "{msg}");
-        assert!(msg.contains(flag), "{msg}");
-    }
-    // Resume without threads is the same story.
-    let mut saved = Vec::new();
-    run_traced(
-        ExecConfig::new().threads(2).checkpoint(CheckpointPolicy {
-            every: None,
-            stop_at: Some(4),
-        }),
-        None,
-        &mut saved,
-    );
-    let err = ExecConfig::new()
-        .execute_with_checkpoints(
-            bounds,
-            &jobs,
-            OnlineConfig::default(),
-            &mut NullSink,
-            Some(&saved[0]),
-            &mut |_| {},
-        )
-        .unwrap_err();
-    assert_eq!(err, EngineError::CheckpointNeedsThreads("--resume-from"));
 }

@@ -4,6 +4,7 @@
 //! shard-round under every policy.
 
 use cmvrp_engine::{repartition, ExecConfig, Schedule, ShardedOnlineSim};
+use cmvrp_obs::NullSink;
 use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, Ordering, WorkloadConfig};
 
@@ -105,10 +106,10 @@ fn every_schedule_steps_every_shard_once_per_round() {
     let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
     for schedule in Schedule::ALL {
         for threads in [1, 2, 4] {
-            let mut sim =
-                ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default()).expect("build");
+            let mut sim = ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default());
             let shards = sim.shard_count() as u64;
-            let report = sim.run(&ExecConfig::new().threads(threads).schedule(schedule));
+            let exec = ExecConfig::new().threads(threads).schedule(schedule);
+            let report = sim.run(&exec, &mut NullSink);
             assert_eq!(report.unserved, 0);
             let stats = sim.round_stats().expect("stats");
             assert_eq!(
@@ -141,9 +142,11 @@ fn scheduler_counters_reach_metrics() {
     .generate()
     .expect("workload fits grid");
     let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
-    let mut sim =
-        ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default()).expect("build");
-    sim.run(&ExecConfig::new().threads(2).schedule(Schedule::Steal));
+    let mut sim = ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default());
+    sim.run(
+        &ExecConfig::new().threads(2).schedule(Schedule::Steal),
+        &mut NullSink,
+    );
     let metrics = sim.metrics();
     let rows = metrics.rows();
     let names: Vec<&str> = rows.iter().map(|(name, _)| name.as_str()).collect();

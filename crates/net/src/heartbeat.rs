@@ -63,6 +63,11 @@ impl HeartbeatMonitor {
         self.last_seen.remove(&peer);
     }
 
+    /// When `peer` was last heard from, if it is monitored.
+    pub fn last_seen(&self, peer: ProcessId) -> Option<u64> {
+        self.last_seen.get(&peer).copied()
+    }
+
     /// Whether `peer` is currently monitored.
     pub fn is_watching(&self, peer: ProcessId) -> bool {
         self.last_seen.contains_key(&peer)

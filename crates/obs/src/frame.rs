@@ -244,6 +244,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Whether every byte has been read.
+    pub fn at_end(&self) -> bool {
+        self.pos >= self.bytes.len()
+    }
+
     /// An error at the current read position.
     pub fn err(&self, msg: impl Into<String>) -> FrameError {
         FrameError {

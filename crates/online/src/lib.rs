@@ -21,10 +21,19 @@
 //!    and replaced by its monitor.
 //!
 //! Theorem 1.4.2 (via Lemma 3.3.1) provisions every vehicle with
-//! `W = (4·3^ℓ + ℓ)·ω_c` energy and proves all jobs get served; the
-//! simulator in [`sim`] reproduces exactly that accounting (unit cost per
-//! step and per job, free communication) and reports the maximum energy any
-//! vehicle actually drew, which experiment E7 compares against `ω_c`.
+//! `W = (4·3^ℓ + ℓ)·ω_c` energy and proves all jobs get served;
+//! [`provision`] derives that capacity, and [`OnlineReport`] holds exactly
+//! that accounting (unit cost per step and per job, free communication)
+//! plus the maximum energy any vehicle actually drew, which experiment E7
+//! compares against `ω_c`.
+//!
+//! This crate is the protocol only: the [`Vehicle`] process, its
+//! [`OnlineMsg`] wire messages, the [`OnlineConfig`] and provisioning of a
+//! run, and its [`OnlineReport`]. The driver that delivers jobs, keeps the
+//! physical layer (positions, pairings, neighbor lists, the monitoring
+//! ring) and lets the network quiesce between arrivals is the sharded
+//! engine, `cmvrp_engine::ShardedOnlineSim`, run through
+//! `cmvrp_engine::ExecConfig`.
 //!
 //! # Faithfulness notes
 //!
@@ -34,7 +43,7 @@
 //!   provisions capacity relative to `ω_c`), not an impossible prescience —
 //!   the *protocol itself* uses no future information.
 //! * Neighbor discovery (who is within communication distance) is a
-//!   physical-layer service: the driver recomputes neighbor lists after
+//!   physical-layer service: the engine recomputes neighbor lists after
 //!   vehicles move. All protocol state flows through messages.
 //! * Crashed vehicles are dropped from neighbor lists by that same physical
 //!   layer; Dijkstra–Scholten itself is not crash-tolerant (a query to a
@@ -44,26 +53,23 @@
 //! # Examples
 //!
 //! ```
-//! use cmvrp_online::{OnlineConfig, OnlineSim};
-//! use cmvrp_workloads::{arrivals, spatial};
-//! use cmvrp_grid::GridBounds;
+//! use cmvrp_grid::{pt2, DemandMap, GridBounds};
+//! use cmvrp_online::{provision, OnlineConfig};
 //!
+//! // 30 jobs at the center of an 8x8 grid: cube side, ω_c and the
+//! // per-vehicle battery the fleet is provisioned with.
 //! let bounds = GridBounds::square(8);
-//! let demand = spatial::point(&bounds, 30);
-//! let jobs = arrivals::from_demand(&demand, arrivals::Ordering::Sequential, 0);
-//! let mut sim = OnlineSim::new(bounds, &jobs, OnlineConfig::default());
-//! let report = sim.run();
-//! assert_eq!(report.served, 30);
-//! assert_eq!(report.unserved, 0);
+//! let mut demand = DemandMap::new();
+//! demand.add(pt2(4, 4), 30);
+//! let prov = provision(&bounds, &demand, &OnlineConfig::default());
+//! assert!(prov.side >= 1);
+//! assert!(prov.capacity as f64 >= prov.omega.to_f64());
 //! ```
 
+pub mod config;
 pub mod msg;
-pub mod sim;
 pub mod vehicle;
 
+pub use config::{provision, OnlineConfig, OnlineReport, Provisioning};
 pub use msg::OnlineMsg;
-pub use sim::{
-    provision, DenseLimitError, OnlineConfig, OnlineReport, OnlineSim, Provisioning,
-    DENSE_VOLUME_LIMIT,
-};
 pub use vehicle::{Vehicle, VehicleSnapshot, WorkState};

@@ -28,15 +28,20 @@ pub enum ServeResult {
     Refused,
 }
 
+/// Tick rounds of silence after which a watcher declares its peer dead.
+const HEARTBEAT_TIMEOUT: u64 = 3;
+
 /// A vehicle's durable state at a round barrier, for checkpointing.
 ///
 /// Captures exactly the fields that survive quiescence in the sharded
 /// engine: position and working state, energy/odometer counters, the
 /// claimed-by / diffusing-engine identities that gate Phase II, the
-/// communication neighborhood, and the observability counters. Fields
-/// that are never set in sharded mode (fault injection, longevity
-/// thresholds, the §3.2.5 monitoring ring) are deliberately absent — the
-/// sharded engine rejects monitored configurations up front.
+/// communication neighborhood, the §3.2.5 monitoring-ring state, and the
+/// observability counters. Fault state (the scenario-2 fault flag, the
+/// Chapter 4 longevity threshold and whether it was crossed) is
+/// deliberately absent: only a pre-built `cmvrp_engine::ShardedOnlineSim`
+/// can hold faults, and its `run` takes no checkpoint observer, so no
+/// checkpoint is ever taken of a run with faults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VehicleSnapshot<const D: usize> {
     /// Current position.
@@ -66,6 +71,15 @@ pub struct VehicleSnapshot<const D: usize> {
     /// Diffusing-engine durable state: last computation joined and the
     /// next generation number (the engine itself is `waiting`).
     pub engine: (Option<ComputationId>, u64),
+    /// §3.2.5 ring: the watched peer, its recorded position, and the tick
+    /// round it was last heard from.
+    pub watch: Option<(ProcessId, Point<D>, u64)>,
+    /// §3.2.5 ring: the watcher this vehicle heartbeats to.
+    pub report_to: Option<ProcessId>,
+    /// Tick rounds seen (the heartbeat clock).
+    pub ticks: u64,
+    /// Heartbeat timeouts detected as a watcher.
+    pub heartbeat_misses: u64,
 }
 
 /// A vehicle: one process of the on-line protocol.
@@ -149,7 +163,7 @@ impl<const D: usize> Vehicle<D> {
             broken: false,
             watch: None,
             report_to: None,
-            heartbeat: HeartbeatMonitor::new(3),
+            heartbeat: HeartbeatMonitor::new(HEARTBEAT_TIMEOUT),
             ticks: 0,
             msg_counts: [0; 4],
             diffusions_started: 0,
@@ -228,12 +242,6 @@ impl<const D: usize> Vehicle<D> {
         self.broken
     }
 
-    /// Messages handled, by type: `(queries, replies, moves, heartbeats)`.
-    pub fn message_counts(&self) -> (u64, u64, u64, u64) {
-        let [q, r, m, h] = self.msg_counts;
-        (q, r, m, h)
-    }
-
     /// Observability counters:
     /// `(diffusions started, completed, found, heartbeat misses)`.
     pub fn obs_counts(&self) -> (u64, u64, u64, u64) {
@@ -270,6 +278,13 @@ impl<const D: usize> Vehicle<D> {
                 self.diffusions_found,
             ),
             engine: self.engine.quiescent_state(),
+            watch: self.watch.map(|(peer, pos)| {
+                let seen = self.heartbeat.last_seen(peer);
+                (peer, pos, seen.expect("the watched peer is monitored"))
+            }),
+            report_to: self.report_to,
+            ticks: self.ticks,
+            heartbeat_misses: self.heartbeat_misses,
         }
     }
 
@@ -293,6 +308,14 @@ impl<const D: usize> Vehicle<D> {
         self.diffusions_found = found;
         let (init, next_generation) = snap.engine;
         self.engine = DiffusingEngine::from_quiescent(init, next_generation);
+        self.heartbeat = HeartbeatMonitor::new(HEARTBEAT_TIMEOUT);
+        self.watch = snap.watch.map(|(peer, pos, seen)| {
+            self.heartbeat.watch(peer, seen);
+            (peer, pos)
+        });
+        self.report_to = snap.report_to;
+        self.ticks = snap.ticks;
+        self.heartbeat_misses = snap.heartbeat_misses;
     }
 
     /// Sets the §3.2.5 monitoring target (or clears it). Re-setting the
@@ -696,7 +719,17 @@ mod tests {
             });
         }
         assert!(net.run_to_quiescence().quiesced);
-        // Vehicle 1 relocated; snapshot both, restore into fresh shells.
+        // Vehicle 1 relocated and now watches the done vehicle 0, which
+        // heartbeats to it for two tick rounds.
+        let pos0 = net.process(0).pos();
+        net.process_mut(1).set_watch(Some((0, pos0)));
+        net.process_mut(0).set_report_to(Some(1));
+        for _ in 0..2 {
+            net.tick_all();
+            assert!(net.run_to_quiescence().quiesced);
+        }
+        assert_eq!(net.process(1).snapshot().watch, Some((0, pos0, 2)));
+        // Snapshot both, restore into fresh shells.
         for id in 0..2 {
             let snap = net.process(id).snapshot();
             let home = net.process(id).home();

@@ -423,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn scenario_execute_runs_dense() {
+    fn scenario_execute_runs_on_one_worker() {
         let sc = Scenario::from_spec("point:grid=7,demand=20").unwrap();
         let mut sink = cmvrp_obs::NullSink;
         let exec = ExecConfig::new();

@@ -117,28 +117,6 @@ pub fn alternating<const D: usize>(i: Point<D>, j: Point<D>, d: u64) -> JobSeque
     JobSequence { jobs }
 }
 
-/// A Poisson-like batched sequence: jobs from `demand` released in batches
-/// of random size in `1..=max_batch` (the simulator quiesces between
-/// batches rather than between single jobs). Returns the batch sizes along
-/// with the flat sequence.
-pub fn batched<const D: usize>(
-    demand: &DemandMap<D>,
-    max_batch: usize,
-    seed: u64,
-) -> (JobSequence<D>, Vec<usize>) {
-    assert!(max_batch >= 1, "max_batch must be at least 1");
-    let seq = from_demand(demand, Ordering::Shuffled, seed);
-    let mut rng = Rng::seed_from_u64(seed ^ 0x9E3779B97F4A7C15);
-    let mut batches = Vec::new();
-    let mut left = seq.len();
-    while left > 0 {
-        let b = rng.gen_range(1..=max_batch).min(left);
-        batches.push(b);
-        left -= b;
-    }
-    (seq, batches)
-}
-
 /// Uniform-rate trickle: the support takes turns releasing one job at a
 /// time, like [`Ordering::Interleaved`], but the turn order is a seeded
 /// permutation of the support rather than point order — a steady load with
@@ -319,14 +297,6 @@ mod tests {
         assert_eq!(seq.jobs()[1], pt2(4, 0));
         assert_eq!(seq.jobs()[4], pt2(0, 0));
         assert_eq!(seq.to_demand().get(pt2(0, 0)), 3);
-    }
-
-    #[test]
-    fn batched_conserves_jobs() {
-        let d = small_map();
-        let (seq, batches) = batched(&d, 4, 1);
-        assert_eq!(batches.iter().sum::<usize>(), seq.len());
-        assert!(batches.iter().all(|&b| (1..=4).contains(&b)));
     }
 
     #[test]

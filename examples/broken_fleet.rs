@@ -8,8 +8,10 @@
 
 use cmvrp::ext::broken::gap_instance;
 use cmvrp::grid::GridBounds;
-use cmvrp::online::{OnlineConfig, OnlineSim};
+use cmvrp::obs::NullSink;
+use cmvrp::online::OnlineConfig;
 use cmvrp::workloads::{arrivals, spatial, Ordering};
+use cmvrp::{ExecConfig, ShardedOnlineSim};
 
 fn main() {
     // Part 1 — Figure 4.1: demands r1 at two sites flanking the lone
@@ -36,14 +38,11 @@ fn main() {
     let demand = spatial::point(&bounds, 300);
     let jobs = arrivals::from_demand(&demand, Ordering::Sequential, 0);
     for frac_percent in [0u32, 50, 100] {
-        let mut sim = OnlineSim::new(
-            bounds,
-            &jobs,
-            OnlineConfig {
-                monitored: true,
-                ..OnlineConfig::default()
-            },
-        );
+        let config = OnlineConfig {
+            monitored: true,
+            ..OnlineConfig::default()
+        };
+        let mut sim = ShardedOnlineSim::<2>::new(bounds, &jobs, config);
         // Every `1/frac`-th vehicle breaks after 10% of its battery.
         if frac_percent > 0 {
             for (k, p) in bounds.iter().enumerate() {
@@ -52,7 +51,7 @@ fn main() {
                 }
             }
         }
-        let report = sim.run();
+        let report = sim.run(&ExecConfig::new(), &mut NullSink);
         println!(
             "breakage {frac_percent:>3}%: served {:>3}/{}, replacements {}, broken {}",
             report.served,

@@ -46,7 +46,10 @@ fn main() {
 
     // And the same jobs served fully on-line (Chapter 3).
     let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
-    let report = OnlineSim::new(bounds, &jobs, OnlineConfig::default()).run();
+    let report = ExecConfig::new()
+        .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
+        .expect("engine run")
+        .report;
     println!(
         "on-line: served {}/{} with capacity {} (max used {}, {} replacements)",
         report.served,

@@ -27,17 +27,14 @@ fn main() {
         demand.support_len()
     );
 
-    let mut sim = OnlineSim::new(
-        bounds,
-        &jobs,
-        OnlineConfig {
-            monitored: true, // heartbeat ring on
-            ..OnlineConfig::default()
-        },
-    );
+    let config = OnlineConfig {
+        monitored: true, // heartbeat ring on
+        ..OnlineConfig::default()
+    };
+    let mut sim = ShardedOnlineSim::<2>::new(bounds, &jobs, config);
     println!(
         "per-robot battery (Lemma 3.3.1 provisioning): {}",
-        sim.capacity()
+        sim.provisioning().capacity
     );
 
     // Misfortune strikes: the robot responsible for the heaviest hotspot
@@ -51,7 +48,7 @@ fn main() {
     sim.crash_vehicle_at(victim);
     println!("robot at {victim} (responsible for hotspot {hotspot}) has crashed");
 
-    let report = sim.run();
+    let report = sim.run(&ExecConfig::new(), &mut NullSink);
     println!(
         "served {}/{} events ({} lost to the detection window)",
         report.served,

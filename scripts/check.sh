@@ -75,8 +75,10 @@ n3=$(mktemp)
 n4=$(mktemp)
 n5=$(mktemp)
 n6=$(mktemp)
+w1=$(mktemp)
+w2=$(mktemp)
 cd1=$(mktemp -d)
-trap 'rm -f "$t1" "$t2" "$t3" "$m1" "$b1" "$b2" "$r1" "$r2" "$r3" "$ck" "$s1" "$s2" "$s3" "$sl" "$n1" "$n2" "$n3" "$n4" "$n5" "$n6"; rm -rf "$cd1"' EXIT
+trap 'rm -f "$t1" "$t2" "$t3" "$m1" "$b1" "$b2" "$r1" "$r2" "$r3" "$ck" "$s1" "$s2" "$s3" "$sl" "$n1" "$n2" "$n3" "$n4" "$n5" "$n6" "$w1" "$w2"; rm -rf "$cd1"' EXIT
 ./target/release/cmvrp simulate point:grid=12,demand=250 --seed=3 \
     --threads=1 --check --trace-jsonl="$t1" >/dev/null
 ./target/release/cmvrp simulate point:grid=12,demand=250 --seed=3 \
@@ -85,6 +87,13 @@ trap 'rm -f "$t1" "$t2" "$t3" "$m1" "$b1" "$b2" "$r1" "$r2" "$r3" "$ck" "$s1" "$
 ./target/release/cmvrp simulate point:grid=12,demand=250 --seed=3 \
     --threads=2 --schedule=steal --check --trace-jsonl="$t3" >/dev/null
 ./target/release/cmvrp trace diff "$t1" "$t3" >/dev/null
+# The same oracle with the §3.2.5 heartbeat ring on: each shard ticks its
+# own cubes, so the monitored trace must not move either.
+./target/release/cmvrp simulate point:grid=12,demand=250 --seed=3 --monitored \
+    --threads=1 --check --trace-jsonl="$w1" >/dev/null
+./target/release/cmvrp simulate point:grid=12,demand=250 --seed=3 --monitored \
+    --threads=2 --schedule=steal --check --trace-jsonl="$w2" >/dev/null
+./target/release/cmvrp trace diff "$w1" "$w2" >/dev/null
 
 echo "==> trace diff self-test (golden self-diff, then a seeded mutation)"
 # The differ itself is under test: the golden trace must diff identical
@@ -128,6 +137,17 @@ cat "$r2" "$r3" >"$m1"
     echo "ckpt inspect did not report the stop round" >&2
     exit 1
 }
+# The same oracle in monitored mode: the checkpoint carries the ring's
+# watch targets and heartbeat clocks, so the resumed tail still stitches.
+./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 --monitored \
+    --threads=2 --schedule=steal --trace-jsonl="$r1" >/dev/null
+./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 --monitored \
+    --threads=2 --schedule=steal --checkpoint="$ck" --stop-at-round=4 \
+    --trace-jsonl="$r2" >/dev/null
+./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 --monitored \
+    --resume-from="$ck" --trace-jsonl="$r3" >/dev/null
+cat "$r2" "$r3" >"$m1"
+./target/release/cmvrp trace diff "$r1" "$m1" >/dev/null
 
 echo "==> campaign smoke (fault-injected kill recovers; hopeless run -> DLQ)"
 # The campaign runner must resume a SIGKILLed run from its last

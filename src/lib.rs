@@ -17,8 +17,8 @@
 //! | [`flow`] | max-flow, max-density subsets, the LP (2.1) machinery |
 //! | [`net`] | message-passing simulator + Dijkstra–Scholten engine |
 //! | [`core`] | `ω*`, `ω_c`, Algorithm 1, the Lemma 2.2.5 plan, §2.1 examples |
-//! | [`online`] | the Chapter 3 decentralized on-line strategy |
-//! | [`engine`] | sharded deterministic parallel execution engine (million-vehicle grids) |
+//! | [`online`] | the Chapter 3 decentralized on-line strategy: vehicles, messages, provisioning |
+//! | [`engine`] | the one on-line engine: sharded, deterministic, parallel (million-vehicle grids) |
 //! | [`serve`] | line-delimited JSON session server over `TcpListener` |
 //! | [`ckpt`] | `CMVC` checkpoint format + campaign runner with dead-letter retries |
 //! | [`ext`] | Chapter 4 (broken vehicles) and Chapter 5 (energy transfers) |
@@ -53,11 +53,12 @@ pub use cmvrp_engine as engine;
 // The execution surface: build an [`ExecConfig`] into a [`Session`], step
 // it with `advance_until`/`advance_rounds`, feed it arrivals with `inject`,
 // and stream events into a sink — or use the one-shot `execute` wrappers.
-// Re-exported at the root so callers select engines without spelling out
+// Re-exported at the root so callers configure runs without spelling out
 // the workspace crates.
 pub use cmvrp_engine::{
-    CheckScope, CheckSummary, CheckpointPolicy, Engine, EngineCheckpoint, EngineError, ExecConfig,
-    Execution, RoundStats, Schedule, ScopedViolation, Session, StepReport, WorkerStats,
+    CheckScope, CheckSummary, CheckpointPolicy, EngineCheckpoint, EngineError, ExecConfig,
+    Execution, RoundStats, Schedule, ScopedViolation, Session, ShardedOnlineSim, StepReport,
+    WorkerStats,
 };
 pub use cmvrp_ext as ext;
 pub use cmvrp_flow as flow;
@@ -80,12 +81,12 @@ pub use cmvrp_workloads as workloads;
 pub mod prelude {
     pub use cmvrp_core::{approx_woff, omega_c, omega_star, plan_offline, verify_plan, Instance};
     pub use cmvrp_engine::{
-        CheckpointPolicy, Engine, EngineCheckpoint, EngineError, ExecConfig, Execution, Schedule,
-        Session, StepReport,
+        CheckpointPolicy, EngineCheckpoint, EngineError, ExecConfig, Execution, Schedule, Session,
+        ShardedOnlineSim, StepReport,
     };
     pub use cmvrp_grid::{pt1, pt2, pt3, DemandMap, GridBounds, Point};
     pub use cmvrp_obs::{JsonlSink, NullSink, RingSink, Sink, StaticSink, VecSink};
-    pub use cmvrp_online::{OnlineConfig, OnlineSim};
+    pub use cmvrp_online::OnlineConfig;
     pub use cmvrp_scenario::{ArrivalSpec, Baseline, FaultScript, ReportSpec, Scenario};
     pub use cmvrp_util::Ratio;
     pub use cmvrp_workloads::{arrivals, spatial, Ordering, WorkloadConfig};

@@ -4,9 +4,11 @@
 
 use cmvrp::core::{approx_woff, offline_factor, omega_c, omega_star, plan_offline, verify_plan};
 use cmvrp::grid::{pt1, pt3, DemandMap, GridBounds};
-use cmvrp::online::{OnlineConfig, OnlineSim};
+use cmvrp::obs::NullSink;
+use cmvrp::online::OnlineConfig;
 use cmvrp::util::Ratio;
 use cmvrp::workloads::JobSequence;
+use cmvrp::ExecConfig;
 
 #[test]
 fn one_dimensional_offline_pipeline() {
@@ -37,7 +39,10 @@ fn one_dimensional_online_pipeline() {
     demand.add(pt1(20), 120);
     let jobs: JobSequence<1> = std::iter::repeat_n(pt1(20), 120).collect();
     let _ = demand; // demand only documents the workload shape
-    let report = OnlineSim::new(bounds, &jobs, OnlineConfig::default()).run();
+    let report = ExecConfig::new()
+        .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
+        .expect("engine run")
+        .report;
     assert_eq!(report.unserved, 0, "{report:?}");
     assert!(report.replacements > 0);
     assert!(report.max_energy_used <= report.capacity);
@@ -66,7 +71,10 @@ fn three_dimensional_offline_pipeline() {
 fn three_dimensional_online_pipeline() {
     let bounds: GridBounds<3> = GridBounds::cube(6);
     let jobs: JobSequence<3> = std::iter::repeat_n(pt3(3, 3, 3), 150).collect();
-    let report = OnlineSim::new(bounds, &jobs, OnlineConfig::default()).run();
+    let report = ExecConfig::new()
+        .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
+        .expect("engine run")
+        .report;
     assert_eq!(report.unserved, 0, "{report:?}");
     assert!(report.max_energy_used <= report.capacity);
 }

@@ -1,14 +1,17 @@
 //! End-to-end trace analytics over the committed golden trace
-//! (`tests/data/golden_point.jsonl`, regenerated by `scripts/check.sh`'s
-//! recipe): the offline checker must accept it through the root crate's
-//! re-exports, the replay summary must match its headline numbers, and a
-//! fresh online run of the same workload under `CheckSink` must produce a
-//! trace the offline checker also accepts — online and offline validation
-//! agree.
+//! (`tests/data/golden_point.jsonl`, from `simulate point:grid=6,demand=200
+//! --seed=3`; it was written by the dense engine that existed until commit
+//! 7c396bb, and today's engine writes the same 502 events with each job at
+//! a fresh round epoch, so only the `t` fields differ): the offline checker
+//! must accept it through the root crate's re-exports, the replay summary
+//! must match its headline numbers, and a fresh checked run of the same
+//! workload must produce a trace the offline checker also accepts — online
+//! and offline validation agree.
 
-use cmvrp::obs::{check_lines, replay, CheckSink, JsonlSink};
-use cmvrp::online::{OnlineConfig, OnlineSim};
+use cmvrp::obs::{check_lines, replay, JsonlSink};
+use cmvrp::online::OnlineConfig;
 use cmvrp::workloads::{arrivals, spatial, Ordering};
+use cmvrp::ExecConfig;
 use cmvrp_grid::GridBounds;
 
 const GOLDEN: &str = include_str!("data/golden_point.jsonl");
@@ -40,17 +43,17 @@ fn online_check_and_offline_check_agree() {
     let bounds = GridBounds::square(6);
     let demand = spatial::point(&bounds, 200);
     let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 3);
-    let sink = CheckSink::new(JsonlSink::new(Vec::new()));
-    let mut sim = OnlineSim::with_sink(bounds, &jobs, OnlineConfig::default(), sink);
-    let report = sim.run();
-    assert_eq!(report.unserved, 0);
-
-    let (mut checker, jsonl) = sim.into_sink().into_parts();
-    checker.finish();
-    assert!(checker.is_clean(), "online: {:#?}", checker.violations());
+    let mut jsonl = JsonlSink::new(Vec::new());
+    let run = ExecConfig::new()
+        .check(true)
+        .execute(bounds, &jobs, OnlineConfig::default(), &mut jsonl)
+        .expect("engine run");
+    assert_eq!(run.report.unserved, 0);
+    let online = run.check.expect("checked run");
+    assert!(online.is_clean(), "online: {:#?}", online.violations);
 
     let text = String::from_utf8(jsonl.into_writer().expect("flush")).expect("utf8");
     let offline = check_lines(text.lines(), None).expect("trace parses");
     assert!(offline.is_clean(), "offline: {:#?}", offline.violations);
-    assert_eq!(offline.events, checker.events());
+    assert_eq!(offline.events, online.events);
 }

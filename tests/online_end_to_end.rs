@@ -3,9 +3,26 @@
 
 use cmvrp::core::{omega_c, online_factor};
 use cmvrp::grid::GridBounds;
-use cmvrp::online::{OnlineConfig, OnlineSim};
-use cmvrp::workloads::{arrivals, spatial, Ordering};
-use cmvrp::Scenario;
+use cmvrp::obs::NullSink;
+use cmvrp::online::{OnlineConfig, OnlineReport};
+use cmvrp::workloads::{arrivals, spatial, JobSequence, Ordering};
+use cmvrp::{ExecConfig, Scenario, ShardedOnlineSim};
+
+/// One run of the protocol on one worker thread.
+fn run(bounds: GridBounds<2>, jobs: &JobSequence<2>, config: OnlineConfig) -> OnlineReport {
+    ExecConfig::new()
+        .execute(bounds, jobs, config, &mut NullSink)
+        .expect("engine run")
+        .report
+}
+
+/// The configuration with the §3.2.5 heartbeat ring on.
+fn monitored() -> OnlineConfig {
+    OnlineConfig {
+        monitored: true,
+        ..OnlineConfig::default()
+    }
+}
 
 #[test]
 fn serves_everything_across_scenarios_and_arrival_shapes() {
@@ -33,7 +50,7 @@ fn serves_everything_across_scenarios_and_arrival_shapes() {
             let text = format!("[substrate]\nside = 12\n\n[demand]\n{shape}\n\n{arrivals_sec}");
             let sc = Scenario::parse_file(&text).expect("scenario parses");
             let (bounds, demand, jobs) = sc.generate(13).expect("workload fits grid");
-            let report = OnlineSim::new(bounds, &jobs, OnlineConfig::default()).run();
+            let report = run(bounds, &jobs, OnlineConfig::default());
             assert_eq!(
                 report.unserved,
                 0,
@@ -54,7 +71,7 @@ fn theorem_142_energy_within_constant_of_omega_c() {
     let b = GridBounds::square(12);
     let d = spatial::point(&b, 400);
     let jobs = arrivals::from_demand(&d, Ordering::Sequential, 0);
-    let report = OnlineSim::new(b, &jobs, OnlineConfig::default()).run();
+    let report = run(b, &jobs, OnlineConfig::default());
     assert_eq!(report.unserved, 0);
     let wc = omega_c(&b, &d).to_f64().max(1.0);
     let bound = 2.0 * online_factor(2) as f64 * wc + 12.0;
@@ -70,7 +87,7 @@ fn replacements_happen_and_protocol_terminates() {
     let b = GridBounds::square(10);
     let d = spatial::zipf_clusters(&b, 2, 300, 3);
     let jobs = arrivals::from_demand(&d, Ordering::Shuffled, 17);
-    let report = OnlineSim::new(b, &jobs, OnlineConfig::default()).run();
+    let report = run(b, &jobs, OnlineConfig::default());
     assert_eq!(report.unserved, 0, "{report:?}");
     assert!(report.replacements > 0);
     assert_eq!(report.failed_replacements, 0);
@@ -82,18 +99,14 @@ fn deterministic_given_seed() {
     let b = GridBounds::square(9);
     let d = spatial::uniform_random(&b, 80, 9);
     let jobs = arrivals::from_demand(&d, Ordering::Shuffled, 2);
-    let run = |seed: u64| {
-        OnlineSim::new(
-            b,
-            &jobs,
-            OnlineConfig {
-                seed,
-                ..OnlineConfig::default()
-            },
-        )
-        .run()
+    let run_seed = |seed: u64| {
+        let config = OnlineConfig {
+            seed,
+            ..OnlineConfig::default()
+        };
+        run(b, &jobs, config)
     };
-    assert_eq!(run(5), run(5));
+    assert_eq!(run_seed(5), run_seed(5));
 }
 
 #[test]
@@ -107,21 +120,14 @@ fn scenario2_and_3_with_monitoring() {
     d.add(cmvrp::grid::pt2(3, 3), 200);
     d.add(cmvrp::grid::pt2(6, 6), 150);
     let jobs = arrivals::from_demand(&d, Ordering::Interleaved, 1);
-    let mut sim = OnlineSim::new(
-        b,
-        &jobs,
-        OnlineConfig {
-            monitored: true,
-            ..OnlineConfig::default()
-        },
-    );
+    let mut sim = ShardedOnlineSim::<2>::new(b, &jobs, monitored());
     // Scenario 2: the vehicle serving (3,3) will exhaust but stay silent.
     let faulty = sim.responsible_home(cmvrp::grid::pt2(3, 3));
     sim.set_faulty_at(faulty);
     // Scenario 3: the vehicle serving (6,6) crashes outright.
     let crashed = sim.responsible_home(cmvrp::grid::pt2(6, 6));
     sim.crash_vehicle_at(crashed);
-    let report = sim.run();
+    let report = sim.run(&ExecConfig::new(), &mut NullSink);
     // Nearly everything served; at most a handful of arrivals lost to the
     // detection window of the crashed pair.
     assert!(report.unserved <= 4, "{report:?}");
@@ -134,30 +140,23 @@ fn monitored_crash_fires_heartbeat_missed_events() {
     // A crashed vehicle in monitored mode must be detected through the
     // heartbeat ring, and the detection must surface as structured
     // heartbeat_missed events in the trace as well as in the report.
-    use cmvrp::obs::{Event, RingSink};
+    use cmvrp::obs::{Event, VecSink};
     let b = GridBounds::square(6);
     let d = spatial::point(&b, 30);
     let jobs = arrivals::from_demand(&d, Ordering::Sequential, 0);
-    let mut sim = OnlineSim::with_sink(
-        b,
-        &jobs,
-        OnlineConfig {
-            monitored: true,
-            ..OnlineConfig::default()
-        },
-        RingSink::new(1 << 16),
-    );
+    let mut sim = ShardedOnlineSim::<2, VecSink>::new(b, &jobs, monitored());
     let center = spatial::center(&b);
     sim.crash_vehicle_at(center);
-    let report = sim.run();
+    let mut sink = VecSink::new();
+    let report = sim.run(&ExecConfig::new(), &mut sink);
     assert!(report.served >= 28, "{report:?}");
     assert!(
         report.heartbeat_misses > 0,
         "watcher must detect the silent peer: {report:?}"
     );
-    let sink = sim.into_sink();
-    let missed: Vec<(usize, usize)> = sink
-        .events()
+    let events = sink.drain();
+    let missed: Vec<(usize, usize)> = events
+        .iter()
         .filter_map(|e| match e {
             Event::HeartbeatMissed { watcher, peer, .. } => Some((*watcher, *peer)),
             _ => None,
@@ -168,11 +167,11 @@ fn monitored_crash_fires_heartbeat_missed_events() {
     // Every detection names a distinct watcher/peer edge of the ring.
     assert!(missed.iter().all(|(w, p)| w != p));
     // The same run also traced the replacement machinery end to end.
-    assert!(sink
-        .events()
+    assert!(events
+        .iter()
         .any(|e| matches!(e, Event::DiffusionStarted { .. })));
-    assert!(sink
-        .events()
+    assert!(events
+        .iter()
         .any(|e| matches!(e, Event::ReplacementCycle { .. })));
 }
 
@@ -181,15 +180,11 @@ fn tight_capacity_run_reports_shortfall_not_panic() {
     let b = GridBounds::square(8);
     let d = spatial::point(&b, 200);
     let jobs = arrivals::from_demand(&d, Ordering::Sequential, 0);
-    let report = OnlineSim::new(
-        b,
-        &jobs,
-        OnlineConfig {
-            capacity_override: Some(6),
-            ..OnlineConfig::default()
-        },
-    )
-    .run();
+    let config = OnlineConfig {
+        capacity_override: Some(6),
+        ..OnlineConfig::default()
+    };
+    let report = run(b, &jobs, config);
     assert_eq!(report.served + report.unserved, 200);
     assert!(report.unserved > 0);
 }
@@ -204,15 +199,11 @@ fn empirical_min_capacity_is_same_order_as_omega_c() {
     let wc = omega_c(&b, &d).to_f64();
     let mut min_ok = None;
     for cap in (2..200).rev() {
-        let report = OnlineSim::new(
-            b,
-            &jobs,
-            OnlineConfig {
-                capacity_override: Some(cap),
-                ..OnlineConfig::default()
-            },
-        )
-        .run();
+        let config = OnlineConfig {
+            capacity_override: Some(cap),
+            ..OnlineConfig::default()
+        };
+        let report = run(b, &jobs, config);
         if report.unserved == 0 {
             min_ok = Some(cap);
         } else {
