@@ -1,13 +1,14 @@
 //! Oracles for the §3.2.5 monitored mode on the one on-line engine: the
 //! merged trace of a `--monitored` run is byte-identical for every worker
-//! count and schedule and clean under the inline monitors, a monitored run
+//! count and schedule, one-shot or stepped, and clean under the inline
+//! monitors, a monitored run
 //! stopped mid-flight and resumed from its CMVC checkpoint stitches back
 //! into the one-shot trace, and the E8 fault scenarios stay within their
 //! detection window.
 
 use cmvrp::ckpt::{decode_checkpoint, encode_checkpoint};
 use cmvrp::grid::{pt2, DemandMap, GridBounds};
-use cmvrp::obs::{check_lines, JsonlSink, NullSink, VecSink};
+use cmvrp::obs::{check_lines, Event, JsonlSink, NullSink, Sink, VecSink};
 use cmvrp::online::OnlineConfig;
 use cmvrp::workloads::{arrivals, JobSequence, Ordering, WorkloadConfig};
 use cmvrp::{CheckpointPolicy, EngineCheckpoint, ExecConfig, Schedule, ShardedOnlineSim};
@@ -107,6 +108,32 @@ fn monitored_trace_is_byte_identical_across_workers_and_schedules() {
                 cfg.label()
             );
         }
+        // A profiled session stepped one round at a time: without its
+        // round_profile samples, the same bytes again.
+        let mut session = ExecConfig::new()
+            .threads(2)
+            .profile(true)
+            .check(true)
+            .build(bounds, &jobs, monitored())
+            .expect("session");
+        let mut events = VecSink::new();
+        while !session.is_idle() {
+            session.advance_rounds(1, &mut events);
+        }
+        let verdict = session.finish().check.expect("checked session");
+        assert!(verdict.is_clean(), "{:?}", verdict.violations);
+        let mut stepped = JsonlSink::new(Vec::new());
+        for ev in events.drain() {
+            if !matches!(ev, Event::RoundProfile { .. }) {
+                stepped.record(&ev);
+            }
+        }
+        let stepped = stepped.into_writer().expect("flush");
+        assert!(
+            stepped == baseline,
+            "{}: stepped session differs",
+            cfg.label()
+        );
     }
 }
 
