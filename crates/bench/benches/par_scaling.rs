@@ -362,7 +362,8 @@ fn main() {
 
     // The sparse-memory headline: a million-vehicle grid, timed at 4
     // workers (one active cube — this measures the sparse bookkeeping
-    // floor, not parallelism).
+    // floor, not parallelism). Items are merged trace events, as in every
+    // other row.
     let bounds_1m = GridBounds::<2>::square(1024);
     let demand_1m = spatial::point(&bounds_1m, 2000);
     let jobs_1m = arrivals::from_demand(&demand_1m, Ordering::Shuffled, 7);
@@ -370,7 +371,7 @@ fn main() {
     h.set_samples(3);
     h.bench_with_items(
         "point1024/sharded_w4",
-        jobs_1m.iter().count() as u64,
+        event_count(bounds_1m, &jobs_1m),
         || {
             let mut sim = ShardedOnlineSim::<2>::new(bounds_1m, &jobs_1m, OnlineConfig::default());
             let report = sim.run(&ExecConfig::new().threads(4), &mut NullSink);

@@ -5,7 +5,12 @@
 //! "key to being able to provide an algorithm". This module computes:
 //!
 //! * [`max_window_sum`] — `max_{T ∈ Γ_s} Σ_{x∈T} d(x)` over all side-`s`
-//!   sliding cubes, via `D`-dimensional prefix sums (linear time).
+//!   sliding cubes, via `D`-dimensional prefix sums over the demand's
+//!   support. With `n` support points and `kᵢ ≤ n` distinct support
+//!   coordinates on axis `i`, the [`PrefixSums`] table has `Π(kᵢ+1)` cells
+//!   and takes `O(D·n·log n + D·Π(kᵢ+1))` to build; one side then costs
+//!   `O(2^D·Π kᵢ)`. Neither ever exceeds the grid's volume, and a demand
+//!   on one vertex of a 1024² grid builds a 4-cell table.
 //! * [`omega_c`] — the Corollary 2.2.7 quantity
 //!   `ω_c = min{ ω : ω·(3⌈ω⌉)^ℓ ≥ max_{T∈Γ_⌈ω⌉} Σ_{x∈T} d(x) }`,
 //!   satisfying `ω_c ≤ Woff ≤ (2·3^ℓ+ℓ)·ω_c`.
@@ -16,69 +21,103 @@ use crate::omega::solve_omega_t;
 use cmvrp_grid::{DemandMap, GridBounds, Point};
 use cmvrp_util::Ratio;
 
-/// `D`-dimensional prefix-sum table over a bounded grid, supporting O(2^D)
-/// box-sum queries.
+// The window-sum oracle's inputs, so the table-size gate below covers
+// every demand the root `tests/window_sums.rs` checks.
+#[cfg(test)]
+#[path = "../../../tests/window_sums/inputs.rs"]
+mod window_inputs;
+
+/// `D`-dimensional prefix-sum table over the support of a demand map,
+/// supporting box-sum queries and scans of every side-`s` window.
+///
+/// On each axis the table keeps the sorted, distinct, in-bounds support
+/// coordinates, and stores prefix sums over the grid they span: cell `c`
+/// holds the demand at support points whose coordinate on every axis `i`
+/// is below the `cᵢ`-th kept coordinate. Build it once and query it for
+/// every side a scan needs.
 #[derive(Debug, Clone)]
 pub struct PrefixSums<const D: usize> {
     bounds: GridBounds<D>,
-    /// Extents plus one along each axis (the table is one larger).
-    dims: [usize; D],
+    /// Per axis: the sorted, distinct coordinates of in-bounds support.
+    coords: [Vec<i64>; D],
+    /// Row-major strides of `data`; the last axis is contiguous.
+    strides: [usize; D],
     data: Vec<u64>,
 }
 
 impl<const D: usize> PrefixSums<D> {
-    /// Builds the table from a demand map in `O(volume · D)` time.
+    /// Builds the table from a demand map in `O(D·n·log n + D·Π(kᵢ+1))`
+    /// time for `n` support points. Demand outside `bounds` is ignored.
     pub fn new(bounds: GridBounds<D>, demand: &DemandMap<D>) -> Self {
-        let mut dims = [0usize; D];
-        for (i, dim) in dims.iter_mut().enumerate() {
-            *dim = bounds.extent(i) as usize + 1;
-        }
-        let size: usize = dims.iter().product();
-        let mut data = vec![0u64; size];
-        let index = |coords: &[usize; D], dims: &[usize; D]| -> usize {
-            let mut idx = 0usize;
-            for i in 0..D {
-                idx = idx * dims[i] + coords[i];
-            }
-            idx
-        };
-        // Scatter raw demand at offset +1.
-        for (p, amount) in demand.iter() {
-            if !bounds.contains(p) {
-                continue;
-            }
-            let c = p.coords();
-            let min = bounds.min();
-            let mut coords = [0usize; D];
-            for i in 0..D {
-                coords[i] = (c[i] - min[i]) as usize + 1;
-            }
-            data[index(&coords, &dims)] += amount;
-        }
-        // Accumulate along each axis in turn. Row-major strides: the cell at
-        // coords[axis]-1 sits exactly `stride[axis]` earlier, so a single
-        // ascending sweep per axis finalizes that axis' prefix.
-        let mut stride = [1usize; D];
-        for i in (0..D.saturating_sub(1)).rev() {
-            stride[i] = stride[i + 1] * dims[i + 1];
-        }
-        for axis in 0..D {
-            for idx in 0..size {
-                let coord_axis = (idx / stride[axis]) % dims[axis];
-                if coord_axis > 0 {
-                    data[idx] += data[idx - stride[axis]];
+        // Each axis' distinct coordinates, read straight off the support.
+        // Point order sorts axis 0, so skipping repeats of the last value
+        // dedups it on the fly. A list is sorted and deduped whenever it
+        // doubles past its last deduped length, so it never holds more than
+        // twice its distinct coordinates plus one instead of one entry per
+        // support point.
+        let mut coords: [Vec<i64>; D] = std::array::from_fn(|_| Vec::new());
+        let mut deduped = [0usize; D];
+        for (p, _) in demand.iter().filter(|&(p, _)| bounds.contains(p)) {
+            for ((axis, deduped), c) in coords.iter_mut().zip(&mut deduped).zip(p.coords()) {
+                if axis.last() != Some(&c) {
+                    axis.push(c);
+                }
+                if axis.len() > 2 * *deduped {
+                    axis.sort_unstable();
+                    axis.dedup();
+                    *deduped = axis.len();
                 }
             }
         }
-        PrefixSums { bounds, dims, data }
+        for axis in &mut coords {
+            axis.sort_unstable();
+            axis.dedup();
+        }
+        let mut strides = [1usize; D];
+        for i in (0..D.saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * (coords[i + 1].len() + 1);
+        }
+        let size = coords.first().map_or(1, |c| strides[0] * (c.len() + 1));
+        let mut data = vec![0u64; size];
+        // Scatter raw demand at offset +1 on every axis.
+        for (p, amount) in demand.iter().filter(|&(p, _)| bounds.contains(p)) {
+            let mut idx = 0;
+            for ((axis, c), stride) in coords.iter().zip(p.coords()).zip(strides) {
+                let rank = axis
+                    .binary_search(&c)
+                    .expect("every in-bounds support coordinate was kept");
+                idx += (rank + 1) * stride;
+            }
+            data[idx] += amount;
+        }
+        // Accumulate along each axis in turn: inside every block of
+        // `(kᵢ+1)·strideᵢ` cells, each row adds the already summed row
+        // `strideᵢ` cells before it.
+        for (axis, stride) in coords.iter().zip(strides) {
+            let block = (axis.len() + 1) * stride;
+            for start in (0..size).step_by(block) {
+                for idx in start + stride..start + block {
+                    data[idx] += data[idx - stride];
+                }
+            }
+        }
+        PrefixSums {
+            bounds,
+            coords,
+            strides,
+            data,
+        }
     }
 
-    fn index(&self, coords: &[usize; D]) -> usize {
-        let mut idx = 0usize;
-        for (dim, c) in self.dims.iter().zip(coords) {
-            idx = idx * dim + c;
-        }
-        idx
+    /// Total in-bounds demand.
+    fn total(&self) -> u64 {
+        *self.data.last().expect("the table has at least one cell")
+    }
+
+    /// The table's cell count, `Π(kᵢ+1)`.
+    #[cfg(test)]
+    fn cells(&self) -> usize {
+        self.data.len()
     }
 
     /// Sum of demand over the box with inclusive corners `lo`, `hi`
@@ -95,26 +134,149 @@ impl<const D: usize> PrefixSums<D> {
             if l > h {
                 return 0;
             }
-            lo_idx[i] = (l - min[i]) as usize; // exclusive lower in table
-            hi_idx[i] = (h - min[i]) as usize + 1; // inclusive upper in table
+            // Exclusive lower and inclusive upper rank among the kept
+            // coordinates, both as table offsets.
+            lo_idx[i] = self.coords[i].partition_point(|&c| c < l) * self.strides[i];
+            hi_idx[i] = self.coords[i].partition_point(|&c| c <= h) * self.strides[i];
         }
-        // Inclusion-exclusion over the 2^D corners.
-        let mut total: i128 = 0;
+        // Inclusion-exclusion over the 2^D corners. Partial sums may wrap;
+        // the true total lies in `0..=total`, so the wrapped sum is exact.
+        let mut total = 0u64;
         for mask in 0..(1usize << D) {
-            let mut corner = [0usize; D];
-            let mut sign: i128 = 1;
+            let mut corner = 0;
+            let mut negative = false;
             for i in 0..D {
                 if mask & (1 << i) != 0 {
-                    corner[i] = lo_idx[i];
-                    sign = -sign;
+                    corner += lo_idx[i];
+                    negative = !negative;
                 } else {
-                    corner[i] = hi_idx[i];
+                    corner += hi_idx[i];
                 }
             }
-            total += sign * self.data[self.index(&corner)] as i128;
+            let v = self.data[corner];
+            total = if negative {
+                total.wrapping_sub(v)
+            } else {
+                total.wrapping_add(v)
+            };
         }
-        debug_assert!(total >= 0);
-        total as u64
+        total
+    }
+
+    /// `max_{T∈Γ_s} Σ_{x∈T} d(x)` over this table; see [`max_window_sum`]
+    /// for the windows and why scanning only support-anchored ones is
+    /// exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s == 0`.
+    pub fn max_window_sum(&self, s: u64) -> u64 {
+        assert!(s > 0, "cube side must be positive");
+        if self.total() == 0 {
+            return 0;
+        }
+        let ranges: [Vec<(usize, usize)>; D] = std::array::from_fn(|i| self.window_ranges(i, s));
+        let (inner, outer) = ranges.split_last().expect("grids have at least one axis");
+        // One odometer step fixes a window range on every outer axis and
+        // thereby the 2^(D-1) corner offsets (with their inclusion-exclusion
+        // signs); the inner axis then slides along the contiguous last axis.
+        let mut corners = vec![(0usize, false); 1 << outer.len()];
+        let mut pos = vec![0usize; outer.len()];
+        let mut best = 0u64;
+        loop {
+            for (mask, corner) in corners.iter_mut().enumerate() {
+                *corner = (0, false);
+                for (i, (axis, &at)) in outer.iter().zip(&pos).enumerate() {
+                    let (lo, hi) = axis[at];
+                    if mask & (1 << i) != 0 {
+                        corner.0 += lo;
+                        corner.1 = !corner.1;
+                    } else {
+                        corner.0 += hi;
+                    }
+                }
+            }
+            for &(lo, hi) in inner {
+                let mut sum = 0u64;
+                for &(base, negative) in &corners {
+                    let v = self.data[base + hi].wrapping_sub(self.data[base + lo]);
+                    sum = if negative {
+                        sum.wrapping_sub(v)
+                    } else {
+                        sum.wrapping_add(v)
+                    };
+                }
+                best = best.max(sum);
+            }
+            // Advance the odometer over the outer axes, last fastest.
+            let mut axis = outer.len();
+            loop {
+                if axis == 0 {
+                    return best;
+                }
+                axis -= 1;
+                pos[axis] += 1;
+                if pos[axis] < outer[axis].len() {
+                    break;
+                }
+                pos[axis] = 0;
+            }
+        }
+    }
+
+    /// The compressed `[lo, hi)` table offsets, on `axis`, of every
+    /// candidate side-`s` window: one starting at each kept coordinate, up
+    /// to the first at or past `max − (s−1)`. Both ends only move up, so one
+    /// two-pointer sweep finds them all.
+    ///
+    /// The last candidate stands for the window clamped to the last legal
+    /// start: no kept coordinate lies between the two starts and both
+    /// windows reach the upper bound, so they cover the same kept
+    /// coordinates. When `s` exceeds the extent, that is the first one.
+    fn window_ranges(&self, axis: usize, s: u64) -> Vec<(usize, usize)> {
+        let coords = &self.coords[axis];
+        let stride = self.strides[axis];
+        let span = i64::try_from(s - 1).unwrap_or(i64::MAX);
+        let last_start = self.bounds.max()[axis].saturating_sub(span);
+        let mut ranges = Vec::with_capacity(coords.len());
+        let mut hi = 0;
+        for (lo, &c) in coords.iter().enumerate() {
+            let end = c.saturating_add(span);
+            while hi < coords.len() && coords[hi] <= end {
+                hi += 1;
+            }
+            ranges.push((lo * stride, hi * stride));
+            if c >= last_start {
+                break;
+            }
+        }
+        ranges
+    }
+
+    /// The Corollary 2.2.7 quantity `ω_c` of this table's demand; see
+    /// [`omega_c`].
+    pub fn omega_c(&self) -> Ratio {
+        if self.total() == 0 {
+            return Ratio::ZERO;
+        }
+        let l = D as u32;
+        let mut s: u64 = 1;
+        loop {
+            let m = self.max_window_sum(s) as i128;
+            // On the piece ⌈ω⌉ = s (i.e. ω ∈ (s-1, s]), the equation reads
+            // ω·(3s)^ℓ = M(s): candidate ω = M(s) / (3s)^ℓ.
+            let denom = (3 * s as i128).pow(l);
+            let candidate = Ratio::new(m, denom);
+            if candidate <= Ratio::from_integer(s as i128 - 1) {
+                // The inequality already holds throughout this piece; the
+                // infimum is the piece boundary.
+                return Ratio::from_integer(s as i128 - 1);
+            }
+            if candidate <= Ratio::from_integer(s as i128) {
+                return candidate;
+            }
+            s += 1;
+        }
     }
 }
 
@@ -123,6 +285,21 @@ impl<const D: usize> PrefixSums<D> {
 /// taking every start position such that the cube intersects the grid —
 /// equivalently every fully-contained window, since demand outside the grid
 /// is zero, plus clamped windows when `s` exceeds an extent).
+///
+/// Only windows whose start on each axis is a support coordinate, clamped
+/// to the last legal start, are summed. That is exact:
+///
+/// * take any legal side-`s` window `W` and let `P` be the support inside
+///   it; if `P` is empty, `W` sums to 0;
+/// * otherwise, on each axis, move `W`'s lower edge up to the smaller of
+///   `P`'s lowest coordinate and the last legal start. The new window is
+///   still legal, and it still contains `P` because its upper edge only
+///   moved up, so its sum is at least `W`'s;
+/// * the maximum over the candidate starts therefore equals the maximum
+///   over all starts. When `s` ≥ the extent, clamping leaves one start.
+///
+/// Builds a [`PrefixSums`] table; callers scanning several sides build
+/// one and call [`PrefixSums::max_window_sum`] on it.
 ///
 /// # Panics
 ///
@@ -149,37 +326,17 @@ pub fn max_window_sum<const D: usize>(
     demand: &DemandMap<D>,
     s: u64,
 ) -> u64 {
-    assert!(s > 0, "cube side must be positive");
-    if demand.total() == 0 {
-        return 0;
-    }
-    let prefix = PrefixSums::new(*bounds, demand);
-    // Enumerate window start positions; along each axis the start ranges
-    // over min ..= max - s + 1 (or just min when s >= extent).
-    let min = bounds.min();
-    let max = bounds.max();
-    let mut start_max = [0i64; D];
-    for i in 0..D {
-        start_max[i] = (max[i] - s as i64 + 1).max(min[i]);
-    }
-    let starts = GridBounds::new(min, start_max);
-    let mut best = 0u64;
-    for lo in starts.iter() {
-        let mut hc = lo.coords();
-        for h in hc.iter_mut() {
-            *h += s as i64 - 1;
-        }
-        best = best.max(prefix.box_sum(lo, Point::new(hc)));
-    }
-    best
+    PrefixSums::new(*bounds, demand).max_window_sum(s)
 }
 
 /// The Corollary 2.2.7 quantity `ω_c`: the infimum `ω` with
 /// `ω·(3⌈ω⌉)^ℓ ≥ max_{T∈Γ_⌈ω⌉} Σ_{x∈T} d(x)`.
 ///
-/// Satisfies `ω_c ≤ Woff ≤ (2·3^ℓ+ℓ)·ω_c` and `ω_c ≤ ω*`. Runs in
-/// `O(volume)` per examined side; sides are scanned upward from 1, and at
-/// most `O((Σd)^{1/(ℓ+1)})` sides are examined.
+/// Satisfies `ω_c ≤ Woff ≤ (2·3^ℓ+ℓ)·ω_c` and `ω_c ≤ ω*`. Builds one
+/// support-compressed [`PrefixSums`] table and scans sides upward from 1
+/// over it, at `O(2^ℓ·Π kᵢ)` per side for `kᵢ` distinct support
+/// coordinates on axis `i`; at most `O((Σd)^{1/(ℓ+1)})` sides are
+/// examined.
 ///
 /// # Examples
 ///
@@ -195,27 +352,7 @@ pub fn max_window_sum<const D: usize>(
 /// assert_eq!(omega_c(&b, &d), Ratio::ONE);
 /// ```
 pub fn omega_c<const D: usize>(bounds: &GridBounds<D>, demand: &DemandMap<D>) -> Ratio {
-    if demand.total() == 0 {
-        return Ratio::ZERO;
-    }
-    let l = D as u32;
-    let mut s: u64 = 1;
-    loop {
-        let m = max_window_sum(bounds, demand, s) as i128;
-        // On the piece ⌈ω⌉ = s (i.e. ω ∈ (s-1, s]), the equation reads
-        // ω·(3s)^ℓ = M(s): candidate ω = M(s) / (3s)^ℓ.
-        let denom = (3 * s as i128).pow(l);
-        let candidate = Ratio::new(m, denom);
-        if candidate <= Ratio::from_integer(s as i128 - 1) {
-            // The inequality already holds throughout this piece; the
-            // infimum is the piece boundary.
-            return Ratio::from_integer(s as i128 - 1);
-        }
-        if candidate <= Ratio::from_integer(s as i128) {
-            return candidate;
-        }
-        s += 1;
-    }
+    PrefixSums::new(*bounds, demand).omega_c()
 }
 
 /// `max ω_T` over all axis-aligned cubes with side `1..=s_max` — the
@@ -318,34 +455,24 @@ mod tests {
     }
 
     #[test]
-    fn window_sum_matches_bruteforce() {
-        let mut rng = cmvrp_util::Rng::seed_from_u64(17);
-        let b = GridBounds::square(7);
-        let mut d = DemandMap::new();
-        for _ in 0..10 {
-            d.add(
-                pt2(rng.gen_range(0..7), rng.gen_range(0..7)),
-                rng.gen_range(1..9),
-            );
-        }
-        for s in 1..=8u64 {
-            let fast = max_window_sum(&b, &d, s);
-            // Brute force over all windows.
-            let mut brute = 0u64;
-            for x in 0..7i64 {
-                for y in 0..7i64 {
-                    let sum: u64 = GridBounds::new(
-                        [x, y],
-                        [(x + s as i64 - 1).min(6), (y + s as i64 - 1).min(6)],
-                    )
-                    .iter()
-                    .map(|p| d.get(p))
-                    .sum();
-                    brute = brute.max(sum);
-                }
+    fn table_cells_track_the_support() {
+        // The million-point demand: one vertex of a 1024² grid, where a
+        // grid-sized table would have 1025² = 1,050,625 cells.
+        let b = GridBounds::square(1024);
+        let d = cmvrp_workloads::spatial::point(&b, 2000);
+        assert_eq!(PrefixSums::new(b, &d).cells(), 4);
+
+        fn within_dense<const D: usize>(cases: &[window_inputs::Case<D>]) {
+            for case in cases {
+                let b = case.bounds;
+                let dense: u64 = (0..D).map(|i| b.extent(i) + 1).product();
+                let cells = PrefixSums::new(b, &case.demand).cells();
+                assert!(cells as u64 <= dense, "{}: {cells} > {dense}", case.name);
             }
-            assert_eq!(fast, brute, "s={s}");
         }
+        within_dense(&window_inputs::cases_1d());
+        within_dense(&window_inputs::cases_2d());
+        within_dense(&window_inputs::cases_3d());
     }
 
     #[test]

@@ -65,7 +65,10 @@ impl<const D: usize> Instance<D> {
         omega_star(&self.bounds, &self.demand)
     }
 
-    /// The cube quantity `ω_c` of Corollary 2.2.7 (linear time).
+    /// The cube quantity `ω_c` of Corollary 2.2.7, from one prefix-sum
+    /// table over the demand's support (`Π(kᵢ+1)` cells for `kᵢ` distinct
+    /// support coordinates on axis `i`, never more than the grid's volume).
+    /// Exact: see [`crate::max_window_sum`].
     pub fn omega_c(&self) -> Ratio {
         omega_c(&self.bounds, &self.demand)
     }

@@ -15,6 +15,7 @@
 //! [`verify_plan`] re-derives every vehicle's energy — travel plus service —
 //! and checks all demand is covered, without trusting the constructor.
 
+use crate::cubes::PrefixSums;
 use cmvrp_grid::{CubePartition, DemandMap, GridBounds, Point};
 use cmvrp_util::Ratio;
 use std::collections::BTreeMap;
@@ -152,8 +153,9 @@ pub fn plan_offline<const D: usize>(
     if demand.total() == 0 {
         return Ok(OfflinePlan::default());
     }
-    let side = lemma_side(bounds, demand);
-    let m = crate::cubes::max_window_sum(bounds, demand, side);
+    let prefix = PrefixSums::new(*bounds, demand);
+    let side = prefix.lemma_side();
+    let m = prefix.max_window_sum(side);
     let vehicles_per_cube = (side as u128).pow(D as u32);
     let chunk_cap = (m as u128).div_ceil(vehicles_per_cube).max(1) as u64;
     Ok(build_plan(bounds, demand, side, chunk_cap))
@@ -163,17 +165,22 @@ pub fn plan_offline<const D: usize>(
 /// that no side-`s` cube holds more than `s·(3s)^ℓ` demand (the `ω_c` piece
 /// of Corollary 2.2.7). Returns 1 for zero demand.
 pub fn lemma_side<const D: usize>(bounds: &GridBounds<D>, demand: &DemandMap<D>) -> u64 {
-    if demand.total() == 0 {
-        return 1;
-    }
-    let l = D as u32;
-    let mut s: u64 = 1;
-    loop {
-        let m = crate::cubes::max_window_sum(bounds, demand, s);
-        if (m as u128) <= s as u128 * (3 * s as u128).pow(l) {
-            return s;
+    PrefixSums::new(*bounds, demand).lemma_side()
+}
+
+impl<const D: usize> PrefixSums<D> {
+    /// [`lemma_side`] of this table's demand, scanning every side over the
+    /// one table.
+    pub fn lemma_side(&self) -> u64 {
+        let l = D as u32;
+        let mut s: u64 = 1;
+        loop {
+            let m = self.max_window_sum(s);
+            if (m as u128) <= s as u128 * (3 * s as u128).pow(l) {
+                return s;
+            }
+            s += 1;
         }
-        s += 1;
     }
 }
 
@@ -212,7 +219,7 @@ pub fn plan_offline_with<const D: usize>(
     let lemma_cap = (Ratio::from_integer(3i128.pow(D as u32)) * omega)
         .floor()
         .max(1) as u64;
-    let m = crate::cubes::max_window_sum(bounds, demand, side) as u128;
+    let m = PrefixSums::new(*bounds, demand).max_window_sum(side) as u128;
     let fair_cap = m.div_ceil((side as u128).pow(D as u32)).max(1) as u64;
     Ok(build_plan(bounds, demand, side, lemma_cap.max(fair_cap)))
 }

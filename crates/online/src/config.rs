@@ -3,8 +3,7 @@
 //! the Theorem 1.4.2 accounting in [`OnlineReport`]. The driver that
 //! executes the protocol is the sharded engine in `cmvrp-engine`.
 
-use cmvrp_core::cubes::omega_c;
-use cmvrp_core::plan::lemma_side;
+use cmvrp_core::cubes::PrefixSums;
 use cmvrp_grid::GridBounds;
 use cmvrp_util::Ratio;
 
@@ -47,19 +46,21 @@ pub struct Provisioning {
 }
 
 /// Computes the cube side, `ω_c`, and battery capacity for a demand field,
-/// honoring `config.capacity_override` when set.
+/// honoring `config.capacity_override` when set. All three read one
+/// support-compressed [`PrefixSums`] table.
 pub fn provision<const D: usize>(
     bounds: &GridBounds<D>,
     demand: &cmvrp_grid::DemandMap<D>,
     config: &OnlineConfig,
 ) -> Provisioning {
-    let side = lemma_side(bounds, demand);
-    let omega = omega_c(bounds, demand);
+    let prefix = PrefixSums::new(*bounds, demand);
+    let side = prefix.lemma_side();
+    let omega = prefix.omega_c();
     let capacity = config.capacity_override.unwrap_or_else(|| {
         // Lemma 3.3.1 provisioning, discretized: a per-vehicle job
         // budget of 4·⌈M/side^ℓ⌉ + 4 (so at most half the cube's
         // vehicles can exhaust) plus the ℓ·ω_c relocation reserve.
-        let m = cmvrp_core::max_window_sum(bounds, demand, side) as u128;
+        let m = prefix.max_window_sum(side) as u128;
         let per = m.div_ceil((side as u128).pow(D as u32));
         let job_budget = 4 * per as u64 + 4;
         job_budget + (D as u64) * side.saturating_sub(1) + 2

@@ -246,6 +246,13 @@ diff tests/data/golden_scenario_summary.txt "$n1" || {
     echo "scenario run summary drifted from the golden" >&2
     exit 1
 }
+# The million-vehicle point source: ω_c 6, ω* 10, W 182 and max energy 181
+# on a 1024x1024 grid, pinned the same way.
+./target/release/cmvrp scenario run scenarios/million_point.toml >"$n1"
+diff tests/data/golden_million_point_summary.txt "$n1" || {
+    echo "million-point scenario summary drifted from the golden" >&2
+    exit 1
+}
 ./target/release/cmvrp simulate point:grid=11,demand=40 --threads=2 \
     --trace-jsonl="$n2" >/dev/null
 ./target/release/cmvrp simulate @scenarios/earthquake.toml --threads=2 \
