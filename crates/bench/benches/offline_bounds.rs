@@ -17,10 +17,9 @@
 //! then carry the snapshot's file name, its fastest sample and the
 //! speed-up of every row both runs have.
 
-use cmvrp_bench::harness::{Harness, Measurement};
+use cmvrp_bench::harness::Harness;
 use cmvrp_core::{omega_c, omega_star};
 use cmvrp_grid::GridBounds;
-use cmvrp_obs::json::quote;
 use cmvrp_online::{provision, OnlineConfig};
 use cmvrp_workloads::{spatial, WorkloadConfig};
 use std::hint::black_box;
@@ -68,17 +67,7 @@ fn main() {
             black_box(provision(bounds, demand, &OnlineConfig::default()));
         });
     }
-    let baseline = std::env::args().find_map(|a| a.strip_prefix("--baseline=").map(String::from));
-    if let Some(path) = baseline {
-        match std::fs::read_to_string(&path) {
-            Ok(snapshot) => {
-                let name = std::path::Path::new(&path).file_name().unwrap_or_default();
-                notes.push(("baseline".to_string(), name.to_string_lossy().into_owned()));
-                notes.extend(baseline_notes(h.results(), &snapshot));
-            }
-            Err(e) => eprintln!("warning: cannot read baseline {path}: {e}"),
-        }
-    }
+    notes.extend(h.baseline_notes());
     // `cargo bench` runs with the package dir as cwd; anchor the snapshot
     // at the workspace root next to the other BENCH_*.json files.
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_offline.json");
@@ -87,29 +76,4 @@ fn main() {
         eprintln!("warning: could not write {}: {e}", out.display());
     }
     h.finish();
-}
-
-/// For every row also present in `snapshot` (a file this bench wrote on
-/// another build): the baseline's fastest sample and `baseline / this`.
-fn baseline_notes(rows: &[Measurement], snapshot: &str) -> Vec<(String, String)> {
-    let mut notes = Vec::new();
-    for m in rows {
-        let key = format!("\"name\": {}", quote(&m.name));
-        let Some(line) = snapshot.lines().find(|l| l.contains(&key)) else {
-            continue;
-        };
-        let Some(base) = line
-            .split_once("\"min_ns\": ")
-            .and_then(|(_, rest)| rest.split(',').next())
-            .and_then(|v| v.trim().parse::<f64>().ok())
-        else {
-            continue;
-        };
-        notes.push((format!("{} baseline_min_ns", m.name), format!("{base:.1}")));
-        notes.push((
-            format!("{} speedup", m.name),
-            format!("{:.2}x", base / m.min_ns),
-        ));
-    }
-    notes
 }

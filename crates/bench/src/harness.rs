@@ -17,8 +17,10 @@
 //!
 //! Supported command-line arguments (everything else is ignored so
 //! `cargo bench`/`cargo test` glue flags pass through): `--test` or
-//! `--quick` runs every closure once without timing, and the first bare
-//! argument is a substring filter on bench names.
+//! `--quick` runs every closure once without timing, the first bare
+//! argument is a substring filter on bench names, and `--baseline=PATH`
+//! names a snapshot another build of the same bench wrote (see
+//! [`Harness::baseline_notes`]).
 //!
 //! Methodology: each bench is warmed up, then the iteration count is
 //! calibrated so one sample takes roughly [`SAMPLE_TARGET_MS`]; the
@@ -90,6 +92,7 @@ pub fn fmt_ns(ns: f64) -> String {
 pub struct Harness {
     group: String,
     filter: Option<String>,
+    baseline: Option<String>,
     quick: bool,
     samples: usize,
     results: Vec<Measurement>,
@@ -106,7 +109,12 @@ impl Harness {
     pub fn with_args(group: &str, args: &[String]) -> Self {
         let mut quick = false;
         let mut filter = None;
+        let mut baseline = None;
         for a in args {
+            if let Some(path) = a.strip_prefix("--baseline=") {
+                baseline = Some(path.to_string());
+                continue;
+            }
             match a.as_str() {
                 "--test" | "--quick" => quick = true,
                 s if s.starts_with('-') => {} // cargo glue flags: ignore
@@ -120,6 +128,7 @@ impl Harness {
         Harness {
             group: group.to_string(),
             filter,
+            baseline,
             quick,
             samples: DEFAULT_SAMPLES,
             results: Vec::new(),
@@ -232,6 +241,45 @@ impl Harness {
     /// The measurements recorded so far.
     pub fn results(&self) -> &[Measurement] {
         &self.results
+    }
+
+    /// Notes pairing this run with the `--baseline=PATH` snapshot, when
+    /// one was named: the snapshot's file name, then for every row both
+    /// runs have, the baseline's fastest sample and `baseline / this`.
+    /// Empty without `--baseline`; a snapshot that cannot be read is
+    /// reported on stderr and yields no notes.
+    pub fn baseline_notes(&self) -> Vec<(String, String)> {
+        let Some(path) = &self.baseline else {
+            return Vec::new();
+        };
+        let snapshot = match std::fs::read_to_string(path) {
+            Ok(snapshot) => snapshot,
+            Err(e) => {
+                eprintln!("warning: cannot read baseline {path}: {e}");
+                return Vec::new();
+            }
+        };
+        let name = std::path::Path::new(path).file_name().unwrap_or_default();
+        let mut notes = vec![("baseline".to_string(), name.to_string_lossy().into_owned())];
+        for m in &self.results {
+            let key = format!("\"name\": {}", quote(&m.name));
+            let Some(line) = snapshot.lines().find(|l| l.contains(&key)) else {
+                continue;
+            };
+            let Some(base) = line
+                .split_once("\"min_ns\": ")
+                .and_then(|(_, rest)| rest.split(',').next())
+                .and_then(|v| v.trim().parse::<f64>().ok())
+            else {
+                continue;
+            };
+            notes.push((format!("{} baseline_min_ns", m.name), format!("{base:.1}")));
+            notes.push((
+                format!("{} speedup", m.name),
+                format!("{:.2}x", base / m.min_ns),
+            ));
+        }
+        notes
     }
 
     /// Whether the harness is in `--quick`/`--test` mode (runs everything
@@ -395,6 +443,43 @@ mod tests {
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn baseline_notes_pair_shared_rows() {
+        let path = std::env::temp_dir().join("cmvrp_bench_baseline_notes.json");
+        let mut base = Harness::with_args("g", &[]);
+        base.results.push(Measurement {
+            name: "a/1".into(),
+            iters_per_sample: 1,
+            mean_ns: 300.0,
+            min_ns: 200.0,
+            stddev_ns: 0.0,
+            items_per_iter: 0,
+        });
+        std::fs::write(&path, base.snapshot_json(&[])).unwrap();
+        let arg = format!("--baseline={}", path.display());
+        let mut h = Harness::with_args("g", &[arg]);
+        for (name, min_ns) in [("a/1", 100.0), ("b/1", 50.0)] {
+            h.results.push(Measurement {
+                name: name.into(),
+                min_ns,
+                ..base.results[0].clone()
+            });
+        }
+        let notes = h.baseline_notes();
+        let _ = std::fs::remove_file(&path);
+        let want = [
+            ("baseline", "cmvrp_bench_baseline_notes.json"),
+            ("a/1 baseline_min_ns", "200.0"),
+            ("a/1 speedup", "2.00x"),
+        ];
+        let want: Vec<(String, String)> = want
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        assert_eq!(notes, want);
+        assert!(Harness::with_args("g", &[]).baseline_notes().is_empty());
     }
 
     #[test]

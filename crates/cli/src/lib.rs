@@ -828,6 +828,12 @@ fn cmd_scenario_run(path: &str, opts: &[String]) -> Result<String, UsageError> {
     let (bounds, demand, jobs) = sc
         .generate(online.seed)
         .map_err(|e| UsageError(e.to_string()))?;
+    // ω* depends only on the demand. Solving it before the protocol run
+    // keeps the solver's flow network from stacking on top of the heap the
+    // run frees but the allocator keeps: solved afterwards, the two set
+    // the command's peak RSS together.
+    let inst = Instance::new(bounds, demand.clone());
+    let star = inst.omega_star().value;
 
     // The protocol run: one-shot when fault-free; with a fault script,
     // advance to each crash round, snapshot, tear the session down, and
@@ -900,8 +906,6 @@ fn cmd_scenario_run(path: &str, opts: &[String]) -> Result<String, UsageError> {
         .report
         .vehicles
         .unwrap_or_else(|| demand.total().div_ceil(capacity).max(1));
-    let inst = Instance::new(bounds, demand.clone());
-    let star = inst.omega_star().value;
     let ratio = |cost: u64, bound: f64| -> String {
         if bound <= 0.0 {
             "-".into()

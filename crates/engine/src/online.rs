@@ -75,6 +75,7 @@ use cmvrp_online::{provision, OnlineConfig, OnlineMsg, OnlineReport, Provisionin
 use cmvrp_workloads::JobSequence;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// What the sharded engine needs from a per-shard sink: a monomorphized
@@ -146,7 +147,9 @@ struct ShardSim<const D: usize, SS: ShardSink> {
     /// Materialized cubes in materialization order, which fixes the local
     /// process ids (and with them the order ticks visit vehicles in).
     cubes: Vec<CubeId<D>>,
-    id_of_home: HashMap<Point<D>, ProcessId>,
+    /// Per materialized cube, the contiguous local ids of its vehicles in
+    /// lexicographic home order; vehicles never leave their cube.
+    members: HashMap<CubeId<D>, Range<ProcessId>>,
     pairings: HashMap<CubeId<D>, Pairing<D>>,
     pair_active: HashMap<(CubeId<D>, usize), ProcessId>,
     /// This shard's job queue; entry `released` is the next to go, one per
@@ -161,6 +164,9 @@ struct ShardSim<const D: usize, SS: ShardSink> {
     unserved: u64,
     replacements: u64,
     failed_replacements: u64,
+    /// Vehicles `absorb_events` visited and `recompute_neighbors` scanned.
+    absorb_visits: u64,
+    neighbor_visits: u64,
     arrival_scratch: Event,
 }
 
@@ -200,7 +206,7 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             capacity,
             global_ids: Vec::new(),
             cubes: Vec::new(),
-            id_of_home: HashMap::new(),
+            members: HashMap::new(),
             pairings: HashMap::new(),
             pair_active: HashMap::new(),
             jobs,
@@ -210,6 +216,8 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             unserved: 0,
             replacements: 0,
             failed_replacements: 0,
+            absorb_visits: 0,
+            neighbor_visits: 0,
             arrival_scratch: Event::JobArrived {
                 t: 0,
                 seq: 0,
@@ -226,6 +234,7 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             return;
         }
         let cube = self.part.cube_bounds(cube_id);
+        let start = self.net.len();
         for home in cube.iter() {
             let lid = self.net.add_process(Vehicle::new(
                 self.global_ids.len(),
@@ -235,15 +244,15 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             ));
             debug_assert_eq!(lid, self.global_ids.len());
             self.global_ids.push(self.bounds.index_of(home) as usize);
-            self.id_of_home.insert(home, lid);
         }
         let pairing = pairing_in_cube(&cube);
         for (idx, (primary, _)) in pairing.pairs().iter().enumerate() {
-            let lid = self.id_of_home[primary];
+            let lid = start + cube.index_of(*primary) as usize;
             *self.net.process_mut(lid) = Vehicle::new(lid, *primary, true, self.capacity);
             self.pair_active.insert((cube_id, idx), lid);
         }
         self.pairings.insert(cube_id, pairing);
+        self.members.insert(cube_id, start..self.net.len());
         self.cubes.push(cube_id);
         self.recompute_neighbors(cube_id);
         if self.monitored {
@@ -254,18 +263,23 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
     /// The local id of the vehicle whose home is `home`, materializing its
     /// cube first.
     fn vehicle_at(&mut self, home: Point<D>) -> ProcessId {
-        self.ensure_cube(self.part.cube_of(home));
-        self.id_of_home[&home]
+        let cube = self.part.cube_of(home);
+        self.ensure_cube(cube);
+        self.members[&cube].start + self.part.cube_bounds(cube).index_of(home) as usize
     }
 
-    /// Physical layer: recompute neighbor lists for all vehicles currently
-    /// inside `cube` (positions are dynamic but never leave the cube).
+    /// Physical layer: recompute neighbor lists for all vehicles inside
+    /// `cube` (positions are dynamic but never leave the cube).
     fn recompute_neighbors(&mut self, cube: CubeId<D>) {
-        let members: Vec<(ProcessId, Point<D>)> = (0..self.net.len())
+        let ids = self.members[&cube].clone();
+        self.neighbor_visits += ids.len() as u64;
+        let members: Vec<(ProcessId, Point<D>)> = ids
             .filter(|&id| !self.net.is_crashed(id))
             .map(|id| (id, self.net.process(id).pos()))
-            .filter(|(_, pos)| self.part.cube_of(*pos) == cube)
             .collect();
+        debug_assert!(members
+            .iter()
+            .all(|(_, pos)| self.part.cube_of(*pos) == cube));
         for &(id, pos) in &members {
             let neighbors: Vec<ProcessId> = members
                 .iter()
@@ -316,17 +330,19 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
     }
 
     /// Driver bookkeeping after quiescence: absorb completed relocations
-    /// and failed searches.
+    /// and failed searches. Only a vehicle that ran a handler can have
+    /// either, so this visits just those, in ascending id order.
     fn absorb_events(&mut self) {
         let mut moved: Vec<(ProcessId, Point<D>)> = Vec::new();
-        for id in 0..self.net.len() {
-            if let Some(dest) = self.net.process_mut(id).take_arrival() {
+        self.net.drain_touched(|id, vehicle| {
+            self.absorb_visits += 1;
+            if let Some(dest) = vehicle.take_arrival() {
                 moved.push((id, dest));
             }
-            if self.net.process_mut(id).take_failed_search() {
+            if vehicle.take_failed_search() {
                 self.failed_replacements += 1;
             }
-        }
+        });
         for (id, dest) in moved {
             self.replacements += 1;
             let cube = self.part.cube_of(dest);
@@ -441,10 +457,10 @@ impl<const D: usize, SS: ShardSink> ShardWorker for ShardSim<D, SS> {
         }
     }
 
-    /// Active-cube accounting for [`crate::Schedule::Rebalance`]: a
-    /// shard's round cost scales with the cubes it has materialized
-    /// (neighbor recomputation, message traffic), plus one unit while it
-    /// still has jobs to release.
+    /// Load estimate for [`crate::Schedule::Rebalance`]: the cubes this
+    /// shard has materialized, plus one while it still has jobs. A round
+    /// costs the vehicles its job touched plus one cube's neighbor scan
+    /// per relocation; the cube count stands in for where demand can land.
     fn load_hint(&self) -> u64 {
         self.cubes.len() as u64 + u64::from(self.released < self.jobs.len())
     }
@@ -625,7 +641,10 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
                 ticks: v.ticks,
                 heartbeat_misses: v.heartbeat_misses,
             };
-            self.net.process_mut(local_of[&v.global_id]).restore(&snap);
+            // Through `trigger`, so the next absorb visits the vehicle and
+            // still sees a checkpointed pending arrival or failed search.
+            self.net
+                .trigger(local_of[&v.global_id], |p, _| p.restore(&snap));
         }
         self.released = ckpt.released as usize;
         self.served = ckpt.served;
@@ -1352,6 +1371,10 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
     /// `engine.*` namespace carries the scheduler counters: lockstep
     /// rounds plus per-worker busy time, shards stepped, and steals — the
     /// direct observation of scheduler skew.
+    /// `online.absorb_visits` and `online.neighbor_visits` count the
+    /// vehicles absorbed after quiescence and scanned for neighbor lists;
+    /// like `engine.*` they count this process' work and are not written
+    /// to CMVC, so a resumed run counts from zero.
     pub fn metrics(&self) -> Metrics {
         let mut m = Metrics::new();
         let mut energy = Histogram::with_bounds(&DEFAULT_BUCKETS);
@@ -1359,6 +1382,8 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         let mut jobs_arrived = 0u64;
         for shard in &self.shards {
             m.absorb(&shard.net.metrics());
+            m.add("online.absorb_visits", shard.absorb_visits);
+            m.add("online.neighbor_visits", shard.neighbor_visits);
             jobs_arrived += shard.released as u64;
             for id in 0..shard.net.len() {
                 let v = shard.net.process(id);

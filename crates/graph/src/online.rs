@@ -261,14 +261,13 @@ impl GraphOnlineSim {
         &self.clustering
     }
 
+    /// Absorbs relocations and failed searches. Only a vehicle that ran a
+    /// handler can have either, so this visits just those, in id order.
     fn absorb(&mut self) {
-        for id in 0..self.net.len() {
-            let arrived = self.net.process_mut(id).arrived.take();
-            if let Some(dest) = arrived {
+        self.net.drain_touched(|id, v| {
+            if let Some(dest) = v.arrived.take() {
                 // Charge the walk and activate.
-                let dist = self.g.distances(self.net.process(id).pos)[dest]
-                    .expect("cluster members are connected");
-                let v = self.net.process_mut(id);
+                let dist = self.g.distances(v.pos)[dest].expect("cluster members are connected");
                 v.energy_used += dist;
                 v.pos = dest;
                 v.active = true;
@@ -276,10 +275,10 @@ impl GraphOnlineSim {
                 let cluster = self.clustering.assignment[dest];
                 self.cluster_active[cluster] = id;
             }
-            if std::mem::take(&mut self.net.process_mut(id).failed_search) {
+            if std::mem::take(&mut v.failed_search) {
                 self.failed_replacements += 1;
             }
-        }
+        });
     }
 
     /// Delivers one job at vertex `job`; returns whether it was served.

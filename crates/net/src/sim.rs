@@ -20,7 +20,7 @@ use cmvrp_obs::{
     DropReason, Event, Histogram, Metrics, MsgKind, NullSink, StaticSink, DEFAULT_BUCKETS,
 };
 use cmvrp_util::Rng;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Identifier of a process within a [`Network`] (its index).
@@ -137,8 +137,12 @@ pub struct RunReport {
     pub quiesced: bool,
 }
 
+/// A message in flight, ordered for the delivery min-heap by
+/// `(at, seq)` alone: `seq` is unique and breaks ties in send order.
 #[derive(Debug)]
 struct Envelope<M> {
+    at: u64,
+    seq: u64,
     from: ProcessId,
     to: ProcessId,
     sent_at: u64,
@@ -146,6 +150,27 @@ struct Envelope<M> {
     /// event matches its send even if the classifier changes.
     kind: Option<MsgKind>,
     msg: M,
+}
+
+impl<M> PartialEq for Envelope<M> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<M> Eq for Envelope<M> {}
+
+impl<M> PartialOrd for Envelope<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<M> Ord for Envelope<M> {
+    /// Reversed, so the max-heap pops the earliest delivery first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
 }
 
 /// The transport layer's durable state at quiescence, for checkpointing.
@@ -193,12 +218,12 @@ pub struct Network<P, M, S: StaticSink = NullSink> {
     rng: Rng,
     now: u64,
     seq: u64,
-    /// (delivery_time, seq) -> envelope; `Reverse` for a min-heap. `seq`
-    /// breaks ties deterministically and preserves FIFO among equal times.
-    queue: BinaryHeap<Reverse<(u64, u64)>>,
-    payloads: HashMap<u64, Envelope<M>>,
+    /// Messages in flight, earliest `(delivery_time, seq)` first.
+    queue: BinaryHeap<Envelope<M>>,
     /// Latest scheduled delivery per ordered channel, for FIFO enforcement.
     channel_last: HashMap<(ProcessId, ProcessId), u64>,
+    /// Processes that ran a handler since the last drain, once per run.
+    touched: Vec<ProcessId>,
     total_sent: u64,
     total_delivered: u64,
     total_lost: u64,
@@ -247,8 +272,8 @@ where
             now: 0,
             seq: 0,
             queue: BinaryHeap::new(),
-            payloads: HashMap::new(),
             channel_last: HashMap::new(),
+            touched: Vec::new(),
             total_sent: 0,
             total_delivered: 0,
             total_lost: 0,
@@ -453,23 +478,21 @@ where
         let delay = self
             .rng
             .gen_range(self.config.min_delay..=self.config.max_delay);
-        let naive = self.now + delay;
-        let last = self.channel_last.get(&(from, to)).copied().unwrap_or(0);
-        let at = naive.max(last); // FIFO: never deliver before an earlier send
-        self.channel_last.insert((from, to), at);
+        // FIFO: never deliver before an earlier send on the same channel.
+        let last = self.channel_last.entry((from, to)).or_insert(0);
+        *last = (*last).max(self.now + delay);
+        let at = *last;
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse((at, seq)));
-        self.payloads.insert(
+        self.queue.push(Envelope {
+            at,
             seq,
-            Envelope {
-                from,
-                to,
-                sent_at: self.now,
-                kind,
-                msg,
-            },
-        );
+            from,
+            to,
+            sent_at: self.now,
+            kind,
+            msg,
+        });
         self.total_sent += 1;
         self.queue_depth_max = self.queue_depth_max.max(self.queue.len());
         if S::ENABLED {
@@ -483,8 +506,9 @@ where
     }
 
     /// Moves a finished callback's queued sends and trace events into the
-    /// network.
+    /// network, and marks the process that ran it as touched.
     fn absorb_context(&mut self, sender: ProcessId, ctx: Context<M>) {
+        self.touched.push(sender);
         if S::ENABLED {
             for ev in &ctx.events {
                 self.sink.record(ev);
@@ -557,24 +581,35 @@ where
         }
     }
 
+    /// Visits, ascending and each once, the processes that ran
+    /// [`Network::trigger`], [`Process::on_tick`] or [`Process::on_message`]
+    /// since the last drain. [`Network::process_mut`] and a dropped delivery
+    /// run none.
+    pub fn drain_touched(&mut self, mut visit: impl FnMut(ProcessId, &mut P)) {
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        for id in self.touched.drain(..) {
+            visit(id, &mut self.processes[id]);
+        }
+    }
+
     /// Delivers queued messages until none remain (or the event budget is
     /// exhausted). This realizes the paper's assumption that consecutive
     /// job arrivals are spaced widely enough for computations to finish.
     pub fn run_to_quiescence(&mut self) -> RunReport {
         let mut delivered = 0u64;
         let mut dropped = 0u64;
-        while let Some(Reverse((at, seq))) = self.queue.pop() {
+        while let Some(env) = self.queue.pop() {
             if delivered >= self.config.max_events {
-                // Re-push so state stays consistent if the caller continues.
-                self.queue.push(Reverse((at, seq)));
+                // Put it back so a later run delivers it.
+                self.queue.push(env);
                 return RunReport {
                     delivered,
                     dropped,
                     quiesced: false,
                 };
             }
-            self.now = self.now.max(at);
-            let env = self.payloads.remove(&seq).expect("payload for event");
+            self.now = self.now.max(env.at);
             if self.crashed[env.to] {
                 dropped += 1;
                 self.total_to_crashed += 1;
@@ -675,6 +710,74 @@ mod tests {
         let r2 = net.run_to_quiescence();
         assert!(!r2.quiesced);
         assert!(net.total_delivered() >= 200);
+
+        // A finite chain of four deliveries under a budget of two: the
+        // stop puts the popped third envelope back, and the next run
+        // delivers it and the rest in order.
+        let mut net = Network::new(
+            recorders(4, true),
+            NetConfig {
+                max_events: 2,
+                ..NetConfig::default()
+            },
+        );
+        net.post(0, 3);
+        let r = net.run_to_quiescence();
+        assert_eq!((r.delivered, r.quiesced), (2, false));
+        assert!(net.process(2).log.is_empty());
+        let r = net.run_to_quiescence();
+        assert_eq!((r.delivered, r.quiesced), (2, true));
+        assert_eq!(net.process(2).log, vec![(1, 1)]);
+        assert_eq!(net.process(3).log, vec![(2, 0)]);
+    }
+
+    /// The ids `drain_touched` visits, in visiting order.
+    fn touched<S: StaticSink>(net: &mut Network<Recorder, u32, S>) -> Vec<ProcessId> {
+        let mut ids = Vec::new();
+        net.drain_touched(|id, _| ids.push(id));
+        ids
+    }
+
+    #[test]
+    fn touched_drain_lists_each_handler_run_once_in_id_order() {
+        let mut net = Network::new(recorders(6, false), NetConfig::default());
+        assert!(touched(&mut net).is_empty());
+        // Trigger on 4 twice (one entry), a delivery to 1, and a delivery
+        // to 5 that is dropped because 5 crashes first.
+        net.trigger(4, |_p, ctx| ctx.send(1, 7));
+        net.trigger(4, |_p, ctx| ctx.send(5, 7));
+        net.crash(5);
+        // Changed through `process_mut` only: ran no handler.
+        net.process_mut(2).log.push((0, 0));
+        net.run_to_quiescence();
+        assert_eq!(net.total_to_crashed(), 1);
+        assert_eq!(touched(&mut net), vec![1, 4]);
+        assert!(touched(&mut net).is_empty(), "a drain resets the set");
+        // A tick runs `on_tick` on every process but the crashed one.
+        net.tick_all();
+        assert_eq!(touched(&mut net), vec![0, 1, 2, 3, 4]);
+        net.post(3, 1);
+        net.run_to_quiescence();
+        assert_eq!(touched(&mut net), vec![3]);
+    }
+
+    #[test]
+    fn equal_delivery_times_on_different_channels_follow_send_order() {
+        // Fixed delay: both messages are due at the same time, on channels
+        // 2→1 and 0→1. Send order, not sender id, decides.
+        let mut net = Network::new(
+            recorders(3, false),
+            NetConfig {
+                min_delay: 3,
+                max_delay: 3,
+                ..NetConfig::default()
+            },
+        );
+        net.trigger(2, |_p, ctx| ctx.send(1, 20));
+        net.trigger(0, |_p, ctx| ctx.send(1, 10));
+        net.run_to_quiescence();
+        assert_eq!(net.process(1).log, vec![(2, 20), (0, 10)]);
+        assert_eq!(net.now(), 3);
     }
 
     #[test]

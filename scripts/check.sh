@@ -32,6 +32,11 @@ echo "==> offline_bounds bench (each case once, release)"
 # 120² and clusters 64² demands must still build and solve.
 cargo bench --offline -p cmvrp-bench --bench offline_bounds -- --test
 
+echo "==> online_sim bench (each case once, release)"
+# The same for the on-line engine bench, whose clusters256_flash case runs
+# the flash-crowd benchmark workload with the inline monitors on.
+cargo bench --offline -p cmvrp-bench --bench online_sim -- --test
+
 echo "==> benchmark package (build + tests)"
 # `benchmark/` is a package of its own (not a workspace member) that
 # compiles against cmvrp-obs, cmvrp-bench and the engine crates; build and
