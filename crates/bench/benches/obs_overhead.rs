@@ -1,10 +1,10 @@
 //! Bench: observability overhead — the same default on-line run through
 //! every sink flavor, so the `simulate --check` cost is a measured number
 //! rather than a guess. Every run goes through `ExecConfig` on one worker,
-//! as `cmvrp simulate` runs it; a checked run puts a `TraceChecker` on
-//! every shard's buffering sink and a merge-time checker on the merged
-//! stream, so its overhead includes the buffering and the merge that an
-//! unchecked, untraced run skips. Writes `BENCH_obs.json` at the repo root
+//! as `cmvrp simulate` runs it; a checked run gives every shard a
+//! buffering sink and a `TraceChecker` over each round's events, and the
+//! merged stream a merge-time checker, so its overhead includes the
+//! buffering and the merge that an unchecked, untraced run skips. Writes `BENCH_obs.json` at the repo root
 //! with the checked-vs-unchecked overhead delta in the notes (skipped in
 //! `--quick` mode so test glue never clobbers the committed snapshot).
 

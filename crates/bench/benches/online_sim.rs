@@ -5,6 +5,8 @@
 //! workload's demand and order (`clusters:grid=256,k=16,jobs=100000,seed=7`
 //! under `arrivals::flash_crowd` at 50) on one worker with the inline
 //! monitors on (`check(true)`) into a `NullSink`, and counts jobs as items.
+//! `full_run/clusters256_flash_unchecked` runs the same with `check(false)`:
+//! shard stepping alone.
 //! The run writes `BENCH_online.json` at the workspace root (`--test` runs
 //! each case once and writes nothing); `--baseline=PATH` pairs every row
 //! with a snapshot another build of this bench wrote.
@@ -53,17 +55,23 @@ fn main() {
     let config: WorkloadConfig = spec.parse().expect("bench workload spec parses");
     let (bounds, demand) = config.generate().expect("bench workload fits its grid");
     let jobs = arrivals::flash_crowd(&demand, 50, 7);
-    let checked = ExecConfig::new().check(true);
-    h.bench_with_items("full_run/clusters256_flash", jobs.len() as u64, || {
-        let run = checked
-            .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
-            .expect("engine run");
-        assert_eq!(run.report.unserved, 0);
-        black_box(run.report);
-    });
+    for (label, check) in [("", true), ("_unchecked", false)] {
+        let exec = ExecConfig::new().check(check);
+        let name = format!("full_run/clusters256_flash{label}");
+        h.bench_with_items(&name, jobs.len() as u64, || {
+            let run = exec
+                .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
+                .expect("engine run");
+            assert_eq!(run.report.unserved, 0);
+            black_box(run.report);
+        });
+    }
     let mut notes = vec![(
         "clusters256_flash".to_string(),
-        format!("{spec}; flash_crowd at=50 seed=7; 1 worker, check(true), NullSink"),
+        format!(
+            "{spec}; flash_crowd at=50 seed=7; 1 worker, NullSink; check(true), \
+             and check(false) in the _unchecked row"
+        ),
     )];
     notes.extend(h.baseline_notes());
     // `cargo bench` runs with the package dir as cwd; anchor the snapshot

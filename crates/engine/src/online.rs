@@ -49,10 +49,14 @@
 //!
 //! ## Inline verification
 //!
-//! With `SS = CheckSink<VecSink>` every shard carries a full
-//! [`TraceChecker`] over its local stream (configured for the shard view:
-//! seeded capacity, gap-tolerant job ledger), and a checked
-//! [`crate::Session`] feeds the merged stream through a
+//! In a checked run ([`ExecConfig::check`]) every buffering shard carries
+//! a full [`TraceChecker`] over its local stream, configured for the shard
+//! view: seeded capacity, gap-tolerant job ledger. At the end of each
+//! round, still on the worker thread, the shard runs it once over the
+//! events that round appended to its buffer, so the monitors stay out of
+//! the message-delivery loop and violation lines count the shard's events
+//! exactly as an observe-on-record checker would. A checked
+//! [`crate::Session`] also feeds the merged stream through a
 //! [`cmvrp_obs::MergeChecker`] that certifies the two properties only the
 //! merge can see — the global clock and global job-seq contiguity.
 
@@ -67,8 +71,8 @@ use cmvrp_grid::{pairing_in_cube, CubeId, CubePartition, GridBounds, Pairing, Po
 use cmvrp_net::diffuse::ComputationId;
 use cmvrp_net::{NetConfig, Network, ProcessId, TransportSnapshot};
 use cmvrp_obs::{
-    CheckSink, Event, Histogram, MergeChecker, Metrics, NullSink, Sink, StaticSink, TraceChecker,
-    VecSink, Violation, DEFAULT_BUCKETS,
+    Event, Histogram, MergeChecker, Metrics, NullSink, Sink, StaticSink, TraceChecker, VecSink,
+    Violation, DEFAULT_BUCKETS,
 };
 use cmvrp_online::vehicle::{ServeResult, Vehicle, VehicleSnapshot, WorkState};
 use cmvrp_online::{provision, OnlineConfig, OnlineMsg, OnlineReport, Provisioning};
@@ -80,41 +84,36 @@ use std::time::{Duration, Instant};
 
 /// What the sharded engine needs from a per-shard sink: a monomorphized
 /// [`StaticSink`] (so the disabled path compiles away inside the hot
-/// per-shard networks), round-by-round draining for the streaming merge,
-/// and an optional shard-local invariant checker.
+/// per-shard networks) that buffers a round's events for the shard's
+/// checker and the streaming merge.
 pub trait ShardSink: StaticSink + Default + Send {
+    /// The events buffered since the last
+    /// [`take_events`](ShardSink::take_events), oldest first (empty for
+    /// non-buffering sinks).
+    fn buffered(&self) -> &[Event];
+
     /// Takes every event buffered since the last call (empty for
     /// non-buffering sinks).
     fn take_events(&mut self) -> Vec<Event>;
-
-    /// The shard-local invariant checker, when this sink carries one. The
-    /// engine configures it for the shard view at construction
-    /// ([`TraceChecker::set_capacity`], [`TraceChecker::allow_seq_gaps`])
-    /// and finishes it after the run.
-    fn inline_checker(&mut self) -> Option<&mut TraceChecker> {
-        None
-    }
 }
 
 impl ShardSink for NullSink {
+    fn buffered(&self) -> &[Event] {
+        &[]
+    }
+
     fn take_events(&mut self) -> Vec<Event> {
         Vec::new()
     }
 }
 
 impl ShardSink for VecSink {
+    fn buffered(&self) -> &[Event] {
+        self.events()
+    }
+
     fn take_events(&mut self) -> Vec<Event> {
         self.drain()
-    }
-}
-
-impl ShardSink for CheckSink<VecSink> {
-    fn take_events(&mut self) -> Vec<Event> {
-        self.inner_mut().drain()
-    }
-
-    fn inline_checker(&mut self) -> Option<&mut TraceChecker> {
-        Some(self.checker_mut())
     }
 }
 
@@ -168,6 +167,8 @@ struct ShardSim<const D: usize, SS: ShardSink> {
     absorb_visits: u64,
     neighbor_visits: u64,
     arrival_scratch: Event,
+    /// The shard-local monitors of a checked run, fed once per round.
+    checker: Option<TraceChecker>,
 }
 
 impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
@@ -189,13 +190,6 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
         );
         if SS::ENABLED {
             net.set_msg_classifier(OnlineMsg::<D>::kind);
-        }
-        if let Some(checker) = net.sink_mut().inline_checker() {
-            // The shard stream has no fleet_provisioned header and sees a
-            // non-contiguous slice of the global sequence numbers; seed
-            // the energy monitor and relax the ledger accordingly.
-            checker.set_capacity(capacity);
-            checker.allow_seq_gaps();
         }
         ShardSim {
             net,
@@ -223,6 +217,20 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
                 seq: 0,
                 pos: Vec::with_capacity(D),
             },
+            checker: None,
+        }
+    }
+
+    /// Gives a buffering shard its monitors, configured for the shard view:
+    /// the stream has no `fleet_provisioned` header and sees a
+    /// non-contiguous slice of the global sequence numbers, so the energy
+    /// monitor is seeded and the ledger relaxed.
+    fn enable_check(&mut self) {
+        if SS::ENABLED && self.checker.is_none() {
+            let mut checker = TraceChecker::new();
+            checker.set_capacity(self.capacity);
+            checker.allow_seq_gaps();
+            self.checker = Some(checker);
         }
     }
 
@@ -448,6 +456,13 @@ impl<const D: usize, SS: ShardSink> ShardWorker for ShardSim<D, SS> {
                 self.served += 1;
             } else {
                 self.unserved += 1;
+            }
+        }
+        // The merge drained the buffer at the last barrier, so it holds
+        // exactly the events not yet checked.
+        if let Some(checker) = &mut self.checker {
+            for ev in self.net.sink().buffered() {
+                checker.observe(ev);
             }
         }
         RoundOutcome {
@@ -690,10 +705,10 @@ fn event_time(ev: &Event, last: &mut u64) -> u64 {
 /// ([`ShardMap`]) and splits the job sequence among them; [`run`] executes
 /// conservative lockstep rounds under an [`ExecConfig`] (worker-thread
 /// bound plus [`crate::Schedule`] policy). With a buffering shard sink
-/// (`SS = VecSink` or `SS = CheckSink<VecSink>`), `run` merges the
-/// per-shard streams into the caller's sink *at every round barrier*,
-/// producing the canonical merged trace — byte-identical for every thread
-/// count and schedule — with peak memory bounded by one round's events.
+/// (`SS = VecSink`), `run` merges the per-shard streams into the caller's
+/// sink *at every round barrier*, producing the canonical merged trace —
+/// byte-identical for every thread count and schedule — with peak memory
+/// bounded by one round's events.
 ///
 /// Most callers go through [`ExecConfig::execute`] or a
 /// [`crate::Session`]; a pre-built simulator is the way to inject faults
@@ -928,8 +943,8 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
     /// so the concatenation of per-round merges is exactly the whole-run
     /// merge. The report and the merged bytes are identical for every
     /// thread count and schedule. Only a buffering shard sink `SS` has
-    /// events to stream; with `SS = CheckSink<VecSink>` the shard-local
-    /// monitors run as well (see
+    /// events to stream; under a checked `exec` its shard-local monitors
+    /// run as well (see
     /// [`take_shard_violations`](ShardedOnlineSim::take_shard_violations)).
     pub fn run(&mut self, exec: &ExecConfig, sink: &mut dyn Sink) -> OnlineReport {
         let mut cur = self.cursor();
@@ -997,6 +1012,11 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         let threads = exec.worker_threads();
         let schedule = exec.policy();
         let checked = exec.is_checked();
+        if checked {
+            for s in &mut self.shards {
+                s.enable_check();
+            }
+        }
         let start = LockstepStart {
             epoch: cur.next_epoch,
             prior_rounds: cur.rounds_done,
@@ -1274,11 +1294,11 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
 
     /// Finishes each shard's inline checker (running its end-of-trace
     /// checks) and returns all shard-local violations tagged with the
-    /// shard index. Empty when `SS` carries no checker.
+    /// shard index. Empty unless a checked run with a buffering `SS` ran.
     pub fn take_shard_violations(&mut self) -> Vec<(usize, Violation)> {
         let mut out = Vec::new();
         for (index, shard) in self.shards.iter_mut().enumerate() {
-            if let Some(checker) = shard.net.sink_mut().inline_checker() {
+            if let Some(mut checker) = shard.checker.take() {
                 checker.finish();
                 out.extend(checker.violations().iter().cloned().map(|v| (index, v)));
             }
@@ -1546,6 +1566,7 @@ impl Progress {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CheckScope;
     use cmvrp_core::{omega_c, online_factor};
     use cmvrp_workloads::{arrivals, spatial, Ordering};
 
@@ -1778,6 +1799,50 @@ mod tests {
         let jobs = JobSequence::new(vec![cmvrp_grid::pt2(1, 1)]);
         let mut sim = ShardedOnlineSim::<2>::new(b, &jobs, monitored());
         sim.crash_vehicle_at(cmvrp_grid::pt2(9, 9));
+    }
+
+    #[test]
+    fn checked_run_reports_a_corrupt_shard_event_at_its_shard_line() {
+        // A delivery with no matching send, recorded into a shard's buffer
+        // at the barrier after round 200: that shard's end-of-round check
+        // must name it at shard-local line 841, after the shard's 840
+        // earlier events, where a checker observing each event as it is
+        // recorded puts it.
+        let b = GridBounds::square(16);
+        let mut d = cmvrp_grid::DemandMap::new();
+        d.add(cmvrp_grid::pt2(3, 3), 150);
+        d.add(cmvrp_grid::pt2(12, 12), 250);
+        let jobs = arrivals::from_demand(&d, Ordering::Interleaved, 1);
+        let mut session = ExecConfig::new()
+            .check(true)
+            .build(b, &jobs, OnlineConfig::default())
+            .expect("session");
+        session.advance_rounds(200, &mut NullSink);
+        let t = session.now();
+        let sim = session.streaming_sim();
+        // The last shard whose vehicles have exchanged messages.
+        let k = sim
+            .shards
+            .iter()
+            .rposition(|s| s.net.total_sent() > 0)
+            .expect("a search ran");
+        let corrupt = Event::MsgDelivered {
+            t,
+            from: 0,
+            to: 1,
+            delay: 1,
+            kind: None,
+        };
+        sim.shards[k].net.sink_mut().record(&corrupt);
+        session.drain(&mut NullSink);
+        let check = session.finish().check.expect("checked run");
+        let found: Vec<_> = check
+            .violations
+            .iter()
+            .map(|v| (v.scope, v.violation.invariant, v.violation.line))
+            .collect();
+        assert_eq!(k, 3);
+        assert_eq!(found, vec![(CheckScope::Shard(3), "channel-fifo", 841)]);
     }
 
     #[test]

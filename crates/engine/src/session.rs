@@ -47,7 +47,7 @@ use crate::online::{DriveCursor, StepLimit};
 use crate::{CheckScope, CheckSummary, ScopedViolation};
 use crate::{EngineCheckpoint, EngineError, ExecConfig, Execution, ShardSink, ShardedOnlineSim};
 use cmvrp_grid::{GridBounds, Point};
-use cmvrp_obs::{CheckSink, MergeChecker, Metrics, NullSink, Sink, VecSink};
+use cmvrp_obs::{MergeChecker, Metrics, NullSink, Sink, VecSink};
 use cmvrp_online::{OnlineConfig, OnlineReport, Provisioning};
 use cmvrp_workloads::JobSequence;
 
@@ -92,10 +92,10 @@ pub struct Session<const D: usize> {
     inner: Inner<D>,
 }
 
-/// The three sink shapes a session runs over, fixed at construction:
-/// non-buffering shards for untraced runs, buffering shards for
-/// streaming, and checking shards plus the merge-time monitor for
-/// verified runs.
+/// The two sink shapes a session runs over, fixed at construction:
+/// non-buffering shards for untraced runs, and buffering shards for
+/// streaming and verified runs; a verified run's shards check each round
+/// and `cross` checks the merged stream.
 #[derive(Debug)]
 enum Inner<const D: usize> {
     Silent {
@@ -105,11 +105,7 @@ enum Inner<const D: usize> {
     Streaming {
         sim: ShardedOnlineSim<D, VecSink>,
         cur: DriveCursor,
-    },
-    Checked {
-        sim: ShardedOnlineSim<D, CheckSink<VecSink>>,
-        cur: DriveCursor,
-        cross: MergeChecker,
+        cross: Option<MergeChecker>,
     },
 }
 
@@ -138,7 +134,7 @@ enum RelLimit {
     Rounds(u64),
 }
 
-/// Dispatches a stepping call across the three sink shapes, splitting the
+/// Dispatches a stepping call across the two sink shapes, splitting the
 /// session borrow so the generic driver can take the simulation, cursor,
 /// and bookkeeping fields independently.
 macro_rules! step_dispatch {
@@ -162,21 +158,10 @@ macro_rules! step_dispatch {
                 $observer,
                 $limit,
             ),
-            Inner::Streaming { sim, cur } => step_inner(
+            Inner::Streaming { sim, cur, cross } => step_inner(
                 sim,
                 cur,
-                None,
-                exec,
-                fingerprint,
-                pending,
-                $sink,
-                $observer,
-                $limit,
-            ),
-            Inner::Checked { sim, cur, cross } => step_inner(
-                sim,
-                cur,
-                Some(cross),
+                cross.as_mut(),
                 exec,
                 fingerprint,
                 pending,
@@ -203,41 +188,34 @@ impl<const D: usize> Session<D> {
         sink_enabled: bool,
     ) -> Result<Self, EngineError> {
         let streaming = sink_enabled
+            || exec.is_checked()
             || exec.is_profiled()
             || exec.is_progress()
             || exec.checkpoint_policy().is_active();
-        let (inner, raw_fingerprint) = if exec.is_checked() {
-            let sim = match resume {
-                Some(ckpt) => {
-                    ShardedOnlineSim::<D, CheckSink<VecSink>>::resume(bounds, jobs, config, ckpt)?
-                }
-                None if preload => ShardedOnlineSim::new(bounds, jobs, config),
-                None => ShardedOnlineSim::new_live(bounds, jobs, config),
-            };
-            let mut cross = MergeChecker::new();
-            if let Some(ckpt) = resume {
-                // Seed the merge-time monitors with the checkpoint's
-                // cursors: the resumed stream starts mid-trace, at the
-                // recorded event count, above every pre-checkpoint
-                // timestamp, at the next global job sequence number.
-                cross.resume_at(
-                    ckpt.trace_events,
-                    ckpt.next_epoch.saturating_sub(1),
-                    ckpt.jobs_released(),
-                );
-            }
-            let cur = sim.cursor();
-            let fp = sim.fingerprint();
-            (Inner::Checked { sim, cur, cross }, fp)
-        } else if streaming {
+        let (inner, raw_fingerprint) = if streaming {
             let sim = match resume {
                 Some(ckpt) => ShardedOnlineSim::<D, VecSink>::resume(bounds, jobs, config, ckpt)?,
                 None if preload => ShardedOnlineSim::new(bounds, jobs, config),
                 None => ShardedOnlineSim::new_live(bounds, jobs, config),
             };
+            let cross = exec.is_checked().then(|| {
+                let mut cross = MergeChecker::new();
+                if let Some(ckpt) = resume {
+                    // Seed the merge-time monitors with the checkpoint's
+                    // cursors: the resumed stream starts mid-trace, at the
+                    // recorded event count, above every pre-checkpoint
+                    // timestamp, at the next global job sequence number.
+                    cross.resume_at(
+                        ckpt.trace_events,
+                        ckpt.next_epoch.saturating_sub(1),
+                        ckpt.jobs_released(),
+                    );
+                }
+                cross
+            });
             let cur = sim.cursor();
             let fp = sim.fingerprint();
-            (Inner::Streaming { sim, cur }, fp)
+            (Inner::Streaming { sim, cur, cross }, fp)
         } else {
             let sim = match resume {
                 Some(ckpt) => ShardedOnlineSim::<D, NullSink>::resume(bounds, jobs, config, ckpt)?,
@@ -340,8 +318,9 @@ impl<const D: usize> Session<D> {
     pub fn snapshot(&self) -> EngineCheckpoint {
         match &self.inner {
             Inner::Silent { sim, cur } => sim.checkpoint_at(cur, &self.exec, self.fingerprint),
-            Inner::Streaming { sim, cur } => sim.checkpoint_at(cur, &self.exec, self.fingerprint),
-            Inner::Checked { sim, cur, .. } => sim.checkpoint_at(cur, &self.exec, self.fingerprint),
+            Inner::Streaming { sim, cur, .. } => {
+                sim.checkpoint_at(cur, &self.exec, self.fingerprint)
+            }
         }
     }
 
@@ -355,33 +334,29 @@ impl<const D: usize> Session<D> {
                 metrics: sim.metrics(),
                 check: None,
             },
-            Inner::Streaming { sim, .. } => Execution {
-                report: sim.report(),
-                metrics: sim.metrics(),
-                check: None,
-            },
-            Inner::Checked { mut sim, cross, .. } => {
-                let report = sim.report();
-                let metrics = sim.metrics();
-                let mut violations: Vec<ScopedViolation> = sim
-                    .take_shard_violations()
-                    .into_iter()
-                    .map(|(index, violation)| ScopedViolation {
-                        scope: CheckScope::Shard(index),
-                        violation,
-                    })
-                    .collect();
-                let events = cross.events();
-                violations.extend(cross.into_violations().into_iter().map(|violation| {
-                    ScopedViolation {
-                        scope: CheckScope::Merged,
-                        violation,
-                    }
-                }));
+            Inner::Streaming { mut sim, cross, .. } => {
+                let check = cross.map(|cross| {
+                    let mut violations: Vec<ScopedViolation> = sim
+                        .take_shard_violations()
+                        .into_iter()
+                        .map(|(index, violation)| ScopedViolation {
+                            scope: CheckScope::Shard(index),
+                            violation,
+                        })
+                        .collect();
+                    let events = cross.events();
+                    violations.extend(cross.into_violations().into_iter().map(|violation| {
+                        ScopedViolation {
+                            scope: CheckScope::Merged,
+                            violation,
+                        }
+                    }));
+                    CheckSummary { events, violations }
+                });
                 Execution {
-                    report,
-                    metrics,
-                    check: Some(CheckSummary { events, violations }),
+                    report: sim.report(),
+                    metrics: sim.metrics(),
+                    check,
                 }
             }
         }
@@ -416,7 +391,6 @@ impl<const D: usize> Session<D> {
         let applied = match &self.inner {
             Inner::Silent { sim, .. } => sim.work_remaining(),
             Inner::Streaming { sim, .. } => sim.work_remaining(),
-            Inner::Checked { sim, .. } => sim.work_remaining(),
         };
         applied + self.pending.len() as u64
     }
@@ -443,7 +417,6 @@ impl<const D: usize> Session<D> {
         match &self.inner {
             Inner::Silent { sim, .. } => sim.report(),
             Inner::Streaming { sim, .. } => sim.report(),
-            Inner::Checked { sim, .. } => sim.report(),
         }
     }
 
@@ -453,7 +426,6 @@ impl<const D: usize> Session<D> {
         match &self.inner {
             Inner::Silent { sim, .. } => sim.metrics(),
             Inner::Streaming { sim, .. } => sim.metrics(),
-            Inner::Checked { sim, .. } => sim.metrics(),
         }
     }
 
@@ -462,7 +434,6 @@ impl<const D: usize> Session<D> {
         match &self.inner {
             Inner::Silent { sim, .. } => sim.provisioning(),
             Inner::Streaming { sim, .. } => sim.provisioning(),
-            Inner::Checked { sim, .. } => sim.provisioning(),
         }
     }
 
@@ -471,7 +442,6 @@ impl<const D: usize> Session<D> {
         match &self.inner {
             Inner::Silent { sim, .. } => sim.shard_count(),
             Inner::Streaming { sim, .. } => sim.shard_count(),
-            Inner::Checked { sim, .. } => sim.shard_count(),
         }
     }
 
@@ -487,7 +457,6 @@ impl<const D: usize> Session<D> {
         match &self.inner {
             Inner::Silent { cur, .. } => cur,
             Inner::Streaming { cur, .. } => cur,
-            Inner::Checked { cur, .. } => cur,
         }
     }
 }
@@ -525,5 +494,17 @@ fn step_inner<const D: usize, SS: ShardSink>(
         events: cur.merged_total - events_before,
         now: cur.next_epoch - 1,
         idle: sim.work_remaining() == 0,
+    }
+}
+
+#[cfg(test)]
+impl<const D: usize> Session<D> {
+    /// The simulator of a buffering session, for tests that corrupt a
+    /// shard's stream.
+    pub(crate) fn streaming_sim(&mut self) -> &mut ShardedOnlineSim<D, VecSink> {
+        match &mut self.inner {
+            Inner::Streaming { sim, .. } => sim,
+            Inner::Silent { .. } => panic!("a silent session buffers nothing"),
+        }
     }
 }

@@ -133,18 +133,17 @@ impl Process<GraphMsg> for GraphVehicle {
         match msg {
             GraphMsg::Diffuse(DiffuseMsg::Query { init }) => {
                 let target = !self.active && !self.exhausted;
-                let neighbors = self.neighbors.clone();
-                let (out, outcome) = self.engine.on_query(from, init, target, &neighbors);
-                for (to, m) in out {
-                    ctx.send(to, GraphMsg::Diffuse(m));
-                }
+                let outcome = self
+                    .engine
+                    .on_query(from, init, target, &self.neighbors, |to, m| {
+                        ctx.send(to, GraphMsg::Diffuse(m))
+                    });
                 self.handle_outcome(ctx, outcome);
             }
             GraphMsg::Diffuse(DiffuseMsg::Reply { found, init }) => {
-                let (out, outcome) = self.engine.on_reply(from, found, init);
-                for (to, m) in out {
-                    ctx.send(to, GraphMsg::Diffuse(m));
-                }
+                let outcome = self.engine.on_reply(from, found, init, |to, m| {
+                    ctx.send(to, GraphMsg::Diffuse(m))
+                });
                 self.handle_outcome(ctx, outcome);
             }
             GraphMsg::Move { dest, init } => {
@@ -301,11 +300,9 @@ impl GraphOnlineSim {
                     v.active = false;
                     v.exhausted = true;
                     if v.engine.is_waiting() {
-                        let neighbors = v.neighbors.clone();
-                        let (out, outcome) = v.engine.start(v.id, &neighbors);
-                        for (to, m) in out {
-                            ctx.send(to, GraphMsg::Diffuse(m));
-                        }
+                        let outcome = v.engine.start(v.id, &v.neighbors, |to, m| {
+                            ctx.send(to, GraphMsg::Diffuse(m))
+                        });
                         v.handle_outcome(ctx, outcome);
                     }
                     return false;

@@ -8,9 +8,10 @@
 //!
 //! [`DiffusingEngine`] packages the `num` / `par` / `child` / `init`
 //! bookkeeping of Algorithm 2 independent of any transport: every handler
-//! returns the messages to send, and the embedding process forwards them
-//! however it likes. This keeps the engine unit-testable in isolation and
-//! reusable by `cmvrp-online`.
+//! hands each message to send to a caller-supplied `send` callback, in
+//! send order, and the embedding process forwards it however it likes.
+//! This keeps the engine unit-testable in isolation, reusable by
+//! `cmvrp-online`, and free of allocation.
 
 use crate::sim::ProcessId;
 
@@ -90,9 +91,6 @@ pub struct DiffusingEngine {
     next_generation: u64,
 }
 
-/// Messages produced by a handler, addressed by recipient.
-pub type Outgoing = Vec<(ProcessId, DiffuseMsg)>;
-
 impl DiffusingEngine {
     /// Creates a fresh engine in the `waiting` state.
     pub fn new() -> Self {
@@ -150,9 +148,9 @@ impl DiffusingEngine {
     }
 
     /// Starts a new diffusing computation at this node (the "done vehicle"
-    /// step of Algorithm 2). Returns the queries to send; when `neighbors`
-    /// is empty the computation terminates immediately and the outcome is
-    /// [`DiffuseOutcome::InitiatorDone`] with no child.
+    /// step of Algorithm 2), passing one query per neighbor to `send`;
+    /// when `neighbors` is empty the computation terminates immediately
+    /// and the outcome is [`DiffuseOutcome::InitiatorDone`] with no child.
     ///
     /// # Panics
     ///
@@ -162,7 +160,8 @@ impl DiffusingEngine {
         &mut self,
         my_id: ProcessId,
         neighbors: &[ProcessId],
-    ) -> (Outgoing, DiffuseOutcome) {
+        mut send: impl FnMut(ProcessId, DiffuseMsg),
+    ) -> DiffuseOutcome {
         assert!(self.phase == Phase::Waiting, "initiating while not waiting");
         let init = ComputationId {
             initiator: my_id,
@@ -173,104 +172,99 @@ impl DiffusingEngine {
         self.child = None;
         self.init = Some(init);
         if neighbors.is_empty() {
-            return (Vec::new(), DiffuseOutcome::InitiatorDone { child: None });
+            return DiffuseOutcome::InitiatorDone { child: None };
         }
         self.phase = Phase::Initiating;
         self.num = neighbors.len();
-        let out = neighbors
-            .iter()
-            .map(|&n| (n, DiffuseMsg::Query { init }))
-            .collect();
-        (out, DiffuseOutcome::None)
+        for &n in neighbors {
+            send(n, DiffuseMsg::Query { init });
+        }
+        DiffuseOutcome::None
     }
 
-    /// Handles a `query` message. `i_am_target` tells the engine whether
-    /// this vehicle satisfies the search predicate (idle, in the on-line
-    /// strategy). `neighbors` is consulted only when the node joins the
-    /// computation and must spread it.
+    /// Handles a `query` message, passing the messages it sends to `send`.
+    /// `i_am_target` tells the engine whether this vehicle satisfies the
+    /// search predicate (idle, in the on-line strategy). `neighbors` is
+    /// consulted only when the node joins the computation and must spread
+    /// it.
     pub fn on_query(
         &mut self,
         from: ProcessId,
         init: ComputationId,
         i_am_target: bool,
         neighbors: &[ProcessId],
-    ) -> (Outgoing, DiffuseOutcome) {
+        mut send: impl FnMut(ProcessId, DiffuseMsg),
+    ) -> DiffuseOutcome {
         let fresh = self.phase == Phase::Waiting && self.init != Some(init);
         if !fresh {
             // Non-waiting, or already joined this computation: immediate
             // negative reply (Algorithm 2, "non-waiting vehicle receives a
             // query").
-            return (
-                vec![(from, DiffuseMsg::Reply { found: false, init })],
-                DiffuseOutcome::None,
-            );
+            send(from, DiffuseMsg::Reply { found: false, init });
+            return DiffuseOutcome::None;
         }
         self.par = Some(from);
         self.init = Some(init);
         self.child = None;
         if i_am_target {
             // An idle vehicle answers positively and stays waiting.
-            return (
-                vec![(from, DiffuseMsg::Reply { found: true, init })],
-                DiffuseOutcome::ClaimedAsTarget { init },
-            );
+            send(from, DiffuseMsg::Reply { found: true, init });
+            return DiffuseOutcome::ClaimedAsTarget { init };
         }
         // Spread the computation.
-        let forward: Vec<ProcessId> = neighbors.iter().copied().filter(|&n| n != from).collect();
-        if forward.is_empty() {
+        let forward = neighbors.iter().filter(|&&n| n != from).count();
+        if forward == 0 {
             // Leaf with nothing to ask: answer negatively at once.
-            return (
-                vec![(from, DiffuseMsg::Reply { found: false, init })],
-                DiffuseOutcome::LocalDone,
-            );
+            send(from, DiffuseMsg::Reply { found: false, init });
+            return DiffuseOutcome::LocalDone;
         }
         self.phase = Phase::Searching;
-        self.num = forward.len();
-        let out = forward
-            .into_iter()
-            .map(|n| (n, DiffuseMsg::Query { init }))
-            .collect();
-        (out, DiffuseOutcome::None)
+        self.num = forward;
+        for &n in neighbors.iter().filter(|&&n| n != from) {
+            send(n, DiffuseMsg::Query { init });
+        }
+        DiffuseOutcome::None
     }
 
-    /// Handles a `reply` message.
+    /// Handles a `reply` message, passing the replies it sends up to
+    /// `send`.
     pub fn on_reply(
         &mut self,
         from: ProcessId,
         found: bool,
         init: ComputationId,
-    ) -> (Outgoing, DiffuseOutcome) {
+        mut send: impl FnMut(ProcessId, DiffuseMsg),
+    ) -> DiffuseOutcome {
         if self.init != Some(init) || self.phase == Phase::Waiting {
             // Stale reply from a superseded computation; Algorithm 2 never
             // produces these when computations are serialized, but dropped
             // vehicles (§3.2.5) can.
-            return (Vec::new(), DiffuseOutcome::None);
+            return DiffuseOutcome::None;
         }
         debug_assert!(self.num > 0, "reply without outstanding query");
         self.num -= 1;
-        let mut out: Outgoing = Vec::new();
         if found && self.child.is_none() {
             self.child = Some(from);
             if let Some(par) = self.par {
                 // Propagate the discovery up immediately (Algorithm 2,
                 // reply handler lines 2-4).
-                out.push((par, DiffuseMsg::Reply { found: true, init }));
+                send(par, DiffuseMsg::Reply { found: true, init });
             }
         }
         if self.num == 0 {
             let was_initiator = self.phase == Phase::Initiating;
             self.phase = Phase::Waiting;
             if was_initiator {
-                return (out, DiffuseOutcome::InitiatorDone { child: self.child });
+                return DiffuseOutcome::InitiatorDone { child: self.child };
             }
             if self.child.is_none() {
                 if let Some(par) = self.par {
-                    out.push((par, DiffuseMsg::Reply { found: false, init }));
+                    send(par, DiffuseMsg::Reply { found: false, init });
                 }
             }
-            return (out, DiffuseOutcome::LocalDone);
+            return DiffuseOutcome::LocalDone;
         }
-        (out, DiffuseOutcome::None)
+        DiffuseOutcome::None
     }
 }
 
@@ -291,20 +285,30 @@ mod tests {
 
     impl Process<DiffuseMsg> for Node {
         fn on_message(&mut self, ctx: &mut Context<DiffuseMsg>, from: ProcessId, msg: DiffuseMsg) {
-            let (out, outcome) = match msg {
+            let send = |to, m| ctx.send(to, m);
+            let outcome = match msg {
                 DiffuseMsg::Query { init } => {
                     self.engine
-                        .on_query(from, init, self.is_target, &self.neighbors)
+                        .on_query(from, init, self.is_target, &self.neighbors, send)
                 }
-                DiffuseMsg::Reply { found, init } => self.engine.on_reply(from, found, init),
+                DiffuseMsg::Reply { found, init } => self.engine.on_reply(from, found, init, send),
             };
-            for (to, m) in out {
-                ctx.send(to, m);
-            }
             match outcome {
                 DiffuseOutcome::InitiatorDone { child } => self.finished = Some(child),
                 DiffuseOutcome::ClaimedAsTarget { .. } => self.claimed += 1,
                 _ => {}
+            }
+        }
+    }
+
+    impl Node {
+        /// Initiates a computation from this node.
+        fn start(&mut self, ctx: &mut Context<DiffuseMsg>) {
+            let outcome = self
+                .engine
+                .start(self.id, &self.neighbors, |to, m| ctx.send(to, m));
+            if let DiffuseOutcome::InitiatorDone { child } = outcome {
+                self.finished = Some(child);
             }
         }
     }
@@ -340,16 +344,7 @@ mod tests {
                 ..NetConfig::default()
             },
         );
-        net.trigger(initiator, |node, ctx| {
-            let neighbors = node.neighbors.clone();
-            let (out, outcome) = node.engine.start(node.id, &neighbors);
-            for (to, m) in out {
-                ctx.send(to, m);
-            }
-            if let DiffuseOutcome::InitiatorDone { child } = outcome {
-                node.finished = Some(child);
-            }
-        });
+        net.trigger(initiator, Node::start);
         let report = net.run_to_quiescence();
         assert!(report.quiesced, "diffusing computation must terminate");
         net
@@ -448,16 +443,7 @@ mod tests {
         // Clear target and run again: should terminate with None.
         net.process_mut(2).is_target = false;
         net.process_mut(0).finished = None;
-        net.trigger(0, |node, ctx| {
-            let neighbors = node.neighbors.clone();
-            let (out, outcome) = node.engine.start(node.id, &neighbors);
-            for (to, m) in out {
-                ctx.send(to, m);
-            }
-            if let DiffuseOutcome::InitiatorDone { child } = outcome {
-                node.finished = Some(child);
-            }
-        });
+        net.trigger(0, Node::start);
         assert!(net.run_to_quiescence().quiesced);
         assert_eq!(net.process(0).finished, Some(None));
     }
@@ -466,8 +452,8 @@ mod tests {
     #[should_panic(expected = "initiating while not waiting")]
     fn double_start_panics() {
         let mut engine = DiffusingEngine::new();
-        let _ = engine.start(0, &[1]);
-        let _ = engine.start(0, &[1]);
+        let _ = engine.start(0, &[1], |_, _| {});
+        let _ = engine.start(0, &[1], |_, _| {});
     }
 
     #[test]
@@ -477,8 +463,9 @@ mod tests {
             initiator: 9,
             generation: 0,
         };
-        let (out, outcome) = engine.on_reply(3, true, init);
-        assert!(out.is_empty());
+        let mut sent = 0;
+        let outcome = engine.on_reply(3, true, init, |_, _| sent += 1);
+        assert_eq!(sent, 0);
         assert_eq!(outcome, DiffuseOutcome::None);
     }
 
@@ -526,16 +513,7 @@ mod tests {
                     ..NetConfig::default()
                 },
             );
-            net.trigger(0, |node, ctx| {
-                let neighbors = node.neighbors.clone();
-                let (out, outcome) = node.engine.start(node.id, &neighbors);
-                for (to, m) in out {
-                    ctx.send(to, m);
-                }
-                if let DiffuseOutcome::InitiatorDone { child } = outcome {
-                    node.finished = Some(child);
-                }
-            });
+            net.trigger(0, Node::start);
             let report = net.run_to_quiescence();
             assert!(report.quiesced, "the network itself always drains");
             if net.process(0).finished.is_none() {

@@ -14,14 +14,13 @@
 //!
 //! Determinism: given the same seed and the same sequence of external
 //! [`Network::post`]/[`Network::trigger`] calls, every run delivers the same
-//! messages in the same order.
+//! messages in the same order: by delivery time, ties broken by send order.
 
 use cmvrp_obs::{
     DropReason, Event, Histogram, Metrics, MsgKind, NullSink, StaticSink, DEFAULT_BUCKETS,
 };
 use cmvrp_util::Rng;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{HashMap, VecDeque};
 
 /// Identifier of a process within a [`Network`] (its index).
 pub type ProcessId = usize;
@@ -41,7 +40,9 @@ pub trait Process<M> {
     }
 }
 
-/// Handle through which a process sends messages during a callback.
+/// Handle through which a process sends messages during a callback. Its
+/// outbox and event buffer are the network's, lent for the callback, so a
+/// handler allocates nothing once they have grown.
 #[derive(Debug)]
 pub struct Context<M> {
     id: ProcessId,
@@ -52,16 +53,6 @@ pub struct Context<M> {
 }
 
 impl<M> Context<M> {
-    fn new(id: ProcessId, now: u64, obs_on: bool) -> Self {
-        Context {
-            id,
-            now,
-            outbox: Vec::new(),
-            obs_on,
-            events: Vec::new(),
-        }
-    }
-
     /// The id of the process being invoked.
     pub fn id(&self) -> ProcessId {
         self.id
@@ -137,12 +128,9 @@ pub struct RunReport {
     pub quiesced: bool,
 }
 
-/// A message in flight, ordered for the delivery min-heap by
-/// `(at, seq)` alone: `seq` is unique and breaks ties in send order.
+/// A message in flight; its delivery time is its [`Bucket`]'s.
 #[derive(Debug)]
 struct Envelope<M> {
-    at: u64,
-    seq: u64,
     from: ProcessId,
     to: ProcessId,
     sent_at: u64,
@@ -152,25 +140,11 @@ struct Envelope<M> {
     msg: M,
 }
 
-impl<M> PartialEq for Envelope<M> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl<M> Eq for Envelope<M> {}
-
-impl<M> PartialOrd for Envelope<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Envelope<M> {
-    /// Reversed, so the max-heap pops the earliest delivery first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+/// The messages due at one delivery time, in send order.
+#[derive(Debug)]
+struct Bucket<M> {
+    at: u64,
+    envelopes: VecDeque<Envelope<M>>,
 }
 
 /// The transport layer's durable state at quiescence, for checkpointing.
@@ -186,7 +160,7 @@ impl<M> Ord for Envelope<M> {
 pub struct TransportSnapshot {
     /// Simulation clock.
     pub now: u64,
-    /// Next envelope sequence number (the delivery tie-breaker).
+    /// Sends accepted so far: the send order the delivery buckets keep.
     pub seq: u64,
     /// Delay-RNG position (see [`Rng::state`]).
     pub rng_state: u64,
@@ -205,11 +179,20 @@ pub struct TransportSnapshot {
 }
 
 /// A simulated network of processes exchanging messages of type `M`,
-/// optionally traced through a [`Sink`].
+/// optionally traced through a [`StaticSink`].
 ///
 /// The sink is a type parameter so the default ([`NullSink`]) compiles to
 /// nothing: event construction is guarded by `S::ENABLED` and every
 /// `record` call inlines to an empty body.
+///
+/// Messages in flight wait in delivery-time buckets (a calendar queue,
+/// Brown 1988): one bucket per distinct pending delivery time, ascending.
+/// A send appends to its time's bucket, which keeps each bucket in send
+/// order, so the earliest bucket's front is always the next delivery and
+/// no envelope is ever compared. Every pending time lies within
+/// `max_delay` of the clock, so a send almost always lands in one of the
+/// last few buckets. Emptied buckets are kept for reuse until the queue
+/// drains, then released.
 #[derive(Debug)]
 pub struct Network<P, M, S: StaticSink = NullSink> {
     processes: Vec<P>,
@@ -217,9 +200,17 @@ pub struct Network<P, M, S: StaticSink = NullSink> {
     config: NetConfig,
     rng: Rng,
     now: u64,
+    /// Sends accepted so far; checkpointed with the transport.
     seq: u64,
-    /// Messages in flight, earliest `(delivery_time, seq)` first.
-    queue: BinaryHeap<Envelope<M>>,
+    /// Messages in flight: one bucket per pending delivery time, ascending.
+    queue: VecDeque<Bucket<M>>,
+    /// Envelopes across all buckets.
+    in_flight: usize,
+    /// Storage of emptied buckets, reused until the queue drains.
+    spare: Vec<VecDeque<Envelope<M>>>,
+    /// The outbox and event buffer lent to each [`Context`].
+    outbox: Vec<(ProcessId, M)>,
+    events: Vec<Event>,
     /// Latest scheduled delivery per ordered channel, for FIFO enforcement.
     channel_last: HashMap<(ProcessId, ProcessId), u64>,
     /// Processes that ran a handler since the last drain, once per run.
@@ -271,7 +262,11 @@ where
             config,
             now: 0,
             seq: 0,
-            queue: BinaryHeap::new(),
+            queue: VecDeque::new(),
+            in_flight: 0,
+            spare: Vec::new(),
+            outbox: Vec::new(),
+            events: Vec::new(),
             channel_last: HashMap::new(),
             touched: Vec::new(),
             total_sent: 0,
@@ -413,9 +408,9 @@ where
     /// at quiescent round barriers.
     pub fn transport_snapshot(&self) -> TransportSnapshot {
         assert!(
-            self.queue.is_empty(),
+            self.in_flight == 0,
             "transport snapshot with {} messages in flight",
-            self.queue.len()
+            self.in_flight
         );
         TransportSnapshot {
             now: self.now,
@@ -440,9 +435,9 @@ where
     /// Panics if this network already has messages in flight.
     pub fn restore_transport(&mut self, snap: &TransportSnapshot) {
         assert!(
-            self.queue.is_empty(),
+            self.in_flight == 0,
             "restoring transport over {} messages in flight",
-            self.queue.len()
+            self.in_flight
         );
         self.now = snap.now;
         self.seq = snap.seq;
@@ -482,19 +477,28 @@ where
         let last = self.channel_last.entry((from, to)).or_insert(0);
         *last = (*last).max(self.now + delay);
         let at = *last;
-        let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Envelope {
-            at,
-            seq,
+        let envelope = Envelope {
             from,
             to,
             sent_at: self.now,
             kind,
             msg,
-        });
+        };
+        // This send follows every envelope already in its time's bucket,
+        // so appending keeps the bucket in send order.
+        let slot = self.queue.partition_point(|b| b.at < at);
+        match self.queue.get_mut(slot) {
+            Some(bucket) if bucket.at == at => bucket.envelopes.push_back(envelope),
+            _ => {
+                let mut envelopes = self.spare.pop().unwrap_or_default();
+                envelopes.push_back(envelope);
+                self.queue.insert(slot, Bucket { at, envelopes });
+            }
+        }
+        self.in_flight += 1;
         self.total_sent += 1;
-        self.queue_depth_max = self.queue_depth_max.max(self.queue.len());
+        self.queue_depth_max = self.queue_depth_max.max(self.in_flight);
         if S::ENABLED {
             self.sink.record(&Event::MsgSent {
                 t: self.now,
@@ -505,19 +509,49 @@ where
         }
     }
 
-    /// Moves a finished callback's queued sends and trace events into the
-    /// network, and marks the process that ran it as touched.
-    fn absorb_context(&mut self, sender: ProcessId, ctx: Context<M>) {
-        self.touched.push(sender);
+    /// Runs a closure against process `id` with a live [`Context`], sending
+    /// whatever the closure queues. Returns the closure's value. This is how
+    /// drivers deliver environmental events synchronously, and how the
+    /// network runs every handler: the context borrows the network's
+    /// outbox and event buffer, which keep their capacity between calls.
+    pub fn trigger<R>(&mut self, id: ProcessId, f: impl FnOnce(&mut P, &mut Context<M>) -> R) -> R {
+        let mut ctx = Context {
+            id,
+            now: self.now,
+            outbox: std::mem::take(&mut self.outbox),
+            obs_on: S::ENABLED,
+            events: std::mem::take(&mut self.events),
+        };
+        let out = f(&mut self.processes[id], &mut ctx);
+        self.touched.push(id);
         if S::ENABLED {
-            for ev in &ctx.events {
-                self.sink.record(ev);
+            for ev in ctx.events.drain(..) {
+                self.sink.record(&ev);
             }
         }
-        if !self.crashed[sender] {
-            for (to, msg) in ctx.outbox {
-                self.schedule(sender, to, msg);
+        if !self.crashed[id] {
+            for (to, msg) in ctx.outbox.drain(..) {
+                self.schedule(id, to, msg);
             }
+        }
+        ctx.outbox.clear();
+        self.outbox = ctx.outbox;
+        self.events = ctx.events;
+        out
+    }
+
+    /// Removes the next delivery: the front of the earliest bucket. Leaves
+    /// that bucket in place even when it empties, so a budget stop can put
+    /// the envelope back in front.
+    fn pop_next(&mut self) -> Option<(u64, Envelope<M>)> {
+        loop {
+            let bucket = self.queue.front_mut()?;
+            if let Some(envelope) = bucket.envelopes.pop_front() {
+                self.in_flight -= 1;
+                return Some((bucket.at, envelope));
+            }
+            let emptied = self.queue.pop_front().expect("front bucket");
+            self.spare.push(emptied.envelopes);
         }
     }
 
@@ -549,21 +583,11 @@ where
     /// delay invariants the trace checker enforces.
     pub fn advance_to(&mut self, t: u64) {
         assert!(
-            self.queue.is_empty(),
+            self.in_flight == 0,
             "advance_to({t}) with {} messages in flight",
-            self.queue.len()
+            self.in_flight
         );
         self.now = self.now.max(t);
-    }
-
-    /// Runs a closure against process `id` with a live [`Context`], sending
-    /// whatever the closure queues. Returns the closure's value. This is how
-    /// drivers deliver environmental events synchronously.
-    pub fn trigger<R>(&mut self, id: ProcessId, f: impl FnOnce(&mut P, &mut Context<M>) -> R) -> R {
-        let mut ctx = Context::new(id, self.now, S::ENABLED);
-        let out = f(&mut self.processes[id], &mut ctx);
-        self.absorb_context(id, ctx);
-        out
     }
 
     /// Invokes [`Process::on_tick`] on every non-crashed process at the
@@ -575,9 +599,8 @@ where
             if self.crashed[id] {
                 continue;
             }
-            let mut ctx = Context::new(id, self.now, S::ENABLED);
-            self.processes[id].on_tick(&mut ctx, self.now);
-            self.absorb_context(id, ctx);
+            let now = self.now;
+            self.trigger(id, |p, ctx| p.on_tick(ctx, now));
         }
     }
 
@@ -599,17 +622,19 @@ where
     pub fn run_to_quiescence(&mut self) -> RunReport {
         let mut delivered = 0u64;
         let mut dropped = 0u64;
-        while let Some(env) = self.queue.pop() {
+        while let Some((at, env)) = self.pop_next() {
             if delivered >= self.config.max_events {
-                // Put it back so a later run delivers it.
-                self.queue.push(env);
+                // Put it back in front of its bucket, which `pop_next`
+                // left in place, so a later run delivers it first.
+                self.queue[0].envelopes.push_front(env);
+                self.in_flight += 1;
                 return RunReport {
                     delivered,
                     dropped,
                     quiesced: false,
                 };
             }
-            self.now = self.now.max(env.at);
+            self.now = self.now.max(at);
             if self.crashed[env.to] {
                 dropped += 1;
                 self.total_to_crashed += 1;
@@ -637,10 +662,11 @@ where
                     kind: env.kind,
                 });
             }
-            let mut ctx = Context::new(env.to, self.now, S::ENABLED);
-            self.processes[env.to].on_message(&mut ctx, env.from, env.msg);
-            self.absorb_context(env.to, ctx);
+            let (from, msg) = (env.from, env.msg);
+            self.trigger(env.to, |p, ctx| p.on_message(ctx, from, msg));
         }
+        // Quiescent: release the emptied buckets' storage.
+        self.spare = Vec::new();
         RunReport {
             delivered,
             dropped,

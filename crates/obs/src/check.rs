@@ -5,8 +5,9 @@
 //! implements the thesis' algorithm, not merely that its summary statistics
 //! look right. The same [`TraceChecker`] runs in two modes:
 //!
-//! * **online** — wrapped in a [`CheckSink`] around any other [`Sink`], it
-//!   validates every event the instant it is emitted (`simulate --check`);
+//! * **online** — each shard of the sharded engine feeds its checker the
+//!   events every round appended, at the end of that round, and a
+//!   [`MergeChecker`] watches the merged stream (`simulate --check`);
 //! * **offline** — fed a recorded JSONL trace line by line
 //!   ([`check_lines`], `cmvrp trace check`).
 //!
@@ -47,11 +48,10 @@
 //! the index backwards to print why an event happened, and every
 //! [`Violation`] found while the index is live carries the chain of events
 //! leading to the offending one ([`Violation::chain`]). The index stores
-//! one node per trace line, so it is for offline forensics; the online
-//! [`CheckSink`] leaves it off.
+//! one node per trace line, so it is for offline forensics; online checking
+//! leaves it off.
 
 use crate::event::{DropReason, Event, MsgKind};
-use crate::sink::{Sink, StaticSink};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -427,8 +427,8 @@ impl TraceChecker {
 
     /// Turns on the causal index: every subsequent event is recorded as a
     /// [`CausalNode`], and violations gain their [`Violation::chain`].
-    /// Costs O(trace) memory — meant for offline forensics, not the
-    /// online [`CheckSink`].
+    /// Costs O(trace) memory — meant for offline forensics, not online
+    /// checking.
     pub fn record_causality(&mut self) {
         if self.causal.is_none() {
             self.causal = Some(CausalIndex::default());
@@ -1085,80 +1085,10 @@ impl TraceChecker {
     }
 }
 
-/// A [`Sink`] wrapper that validates every event on its way to `inner`.
-///
-/// ```
-/// use cmvrp_obs::{CheckSink, Event, NullSink, Sink};
-///
-/// let mut sink = CheckSink::new(NullSink);
-/// sink.record(&Event::JobArrived { t: 1, seq: 0, pos: vec![0, 0] });
-/// sink.record(&Event::JobServed { t: 1, seq: 0, vehicle: 3, cost: 1 });
-/// let (mut checker, _inner) = sink.into_parts();
-/// checker.finish();
-/// assert!(checker.is_clean());
-/// ```
-#[derive(Debug, Default)]
-pub struct CheckSink<S: Sink> {
-    inner: S,
-    checker: TraceChecker,
-}
-
-impl<S: Sink> CheckSink<S> {
-    /// Wraps `inner`, validating everything recorded through it.
-    pub fn new(inner: S) -> Self {
-        CheckSink {
-            inner,
-            checker: TraceChecker::new(),
-        }
-    }
-
-    /// The checker's current state.
-    pub fn checker(&self) -> &TraceChecker {
-        &self.checker
-    }
-
-    /// Mutable access to the checker — for configuring it before a run
-    /// ([`TraceChecker::set_capacity`], [`TraceChecker::allow_seq_gaps`])
-    /// or finishing it in place.
-    pub fn checker_mut(&mut self) -> &mut TraceChecker {
-        &mut self.checker
-    }
-
-    /// Mutable access to the wrapped sink (e.g. to drain a buffering
-    /// inner sink mid-run without disturbing the checker).
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    /// Splits into the checker and the wrapped sink. Call
-    /// [`TraceChecker::finish`] on the checker to run end-of-trace checks.
-    pub fn into_parts(self) -> (TraceChecker, S) {
-        (self.checker, self.inner)
-    }
-}
-
-impl<S: Sink> Sink for CheckSink<S> {
-    fn record(&mut self, event: &Event) {
-        self.checker.observe(event);
-        self.inner.record(event);
-    }
-
-    fn flush_events(&mut self) {
-        self.inner.flush_events();
-    }
-
-    // Enabled even over a NullSink: the point is the checking.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-impl<S: Sink> StaticSink for CheckSink<S> {}
-
 /// Merge-time cross-shard monitors.
 ///
-/// The sharded engine runs a full [`TraceChecker`] inside every shard (via
-/// a per-shard [`CheckSink`]), which covers the shard-local invariants:
+/// The sharded engine runs a full [`TraceChecker`] inside every shard (over
+/// each round's shard events), which covers the shard-local invariants:
 /// energy, channel FIFO/causality, DS deficits, crash silence, spans, the
 /// per-shard job ledger, and the per-shard clock. Two properties are only
 /// visible on the canonical *merged* stream, and this checker validates
@@ -1394,15 +1324,18 @@ mod tests {
     }
 
     #[test]
-    fn online_check_sink_matches_offline() {
-        let mut sink = CheckSink::new(crate::sink::NullSink);
-        for ev in valid_trace() {
-            sink.record(&ev);
+    fn shard_configured_checker_matches_offline() {
+        // Configured as the engine configures each shard: no header,
+        // seeded capacity, gap-tolerant ledger.
+        let mut checker = TraceChecker::new();
+        checker.set_capacity(10);
+        checker.allow_seq_gaps();
+        for ev in &valid_trace()[1..] {
+            checker.observe(ev);
         }
-        let (mut checker, _) = sink.into_parts();
         checker.finish();
         assert!(checker.is_clean(), "{:?}", checker.violations());
-        assert_eq!(checker.events(), 12);
+        assert_eq!(checker.events(), 11);
     }
 
     #[test]

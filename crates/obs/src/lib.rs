@@ -31,7 +31,7 @@
 //! - [`replay`] — rebuild a run's headline numbers from a trace alone
 //!   (`cmvrp replay`, `cmvrp trace stats`).
 //! - [`check`] — streaming invariant monitors ([`TraceChecker`],
-//!   [`CheckSink`]) that verify a run *obeyed the protocol*: energy ≤
+//!   [`MergeChecker`]) that verify a run *obeyed the protocol*: energy ≤
 //!   capacity `W`, per-channel FIFO with delivered⇒sent causality,
 //!   Dijkstra–Scholten deficit counting, no activity after a crash,
 //!   replacement-cycle liveness. See the [`check`] module docs for the
@@ -139,8 +139,8 @@ pub mod span;
 
 pub use bin::{decode_trace, is_binary_trace, BinSink};
 pub use check::{
-    check_lines, CausalIndex, CausalNode, CheckReport, CheckSink, MergeChecker, TraceChecker,
-    Violation, INVARIANTS,
+    check_lines, CausalIndex, CausalNode, CheckReport, MergeChecker, TraceChecker, Violation,
+    INVARIANTS,
 };
 pub use diff::{diff_lines, DiffError, DiffReport, Divergence, DivergenceKind, FieldDelta, Side};
 pub use event::{jsonl_events, DropReason, Event, MsgKind};

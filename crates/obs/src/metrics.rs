@@ -85,8 +85,9 @@ impl Histogram {
     }
 
     /// The smallest bucket bound at or below which at least a `q` fraction
-    /// of observations fall (an upper estimate of the `q`-quantile;
-    /// `u64::MAX` stands in for the overflow bucket).
+    /// of observations fall, capped at the largest observation: an upper
+    /// estimate of the `q`-quantile that never exceeds [`Histogram::max`]
+    /// (the overflow bucket has no bound, so it reports the max).
     pub fn quantile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of [0, 1]");
         if self.count == 0 {
@@ -97,10 +98,10 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             acc += c;
             if acc >= target {
-                return self.bounds.get(i).copied().unwrap_or(u64::MAX);
+                return self.bounds.get(i).map_or(self.max, |&b| b.min(self.max));
             }
         }
-        u64::MAX
+        self.max
     }
 
     /// The raw per-bucket counts, including the trailing overflow bucket
@@ -292,13 +293,7 @@ impl Metrics {
         for (k, h) in &self.hists {
             rows.push((format!("{k}.count"), h.count().to_string()));
             rows.push((format!("{k}.mean"), format!("{:.2}", h.mean())));
-            let p99 = h.quantile(0.99);
-            let p99 = if p99 == u64::MAX {
-                format!(">{}", h.bounds.last().unwrap())
-            } else {
-                p99.to_string()
-            };
-            rows.push((format!("{k}.p99"), p99));
+            rows.push((format!("{k}.p99"), h.quantile(0.99).to_string()));
             rows.push((format!("{k}.max"), h.max().to_string()));
         }
         rows.sort();
@@ -348,7 +343,8 @@ mod tests {
         h.observe(100);
         assert_eq!(h.quantile(0.5), 1);
         assert_eq!(h.quantile(0.99), 1);
-        assert_eq!(h.quantile(1.0), u64::MAX);
+        // The overflow bucket has no bound: the max is the estimate.
+        assert_eq!(h.quantile(1.0), 100);
         assert_eq!(Histogram::with_bounds(&[1]).quantile(0.5), 0);
     }
 
@@ -367,14 +363,14 @@ mod tests {
         // q = 1.0 must cover every observation.
         assert_eq!(h.quantile(1.0), 4);
 
-        // Single finite bucket: everything is either <= the bound or in
-        // the overflow bucket reported as u64::MAX.
+        // Single finite bucket: the bound caps at the max, and the
+        // overflow bucket reports the max.
         let mut single = Histogram::with_bounds(&[10]);
         single.observe(3);
-        assert_eq!(single.quantile(0.5), 10);
-        assert_eq!(single.quantile(1.0), 10);
+        assert_eq!(single.quantile(0.5), 3);
+        assert_eq!(single.quantile(1.0), 3);
         single.observe(99);
-        assert_eq!(single.quantile(1.0), u64::MAX);
+        assert_eq!(single.quantile(1.0), 99);
     }
 
     #[test]

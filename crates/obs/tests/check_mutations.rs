@@ -10,7 +10,7 @@
 //! * the committed golden trace under `tests/data/`, mutated textually,
 //!   so the end-to-end JSONL schema stays covered too.
 
-use cmvrp_obs::{check_lines, CheckReport, CheckSink, Event, MergeChecker, NullSink, Sink};
+use cmvrp_obs::{check_lines, CheckReport, Event, MergeChecker, TraceChecker};
 
 /// A minimal clean trace exercising every monitor: a served job, one full
 /// Dijkstra–Scholten search (2 queries, 2 replies, zero deficit at
@@ -201,21 +201,20 @@ fn non_monotone_profile_round_rejected() {
 
 // ---- inline (per-shard) agreement with the offline checker ----
 
-/// Replays `lines` through a shard-configured inline [`CheckSink`] —
+/// Replays `lines` through a shard-configured [`TraceChecker`] —
 /// capacity seeded, gap-tolerant job ledger, no `fleet_provisioned`
-/// header — exactly how the sharded engine wires each shard's checker —
-/// and returns the invariant names it reports.
+/// header — exactly how the sharded engine configures each shard's
+/// checker — and returns the invariant names it reports.
 fn inline_shard_violations(lines: &[String]) -> Vec<&'static str> {
-    let mut sink = CheckSink::new(NullSink);
-    sink.checker_mut().set_capacity(10);
-    sink.checker_mut().allow_seq_gaps();
+    let mut checker = TraceChecker::new();
+    checker.set_capacity(10);
+    checker.allow_seq_gaps();
     for line in lines {
         if line.trim().is_empty() || line.contains("\"ev\":\"fleet_provisioned\"") {
             continue;
         }
-        sink.record(&Event::from_json(line).expect("event must parse"));
+        checker.observe(&Event::from_json(line).expect("event must parse"));
     }
-    let (mut checker, _) = sink.into_parts();
     checker.finish();
     checker.violations().iter().map(|v| v.invariant).collect()
 }

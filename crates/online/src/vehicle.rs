@@ -411,8 +411,9 @@ impl<const D: usize> Vehicle<D> {
             return;
         }
         self.summon_dest = Some(dest);
-        let neighbors = self.neighbors.clone();
-        let (out, outcome) = self.engine.start(self.id, &neighbors);
+        let outcome = self.engine.start(self.id, &self.neighbors, |to, m| {
+            ctx.send(to, OnlineMsg::Diffuse(m))
+        });
         self.diffusions_started += 1;
         if ctx.obs_enabled() {
             let generation = self.engine.computation().map_or(0, |c| c.generation);
@@ -421,9 +422,6 @@ impl<const D: usize> Vehicle<D> {
                 initiator: self.id,
                 generation,
             });
-        }
-        for (to, m) in out {
-            ctx.send(to, OnlineMsg::Diffuse(m));
         }
         self.handle_outcome(ctx, outcome);
     }
@@ -504,19 +502,18 @@ impl<const D: usize> Process<OnlineMsg<D>> for Vehicle<D> {
             OnlineMsg::Diffuse(DiffuseMsg::Query { init }) => {
                 self.msg_counts[0] += 1;
                 let i_am_target = self.work == WorkState::Idle;
-                let neighbors = self.neighbors.clone();
-                let (out, outcome) = self.engine.on_query(from, init, i_am_target, &neighbors);
-                for (to, m) in out {
-                    ctx.send(to, OnlineMsg::Diffuse(m));
-                }
+                let outcome =
+                    self.engine
+                        .on_query(from, init, i_am_target, &self.neighbors, |to, m| {
+                            ctx.send(to, OnlineMsg::Diffuse(m))
+                        });
                 self.handle_outcome(ctx, outcome);
             }
             OnlineMsg::Diffuse(DiffuseMsg::Reply { found, init }) => {
                 self.msg_counts[1] += 1;
-                let (out, outcome) = self.engine.on_reply(from, found, init);
-                for (to, m) in out {
-                    ctx.send(to, OnlineMsg::Diffuse(m));
-                }
+                let outcome = self.engine.on_reply(from, found, init, |to, m| {
+                    ctx.send(to, OnlineMsg::Diffuse(m))
+                });
                 self.handle_outcome(ctx, outcome);
             }
             OnlineMsg::Move { dest, init } => {

@@ -34,7 +34,8 @@ cargo bench --offline -p cmvrp-bench --bench offline_bounds -- --test
 
 echo "==> online_sim bench (each case once, release)"
 # The same for the on-line engine bench, whose clusters256_flash case runs
-# the flash-crowd benchmark workload with the inline monitors on.
+# the flash-crowd benchmark workload with the inline monitors on, and its
+# clusters256_flash_unchecked case runs it with them off.
 cargo bench --offline -p cmvrp-bench --bench online_sim -- --test
 
 echo "==> benchmark package (build + tests)"
