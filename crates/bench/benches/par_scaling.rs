@@ -1,21 +1,21 @@
-//! Bench: parallel scaling of the sharded engine at 1/2/4/8 workers and
-//! across scheduling policies (static round-robin vs work stealing vs the
-//! between-round rebalancer) on the same workloads, reported as
-//! events/sec alongside wall-clock. Writes `BENCH_par.json` at the repo
-//! root; the notes carry the paired min-of-samples steal-vs-static ratio
-//! per worker count (same methodology as `BENCH_obs.json`: the modes
-//! alternate run-by-run so they see identical machine-load epochs), an
-//! events/s-per-worker scaling-efficiency row, the
-//! sparse-memory evidence from a million-vehicle grid, and a peak-RSS
+//! Bench: parallel scaling of the sharded engine at 1/2/4/8 workers on
+//! the same workloads, reported as events/sec alongside wall-clock.
+//! Writes `BENCH_par.json` at the repo root; the notes carry an
+//! events/s-per-worker scaling-efficiency row per workload (min of
+//! samples, with the order of worker counts rotated between repetitions
+//! so no count always runs first), the sparse-memory evidence from a
+//! million-vehicle grid, and a peak-RSS
 //! comparison of the streaming round-barrier merge against the old
 //! buffer-everything drain (each measured in its own subprocess, so the
 //! `VmHWM` high-water marks don't contaminate each other), and a
 //! `serve` saturation panel: concurrent wire sessions driving the
 //! line-delimited JSON server, reported as jobs/s at each session count
 //! with events/s and the serving process' peak RSS in the notes.
+//! `--baseline=PATH` pairs every row with a snapshot another build of this
+//! bench wrote.
 
 use cmvrp_bench::harness::{peak_rss_kb, Harness};
-use cmvrp_engine::{ExecConfig, Schedule, ShardedOnlineSim};
+use cmvrp_engine::{ExecConfig, ShardedOnlineSim};
 use cmvrp_grid::GridBounds;
 use cmvrp_obs::{JsonlSink, NullSink, Sink, VecSink};
 use cmvrp_online::OnlineConfig;
@@ -35,8 +35,7 @@ fn jobs_for(cfg: &WorkloadConfig) -> (GridBounds<2>, JobSequence<2>) {
     )
 }
 
-/// Events in the run's trace (identical for every worker count and
-/// schedule).
+/// Events in the run's trace (identical for every worker count).
 fn event_count(bounds: GridBounds<2>, jobs: &JobSequence<2>) -> u64 {
     let mut sink = VecSink::new();
     let exec = ExecConfig::new()
@@ -54,32 +53,25 @@ fn run_sharded(exec: &ExecConfig, bounds: GridBounds<2>, jobs: &JobSequence<2>) 
     black_box(report);
 }
 
-/// Paired min-of-samples wall-clock for static vs steal at every worker
-/// count: each rep interleaves the two policies per worker count, so the
-/// steal-vs-static ratio sees identical machine-load epochs.
-fn paired_schedules(
+/// Min-of-samples wall-clock at every worker count. Repetition `r` starts
+/// at the `r`-th worker count and wraps around, so no count always runs
+/// first.
+fn scaling_samples(
     bounds: GridBounds<2>,
     jobs: &JobSequence<2>,
     reps: usize,
-) -> ([u64; WORKER_COUNTS.len()], [u64; WORKER_COUNTS.len()]) {
-    let mut static_best = [u64::MAX; WORKER_COUNTS.len()];
-    let mut steal_best = [u64::MAX; WORKER_COUNTS.len()];
-    for _ in 0..reps {
-        for (i, &threads) in WORKER_COUNTS.iter().enumerate() {
-            for schedule in [Schedule::Static, Schedule::Steal] {
-                let exec = ExecConfig::new().threads(threads).schedule(schedule);
-                let t = std::time::Instant::now();
-                run_sharded(&exec, bounds, jobs);
-                let ns = t.elapsed().as_nanos() as u64;
-                let slot = match schedule {
-                    Schedule::Steal => &mut steal_best[i],
-                    _ => &mut static_best[i],
-                };
-                *slot = (*slot).min(ns);
-            }
+) -> [u64; WORKER_COUNTS.len()] {
+    let mut best = [u64::MAX; WORKER_COUNTS.len()];
+    for rep in 0..reps {
+        for k in 0..WORKER_COUNTS.len() {
+            let i = (rep + k) % WORKER_COUNTS.len();
+            let exec = ExecConfig::new().threads(WORKER_COUNTS[i]);
+            let t = std::time::Instant::now();
+            run_sharded(&exec, bounds, jobs);
+            best[i] = best[i].min(t.elapsed().as_nanos() as u64);
         }
     }
-    (static_best, steal_best)
+    best
 }
 
 /// The long point-source workload for the peak-RSS comparison: one hot
@@ -314,9 +306,8 @@ fn main() {
     }
 
     // Two scaling workloads on a 64×64 grid (4096 vehicles): spread-out
-    // uniform demand (many active cubes, balanced shards) and
-    // zipf clusters (diffusion-heavy, imbalanced shards — the regime the
-    // steal and rebalance policies exist for).
+    // uniform demand (many active cubes, balanced shards) and zipf
+    // clusters (diffusion-heavy, imbalanced shards).
     let panel = [
         (
             "uniform64",
@@ -344,19 +335,6 @@ fn main() {
             h.bench_with_items(&format!("{label}/sharded_w{threads}"), shard_events, || {
                 run_sharded(&ExecConfig::new().threads(threads), bounds, &jobs);
             });
-        }
-        // The non-default policies at the worker counts where they can
-        // matter (at w1 every policy degenerates to static).
-        for (schedule, tag) in [
-            (Schedule::Steal, "steal"),
-            (Schedule::Rebalance, "rebalance"),
-        ] {
-            for threads in [2, 4, 8] {
-                h.bench_with_items(&format!("{label}/{tag}_w{threads}"), shard_events, || {
-                    let exec = ExecConfig::new().threads(threads).schedule(schedule);
-                    run_sharded(&exec, bounds, &jobs);
-                });
-            }
         }
     }
 
@@ -401,8 +379,8 @@ fn main() {
     let mut notes: Vec<(&str, String)> = vec![
         (
             "methodology",
-            "paired min-of-samples: modes alternate run-by-run; \
-             steal-vs-static = static_min/steal_min at the same worker count"
+            "min-of-samples per worker count; the order of worker counts rotates \
+             between repetitions so no count always runs first"
                 .to_string(),
         ),
         ("host_cpus", host_cpus.to_string()),
@@ -411,38 +389,21 @@ fn main() {
             format!(
                 "wN>1 adds OS threads, which can only pay off when host_cpus > 1 (this host: \
                  {host_cpus}) — on fewer CPUs than workers the wN columns measure \
-                 round-barrier overhead and the steal-vs-static ratio measures deque \
-                 overhead, honestly; rerun on a multi-core host for the parallel headline"
+                 round-barrier overhead, honestly; rerun on a multi-core host for the \
+                 parallel headline"
             ),
         ),
     ];
     if !h.is_quick() {
         for (label, cfg) in &panel {
             let (bounds, jobs) = jobs_for(cfg);
-            // Steal vs static, paired per worker count, plus the
-            // events/s-per-worker scaling efficiency of the steal engine
-            // relative to its own single-worker run (perfect scaling =
-            // 100% at every width).
-            let (static_ns, steal_ns) = paired_schedules(bounds, &jobs, 8);
-            for ((&threads, &st), &sl) in WORKER_COUNTS.iter().zip(&static_ns).zip(&steal_ns) {
-                println!(
-                    "{label}: w{threads} static {st} ns vs steal {sl} ns -> {:.2}x",
-                    st as f64 / sl as f64
-                );
+            // Events/s-per-worker relative to the same engine's
+            // single-worker run (perfect scaling = 100% at every width).
+            let best_ns = scaling_samples(bounds, &jobs, 8);
+            for (&threads, &ns) in WORKER_COUNTS.iter().zip(&best_ns) {
+                println!("{label}: w{threads} {ns} ns");
             }
-            notes.push((
-                match *label {
-                    "uniform64" => "uniform64_steal_vs_static",
-                    _ => "clusters64_steal_vs_static",
-                },
-                WORKER_COUNTS
-                    .iter()
-                    .zip(static_ns.iter().zip(&steal_ns))
-                    .map(|(t, (&st, &sl))| format!("w{t}={:.2}x", st as f64 / sl as f64))
-                    .collect::<Vec<_>>()
-                    .join(" "),
-            ));
-            let base = steal_ns[0] as f64;
+            let base = best_ns[0] as f64;
             notes.push((
                 match *label {
                     "uniform64" => "uniform64_scaling_efficiency",
@@ -450,7 +411,7 @@ fn main() {
                 },
                 WORKER_COUNTS
                     .iter()
-                    .zip(&steal_ns)
+                    .zip(&best_ns)
                     .map(|(&t, &ns)| {
                         // events/s-per-worker relative to w1: t1/(N*tN).
                         format!("w{t}={:.0}%", 100.0 * base / (t as f64 * ns as f64))
@@ -461,8 +422,9 @@ fn main() {
         }
         notes.push((
             "scaling_efficiency_methodology",
-            "events/s-per-worker under the steal policy, normalized to the same engine at w1 \
-             (100% = perfect scaling); paired min-of-samples"
+            "events/s-per-worker, normalized to the same engine at w1 (100% = perfect \
+             scaling); min of 8 repetitions, the order of worker counts rotated per \
+             repetition"
                 .to_string(),
         ));
         notes.push((
@@ -523,6 +485,8 @@ fn main() {
                 .to_string(),
         ));
     }
+    let baseline = h.baseline_notes();
+    notes.extend(baseline.iter().map(|(k, v)| (k.as_str(), v.clone())));
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_par.json");
     if let Err(e) = h.write_snapshot(&out, &notes) {
         eprintln!("warning: could not write {}: {e}", out.display());

@@ -14,7 +14,7 @@
 //! [hot-point]
 //! workload = point:grid=12,demand=160
 //! threads = 2
-//! schedule = steal
+//! check = true
 //! ```
 //!
 //! Four keys steer the runner itself — `checkpoint_every` (round cadence
@@ -454,7 +454,7 @@ threads = 2
 
 [hot]
 workload = point:grid=12,demand=120
-schedule = steal
+check = true
 
 [cold]
 workload = uniform:grid=10,jobs=40,seed=3
@@ -469,7 +469,7 @@ check = true
         let hot = &runs[0];
         assert_eq!(hot.name, "hot");
         assert_eq!(hot.workload, "point:grid=12,demand=120");
-        assert_eq!(hot.args, vec!["--threads=2", "--schedule=steal"]);
+        assert_eq!(hot.args, vec!["--threads=2", "--check"]);
         assert_eq!(
             (hot.checkpoint_every, hot.retries, hot.backoff_ms),
             (2, 1, 10)

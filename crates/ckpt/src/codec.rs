@@ -28,7 +28,7 @@
 //! leaves the previous snapshot intact, which is what makes
 //! checkpoint-cadence fault recovery sound.
 
-use cmvrp_engine::{EngineCheckpoint, Schedule, ShardCheckpoint, VehicleCheckpoint};
+use cmvrp_engine::{EngineCheckpoint, ShardCheckpoint, VehicleCheckpoint};
 use cmvrp_obs::frame::{self, put_frame, put_i64s, put_u64, put_u64s, Cursor, FrameError};
 use cmvrp_online::WorkState;
 use std::fmt;
@@ -67,14 +67,6 @@ fn put_opt_pos(buf: &mut Vec<u8>, v: &Option<Vec<i64>>) {
     }
 }
 
-fn schedule_byte(s: Schedule) -> u8 {
-    match s {
-        Schedule::Static => 0,
-        Schedule::Steal => 1,
-        Schedule::Rebalance => 2,
-    }
-}
-
 fn work_byte(w: WorkState) -> u8 {
     match w {
         WorkState::Idle => 0,
@@ -99,11 +91,11 @@ fn opt_pos(c: &mut Cursor<'_>) -> Result<Option<Vec<i64>>, FrameError> {
     }
 }
 
-fn schedule(c: &mut Cursor<'_>) -> Result<Schedule, FrameError> {
+/// The run frame's reserved byte after `threads`: written as 0, read as
+/// 0–2 because checkpoints already on disk may hold 1 or 2 there.
+fn reserved(c: &mut Cursor<'_>) -> Result<(), FrameError> {
     match c.u8()? {
-        0 => Ok(Schedule::Static),
-        1 => Ok(Schedule::Steal),
-        2 => Ok(Schedule::Rebalance),
+        0..=2 => Ok(()),
         other => Err(c.err(format!("unknown schedule byte {other}"))),
     }
 }
@@ -219,7 +211,7 @@ pub fn encode_checkpoint(ckpt: &EngineCheckpoint) -> Vec<u8> {
     put_u64(&mut buf, ckpt.next_epoch);
     put_u64(&mut buf, ckpt.trace_events);
     put_u64(&mut buf, ckpt.threads);
-    buf.push(schedule_byte(ckpt.schedule));
+    buf.push(0); // reserved
     put_bool(&mut buf, ckpt.checked);
     put_u64(&mut buf, ckpt.shards.len() as u64);
     put_frame(&mut out, &buf);
@@ -328,7 +320,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<EngineCheckpoint, FrameError> {
     let next_epoch = run.u64()?;
     let trace_events = run.u64()?;
     let threads = run.u64()?;
-    let schedule = schedule(&mut run)?;
+    reserved(&mut run)?;
     let checked = run.bool()?;
     let n_shards = run.usize()?;
     let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
@@ -346,7 +338,6 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<EngineCheckpoint, FrameError> {
         next_epoch,
         trace_events,
         threads,
-        schedule,
         checked,
         shards,
     })
@@ -387,9 +378,8 @@ pub fn inspect(ckpt: &EngineCheckpoint) -> String {
     let _ = writeln!(out, "fingerprint: {:#018x}", ckpt.fingerprint);
     let _ = writeln!(
         out,
-        "written under: --threads={} --schedule={}{}",
+        "written under: --threads={}{}",
         ckpt.threads,
-        ckpt.schedule,
         if ckpt.checked { " --check" } else { "" }
     );
     let (mut released, mut served, mut unserved) = (0u64, 0u64, 0u64);
@@ -442,7 +432,6 @@ mod tests {
             next_epoch: 41,
             trace_events: 129,
             threads: 2,
-            schedule: Schedule::Steal,
             checked: true,
             shards: vec![
                 ShardCheckpoint {
@@ -609,7 +598,7 @@ mod tests {
         let text = inspect(&sample());
         assert!(text.contains("round 7"), "{text}");
         assert!(
-            text.contains("--threads=2 --schedule=steal --check"),
+            text.contains("written under: --threads=2 --check\n"),
             "{text}"
         );
         assert!(text.contains("2 cubes, 1 vehicles (1 active)"), "{text}");

@@ -6,7 +6,10 @@ use cmvrp_ckpt::{
     decode_checkpoint, encode_checkpoint, read_checkpoint, write_checkpoint, CKPT_MAGIC,
     CKPT_VERSION,
 };
-use cmvrp_engine::{EngineCheckpoint, Schedule, ShardCheckpoint};
+use cmvrp_engine::{CheckpointPolicy, EngineCheckpoint, ExecConfig, ShardCheckpoint};
+use cmvrp_obs::JsonlSink;
+use cmvrp_online::OnlineConfig;
+use cmvrp_scenario::Scenario;
 
 fn tmp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(format!("cmvrp_ckpt_{name}"));
@@ -22,7 +25,6 @@ fn sample_bytes() -> Vec<u8> {
         next_epoch: 17,
         trace_events: 44,
         threads: 2,
-        schedule: Schedule::Static,
         checked: false,
         shards: vec![],
     })
@@ -165,6 +167,58 @@ fn unknown_schedule_byte_is_a_scoped_error() {
         bytes[i] = keep;
     }
     assert!(seen, "no mutation produced a schedule error");
+}
+
+/// Checkpoints on disk may hold 1 or 2 in the run frame's reserved byte
+/// (the byte after `threads`): a checkpoint that reads back as 1 or 2
+/// decodes to the same `EngineCheckpoint` as one holding 0, and its
+/// resumed tail still stitches onto the head into the one-shot trace.
+#[test]
+fn reserved_byte_one_or_two_decodes_and_resumes() {
+    let (bounds, _, jobs) = Scenario::from_spec("clusters:grid=12,k=3,jobs=180,seed=9")
+        .unwrap()
+        .generate(1)
+        .unwrap();
+    let online = OnlineConfig::default();
+    let exec = ExecConfig::new().threads(2);
+    let traced = |exec: ExecConfig, resume: Option<&EngineCheckpoint>| {
+        let mut sink = JsonlSink::new(Vec::new());
+        let mut saved = Vec::new();
+        exec.execute_with_checkpoints(bounds, &jobs, online, &mut sink, resume, &mut |c| {
+            saved.push(c)
+        })
+        .unwrap();
+        (sink.into_writer().unwrap(), saved)
+    };
+    let (full, _) = traced(exec, None);
+    let (head, mut saved) = traced(
+        exec.checkpoint(CheckpointPolicy {
+            every: None,
+            stop_at: Some(4),
+        }),
+        None,
+    );
+    let ckpt = saved.pop().expect("stop round checkpoints");
+    let bytes = encode_checkpoint(&ckpt);
+    // The run frame ends with the reserved byte, the checked byte and the
+    // shard count; its payload and the shard count each fit one varint
+    // byte here.
+    let run_frame_end = 6 + bytes[5] as usize;
+    let reserved = run_frame_end - 3;
+    assert_eq!(bytes[reserved], 0);
+    assert_eq!(bytes[run_frame_end - 1] as usize, ckpt.shards.len());
+    for byte in [1u8, 2] {
+        let mut old = bytes.clone();
+        old[reserved] = byte;
+        let decoded = decode_checkpoint(&old).unwrap();
+        assert_eq!(decoded, ckpt, "reserved byte {byte}");
+        let (tail, _) = traced(exec, Some(&decoded));
+        assert_eq!(
+            [head.clone(), tail].concat(),
+            full,
+            "reserved byte {byte}: stitched trace diverges"
+        );
+    }
 }
 
 #[test]

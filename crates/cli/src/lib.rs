@@ -10,10 +10,10 @@
 //!   protocol and report the Theorem 1.4.2 accounting, optionally writing
 //!   a JSONL event trace (`--trace-jsonl`) and a metrics table
 //!   (`--metrics`);
-//! * `replay` — rebuild the run's summary from a recorded trace alone;
 //! * `trace` — trace analytics: `check` (invariant monitors, violations
-//!   carry their causal chain), `stats` (summary counters), `timeline
-//!   <proc>` (per-process ledger with derived Lamport clocks), `spans`
+//!   carry their causal chain), `stats` (the run's summary rebuilt from
+//!   the trace alone), `timeline <proc>` (per-process ledger with derived
+//!   Lamport clocks), `spans`
 //!   (phase-span aggregation), `convert` (JSONL ↔ binary, lossless),
 //!   `profile` (flight-recorder breakdown of a `--profile` run), `diff`
 //!   (first semantic divergence between two traces, exit code 1 when they
@@ -44,9 +44,7 @@
 //! [`run`] is the testable entry point.
 
 use cmvrp_core::Instance;
-use cmvrp_engine::{
-    CheckScope, CheckSummary, CheckpointPolicy, EngineCheckpoint, ExecConfig, Schedule,
-};
+use cmvrp_engine::{CheckScope, CheckSummary, CheckpointPolicy, EngineCheckpoint, ExecConfig};
 use cmvrp_obs::{BinSink, Event, JsonlSink, Metrics, Sink};
 use cmvrp_online::{OnlineConfig, OnlineReport};
 use cmvrp_scenario::{baselines, Baseline, Scenario};
@@ -72,15 +70,19 @@ const TRACE_SUBCOMMANDS: [&str; 9] = [
     "check", "stats", "timeline", "spans", "convert", "profile", "diff", "query", "explain",
 ];
 
+/// The `experiment` ids, as the usage screen and both dispatch errors name
+/// them; [`cmd_experiment`] accepts exactly these.
+const EXPERIMENT_IDS: &str = "e1..e16, f1, g1, g2";
+
 fn usage() -> String {
-    "cmvrp — Capacitated Multivehicle Routing Problem (Gao, 2008)\n\
+    format!(
+        "cmvrp — Capacitated Multivehicle Routing Problem (Gao, 2008)\n\
      \n\
      USAGE:\n\
        cmvrp solve <workload>            off-line bounds + verified plan\n\
        cmvrp simulate <workload> [opts]  run the on-line protocol\n\
-       cmvrp replay <trace>              summarize a recorded event trace\n\
        cmvrp trace check <trace>         validate a trace against the invariant monitors\n\
-       cmvrp trace stats <trace>         trace summary counters (superset of replay)\n\
+       cmvrp trace stats <trace>         summarize a recorded event trace\n\
        cmvrp trace timeline <p> <trace>  event ledger of process <p> with Lamport clocks\n\
        cmvrp trace spans <trace>         aggregate wall-clock phase spans\n\
        cmvrp trace convert <in> <out>    convert a trace JSONL <-> binary (lossless,\n\
@@ -115,7 +117,7 @@ fn usage() -> String {
                                          summary table of paper bound vs\n\
                                          baseline cost vs protocol cost\n\
        cmvrp show <workload>             render the demand map as ASCII\n\
-       cmvrp experiment <id>             regenerate a thesis experiment (e1..e16, f1, g1, g2)\n\
+       cmvrp experiment <id>             regenerate a thesis experiment ({EXPERIMENT_IDS})\n\
        cmvrp sweep <shape> <d1> <d2> ..  omega* scaling across demands (point|line)\n\
        cmvrp workloads                   list workload shapes\n\
        cmvrp help                        this message\n\
@@ -136,7 +138,6 @@ fn usage() -> String {
        --capacity=W    override the Lemma 3.3.1 provisioning\n\
        --threads=N     worker threads (default 1; the summary is the same\n\
                        for every N)\n\
-       --schedule=P    shard scheduling policy (static|steal|rebalance)\n\
        --check         verify the invariant monitors inline\n\
        --trace-jsonl=P stream the run's events to path P\n\
      \n\
@@ -145,12 +146,6 @@ fn usage() -> String {
        --capacity=W    override the Lemma 3.3.1 provisioning\n\
        --threads=N     run the sharded engine on up to N worker threads\n\
                        (default 1); traces are byte-identical for every N\n\
-       --schedule=P    shard scheduling policy:\n\
-                       static (fixed round-robin ownership, the default),\n\
-                       steal (idle workers steal ready shards within a\n\
-                       round), rebalance (between-round repartition by\n\
-                       active-cube count, plus stealing); traces are\n\
-                       byte-identical for every policy\n\
        --monitored     enable the §3.2.5 heartbeat ring: each shard ticks\n\
                        its own cubes after every job it releases; combines\n\
                        with every other option\n\
@@ -161,8 +156,8 @@ fn usage() -> String {
                        not combinable with --trace-jsonl\n\
        --profile       flight recorder: append one round_profile sample\n\
                        per worker per round to the trace —\n\
-                       busy/barrier/merge/sink nanoseconds, event and\n\
-                       steal counts; analyze with `cmvrp trace profile`\n\
+                       busy/barrier/merge/sink nanoseconds and event\n\
+                       counts; analyze with `cmvrp trace profile`\n\
        --progress      live progress line on stderr (needs a terminal;\n\
                        --progress=force paints without one)\n\
        --checkpoint=F  write a CMVC snapshot of the run to F at round\n\
@@ -171,14 +166,14 @@ fn usage() -> String {
        --checkpoint-every=R  snapshot every R rounds (default 1; counts\n\
                        absolute rounds, so a resumed run keeps the cadence;\n\
                        needs --checkpoint)\n\
-       --stop-at-round=K  stop after round K; with --checkpoint the final\n\
-                       snapshot lands at K\n\
+       --stop-at-round=K  stop after round K (rounds count from 1); with\n\
+                       --checkpoint the final snapshot lands at K\n\
        --resume-from=F continue a run from checkpoint F; the resumed trace\n\
                        tail is byte-identical to the uninterrupted run's,\n\
                        so concatenating head and tail traces equals a\n\
                        one-shot trace (verify with `cmvrp trace diff`);\n\
-                       --threads/--schedule default to the checkpoint's\n\
-                       values and may not disagree with them\n\
+                       --threads defaults to the checkpoint's value and\n\
+                       may not disagree with it\n\
        --metrics       print the always-on metrics registry\n\
        --check         verify the invariant monitors inline while the run\n\
                        streams (per-shard monitors plus merge-time\n\
@@ -204,7 +199,7 @@ fn usage() -> String {
                        free port — the chosen address is printed first)\n\
        --max-sessions=N  sessions one connection may hold open (default 16)\n\
        --connections=N   serve N connections then exit (default 0: forever)\n"
-        .to_string()
+    )
 }
 
 /// Parses a workload spec — inline `shape:key=value,...` or a
@@ -283,7 +278,7 @@ fn cmd_experiment(id: &str) -> Result<String, UsageError> {
         "g2" => exp::g2(),
         other => {
             return Err(UsageError(format!(
-                "unknown experiment {other:?}; known: e1..e16, f1, g1"
+                "unknown experiment {other:?}; known: {EXPERIMENT_IDS}"
             )))
         }
     };
@@ -452,7 +447,6 @@ fn cmd_simulate(spec: &str, opts: &[String]) -> Result<String, UsageError> {
     let mut profile = false;
     let mut progress = false;
     let mut threads: Option<usize> = None;
-    let mut schedule: Option<Schedule> = None;
     let mut checkpoint: Option<String> = None;
     let mut checkpoint_every: Option<u64> = None;
     let mut stop_at: Option<u64> = None;
@@ -468,8 +462,6 @@ fn cmd_simulate(spec: &str, opts: &[String]) -> Result<String, UsageError> {
                 return Err(UsageError("--threads must be at least 1".into()));
             }
             threads = Some(n);
-        } else if let Some(v) = opt.strip_prefix("--schedule=") {
-            schedule = Some(v.parse().map_err(UsageError)?);
         } else if let Some(v) = opt.strip_prefix("--checkpoint=") {
             checkpoint = Some(v.to_string());
         } else if let Some(v) = opt.strip_prefix("--checkpoint-every=") {
@@ -481,10 +473,19 @@ fn cmd_simulate(spec: &str, opts: &[String]) -> Result<String, UsageError> {
             }
             checkpoint_every = Some(r);
         } else if let Some(v) = opt.strip_prefix("--stop-at-round=") {
-            stop_at = Some(
-                v.parse()
-                    .map_err(|_| UsageError(format!("bad round number {v:?}")))?,
-            );
+            let k: u64 = v
+                .parse()
+                .map_err(|_| UsageError(format!("bad round number {v:?}")))?;
+            if k == 0 {
+                return Err(UsageError(
+                    "--stop-at-round=0 names no round: rounds count from 1; \
+                     supported alternatives: --stop-at-round=1 to stop after \
+                     the first round, or drop --stop-at-round to run to \
+                     completion"
+                        .into(),
+                ));
+            }
+            stop_at = Some(k);
         } else if let Some(v) = opt.strip_prefix("--resume-from=") {
             resume_from = Some(v.to_string());
         } else if let Some(v) = opt.strip_prefix("--seed=") {
@@ -587,26 +588,11 @@ fn cmd_simulate(spec: &str, opts: &[String]) -> Result<String, UsageError> {
                     )))
                 }
             }
-            match schedule {
-                None => schedule = Some(ckpt.schedule),
-                Some(s) if s == ckpt.schedule => {}
-                Some(s) => {
-                    return Err(UsageError(format!(
-                        "--schedule={s} disagrees with the checkpoint, which \
-                         was written under --schedule={}; supported \
-                         alternatives: drop --schedule to inherit it from \
-                         the checkpoint, or start a fresh run (without \
-                         --resume-from) under the new policy",
-                        ckpt.schedule
-                    )))
-                }
-            }
             Some(ckpt)
         }
     };
     let exec = ExecConfig::new()
         .threads(threads.unwrap_or(1))
-        .schedule(schedule.unwrap_or_default())
         .check(check)
         .profile(profile)
         .progress(progress)
@@ -786,7 +772,6 @@ fn cmd_scenario_run(path: &str, opts: &[String]) -> Result<String, UsageError> {
     let sc = load_scenario(path)?;
     let mut online = OnlineConfig::default();
     let mut threads = 1;
-    let mut schedule = Schedule::default();
     let mut check = false;
     let mut trace: Option<String> = None;
     for opt in opts {
@@ -807,8 +792,6 @@ fn cmd_scenario_run(path: &str, opts: &[String]) -> Result<String, UsageError> {
                 return Err(UsageError("--threads must be at least 1".into()));
             }
             threads = n;
-        } else if let Some(v) = opt.strip_prefix("--schedule=") {
-            schedule = v.parse().map_err(UsageError)?;
         } else if opt == "--check" {
             check = true;
         } else if let Some(v) = opt.strip_prefix("--trace-jsonl=") {
@@ -816,15 +799,11 @@ fn cmd_scenario_run(path: &str, opts: &[String]) -> Result<String, UsageError> {
         } else {
             return Err(UsageError(format!(
                 "unknown option {opt:?}; scenario run accepts --seed=S, \
-                 --capacity=W, --threads=N, --schedule=P, --check, \
-                 --trace-jsonl=P"
+                 --capacity=W, --threads=N, --check, --trace-jsonl=P"
             )));
         }
     }
-    let exec = ExecConfig::new()
-        .threads(threads)
-        .schedule(schedule)
-        .check(check);
+    let exec = ExecConfig::new().threads(threads).check(check);
     let (bounds, demand, jobs) = sc
         .generate(online.seed)
         .map_err(|e| UsageError(e.to_string()))?;
@@ -992,16 +971,6 @@ fn cmd_scenario(args: &[String]) -> Result<String, UsageError> {
     }
 }
 
-fn cmd_replay(path: &str) -> Result<String, UsageError> {
-    let text = read_trace(path)?;
-    let summary = cmvrp_obs::summarize(text.lines()).map_err(at_line(path))?;
-    let mut table = cmvrp_util::Table::new(vec!["quantity", "value"]);
-    for (name, value) in summary.rows() {
-        table.row(vec![name, value]);
-    }
-    Ok(format!("replay of {path}:\n{table}"))
-}
-
 /// Loads a trace file through the hardened sniffing loader in `cmvrp-obs`
 /// (empty files, truncated magics, and partial trailing lines all come
 /// back as scoped errors), keeping the identity header for reports.
@@ -1038,7 +1007,7 @@ fn parse_where(opts: &[String], sub: &str) -> Result<Option<cmvrp_obs::QueryExpr
     Ok(expr)
 }
 
-/// `trace stats <trace> [--where=EXPR]`: the replay summary plus an
+/// `trace stats <trace> [--where=EXPR]`: the run's summary plus an
 /// identity header (encoding, schema version, event count), optionally
 /// restricted to events matching a query expression.
 fn cmd_trace_stats(path: &str, opts: &[String]) -> Result<String, UsageError> {
@@ -1854,9 +1823,9 @@ pub fn run_with_status(args: &[String]) -> Result<(String, i32), UsageError> {
         },
         Some("experiment") => match args.get(1) {
             Some(id) => cmd_experiment(id),
-            None => Err(UsageError(
-                "experiment needs an id (e1..e16, f1, g1)".into(),
-            )),
+            None => Err(UsageError(format!(
+                "experiment needs an id ({EXPERIMENT_IDS})"
+            ))),
         },
         Some("show") => match args.get(1) {
             Some(spec) => cmd_show(spec),
@@ -1871,10 +1840,6 @@ pub fn run_with_status(args: &[String]) -> Result<(String, i32), UsageError> {
             None => Err(UsageError("simulate needs a workload spec".into())),
         },
         Some("scenario") => cmd_scenario(&args[1..]),
-        Some("replay") => match args.get(1) {
-            Some(path) => cmd_replay(path),
-            None => Err(UsageError("replay needs a trace path".into())),
-        },
         Some("ckpt") => cmd_ckpt(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some(other) => Err(UsageError(format!("unknown command {other:?}"))),
@@ -1939,6 +1904,24 @@ mod tests {
     }
 
     #[test]
+    fn experiment_errors_name_every_id_the_usage_lists() {
+        let usage = usage();
+        let listed = usage
+            .lines()
+            .find(|l| l.contains("cmvrp experiment <id>"))
+            .and_then(|l| l.split_once('('))
+            .and_then(|(_, ids)| ids.strip_suffix(')'))
+            .expect("usage lists the experiment ids");
+        let unknown = run(&argv("experiment zz")).unwrap_err().0;
+        let missing = run(&argv("experiment")).unwrap_err().0;
+        for id in listed.split(", ") {
+            assert!(unknown.contains(id), "{id} missing from {unknown:?}");
+            assert!(missing.contains(id), "{id} missing from {missing:?}");
+        }
+        assert!(listed.contains("g2"), "{listed}");
+    }
+
+    #[test]
     fn sweep_reports_growth() {
         let out = run(&argv("sweep point 64 512")).unwrap();
         assert!(out.contains("growth"));
@@ -1983,7 +1966,6 @@ mod tests {
     fn missing_spec_errors() {
         assert!(run(&argv("solve")).is_err());
         assert!(run(&argv("simulate")).is_err());
-        assert!(run(&argv("replay")).is_err());
         assert!(run(&argv("frobnicate")).is_err());
     }
 
@@ -2032,32 +2014,30 @@ mod tests {
     }
 
     #[test]
-    fn simulate_schedule_traces_are_byte_identical() {
-        // One static single-worker baseline, then every non-default policy
-        // at 2 workers — the merged bytes must never move.
+    fn simulate_clusters_traces_are_byte_identical_across_worker_counts() {
+        // The clusters panel has 4 shards: 1, 2, 3 and 8 workers map them
+        // onto workers four different ways — the merged bytes must never
+        // move.
         let mut traces = Vec::new();
-        for (tag, extra) in [
-            ("static1", "--threads=1"),
-            ("steal2", "--threads=2 --schedule=steal"),
-            ("rebalance2", "--threads=2 --schedule=rebalance"),
-        ] {
-            let path = std::env::temp_dir().join(format!("cmvrp_cli_sched_{tag}.jsonl"));
+        for threads in [1, 2, 3, 8] {
+            let path = std::env::temp_dir().join(format!("cmvrp_cli_workers_w{threads}.jsonl"));
             let mut args = argv("simulate clusters:grid=12,k=3,jobs=180,seed=9 --check");
-            args.extend(argv(extra));
+            args.push(format!("--threads={threads}"));
             args.push(format!("--trace-jsonl={}", path.display()));
             let out = run(&args).unwrap();
             assert!(out.contains("all invariants hold"), "{out}");
             traces.push(std::fs::read(&path).unwrap());
             let _ = std::fs::remove_file(&path);
         }
-        assert_eq!(traces[0], traces[1]);
-        assert_eq!(traces[0], traces[2]);
+        for (trace, threads) in traces[1..].iter().zip([2, 3, 8]) {
+            assert_eq!(*trace, traces[0], "{threads} workers");
+        }
     }
 
     /// The scenario-file equivalence oracle: a default (batch, fault-free)
     /// scenario file must produce byte-identical traces to its flag spec
-    /// through `simulate @file` AND `scenario run`, across worker counts,
-    /// scheduling policies, and checked mode.
+    /// through `simulate @file` AND `scenario run`, across worker counts
+    /// and checked mode.
     #[test]
     fn scenario_file_flag_and_scenario_run_traces_are_byte_identical() {
         let dir = std::env::temp_dir();
@@ -2068,9 +2048,12 @@ mod tests {
         )
         .unwrap();
         let spec = format!("@{}", file.display());
+        let mut reference: Option<Vec<u8>> = None;
         for (tag, extra) in [
-            ("static1", "--threads=1"),
-            ("steal2", "--threads=2 --schedule=steal --check"),
+            ("w1", "--threads=1"),
+            ("w2", "--threads=2 --check"),
+            ("w3", "--threads=3 --check"),
+            ("w8", "--threads=8"),
         ] {
             let mut traces = Vec::new();
             for (kind, head) in [
@@ -2097,6 +2080,8 @@ mod tests {
             }
             assert_eq!(traces[0], traces[1], "{tag}: simulate @file drifted");
             assert_eq!(traces[0], traces[2], "{tag}: scenario run drifted");
+            let first = reference.get_or_insert_with(|| traces[0].clone());
+            assert_eq!(*first, traces[0], "{tag}: differs from one worker");
         }
         let _ = std::fs::remove_file(&file);
     }
@@ -2173,29 +2158,36 @@ mod tests {
     }
 
     #[test]
-    fn simulate_rejects_unknown_schedule() {
-        let err = run(&argv("simulate point:grid=8,demand=40 --schedule=zigzag")).unwrap_err();
-        assert!(err.0.contains("zigzag"), "{err}");
-        assert!(err.0.contains("steal"), "{err}");
-        assert!(err.0.contains("rebalance"), "{err}");
-    }
-
-    #[test]
     fn simulate_metrics_show_worker_counters() {
         let out = run(&argv(
-            "simulate point:grid=12,demand=250 --threads=2 --schedule=steal --metrics",
+            "simulate point:grid=12,demand=250 --threads=2 --metrics",
         ))
         .unwrap();
         assert!(out.contains("engine.rounds"), "{out}");
         assert!(out.contains("engine.worker0.shards_stepped"), "{out}");
         assert!(out.contains("engine.worker0.busy_us"), "{out}");
-        assert!(out.contains("engine.steals"), "{out}");
     }
 
     #[test]
     fn simulate_rejects_zero_threads() {
         let err = run(&argv("simulate point:grid=8,demand=40 --threads=0")).unwrap_err();
         assert!(err.0.contains("--threads must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn simulate_rejects_stop_at_round_zero() {
+        let ckpt = std::env::temp_dir().join("cmvrp_cli_stop_zero.cmvc");
+        let _ = std::fs::remove_file(&ckpt);
+        let err = run(&[
+            "simulate".into(),
+            "point:grid=8,demand=40".into(),
+            "--stop-at-round=0".into(),
+            format!("--checkpoint={}", ckpt.display()),
+        ])
+        .unwrap_err();
+        assert!(err.0.contains("rounds count from 1"), "{err}");
+        assert!(err.0.contains("--stop-at-round=1"), "{err}");
+        assert!(!ckpt.exists(), "a refused run must write no snapshot");
     }
 
     #[test]
@@ -2207,7 +2199,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_then_replay_round_trips() {
+    fn trace_then_stats_round_trips() {
         let path = std::env::temp_dir().join("cmvrp_cli_trace_test.jsonl");
         let path_str = path.to_str().unwrap().to_string();
         // Space-separated option form; demand high enough that vehicles
@@ -2220,9 +2212,16 @@ mod tests {
         ])
         .unwrap();
         assert!(sim_out.contains("trace:"));
-        let replay_out = run(&["replay".into(), path_str.clone()]).unwrap();
-        assert!(replay_out.contains("jobs_served"));
-        // The trace alone reproduces the report's served count.
+        let stats_out = run(&["trace".into(), "stats".into(), path_str.clone()]).unwrap();
+        // The trace alone reproduces the report's served and message
+        // counts, in the stats table and in the summary behind it.
+        let stat = |name: &str| -> u64 {
+            let row = stats_out
+                .lines()
+                .find(|l| l.split('|').nth(1).map(str::trim) == Some(name))
+                .unwrap_or_else(|| panic!("no {name} row in {stats_out}"));
+            row.split('|').nth(2).unwrap().trim().parse().unwrap()
+        };
         let served_line = sim_out
             .lines()
             .find(|l| l.starts_with("served:"))
@@ -2238,6 +2237,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let summary = cmvrp_obs::summarize(text.lines()).unwrap();
         assert_eq!(summary.jobs_served, served);
+        assert_eq!(stat("jobs_served"), served);
         assert_eq!(summary.jobs_unserved(), 0);
         let msgs_line = sim_out
             .lines()
@@ -2246,6 +2246,7 @@ mod tests {
             .to_string();
         let messages: u64 = msgs_line.trim_start_matches("messages: ").parse().unwrap();
         assert_eq!(summary.msgs_delivered, messages);
+        assert_eq!(stat("msgs_delivered"), messages);
         assert!(summary.msgs_delivered > 0);
         assert!(summary.diffusions_started > 0);
         assert!(summary.replacement_cycles > 0);
@@ -2572,13 +2573,14 @@ mod tests {
     }
 
     #[test]
-    fn replay_rejects_garbage() {
+    fn trace_stats_rejects_garbage() {
         let path = std::env::temp_dir().join("cmvrp_cli_bad_trace.jsonl");
+        let path_str = path.to_str().unwrap().to_string();
         std::fs::write(&path, "not json\n").unwrap();
-        let err = run(&["replay".into(), path.to_str().unwrap().into()]).unwrap_err();
-        assert!(err.0.contains(":1:"), "{err}");
+        let err = run(&["trace".into(), "stats".into(), path_str.clone()]).unwrap_err();
+        assert!(err.0.contains(&format!("{path_str}:1:")), "{err}");
         let _ = std::fs::remove_file(&path);
-        assert!(run(&["replay".into(), "/nonexistent/x.jsonl".into()]).is_err());
+        assert!(run(&argv("trace stats /nonexistent/x.jsonl")).is_err());
     }
 
     fn golden_path() -> String {
@@ -2898,7 +2900,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_mismatched_threads_and_schedule() {
+    fn resume_rejects_mismatched_threads() {
         let dir = ckpt_dir("mismatch");
         let ckpt = dir.join("run.cmvc");
         let out = run(&[
@@ -2921,15 +2923,9 @@ mod tests {
         assert!(err.0.contains("--threads=4 disagrees"), "{err}");
         assert!(err.0.contains("--threads=2"), "{err}");
         assert!(err.0.contains("drop --threads"), "{err}");
-        let mut args = base.clone();
-        args.push("--schedule=steal".into());
-        let err = run(&args).unwrap_err();
-        assert!(err.0.contains("--schedule=steal disagrees"), "{err}");
-        assert!(err.0.contains("--schedule=static"), "{err}");
         // Restating the checkpoint's own shape is fine.
         let mut args = base.clone();
         args.push("--threads=2".into());
-        args.push("--schedule=static".into());
         assert!(run(&args).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2999,7 +2995,7 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("checkpoint at round 4"), "{out}");
-        assert!(out.contains("--threads=2 --schedule=static"), "{out}");
+        assert!(out.contains("written under: --threads=2\n"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -47,7 +47,7 @@ fn campaign_recovers_killed_runs_and_dead_letters_hopeless_ones() {
          [recovers]\n\
          workload = clusters:grid=12,k=3,jobs=180,seed=9\n\
          threads = 2\n\
-         schedule = steal\n\
+         check = true\n\
          checkpoint_every = 2\n\
          retries = 2\n\
          inject_kill = 1\n\
@@ -79,7 +79,7 @@ fn campaign_recovers_killed_runs_and_dead_letters_hopeless_ones() {
     assert!(ckpt.exists());
     let (out, _, status) = cmvrp(&["ckpt", "inspect", ckpt.to_str().unwrap()]);
     assert_eq!(status, 0);
-    assert!(out.contains("--schedule=steal"), "{out}");
+    assert!(out.contains("--threads=2 --check"), "{out}");
 
     // `campaign status` re-renders the persisted state, exit 1 while the
     // dead-letter list is non-empty.
@@ -109,7 +109,7 @@ fn campaign_recovers_killed_runs_and_dead_letters_hopeless_ones() {
         "simulate",
         "clusters:grid=12,k=3,jobs=180,seed=9",
         "--threads=2",
-        "--schedule=steal",
+        "--check",
     ]);
     assert_eq!(status, 0);
     assert!(reference.contains("served: 180/180"), "{reference}");

@@ -19,14 +19,13 @@
 //! rather than `Point<D>`, process ids as *global* vertex indices rather
 //! than shard-local ids) so a serializer can encode a checkpoint without
 //! knowing the grid dimension, and so the bytes are the same for every
-//! worker count and schedule.
+//! worker count.
 //!
 //! The resume-equivalence invariant: running to round `k`, checkpointing,
 //! and resuming yields a trace tail byte-identical to the uninterrupted
 //! run's — concatenating the two files equals the one file, for every
-//! worker count and schedule.
+//! worker count.
 
-use crate::rounds::Schedule;
 use cmvrp_grid::GridBounds;
 use cmvrp_online::{OnlineConfig, WorkState};
 use cmvrp_workloads::JobSequence;
@@ -57,9 +56,6 @@ pub struct EngineCheckpoint {
     /// bound is *sound* — this is recorded so front ends can flag a
     /// probably-unintended mismatch.
     pub threads: u64,
-    /// Schedule policy of the run that wrote the checkpoint (recorded for
-    /// the same reason as [`threads`](EngineCheckpoint::threads)).
-    pub schedule: Schedule,
     /// Whether the writing run verified invariants inline.
     pub checked: bool,
     /// Per-shard state, indexed by shard id.

@@ -15,10 +15,9 @@
 //! - **Conservative lockstep rounds** ([`rounds`]): the network's minimum
 //!   message delay of one tick is the classical conservative-PDES
 //!   lookahead. Shards advance in barrier-synchronized rounds whose time
-//!   bands are disjoint and ascending, so results are independent of the
-//!   worker count — and of the [`Schedule`] policy (static ownership,
-//!   work stealing, or between-round rebalancing) that maps shards onto
-//!   workers.
+//!   bands are disjoint and ascending, and a fixed round-robin map gives
+//!   each shard to one worker, so results are independent of the worker
+//!   count.
 //! - **Sparse vehicle state** ([`online`]): vehicles materialize lazily,
 //!   cube by cube, the first time demand lands nearby. An idle vehicle at
 //!   home with a full battery is implicit — memory is proportional to
@@ -27,11 +26,11 @@
 //! ## Configuring a run: [`ExecConfig`]
 //!
 //! [`ExecConfig`] is the single construction path — a builder that starts
-//! at one worker thread and the static schedule, and adds workers,
-//! scheduling policy, inline checking, profiling and checkpointing:
+//! at one worker thread, and adds workers, inline checking, profiling and
+//! checkpointing:
 //!
 //! ```
-//! use cmvrp_engine::{ExecConfig, Schedule};
+//! use cmvrp_engine::ExecConfig;
 //! use cmvrp_grid::GridBounds;
 //! use cmvrp_obs::NullSink;
 //! use cmvrp_online::OnlineConfig;
@@ -40,7 +39,7 @@
 //! let bounds = GridBounds::square(12);
 //! let demand = spatial::point(&bounds, 100);
 //! let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
-//! let exec = ExecConfig::new().threads(4).schedule(Schedule::Steal).check(true);
+//! let exec = ExecConfig::new().threads(4).check(true);
 //! let run = exec
 //!     .execute(bounds, &jobs, OnlineConfig::default(), &mut NullSink)
 //!     .unwrap();
@@ -76,12 +75,11 @@
 //! [`Execution::check`].
 //!
 //! The observability stack is the determinism oracle: the merged JSONL
-//! trace is byte-identical for 1, 2, and 8 workers — under every
-//! [`Schedule`] policy — while satisfying every monitor.
+//! trace is byte-identical for 1, 2, 3, and 8 workers while satisfying
+//! every monitor.
 //!
-//! Everything here is hermetic: `std::thread` plus channels-by-hand
-//! (barriers, mutexed mailboxes, and per-worker steal deques), zero
-//! external dependencies.
+//! Everything here is hermetic: `std::thread`, one barrier and a mutex
+//! per shard, zero external dependencies.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -98,8 +96,7 @@ pub use checkpoint::{
 };
 pub use online::{ShardSink, ShardedOnlineSim};
 pub use rounds::{
-    repartition, run_lockstep, run_lockstep_from, run_lockstep_sched, run_lockstep_with,
-    LockstepStart, RoundControl, RoundInfo, RoundOutcome, RoundStats, Schedule, ShardWorker,
+    run_lockstep, LockstepStart, RoundControl, RoundInfo, RoundOutcome, RoundStats, ShardWorker,
     WorkerStats,
 };
 pub use session::{Session, StepReport};
@@ -136,8 +133,8 @@ impl std::fmt::Display for EngineError {
                 "checkpoint was written by a different run: its input \
                  fingerprint is {found:#018x} but this run's inputs hash \
                  to {expected:#018x}; resume needs the same grid, job \
-                 sequence, seed, and capacity — only --threads and \
-                 --schedule may differ",
+                 sequence, seed, and capacity — only --threads may \
+                 differ",
             ),
             EngineError::InjectOutOfBounds => write!(
                 f,
@@ -214,8 +211,8 @@ pub struct Execution {
     pub report: OnlineReport,
     /// Always-on metrics: the `net.*` transport registry plus the
     /// `online.*` fleet counters and energy distribution and the
-    /// `engine.*` scheduler counters (rounds, per-worker busy time, shards
-    /// stepped, steals).
+    /// `engine.*` executor counters (rounds, per-worker busy time, shards
+    /// stepped).
     pub metrics: Metrics,
     /// Inline verification verdict; `Some` exactly for checked runs.
     pub check: Option<CheckSummary>,
@@ -225,33 +222,27 @@ pub struct Execution {
 /// by the CLI, the server, the benches, and the tests.
 ///
 /// `ExecConfig::new()` runs the sharded engine on one worker thread;
-/// [`threads`] raises the worker bound, and [`schedule`] picks the
-/// worker-scheduling policy. Traces and reports are the same for every
-/// worker count and policy. [`check`] makes every run verify the protocol
+/// [`threads`] raises the worker bound. Traces and reports are the same
+/// for every worker count. [`check`] makes every run verify the protocol
 /// invariants inline. The builder is `Copy`, so configs can be built
 /// inline at the call site:
 ///
 /// ```
-/// use cmvrp_engine::{ExecConfig, Schedule};
+/// use cmvrp_engine::ExecConfig;
 ///
 /// let quick = ExecConfig::new();                       // one worker
-/// let parallel = ExecConfig::new().threads(8);          // eight, static
-/// let balanced = ExecConfig::new()
-///     .threads(8)
-///     .schedule(Schedule::Steal)
-///     .check(true);                                     // verified inline
+/// let parallel = ExecConfig::new().threads(8);          // eight
+/// let verified = ExecConfig::new().threads(8).check(true); // verified inline
 /// assert_eq!(quick, ExecConfig::new().threads(1));
 /// assert_ne!(quick, parallel);
-/// assert!(balanced.is_checked());
+/// assert!(verified.is_checked());
 /// ```
 ///
 /// [`threads`]: ExecConfig::threads
-/// [`schedule`]: ExecConfig::schedule
 /// [`check`]: ExecConfig::check
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     threads: usize,
-    schedule: Schedule,
     check: bool,
     profile: bool,
     progress: bool,
@@ -286,7 +277,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             threads: 1,
-            schedule: Schedule::Static,
             check: false,
             profile: false,
             progress: false,
@@ -296,8 +286,7 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The default execution: one worker thread, static schedule, no
-    /// inline checking.
+    /// The default execution: one worker thread, no inline checking.
     pub fn new() -> Self {
         Self::default()
     }
@@ -307,12 +296,6 @@ impl ExecConfig {
     /// time).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Worker-scheduling policy: which worker steps which shard.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -329,11 +312,6 @@ impl ExecConfig {
         self.threads
     }
 
-    /// The configured scheduling policy.
-    pub fn policy(&self) -> Schedule {
-        self.schedule
-    }
-
     /// Whether runs verify the protocol invariants inline.
     pub fn is_checked(&self) -> bool {
         self.check
@@ -342,7 +320,7 @@ impl ExecConfig {
     /// Enables the flight recorder: at every round barrier the engine
     /// appends one [`cmvrp_obs::Event::RoundProfile`] sample per worker to
     /// the trace — busy, barrier-wait, merge, and sink nanoseconds plus
-    /// event and steal counts. Samples are first-class trace events with
+    /// the event count. Samples are first-class trace events with
     /// their own kind; stripping `round_profile` lines recovers the
     /// unprofiled trace byte for byte.
     pub fn profile(mut self, profile: bool) -> Self {

@@ -6,9 +6,8 @@
 //! in it, so an idle vehicle at home with a full battery costs nothing
 //! until its neighborhood sees demand. All protocol traffic is intra-cube
 //! (neighbor lists never cross cube walls) and shards are unions of whole
-//! cubes, so the on-line protocol produces **zero** cross-shard mail; the
-//! generic mail path of [`crate::rounds`] still runs underneath and is
-//! exercised by its own tests.
+//! cubes, so shards never exchange a message: [`crate::rounds`] hands
+//! each shard only its round's epoch.
 //!
 //! ## Time, sequence numbers, and the streaming merge
 //!
@@ -43,7 +42,7 @@
 //! ring over its own materialized cubes: after every released job it
 //! ticks its network once, and when a job is refused it ticks eight
 //! times, each followed by quiescence. Ticks never leave the shard, so the
-//! merged trace stays byte-identical for every worker count and schedule;
+//! merged trace stays byte-identical for every worker count;
 //! a shard ticks only in rounds where it releases a job, so heartbeat
 //! traffic exists only in cubes that have seen demand (or a fault).
 //!
@@ -62,8 +61,8 @@
 
 use crate::checkpoint::{run_fingerprint, EngineCheckpoint, ShardCheckpoint, VehicleCheckpoint};
 use crate::rounds::{
-    run_lockstep_from, LockstepStart, RoundControl, RoundInfo, RoundOutcome, RoundStats,
-    ShardWorker, WorkerStats,
+    run_lockstep, LockstepStart, RoundControl, RoundInfo, RoundOutcome, RoundStats, ShardWorker,
+    WorkerStats,
 };
 use crate::shard::ShardMap;
 use crate::{EngineError, ExecConfig};
@@ -425,12 +424,7 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
 }
 
 impl<const D: usize, SS: ShardSink> ShardWorker for ShardSim<D, SS> {
-    /// The on-line protocol is cube-confined, so shards never mail each
-    /// other; the unit type documents (and the type system enforces) that
-    /// this instantiation uses only the epoch side of the rounds layer.
-    type Mail = ();
-
-    fn round(&mut self, epoch: u64, _inbox: Vec<()>) -> RoundOutcome<()> {
+    fn round(&mut self, epoch: u64) -> RoundOutcome {
         self.net.advance_to(epoch);
         if self.released < self.jobs.len() {
             let seq = self
@@ -466,18 +460,9 @@ impl<const D: usize, SS: ShardSink> ShardWorker for ShardSim<D, SS> {
             }
         }
         RoundOutcome {
-            outbox: Vec::new(),
             now: self.net.now(),
             idle: self.released == self.jobs.len(),
         }
-    }
-
-    /// Load estimate for [`crate::Schedule::Rebalance`]: the cubes this
-    /// shard has materialized, plus one while it still has jobs. A round
-    /// costs the vehicles its job touched plus one cube's neighbor scan
-    /// per relocation; the cube count stands in for where demand can land.
-    fn load_hint(&self) -> u64 {
-        self.cubes.len() as u64 + u64::from(self.released < self.jobs.len())
     }
 }
 
@@ -529,7 +514,7 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
     /// shard's own arrivals, never of the worker count), every other
     /// map-derived list is emitted sorted, and every process reference is
     /// rewritten to its global id, so the record — and any serialization
-    /// of it — is byte-identical for every worker count and schedule.
+    /// of it — is byte-identical for every worker count.
     fn checkpoint(&self) -> ShardCheckpoint {
         let transport = self.net.transport_snapshot();
         let mut pair_active: Vec<(Vec<i64>, u64, u64)> = self
@@ -704,11 +689,10 @@ fn event_time(ev: &Event, last: &mut u64) -> u64 {
 /// Construction partitions the grid into cube-aligned shards
 /// ([`ShardMap`]) and splits the job sequence among them; [`run`] executes
 /// conservative lockstep rounds under an [`ExecConfig`] (worker-thread
-/// bound plus [`crate::Schedule`] policy). With a buffering shard sink
-/// (`SS = VecSink`), `run` merges the per-shard streams into the caller's
-/// sink *at every round barrier*, producing the canonical merged trace —
-/// byte-identical for every thread count and schedule — with peak memory
-/// bounded by one round's events.
+/// bound). With a buffering shard sink (`SS = VecSink`), `run` merges the
+/// per-shard streams into the caller's sink *at every round barrier*,
+/// producing the canonical merged trace — byte-identical for every thread
+/// count — with peak memory bounded by one round's events.
 ///
 /// Most callers go through [`ExecConfig::execute`] or a
 /// [`crate::Session`]; a pre-built simulator is the way to inject faults
@@ -723,7 +707,7 @@ fn event_time(ev: &Event, last: &mut u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use cmvrp_engine::{ExecConfig, Schedule, ShardedOnlineSim};
+/// use cmvrp_engine::{ExecConfig, ShardedOnlineSim};
 /// use cmvrp_grid::GridBounds;
 /// use cmvrp_obs::NullSink;
 /// use cmvrp_online::OnlineConfig;
@@ -733,7 +717,7 @@ fn event_time(ev: &Event, last: &mut u64) -> u64 {
 /// let demand = spatial::point(&bounds, 100);
 /// let jobs = arrivals::from_demand(&demand, Ordering::Shuffled, 7);
 /// let mut sim = ShardedOnlineSim::<2>::new(bounds, &jobs, OnlineConfig::default());
-/// let exec = ExecConfig::new().threads(4).schedule(Schedule::Steal);
+/// let exec = ExecConfig::new().threads(4);
 /// let report = sim.run(&exec, &mut NullSink);
 /// assert_eq!(report.unserved, 0);
 /// ```
@@ -760,7 +744,7 @@ struct ResumeInfo {
 
 /// The continuation cursor threaded through
 /// [`drive`](ShardedOnlineSim::drive) batches: round, epoch, sequence,
-/// and trace-event counters plus the accumulated scheduler statistics.
+/// and trace-event counters plus the accumulated per-worker statistics.
 /// Splitting a run into batches and carrying one cursor across them is
 /// byte- and state-equivalent to one uninterrupted run.
 #[derive(Debug)]
@@ -779,7 +763,7 @@ pub(crate) struct DriveCursor {
     pub(crate) header_done: bool,
     /// Epoch the most recent round started at.
     pub(crate) final_epoch: u64,
-    /// Per-worker scheduler counters accumulated across batches.
+    /// Per-worker counters accumulated across batches.
     pub(crate) workers: Vec<WorkerStats>,
     /// The live progress line, kept alive across batches so the repaint
     /// throttle and events/s accounting span the whole session.
@@ -934,15 +918,15 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
     }
 
     /// Replays the job sequence in conservative lockstep rounds under
-    /// `exec` (worker-thread bound plus [`crate::Schedule`] policy),
-    /// streams the canonical merged trace into `sink`, and reports the
+    /// `exec` (worker-thread bound), streams the canonical merged trace
+    /// into `sink`, and reports the
     /// Theorem 1.4.2 accounting: a single `fleet_provisioned` header at
     /// `t = 0`, then — at every round barrier — a stable k-way merge of
     /// that round's (id-remapped) per-shard events keyed by
     /// `(t, shard, index)`. Rounds occupy disjoint ascending time bands,
     /// so the concatenation of per-round merges is exactly the whole-run
     /// merge. The report and the merged bytes are identical for every
-    /// thread count and schedule. Only a buffering shard sink `SS` has
+    /// thread count. Only a buffering shard sink `SS` has
     /// events to stream; under a checked `exec` its shard-local monitors
     /// run as well (see
     /// [`take_shard_violations`](ShardedOnlineSim::take_shard_violations)).
@@ -1010,7 +994,6 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         let policy = exec.checkpoint_policy();
         let fingerprint = self.fingerprint;
         let threads = exec.worker_threads();
-        let schedule = exec.policy();
         let checked = exec.is_checked();
         if checked {
             for s in &mut self.shards {
@@ -1041,10 +1024,9 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         }
         let mut merged_total = cur.merged_total;
         let workers = std::mem::take(&mut self.shards);
-        let (workers, stats) = run_lockstep_from(
+        let (workers, stats) = run_lockstep(
             workers,
             threads,
-            schedule,
             start,
             |shards: &mut [&mut ShardSim<D, SS>], info: &RoundInfo| {
                 let merge_started = Instant::now();
@@ -1075,7 +1057,8 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
                             merge_ns: merge_ns as i64,
                             sink_ns: sink_ns as i64,
                             events: merged,
-                            steals: w.steals,
+                            // Shards never move between workers.
+                            steals: 0,
                         });
                     }
                 }
@@ -1098,7 +1081,6 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
                             next_epoch,
                             trace_events: merged_total,
                             threads: threads as u64,
-                            schedule,
                             checked,
                             shards: shards.iter().map(|s| s.checkpoint()).collect(),
                         });
@@ -1149,7 +1131,6 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
             for (acc, w) in cur.workers.iter_mut().zip(&stats.workers) {
                 acc.busy_ns += w.busy_ns;
                 acc.shards_stepped += w.shards_stepped;
-                acc.steals += w.steals;
             }
         }
         self.stats = Some(RoundStats {
@@ -1196,7 +1177,6 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
             next_epoch: cur.next_epoch,
             trace_events: cur.merged_total,
             threads: exec.worker_threads() as u64,
-            schedule: exec.policy(),
             checked: exec.is_checked(),
             shards: self.shards.iter().map(|s| s.checkpoint()).collect(),
         }
@@ -1372,7 +1352,7 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         self.shards.len()
     }
 
-    /// Lockstep round and per-worker scheduler statistics, when
+    /// Lockstep round and per-worker statistics, when
     /// [`run`](ShardedOnlineSim::run) has completed.
     pub fn round_stats(&self) -> Option<&RoundStats> {
         self.stats.as_ref()
@@ -1388,9 +1368,9 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
     /// Snapshot of the always-on metrics, aggregated across shards: the
     /// merged `net.*` transport registry plus the fleet-level `online.*`
     /// counters and the per-vehicle energy distribution. After a run, the
-    /// `engine.*` namespace carries the scheduler counters: lockstep
-    /// rounds plus per-worker busy time, shards stepped, and steals — the
-    /// direct observation of scheduler skew.
+    /// `engine.*` namespace carries the executor counters: lockstep
+    /// rounds plus per-worker busy time and shards stepped — the direct
+    /// observation of skew across workers.
     /// `online.absorb_visits` and `online.neighbor_visits` count the
     /// vehicles absorbed after quiescence and scanned for neighbor lists;
     /// like `engine.*` they count this process' work and are not written
@@ -1434,14 +1414,12 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         if let Some(stats) = &self.stats {
             m.add("engine.rounds", stats.rounds);
             m.add("engine.shards", self.shards.len() as u64);
-            m.add("engine.steals", stats.total_steals());
             for (k, w) in stats.workers.iter().enumerate() {
                 m.add(&format!("engine.worker{k}.busy_us"), w.busy_ns / 1_000);
                 m.add(
                     &format!("engine.worker{k}.shards_stepped"),
                     w.shards_stepped,
                 );
-                m.add(&format!("engine.worker{k}.steals"), w.steals);
             }
         }
         m

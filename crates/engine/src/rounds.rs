@@ -4,148 +4,55 @@
 //! of *lookahead* is always available — the classical conservative
 //! (Chandy–Misra style) condition. The executor exploits it with global
 //! rounds: each round starts at a shared epoch strictly greater than every
-//! shard's local clock, shards run to local quiescence independently, and
-//! cross-shard mail produced during a round is exchanged only at the round
-//! barrier, to be scheduled at the *next* epoch. Rounds therefore occupy
-//! disjoint ascending time bands, and the outcome of a round depends only
-//! on the (deterministic) epoch and the (deterministically routed) mail —
-//! never on how many OS threads executed it or in what order.
+//! shard's local clock, and shards run to local quiescence independently.
+//! Shards never exchange messages: the on-line protocol's traffic stays
+//! inside one `⌈ω_c⌉`-cube and every shard is a union of whole cubes.
+//! Rounds therefore occupy disjoint ascending time bands, and the outcome
+//! of a round depends only on the (deterministic) epoch — never on how
+//! many OS threads executed it or in what order.
 //!
-//! ## Scheduling
+//! ## Shard ownership
 //!
+//! Shards are assigned round-robin to workers, as a fixed ownership map:
+//! worker `k` of `w` steps shards `k, k + w, k + 2w, …` in every round.
 //! *Which worker* steps a shard is invisible to the output — shards are
-//! independent within a round and outcomes are collected in shard order at
-//! the barrier — so the executor is free to balance work however it likes.
-//! [`Schedule`] picks the policy:
-//!
-//! - [`Schedule::Static`]: shards are assigned round-robin to workers, as
-//!   a fixed ownership map. Zero scheduling overhead; wall-clock is gated
-//!   by the most loaded worker.
-//! - [`Schedule::Steal`]: the round-robin assignment seeds per-worker
-//!   deques; a worker drains its own deque from the front and, when empty,
-//!   steals from the *back* of another worker's deque (owner-FIFO /
-//!   thief-LIFO, the chase-lev discipline implemented on `std::sync` —
-//!   the build stays hermetic and `forbid(unsafe_code)` holds).
-//! - [`Schedule::Rebalance`]: between rounds the coordinator re-partitions
-//!   shards across workers by each shard's [`ShardWorker::load_hint`]
-//!   (greedy LPT, deterministic), *and* idle workers still steal within
-//!   the round — rebalancing fixes persistent skew, stealing mops up
-//!   what the hint mispredicts.
-//!
-//! Per-worker busy time, shards stepped, and steal counts are reported in
-//! [`RoundStats::workers`], so scheduler skew is observable, not inferred.
+//! independent within a round and the barrier hook sees them in shard
+//! order. Per-worker busy time and shards stepped are reported in
+//! [`RoundStats::workers`], so skew across workers is observable, not
+//! inferred.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 /// One shard's view of a lockstep round.
 pub trait ShardWorker: Send {
-    /// Cross-shard payloads exchanged at round barriers.
-    type Mail: Send;
-
     /// Executes one round. The shard must first align its local clock with
     /// `epoch` (which is strictly greater than any clock it reported
-    /// before), then consume `inbox` (mail routed to it at the previous
-    /// barrier, in ascending source-shard order) and run to local
-    /// quiescence. Mail for other shards goes in the outcome's outbox.
-    fn round(&mut self, epoch: u64, inbox: Vec<Self::Mail>) -> RoundOutcome<Self::Mail>;
-
-    /// Relative cost estimate for this shard's *next* round, queried at
-    /// the round barrier. [`Schedule::Rebalance`] re-partitions shards
-    /// across workers by this hint (for the on-line protocol: the shard's
-    /// active-cube count). Only ratios matter; the default weights every
-    /// shard equally.
-    fn load_hint(&self) -> u64 {
-        1
-    }
+    /// before), then run to local quiescence.
+    fn round(&mut self, epoch: u64) -> RoundOutcome;
 }
 
 /// What one shard reports at a round barrier.
 #[derive(Debug)]
-pub struct RoundOutcome<M> {
-    /// Mail for other shards: `(destination shard, payload)`, delivered at
-    /// the next epoch in ascending source-shard order.
-    pub outbox: Vec<(usize, M)>,
+pub struct RoundOutcome {
     /// The shard's local clock after the round (drives the next epoch).
     pub now: u64,
     /// Whether the shard has no further work of its own. The run ends when
-    /// every shard is idle *and* no mail is in flight.
+    /// every shard is idle.
     pub idle: bool,
 }
 
-/// How shards are mapped onto worker threads within and between rounds.
-/// Every policy produces byte-identical output — scheduling only moves
-/// *where* a shard is stepped, never *what* it computes or how results
-/// are merged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// Fixed round-robin shard ownership; no intra-round migration.
-    #[default]
-    Static,
-    /// Round-robin seeding plus intra-round work stealing: idle workers
-    /// pull ready shards from the back of other workers' deques.
-    Steal,
-    /// Between-round LPT re-partition by [`ShardWorker::load_hint`], plus
-    /// intra-round stealing.
-    Rebalance,
-}
-
-impl Schedule {
-    /// Whether idle workers may pull shards from other workers' deques.
-    pub fn steals(self) -> bool {
-        matches!(self, Schedule::Steal | Schedule::Rebalance)
-    }
-
-    /// Whether the shard→worker assignment is recomputed between rounds.
-    pub fn rebalances(self) -> bool {
-        matches!(self, Schedule::Rebalance)
-    }
-
-    /// Every supported policy, in CLI spelling order.
-    pub const ALL: [Schedule; 3] = [Schedule::Static, Schedule::Steal, Schedule::Rebalance];
-}
-
-impl std::fmt::Display for Schedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Schedule::Static => "static",
-            Schedule::Steal => "steal",
-            Schedule::Rebalance => "rebalance",
-        })
-    }
-}
-
-impl std::str::FromStr for Schedule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "static" => Ok(Schedule::Static),
-            "steal" => Ok(Schedule::Steal),
-            "rebalance" => Ok(Schedule::Rebalance),
-            other => Err(format!(
-                "unknown schedule {other:?}; supported: static, steal, rebalance"
-            )),
-        }
-    }
-}
-
-/// One worker thread's scheduling counters for a whole run.
+/// One worker thread's counters for a whole run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Wall-clock nanoseconds spent inside rounds (stepping shards and
-    /// scheduling), excluding barrier waits. Skew across workers is the
-    /// signal static assignment wastes cores on.
+    /// Wall-clock nanoseconds spent inside rounds (stepping shards),
+    /// excluding barrier waits. Skew across workers is the signal a fixed
+    /// assignment wastes cores on.
     pub busy_ns: u64,
     /// Shard-rounds this worker executed. Summed over workers this is
-    /// exactly `rounds × shards`: every shard is stepped once per round,
-    /// whatever the policy.
+    /// exactly `rounds × shards`: every shard is stepped once per round.
     pub shards_stepped: u64,
-    /// Shard-rounds this worker *stole* from another worker's deque
-    /// (always 0 under [`Schedule::Static`]).
-    pub steals: u64,
 }
 
 /// What the barrier hook tells the executor to do next.
@@ -153,10 +60,7 @@ pub struct WorkerStats {
 /// Returned once per round by the coordinator's barrier hook. `Stop` ends
 /// the run at this barrier exactly as if every shard had reported idle:
 /// the checkpoint subsystem uses it to cut a run at a chosen round so the
-/// remainder can be replayed later from the captured state. Stopping
-/// discards any cross-shard mail produced in the final round, so it is
-/// only meaningful for protocols whose barriers carry no mail (the
-/// on-line engine's `Mail = ()`) or whose hook captured it.
+/// remainder can be replayed later from the captured state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoundControl {
     /// Keep running (the normal case).
@@ -219,166 +123,80 @@ pub struct RoundStats {
     pub rounds: u64,
     /// The epoch the final round started at.
     pub final_epoch: u64,
-    /// Per-worker scheduling counters, indexed by worker thread. Length is
-    /// the effective worker count (requested threads clamped to the shard
-    /// count). `busy_ns` is wall-clock and varies run to run; the step and
-    /// steal counters are exact.
+    /// Per-worker counters, indexed by worker thread. Length is the
+    /// effective worker count (requested threads clamped to the shard
+    /// count). `busy_ns` is wall-clock and varies run to run;
+    /// `shards_stepped` is exact.
     pub workers: Vec<WorkerStats>,
 }
 
 impl RoundStats {
-    /// Total shards stolen across workers.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
     /// Total shard-rounds executed across workers.
     pub fn total_stepped(&self) -> u64 {
         self.workers.iter().map(|w| w.shards_stepped).sum()
     }
 }
 
-/// Greedy LPT (longest processing time) partition: assigns shard indices
-/// `0..loads.len()` to at most `workers` bins, heaviest shard first, each
-/// to the currently lightest bin. Deterministic: ties break toward the
-/// lower shard id and the lower bin id. Every shard lands in exactly one
-/// bin — the property test in `tests/schedule.rs` holds the executor to
-/// it — so a rebalanced round still steps every shard exactly once.
-pub fn repartition(loads: &[u64], workers: usize) -> Vec<Vec<usize>> {
-    let workers = workers.clamp(1, loads.len().max(1));
-    let mut order: Vec<usize> = (0..loads.len()).collect();
-    order.sort_by_key(|&shard| (std::cmp::Reverse(loads[shard]), shard));
-    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut weight = vec![0u64; workers];
-    for shard in order {
-        let lightest = (0..workers).min_by_key(|&w| (weight[w], w)).expect("bin");
-        weight[lightest] += loads[shard];
-        bins[lightest].push(shard);
-    }
-    bins
-}
-
-/// The fixed round-robin assignment [`Schedule::Static`] and
-/// [`Schedule::Steal`] seed workers with.
-fn round_robin(shards: usize, workers: usize) -> Vec<Vec<usize>> {
-    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    for shard in 0..shards {
-        bins[shard % workers].push(shard);
-    }
-    bins
-}
-
-struct Slot<W: ShardWorker> {
+struct Slot<W> {
     worker: W,
-    inbox: Vec<W::Mail>,
-    outcome: Option<RoundOutcome<W::Mail>>,
+    outcome: Option<RoundOutcome>,
 }
 
 /// Per-worker counters the worker threads update and the coordinator
-/// collects after the run.
+/// collects at each barrier.
 #[derive(Default)]
 struct WorkerCell {
     busy_ns: AtomicU64,
     stepped: AtomicU64,
-    steals: AtomicU64,
 }
 
-/// Routes outcomes collected at a barrier: delivers mail in ascending
-/// source-shard order, computes the next epoch, and decides termination.
-/// Returns `(next_epoch, done)`.
-fn settle_round<W: ShardWorker>(
-    outcomes: Vec<RoundOutcome<W::Mail>>,
-    inboxes: &mut [Vec<W::Mail>],
-    epoch: u64,
-) -> (u64, bool) {
+impl WorkerCell {
+    fn load(&self) -> WorkerStats {
+        WorkerStats {
+            busy_ns: self.busy_ns.load(Ordering::Relaxed),
+            shards_stepped: self.stepped.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Folds the outcomes collected at a barrier into `(next_epoch, done)`:
+/// the next epoch is one past the latest shard clock, and the run is done
+/// when every shard is idle.
+fn settle_round(outcomes: impl IntoIterator<Item = RoundOutcome>, epoch: u64) -> (u64, bool) {
     let mut max_now = epoch;
     let mut all_idle = true;
-    let mut any_mail = false;
     for outcome in outcomes {
         max_now = max_now.max(outcome.now);
         all_idle &= outcome.idle;
-        for (dest, mail) in outcome.outbox {
-            inboxes[dest].push(mail);
-            any_mail = true;
-        }
     }
-    (max_now + 1, all_idle && !any_mail)
+    (max_now + 1, all_idle)
 }
 
 /// Runs shards in conservative lockstep rounds until every shard is idle
-/// and no mail is in flight, using up to `threads` OS threads under
-/// [`Schedule::Static`]. Results are identical for every `threads ≥ 1`
-/// because rounds are barrier-synchronized and mail is routed in shard
-/// order.
+/// or `barrier_hook` stops the run, on up to `threads` OS threads with
+/// fixed round-robin shard ownership. Results are identical for every
+/// `threads ≥ 1` because rounds are barrier-synchronized and shards are
+/// independent within a round.
 ///
-/// Returns the workers (with their final state) and round statistics.
-pub fn run_lockstep<W: ShardWorker>(workers: Vec<W>, threads: usize) -> (Vec<W>, RoundStats) {
-    run_lockstep_sched(
-        workers,
-        threads,
-        Schedule::Static,
-        |_: &mut [&mut W], _: &RoundInfo| RoundControl::Continue,
-    )
-}
-
-/// [`run_lockstep`] with a per-round barrier hook (still
-/// [`Schedule::Static`]).
+/// `start` sets the first round's epoch and the rounds already run: a
+/// fresh run passes [`LockstepStart::default`], a run resumed from a
+/// checkpoint continues the original run's epochs and round numbers.
 ///
 /// `barrier_hook` runs on the coordinating thread once per round, after
-/// every shard has finished the round and before mail is routed for the
-/// next one — including after the final round. It sees all workers in
-/// shard order with exclusive access (the worker threads are parked at the
-/// barrier), so it can drain per-shard buffers incrementally — the sharded
-/// engine's streaming trace merge — without ever holding more than one
-/// round's data. Alongside the workers it receives the round's
-/// [`RoundInfo`] flight-recorder sample (per-worker busy/step/steal deltas
-/// and the round's wall-clock). The hook needs no `Send` bound: it never
-/// leaves the coordinator. Returning [`RoundControl::Stop`] ends the run
-/// at this barrier (the checkpoint cut); returning
-/// [`RoundControl::Continue`] proceeds normally.
-pub fn run_lockstep_with<W, F>(
+/// every shard has finished the round — including after the final round.
+/// It sees all workers in shard order with exclusive access (the worker
+/// threads are parked at the barrier), so it can drain per-shard buffers
+/// incrementally — the sharded engine's streaming trace merge — without
+/// ever holding more than one round's data. Alongside the workers it
+/// receives the round's [`RoundInfo`] flight-recorder sample. The hook
+/// needs no `Send` bound: it never leaves the coordinator. Returning
+/// [`RoundControl::Stop`] ends the run at this barrier (the checkpoint
+/// cut).
+///
+/// Returns the workers (with their final state) and round statistics.
+pub fn run_lockstep<W, F>(
     workers: Vec<W>,
     threads: usize,
-    barrier_hook: F,
-) -> (Vec<W>, RoundStats)
-where
-    W: ShardWorker,
-    F: FnMut(&mut [&mut W], &RoundInfo) -> RoundControl,
-{
-    run_lockstep_sched(workers, threads, Schedule::Static, barrier_hook)
-}
-
-/// The fully general lockstep executor: up to `threads` OS threads mapped
-/// onto shards by `schedule`, with a per-round coordinator `barrier_hook`
-/// (see [`run_lockstep_with`]). The schedule moves *where* shards are
-/// stepped, never what they compute: output is byte-identical across every
-/// `(threads, schedule)` combination.
-pub fn run_lockstep_sched<W, F>(
-    workers: Vec<W>,
-    threads: usize,
-    schedule: Schedule,
-    barrier_hook: F,
-) -> (Vec<W>, RoundStats)
-where
-    W: ShardWorker,
-    F: FnMut(&mut [&mut W], &RoundInfo) -> RoundControl,
-{
-    run_lockstep_from(
-        workers,
-        threads,
-        schedule,
-        LockstepStart::default(),
-        barrier_hook,
-    )
-}
-
-/// [`run_lockstep_sched`] starting from an explicit [`LockstepStart`]:
-/// the entry point for runs resumed from a checkpoint, whose first epoch
-/// and round number continue where the original run was cut.
-pub fn run_lockstep_from<W, F>(
-    workers: Vec<W>,
-    threads: usize,
-    schedule: Schedule,
     start: LockstepStart,
     mut barrier_hook: F,
 ) -> (Vec<W>, RoundStats)
@@ -407,27 +225,11 @@ where
         .map(|worker| {
             Mutex::new(Slot {
                 worker,
-                inbox: Vec::new(),
                 outcome: None,
             })
         })
         .collect();
-    // Per-worker shard deques: the owner pops from the front, thieves
-    // steal from the back. Refilled by the coordinator at every barrier
-    // while the workers are parked.
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
     let cells: Vec<WorkerCell> = (0..threads).map(|_| WorkerCell::default()).collect();
-    let static_assign = round_robin(n, threads);
-    let refill = |assign: &[Vec<usize>]| {
-        for (queue, list) in queues.iter().zip(assign) {
-            let mut queue = queue.lock().expect("worker queue");
-            queue.clear();
-            queue.extend(list.iter().copied());
-        }
-    };
-    refill(&static_assign);
-
     let barrier = Barrier::new(threads + 1);
     let epoch = AtomicU64::new(start.epoch);
     let stop = AtomicBool::new(false);
@@ -442,12 +244,11 @@ where
 
     std::thread::scope(|scope| {
         let slots = &slots;
-        let queues = &queues;
         let cells = &cells;
         let barrier = &barrier;
         let epoch = &epoch;
         let stop = &stop;
-        for k in 0..threads {
+        for (k, cell) in cells.iter().enumerate() {
             scope.spawn(move || loop {
                 barrier.wait();
                 if stop.load(Ordering::Acquire) {
@@ -455,33 +256,15 @@ where
                 }
                 let e = epoch.load(Ordering::Acquire);
                 let start = Instant::now();
-                let (mut stepped, mut steals) = (0u64, 0u64);
-                loop {
-                    // Own work first, front-to-back ...
-                    let mut job = queues[k].lock().expect("worker queue").pop_front();
-                    // ... then steal from the back of a victim's deque.
-                    if job.is_none() && schedule.steals() {
-                        for offset in 1..threads {
-                            let victim = (k + offset) % threads;
-                            if let Some(shard) =
-                                queues[victim].lock().expect("worker queue").pop_back()
-                            {
-                                steals += 1;
-                                job = Some(shard);
-                                break;
-                            }
-                        }
-                    }
-                    let Some(shard) = job else { break };
-                    let mut slot = slots[shard].lock().expect("shard lock");
-                    let inbox = std::mem::take(&mut slot.inbox);
-                    slot.outcome = Some(slot.worker.round(e, inbox));
+                let mut stepped = 0u64;
+                for slot in slots.iter().skip(k).step_by(threads) {
+                    let mut slot = slot.lock().expect("shard lock");
+                    slot.outcome = Some(slot.worker.round(e));
                     stepped += 1;
                 }
                 let busy = start.elapsed().as_nanos() as u64;
-                cells[k].busy_ns.fetch_add(busy, Ordering::Relaxed);
-                cells[k].stepped.fetch_add(stepped, Ordering::Relaxed);
-                cells[k].steals.fetch_add(steals, Ordering::Relaxed);
+                cell.busy_ns.fetch_add(busy, Ordering::Relaxed);
+                cell.stepped.fetch_add(stepped, Ordering::Relaxed);
                 barrier.wait();
             });
         }
@@ -499,15 +282,10 @@ where
                 .iter()
                 .zip(prev.iter_mut())
                 .map(|(c, p)| {
-                    let cur = WorkerStats {
-                        busy_ns: c.busy_ns.load(Ordering::Relaxed),
-                        shards_stepped: c.stepped.load(Ordering::Relaxed),
-                        steals: c.steals.load(Ordering::Relaxed),
-                    };
+                    let cur = c.load();
                     let delta = WorkerStats {
                         busy_ns: cur.busy_ns - p.busy_ns,
                         shards_stepped: cur.shards_stepped - p.shards_stepped,
-                        steals: cur.steals - p.steals,
                     };
                     *p = cur;
                     delta
@@ -525,32 +303,16 @@ where
                 .iter()
                 .map(|s| s.lock().expect("shard lock"))
                 .collect();
-            let outcomes: Vec<RoundOutcome<W::Mail>> = guards
-                .iter_mut()
-                .map(|g| g.outcome.take().expect("round outcome"))
-                .collect();
+            let (next, settled) = settle_round(
+                guards
+                    .iter_mut()
+                    .map(|g| g.outcome.take().expect("round outcome")),
+                stats.final_epoch,
+            );
             let mut views: Vec<&mut W> = guards.iter_mut().map(|g| &mut g.worker).collect();
             let control = barrier_hook(&mut views, &info);
-            // Route mail single-threaded at the barrier so delivery order
-            // is a function of shard ids alone.
-            let mut pending: Vec<Vec<W::Mail>> = (0..n).map(|_| Vec::new()).collect();
-            let (next, settled_done) = settle_round::<W>(outcomes, &mut pending, stats.final_epoch);
-            let done = settled_done || control == RoundControl::Stop;
-            for (guard, mail) in guards.iter_mut().zip(pending) {
-                guard.inbox = mail;
-            }
-            if !done {
-                // Re-seed the deques for the next round: the LPT partition
-                // over fresh load hints, or the fixed round-robin map.
-                if schedule.rebalances() {
-                    let loads: Vec<u64> = guards.iter().map(|g| g.worker.load_hint()).collect();
-                    refill(&repartition(&loads, threads));
-                } else {
-                    refill(&static_assign);
-                }
-            }
             drop(guards);
-            if done {
+            if settled || control == RoundControl::Stop {
                 stop.store(true, Ordering::Release);
                 barrier.wait(); // let workers observe `stop` and exit
                 break;
@@ -559,14 +321,7 @@ where
         }
     });
 
-    stats.workers = cells
-        .iter()
-        .map(|c| WorkerStats {
-            busy_ns: c.busy_ns.load(Ordering::Relaxed),
-            shards_stepped: c.stepped.load(Ordering::Relaxed),
-            steals: c.steals.load(Ordering::Relaxed),
-        })
-        .collect();
+    stats.workers = cells.iter().map(WorkerCell::load).collect();
     let workers = slots
         .into_iter()
         .map(|s| s.into_inner().expect("shard lock").worker)
@@ -574,10 +329,8 @@ where
     (workers, stats)
 }
 
-/// Single-threaded variant: same rounds, same mail routing, same hook
-/// points, no threads or barriers. Produces bit-identical shard states to
-/// the threaded path; every schedule degenerates to stepping the shards
-/// in order.
+/// Single-threaded variant: same rounds, same hook points, no threads or
+/// barriers. Produces bit-identical shard states to the threaded path.
 fn run_inline<W, F>(
     mut workers: Vec<W>,
     start: LockstepStart,
@@ -587,8 +340,7 @@ where
     W: ShardWorker,
     F: FnMut(&mut [&mut W], &RoundInfo) -> RoundControl,
 {
-    let n = workers.len();
-    let mut inboxes: Vec<Vec<W::Mail>> = (0..n).map(|_| Vec::new()).collect();
+    let n = workers.len() as u64;
     let mut epoch = start.epoch;
     let mut stats = RoundStats {
         rounds: start.prior_rounds,
@@ -597,15 +349,11 @@ where
     };
     loop {
         let start = Instant::now();
-        let mut outcomes = Vec::with_capacity(n);
-        for (worker, inbox) in workers.iter_mut().zip(inboxes.iter_mut()) {
-            let mail = std::mem::take(inbox);
-            outcomes.push(worker.round(epoch, mail));
-        }
+        let (next, done) = settle_round(workers.iter_mut().map(|w| w.round(epoch)), epoch);
         let busy_ns = start.elapsed().as_nanos() as u64;
         let me = &mut stats.workers[0];
         me.busy_ns += busy_ns;
-        me.shards_stepped += n as u64;
+        me.shards_stepped += n;
         stats.rounds += 1;
         stats.final_epoch = epoch;
         // No barrier to wait at: the round's wall-clock *is* the busy time.
@@ -614,13 +362,11 @@ where
             wall_ns: busy_ns,
             workers: vec![WorkerStats {
                 busy_ns,
-                shards_stepped: n as u64,
-                steals: 0,
+                shards_stepped: n,
             }],
         };
         let mut views: Vec<&mut W> = workers.iter_mut().collect();
         let control = barrier_hook(&mut views, &info);
-        let (next, done) = settle_round::<W>(outcomes, &mut inboxes, epoch);
         if done || control == RoundControl::Stop {
             break;
         }
@@ -633,172 +379,129 @@ where
 mod tests {
     use super::*;
 
-    /// Toy cross-shard protocol: a token hops ring-wise between shards,
-    /// decrementing until zero. Exercises mail routing, epochs, and
-    /// termination — including shards that are idle but must wake on mail.
-    struct RingShard {
+    /// Toy shard: counts its own work down one unit per round, and each
+    /// unit advances its clock by a shard-dependent amount of local work.
+    /// Shards start with different amounts, so some sit idle while others
+    /// still run, and clocks drift apart between barriers.
+    struct CountdownShard {
         index: usize,
-        shards: usize,
-        /// Tokens this shard still has to inject (only shard 0 injects).
-        to_inject: u32,
+        work: u32,
         now: u64,
         log: Vec<(u64, u32)>,
     }
 
-    impl ShardWorker for RingShard {
-        type Mail = u32;
-
-        fn round(&mut self, epoch: u64, inbox: Vec<u32>) -> RoundOutcome<u32> {
+    impl ShardWorker for CountdownShard {
+        fn round(&mut self, epoch: u64) -> RoundOutcome {
             assert!(epoch > self.now, "epochs must strictly ascend");
             self.now = epoch;
-            let mut outbox = Vec::new();
-            for token in inbox {
-                self.log.push((epoch, token));
-                self.now += 1; // local work advances the clock
-                if token > 0 {
-                    outbox.push(((self.index + 1) % self.shards, token - 1));
-                }
-            }
-            if self.to_inject > 0 {
-                let token = self.to_inject;
-                self.to_inject = 0;
-                outbox.push(((self.index + 1) % self.shards, token));
+            if self.work > 0 {
+                self.work -= 1;
+                self.log.push((epoch, self.work));
+                self.now += 1 + self.index as u64 % 3; // local work advances the clock
             }
             RoundOutcome {
-                outbox,
                 now: self.now,
-                idle: self.to_inject == 0,
+                idle: self.work == 0,
             }
-        }
-
-        fn load_hint(&self) -> u64 {
-            // Weight shards by the work they have logged so far; exercises
-            // a hint that changes between rounds.
-            1 + self.log.len() as u64
         }
     }
 
-    fn ring(shards: usize, hops: u32) -> Vec<RingShard> {
+    /// `shards` countdown shards; shard `i` starts with `work + i` units.
+    fn countdown(shards: usize, work: u32) -> Vec<CountdownShard> {
         (0..shards)
-            .map(|index| RingShard {
+            .map(|index| CountdownShard {
                 index,
-                shards,
-                to_inject: if index == 0 { hops } else { 0 },
+                work: work + index as u32,
                 now: 0,
                 log: Vec::new(),
             })
             .collect()
     }
 
+    fn run(shards: Vec<CountdownShard>, threads: usize) -> (Vec<CountdownShard>, RoundStats) {
+        run_lockstep(
+            shards,
+            threads,
+            LockstepStart::default(),
+            |_: &mut [&mut CountdownShard], _: &RoundInfo| RoundControl::Continue,
+        )
+    }
+
     #[test]
-    fn token_ring_terminates_and_is_thread_count_invariant() {
-        let (seq, seq_stats) = run_lockstep(ring(5, 17), 1);
+    fn countdown_terminates_and_is_thread_count_invariant() {
+        let (seq, seq_stats) = run(countdown(5, 17), 1);
         for threads in [2, 3, 8] {
-            for schedule in Schedule::ALL {
-                let (par, par_stats) = run_lockstep_sched(
-                    ring(5, 17),
-                    threads,
-                    schedule,
-                    |_: &mut [&mut RingShard], _: &RoundInfo| RoundControl::Continue,
-                );
-                assert_eq!(
-                    seq_stats.rounds, par_stats.rounds,
-                    "threads={threads} {schedule}"
-                );
-                assert_eq!(
-                    seq_stats.final_epoch, par_stats.final_epoch,
-                    "threads={threads} {schedule}"
-                );
-                // Every shard is stepped exactly once per round, whichever
-                // worker ends up doing it.
-                assert_eq!(par_stats.total_stepped(), par_stats.rounds * 5);
-                if schedule == Schedule::Static {
-                    assert_eq!(par_stats.total_steals(), 0);
-                }
-                for (a, b) in seq.iter().zip(&par) {
-                    assert_eq!(
-                        a.log, b.log,
-                        "threads={threads} {schedule} shard={}",
-                        a.index
-                    );
-                    assert_eq!(a.now, b.now);
-                }
+            let (par, par_stats) = run(countdown(5, 17), threads);
+            assert_eq!(seq_stats.rounds, par_stats.rounds, "threads={threads}");
+            assert_eq!(
+                seq_stats.final_epoch, par_stats.final_epoch,
+                "threads={threads}"
+            );
+            // Every shard is stepped exactly once per round, whichever
+            // worker owns it.
+            assert_eq!(par_stats.total_stepped(), par_stats.rounds * 5);
+            for (a, b) in seq.iter().zip(&par) {
+                assert_eq!(a.log, b.log, "threads={threads} shard={}", a.index);
+                assert_eq!(a.now, b.now);
             }
         }
-        // The token visited 18 shard-hops in total (17 decrements + final 0).
-        let visits: usize = seq.iter().map(|s| s.log.len()).sum();
-        assert_eq!(visits, 18);
-        // One injection round + one round per hop.
-        assert_eq!(seq_stats.rounds, 19);
+        // Shards held 17..=21 units: 95 in all, and the run ends in the
+        // round the longest countdown reaches zero.
+        let units: usize = seq.iter().map(|s| s.log.len()).sum();
+        assert_eq!(units, 95);
+        assert_eq!(seq_stats.rounds, 21);
     }
 
     #[test]
     fn epochs_strictly_ascend_past_local_clocks() {
-        // RingShard::round asserts epoch > local now; a run with busy local
-        // clocks (now advances per delivery) must not trip it.
-        let (_, stats) = run_lockstep(ring(3, 40), 2);
+        // CountdownShard::round asserts epoch > local now; a run whose
+        // local clocks run ahead of the epoch must not trip it.
+        let (_, stats) = run(countdown(3, 40), 2);
         assert!(stats.final_epoch > 40);
     }
 
     #[test]
     fn empty_and_single_shard_runs() {
-        let (w, stats) = run_lockstep(Vec::<RingShard>::new(), 4);
+        let (w, stats) = run(Vec::new(), 4);
         assert!(w.is_empty());
         assert_eq!(stats.rounds, 0);
-        // A single shard sending itself mail around the "ring".
-        let (w, _) = run_lockstep(ring(1, 3), 4);
-        assert_eq!(w[0].log.len(), 4);
+        let (w, stats) = run(countdown(1, 3), 4);
+        assert_eq!(w[0].log.len(), 3);
+        assert_eq!(stats.rounds, 3);
     }
 
     #[test]
     fn oversubscribed_threads_clamp_to_shard_count() {
-        let (seq, _) = run_lockstep(ring(2, 9), 1);
-        for schedule in Schedule::ALL {
-            let (par, stats) = run_lockstep_sched(
-                ring(2, 9),
-                64,
-                schedule,
-                |_: &mut [&mut RingShard], _: &RoundInfo| RoundControl::Continue,
-            );
-            assert_eq!(stats.workers.len(), 2, "{schedule}");
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.log, b.log);
-            }
+        let (seq, _) = run(countdown(2, 9), 1);
+        let (par, stats) = run(countdown(2, 9), 64);
+        assert_eq!(stats.workers.len(), 2);
+        for (a, b) in seq.iter().zip(&par) {
+            assert_eq!(a.log, b.log);
         }
     }
 
     #[test]
     fn worker_stats_account_for_every_shard_round() {
-        let (_, stats) = run_lockstep_sched(
-            ring(7, 23),
-            3,
-            Schedule::Steal,
-            |_: &mut [&mut RingShard], _: &RoundInfo| RoundControl::Continue,
-        );
+        let (_, stats) = run(countdown(7, 23), 3);
         assert_eq!(stats.workers.len(), 3);
         assert_eq!(stats.total_stepped(), stats.rounds * 7);
-        // Steals are bounded by the work that exists.
-        assert!(stats.total_steals() <= stats.total_stepped());
-    }
-
-    #[test]
-    fn schedule_parses_and_prints() {
-        for schedule in Schedule::ALL {
-            let round_trip: Schedule = schedule.to_string().parse().unwrap();
-            assert_eq!(round_trip, schedule);
-        }
-        let err = "chaotic".parse::<Schedule>().unwrap_err();
-        assert!(err.contains("static, steal, rebalance"), "{err}");
+        // Round-robin ownership: worker 0 owns shards 0, 3, 6; workers 1
+        // and 2 own two shards each.
+        let per_worker: Vec<u64> = stats.workers.iter().map(|w| w.shards_stepped).collect();
+        assert_eq!(
+            per_worker,
+            vec![3 * stats.rounds, 2 * stats.rounds, 2 * stats.rounds]
+        );
     }
 
     #[test]
     fn hook_stop_cuts_the_run_at_the_requested_round() {
         for threads in [1usize, 3] {
-            let (workers, stats) = run_lockstep_sched(
-                ring(5, 17),
+            let (workers, stats) = run_lockstep(
+                countdown(5, 17),
                 threads,
-                Schedule::Static,
-                |_: &mut [&mut RingShard], info: &RoundInfo| {
+                LockstepStart::default(),
+                |_: &mut [&mut CountdownShard], info: &RoundInfo| {
                     if info.round == 4 {
                         RoundControl::Stop
                     } else {
@@ -807,15 +510,15 @@ mod tests {
                 },
             );
             assert_eq!(stats.rounds, 4, "threads={threads}");
-            // The cut run logged a strict prefix of the full run's work.
-            let visits: usize = workers.iter().map(|s| s.log.len()).sum();
-            assert!(visits < 18, "threads={threads}: {visits}");
+            // The cut run did four rounds of each shard's work.
+            let units: usize = workers.iter().map(|s| s.log.len()).sum();
+            assert_eq!(units, 20, "threads={threads}");
         }
     }
 
     #[test]
     fn lockstep_start_offsets_epochs_and_round_numbers() {
-        // A ring started at epoch 50 / prior_rounds 10 numbers its rounds
+        // A run started at epoch 50 / prior_rounds 10 numbers its rounds
         // from 11 and hands shards epochs >= 50; logs record the epochs.
         let start = LockstepStart {
             epoch: 50,
@@ -823,41 +526,22 @@ mod tests {
         };
         for threads in [1usize, 2] {
             let mut first_round = None;
-            let (workers, stats) = run_lockstep_from(
-                ring(3, 5),
+            let (workers, stats) = run_lockstep(
+                countdown(3, 5),
                 threads,
-                Schedule::Static,
                 start,
-                |_: &mut [&mut RingShard], info: &RoundInfo| {
+                |_: &mut [&mut CountdownShard], info: &RoundInfo| {
                     first_round.get_or_insert(info.round);
                     RoundControl::Continue
                 },
             );
             assert_eq!(first_round, Some(11), "threads={threads}");
-            assert!(stats.rounds > 10 && stats.final_epoch >= 50);
+            assert_eq!(stats.rounds, 17, "threads={threads}");
+            assert!(stats.final_epoch >= 50);
             assert!(workers
                 .iter()
                 .flat_map(|s| &s.log)
                 .all(|&(epoch, _)| epoch >= 50));
         }
-    }
-
-    #[test]
-    fn repartition_is_a_partition_and_balances() {
-        // Skewed loads: the heavy shard gets a bin to itself under LPT.
-        let bins = repartition(&[100, 1, 1, 1, 1, 1], 3);
-        assert_eq!(bins.len(), 3);
-        let mut seen = vec![0u32; 6];
-        for bin in &bins {
-            for &shard in bin {
-                seen[shard] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
-        assert_eq!(bins[0], vec![0], "heaviest shard isolated: {bins:?}");
-        // More workers than shards clamps.
-        assert_eq!(repartition(&[5, 5], 8).len(), 2);
-        // Empty input survives.
-        assert!(repartition(&[], 4).concat().is_empty());
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! Splitting a run into `advance_*` batches — down to one round per call
 //! — produces byte-identical merged-trace output to a one-shot
-//! [`ExecConfig::execute`], for every worker count and schedule, because
+//! [`ExecConfig::execute`], for every worker count, because
 //! a batch is just the engine's ordinary round loop stopped at a barrier:
 //! the continuation cursor (epoch, round, job sequence number, trace
 //! count) is carried between batches exactly like the checkpoint/resume

@@ -2,7 +2,7 @@
 //! `round_profile` samples to the merged trace without perturbing a single
 //! byte of the protocol events.
 
-use cmvrp_engine::{ExecConfig, Schedule};
+use cmvrp_engine::ExecConfig;
 use cmvrp_obs::{check_lines, Event, JsonlSink, NullSink};
 use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, Ordering, WorkloadConfig};
@@ -28,7 +28,7 @@ fn traced_lines(exec: ExecConfig) -> Vec<String> {
 #[test]
 fn stripping_profile_lines_recovers_the_unprofiled_trace() {
     for threads in [1, 2, 8] {
-        let exec = ExecConfig::new().threads(threads).schedule(Schedule::Steal);
+        let exec = ExecConfig::new().threads(threads);
         let plain = traced_lines(exec);
         let profiled = traced_lines(exec.profile(true));
         assert!(profiled.len() > plain.len(), "{threads} workers");
@@ -43,7 +43,7 @@ fn stripping_profile_lines_recovers_the_unprofiled_trace() {
 
 #[test]
 fn profile_samples_are_well_formed_and_account_for_every_event() {
-    let exec = ExecConfig::new().threads(2).schedule(Schedule::Steal);
+    let exec = ExecConfig::new().threads(2);
     let lines = traced_lines(exec.profile(true));
     // The profiled trace satisfies every monitor — including the new
     // `profile` monitor over the samples themselves.
@@ -63,9 +63,10 @@ fn profile_samples_are_well_formed_and_account_for_every_event() {
                 merge_ns,
                 sink_ns,
                 events,
-                steals: _,
+                steals,
             } => {
                 assert_eq!(workers, 2);
+                assert_eq!(steals, 0, "shards never move between workers");
                 assert!(worker < workers);
                 for ns in [busy_ns, barrier_wait_ns, merge_ns, sink_ns] {
                     assert!(ns >= 0, "negative duration in {line}");

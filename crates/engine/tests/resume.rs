@@ -1,12 +1,10 @@
 //! The resume-equivalence oracle: run to round `k`, checkpoint, resume —
 //! the resumed tail must be byte-identical to the uninterrupted run's
 //! tail, so concatenating the head and tail traces equals the one-shot
-//! trace. Verified across the full (schedule × workers × checked) cross,
-//! plus the mismatch and cadence edge cases.
+//! trace. Verified across the full (workers × checked) cross, plus the
+//! mismatch and cadence edge cases.
 
-use cmvrp_engine::{
-    CheckpointPolicy, EngineCheckpoint, EngineError, ExecConfig, Schedule, ShardedOnlineSim,
-};
+use cmvrp_engine::{CheckpointPolicy, EngineCheckpoint, EngineError, ExecConfig, ShardedOnlineSim};
 use cmvrp_obs::JsonlSink;
 use cmvrp_online::{OnlineConfig, OnlineReport};
 use cmvrp_workloads::{arrivals, Ordering, WorkloadConfig};
@@ -53,42 +51,36 @@ fn run_traced(
 }
 
 #[test]
-fn resumed_tail_is_byte_identical_across_schedules_workers_and_checking() {
+fn resumed_tail_is_byte_identical_across_workers_and_checking() {
     let (full, full_report) = run_traced(ExecConfig::new().threads(2), None, &mut Vec::new());
     assert!(
         String::from_utf8_lossy(&full).lines().count() > 40,
         "workload too small to exercise a mid-run checkpoint"
     );
-    for schedule in [Schedule::Static, Schedule::Steal] {
-        for workers in [1, 2, 8] {
-            for checked in [false, true] {
-                let exec = ExecConfig::new()
-                    .threads(workers)
-                    .schedule(schedule)
-                    .check(checked);
-                // Head: run to round 4, checkpointing there.
-                let mut saved = Vec::new();
-                let (head, _) = run_traced(
-                    exec.checkpoint(CheckpointPolicy {
-                        every: None,
-                        stop_at: Some(4),
-                    }),
-                    None,
-                    &mut saved,
-                );
-                assert_eq!(saved.len(), 1, "stop round must checkpoint exactly once");
-                let ckpt = &saved[0];
-                assert_eq!(ckpt.rounds_completed, 4);
-                // Tail: resume and run to completion.
-                let (tail, report) = run_traced(exec, Some(ckpt), &mut Vec::new());
-                let stitched = [head.clone(), tail].concat();
-                assert_eq!(
-                    stitched, full,
-                    "stitched trace diverges (schedule {schedule:?}, \
-                     workers {workers}, checked {checked})"
-                );
-                assert_eq!(report, full_report);
-            }
+    for workers in [1, 2, 3, 8] {
+        for checked in [false, true] {
+            let exec = ExecConfig::new().threads(workers).check(checked);
+            // Head: run to round 4, checkpointing there.
+            let mut saved = Vec::new();
+            let (head, _) = run_traced(
+                exec.checkpoint(CheckpointPolicy {
+                    every: None,
+                    stop_at: Some(4),
+                }),
+                None,
+                &mut saved,
+            );
+            assert_eq!(saved.len(), 1, "stop round must checkpoint exactly once");
+            let ckpt = &saved[0];
+            assert_eq!(ckpt.rounds_completed, 4);
+            // Tail: resume and run to completion.
+            let (tail, report) = run_traced(exec, Some(ckpt), &mut Vec::new());
+            let stitched = [head.clone(), tail].concat();
+            assert_eq!(
+                stitched, full,
+                "stitched trace diverges (workers {workers}, checked {checked})"
+            );
+            assert_eq!(report, full_report);
         }
     }
 }
@@ -126,7 +118,7 @@ fn cadence_checkpoints_every_r_rounds_and_resume_continues_the_cadence() {
 }
 
 #[test]
-fn checkpoints_are_identical_regardless_of_worker_count_and_schedule() {
+fn checkpoints_are_identical_regardless_of_worker_count() {
     let take_one = |exec: ExecConfig| {
         let mut saved = Vec::new();
         run_traced(
@@ -141,16 +133,12 @@ fn checkpoints_are_identical_regardless_of_worker_count_and_schedule() {
         // The execution-shape stamp legitimately differs; the simulation
         // state must not.
         ckpt.threads = 0;
-        ckpt.schedule = Schedule::Static;
         ckpt.checked = false;
         ckpt
     };
     let base = take_one(ExecConfig::new().threads(1));
     assert_eq!(base, take_one(ExecConfig::new().threads(8)));
-    assert_eq!(
-        base,
-        take_one(ExecConfig::new().threads(2).schedule(Schedule::Steal))
-    );
+    assert_eq!(base, take_one(ExecConfig::new().threads(3)));
     assert_eq!(base, take_one(ExecConfig::new().threads(2).check(true)));
 }
 

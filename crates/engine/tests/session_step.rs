@@ -1,13 +1,13 @@
 //! The step-equivalence oracle for the session redesign: advancing a
 //! [`Session`] in arbitrary increments — down to one round per call —
 //! must produce a merged trace byte-identical to a one-shot
-//! [`ExecConfig::execute`], across the (schedule × worker count ×
-//! checked) cross; and a session fed arrivals through `inject` must
+//! [`ExecConfig::execute`], across the (worker count × checked) cross;
+//! and a session fed arrivals through `inject` must
 //! reproduce the one-shot trace of the same effective schedule. Any
 //! mismatch is reported through the semantic differ, naming the first
 //! diverging event.
 
-use cmvrp_engine::{EngineError, ExecConfig, Schedule, Session};
+use cmvrp_engine::{EngineError, ExecConfig, Session};
 use cmvrp_obs::{diff_lines, JsonlSink};
 use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, JobSequence, Ordering, WorkloadConfig};
@@ -70,24 +70,19 @@ fn single_round_steps_match_one_shot_across_the_cross() {
         jobs: 120,
         seed: 9,
     };
-    for schedule in [Schedule::Static, Schedule::Steal, Schedule::Rebalance] {
-        for workers in [1usize, 2, 8] {
-            for checked in [false, true] {
-                let exec = ExecConfig::new()
-                    .threads(workers)
-                    .schedule(schedule)
-                    .check(checked);
-                let reference = one_shot(&cfg, exec);
-                let trace = stepped(&cfg, exec, |s, sink| {
-                    s.advance_rounds(1, sink);
-                    !s.is_idle()
-                });
-                assert_identical(
-                    &reference,
-                    &trace,
-                    &format!("{schedule:?}/{workers}w/checked={checked}, 1-round steps"),
-                );
-            }
+    for workers in [1usize, 2, 3, 8] {
+        for checked in [false, true] {
+            let exec = ExecConfig::new().threads(workers).check(checked);
+            let reference = one_shot(&cfg, exec);
+            let trace = stepped(&cfg, exec, |s, sink| {
+                s.advance_rounds(1, sink);
+                !s.is_idle()
+            });
+            assert_identical(
+                &reference,
+                &trace,
+                &format!("{workers}w/checked={checked}, 1-round steps"),
+            );
         }
     }
 }
@@ -99,7 +94,7 @@ fn irregular_advance_until_increments_match_one_shot() {
         jobs: 100,
         seed: 2,
     };
-    let exec = ExecConfig::new().threads(2).schedule(Schedule::Steal);
+    let exec = ExecConfig::new().threads(3);
     let reference = one_shot(&cfg, exec);
     // Ragged epoch bounds: 1, 3, 7, 15, ... then drain.
     let mut horizon = 1u64;
@@ -167,7 +162,7 @@ fn snapshot_resume_stitches_byte_identically() {
         jobs: 120,
         seed: 9,
     };
-    let exec = ExecConfig::new().threads(2).schedule(Schedule::Rebalance);
+    let exec = ExecConfig::new().threads(2);
     let reference = one_shot(&cfg, exec);
 
     let (bounds, jobs) = inputs(&cfg);

@@ -1,8 +1,8 @@
 //! Semantic trace diff: localize the *first divergence* between two runs.
 //!
 //! The engine's headline guarantee is a canonical `(time, shard, seq)`
-//! merged trace, byte-identical across every (schedule × workers ×
-//! checked) combination. When that breaks — or when two runs of the same
+//! merged trace, byte-identical across every (workers × checked)
+//! combination. When that breaks — or when two runs of the same
 //! instance are compared on purpose — a byte-level `cmp` only says *that*
 //! they differ. [`diff_lines`] says *where* (line/frame number and the
 //! simulation-time band), *which event*, and *why*, classifying the first

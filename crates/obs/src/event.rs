@@ -224,7 +224,8 @@ pub enum Event {
         sink_ns: i64,
         /// Protocol events merged out of this round.
         events: u64,
-        /// Shards this worker stole from other deques this round.
+        /// Always 0: the engine's shards never move between workers. Kept
+        /// so the event's CMVB layout stays unchanged.
         steals: u64,
     },
 }

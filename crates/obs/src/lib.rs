@@ -29,7 +29,7 @@
 //! - [`Span`] / [`now_ns`] — wall-clock phase timing for the offline
 //!   algorithms.
 //! - [`replay`] — rebuild a run's headline numbers from a trace alone
-//!   (`cmvrp replay`, `cmvrp trace stats`).
+//!   (`cmvrp trace stats`).
 //! - [`check`] — streaming invariant monitors ([`TraceChecker`],
 //!   [`MergeChecker`]) that verify a run *obeyed the protocol*: energy ≤
 //!   capacity `W`, per-channel FIFO with delivered⇒sent causality,
@@ -72,7 +72,7 @@
 //! | `fleet_provisioned` | `t, vehicles, capacity` | fleet size and per-vehicle battery capacity `W` at startup |
 //! | `process_crashed` | `t, proc` | process `proc` crashed (fault injection); silent afterwards |
 //! | `phase_span` | `name, start_ns, end_ns` | named wall-clock phase (e.g. `"alg1.coarsen"`) |
-//! | `round_profile` | `round, worker, workers, busy_ns, barrier_wait_ns, merge_ns, sink_ns, events, steals` | flight-recorder sample: one worker's wall-clock split for one lockstep round |
+//! | `round_profile` | `round, worker, workers, busy_ns, barrier_wait_ns, merge_ns, sink_ns, events, steals` | flight-recorder sample: one worker's wall-clock split for one lockstep round (`steals` is always 0, kept for the CMVB layout) |
 //!
 //! The optional `kind` field, when the network has a message classifier,
 //! tags transport events with their protocol role: `"query"`, `"reply"`,

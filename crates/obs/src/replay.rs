@@ -1,7 +1,7 @@
 //! Trace replay: rebuild a run's headline numbers from its JSONL trace
 //! alone.
 //!
-//! `cmvrp replay <trace.jsonl>` uses this to check that a trace is
+//! `cmvrp trace stats <trace>` uses this to check that a trace is
 //! self-contained — served/unserved job counts, message-wave totals, and
 //! the delay distribution must all be derivable without rerunning the
 //! simulator.

@@ -33,7 +33,7 @@
 //!
 //! | op | keys | effect |
 //! |---|---|---|
-//! | `open` | `session`, `workload`, `seed`, `capacity`, `threads`, `schedule`, `check`, `preload` | create a session; `preload:false` provisions for the workload's demand but queues nothing (arrivals come via `inject`) |
+//! | `open` | `session`, `workload`, `seed`, `capacity`, `threads`, `check`, `preload` | create a session; `preload:false` provisions for the workload's demand but queues nothing (arrivals come via `inject`) |
 //! | `inject` | `session`, `job` | queue one arrival `[x, y]`, applied at the next round barrier |
 //! | `advance` | `session`, `until` \| `rounds` | step the session (neither bound drains it to completion) |
 //! | `query` | `session` | live counters: clock, rounds, events, served/unserved, backlog |
@@ -295,24 +295,16 @@ impl Connection {
         if threads < 1 {
             return Err("\"threads\" must be at least 1".to_string());
         }
-        let schedule = match req.str("schedule")? {
-            Some(s) => s.parse().map_err(|e: String| e)?,
-            None => Default::default(),
-        };
         let check = req.bool("check")?.unwrap_or(false);
         let preload = req.bool("preload")?.unwrap_or(true);
         no_extras(
             req,
             "open",
             &[
-                "op", "session", "workload", "seed", "capacity", "threads", "schedule", "check",
-                "preload",
+                "op", "session", "workload", "seed", "capacity", "threads", "check", "preload",
             ],
         )?;
-        let exec = ExecConfig::new()
-            .threads(threads as usize)
-            .schedule(schedule)
-            .check(check);
+        let exec = ExecConfig::new().threads(threads as usize).check(check);
         let (bounds, _, jobs) = scenario.generate(online.seed).map_err(|e| e.to_string())?;
         let session = if preload {
             exec.build(bounds, &jobs, online)
@@ -648,6 +640,12 @@ mod tests {
             "{\"op\":\"open\",\"session\":\"a\",\"workload\":\"blob:x=1\"}",
         );
         assert!(resp.contains("supported shapes"), "{resp}");
+        let resp = one(
+            &mut conn,
+            "{\"op\":\"open\",\"session\":\"a\",\
+             \"workload\":\"point:grid=9,demand=5\",\"schedule\":\"steal\"}",
+        );
+        assert!(resp.contains(r#"unknown key \"schedule\""#), "{resp}");
         let open = "{\"op\":\"open\",\"session\":\"a\",\
                     \"workload\":\"point:grid=9,demand=5\",\"threads\":1}";
         assert!(one(&mut conn, open).contains("\"ok\":true"));

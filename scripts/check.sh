@@ -54,10 +54,11 @@ echo "==> trace check (golden trace)"
 ./target/release/cmvrp trace check tests/data/golden_point.jsonl
 ./target/release/cmvrp simulate point:grid=6,demand=200 --seed=3 --check >/dev/null
 
-echo "==> sharded determinism + inline check (2 workers vs 1, plus steal)"
+echo "==> sharded determinism + inline check (1, 2 and 3 workers)"
 # The parallel-engine oracle: the streamed merged trace must be
-# semantically identical across worker counts AND scheduling policies,
-# with the inline monitors (per-shard + merge-time) clean on every run.
+# semantically identical across worker counts — 1, 2 and 3 workers own
+# this grid's 3 shards in three different ways — with the inline
+# monitors (per-shard + merge-time) clean on every run.
 # `trace diff` replaces `cmp` here: on a regression it names the first
 # divergent line, its time band, and whether the drift is payload,
 # reordering, or a different event set — instead of a bare byte offset.
@@ -91,14 +92,14 @@ trap 'rm -f "$t1" "$t2" "$t3" "$m1" "$b1" "$b2" "$r1" "$r2" "$r3" "$ck" "$s1" "$
     --threads=2 --check --trace-jsonl="$t2" >/dev/null
 ./target/release/cmvrp trace diff "$t1" "$t2" >/dev/null
 ./target/release/cmvrp simulate point:grid=12,demand=250 --seed=3 \
-    --threads=2 --schedule=steal --check --trace-jsonl="$t3" >/dev/null
+    --threads=3 --check --trace-jsonl="$t3" >/dev/null
 ./target/release/cmvrp trace diff "$t1" "$t3" >/dev/null
 # The same oracle with the §3.2.5 heartbeat ring on: each shard ticks its
 # own cubes, so the monitored trace must not move either.
 ./target/release/cmvrp simulate point:grid=12,demand=250 --seed=3 --monitored \
     --threads=1 --check --trace-jsonl="$w1" >/dev/null
 ./target/release/cmvrp simulate point:grid=12,demand=250 --seed=3 --monitored \
-    --threads=2 --schedule=steal --check --trace-jsonl="$w2" >/dev/null
+    --threads=3 --check --trace-jsonl="$w2" >/dev/null
 ./target/release/cmvrp trace diff "$w1" "$w2" >/dev/null
 
 echo "==> trace diff self-test (golden self-diff, then a seeded mutation)"
@@ -128,12 +129,12 @@ echo "==> checkpoint/resume determinism (stop at round 4, resume, stitch)"
 # The resume-equivalence oracle: a run stopped at round 4 with a CMVC
 # checkpoint, then resumed from it, must emit exactly the trace suffix
 # of an uninterrupted run — the stitched head+tail trace diffs clean
-# against the full one (2 workers, steal, the merge-order-sensitive
-# configuration).
+# against the full one (3 workers; the resumed run inherits the worker
+# count from the checkpoint).
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 \
-    --threads=2 --schedule=steal --trace-jsonl="$r1" >/dev/null
+    --threads=3 --trace-jsonl="$r1" >/dev/null
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 \
-    --threads=2 --schedule=steal --checkpoint="$ck" --stop-at-round=4 \
+    --threads=3 --checkpoint="$ck" --stop-at-round=4 \
     --trace-jsonl="$r2" >/dev/null
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 \
     --resume-from="$ck" --trace-jsonl="$r3" >/dev/null
@@ -146,9 +147,9 @@ cat "$r2" "$r3" >"$m1"
 # The same oracle in monitored mode: the checkpoint carries the ring's
 # watch targets and heartbeat clocks, so the resumed tail still stitches.
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 --monitored \
-    --threads=2 --schedule=steal --trace-jsonl="$r1" >/dev/null
+    --threads=3 --trace-jsonl="$r1" >/dev/null
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 --monitored \
-    --threads=2 --schedule=steal --checkpoint="$ck" --stop-at-round=4 \
+    --threads=3 --checkpoint="$ck" --stop-at-round=4 \
     --trace-jsonl="$r2" >/dev/null
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 --monitored \
     --resume-from="$ck" --trace-jsonl="$r3" >/dev/null

@@ -57,8 +57,7 @@ pub use cmvrp_engine as engine;
 // the workspace crates.
 pub use cmvrp_engine::{
     CheckScope, CheckSummary, CheckpointPolicy, EngineCheckpoint, EngineError, ExecConfig,
-    Execution, RoundStats, Schedule, ScopedViolation, Session, ShardedOnlineSim, StepReport,
-    WorkerStats,
+    Execution, RoundStats, ScopedViolation, Session, ShardedOnlineSim, StepReport, WorkerStats,
 };
 pub use cmvrp_ext as ext;
 pub use cmvrp_flow as flow;
@@ -81,7 +80,7 @@ pub use cmvrp_workloads as workloads;
 pub mod prelude {
     pub use cmvrp_core::{approx_woff, omega_c, omega_star, plan_offline, verify_plan, Instance};
     pub use cmvrp_engine::{
-        CheckpointPolicy, EngineCheckpoint, EngineError, ExecConfig, Execution, Schedule, Session,
+        CheckpointPolicy, EngineCheckpoint, EngineError, ExecConfig, Execution, Session,
         ShardedOnlineSim, StepReport,
     };
     pub use cmvrp_grid::{pt1, pt2, pt3, DemandMap, GridBounds, Point};

@@ -1,17 +1,16 @@
 //! Oracles for the §3.2.5 monitored mode on the one on-line engine: the
 //! merged trace of a `--monitored` run is byte-identical for every worker
-//! count and schedule, one-shot or stepped, and clean under the inline
-//! monitors, a monitored run
-//! stopped mid-flight and resumed from its CMVC checkpoint stitches back
-//! into the one-shot trace, and the E8 fault scenarios stay within their
-//! detection window.
+//! count, one-shot or stepped, and clean under the inline monitors, a
+//! monitored run stopped mid-flight and resumed from its CMVC checkpoint
+//! stitches back into the one-shot trace, and the E8 fault scenarios stay
+//! within their detection window.
 
 use cmvrp::ckpt::{decode_checkpoint, encode_checkpoint};
 use cmvrp::grid::{pt2, DemandMap, GridBounds};
 use cmvrp::obs::{check_lines, Event, JsonlSink, NullSink, Sink, VecSink};
 use cmvrp::online::OnlineConfig;
 use cmvrp::workloads::{arrivals, JobSequence, Ordering, WorkloadConfig};
-use cmvrp::{CheckpointPolicy, EngineCheckpoint, ExecConfig, Schedule, ShardedOnlineSim};
+use cmvrp::{CheckpointPolicy, EngineCheckpoint, ExecConfig, ShardedOnlineSim};
 
 fn monitored() -> OnlineConfig {
     OnlineConfig {
@@ -20,15 +19,14 @@ fn monitored() -> OnlineConfig {
     }
 }
 
-/// Every execution shape the trace must not depend on.
+/// Every execution shape the trace must not depend on: worker counts
+/// whose shard→worker maps all differ on the 12×12 workloads below (3
+/// and 4 shards).
 fn shapes() -> Vec<ExecConfig> {
-    let mut shapes = Vec::new();
-    for schedule in [Schedule::Static, Schedule::Steal] {
-        for threads in [1, 2, 8] {
-            shapes.push(ExecConfig::new().threads(threads).schedule(schedule));
-        }
-    }
-    shapes
+    [1, 2, 3, 8]
+        .into_iter()
+        .map(|threads| ExecConfig::new().threads(threads))
+        .collect()
 }
 
 fn workload(cfg: WorkloadConfig) -> (GridBounds<2>, JobSequence<2>) {
@@ -79,7 +77,7 @@ fn e8_sim<SS: cmvrp::engine::ShardSink>(faulty: bool, crashed: bool) -> ShardedO
 }
 
 #[test]
-fn monitored_trace_is_byte_identical_across_workers_and_schedules() {
+fn monitored_trace_is_byte_identical_across_worker_counts() {
     for cfg in [
         WorkloadConfig::Point {
             grid: 12,
@@ -138,7 +136,7 @@ fn monitored_trace_is_byte_identical_across_workers_and_schedules() {
 }
 
 #[test]
-fn monitored_fault_trace_is_byte_identical_across_workers_and_schedules() {
+fn monitored_fault_trace_is_byte_identical_across_worker_counts() {
     let mut baseline: Option<Vec<u8>> = None;
     for exec in shapes() {
         let mut sim = e8_sim::<VecSink>(true, true);
@@ -183,7 +181,7 @@ fn monitored_run_resumed_from_round_k_stitches_into_the_one_shot_trace() {
             vec![200],
         ),
     ];
-    let exec = ExecConfig::new().threads(2).schedule(Schedule::Steal);
+    let exec = ExecConfig::new().threads(3);
     // A snapshot at every round barrier: the resumed runs must reproduce
     // every later one, ring state included, as well as the trace.
     let every_round = CheckpointPolicy {
