@@ -6,7 +6,9 @@
 //! merged stream a merge-time checker, so its overhead includes the
 //! buffering and the merge that an unchecked, untraced run skips. Writes `BENCH_obs.json` at the repo root
 //! with the checked-vs-unchecked overhead delta in the notes (skipped in
-//! `--quick` mode so test glue never clobbers the committed snapshot).
+//! `--quick` mode so test glue never clobbers the committed snapshot);
+//! `--baseline=PATH` pairs every row with a snapshot another build of this
+//! bench wrote, so the `trace_write/*` encoder rows compare across commits.
 
 use cmvrp_bench::default_workloads;
 use cmvrp_bench::harness::Harness;
@@ -239,6 +241,8 @@ fn main() {
             bin_bytes as f64 / events.len() as f64,
         );
     }
+    let baseline = h.baseline_notes();
+    notes.extend(baseline.iter().map(|(k, v)| (k.as_str(), v.clone())));
     // `cargo bench` runs with the package dir as cwd; anchor the snapshot
     // at the workspace root so it lands next to BENCH.md.
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");

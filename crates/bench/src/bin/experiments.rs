@@ -5,34 +5,10 @@
 //! cargo run --release -p cmvrp-bench --bin experiments -- e7 e9  # subset
 //! ```
 
-use cmvrp_bench::*;
+use cmvrp_bench::{experiment, experiment_ids, run_all};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let run_one = |id: &str| -> Option<ExperimentOutput> {
-        match id {
-            "e1" => Some(e1(&[4, 8, 16, 32])),
-            "e2" => Some(e2(&[8, 32, 128, 512])),
-            "e3" => Some(e3(&[100, 800, 6400])),
-            "e4" => Some(e4(&[1, 2, 3])),
-            "e5" => Some(e5(&default_workloads())),
-            "e6" => Some(e6(&[10, 11, 12, 13, 14])),
-            "e7" => Some(e7(&e7_workloads())),
-            "e8" => Some(e8()),
-            "e9" => Some(e9(&[2, 4, 8, 16])),
-            "e10" => Some(e10()),
-            "e11" => Some(e11(&[10, 100, 1000, 10000])),
-            "e12" => Some(e12()),
-            "e13" => Some(e13()),
-            "e14" => Some(e14(&default_workloads())),
-            "e15" => Some(e15()),
-            "e16" => Some(e16()),
-            "f1" => Some(f1()),
-            "g1" => Some(g1()),
-            "g2" => Some(g2()),
-            _ => None,
-        }
-    };
     if args.is_empty() || args.iter().any(|a| a == "all") {
         for out in run_all() {
             println!("{out}");
@@ -40,10 +16,13 @@ fn main() {
         return;
     }
     for id in &args {
-        match run_one(id) {
+        match experiment(id) {
             Some(out) => println!("{out}"),
             None => {
-                eprintln!("unknown experiment id {id:?}; known: e1..e16, f1, g1, g2, all");
+                eprintln!(
+                    "unknown experiment id {id:?}; known: {}, all",
+                    experiment_ids()
+                );
                 std::process::exit(2);
             }
         }

@@ -953,29 +953,72 @@ pub fn e7_workloads() -> Vec<WorkloadConfig> {
     configs
 }
 
+/// An experiment's id and its run at default parameters.
+type Experiment = (&'static str, fn() -> ExperimentOutput);
+
+/// Every experiment at its default (paper-scale) parameters, by id, in
+/// the order [`run_all`] runs them: the one table behind `cmvrp
+/// experiment`, the `experiments` binary and [`run_all`].
+pub const EXPERIMENTS: [Experiment; 19] = [
+    ("e1", || e1(&[4, 8, 16, 32])),
+    ("e2", || e2(&[8, 32, 128, 512])),
+    ("e3", || e3(&[100, 800, 6400])),
+    ("e4", || e4(&[1, 2, 3])),
+    ("e5", || e5(&default_workloads())),
+    ("e6", || e6(&[10, 11, 12, 13, 14])),
+    ("e7", || e7(&e7_workloads())),
+    ("e8", e8),
+    ("e9", || e9(&[2, 4, 8, 16])),
+    ("e10", e10),
+    ("e11", || e11(&[10, 100, 1000, 10000])),
+    ("e12", e12),
+    ("e13", e13),
+    ("e14", || e14(&default_workloads())),
+    ("e15", e15),
+    ("e16", e16),
+    ("f1", f1),
+    ("g1", g1),
+    ("g2", g2),
+];
+
+/// Runs the experiment named `id` at its default parameters; `None` when
+/// no experiment has that id.
+pub fn experiment(id: &str) -> Option<ExperimentOutput> {
+    EXPERIMENTS
+        .iter()
+        .find(|(name, _)| *name == id)
+        .map(|(_, run)| run())
+}
+
+/// The experiment ids as the CLI and the `experiments` binary list them:
+/// three or more consecutive numbers under one letter read as a range,
+/// e.g. `e1..e16, f1, g1, g2`.
+pub fn experiment_ids() -> String {
+    fn split(id: &str) -> (&str, u32) {
+        let at = id.find(|c: char| c.is_ascii_digit()).unwrap_or(id.len());
+        (&id[..at], id[at..].parse().unwrap_or(0))
+    }
+    let mut runs: Vec<Vec<&str>> = Vec::new();
+    for (id, _) in EXPERIMENTS {
+        let (letter, n) = split(id);
+        match runs.last_mut() {
+            Some(run) if split(run[run.len() - 1]) == (letter, n.wrapping_sub(1)) => run.push(id),
+            _ => runs.push(vec![id]),
+        }
+    }
+    let parts: Vec<String> = runs
+        .iter()
+        .map(|run| match run.as_slice() {
+            [first, .., last] if run.len() >= 3 => format!("{first}..{last}"),
+            _ => run.join(", "),
+        })
+        .collect();
+    parts.join(", ")
+}
+
 /// Runs every experiment at its default (paper-scale) parameters.
 pub fn run_all() -> Vec<ExperimentOutput> {
-    vec![
-        e1(&[4, 8, 16, 32]),
-        e2(&[8, 32, 128, 512]),
-        e3(&[100, 800, 6400]),
-        e4(&[1, 2, 3]),
-        e5(&default_workloads()),
-        e6(&[10, 11, 12, 13, 14]),
-        e7(&e7_workloads()),
-        e8(),
-        e9(&[2, 4, 8, 16]),
-        e10(),
-        e11(&[10, 100, 1000, 10000]),
-        e12(),
-        e13(),
-        e14(&default_workloads()),
-        e15(),
-        e16(),
-        f1(),
-        g1(),
-        g2(),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run()).collect()
 }
 
 #[cfg(test)]

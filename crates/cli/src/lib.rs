@@ -70,11 +70,8 @@ const TRACE_SUBCOMMANDS: [&str; 9] = [
     "check", "stats", "timeline", "spans", "convert", "profile", "diff", "query", "explain",
 ];
 
-/// The `experiment` ids, as the usage screen and both dispatch errors name
-/// them; [`cmd_experiment`] accepts exactly these.
-const EXPERIMENT_IDS: &str = "e1..e16, f1, g1, g2";
-
 fn usage() -> String {
+    let experiment_ids = cmvrp_bench::experiment_ids();
     format!(
         "cmvrp — Capacitated Multivehicle Routing Problem (Gao, 2008)\n\
      \n\
@@ -117,7 +114,7 @@ fn usage() -> String {
                                          summary table of paper bound vs\n\
                                          baseline cost vs protocol cost\n\
        cmvrp show <workload>             render the demand map as ASCII\n\
-       cmvrp experiment <id>             regenerate a thesis experiment ({EXPERIMENT_IDS})\n\
+       cmvrp experiment <id>             regenerate a thesis experiment ({experiment_ids})\n\
        cmvrp sweep <shape> <d1> <d2> ..  omega* scaling across demands (point|line)\n\
        cmvrp workloads                   list workload shapes\n\
        cmvrp help                        this message\n\
@@ -254,34 +251,15 @@ fn cmd_sweep(shape: &str, demands: &[String]) -> Result<String, UsageError> {
     Ok(format!("{table}{law}\n"))
 }
 
+/// `experiment <id>`: the experiment `id` names in `cmvrp-bench`'s table,
+/// run at its default parameters.
 fn cmd_experiment(id: &str) -> Result<String, UsageError> {
-    use cmvrp_bench as exp;
-    let out = match id {
-        "e1" => exp::e1(&[4, 8, 16, 32]),
-        "e2" => exp::e2(&[8, 32, 128, 512]),
-        "e3" => exp::e3(&[100, 800, 6400]),
-        "e4" => exp::e4(&[1, 2, 3]),
-        "e5" => exp::e5(&exp::default_workloads()),
-        "e6" => exp::e6(&[10, 11, 12, 13, 14]),
-        "e7" => exp::e7(&exp::default_workloads()),
-        "e8" => exp::e8(),
-        "e9" => exp::e9(&[2, 4, 8, 16]),
-        "e10" => exp::e10(),
-        "e11" => exp::e11(&[10, 100, 1000, 10000]),
-        "e12" => exp::e12(),
-        "e13" => exp::e13(),
-        "e14" => exp::e14(&exp::default_workloads()),
-        "e15" => exp::e15(),
-        "e16" => exp::e16(),
-        "f1" => exp::f1(),
-        "g1" => exp::g1(),
-        "g2" => exp::g2(),
-        other => {
-            return Err(UsageError(format!(
-                "unknown experiment {other:?}; known: {EXPERIMENT_IDS}"
-            )))
-        }
-    };
+    let out = cmvrp_bench::experiment(id).ok_or_else(|| {
+        UsageError(format!(
+            "unknown experiment {id:?}; known: {}",
+            cmvrp_bench::experiment_ids()
+        ))
+    })?;
     Ok(out.to_string())
 }
 
@@ -1214,39 +1192,30 @@ fn cmd_trace_explain(selector: &str, path: &str) -> Result<String, UsageError> {
 }
 
 /// `trace convert <in> <out>`: lossless JSONL ↔ binary translation, the
-/// direction inferred from the input's encoding.
+/// direction inferred from the input's encoding. The input is read through
+/// the same loader as every other trace subcommand, so it refuses the same
+/// files.
 fn cmd_trace_convert(input: &str, output: &str) -> Result<String, UsageError> {
-    let bytes =
-        std::fs::read(input).map_err(|e| UsageError(format!("cannot read {input:?}: {e}")))?;
-    if cmvrp_obs::is_binary_trace(&bytes) {
-        let events =
-            cmvrp_obs::decode_trace(&bytes).map_err(|e| UsageError(format!("{input}: {e}")))?;
-        let mut text = String::with_capacity(events.len() * 64);
-        for ev in &events {
-            text.push_str(&ev.to_json());
-            text.push('\n');
-        }
-        std::fs::write(output, text)
+    let loaded = load_trace_file(input)?;
+    if loaded.encoding == cmvrp_obs::TraceEncoding::Binary {
+        std::fs::write(output, &loaded.text)
             .map_err(|e| UsageError(format!("cannot write {output:?}: {e}")))?;
-        Ok(format!(
+        return Ok(format!(
             "converted {input} (binary) -> {output} (jsonl): {} events\n",
-            events.len()
-        ))
-    } else {
-        let text = String::from_utf8(bytes)
-            .map_err(|e| UsageError(format!("{input}: not UTF-8 JSONL: {e}")))?;
-        let mut sink = BinSink::create(output)
-            .map_err(|e| UsageError(format!("cannot create {output:?}: {e}")))?;
-        for item in cmvrp_obs::jsonl_events(text.lines()) {
-            sink.record(&item.map_err(at_line(input))?.2);
-        }
-        let events = sink
-            .finish()
-            .map_err(|e| UsageError(format!("write to {output:?} failed: {e}")))?;
-        Ok(format!(
-            "converted {input} (jsonl) -> {output} (binary): {events} events\n"
-        ))
+            loaded.events
+        ));
     }
+    let mut sink = BinSink::create(output)
+        .map_err(|e| UsageError(format!("cannot create {output:?}: {e}")))?;
+    for item in cmvrp_obs::jsonl_events(loaded.text.lines()) {
+        sink.record(&item.map_err(at_line(input))?.2);
+    }
+    let events = sink
+        .finish()
+        .map_err(|e| UsageError(format!("write to {output:?} failed: {e}")))?;
+    Ok(format!(
+        "converted {input} (jsonl) -> {output} (binary): {events} events\n"
+    ))
 }
 
 /// `trace profile <trace>`: aggregates the flight recorder's
@@ -1824,7 +1793,8 @@ pub fn run_with_status(args: &[String]) -> Result<(String, i32), UsageError> {
         Some("experiment") => match args.get(1) {
             Some(id) => cmd_experiment(id),
             None => Err(UsageError(format!(
-                "experiment needs an id ({EXPERIMENT_IDS})"
+                "experiment needs an id ({})",
+                cmvrp_bench::experiment_ids()
             ))),
         },
         Some("show") => match args.get(1) {
@@ -1919,6 +1889,36 @@ mod tests {
             assert!(missing.contains(id), "{id} missing from {missing:?}");
         }
         assert!(listed.contains("g2"), "{listed}");
+    }
+
+    /// Every table row EXPERIMENTS.md records under an experiment's
+    /// heading (`## E7 — …`) is a line `cmvrp experiment e7` prints.
+    #[test]
+    fn experiment_prints_every_row_experiments_md_records() {
+        let doc = include_str!("../../../EXPERIMENTS.md");
+        let mut sections = 0;
+        for section in doc.split("\n## ").skip(1) {
+            let id = section
+                .split_whitespace()
+                .next()
+                .unwrap_or_default()
+                .to_lowercase();
+            if !cmvrp_bench::EXPERIMENTS
+                .iter()
+                .any(|(known, _)| *known == id)
+            {
+                continue;
+            }
+            sections += 1;
+            let out = run(&argv(&format!("experiment {id}"))).unwrap();
+            for row in section.lines().filter(|l| l.starts_with('|')) {
+                assert!(
+                    out.lines().any(|l| l == row),
+                    "{id}: EXPERIMENTS.md row {row:?} is not in\n{out}"
+                );
+            }
+        }
+        assert_eq!(sections, cmvrp_bench::EXPERIMENTS.len());
     }
 
     #[test]
@@ -2458,6 +2458,45 @@ mod tests {
         for p in [&jsonl, &bin, &back] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    /// `trace convert` of `bytes` fails as `trace stats` of the same file
+    /// does, and writes no output.
+    fn convert_refuses_like_stats(name: &str, bytes: &[u8], msg: &str) {
+        let dir = std::env::temp_dir();
+        let input = dir.join(format!("cmvrp_cli_convert_{name}"));
+        let output = dir.join(format!("cmvrp_cli_convert_{name}.out"));
+        std::fs::write(&input, bytes).unwrap();
+        let _ = std::fs::remove_file(&output);
+        let input = input.to_str().unwrap().to_string();
+        let out = output.to_str().unwrap().to_string();
+        let want = format!("{input}: {msg}");
+        let convert = run(&["trace".into(), "convert".into(), input.clone(), out]).unwrap_err();
+        assert_eq!(convert.0, want);
+        let stats = run(&["trace".into(), "stats".into(), input.clone()]).unwrap_err();
+        assert_eq!(stats.0, want);
+        assert!(!output.exists(), "convert wrote {}", output.display());
+        let _ = std::fs::remove_file(&input);
+    }
+
+    #[test]
+    fn trace_convert_refuses_an_empty_file() {
+        convert_refuses_like_stats(
+            "empty.jsonl",
+            b"",
+            "empty file (0 bytes): not a trace in either encoding (JSONL traces have one \
+             event per line, binary traces open with the CMVB magic)",
+        );
+    }
+
+    #[test]
+    fn trace_convert_refuses_a_truncated_magic() {
+        convert_refuses_like_stats(
+            "trunc.bin",
+            b"CMV",
+            "file is 3 byte(s), shorter than the 4-byte CMVB magic it begins with: \
+             truncated binary trace",
+        );
     }
 
     #[test]

@@ -6,11 +6,15 @@
 //! payload := tag (1 byte) | fields
 //! ```
 //!
-//! Fields use the frame encodings: varints, zigzag for the signed values
-//! (position coordinates, `round_profile` nanoseconds), length-prefixed
-//! strings and coordinate vectors; the optional message `kind` is a single
-//! byte (0 = absent). The format is append-only in the same sense as the
-//! JSONL schema, and an unknown tag is a hard error.
+//! The tag is the kind's one-based position in the declaration order of
+//! [`Event`], and the fields follow in the order `Event::walk` hands them
+//! out, the same order as the JSONL keys. This module holds only the CMVB
+//! half of the event schema's writer/reader pair: unsigned integers and
+//! process ids are varints, signed ones (position coordinates,
+//! `round_profile` nanoseconds) zigzag varints, strings and positions
+//! length-prefixed, and a drop reason, a `bool` and the optional message
+//! `kind` one byte each (`kind` 0 = absent). The format is append-only in
+//! the same sense as the JSONL schema, and an unknown tag is a hard error.
 //!
 //! [`BinSink`] is the write side — a [`Sink`] like [`crate::JsonlSink`]
 //! but with no per-event allocation (one reusable scratch buffer) —
@@ -18,7 +22,7 @@
 //! 1-based frame index and absolute byte offset, and no truncated or
 //! corrupt input makes it panic.
 
-use crate::event::{DropReason, Event, MsgKind};
+use crate::event::{DropReason, Event, FieldReader, FieldWriter, MsgKind, KINDS};
 use crate::frame::{self, put_i64, put_i64s, put_str, put_u64, Cursor, FrameError};
 use crate::sink::{Sink, StaticSink};
 use std::fs::File;
@@ -35,182 +39,6 @@ pub const BIN_VERSION: u8 = 1;
 /// `cmvrp trace …` to accept either encoding transparently.
 pub fn is_binary_trace(bytes: &[u8]) -> bool {
     bytes.starts_with(&BIN_MAGIC)
-}
-
-fn put_kind(buf: &mut Vec<u8>, kind: &Option<MsgKind>) {
-    buf.push(match kind {
-        None => 0,
-        Some(MsgKind::Query) => 1,
-        Some(MsgKind::Reply) => 2,
-        Some(MsgKind::Move) => 3,
-        Some(MsgKind::Heartbeat) => 4,
-    });
-}
-
-// Frame tags, in declaration order of the `Event` enum.
-const TAG_MSG_SENT: u8 = 1;
-const TAG_MSG_DELIVERED: u8 = 2;
-const TAG_MSG_DROPPED: u8 = 3;
-const TAG_JOB_ARRIVED: u8 = 4;
-const TAG_JOB_SERVED: u8 = 5;
-const TAG_DIFFUSION_STARTED: u8 = 6;
-const TAG_DIFFUSION_COMPLETED: u8 = 7;
-const TAG_REPLACEMENT_CYCLE: u8 = 8;
-const TAG_HEARTBEAT_MISSED: u8 = 9;
-const TAG_FLEET_PROVISIONED: u8 = 10;
-const TAG_PROCESS_CRASHED: u8 = 11;
-const TAG_PHASE_SPAN: u8 = 12;
-const TAG_ROUND_PROFILE: u8 = 13;
-
-/// Encodes one event's frame *payload* (tag + fields, no length prefix)
-/// into `buf`, which is cleared first.
-fn encode_payload(ev: &Event, buf: &mut Vec<u8>) {
-    buf.clear();
-    match ev {
-        Event::MsgSent { t, from, to, kind } => {
-            buf.push(TAG_MSG_SENT);
-            put_u64(buf, *t);
-            put_u64(buf, *from as u64);
-            put_u64(buf, *to as u64);
-            put_kind(buf, kind);
-        }
-        Event::MsgDelivered {
-            t,
-            from,
-            to,
-            delay,
-            kind,
-        } => {
-            buf.push(TAG_MSG_DELIVERED);
-            put_u64(buf, *t);
-            put_u64(buf, *from as u64);
-            put_u64(buf, *to as u64);
-            put_u64(buf, *delay);
-            put_kind(buf, kind);
-        }
-        Event::MsgDropped {
-            t,
-            from,
-            to,
-            reason,
-            kind,
-        } => {
-            buf.push(TAG_MSG_DROPPED);
-            put_u64(buf, *t);
-            put_u64(buf, *from as u64);
-            put_u64(buf, *to as u64);
-            buf.push(match reason {
-                DropReason::Lost => 0,
-                DropReason::RecipientCrashed => 1,
-            });
-            put_kind(buf, kind);
-        }
-        Event::JobArrived { t, seq, pos } => {
-            buf.push(TAG_JOB_ARRIVED);
-            put_u64(buf, *t);
-            put_u64(buf, *seq);
-            put_i64s(buf, pos);
-        }
-        Event::JobServed {
-            t,
-            seq,
-            vehicle,
-            cost,
-        } => {
-            buf.push(TAG_JOB_SERVED);
-            put_u64(buf, *t);
-            put_u64(buf, *seq);
-            put_u64(buf, *vehicle as u64);
-            put_u64(buf, *cost);
-        }
-        Event::DiffusionStarted {
-            t,
-            initiator,
-            generation,
-        } => {
-            buf.push(TAG_DIFFUSION_STARTED);
-            put_u64(buf, *t);
-            put_u64(buf, *initiator as u64);
-            put_u64(buf, *generation);
-        }
-        Event::DiffusionCompleted {
-            t,
-            initiator,
-            generation,
-            found,
-        } => {
-            buf.push(TAG_DIFFUSION_COMPLETED);
-            put_u64(buf, *t);
-            put_u64(buf, *initiator as u64);
-            put_u64(buf, *generation);
-            buf.push(u8::from(*found));
-        }
-        Event::ReplacementCycle {
-            t,
-            vehicle,
-            dest,
-            dist,
-        } => {
-            buf.push(TAG_REPLACEMENT_CYCLE);
-            put_u64(buf, *t);
-            put_u64(buf, *vehicle as u64);
-            put_i64s(buf, dest);
-            put_u64(buf, *dist);
-        }
-        Event::HeartbeatMissed { t, watcher, peer } => {
-            buf.push(TAG_HEARTBEAT_MISSED);
-            put_u64(buf, *t);
-            put_u64(buf, *watcher as u64);
-            put_u64(buf, *peer as u64);
-        }
-        Event::FleetProvisioned {
-            t,
-            vehicles,
-            capacity,
-        } => {
-            buf.push(TAG_FLEET_PROVISIONED);
-            put_u64(buf, *t);
-            put_u64(buf, *vehicles);
-            put_u64(buf, *capacity);
-        }
-        Event::ProcessCrashed { t, proc } => {
-            buf.push(TAG_PROCESS_CRASHED);
-            put_u64(buf, *t);
-            put_u64(buf, *proc as u64);
-        }
-        Event::PhaseSpan {
-            name,
-            start_ns,
-            end_ns,
-        } => {
-            buf.push(TAG_PHASE_SPAN);
-            put_str(buf, name);
-            put_u64(buf, *start_ns);
-            put_u64(buf, *end_ns);
-        }
-        Event::RoundProfile {
-            round,
-            worker,
-            workers,
-            busy_ns,
-            barrier_wait_ns,
-            merge_ns,
-            sink_ns,
-            events,
-            steals,
-        } => {
-            buf.push(TAG_ROUND_PROFILE);
-            put_u64(buf, *round);
-            put_u64(buf, *worker);
-            put_u64(buf, *workers);
-            put_i64(buf, *busy_ns);
-            put_i64(buf, *barrier_wait_ns);
-            put_i64(buf, *merge_ns);
-            put_i64(buf, *sink_ns);
-            put_u64(buf, *events);
-            put_u64(buf, *steals);
-        }
-    }
 }
 
 /// Streams events as binary frames to any writer.
@@ -293,7 +121,8 @@ impl<W: Write> Sink for BinSink<W> {
         if self.error.is_some() {
             return;
         }
-        encode_payload(event, &mut self.scratch);
+        self.scratch.clear();
+        event.walk(&mut self.scratch);
         // The length prefix is at most 10 varint bytes; stage it on the
         // stack so a frame is exactly two `write_all` calls.
         let mut prefix = [0u8; 10];
@@ -319,106 +148,97 @@ impl<W: Write> Sink for BinSink<W> {
 
 impl<W: Write> StaticSink for BinSink<W> {}
 
-fn kind(c: &mut Cursor<'_>) -> Result<Option<MsgKind>, FrameError> {
-    match c.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(MsgKind::Query)),
-        2 => Ok(Some(MsgKind::Reply)),
-        3 => Ok(Some(MsgKind::Move)),
-        4 => Ok(Some(MsgKind::Heartbeat)),
-        other => Err(c.err(format!("unknown msg-kind byte {other}"))),
+/// The CMVB payload writer: the tag byte, then each field in walk order;
+/// the keys are not written.
+impl FieldWriter for Vec<u8> {
+    fn kind(&mut self, index: usize) {
+        self.push(index as u8 + 1);
+    }
+
+    fn u64(&mut self, _key: &'static str, v: u64) {
+        put_u64(self, v);
+    }
+
+    fn i64(&mut self, _key: &'static str, v: i64) {
+        put_i64(self, v);
+    }
+
+    fn bool(&mut self, _key: &'static str, v: bool) {
+        self.push(u8::from(v));
+    }
+
+    fn str(&mut self, _key: &'static str, v: &str) {
+        put_str(self, v);
+    }
+
+    fn pos(&mut self, _key: &'static str, v: &[i64]) {
+        put_i64s(self, v);
+    }
+
+    fn reason(&mut self, _key: &'static str, v: DropReason) {
+        self.push(v as u8);
+    }
+
+    fn msg_kind(&mut self, _key: &'static str, v: Option<MsgKind>) {
+        self.push(v.map_or(0, |k| k as u8 + 1));
     }
 }
 
-/// Decodes one frame payload. Trailing bytes are ignored (append-only
-/// schema evolution, mirroring "readers must ignore unknown fields").
-fn decode_payload(c: &mut Cursor<'_>) -> Result<Event, FrameError> {
-    let ev = match c.u8()? {
-        TAG_MSG_SENT => Event::MsgSent {
-            t: c.u64()?,
-            from: c.usize()?,
-            to: c.usize()?,
-            kind: kind(c)?,
-        },
-        TAG_MSG_DELIVERED => Event::MsgDelivered {
-            t: c.u64()?,
-            from: c.usize()?,
-            to: c.usize()?,
-            delay: c.u64()?,
-            kind: kind(c)?,
-        },
-        TAG_MSG_DROPPED => Event::MsgDropped {
-            t: c.u64()?,
-            from: c.usize()?,
-            to: c.usize()?,
-            reason: match c.u8()? {
-                0 => DropReason::Lost,
-                1 => DropReason::RecipientCrashed,
-                other => return Err(c.err(format!("unknown drop-reason byte {other}"))),
-            },
-            kind: kind(c)?,
-        },
-        TAG_JOB_ARRIVED => Event::JobArrived {
-            t: c.u64()?,
-            seq: c.u64()?,
-            pos: c.i64s()?,
-        },
-        TAG_JOB_SERVED => Event::JobServed {
-            t: c.u64()?,
-            seq: c.u64()?,
-            vehicle: c.usize()?,
-            cost: c.u64()?,
-        },
-        TAG_DIFFUSION_STARTED => Event::DiffusionStarted {
-            t: c.u64()?,
-            initiator: c.usize()?,
-            generation: c.u64()?,
-        },
-        TAG_DIFFUSION_COMPLETED => Event::DiffusionCompleted {
-            t: c.u64()?,
-            initiator: c.usize()?,
-            generation: c.u64()?,
-            found: c.bool()?,
-        },
-        TAG_REPLACEMENT_CYCLE => Event::ReplacementCycle {
-            t: c.u64()?,
-            vehicle: c.usize()?,
-            dest: c.i64s()?,
-            dist: c.u64()?,
-        },
-        TAG_HEARTBEAT_MISSED => Event::HeartbeatMissed {
-            t: c.u64()?,
-            watcher: c.usize()?,
-            peer: c.usize()?,
-        },
-        TAG_FLEET_PROVISIONED => Event::FleetProvisioned {
-            t: c.u64()?,
-            vehicles: c.u64()?,
-            capacity: c.u64()?,
-        },
-        TAG_PROCESS_CRASHED => Event::ProcessCrashed {
-            t: c.u64()?,
-            proc: c.usize()?,
-        },
-        TAG_PHASE_SPAN => Event::PhaseSpan {
-            name: c.str()?,
-            start_ns: c.u64()?,
-            end_ns: c.u64()?,
-        },
-        TAG_ROUND_PROFILE => Event::RoundProfile {
-            round: c.u64()?,
-            worker: c.u64()?,
-            workers: c.u64()?,
-            busy_ns: c.i64()?,
-            barrier_wait_ns: c.i64()?,
-            merge_ns: c.i64()?,
-            sink_ns: c.i64()?,
-            events: c.u64()?,
-            steals: c.u64()?,
-        },
-        other => return Err(c.err(format!("unknown event tag {other}"))),
-    };
-    Ok(ev)
+/// The CMVB payload reader: the fields in walk order. An error names the
+/// frame and the offset just past the bad byte; trailing bytes are ignored
+/// (append-only schema evolution, mirroring "readers must ignore unknown
+/// fields").
+impl FieldReader for Cursor<'_> {
+    type Error = FrameError;
+
+    fn kind(&mut self) -> Result<usize, FrameError> {
+        match Cursor::u8(self)? {
+            tag @ 1.. if usize::from(tag) <= KINDS.len() => Ok(usize::from(tag) - 1),
+            other => Err(self.err(format!("unknown event tag {other}"))),
+        }
+    }
+
+    fn u64(&mut self, _key: &str) -> Result<u64, FrameError> {
+        Cursor::u64(self)
+    }
+
+    fn id(&mut self, _key: &str) -> Result<usize, FrameError> {
+        Cursor::usize(self)
+    }
+
+    fn i64(&mut self, _key: &str) -> Result<i64, FrameError> {
+        Cursor::i64(self)
+    }
+
+    fn bool(&mut self, _key: &str) -> Result<bool, FrameError> {
+        Cursor::bool(self)
+    }
+
+    fn str(&mut self, _key: &str) -> Result<String, FrameError> {
+        Cursor::str(self)
+    }
+
+    fn pos(&mut self, _key: &str) -> Result<Vec<i64>, FrameError> {
+        self.i64s()
+    }
+
+    fn reason(&mut self, _key: &str) -> Result<DropReason, FrameError> {
+        let code = Cursor::u8(self)?;
+        DropReason::ALL
+            .get(usize::from(code))
+            .copied()
+            .ok_or_else(|| self.err(format!("unknown drop-reason byte {code}")))
+    }
+
+    fn msg_kind(&mut self, _key: &str) -> Result<Option<MsgKind>, FrameError> {
+        match Cursor::u8(self)? {
+            0 => Ok(None),
+            code => MsgKind::ALL
+                .get(usize::from(code) - 1)
+                .map(|k| Some(*k))
+                .ok_or_else(|| self.err(format!("unknown msg-kind byte {code}"))),
+        }
+    }
 }
 
 /// Decodes a whole binary trace into events, stopping at the first error:
@@ -433,7 +253,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Event>, FrameError> {
     let mut frames = Cursor::open(bytes, BIN_MAGIC, BIN_VERSION)?;
     let mut events = Vec::new();
     while let Some(frame) = frames.next_frame() {
-        events.push(decode_payload(&mut frame?)?);
+        events.push(Event::read(&mut frame?)?);
     }
     Ok(events)
 }

@@ -1,9 +1,17 @@
-//! Typed trace events and their JSONL wire form.
+//! Typed trace events, the one list of their fields, and their JSONL form.
 //!
-//! Every event serializes to exactly one line of flat JSON via
-//! [`Event::to_json`] and parses back via [`Event::from_json`]; the two are
-//! inverse on every variant (tested). The schema is documented in the crate
-//! docs ([`crate`]).
+//! `Event::walk` hands a field writer the event's kind and then every
+//! field with its JSONL key, in wire order; `Event::read` builds the event
+//! back from a field reader in the same order. Those two functions are
+//! the schema. Each encoding implements the crate-private writer/reader
+//! pair once: JSONL here, over [`json::Object`] and the escaper
+//! ([`Event::to_json`], [`Event::from_json`]), and CMVB in [`crate::bin`],
+//! over the frame codec. The query language ([`crate::query`]) finds a
+//! field's values by walking the event too, so a new field goes into the
+//! enum, the walk and the read, and both encodings and query matching
+//! follow. The schema is documented in the crate docs ([`crate`]); the
+//! root crate's `event_schema` test pins every byte both encoders write
+//! and checks that table against it.
 
 use crate::json::{self, Object};
 use std::fmt::Write as _;
@@ -19,7 +27,11 @@ pub enum DropReason {
 }
 
 impl DropReason {
-    fn as_str(self) -> &'static str {
+    /// Every reason in declaration order; a CMVB frame stores the index.
+    pub(crate) const ALL: [DropReason; 2] = [DropReason::Lost, DropReason::RecipientCrashed];
+
+    /// The wire name used in the `"reason"` field.
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DropReason::Lost => "lost",
             DropReason::RecipientCrashed => "crashed",
@@ -48,6 +60,15 @@ pub enum MsgKind {
 }
 
 impl MsgKind {
+    /// Every kind in declaration order; a CMVB frame stores the index plus
+    /// one, and 0 for an unclassified message.
+    pub(crate) const ALL: [MsgKind; 4] = [
+        MsgKind::Query,
+        MsgKind::Reply,
+        MsgKind::Move,
+        MsgKind::Heartbeat,
+    ];
+
     /// The wire name used in the `"kind"` field.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -55,16 +76,6 @@ impl MsgKind {
             MsgKind::Reply => "reply",
             MsgKind::Move => "move",
             MsgKind::Heartbeat => "heartbeat",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "query" => Ok(MsgKind::Query),
-            "reply" => Ok(MsgKind::Reply),
-            "move" => Ok(MsgKind::Move),
-            "heartbeat" => Ok(MsgKind::Heartbeat),
-            other => Err(format!("unknown msg kind {other:?}")),
         }
     }
 }
@@ -230,41 +241,96 @@ pub enum Event {
     },
 }
 
-fn push_kind(out: &mut String, kind: &Option<MsgKind>) {
-    if let Some(k) = kind {
-        let _ = write!(out, ",\"kind\":\"{}\"", k.as_str());
+/// Each event kind's schema tag, in the declaration order of [`Event`]:
+/// the `"ev"` value of a JSONL line and, one-based, the tag byte of a CMVB
+/// frame. [`Event::walk`] and [`Event::read`] name a kind by its index
+/// here.
+pub(crate) const KINDS: [&str; 13] = [
+    "msg_sent",
+    "msg_delivered",
+    "msg_dropped",
+    "job_arrived",
+    "job_served",
+    "diffusion_started",
+    "diffusion_completed",
+    "replacement_cycle",
+    "heartbeat_missed",
+    "fleet_provisioned",
+    "process_crashed",
+    "phase_span",
+    "round_profile",
+];
+
+/// The write side of an encoding. [`Event::walk`] calls
+/// [`FieldWriter::kind`] once, then one method per field with the field's
+/// JSONL key. The field methods default to skipping the field, for walks
+/// that look at only some of them.
+pub(crate) trait FieldWriter {
+    /// The event's kind, as its index in [`KINDS`].
+    fn kind(&mut self, index: usize);
+    /// An unsigned integer.
+    fn u64(&mut self, _key: &'static str, _v: u64) {}
+    /// A process id; encoded as an unsigned integer.
+    fn id(&mut self, key: &'static str, v: usize) {
+        self.u64(key, v as u64);
     }
+    /// A signed integer.
+    fn i64(&mut self, _key: &'static str, _v: i64) {}
+    /// A boolean.
+    fn bool(&mut self, _key: &'static str, _v: bool) {}
+    /// A string.
+    fn str(&mut self, _key: &'static str, _v: &str) {}
+    /// A position: one signed coordinate per grid dimension.
+    fn pos(&mut self, _key: &'static str, _v: &[i64]) {}
+    /// Why a message was dropped.
+    fn reason(&mut self, _key: &'static str, _v: DropReason) {}
+    /// A message's optional protocol classification.
+    fn msg_kind(&mut self, _key: &'static str, _v: Option<MsgKind>) {}
 }
 
-fn push_pos(out: &mut String, key: &str, pos: &[i64]) {
-    let _ = write!(out, ",\"{key}\":[");
-    for (i, c) in pos.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{c}");
+/// The read side of an encoding: [`Event::read`] asks for the kind, then
+/// for each field by its JSONL key, in the order [`Event::walk`] wrote
+/// them.
+pub(crate) trait FieldReader {
+    /// A decode error naming what is malformed.
+    type Error;
+    /// The event's kind, as its index in [`KINDS`].
+    fn kind(&mut self) -> Result<usize, Self::Error>;
+    /// An unsigned integer.
+    fn u64(&mut self, key: &str) -> Result<u64, Self::Error>;
+    /// An unsigned integer that JSONL schema v2 added: a v1 line without
+    /// it reads 0. Other encodings always carry it.
+    fn u64_since_v2(&mut self, key: &str) -> Result<u64, Self::Error> {
+        self.u64(key)
     }
-    out.push(']');
+    /// A process id.
+    fn id(&mut self, key: &str) -> Result<usize, Self::Error>;
+    /// A signed integer.
+    fn i64(&mut self, key: &str) -> Result<i64, Self::Error>;
+    /// A boolean.
+    fn bool(&mut self, key: &str) -> Result<bool, Self::Error>;
+    /// A string.
+    fn str(&mut self, key: &str) -> Result<String, Self::Error>;
+    /// A position.
+    fn pos(&mut self, key: &str) -> Result<Vec<i64>, Self::Error>;
+    /// Why a message was dropped.
+    fn reason(&mut self, key: &str) -> Result<DropReason, Self::Error>;
+    /// A message's optional protocol classification.
+    fn msg_kind(&mut self, key: &str) -> Result<Option<MsgKind>, Self::Error>;
 }
 
 impl Event {
     /// The event's schema tag (the `"ev"` field of its JSON form).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Event::MsgSent { .. } => "msg_sent",
-            Event::MsgDelivered { .. } => "msg_delivered",
-            Event::MsgDropped { .. } => "msg_dropped",
-            Event::JobArrived { .. } => "job_arrived",
-            Event::JobServed { .. } => "job_served",
-            Event::DiffusionStarted { .. } => "diffusion_started",
-            Event::DiffusionCompleted { .. } => "diffusion_completed",
-            Event::ReplacementCycle { .. } => "replacement_cycle",
-            Event::HeartbeatMissed { .. } => "heartbeat_missed",
-            Event::FleetProvisioned { .. } => "fleet_provisioned",
-            Event::ProcessCrashed { .. } => "process_crashed",
-            Event::PhaseSpan { .. } => "phase_span",
-            Event::RoundProfile { .. } => "round_profile",
+        struct Kind(usize);
+        impl FieldWriter for Kind {
+            fn kind(&mut self, index: usize) {
+                self.0 = index;
+            }
         }
+        let mut kind = Kind(0);
+        self.walk(&mut kind);
+        KINDS[kind.0]
     }
 
     /// The event's global simulation timestamp, when it carries one.
@@ -292,14 +358,17 @@ impl Event {
         }
     }
 
-    /// Renders the event as one line of JSON (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64);
-        let _ = write!(s, "{{\"ev\":\"{}\"", self.kind());
+    /// Hands `w` the event's kind, then every field with its JSONL key in
+    /// wire order. With [`Event::read`], this is the schema's one field
+    /// list; both encoders and the query language go through it.
+    pub(crate) fn walk<W: FieldWriter>(&self, w: &mut W) {
         match self {
             Event::MsgSent { t, from, to, kind } => {
-                let _ = write!(s, ",\"t\":{t},\"from\":{from},\"to\":{to}");
-                push_kind(&mut s, kind);
+                w.kind(0);
+                w.u64("t", *t);
+                w.id("from", *from);
+                w.id("to", *to);
+                w.msg_kind("kind", *kind);
             }
             Event::MsgDelivered {
                 t,
@@ -308,11 +377,12 @@ impl Event {
                 delay,
                 kind,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"t\":{t},\"from\":{from},\"to\":{to},\"delay\":{delay}"
-                );
-                push_kind(&mut s, kind);
+                w.kind(1);
+                w.u64("t", *t);
+                w.id("from", *from);
+                w.id("to", *to);
+                w.u64("delay", *delay);
+                w.msg_kind("kind", *kind);
             }
             Event::MsgDropped {
                 t,
@@ -321,16 +391,18 @@ impl Event {
                 reason,
                 kind,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"t\":{t},\"from\":{from},\"to\":{to},\"reason\":\"{}\"",
-                    reason.as_str()
-                );
-                push_kind(&mut s, kind);
+                w.kind(2);
+                w.u64("t", *t);
+                w.id("from", *from);
+                w.id("to", *to);
+                w.reason("reason", *reason);
+                w.msg_kind("kind", *kind);
             }
             Event::JobArrived { t, seq, pos } => {
-                let _ = write!(s, ",\"t\":{t},\"seq\":{seq}");
-                push_pos(&mut s, "pos", pos);
+                w.kind(3);
+                w.u64("t", *t);
+                w.u64("seq", *seq);
+                w.pos("pos", pos);
             }
             Event::JobServed {
                 t,
@@ -338,20 +410,21 @@ impl Event {
                 vehicle,
                 cost,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"t\":{t},\"seq\":{seq},\"vehicle\":{vehicle},\"cost\":{cost}"
-                );
+                w.kind(4);
+                w.u64("t", *t);
+                w.u64("seq", *seq);
+                w.id("vehicle", *vehicle);
+                w.u64("cost", *cost);
             }
             Event::DiffusionStarted {
                 t,
                 initiator,
                 generation,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"t\":{t},\"initiator\":{initiator},\"generation\":{generation}"
-                );
+                w.kind(5);
+                w.u64("t", *t);
+                w.id("initiator", *initiator);
+                w.u64("generation", *generation);
             }
             Event::DiffusionCompleted {
                 t,
@@ -359,10 +432,11 @@ impl Event {
                 generation,
                 found,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"t\":{t},\"initiator\":{initiator},\"generation\":{generation},\"found\":{found}"
-                );
+                w.kind(6);
+                w.u64("t", *t);
+                w.id("initiator", *initiator);
+                w.u64("generation", *generation);
+                w.bool("found", *found);
             }
             Event::ReplacementCycle {
                 t,
@@ -370,34 +444,42 @@ impl Event {
                 dest,
                 dist,
             } => {
-                let _ = write!(s, ",\"t\":{t},\"vehicle\":{vehicle}");
-                push_pos(&mut s, "dest", dest);
-                let _ = write!(s, ",\"dist\":{dist}");
+                w.kind(7);
+                w.u64("t", *t);
+                w.id("vehicle", *vehicle);
+                w.pos("dest", dest);
+                w.u64("dist", *dist);
             }
             Event::HeartbeatMissed { t, watcher, peer } => {
-                let _ = write!(s, ",\"t\":{t},\"watcher\":{watcher},\"peer\":{peer}");
+                w.kind(8);
+                w.u64("t", *t);
+                w.id("watcher", *watcher);
+                w.id("peer", *peer);
             }
             Event::FleetProvisioned {
                 t,
                 vehicles,
                 capacity,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"t\":{t},\"vehicles\":{vehicles},\"capacity\":{capacity}"
-                );
+                w.kind(9);
+                w.u64("t", *t);
+                w.u64("vehicles", *vehicles);
+                w.u64("capacity", *capacity);
             }
             Event::ProcessCrashed { t, proc } => {
-                let _ = write!(s, ",\"t\":{t},\"proc\":{proc}");
+                w.kind(10);
+                w.u64("t", *t);
+                w.id("proc", *proc);
             }
             Event::PhaseSpan {
                 name,
                 start_ns,
                 end_ns,
             } => {
-                s.push_str(",\"name\":");
-                json::write_str(&mut s, name);
-                let _ = write!(s, ",\"start_ns\":{start_ns},\"end_ns\":{end_ns}");
+                w.kind(11);
+                w.str("name", name);
+                w.u64("start_ns", *start_ns);
+                w.u64("end_ns", *end_ns);
             }
             Event::RoundProfile {
                 round,
@@ -410,14 +492,114 @@ impl Event {
                 events,
                 steals,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"round\":{round},\"worker\":{worker},\"workers\":{workers},\"busy_ns\":{busy_ns},\"barrier_wait_ns\":{barrier_wait_ns},\"merge_ns\":{merge_ns},\"sink_ns\":{sink_ns},\"events\":{events},\"steals\":{steals}"
-                );
+                w.kind(12);
+                w.u64("round", *round);
+                w.u64("worker", *worker);
+                w.u64("workers", *workers);
+                w.i64("busy_ns", *busy_ns);
+                w.i64("barrier_wait_ns", *barrier_wait_ns);
+                w.i64("merge_ns", *merge_ns);
+                w.i64("sink_ns", *sink_ns);
+                w.u64("events", *events);
+                w.u64("steals", *steals);
             }
         }
-        s.push('}');
-        s
+    }
+
+    /// Builds an event from `r`, field by field in [`Event::walk`]'s
+    /// order; the first malformed field is the error.
+    pub(crate) fn read<R: FieldReader>(r: &mut R) -> Result<Event, R::Error> {
+        Ok(match r.kind()? {
+            0 => Event::MsgSent {
+                t: r.u64("t")?,
+                from: r.id("from")?,
+                to: r.id("to")?,
+                kind: r.msg_kind("kind")?,
+            },
+            1 => Event::MsgDelivered {
+                t: r.u64("t")?,
+                from: r.id("from")?,
+                to: r.id("to")?,
+                delay: r.u64("delay")?,
+                kind: r.msg_kind("kind")?,
+            },
+            2 => Event::MsgDropped {
+                t: r.u64("t")?,
+                from: r.id("from")?,
+                to: r.id("to")?,
+                reason: r.reason("reason")?,
+                kind: r.msg_kind("kind")?,
+            },
+            3 => Event::JobArrived {
+                t: r.u64("t")?,
+                seq: r.u64("seq")?,
+                pos: r.pos("pos")?,
+            },
+            4 => Event::JobServed {
+                t: r.u64("t")?,
+                seq: r.u64("seq")?,
+                vehicle: r.id("vehicle")?,
+                cost: r.u64("cost")?,
+            },
+            5 => Event::DiffusionStarted {
+                t: r.u64("t")?,
+                initiator: r.id("initiator")?,
+                generation: r.u64("generation")?,
+            },
+            6 => Event::DiffusionCompleted {
+                t: r.u64("t")?,
+                initiator: r.id("initiator")?,
+                generation: r.u64("generation")?,
+                found: r.bool("found")?,
+            },
+            7 => Event::ReplacementCycle {
+                t: r.u64("t")?,
+                vehicle: r.id("vehicle")?,
+                dest: r.pos("dest")?,
+                dist: r.u64_since_v2("dist")?,
+            },
+            8 => Event::HeartbeatMissed {
+                t: r.u64("t")?,
+                watcher: r.id("watcher")?,
+                peer: r.id("peer")?,
+            },
+            9 => Event::FleetProvisioned {
+                t: r.u64("t")?,
+                vehicles: r.u64("vehicles")?,
+                capacity: r.u64("capacity")?,
+            },
+            10 => Event::ProcessCrashed {
+                t: r.u64("t")?,
+                proc: r.id("proc")?,
+            },
+            11 => Event::PhaseSpan {
+                name: r.str("name")?,
+                start_ns: r.u64("start_ns")?,
+                end_ns: r.u64("end_ns")?,
+            },
+            // Signed durations: a corrupted (negative) sample reads so the
+            // `profile` monitor, not the decoder, is what rejects it.
+            12 => Event::RoundProfile {
+                round: r.u64("round")?,
+                worker: r.u64("worker")?,
+                workers: r.u64("workers")?,
+                busy_ns: r.i64("busy_ns")?,
+                barrier_wait_ns: r.i64("barrier_wait_ns")?,
+                merge_ns: r.i64("merge_ns")?,
+                sink_ns: r.i64("sink_ns")?,
+                events: r.u64("events")?,
+                steals: r.u64("steals")?,
+            },
+            _ => unreachable!("FieldReader::kind returns an index into KINDS"),
+        })
+    }
+
+    /// Renders the event as one line of JSON (no trailing newline).
+    pub fn to_json(&self) -> String {
+        let mut line = String::with_capacity(64);
+        self.walk(&mut line);
+        line.push('}');
+        line
     }
 
     /// Parses one JSONL line produced by [`Event::to_json`].
@@ -431,103 +613,142 @@ impl Event {
 
     /// Reads an event from a parsed line. Keys outside the event's schema
     /// are ignored: the schema is append-only.
-    pub(crate) fn from_object(o: &Object<'_>) -> Result<Event, String> {
-        let missing = |key: &str| format!("missing field {key:?}");
-        let u = |key: &str| o.u64(key)?.ok_or_else(|| missing(key));
-        let id = |key: &str| u(key).map(|v| v as usize);
-        let i = |key: &str| o.i64(key)?.ok_or_else(|| missing(key));
-        let s = |key: &str| o.str(key)?.ok_or_else(|| missing(key));
-        let pos = |key: &str| o.arr(key)?.map(<[i64]>::to_vec).ok_or_else(|| missing(key));
-        let kind = || o.str("kind")?.map(MsgKind::parse).transpose();
-        let ev = match s("ev")? {
-            "msg_sent" => Event::MsgSent {
-                t: u("t")?,
-                from: id("from")?,
-                to: id("to")?,
-                kind: kind()?,
-            },
-            "msg_delivered" => Event::MsgDelivered {
-                t: u("t")?,
-                from: id("from")?,
-                to: id("to")?,
-                delay: u("delay")?,
-                kind: kind()?,
-            },
-            "msg_dropped" => Event::MsgDropped {
-                t: u("t")?,
-                from: id("from")?,
-                to: id("to")?,
-                reason: match s("reason")? {
-                    "lost" => DropReason::Lost,
-                    "crashed" => DropReason::RecipientCrashed,
-                    other => return Err(format!("unknown drop reason {other:?}")),
-                },
-                kind: kind()?,
-            },
-            "job_arrived" => Event::JobArrived {
-                t: u("t")?,
-                seq: u("seq")?,
-                pos: pos("pos")?,
-            },
-            "job_served" => Event::JobServed {
-                t: u("t")?,
-                seq: u("seq")?,
-                vehicle: id("vehicle")?,
-                cost: u("cost")?,
-            },
-            "diffusion_started" => Event::DiffusionStarted {
-                t: u("t")?,
-                initiator: id("initiator")?,
-                generation: u("generation")?,
-            },
-            "diffusion_completed" => Event::DiffusionCompleted {
-                t: u("t")?,
-                initiator: id("initiator")?,
-                generation: u("generation")?,
-                found: o.bool("found")?.ok_or_else(|| missing("found"))?,
-            },
-            "replacement_cycle" => Event::ReplacementCycle {
-                t: u("t")?,
-                vehicle: id("vehicle")?,
-                dest: pos("dest")?,
-                // `dist` joined the schema in v2; pre-v2 traces omit it.
-                dist: o.u64("dist")?.unwrap_or(0),
-            },
-            "heartbeat_missed" => Event::HeartbeatMissed {
-                t: u("t")?,
-                watcher: id("watcher")?,
-                peer: id("peer")?,
-            },
-            "fleet_provisioned" => Event::FleetProvisioned {
-                t: u("t")?,
-                vehicles: u("vehicles")?,
-                capacity: u("capacity")?,
-            },
-            "process_crashed" => Event::ProcessCrashed {
-                t: u("t")?,
-                proc: id("proc")?,
-            },
-            "phase_span" => Event::PhaseSpan {
-                name: s("name")?.to_string(),
-                start_ns: u("start_ns")?,
-                end_ns: u("end_ns")?,
-            },
-            // Signed durations: a corrupted (negative) sample parses so the
-            // `profile` monitor, not the parser, is what rejects it.
-            "round_profile" => Event::RoundProfile {
-                round: u("round")?,
-                worker: u("worker")?,
-                workers: u("workers")?,
-                busy_ns: i("busy_ns")?,
-                barrier_wait_ns: i("barrier_wait_ns")?,
-                merge_ns: i("merge_ns")?,
-                sink_ns: i("sink_ns")?,
-                events: u("events")?,
-                steals: u("steals")?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
+    pub(crate) fn from_object(mut o: &Object<'_>) -> Result<Event, String> {
+        Event::read(&mut o)
+    }
+}
+
+/// The JSONL writer: the walk opens the object with its `"ev"` tag and
+/// appends each field as `,"key":value`; [`Event::to_json`] closes it. An
+/// unclassified message leaves its `kind` out.
+impl FieldWriter for String {
+    fn kind(&mut self, index: usize) {
+        self.push_str("{\"ev\":\"");
+        self.push_str(KINDS[index]);
+        self.push('"');
+    }
+
+    fn u64(&mut self, key: &'static str, v: u64) {
+        push_key(self, key);
+        let _ = write!(self, "{v}");
+    }
+
+    fn i64(&mut self, key: &'static str, v: i64) {
+        push_key(self, key);
+        let _ = write!(self, "{v}");
+    }
+
+    fn bool(&mut self, key: &'static str, v: bool) {
+        push_key(self, key);
+        self.push_str(if v { "true" } else { "false" });
+    }
+
+    fn str(&mut self, key: &'static str, v: &str) {
+        push_key(self, key);
+        json::write_str(self, v);
+    }
+
+    fn pos(&mut self, key: &'static str, v: &[i64]) {
+        push_key(self, key);
+        self.push('[');
+        for (i, c) in v.iter().enumerate() {
+            if i > 0 {
+                self.push(',');
+            }
+            let _ = write!(self, "{c}");
+        }
+        self.push(']');
+    }
+
+    fn reason(&mut self, key: &'static str, v: DropReason) {
+        push_key(self, key);
+        push_name(self, v.as_str());
+    }
+
+    fn msg_kind(&mut self, key: &'static str, v: Option<MsgKind>) {
+        if let Some(k) = v {
+            push_key(self, key);
+            push_name(self, k.as_str());
+        }
+    }
+}
+
+/// Appends `,"key":`.
+fn push_key(line: &mut String, key: &str) {
+    line.push_str(",\"");
+    line.push_str(key);
+    line.push_str("\":");
+}
+
+/// Appends a wire name, which needs no escaping, as a JSON string.
+fn push_name(line: &mut String, name: &str) {
+    line.push('"');
+    line.push_str(name);
+    line.push('"');
+}
+
+fn required<T>(value: Option<T>, key: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// The JSONL reader: each field is looked up by its key, wherever it sits
+/// in the line. Only `kind` and pre-v2 `dist` may be absent.
+impl FieldReader for &Object<'_> {
+    type Error = String;
+
+    fn kind(&mut self) -> Result<usize, String> {
+        let ev = required(Object::str(self, "ev")?, "ev")?;
+        KINDS
+            .iter()
+            .position(|k| *k == ev)
+            .ok_or_else(|| format!("unknown event kind {ev:?}"))
+    }
+
+    fn u64(&mut self, key: &str) -> Result<u64, String> {
+        required(Object::u64(self, key)?, key)
+    }
+
+    fn u64_since_v2(&mut self, key: &str) -> Result<u64, String> {
+        Ok(Object::u64(self, key)?.unwrap_or(0))
+    }
+
+    fn id(&mut self, key: &str) -> Result<usize, String> {
+        FieldReader::u64(self, key).map(|v| v as usize)
+    }
+
+    fn i64(&mut self, key: &str) -> Result<i64, String> {
+        required(Object::i64(self, key)?, key)
+    }
+
+    fn bool(&mut self, key: &str) -> Result<bool, String> {
+        required(Object::bool(self, key)?, key)
+    }
+
+    fn str(&mut self, key: &str) -> Result<String, String> {
+        required(Object::str(self, key)?, key).map(str::to_string)
+    }
+
+    fn pos(&mut self, key: &str) -> Result<Vec<i64>, String> {
+        required(Object::arr(self, key)?, key).map(<[i64]>::to_vec)
+    }
+
+    fn reason(&mut self, key: &str) -> Result<DropReason, String> {
+        let name = required(Object::str(self, key)?, key)?;
+        DropReason::ALL
+            .into_iter()
+            .find(|r| r.as_str() == name)
+            .ok_or_else(|| format!("unknown drop reason {name:?}"))
+    }
+
+    fn msg_kind(&mut self, key: &str) -> Result<Option<MsgKind>, String> {
+        let Some(name) = Object::str(self, key)? else {
+            return Ok(None);
         };
-        Ok(ev)
+        MsgKind::ALL
+            .into_iter()
+            .find(|k| k.as_str() == name)
+            .map(Some)
+            .ok_or_else(|| format!("unknown msg kind {name:?}"))
     }
 }
 

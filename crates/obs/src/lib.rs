@@ -16,7 +16,8 @@
 //!   `CMVC` checkpoints, with its scoped [`FrameError`].
 //! - [`Event`] — the typed trace vocabulary (messages, jobs, diffusion
 //!   lifecycle, replacement cycles, heartbeat misses, wall-clock phase
-//!   spans).
+//!   spans), with each kind's fields listed once for both encodings and
+//!   the query language (see [`event`]).
 //! - [`Sink`] — where events go: [`NullSink`] (default, free),
 //!   [`RingSink`] (bounded in-memory tail, used by tests), [`JsonlSink`]
 //!   (streaming JSON-lines file, used by `--trace-jsonl`), [`BinSink`]
@@ -73,6 +74,11 @@
 //! | `process_crashed` | `t, proc` | process `proc` crashed (fault injection); silent afterwards |
 //! | `phase_span` | `name, start_ns, end_ns` | named wall-clock phase (e.g. `"alg1.coarsen"`) |
 //! | `round_profile` | `round, worker, workers, busy_ns, barrier_wait_ns, merge_ns, sink_ns, events, steals` | flight-recorder sample: one worker's wall-clock split for one lockstep round (`steals` is always 0, kept for the CMVB layout) |
+//!
+//! Each row lists the keys in the order the one field list of the
+//! [`event`] module writes them, for JSONL and for the binary form alike;
+//! the root crate's `event_schema` test checks this table against lines
+//! it pins byte for byte, so a key missing here fails there.
 //!
 //! The optional `kind` field, when the network has a message classifier,
 //! tags transport events with their protocol role: `"query"`, `"reply"`,

@@ -39,9 +39,14 @@
 //!
 //! *Numeric* (all comparators): `t`/`time`, `proc` (matches **any**
 //! process mentioned by the event — sender, recipient, vehicle, initiator,
-//! watcher, peer), `from`, `to`, `seq`, `vehicle`, `initiator`, `watcher`,
-//! `peer`, `delay`, `cost`, `dist`, `generation`, `round`, `worker`,
-//! `workers`, `vehicles`, `capacity`, `steals`.
+//! watcher, peer, crashed process), `from`, `to`, `seq`, `vehicle`,
+//! `initiator`, `watcher`, `peer`, `delay`, `cost`, `dist`, `generation`,
+//! `round`, `worker`, `workers`, `vehicles`, `capacity`, `steals`.
+//!
+//! `kind`, `msg`, `time` and `proc` are the language's own names. Every
+//! other field is the JSONL key of the same name, and a comparison finds
+//! its values by walking the event's fields, the same walk both trace
+//! encoders write from ([`crate::event`]).
 //!
 //! A comparison never matches an event that lacks the field (`delay>2`
 //! ignores everything but deliveries); use `not` to invert that, e.g.
@@ -51,7 +56,7 @@
 //! 1-based column of the offending token and a message naming what was
 //! expected there.
 
-use crate::event::{Event, MsgKind};
+use crate::event::{DropReason, Event, FieldWriter, MsgKind, KINDS};
 use std::fmt;
 
 /// A parse failure, anchored to where in the input it happened.
@@ -566,169 +571,75 @@ pub fn parse_query(input: &str) -> Result<Expr, QueryError> {
     Ok(expr)
 }
 
-/// Pushes every numeric value the event carries for `field`.
-fn numeric_values(ev: &Event, field: &str, out: &mut Vec<u64>) {
-    match field {
-        "t" | "time" => {
-            if let Some(t) = ev.time() {
-                out.push(t);
-            } else if let Event::HeartbeatMissed { t, .. } = ev {
-                // Watcher-local rounds still answer `t` queries; the global
-                // clock monitor exempts them, the filter need not.
-                out.push(*t);
-            }
+/// One comparison looked up by walking an event: `hit` turns true when a
+/// field the comparison names holds a value that satisfies it.
+struct Find<'q> {
+    /// The schema key the comparison names.
+    key: &'q str,
+    op: CmpOp,
+    value: &'q Value,
+    hit: bool,
+}
+
+impl Find<'_> {
+    fn num(&mut self, v: u64) {
+        if let Value::Num(want) = self.value {
+            self.hit |= self.op.holds(v, *want);
         }
-        "proc" => match ev {
-            Event::MsgSent { from, to, .. }
-            | Event::MsgDelivered { from, to, .. }
-            | Event::MsgDropped { from, to, .. } => {
-                out.push(*from as u64);
-                out.push(*to as u64);
-            }
-            Event::JobServed { vehicle, .. } | Event::ReplacementCycle { vehicle, .. } => {
-                out.push(*vehicle as u64);
-            }
-            Event::DiffusionStarted { initiator, .. }
-            | Event::DiffusionCompleted { initiator, .. } => out.push(*initiator as u64),
-            Event::HeartbeatMissed { watcher, peer, .. } => {
-                out.push(*watcher as u64);
-                out.push(*peer as u64);
-            }
-            Event::ProcessCrashed { proc, .. } => out.push(*proc as u64),
-            _ => {}
-        },
-        "from" => match ev {
-            Event::MsgSent { from, .. }
-            | Event::MsgDelivered { from, .. }
-            | Event::MsgDropped { from, .. } => out.push(*from as u64),
-            _ => {}
-        },
-        "to" => match ev {
-            Event::MsgSent { to, .. }
-            | Event::MsgDelivered { to, .. }
-            | Event::MsgDropped { to, .. } => out.push(*to as u64),
-            _ => {}
-        },
-        "seq" => match ev {
-            Event::JobArrived { seq, .. } | Event::JobServed { seq, .. } => out.push(*seq),
-            _ => {}
-        },
-        "vehicle" => match ev {
-            Event::JobServed { vehicle, .. } | Event::ReplacementCycle { vehicle, .. } => {
-                out.push(*vehicle as u64)
-            }
-            _ => {}
-        },
-        "initiator" => match ev {
-            Event::DiffusionStarted { initiator, .. }
-            | Event::DiffusionCompleted { initiator, .. } => out.push(*initiator as u64),
-            _ => {}
-        },
-        "watcher" => {
-            if let Event::HeartbeatMissed { watcher, .. } = ev {
-                out.push(*watcher as u64);
-            }
+    }
+
+    /// A name field: `is` says whether the wanted word names its value.
+    fn word(&mut self, key: &str, is: impl Fn(&str) -> bool) {
+        if let (true, Value::Word(want)) = (key == self.key, self.value) {
+            // Ordering on name fields is rejected at parse time.
+            self.hit |= match self.op {
+                CmpOp::Eq => is(want),
+                CmpOp::Ne => !is(want),
+                _ => false,
+            };
         }
-        "peer" => {
-            if let Event::HeartbeatMissed { peer, .. } = ev {
-                out.push(*peer as u64);
-            }
-        }
-        "delay" => {
-            if let Event::MsgDelivered { delay, .. } = ev {
-                out.push(*delay);
-            }
-        }
-        "cost" => {
-            if let Event::JobServed { cost, .. } = ev {
-                out.push(*cost);
-            }
-        }
-        "dist" => {
-            if let Event::ReplacementCycle { dist, .. } = ev {
-                out.push(*dist);
-            }
-        }
-        "generation" => match ev {
-            Event::DiffusionStarted { generation, .. }
-            | Event::DiffusionCompleted { generation, .. } => out.push(*generation),
-            _ => {}
-        },
-        "round" => {
-            if let Event::RoundProfile { round, .. } = ev {
-                out.push(*round);
-            }
-        }
-        "worker" => {
-            if let Event::RoundProfile { worker, .. } = ev {
-                out.push(*worker);
-            }
-        }
-        "workers" => {
-            if let Event::RoundProfile { workers, .. } = ev {
-                out.push(*workers);
-            }
-        }
-        "vehicles" => {
-            if let Event::FleetProvisioned { vehicles, .. } = ev {
-                out.push(*vehicles);
-            }
-        }
-        "capacity" => {
-            if let Event::FleetProvisioned { capacity, .. } = ev {
-                out.push(*capacity);
-            }
-        }
-        "steals" => {
-            if let Event::RoundProfile { steals, .. } = ev {
-                out.push(*steals);
-            }
-        }
-        _ => {}
     }
 }
 
-/// The event's value for a name field, when it carries one.
-fn name_value(ev: &Event, field: &str) -> Option<String> {
-    match field {
-        "kind" => Some(ev.kind().to_string()),
-        "msg" => {
-            let kind: &Option<MsgKind> = match ev {
-                Event::MsgSent { kind, .. }
-                | Event::MsgDelivered { kind, .. }
-                | Event::MsgDropped { kind, .. } => kind,
-                _ => &None,
-            };
-            kind.map(|k| k.as_str().to_string())
+impl FieldWriter for Find<'_> {
+    /// The schema tag, or its last-underscore suffix: `delivered` ≡
+    /// `msg_delivered`.
+    fn kind(&mut self, index: usize) {
+        let tag = KINDS[index];
+        self.word("ev", |want| {
+            want == tag || tag.rsplit('_').next() == Some(want)
+        });
+    }
+
+    fn u64(&mut self, key: &'static str, v: u64) {
+        if key == self.key {
+            self.num(v);
         }
-        "reason" => {
-            if let Event::MsgDropped { reason, .. } = ev {
-                Some(
-                    match reason {
-                        crate::event::DropReason::Lost => "lost",
-                        crate::event::DropReason::RecipientCrashed => "crashed",
-                    }
-                    .to_string(),
-                )
-            } else {
-                None
-            }
+    }
+
+    /// `proc` matches every process id the event mentions.
+    fn id(&mut self, key: &'static str, v: usize) {
+        if key == self.key || self.key == "proc" {
+            self.num(v as u64);
         }
-        "name" => {
-            if let Event::PhaseSpan { name, .. } = ev {
-                Some(name.clone())
-            } else {
-                None
-            }
+    }
+
+    fn bool(&mut self, key: &'static str, v: bool) {
+        self.word(key, |want| want == if v { "true" } else { "false" });
+    }
+
+    fn str(&mut self, key: &'static str, v: &str) {
+        self.word(key, |want| want == v);
+    }
+
+    fn reason(&mut self, key: &'static str, v: DropReason) {
+        self.word(key, |want| want == v.as_str());
+    }
+
+    fn msg_kind(&mut self, key: &'static str, v: Option<MsgKind>) {
+        if let Some(k) = v {
+            self.word(key, |want| want == k.as_str());
         }
-        "found" => {
-            if let Event::DiffusionCompleted { found, .. } = ev {
-                Some(if *found { "true" } else { "false" }.to_string())
-            } else {
-                None
-            }
-        }
-        _ => None,
     }
 }
 
@@ -740,31 +651,24 @@ impl Expr {
             Expr::And(a, b) => a.matches(ev) && b.matches(ev),
             Expr::Or(a, b) => a.matches(ev) || b.matches(ev),
             Expr::Not(inner) => !inner.matches(ev),
-            Expr::Cmp { field, op, value } => match value {
-                Value::Word(want) => {
-                    let Some(have) = name_value(ev, field) else {
-                        return false;
-                    };
-                    let eq = if field == "kind" {
-                        // Accept the full tag or its last-underscore suffix:
-                        // `delivered` ≡ `msg_delivered`.
-                        have == *want || have.rsplit('_').next() == Some(want.as_str())
-                    } else {
-                        have == *want
-                    };
-                    match op {
-                        CmpOp::Eq => eq,
-                        CmpOp::Ne => !eq,
-                        // Ordering on name fields is rejected at parse time.
-                        _ => false,
-                    }
-                }
-                Value::Num(want) => {
-                    let mut values = Vec::with_capacity(2);
-                    numeric_values(ev, field, &mut values);
-                    values.iter().any(|&have| op.holds(have, *want))
-                }
-            },
+            Expr::Cmp { field, op, value } => {
+                // The query language's own names; every other field is
+                // the schema key it is spelled as.
+                let key = match field.as_str() {
+                    "kind" => "ev",
+                    "time" => "t",
+                    "msg" => "kind",
+                    other => other,
+                };
+                let mut find = Find {
+                    key,
+                    op: *op,
+                    value,
+                    hit: false,
+                };
+                ev.walk(&mut find);
+                find.hit
+            }
         }
     }
 }
