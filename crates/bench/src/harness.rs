@@ -346,7 +346,9 @@ impl Harness {
 
     /// Writes [`Harness::snapshot_json`] to `path`. A no-op in
     /// `--quick`/`--test` mode so `cargo test --benches` glue runs never
-    /// overwrite a committed snapshot with empty results.
+    /// overwrite a committed snapshot with empty results, and under a name
+    /// filter (said on stderr) so a partial run never replaces the
+    /// snapshot's other rows.
     ///
     /// # Errors
     ///
@@ -357,6 +359,14 @@ impl Harness {
         notes: &[(&str, String)],
     ) -> std::io::Result<()> {
         if self.quick {
+            return Ok(());
+        }
+        if let Some(filter) = &self.filter {
+            eprintln!(
+                "{}: filter {filter:?} ran only some benches; not writing {}",
+                self.group,
+                path.as_ref().display()
+            );
             return Ok(());
         }
         std::fs::write(path, self.snapshot_json(notes))
@@ -486,6 +496,19 @@ mod tests {
     fn quick_mode_skips_snapshot_write() {
         let h = Harness::with_args("g", &["--test".into()]);
         let path = std::env::temp_dir().join("cmvrp_bench_snapshot_should_not_exist.json");
+        let _ = std::fs::remove_file(&path);
+        h.write_snapshot(&path, &[]).unwrap();
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn filtered_run_skips_snapshot_write() {
+        let mut h = Harness::with_args("g", &["keep".into()]);
+        h.set_samples(2);
+        h.bench("keep/1", || {
+            std::hint::black_box(1u64);
+        });
+        let path = std::env::temp_dir().join("cmvrp_bench_filtered_snapshot_should_not_exist.json");
         let _ = std::fs::remove_file(&path);
         h.write_snapshot(&path, &[]).unwrap();
         assert!(!path.exists());

@@ -9,17 +9,21 @@
 //!
 //! The run frame carries the whole-run header (input fingerprint, round /
 //! epoch / trace cursors, the execution-shape stamp, and the shard
-//! count); each shard frame carries one [`ShardCheckpoint`] with its
-//! vehicles inline, then — only when some vehicle has any — the §3.2.5
-//! ring section: one record per vehicle with ring state (global id, watch
-//! target, report-to, tick counter, heartbeat misses). Unmonitored runs
-//! therefore write the same layout as before the ring existed, and a file
-//! without the section reads back with every ring empty. The frame layer
-//! — varints, zigzag, arrays, the header check, frame iteration and the
-//! scoped [`FrameError`] — is [`cmvrp_obs::frame`], shared with the `CMVB`
-//! trace format. This module adds only the field lists: optional values
-//! are a tag byte (0 = absent, 1 = present), enums one byte each, and the
-//! one `u128` field (`delay_sum`) is split into low/high `u64` halves.
+//! count); each shard frame carries one [`ShardCheckpoint`]: its
+//! network's [`TransportSnapshot`], its ledger, cubes and pairings, and
+//! its [`VehicleSnapshot`]s inline, then — only when some vehicle has any
+//! — the §3.2.5 ring section: one record per vehicle with ring state
+//! (global id, watch target, report-to, tick counter, heartbeat misses).
+//! Unmonitored runs therefore write the same layout as before the ring
+//! existed, and a file without the section reads back with every ring
+//! empty. The frame layer — varints, zigzag, arrays, the header check,
+//! frame iteration and the scoped [`FrameError`] — is
+//! [`cmvrp_obs::frame`], shared with the `CMVB` trace format. This module
+//! adds only the field lists: optional values are a tag byte (0 = absent,
+//! 1 = present), enums one byte each, and the delay histogram is its
+//! bucket counts, observation count, sum (a `u128` split into low/high
+//! `u64` halves) and maximum; the decoder rebuilds it over the
+//! transport's [`DEFAULT_BUCKETS`] and refuses any other bucket count.
 //! Extra frames after the last shard are ignored, like trailing bytes
 //! inside the run frame.
 //!
@@ -28,9 +32,11 @@
 //! leaves the previous snapshot intact, which is what makes
 //! checkpoint-cadence fault recovery sound.
 
-use cmvrp_engine::{EngineCheckpoint, ShardCheckpoint, VehicleCheckpoint};
+use cmvrp_engine::{EngineCheckpoint, ShardCheckpoint};
+use cmvrp_net::TransportSnapshot;
 use cmvrp_obs::frame::{self, put_frame, put_i64s, put_u64, put_u64s, Cursor, FrameError};
-use cmvrp_online::WorkState;
+use cmvrp_obs::{Histogram, DEFAULT_BUCKETS};
+use cmvrp_online::{VehicleSnapshot, WorkState};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -111,8 +117,8 @@ fn work(c: &mut Cursor<'_>) -> Result<WorkState, FrameError> {
 
 // ---- encode ----
 
-fn encode_vehicle(buf: &mut Vec<u8>, v: &VehicleCheckpoint) {
-    put_u64(buf, v.global_id);
+fn encode_vehicle(buf: &mut Vec<u8>, v: &VehicleSnapshot) {
+    put_u64(buf, v.id);
     put_i64s(buf, &v.pos);
     buf.push(work_byte(v.work));
     put_u64(buf, v.energy_used);
@@ -134,12 +140,12 @@ fn encode_vehicle(buf: &mut Vec<u8>, v: &VehicleCheckpoint) {
 }
 
 /// Whether a vehicle carries §3.2.5 ring state worth a ring record.
-fn has_ring(v: &VehicleCheckpoint) -> bool {
+fn has_ring(v: &VehicleSnapshot) -> bool {
     v.watch.is_some() || v.report_to.is_some() || v.ticks > 0 || v.heartbeat_misses > 0
 }
 
-fn encode_ring(buf: &mut Vec<u8>, v: &VehicleCheckpoint) {
-    put_u64(buf, v.global_id);
+fn encode_ring(buf: &mut Vec<u8>, v: &VehicleSnapshot) {
+    put_u64(buf, v.id);
     match &v.watch {
         None => buf.push(0),
         Some((peer, pos, seen)) => {
@@ -160,20 +166,25 @@ fn encode_ring(buf: &mut Vec<u8>, v: &VehicleCheckpoint) {
     put_u64(buf, v.heartbeat_misses);
 }
 
+fn encode_transport(buf: &mut Vec<u8>, t: &TransportSnapshot) {
+    put_u64(buf, t.now);
+    put_u64(buf, t.seq);
+    put_u64(buf, t.rng_state);
+    put_u64(buf, t.total_sent);
+    put_u64(buf, t.total_delivered);
+    put_u64(buf, t.total_lost);
+    put_u64(buf, t.total_to_crashed);
+    put_u64(buf, t.queue_depth_max);
+    let delay = &t.delay_hist;
+    put_u64s(buf, delay.raw_counts());
+    put_u64(buf, delay.count());
+    put_u64(buf, delay.sum() as u64);
+    put_u64(buf, (delay.sum() >> 64) as u64);
+    put_u64(buf, delay.max());
+}
+
 fn encode_shard(buf: &mut Vec<u8>, s: &ShardCheckpoint) {
-    put_u64(buf, s.now);
-    put_u64(buf, s.seq);
-    put_u64(buf, s.rng_state);
-    put_u64(buf, s.total_sent);
-    put_u64(buf, s.total_delivered);
-    put_u64(buf, s.total_lost);
-    put_u64(buf, s.total_to_crashed);
-    put_u64(buf, s.queue_depth_max);
-    put_u64s(buf, &s.delay_counts);
-    put_u64(buf, s.delay_count);
-    put_u64(buf, s.delay_sum as u64);
-    put_u64(buf, (s.delay_sum >> 64) as u64);
-    put_u64(buf, s.delay_max);
+    encode_transport(buf, &s.transport);
     put_u64(buf, s.released);
     put_u64(buf, s.served);
     put_u64(buf, s.unserved);
@@ -193,7 +204,7 @@ fn encode_shard(buf: &mut Vec<u8>, s: &ShardCheckpoint) {
     for v in &s.vehicles {
         encode_vehicle(buf, v);
     }
-    let ring: Vec<&VehicleCheckpoint> = s.vehicles.iter().filter(|v| has_ring(v)).collect();
+    let ring: Vec<&VehicleSnapshot> = s.vehicles.iter().filter(|v| has_ring(v)).collect();
     if !ring.is_empty() {
         put_u64(buf, ring.len() as u64);
         for v in ring {
@@ -225,9 +236,9 @@ pub fn encode_checkpoint(ckpt: &EngineCheckpoint) -> Vec<u8> {
 
 // ---- decode ----
 
-fn decode_vehicle(c: &mut Cursor<'_>) -> Result<VehicleCheckpoint, FrameError> {
-    Ok(VehicleCheckpoint {
-        global_id: c.u64()?,
+fn decode_vehicle(c: &mut Cursor<'_>) -> Result<VehicleSnapshot, FrameError> {
+    Ok(VehicleSnapshot {
+        id: c.u64()?,
         pos: c.i64s()?,
         work: work(c)?,
         energy_used: c.u64()?,
@@ -251,7 +262,7 @@ fn decode_vehicle(c: &mut Cursor<'_>) -> Result<VehicleCheckpoint, FrameError> {
 
 /// Reads one ring record into its vehicle, found by global id among the
 /// shard's vehicles (sorted by global id, as the engine writes them).
-fn decode_ring(c: &mut Cursor<'_>, vehicles: &mut [VehicleCheckpoint]) -> Result<(), FrameError> {
+fn decode_ring(c: &mut Cursor<'_>, vehicles: &mut [VehicleSnapshot]) -> Result<(), FrameError> {
     let id = c.u64()?;
     let watch = match c.u8()? {
         0 => None,
@@ -265,7 +276,7 @@ fn decode_ring(c: &mut Cursor<'_>, vehicles: &mut [VehicleCheckpoint]) -> Result
     };
     let (ticks, heartbeat_misses) = (c.u64()?, c.u64()?);
     let at = vehicles
-        .binary_search_by_key(&id, |v| v.global_id)
+        .binary_search_by_key(&id, |v| v.id)
         .map_err(|_| c.err(format!("ring record for unknown vehicle {id}")))?;
     let v = &mut vehicles[at];
     v.watch = watch;
@@ -275,10 +286,10 @@ fn decode_ring(c: &mut Cursor<'_>, vehicles: &mut [VehicleCheckpoint]) -> Result
     Ok(())
 }
 
-/// Reads one shard frame; fields are read in struct order, then the ring
-/// section when the frame has one.
-fn decode_shard(c: &mut Cursor<'_>) -> Result<ShardCheckpoint, FrameError> {
-    let mut shard = ShardCheckpoint {
+/// Reads a transport record, rebuilding its delay histogram over the
+/// transport's buckets.
+fn decode_transport(c: &mut Cursor<'_>) -> Result<TransportSnapshot, FrameError> {
+    let mut t = TransportSnapshot {
         now: c.u64()?,
         seq: c.u64()?,
         rng_state: c.u64()?,
@@ -287,10 +298,23 @@ fn decode_shard(c: &mut Cursor<'_>) -> Result<ShardCheckpoint, FrameError> {
         total_lost: c.u64()?,
         total_to_crashed: c.u64()?,
         queue_depth_max: c.u64()?,
-        delay_counts: c.u64s()?,
-        delay_count: c.u64()?,
-        delay_sum: u128::from(c.u64()?) | (u128::from(c.u64()?) << 64),
-        delay_max: c.u64()?,
+        delay_hist: Histogram::with_bounds(&DEFAULT_BUCKETS),
+    };
+    let counts = c.u64s()?;
+    let count = c.u64()?;
+    let sum = u128::from(c.u64()?) | (u128::from(c.u64()?) << 64);
+    let max = c.u64()?;
+    t.delay_hist
+        .restore_state(&counts, count, sum, max)
+        .map_err(|e| c.err(format!("delay histogram: {e}")))?;
+    Ok(t)
+}
+
+/// Reads one shard frame; fields are read in struct order, then the ring
+/// section when the frame has one.
+fn decode_shard(c: &mut Cursor<'_>) -> Result<ShardCheckpoint, FrameError> {
+    let mut shard = ShardCheckpoint {
+        transport: decode_transport(c)?,
         released: c.u64()?,
         served: c.u64()?,
         unserved: c.u64()?,
@@ -411,7 +435,7 @@ pub fn inspect(ckpt: &EngineCheckpoint) -> String {
             out,
             "  {:>2}  {:>5}  {:>5}  {:>8}  {:>8}  {:>6}",
             i,
-            s.now,
+            s.transport.now,
             s.cubes.len(),
             s.vehicles.len(),
             s.released,
@@ -426,6 +450,12 @@ mod tests {
     use super::*;
 
     fn sample() -> EngineCheckpoint {
+        let mut delay_hist = Histogram::with_bounds(&DEFAULT_BUCKETS);
+        let mut counts = vec![0; DEFAULT_BUCKETS.len() + 1];
+        counts[..4].copy_from_slice(&[3, 0, 5, 90]);
+        delay_hist
+            .restore_state(&counts, 98, u128::from(u64::MAX) + 7, 6)
+            .unwrap();
         EngineCheckpoint {
             fingerprint: 0xdead_beef_cafe_f00d,
             rounds_completed: 7,
@@ -435,18 +465,17 @@ mod tests {
             checked: true,
             shards: vec![
                 ShardCheckpoint {
-                    now: 40,
-                    seq: 311,
-                    rng_state: u64::MAX - 1,
-                    total_sent: 100,
-                    total_delivered: 98,
-                    total_lost: 1,
-                    total_to_crashed: 1,
-                    queue_depth_max: 9,
-                    delay_counts: vec![3, 0, 5, 90],
-                    delay_count: 98,
-                    delay_sum: (u128::from(u64::MAX)) + 7,
-                    delay_max: 6,
+                    transport: TransportSnapshot {
+                        now: 40,
+                        seq: 311,
+                        rng_state: u64::MAX - 1,
+                        total_sent: 100,
+                        total_delivered: 98,
+                        total_lost: 1,
+                        total_to_crashed: 1,
+                        queue_depth_max: 9,
+                        delay_hist,
+                    },
                     released: 12,
                     served: 11,
                     unserved: 0,
@@ -454,8 +483,8 @@ mod tests {
                     failed_replacements: 1,
                     cubes: vec![vec![-3, 0], vec![0, 6]],
                     pair_active: vec![(vec![-3, 0], 1, 17)],
-                    vehicles: vec![VehicleCheckpoint {
-                        global_id: 17,
+                    vehicles: vec![VehicleSnapshot {
+                        id: 17,
                         pos: vec![-2, 1],
                         work: WorkState::Active,
                         energy_used: 5,
@@ -477,18 +506,17 @@ mod tests {
                     }],
                 },
                 ShardCheckpoint {
-                    now: 38,
-                    seq: 0,
-                    rng_state: 1,
-                    total_sent: 0,
-                    total_delivered: 0,
-                    total_lost: 0,
-                    total_to_crashed: 0,
-                    queue_depth_max: 0,
-                    delay_counts: vec![],
-                    delay_count: 0,
-                    delay_sum: 0,
-                    delay_max: 0,
+                    transport: TransportSnapshot {
+                        now: 38,
+                        seq: 0,
+                        rng_state: 1,
+                        total_sent: 0,
+                        total_delivered: 0,
+                        total_lost: 0,
+                        total_to_crashed: 0,
+                        queue_depth_max: 0,
+                        delay_hist: Histogram::with_bounds(&DEFAULT_BUCKETS),
+                    },
                     released: 0,
                     served: 0,
                     unserved: 0,
@@ -573,7 +601,7 @@ mod tests {
         let mut frame = Vec::new();
         put_frame(&mut frame, &payload);
         let mut stranger = sample().shards[0].vehicles[0].clone();
-        stranger.global_id = 99;
+        stranger.id = 99;
         put_u64(&mut payload, 1);
         encode_ring(&mut payload, &stranger);
         let mut bad = bytes[..bytes.len() - frame.len()].to_vec();

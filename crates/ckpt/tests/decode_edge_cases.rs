@@ -7,7 +7,8 @@ use cmvrp_ckpt::{
     CKPT_VERSION,
 };
 use cmvrp_engine::{CheckpointPolicy, EngineCheckpoint, ExecConfig, ShardCheckpoint};
-use cmvrp_obs::JsonlSink;
+use cmvrp_net::TransportSnapshot;
+use cmvrp_obs::{Histogram, JsonlSink, DEFAULT_BUCKETS};
 use cmvrp_online::OnlineConfig;
 use cmvrp_scenario::Scenario;
 
@@ -32,19 +33,22 @@ fn sample_bytes() -> Vec<u8> {
 
 /// A checkpoint with `n` small shards (every frame length fits one byte).
 fn sharded_bytes(n: u64) -> Vec<u8> {
+    let mut delay_hist = Histogram::with_bounds(&DEFAULT_BUCKETS);
+    let mut counts = vec![0; DEFAULT_BUCKETS.len() + 1];
+    counts[..2].copy_from_slice(&[1, 2]);
+    delay_hist.restore_state(&counts, 3, 4, 2).unwrap();
     let shard = |now| ShardCheckpoint {
-        now,
-        seq: 1,
-        rng_state: 7,
-        total_sent: 0,
-        total_delivered: 0,
-        total_lost: 0,
-        total_to_crashed: 0,
-        queue_depth_max: 0,
-        delay_counts: vec![1, 2],
-        delay_count: 3,
-        delay_sum: 4,
-        delay_max: 2,
+        transport: TransportSnapshot {
+            now,
+            seq: 1,
+            rng_state: 7,
+            total_sent: 0,
+            total_delivered: 0,
+            total_lost: 0,
+            total_to_crashed: 0,
+            queue_depth_max: 0,
+            delay_hist: delay_hist.clone(),
+        },
         released: 5,
         served: 5,
         unserved: 0,

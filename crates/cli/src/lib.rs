@@ -2970,6 +2970,68 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_a_checkpoint_that_does_not_fit_the_run() {
+        // The round-4 golden with shard 1 edited six ways that keep the
+        // fingerprint: each is refused naming the shard (or, for the delay
+        // histogram, the frame) and the record — an error, exit 2 from
+        // `main` — never a panic.
+        let golden = include_bytes!("../../../tests/data/golden_clusters_round4.cmvc");
+        let ckpt = cmvrp_ckpt::decode_checkpoint(golden).unwrap();
+        let id = ckpt.shards[1].vehicles[0].id;
+        let mut bounds = cmvrp_obs::DEFAULT_BUCKETS.to_vec();
+        bounds.push(8192);
+        let edit = |f: &dyn Fn(&mut cmvrp_engine::ShardCheckpoint)| {
+            let mut edited = ckpt.clone();
+            f(&mut edited.shards[1]);
+            edited
+        };
+        let cases = [
+            (
+                edit(&|s| s.vehicles[0].neighbors.push(1_000_000)),
+                format!("shard 1: vehicle {id}: neighbor 1000000 is not a vehicle"),
+            ),
+            (
+                edit(&|s| s.vehicles[0].pos.push(0)),
+                format!("shard 1: vehicle {id}: position has 3 coordinates, not 2"),
+            ),
+            (
+                edit(&|s| s.vehicles[0].pos = vec![100, 100]),
+                format!("shard 1: vehicle {id}: position (100,100) lies outside"),
+            ),
+            (
+                edit(&|s| s.cubes[0].push(0)),
+                "has 3 coordinates, not 2".to_string(),
+            ),
+            (
+                edit(&|s| s.pair_active[0].2 = 1_000_000),
+                "vehicle 1000000 is not a vehicle of this shard".to_string(),
+            ),
+            (
+                edit(&|s| s.transport.delay_hist = cmvrp_obs::Histogram::with_bounds(&bounds)),
+                "frame 3 at byte".to_string(),
+            ),
+        ];
+        let dir = ckpt_dir("misfit");
+        for (i, (edited, want)) in cases.iter().enumerate() {
+            let path = dir.join(format!("edit{i}.cmvc"));
+            std::fs::write(&path, cmvrp_ckpt::encode_checkpoint(edited)).unwrap();
+            let err = run(&[
+                "simulate".into(),
+                "clusters:grid=12,k=3,jobs=180,seed=9".into(),
+                format!("--resume-from={}", path.display()),
+            ])
+            .unwrap_err();
+            assert!(err.0.contains(want), "edit {i}: {err}");
+            if i < 5 {
+                assert!(err.0.contains("checkpoint does not fit this run"), "{err}");
+            } else {
+                assert!(err.0.contains("delay histogram: 15 bucket counts"), "{err}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn stitched_head_and_tail_traces_equal_the_uninterrupted_run() {
         let dir = ckpt_dir("stitch");
         let (full, head, tail, ckpt) = (

@@ -1,33 +1,38 @@
-//! Engine-level checkpoint state: a plain-data snapshot of a run taken at
-//! a quiescent round barrier.
+//! Engine-level checkpoint state: a snapshot of a run taken at a quiescent
+//! round barrier.
 //!
-//! A checkpoint captures everything the engine needs to continue
-//! a run as if it had never stopped: per-shard transport state (clock,
-//! sequence counter, delay-RNG state, delivery counters, delay
-//! histogram), the materialized cubes and pairing activations, every
-//! vehicle's durable state, the job ledger, and the round/epoch counters
-//! plus the canonical-trace cursor. With monitoring on, each vehicle also
-//! carries its §3.2.5 ring state (watch target, report-to, heartbeat
-//! clock), so a monitored run resumes byte-identically. Checkpoints are
-//! only taken at round barriers, where every shard is quiescent (no
-//! messages in flight, every diffusing computation terminated), so none
-//! of the transient simulator state — in-flight envelopes, per-channel
-//! FIFO clamps, diffusion bookkeeping — needs to be recorded; see the
-//! field docs for the arguments.
+//! A checkpoint captures everything the engine needs to continue a run as
+//! if it had never stopped: the round/epoch counters and the
+//! canonical-trace cursor, then per shard its job ledger, materialized
+//! cubes and pairing activations, plus two records the engine does not
+//! declare itself — each network's [`TransportSnapshot`] (clock, sequence
+//! counter, delay-RNG state, delivery counters, delay histogram) and each
+//! vehicle's [`VehicleSnapshot`] (its `(S1, S2)` state, counters and, with
+//! monitoring on, its §3.2.5 ring state, so a monitored run resumes
+//! byte-identically). Those two are the records the `CMVC` codec in
+//! `cmvrp-ckpt` writes, field for field. Checkpoints are only taken at
+//! round barriers, where every shard is quiescent (no messages in flight,
+//! every diffusing computation terminated), so none of the transient
+//! simulator state — in-flight envelopes, per-channel FIFO clamps,
+//! diffusion bookkeeping — needs to be recorded; see the field docs for
+//! the arguments.
 //!
-//! Everything here is engine-agnostic plain data (positions as `Vec<i64>`
-//! rather than `Point<D>`, process ids as *global* vertex indices rather
-//! than shard-local ids) so a serializer can encode a checkpoint without
-//! knowing the grid dimension, and so the bytes are the same for every
-//! worker count.
+//! Coordinates are vectors rather than `Point<D>`, and every process is
+//! named by its *global* vertex index rather than a shard-local id, so a
+//! serializer can encode a checkpoint without knowing the grid dimension,
+//! and the bytes are the same for every worker count. Resume maps them
+//! back and refuses, with [`crate::EngineError::CheckpointMismatch`], a
+//! record that does not fit the run.
 //!
 //! The resume-equivalence invariant: running to round `k`, checkpointing,
 //! and resuming yields a trace tail byte-identical to the uninterrupted
 //! run's — concatenating the two files equals the one file, for every
 //! worker count.
 
+use crate::online::COMM_RADIUS;
 use cmvrp_grid::GridBounds;
-use cmvrp_online::{OnlineConfig, WorkState};
+use cmvrp_net::TransportSnapshot;
+use cmvrp_online::{OnlineConfig, VehicleSnapshot};
 use cmvrp_workloads::JobSequence;
 
 /// A whole-run checkpoint: identity fingerprint, round/epoch/trace
@@ -78,31 +83,8 @@ impl EngineCheckpoint {
 /// past delivery time — so neither is recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardCheckpoint {
-    /// Shard-local simulation clock.
-    pub now: u64,
-    /// Transport tie-break sequence counter.
-    pub seq: u64,
-    /// Delay-RNG state (mid-stream, *not* the original seed).
-    pub rng_state: u64,
-    /// Messages accepted for delivery.
-    pub total_sent: u64,
-    /// Messages delivered.
-    pub total_delivered: u64,
-    /// Messages lost.
-    pub total_lost: u64,
-    /// Messages addressed to crashed processes.
-    pub total_to_crashed: u64,
-    /// High-water mark of the in-flight queue.
-    pub queue_depth_max: u64,
-    /// Delay-histogram bucket counts (over the transport's standard
-    /// bounds).
-    pub delay_counts: Vec<u64>,
-    /// Delay-histogram observation count.
-    pub delay_count: u64,
-    /// Delay-histogram observation sum.
-    pub delay_sum: u128,
-    /// Largest delay observed.
-    pub delay_max: u64,
+    /// The shard network's transport state.
+    pub transport: TransportSnapshot,
     /// Jobs this shard has released (its ledger cursor: entry `released`
     /// of its job list is the next to go).
     pub released: u64,
@@ -122,59 +104,13 @@ pub struct ShardCheckpoint {
     /// sorted.
     pub pair_active: Vec<(Vec<i64>, u64, u64)>,
     /// Every materialized vehicle, sorted by global id.
-    pub vehicles: Vec<VehicleCheckpoint>,
-}
-
-/// One vehicle's durable state, with every process reference rewritten to
-/// the *global* vehicle id (the lexicographic vertex index used by
-/// traces) so the record is independent of shard-local numbering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VehicleCheckpoint {
-    /// Global vehicle id (`bounds.index_of(home)`).
-    pub global_id: u64,
-    /// Current position.
-    pub pos: Vec<i64>,
-    /// Working state `S1`.
-    pub work: WorkState,
-    /// Energy drawn so far.
-    pub energy_used: u64,
-    /// Grid steps walked.
-    pub moves: u64,
-    /// Jobs served.
-    pub serves: u64,
-    /// The computation that claimed this idle vehicle, if any:
-    /// `(global initiator id, generation)`.
-    pub claimed_by: Option<(u64, u64)>,
-    /// Pending Phase I destination (normally `None` at quiescence).
-    pub summon_dest: Option<Vec<i64>>,
-    /// Undrained failed-search flag.
-    pub failed_search: bool,
-    /// Undrained relocation notification.
-    pub arrived: Option<Vec<i64>>,
-    /// Communication neighborhood, as global ids.
-    pub neighbors: Vec<u64>,
-    /// Message-type counters `(queries, replies, moves, heartbeats)`.
-    pub msg_counts: [u64; 4],
-    /// Diffusing computations initiated / completed / found.
-    pub diffusions: (u64, u64, u64),
-    /// Last diffusing computation this vehicle joined:
-    /// `(global initiator id, generation)`.
-    pub engine_init: Option<(u64, u64)>,
-    /// Next generation number for computations this vehicle initiates.
-    pub engine_next_generation: u64,
-    /// §3.2.5 ring: the watched peer `(global id, position, tick round it
-    /// was last heard from)`.
-    pub watch: Option<(u64, Vec<i64>, u64)>,
-    /// §3.2.5 ring: the watcher this vehicle heartbeats to, as a global id.
-    pub report_to: Option<u64>,
-    /// Tick rounds seen (the heartbeat clock).
-    pub ticks: u64,
-    /// Heartbeat timeouts detected as a watcher.
-    pub heartbeat_misses: u64,
+    pub vehicles: Vec<VehicleSnapshot>,
 }
 
 /// Fingerprints the inputs that determine a run: grid bounds, the exact
-/// job sequence, and every [`OnlineConfig`] field that shapes execution.
+/// job sequence, every [`OnlineConfig`] field that shapes execution, and
+/// the communication radius (a constant, hashed so that checkpoints on
+/// disk keep matching).
 /// Two runs with equal fingerprints produce identical traces, so a
 /// checkpoint written by one may seed the other. FNV-1a over the
 /// little-endian encoding — stable across platforms, hermetic, and cheap
@@ -199,7 +135,7 @@ pub fn run_fingerprint<const D: usize>(
         }
     }
     fp.word(config.seed);
-    fp.word(config.comm_radius);
+    fp.word(COMM_RADIUS);
     match config.capacity_override {
         Some(w) => {
             fp.word(1);

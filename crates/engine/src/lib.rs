@@ -92,7 +92,6 @@ pub mod shard;
 
 pub use checkpoint::{
     mix_injection, mix_live_session, run_fingerprint, EngineCheckpoint, ShardCheckpoint,
-    VehicleCheckpoint,
 };
 pub use online::{ShardSink, ShardedOnlineSim};
 pub use rounds::{
@@ -108,7 +107,7 @@ use cmvrp_online::{OnlineConfig, OnlineReport};
 use cmvrp_workloads::JobSequence;
 
 /// Why the engine refused to resume or step a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// A checkpoint was written by a run with different inputs (grid
     /// bounds, job sequence, seed, or capacity override) than the run
@@ -119,6 +118,17 @@ pub enum EngineError {
         expected: u64,
         /// Fingerprint recorded in the checkpoint.
         found: u64,
+    },
+    /// A checkpoint with this run's fingerprint holds a record that does
+    /// not fit the run: a shard the run does not have (or no record for
+    /// one it has), a global vehicle id that is not among the shard's
+    /// vehicles, or a coordinate vector of the wrong length. Only a
+    /// damaged or hand-edited checkpoint gets here.
+    CheckpointMismatch {
+        /// The shard whose record does not fit.
+        shard: usize,
+        /// The record and what is wrong with it.
+        record: String,
     },
     /// [`Session::inject`] was handed a job outside the grid bounds the
     /// session was built over.
@@ -135,6 +145,13 @@ impl std::fmt::Display for EngineError {
                  to {expected:#018x}; resume needs the same grid, job \
                  sequence, seed, and capacity — only --threads may \
                  differ",
+            ),
+            EngineError::CheckpointMismatch { shard, record } => write!(
+                f,
+                "checkpoint does not fit this run: shard {shard}: {record}; \
+                 it has this run's fingerprint, so it was damaged or edited \
+                 after it was written — resume from an intact checkpoint, \
+                 or start the run fresh",
             ),
             EngineError::InjectOutOfBounds => write!(
                 f,
@@ -409,7 +426,8 @@ impl ExecConfig {
     /// # Errors
     ///
     /// [`EngineError::ResumeMismatch`] when `resume` was written by a run
-    /// with different inputs.
+    /// with different inputs, [`EngineError::CheckpointMismatch`] when one
+    /// of its records does not fit this run.
     pub fn resume_build<const D: usize>(
         &self,
         bounds: GridBounds<D>,
@@ -456,7 +474,8 @@ impl ExecConfig {
     /// # Errors
     ///
     /// [`EngineError::ResumeMismatch`] when `resume` was written by a run
-    /// with different inputs.
+    /// with different inputs, [`EngineError::CheckpointMismatch`] when one
+    /// of its records does not fit this run.
     pub fn execute_with_checkpoints<const D: usize>(
         &self,
         bounds: GridBounds<D>,

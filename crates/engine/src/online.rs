@@ -59,7 +59,9 @@
 //! [`cmvrp_obs::MergeChecker`] that certifies the two properties only the
 //! merge can see — the global clock and global job-seq contiguity.
 
-use crate::checkpoint::{run_fingerprint, EngineCheckpoint, ShardCheckpoint, VehicleCheckpoint};
+use crate::checkpoint::{
+    mix_injection, mix_live_session, run_fingerprint, EngineCheckpoint, ShardCheckpoint,
+};
 use crate::rounds::{
     run_lockstep, LockstepStart, RoundControl, RoundInfo, RoundOutcome, RoundStats, ShardWorker,
     WorkerStats,
@@ -67,13 +69,12 @@ use crate::rounds::{
 use crate::shard::ShardMap;
 use crate::{EngineError, ExecConfig};
 use cmvrp_grid::{pairing_in_cube, CubeId, CubePartition, GridBounds, Pairing, Point};
-use cmvrp_net::diffuse::ComputationId;
-use cmvrp_net::{NetConfig, Network, ProcessId, TransportSnapshot};
+use cmvrp_net::{NetConfig, Network, ProcessId};
 use cmvrp_obs::{
     Event, Histogram, MergeChecker, Metrics, NullSink, Sink, StaticSink, TraceChecker, VecSink,
     Violation, DEFAULT_BUCKETS,
 };
-use cmvrp_online::vehicle::{ServeResult, Vehicle, VehicleSnapshot, WorkState};
+use cmvrp_online::vehicle::{ServeResult, Vehicle, WorkState};
 use cmvrp_online::{provision, OnlineConfig, OnlineMsg, OnlineReport, Provisioning};
 use cmvrp_workloads::JobSequence;
 use std::cmp::Reverse;
@@ -122,6 +123,10 @@ fn shard_seed(seed: u64, shard: usize) -> u64 {
     seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// Communication radius: vehicles within this Manhattan distance (and the
+/// same cube) are neighbors. The thesis uses 2 (§3.2 footnote).
+pub(crate) const COMM_RADIUS: u64 = 2;
+
 /// Heartbeat tick rounds a monitored shard runs after each released job.
 const TICKS_PER_JOB: u32 = 1;
 
@@ -137,7 +142,6 @@ struct ShardSim<const D: usize, SS: ShardSink> {
     net: Network<Vehicle<D>, OnlineMsg<D>, SS>,
     bounds: GridBounds<D>,
     part: CubePartition<D>,
-    comm_radius: u64,
     monitored: bool,
     capacity: u64,
     /// Local process id → global vehicle id (lexicographic vertex index).
@@ -194,7 +198,6 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             net,
             bounds,
             part,
-            comm_radius: config.comm_radius,
             monitored: config.monitored,
             capacity,
             global_ids: Vec::new(),
@@ -290,7 +293,7 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
         for &(id, pos) in &members {
             let neighbors: Vec<ProcessId> = members
                 .iter()
-                .filter(|(other, opos)| *other != id && pos.manhattan(*opos) <= self.comm_radius)
+                .filter(|(other, opos)| *other != id && pos.manhattan(*opos) <= COMM_RADIUS)
                 .map(|(other, _)| *other)
                 .collect();
             self.net.process_mut(id).set_neighbors(neighbors);
@@ -516,58 +519,17 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
     /// rewritten to its global id, so the record — and any serialization
     /// of it — is byte-identical for every worker count.
     fn checkpoint(&self) -> ShardCheckpoint {
-        let transport = self.net.transport_snapshot();
+        let global = |lid: ProcessId| self.global_ids[lid] as u64;
         let mut pair_active: Vec<(Vec<i64>, u64, u64)> = self
             .pair_active
             .iter()
-            .map(|(&(cube, idx), &vid)| (cube.0.to_vec(), idx as u64, self.global_ids[vid] as u64))
+            .map(|(&(cube, idx), &vid)| (cube.0.to_vec(), idx as u64, global(vid)))
             .collect();
         pair_active.sort();
-        let global_cid = |c: ComputationId| (self.global_ids[c.initiator] as u64, c.generation);
-        let global = |lid: ProcessId| self.global_ids[lid] as u64;
-        let mut vehicles: Vec<VehicleCheckpoint> = (0..self.net.len())
-            .map(|lid| {
-                let snap = self.net.process(lid).snapshot();
-                let (engine_init, engine_next_generation) = snap.engine;
-                VehicleCheckpoint {
-                    global_id: self.global_ids[lid] as u64,
-                    pos: snap.pos.coords().to_vec(),
-                    work: snap.work,
-                    energy_used: snap.energy_used,
-                    moves: snap.moves,
-                    serves: snap.serves,
-                    claimed_by: snap.claimed_by.map(global_cid),
-                    summon_dest: snap.summon_dest.map(|p| p.coords().to_vec()),
-                    failed_search: snap.failed_search,
-                    arrived: snap.arrived.map(|p| p.coords().to_vec()),
-                    neighbors: snap.neighbors.iter().map(|&n| global(n)).collect(),
-                    msg_counts: snap.msg_counts,
-                    diffusions: snap.diffusions,
-                    engine_init: engine_init.map(global_cid),
-                    engine_next_generation,
-                    watch: snap
-                        .watch
-                        .map(|(peer, pos, seen)| (global(peer), pos.coords().to_vec(), seen)),
-                    report_to: snap.report_to.map(global),
-                    ticks: snap.ticks,
-                    heartbeat_misses: snap.heartbeat_misses,
-                }
-            })
-            .collect();
-        vehicles.sort_by_key(|v| v.global_id);
+        let mut vehicles: Vec<_> = self.net.processes().map(|v| v.snapshot(global)).collect();
+        vehicles.sort_by_key(|v| v.id);
         ShardCheckpoint {
-            now: transport.now,
-            seq: transport.seq,
-            rng_state: transport.rng_state,
-            total_sent: transport.total_sent,
-            total_delivered: transport.total_delivered,
-            total_lost: transport.total_lost,
-            total_to_crashed: transport.total_to_crashed,
-            queue_depth_max: transport.queue_depth_max,
-            delay_counts: transport.delay_hist.raw_counts().to_vec(),
-            delay_count: transport.delay_hist.count(),
-            delay_sum: transport.delay_hist.sum(),
-            delay_max: transport.delay_hist.max(),
+            transport: self.net.transport_snapshot(),
             released: self.released as u64,
             served: self.served,
             unserved: self.unserved,
@@ -586,19 +548,29 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
     /// and with it the order ticks visit vehicles in — matches the
     /// original run's. Every vehicle, pairing activation, counter, and the
     /// transport layer are then overwritten with the recorded state.
-    fn restore(&mut self, ckpt: &ShardCheckpoint) {
-        let cube_of = |coords: &[i64]| {
-            let mut id = [0i64; D];
-            id.copy_from_slice(coords);
-            CubeId(id)
-        };
-        let point_of = |coords: &Vec<i64>| {
-            let mut p = [0i64; D];
-            p.copy_from_slice(coords);
-            Point::new(p)
+    ///
+    /// # Errors
+    ///
+    /// Names the first record that does not fit this shard: a cube id
+    /// that is not a cube of the grid, a global vehicle id the shard does
+    /// not hold, a coordinate vector of the wrong length, or a ledger
+    /// cursor past the shard's jobs.
+    fn restore(&mut self, ckpt: &ShardCheckpoint) -> Result<(), String> {
+        let part = self.part;
+        let cube_of = |coords: &Vec<i64>| {
+            let len = coords.len();
+            let id: [i64; D] = coords
+                .as_slice()
+                .try_into()
+                .map_err(|_| format!("cube {coords:?} has {len} coordinates, not {D}"))?;
+            let along = (0..D).map(|i| part.cubes_along(i) as i64);
+            match along.zip(id).all(|(n, c)| (0..n).contains(&c)) {
+                true => Ok(CubeId(id)),
+                false => Err(format!("cube {coords:?} lies outside the grid")),
+            }
         };
         for coords in &ckpt.cubes {
-            self.ensure_cube(cube_of(coords));
+            self.ensure_cube(cube_of(coords)?);
         }
         let local_of: HashMap<u64, ProcessId> = self
             .global_ids
@@ -606,69 +578,39 @@ impl<const D: usize, SS: ShardSink> ShardSim<D, SS> {
             .enumerate()
             .map(|(lid, &gid)| (gid as u64, lid))
             .collect();
-        let local_cid = |&(initiator, generation): &(u64, u64)| ComputationId {
-            initiator: local_of[&initiator],
-            generation,
-        };
+        let local = |global: u64| local_of.get(&global).copied();
+        let stranger = |global: u64| format!("vehicle {global} is not a vehicle of this shard");
         self.pair_active.clear();
-        for (coords, idx, global_vid) in &ckpt.pair_active {
-            self.pair_active
-                .insert((cube_of(coords), *idx as usize), local_of[global_vid]);
+        for (coords, idx, vid) in &ckpt.pair_active {
+            let cube = cube_of(coords)?;
+            let lid = local(*vid).ok_or_else(|| {
+                format!("pairing of cube {coords:?}, pair {idx}: {}", stranger(*vid))
+            })?;
+            self.pair_active.insert((cube, *idx as usize), lid);
         }
         for v in &ckpt.vehicles {
-            let snap = VehicleSnapshot {
-                pos: point_of(&v.pos),
-                work: v.work,
-                energy_used: v.energy_used,
-                moves: v.moves,
-                serves: v.serves,
-                claimed_by: v.claimed_by.as_ref().map(local_cid),
-                summon_dest: v.summon_dest.as_ref().map(point_of),
-                failed_search: v.failed_search,
-                arrived: v.arrived.as_ref().map(point_of),
-                neighbors: v.neighbors.iter().map(|g| local_of[g]).collect(),
-                msg_counts: v.msg_counts,
-                diffusions: v.diffusions,
-                engine: (
-                    v.engine_init.as_ref().map(local_cid),
-                    v.engine_next_generation,
-                ),
-                watch: v
-                    .watch
-                    .as_ref()
-                    .map(|(peer, pos, seen)| (local_of[peer], point_of(pos), *seen)),
-                report_to: v.report_to.map(|g| local_of[&g]),
-                ticks: v.ticks,
-                heartbeat_misses: v.heartbeat_misses,
-            };
+            let lid = local(v.id).ok_or_else(|| stranger(v.id))?;
+            let cube = part.cube_bounds(part.cube_of(self.net.process(lid).home()));
             // Through `trigger`, so the next absorb visits the vehicle and
             // still sees a checkpointed pending arrival or failed search.
             self.net
-                .trigger(local_of[&v.global_id], |p, _| p.restore(&snap));
+                .trigger(lid, |p, _| p.restore(v, local, &cube))
+                .map_err(|e| format!("vehicle {}: {e}", v.id))?;
+        }
+        if ckpt.released > self.jobs.len() as u64 {
+            let jobs = self.jobs.len();
+            return Err(format!(
+                "{} jobs released, but the shard holds {jobs}",
+                ckpt.released
+            ));
         }
         self.released = ckpt.released as usize;
         self.served = ckpt.served;
         self.unserved = ckpt.unserved;
         self.replacements = ckpt.replacements;
         self.failed_replacements = ckpt.failed_replacements;
-        let mut delay_hist = Histogram::with_bounds(&DEFAULT_BUCKETS);
-        delay_hist.restore_state(
-            &ckpt.delay_counts,
-            ckpt.delay_count,
-            ckpt.delay_sum,
-            ckpt.delay_max,
-        );
-        self.net.restore_transport(&TransportSnapshot {
-            now: ckpt.now,
-            seq: ckpt.seq,
-            rng_state: ckpt.rng_state,
-            total_sent: ckpt.total_sent,
-            total_delivered: ckpt.total_delivered,
-            total_lost: ckpt.total_lost,
-            total_to_crashed: ckpt.total_to_crashed,
-            queue_depth_max: ckpt.queue_depth_max,
-            delay_hist,
-        });
+        self.net.restore_transport(&ckpt.transport);
+        Ok(())
     }
 }
 
@@ -729,24 +671,14 @@ pub struct ShardedOnlineSim<const D: usize, SS: ShardSink = NullSink> {
     prov: Provisioning,
     stats: Option<RoundStats>,
     fingerprint: u64,
-    resume: Option<ResumeInfo>,
+    cur: DriveCursor,
 }
 
-/// Where a resumed run picks up: the continuation cursors carried over
-/// from the checkpoint.
-#[derive(Debug, Clone, Copy)]
-struct ResumeInfo {
-    rounds_completed: u64,
-    next_epoch: u64,
-    trace_events: u64,
-    jobs_released: u64,
-}
-
-/// The continuation cursor threaded through
-/// [`drive`](ShardedOnlineSim::drive) batches: round, epoch, sequence,
-/// and trace-event counters plus the accumulated per-worker statistics.
-/// Splitting a run into batches and carrying one cursor across them is
-/// byte- and state-equivalent to one uninterrupted run.
+/// The continuation cursor [`drive`](ShardedOnlineSim::drive) batches
+/// carry: round, epoch, sequence, and trace-event counters plus the
+/// accumulated per-worker statistics. Splitting a run into batches and
+/// carrying one cursor across them is byte- and state-equivalent to one
+/// uninterrupted run; a resumed run starts from the checkpoint's.
 #[derive(Debug)]
 pub(crate) struct DriveCursor {
     /// Canonical merged events emitted so far, header included.
@@ -836,14 +768,28 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
             .enumerate()
             .map(|(shard, jobs)| ShardSim::new(shard, bounds, part, &config, prov.capacity, jobs))
             .collect();
+        let fingerprint = run_fingerprint(&bounds, jobs, &config);
         ShardedOnlineSim {
             shards,
             bounds,
             map,
             prov,
             stats: None,
-            fingerprint: run_fingerprint(&bounds, jobs, &config),
-            resume: None,
+            fingerprint: if preload {
+                fingerprint
+            } else {
+                mix_live_session(fingerprint)
+            },
+            cur: DriveCursor {
+                merged_total: 0,
+                rounds_done: 0,
+                next_epoch: 1,
+                next_seq: 0,
+                header_done: false,
+                final_epoch: 0,
+                workers: Vec::new(),
+                progress: None,
+            },
         }
     }
 
@@ -857,7 +803,8 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
     ///
     /// [`EngineError::ResumeMismatch`] when `ckpt` was written by a run
     /// with different inputs (bounds, jobs, or an execution-shaping
-    /// [`OnlineConfig`] field).
+    /// [`OnlineConfig`] field); [`EngineError::CheckpointMismatch`] when
+    /// a shard's record does not fit this run.
     pub fn resume(
         bounds: GridBounds<D>,
         jobs: &JobSequence<D>,
@@ -871,50 +818,34 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
                 found: ckpt.fingerprint,
             });
         }
-        assert_eq!(
-            sim.shards.len(),
-            ckpt.shards.len(),
-            "equal fingerprints imply an equal shard layout",
-        );
-        for (shard, recorded) in sim.shards.iter_mut().zip(&ckpt.shards) {
-            shard.restore(recorded);
+        let shards = sim.shards.len();
+        if ckpt.shards.len() != shards {
+            return Err(EngineError::CheckpointMismatch {
+                shard: shards.min(ckpt.shards.len()),
+                record: format!(
+                    "the checkpoint has {} shards, this run {shards}",
+                    ckpt.shards.len()
+                ),
+            });
         }
-        sim.resume = Some(ResumeInfo {
-            rounds_completed: ckpt.rounds_completed,
-            next_epoch: ckpt.next_epoch,
-            trace_events: ckpt.trace_events,
-            jobs_released: ckpt.jobs_released(),
-        });
+        for (shard, (state, recorded)) in sim.shards.iter_mut().zip(&ckpt.shards).enumerate() {
+            state
+                .restore(recorded)
+                .map_err(|record| EngineError::CheckpointMismatch { shard, record })?;
+        }
+        sim.cur.merged_total = ckpt.trace_events;
+        sim.cur.rounds_done = ckpt.rounds_completed;
+        sim.cur.next_epoch = ckpt.next_epoch;
+        sim.cur.next_seq = ckpt.jobs_released();
+        sim.cur.header_done = true;
+        sim.cur.final_epoch = ckpt.next_epoch.saturating_sub(1);
         Ok(sim)
     }
 
-    /// The continuation cursor a fresh `drive` sequence starts from:
-    /// epoch 1, round 1, sequence 0 for fresh constructions; the
-    /// checkpoint's recorded cursors after
-    /// [`resume`](ShardedOnlineSim::resume).
-    pub(crate) fn cursor(&self) -> DriveCursor {
-        match self.resume {
-            Some(r) => DriveCursor {
-                merged_total: r.trace_events,
-                rounds_done: r.rounds_completed,
-                next_epoch: r.next_epoch,
-                next_seq: r.jobs_released,
-                header_done: true,
-                final_epoch: r.next_epoch.saturating_sub(1),
-                workers: Vec::new(),
-                progress: None,
-            },
-            None => DriveCursor {
-                merged_total: 0,
-                rounds_done: 0,
-                next_epoch: 1,
-                next_seq: 0,
-                header_done: false,
-                final_epoch: 0,
-                workers: Vec::new(),
-                progress: None,
-            },
-        }
+    /// The continuation cursor: where the next
+    /// [`drive`](ShardedOnlineSim::drive) batch starts.
+    pub(crate) fn cursor(&self) -> &DriveCursor {
+        &self.cur
     }
 
     /// Replays the job sequence in conservative lockstep rounds under
@@ -931,17 +862,16 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
     /// run as well (see
     /// [`take_shard_violations`](ShardedOnlineSim::take_shard_violations)).
     pub fn run(&mut self, exec: &ExecConfig, sink: &mut dyn Sink) -> OnlineReport {
-        let mut cur = self.cursor();
-        self.drive(exec, sink, None, None, &mut cur, StepLimit::None);
+        self.drive(exec, sink, None, None, StepLimit::None);
         self.report()
     }
 
     /// Executes one *batch* of lockstep rounds — the single round loop
     /// that every entry point ([`run`](ShardedOnlineSim::run) and
-    /// [`crate::Session`]) drives. `cur` is the continuation cursor: a
-    /// caller that passes the same cursor back produces, across any split
-    /// into batches, exactly the rounds, trace bytes, and checkpoints of
-    /// one uninterrupted run. `limit` bounds the
+    /// [`crate::Session`]) drives. The batch continues from the
+    /// simulation's cursor, so any split into batches produces exactly the
+    /// rounds, trace bytes, and checkpoints of one uninterrupted run.
+    /// `limit` bounds the
     /// batch (in addition to the builder's
     /// [`crate::CheckpointPolicy::stop_at`]); the batch also ends when
     /// every shard goes idle.
@@ -957,13 +887,12 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         sink: &mut dyn Sink,
         mut cross: Option<&mut MergeChecker>,
         mut observer: Option<&mut dyn FnMut(EngineCheckpoint)>,
-        cur: &mut DriveCursor,
         limit: StepLimit,
     ) {
         // A resumed run continues the original canonical stream mid-
         // flight: the header was already emitted (and counted) by the run
         // that wrote the checkpoint, so stitching is plain concatenation.
-        if !cur.header_done {
+        if !self.cur.header_done {
             let header = Event::FleetProvisioned {
                 t: 0,
                 vehicles: self.bounds.volume(),
@@ -973,8 +902,8 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
                 checker.observe(&header);
             }
             sink.record(&header);
-            cur.merged_total += 1;
-            cur.header_done = true;
+            self.cur.merged_total += 1;
+            self.cur.header_done = true;
         }
         // A limit already reached runs zero rounds; so does a bounded
         // batch with nothing queued — an idle session advances neither
@@ -983,8 +912,8 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         // points always have).
         let exhausted = match limit {
             StepLimit::None => false,
-            StepLimit::Until(t) => cur.next_epoch > t || self.work_remaining() == 0,
-            StepLimit::Round(k) => cur.rounds_done >= k || self.work_remaining() == 0,
+            StepLimit::Until(t) => self.cur.next_epoch > t || self.work_remaining() == 0,
+            StepLimit::Round(k) => self.cur.rounds_done >= k || self.work_remaining() == 0,
         };
         if exhausted {
             sink.flush_events();
@@ -994,27 +923,26 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         let policy = exec.checkpoint_policy();
         let fingerprint = self.fingerprint;
         let threads = exec.worker_threads();
-        let checked = exec.is_checked();
-        if checked {
+        if exec.is_checked() {
             for s in &mut self.shards {
                 s.enable_check();
             }
         }
         let start = LockstepStart {
-            epoch: cur.next_epoch,
-            prior_rounds: cur.rounds_done,
+            epoch: self.cur.next_epoch,
+            prior_rounds: self.cur.rounds_done,
         };
-        if exec.is_progress() && cur.progress.is_none() {
-            cur.progress = Some(Progress::new(0));
+        if exec.is_progress() && self.cur.progress.is_none() {
+            self.cur.progress = Some(Progress::new(0));
         }
         let total_jobs: u64 = self.shards.iter().map(|s| s.jobs.len() as u64).sum();
-        let mut progress = cur.progress.take();
+        let mut progress = self.cur.progress.take();
         if let Some(p) = progress.as_mut() {
             p.set_total(total_jobs);
         }
         // Stage the first round's sequence numbers (the barrier staging
         // below covers every later round of the batch).
-        let mut next_seq = cur.next_seq;
+        let mut next_seq = self.cur.next_seq;
         for s in &mut self.shards {
             debug_assert!(s.staged_seq.is_none(), "stale staged seq at batch entry");
             if s.released < s.jobs.len() {
@@ -1022,7 +950,7 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
                 next_seq += 1;
             }
         }
-        let mut merged_total = cur.merged_total;
+        let mut merged_total = self.cur.merged_total;
         let workers = std::mem::take(&mut self.shards);
         let (workers, stats) = run_lockstep(
             workers,
@@ -1075,15 +1003,13 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
                 if let Some(observe) = observer.as_deref_mut() {
                     let on_cadence = policy.every.is_some_and(|r| info.round.is_multiple_of(r));
                     if stop_policy || on_cadence {
-                        observe(EngineCheckpoint {
+                        let at = (info.round, next_epoch, merged_total);
+                        observe(engine_checkpoint(
+                            exec,
                             fingerprint,
-                            rounds_completed: info.round,
-                            next_epoch,
-                            trace_events: merged_total,
-                            threads: threads as u64,
-                            checked,
-                            shards: shards.iter().map(|s| s.checkpoint()).collect(),
-                        });
+                            at,
+                            shards.iter().map(|s| &**s),
+                        ));
                     }
                 }
                 let stop_limit = match limit {
@@ -1110,33 +1036,33 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         if let Some(p) = progress.as_ref() {
             p.finish();
         }
-        cur.progress = progress;
+        self.cur.progress = progress;
         self.shards = workers;
-        cur.merged_total = merged_total;
-        cur.next_seq = next_seq;
-        cur.rounds_done = stats.rounds;
-        cur.final_epoch = stats.final_epoch;
-        cur.next_epoch = self
+        self.cur.merged_total = merged_total;
+        self.cur.next_seq = next_seq;
+        self.cur.rounds_done = stats.rounds;
+        self.cur.final_epoch = stats.final_epoch;
+        self.cur.next_epoch = self
             .shards
             .iter()
             .map(|s| s.now())
             .max()
-            .unwrap_or(cur.final_epoch)
+            .unwrap_or(self.cur.final_epoch)
             + 1;
-        if cur.workers.is_empty() {
-            cur.workers = stats.workers;
+        if self.cur.workers.is_empty() {
+            self.cur.workers = stats.workers;
         } else {
             // Worker counts are fixed per construction, so batches line
             // up index by index.
-            for (acc, w) in cur.workers.iter_mut().zip(&stats.workers) {
+            for (acc, w) in self.cur.workers.iter_mut().zip(&stats.workers) {
                 acc.busy_ns += w.busy_ns;
                 acc.shards_stepped += w.shards_stepped;
             }
         }
         self.stats = Some(RoundStats {
-            rounds: cur.rounds_done,
-            final_epoch: cur.final_epoch,
-            workers: cur.workers.clone(),
+            rounds: self.cur.rounds_done,
+            final_epoch: self.cur.final_epoch,
+            workers: self.cur.workers.clone(),
         });
         sink.flush_events();
     }
@@ -1149,37 +1075,30 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
             .sum()
     }
 
-    /// Appends an externally injected job to its shard's queue tail;
-    /// called by a [`crate::Session`] at a round barrier (never while a
-    /// batch is in flight). Returns the shard index the job landed on.
-    pub(crate) fn inject_job(&mut self, job: Point<D>) -> usize {
+    /// Appends an externally injected job to its shard's queue tail and
+    /// folds it into the fingerprint ([`mix_injection`]); called by a
+    /// [`crate::Session`] at a round barrier (never while a batch is in
+    /// flight).
+    pub(crate) fn inject_job(&mut self, job: Point<D>) {
         debug_assert!(
             self.bounds.contains(job),
             "sessions validate bounds before injecting"
         );
         let shard = self.map.shard_of_point(job);
         self.shards[shard].jobs.push(job);
-        shard
+        let round = self.cur.rounds_done;
+        self.fingerprint = mix_injection(self.fingerprint, round, shard as u64, &job.coords());
     }
 
-    /// An [`EngineCheckpoint`] of the current barrier state under the
-    /// cursor's continuation cursors — the [`crate::Session::snapshot`]
-    /// path (the in-run observer path assembles its own inside `drive`).
-    pub(crate) fn checkpoint_at(
-        &self,
-        cur: &DriveCursor,
-        exec: &ExecConfig,
-        fingerprint: u64,
-    ) -> EngineCheckpoint {
-        EngineCheckpoint {
-            fingerprint,
-            rounds_completed: cur.rounds_done,
-            next_epoch: cur.next_epoch,
-            trace_events: cur.merged_total,
-            threads: exec.worker_threads() as u64,
-            checked: exec.is_checked(),
-            shards: self.shards.iter().map(|s| s.checkpoint()).collect(),
-        }
+    /// An [`EngineCheckpoint`] of the current barrier — the
+    /// [`crate::Session::snapshot`] path.
+    pub(crate) fn checkpoint(&self, exec: &ExecConfig) -> EngineCheckpoint {
+        let at = (
+            self.cur.rounds_done,
+            self.cur.next_epoch,
+            self.cur.merged_total,
+        );
+        engine_checkpoint(exec, self.fingerprint, at, &self.shards)
     }
 
     /// The shard owning `home` and the local id of the vehicle whose home
@@ -1266,8 +1185,9 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
         self.bounds
     }
 
-    /// The run-input fingerprint ([`run_fingerprint`] of the construction
-    /// inputs).
+    /// The input fingerprint: [`run_fingerprint`] of the construction
+    /// inputs, marked by [`mix_live_session`] for a live simulation and by
+    /// [`mix_injection`] per injected job.
     pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -1423,6 +1343,27 @@ impl<const D: usize, SS: ShardSink> ShardedOnlineSim<D, SS> {
             }
         }
         m
+    }
+}
+
+/// Assembles an [`EngineCheckpoint`] — the one place its run header is
+/// built, for the in-run observer and for [`crate::Session::snapshot`]
+/// alike: `at` holds the barrier's cursors (rounds completed, the next
+/// round's epoch, merged events so far), and each shard adds its record.
+fn engine_checkpoint<'a, const D: usize, SS: ShardSink + 'a>(
+    exec: &ExecConfig,
+    fingerprint: u64,
+    (rounds_completed, next_epoch, trace_events): (u64, u64, u64),
+    shards: impl IntoIterator<Item = &'a ShardSim<D, SS>>,
+) -> EngineCheckpoint {
+    EngineCheckpoint {
+        fingerprint,
+        rounds_completed,
+        next_epoch,
+        trace_events,
+        threads: exec.worker_threads() as u64,
+        checked: exec.is_checked(),
+        shards: shards.into_iter().map(ShardSim::checkpoint).collect(),
     }
 }
 

@@ -42,7 +42,6 @@
 //! jobs are extra load the capacity argument of Theorem 1.4.2 does not
 //! cover, and the accounting reports them served or unserved honestly.
 
-use crate::checkpoint::{mix_injection, mix_live_session};
 use crate::online::{DriveCursor, StepLimit};
 use crate::{CheckScope, CheckSummary, ScopedViolation};
 use crate::{EngineCheckpoint, EngineError, ExecConfig, Execution, ShardSink, ShardedOnlineSim};
@@ -86,7 +85,6 @@ use cmvrp_workloads::JobSequence;
 pub struct Session<const D: usize> {
     exec: ExecConfig,
     bounds: GridBounds<D>,
-    fingerprint: u64,
     pending: Vec<Point<D>>,
     injected: u64,
     inner: Inner<D>,
@@ -100,11 +98,9 @@ pub struct Session<const D: usize> {
 enum Inner<const D: usize> {
     Silent {
         sim: ShardedOnlineSim<D, NullSink>,
-        cur: DriveCursor,
     },
     Streaming {
         sim: ShardedOnlineSim<D, VecSink>,
-        cur: DriveCursor,
         cross: Option<MergeChecker>,
     },
 }
@@ -135,40 +131,21 @@ enum RelLimit {
 }
 
 /// Dispatches a stepping call across the two sink shapes, splitting the
-/// session borrow so the generic driver can take the simulation, cursor,
-/// and bookkeeping fields independently.
+/// session borrow so the generic driver can take the simulation and
+/// bookkeeping fields independently.
 macro_rules! step_dispatch {
     ($self:expr, $sink:expr, $observer:expr, $limit:expr) => {{
         let Session {
             exec,
-            fingerprint,
             pending,
             inner,
             ..
         } = $self;
         match inner {
-            Inner::Silent { sim, cur } => step_inner(
-                sim,
-                cur,
-                None,
-                exec,
-                fingerprint,
-                pending,
-                $sink,
-                $observer,
-                $limit,
-            ),
-            Inner::Streaming { sim, cur, cross } => step_inner(
-                sim,
-                cur,
-                cross.as_mut(),
-                exec,
-                fingerprint,
-                pending,
-                $sink,
-                $observer,
-                $limit,
-            ),
+            Inner::Silent { sim } => step_inner(sim, None, exec, pending, $sink, $observer, $limit),
+            Inner::Streaming { sim, cross } => {
+                step_inner(sim, cross.as_mut(), exec, pending, $sink, $observer, $limit)
+            }
         }
     }};
 }
@@ -192,7 +169,7 @@ impl<const D: usize> Session<D> {
             || exec.is_profiled()
             || exec.is_progress()
             || exec.checkpoint_policy().is_active();
-        let (inner, raw_fingerprint) = if streaming {
+        let inner = if streaming {
             let sim = match resume {
                 Some(ckpt) => ShardedOnlineSim::<D, VecSink>::resume(bounds, jobs, config, ckpt)?,
                 None if preload => ShardedOnlineSim::new(bounds, jobs, config),
@@ -213,28 +190,18 @@ impl<const D: usize> Session<D> {
                 }
                 cross
             });
-            let cur = sim.cursor();
-            let fp = sim.fingerprint();
-            (Inner::Streaming { sim, cur, cross }, fp)
+            Inner::Streaming { sim, cross }
         } else {
             let sim = match resume {
                 Some(ckpt) => ShardedOnlineSim::<D, NullSink>::resume(bounds, jobs, config, ckpt)?,
                 None if preload => ShardedOnlineSim::new(bounds, jobs, config),
                 None => ShardedOnlineSim::new_live(bounds, jobs, config),
             };
-            let cur = sim.cursor();
-            let fp = sim.fingerprint();
-            (Inner::Silent { sim, cur }, fp)
-        };
-        let fingerprint = if preload || resume.is_some() {
-            raw_fingerprint
-        } else {
-            mix_live_session(raw_fingerprint)
+            Inner::Silent { sim }
         };
         Ok(Session {
             exec: *exec,
             bounds,
-            fingerprint,
             pending: Vec::new(),
             injected: 0,
             inner,
@@ -267,18 +234,6 @@ impl<const D: usize> Session<D> {
     /// session — no queued jobs — advances neither rounds nor time.
     pub fn advance_until(&mut self, epoch: u64, sink: &mut dyn Sink) -> StepReport {
         step_dispatch!(self, sink, None, RelLimit::Until(epoch))
-    }
-
-    /// [`advance_until`](Session::advance_until) with checkpoint capture:
-    /// `observer` receives an [`EngineCheckpoint`] at every barrier the
-    /// session's [`crate::CheckpointPolicy`] selects during this batch.
-    pub fn advance_until_observed(
-        &mut self,
-        epoch: u64,
-        sink: &mut dyn Sink,
-        observer: &mut dyn FnMut(EngineCheckpoint),
-    ) -> StepReport {
-        step_dispatch!(self, sink, Some(observer), RelLimit::Until(epoch))
     }
 
     /// Advances at most `rounds` further lockstep rounds (fewer when the
@@ -317,10 +272,8 @@ impl<const D: usize> Session<D> {
     /// honest refusal rather than silent divergence.
     pub fn snapshot(&self) -> EngineCheckpoint {
         match &self.inner {
-            Inner::Silent { sim, cur } => sim.checkpoint_at(cur, &self.exec, self.fingerprint),
-            Inner::Streaming { sim, cur, .. } => {
-                sim.checkpoint_at(cur, &self.exec, self.fingerprint)
-            }
+            Inner::Silent { sim } => sim.checkpoint(&self.exec),
+            Inner::Streaming { sim, .. } => sim.checkpoint(&self.exec),
         }
     }
 
@@ -450,13 +403,16 @@ impl<const D: usize> Session<D> {
     /// [`crate::checkpoint::mix_live_session`] for live sessions and by
     /// [`crate::checkpoint::mix_injection`] per applied injection.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        match &self.inner {
+            Inner::Silent { sim } => sim.fingerprint(),
+            Inner::Streaming { sim, .. } => sim.fingerprint(),
+        }
     }
 
     fn cursor(&self) -> &DriveCursor {
         match &self.inner {
-            Inner::Silent { cur, .. } => cur,
-            Inner::Streaming { cur, .. } => cur,
+            Inner::Silent { sim } => sim.cursor(),
+            Inner::Streaming { sim, .. } => sim.cursor(),
         }
     }
 }
@@ -465,30 +421,27 @@ impl<const D: usize> Session<D> {
 /// pending injections at the entry barrier, maps the relative limit onto
 /// an absolute [`StepLimit`], runs one
 /// [`drive`](ShardedOnlineSim::drive) batch, and reports the deltas.
-#[allow(clippy::too_many_arguments)]
 fn step_inner<const D: usize, SS: ShardSink>(
     sim: &mut ShardedOnlineSim<D, SS>,
-    cur: &mut DriveCursor,
     cross: Option<&mut MergeChecker>,
     exec: &ExecConfig,
-    fingerprint: &mut u64,
     pending: &mut Vec<Point<D>>,
     sink: &mut dyn Sink,
     observer: Option<&mut dyn FnMut(EngineCheckpoint)>,
     limit: RelLimit,
 ) -> StepReport {
     for job in pending.drain(..) {
-        let shard = sim.inject_job(job);
-        *fingerprint = mix_injection(*fingerprint, cur.rounds_done, shard as u64, &job.coords());
+        sim.inject_job(job);
     }
-    let events_before = cur.merged_total;
-    let rounds_before = cur.rounds_done;
+    let events_before = sim.cursor().merged_total;
+    let rounds_before = sim.cursor().rounds_done;
     let limit = match limit {
         RelLimit::Drain => StepLimit::None,
         RelLimit::Until(t) => StepLimit::Until(t),
         RelLimit::Rounds(n) => StepLimit::Round(rounds_before.saturating_add(n)),
     };
-    sim.drive(exec, sink, cross, observer, cur, limit);
+    sim.drive(exec, sink, cross, observer, limit);
+    let cur = sim.cursor();
     StepReport {
         rounds: cur.rounds_done - rounds_before,
         events: cur.merged_total - events_before,

@@ -7,7 +7,7 @@
 //! mismatch is reported through the semantic differ, naming the first
 //! diverging event.
 
-use cmvrp_engine::{EngineError, ExecConfig, Session};
+use cmvrp_engine::{CheckpointPolicy, EngineError, ExecConfig, Session};
 use cmvrp_obs::{diff_lines, JsonlSink};
 use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, JobSequence, Ordering, WorkloadConfig};
@@ -205,6 +205,34 @@ fn post_injection_snapshots_refuse_stock_resume() {
     session.advance_rounds(3, &mut sink);
     let snapshot = session.snapshot();
     match exec.resume_build(bounds, &jobs, OnlineConfig::default(), &snapshot) {
+        Err(EngineError::ResumeMismatch { .. }) => {}
+        other => panic!("expected ResumeMismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn observed_checkpoints_carry_the_session_fingerprint() {
+    // The in-run observer and `snapshot` assemble the same checkpoint, so
+    // one observed after an injection is refused like a snapshot.
+    let cfg = WorkloadConfig::Point {
+        grid: 11,
+        demand: 20,
+    };
+    let exec = ExecConfig::new().threads(2).checkpoint(CheckpointPolicy {
+        every: Some(1),
+        stop_at: None,
+    });
+    let (bounds, jobs) = inputs(&cfg);
+    let mut session = exec
+        .build(bounds, &jobs, OnlineConfig::default())
+        .expect("build session");
+    let center = jobs.iter().next().expect("non-empty schedule");
+    session.inject(center).expect("in bounds");
+    let mut saved = Vec::new();
+    session.drain_observed(&mut JsonlSink::new(Vec::new()), &mut |c| saved.push(c));
+    let last = saved.pop().expect("every round checkpoints");
+    assert_eq!(last, session.snapshot());
+    match exec.resume_build(bounds, &jobs, OnlineConfig::default(), &last) {
         Err(EngineError::ResumeMismatch { .. }) => {}
         other => panic!("expected ResumeMismatch, got {other:?}"),
     }

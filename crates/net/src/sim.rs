@@ -147,7 +147,8 @@ struct Bucket<M> {
     envelopes: VecDeque<Envelope<M>>,
 }
 
-/// The transport layer's durable state at quiescence, for checkpointing.
+/// The transport layer's durable state at quiescence: the record a `CMVC`
+/// checkpoint stores for each shard's network, field for field.
 ///
 /// Captured and reinjected by [`Network::transport_snapshot`] /
 /// [`Network::restore_transport`]. Only counters and generator state
@@ -156,7 +157,7 @@ struct Bucket<M> {
 /// because a resumed run's clock already exceeds every past delivery
 /// time (conservative lockstep rounds occupy disjoint ascending time
 /// bands), so neither needs to survive the checkpoint.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportSnapshot {
     /// Simulation clock.
     pub now: u64,
@@ -174,7 +175,8 @@ pub struct TransportSnapshot {
     pub total_to_crashed: u64,
     /// High-water mark of the in-flight queue.
     pub queue_depth_max: u64,
-    /// Delivery-delay histogram accumulated so far.
+    /// Delivery-delay histogram accumulated so far, over
+    /// [`DEFAULT_BUCKETS`].
     pub delay_hist: Histogram,
 }
 

@@ -116,21 +116,29 @@ impl Histogram {
     /// from [`Histogram::raw_counts`] on an identically bucketed
     /// histogram, plus the matching `count`/`sum`/`max` totals.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `counts` has the wrong length for this bucketing.
-    pub fn restore_state(&mut self, counts: &[u64], count: u64, sum: u128, max: u64) {
-        assert_eq!(
-            counts.len(),
-            self.counts.len(),
-            "restoring {} bucket counts into a histogram with {} buckets",
-            counts.len(),
-            self.counts.len()
-        );
+    /// Refuses, leaving the histogram as it was, when `counts` has the
+    /// wrong length for this bucketing.
+    pub fn restore_state(
+        &mut self,
+        counts: &[u64],
+        count: u64,
+        sum: u128,
+        max: u64,
+    ) -> Result<(), String> {
+        if counts.len() != self.counts.len() {
+            return Err(format!(
+                "{} bucket counts for a histogram with {} buckets",
+                counts.len(),
+                self.counts.len()
+            ));
+        }
         self.counts.copy_from_slice(counts);
         self.count = count;
         self.sum = sum;
         self.max = max;
+        Ok(())
     }
 
     /// Iterates `(inclusive upper bound, count)` pairs; the final pair uses

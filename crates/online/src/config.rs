@@ -12,9 +12,6 @@ use cmvrp_util::Ratio;
 pub struct OnlineConfig {
     /// Message-delay RNG seed.
     pub seed: u64,
-    /// Communication radius: vehicles within this Manhattan distance (and
-    /// the same cube) are neighbors. The thesis uses 2 (§3.2 footnote).
-    pub comm_radius: u64,
     /// Explicit battery capacity; `None` derives the Lemma 3.3.1
     /// provisioning from the job sequence.
     pub capacity_override: Option<u64>,
@@ -26,7 +23,6 @@ impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
             seed: 1,
-            comm_radius: 2,
             capacity_override: None,
             monitored: false,
         }

@@ -3,7 +3,7 @@
 //! of §3.2.3–3.2.4.
 
 use crate::msg::OnlineMsg;
-use cmvrp_grid::Point;
+use cmvrp_grid::{GridBounds, Point};
 use cmvrp_net::diffuse::{ComputationId, DiffuseMsg, DiffuseOutcome, DiffusingEngine};
 use cmvrp_net::{Context, HeartbeatMonitor, Process, ProcessId};
 use cmvrp_obs::Event;
@@ -31,7 +31,14 @@ pub enum ServeResult {
 /// Tick rounds of silence after which a watcher declares its peer dead.
 const HEARTBEAT_TIMEOUT: u64 = 3;
 
-/// A vehicle's durable state at a round barrier, for checkpointing.
+/// A vehicle's durable state at a round barrier: the record a `CMVC`
+/// checkpoint stores for it, field for field.
+///
+/// Plain data, the same for every grid dimension and every worker count:
+/// positions are coordinate vectors, and the vehicle's own id and every
+/// process it refers to are *global* ids (the lexicographic vertex index
+/// traces use), which [`Vehicle::snapshot`] and [`Vehicle::restore`] map
+/// to and from the owning network's process ids.
 ///
 /// Captures exactly the fields that survive quiescence in the sharded
 /// engine: position and working state, energy/odometer counters, the
@@ -43,9 +50,11 @@ const HEARTBEAT_TIMEOUT: u64 = 3;
 /// can hold faults, and its `run` takes no checkpoint observer, so no
 /// checkpoint is ever taken of a run with faults.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VehicleSnapshot<const D: usize> {
+pub struct VehicleSnapshot {
+    /// Global vehicle id.
+    pub id: u64,
     /// Current position.
-    pub pos: Point<D>,
+    pub pos: Vec<i64>,
     /// Working state `S1`.
     pub work: WorkState,
     /// Energy drawn so far.
@@ -54,28 +63,32 @@ pub struct VehicleSnapshot<const D: usize> {
     pub moves: u64,
     /// Jobs served.
     pub serves: u64,
-    /// The computation that claimed this idle vehicle, if any.
-    pub claimed_by: Option<ComputationId>,
+    /// The computation that claimed this idle vehicle, if any:
+    /// `(global initiator id, generation)`.
+    pub claimed_by: Option<(u64, u64)>,
     /// Pending Phase I destination (normally `None` at quiescence).
-    pub summon_dest: Option<Point<D>>,
+    pub summon_dest: Option<Vec<i64>>,
     /// Undrained failed-search flag.
     pub failed_search: bool,
     /// Undrained relocation notification.
-    pub arrived: Option<Point<D>>,
-    /// Communication neighborhood (process ids in the owning network).
-    pub neighbors: Vec<ProcessId>,
+    pub arrived: Option<Vec<i64>>,
+    /// Communication neighborhood, as global ids.
+    pub neighbors: Vec<u64>,
     /// Message-type counters `(queries, replies, moves, heartbeats)`.
     pub msg_counts: [u64; 4],
     /// Diffusing computations initiated / completed / found.
     pub diffusions: (u64, u64, u64),
-    /// Diffusing-engine durable state: last computation joined and the
-    /// next generation number (the engine itself is `waiting`).
-    pub engine: (Option<ComputationId>, u64),
-    /// §3.2.5 ring: the watched peer, its recorded position, and the tick
-    /// round it was last heard from.
-    pub watch: Option<(ProcessId, Point<D>, u64)>,
-    /// §3.2.5 ring: the watcher this vehicle heartbeats to.
-    pub report_to: Option<ProcessId>,
+    /// Last diffusing computation this vehicle joined:
+    /// `(global initiator id, generation)` (the engine itself is
+    /// `waiting`).
+    pub engine_init: Option<(u64, u64)>,
+    /// Next generation number for computations this vehicle initiates.
+    pub engine_next_generation: u64,
+    /// §3.2.5 ring: the watched peer `(global id, position, tick round it
+    /// was last heard from)`.
+    pub watch: Option<(u64, Vec<i64>, u64)>,
+    /// §3.2.5 ring: the watcher this vehicle heartbeats to, as a global id.
+    pub report_to: Option<u64>,
     /// Tick rounds seen (the heartbeat clock).
     pub ticks: u64,
     /// Heartbeat timeouts detected as a watcher.
@@ -253,69 +266,117 @@ impl<const D: usize> Vehicle<D> {
         )
     }
 
-    /// Captures the vehicle's durable state at a round barrier.
+    /// Captures the vehicle's durable state at a round barrier, naming
+    /// every process by `global(id)`.
     ///
     /// # Panics
     ///
     /// Panics if the embedded diffusing engine is mid-computation —
     /// checkpoints are only taken at quiescent barriers.
-    pub fn snapshot(&self) -> VehicleSnapshot<D> {
+    pub fn snapshot(&self, global: impl Fn(ProcessId) -> u64) -> VehicleSnapshot {
+        let cid = |c: ComputationId| (global(c.initiator), c.generation);
+        let (engine_init, engine_next_generation) = self.engine.quiescent_state();
         VehicleSnapshot {
-            pos: self.pos,
+            id: global(self.id),
+            pos: self.pos.coords().to_vec(),
             work: self.work,
             energy_used: self.energy_used,
             moves: self.moves,
             serves: self.serves,
-            claimed_by: self.claimed_by,
-            summon_dest: self.summon_dest,
+            claimed_by: self.claimed_by.map(cid),
+            summon_dest: self.summon_dest.map(|p| p.coords().to_vec()),
             failed_search: self.failed_search,
-            arrived: self.arrived,
-            neighbors: self.neighbors.clone(),
+            arrived: self.arrived.map(|p| p.coords().to_vec()),
+            neighbors: self.neighbors.iter().map(|&n| global(n)).collect(),
             msg_counts: self.msg_counts,
             diffusions: (
                 self.diffusions_started,
                 self.diffusions_completed,
                 self.diffusions_found,
             ),
-            engine: self.engine.quiescent_state(),
+            engine_init: engine_init.map(cid),
+            engine_next_generation,
             watch: self.watch.map(|(peer, pos)| {
                 let seen = self.heartbeat.last_seen(peer);
-                (peer, pos, seen.expect("the watched peer is monitored"))
+                let seen = seen.expect("the watched peer is monitored");
+                (global(peer), pos.coords().to_vec(), seen)
             }),
-            report_to: self.report_to,
+            report_to: self.report_to.map(&global),
             ticks: self.ticks,
             heartbeat_misses: self.heartbeat_misses,
         }
     }
 
     /// Reinjects state captured with [`Vehicle::snapshot`] into a freshly
-    /// constructed vehicle (same id, home, and capacity).
-    pub fn restore(&mut self, snap: &VehicleSnapshot<D>) {
-        self.pos = snap.pos;
+    /// constructed vehicle (same id, home, and capacity), mapping every
+    /// global id back through `local`. Every recorded position must lie in
+    /// `cube`, the cube the vehicle never leaves.
+    ///
+    /// # Errors
+    ///
+    /// Names the field that does not fit — a global id `local` does not
+    /// know, or a position without exactly `D` coordinates or outside
+    /// `cube` — and leaves the vehicle unchanged.
+    pub fn restore(
+        &mut self,
+        snap: &VehicleSnapshot,
+        local: impl Fn(u64) -> Option<ProcessId>,
+        cube: &GridBounds<D>,
+    ) -> Result<(), String> {
+        let id = |what: &str, global: u64| {
+            local(global).ok_or_else(|| format!("{what} {global} is not a vehicle of this shard"))
+        };
+        let cid = |what: &str, (initiator, generation): (u64, u64)| {
+            let initiator = id(what, initiator)?;
+            Ok::<_, String>(ComputationId {
+                initiator,
+                generation,
+            })
+        };
+        let pos = |what: &str, coords: &[i64]| {
+            let p = coords.try_into().map(Point::new);
+            match p.map_err(|_| format!("{what} has {} coordinates, not {D}", coords.len()))? {
+                p if cube.contains(p) => Ok(p),
+                p => Err(format!("{what} {p} lies outside the vehicle's cube")),
+            }
+        };
+        let claimed_by = snap.claimed_by.map(|c| cid("claimer", c)).transpose()?;
+        let engine_init = snap.engine_init.map(|c| cid("initiator", c)).transpose()?;
+        let neighbors = snap.neighbors.iter().map(|&n| id("neighbor", n));
+        let neighbors = neighbors.collect::<Result<_, _>>()?;
+        let report_to = snap.report_to.map(|w| id("watcher", w)).transpose()?;
+        let watch = match &snap.watch {
+            Some((peer, at, seen)) => Some((id("watched peer", *peer)?, pos("watch", at)?, *seen)),
+            None => None,
+        };
+        let at = |what, p: &Option<Vec<i64>>| p.as_deref().map(|p| pos(what, p)).transpose();
+        let summon_dest = at("summon destination", &snap.summon_dest)?;
+        let arrived = at("arrival", &snap.arrived)?;
+        self.pos = pos("position", &snap.pos)?;
+        self.neighbors = neighbors;
+        self.report_to = report_to;
+        self.summon_dest = summon_dest;
+        self.arrived = arrived;
         self.work = snap.work;
         self.energy_used = snap.energy_used;
         self.moves = snap.moves;
         self.serves = snap.serves;
-        self.claimed_by = snap.claimed_by;
-        self.summon_dest = snap.summon_dest;
+        self.claimed_by = claimed_by;
         self.failed_search = snap.failed_search;
-        self.arrived = snap.arrived;
-        self.neighbors = snap.neighbors.clone();
         self.msg_counts = snap.msg_counts;
         let (started, completed, found) = snap.diffusions;
         self.diffusions_started = started;
         self.diffusions_completed = completed;
         self.diffusions_found = found;
-        let (init, next_generation) = snap.engine;
-        self.engine = DiffusingEngine::from_quiescent(init, next_generation);
+        self.engine = DiffusingEngine::from_quiescent(engine_init, snap.engine_next_generation);
         self.heartbeat = HeartbeatMonitor::new(HEARTBEAT_TIMEOUT);
-        self.watch = snap.watch.map(|(peer, pos, seen)| {
+        self.watch = watch.map(|(peer, at, seen)| {
             self.heartbeat.watch(peer, seen);
-            (peer, pos)
+            (peer, at)
         });
-        self.report_to = snap.report_to;
         self.ticks = snap.ticks;
         self.heartbeat_misses = snap.heartbeat_misses;
+        Ok(())
     }
 
     /// Sets the §3.2.5 monitoring target (or clears it). Re-setting the
@@ -725,20 +786,49 @@ mod tests {
             net.tick_all();
             assert!(net.run_to_quiescence().quiesced);
         }
-        assert_eq!(net.process(1).snapshot().watch, Some((0, pos0, 2)));
+        // Global ids are the local ones shifted by 100.
+        let global = |id: ProcessId| id as u64 + 100;
+        let local = |g: u64| (100..102).contains(&g).then(|| g as usize - 100);
+        let watch = net.process(1).snapshot(global).watch;
+        assert_eq!(watch, Some((100, pos0.coords().to_vec(), 2)));
         // Snapshot both, restore into fresh shells.
         for id in 0..2 {
-            let snap = net.process(id).snapshot();
+            let snap = net.process(id).snapshot(global);
+            assert_eq!(snap.id, global(id));
             let home = net.process(id).home();
             let cap = net.process(id).capacity();
             let active_at_birth = id == 0;
             let mut fresh = Vehicle::<2>::new(id, home, active_at_birth, cap);
-            fresh.restore(&snap);
-            assert_eq!(fresh.snapshot(), snap);
+            fresh
+                .restore(&snap, local, &GridBounds::square(2))
+                .expect("the snapshot fits");
+            assert_eq!(fresh.snapshot(global), snap);
             assert_eq!(fresh.pos(), net.process(id).pos());
             assert_eq!(fresh.work(), net.process(id).work());
             assert_eq!(fresh.energy_used(), net.process(id).energy_used());
         }
+    }
+
+    #[test]
+    fn restore_names_what_does_not_fit_and_changes_nothing() {
+        let mut v = Vehicle::<2>::new(0, pt2(1, 1), true, 10);
+        v.set_neighbors(vec![1]);
+        let snap = v.snapshot(|id| id as u64);
+        let local = |g: u64| (g < 2).then_some(g as usize);
+        let cube = GridBounds::square(2);
+        let mut stranger = snap.clone();
+        stranger.neighbors = vec![1, 7];
+        let err = v.restore(&stranger, local, &cube).unwrap_err();
+        assert_eq!(err, "neighbor 7 is not a vehicle of this shard");
+        let mut deep = snap.clone();
+        deep.pos = vec![1, 1, 0];
+        let err = v.restore(&deep, local, &cube).unwrap_err();
+        assert_eq!(err, "position has 3 coordinates, not 2");
+        let mut astray = snap.clone();
+        astray.arrived = Some(vec![1, 2]);
+        let err = v.restore(&astray, local, &cube).unwrap_err();
+        assert_eq!(err, "arrival (1,2) lies outside the vehicle's cube");
+        assert_eq!(v.snapshot(|id| id as u64), snap);
     }
 
     #[test]

@@ -42,10 +42,7 @@
 //! points (Becker tree-CVRP, Gørtz–Nagarajan-style makespan) that `cmvrp
 //! scenario run` reports next to the paper bound and the protocol's cost.
 
-use cmvrp_engine::{EngineError, ExecConfig, Execution, Session};
 use cmvrp_grid::{DemandMap, GridBounds};
-use cmvrp_obs::Sink;
-use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::arrivals::{self, JobSequence, Ordering};
 use cmvrp_workloads::spatial::ShapeError;
 use cmvrp_workloads::WorkloadConfig;
@@ -266,53 +263,6 @@ impl Scenario {
         let jobs = self.arrivals.sequence(&demand, default_seed);
         Ok((bounds, demand, jobs))
     }
-
-    /// Builds a preloaded [`Session`] for this scenario — the scenario
-    /// face of [`ExecConfig::build`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] when the shape is malformed or the engine
-    /// rejects the configuration.
-    pub fn build(&self, exec: &ExecConfig, online: OnlineConfig) -> Result<Session<2>, RunError> {
-        let (bounds, _, jobs) = self.generate(online.seed)?;
-        Ok(exec.build(bounds, &jobs, online)?)
-    }
-
-    /// Builds a live (empty) [`Session`] on this scenario's substrate —
-    /// the scenario face of [`ExecConfig::build_live`]; arrivals are
-    /// injected by the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] when the shape is malformed or the engine
-    /// rejects the configuration.
-    pub fn build_live(
-        &self,
-        exec: &ExecConfig,
-        online: OnlineConfig,
-    ) -> Result<Session<2>, RunError> {
-        let (bounds, _, _) = self.generate(online.seed)?;
-        Ok(exec.build_live(bounds, &JobSequence::default(), online)?)
-    }
-
-    /// One-shot execution of the scenario — the scenario face of
-    /// [`ExecConfig::execute`]. The fault script is ignored here; `cmvrp
-    /// scenario run` owns crash/recover orchestration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] when the shape is malformed or the engine
-    /// rejects the configuration.
-    pub fn execute(
-        &self,
-        exec: &ExecConfig,
-        online: OnlineConfig,
-        sink: &mut dyn Sink,
-    ) -> Result<Execution, RunError> {
-        let (bounds, _, jobs) = self.generate(online.seed)?;
-        Ok(exec.execute(bounds, &jobs, online, sink)?)
-    }
 }
 
 /// Parses via [`Scenario::from_spec`] (including `@file` indirection).
@@ -321,39 +271,6 @@ impl std::str::FromStr for Scenario {
 
     fn from_str(spec: &str) -> Result<Self, String> {
         Scenario::from_spec(spec)
-    }
-}
-
-/// Why a scenario could not run: the shape did not fit, or the engine
-/// rejected the execution configuration.
-#[derive(Debug)]
-pub enum RunError {
-    /// The demand shape does not fit its substrate.
-    Shape(ShapeError),
-    /// The engine rejected the configuration.
-    Engine(EngineError),
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::Shape(e) => write!(f, "{e}"),
-            RunError::Engine(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for RunError {}
-
-impl From<ShapeError> for RunError {
-    fn from(e: ShapeError) -> Self {
-        RunError::Shape(e)
-    }
-}
-
-impl From<EngineError> for RunError {
-    fn from(e: EngineError) -> Self {
-        RunError::Engine(e)
     }
 }
 
@@ -420,21 +337,5 @@ mod tests {
             assert_eq!(a.to_demand(), demand, "{}", spec.label());
             assert!(!spec.label().is_empty());
         }
-    }
-
-    #[test]
-    fn scenario_execute_runs_on_one_worker() {
-        let sc = Scenario::from_spec("point:grid=7,demand=20").unwrap();
-        let mut sink = cmvrp_obs::NullSink;
-        let exec = ExecConfig::new();
-        let out = sc
-            .execute(&exec, OnlineConfig::default(), &mut sink)
-            .unwrap();
-        assert_eq!(out.report.served, 20);
-        let bad = Scenario::from_spec("square:grid=4,a=9,demand=1").unwrap();
-        let err = bad
-            .execute(&exec, OnlineConfig::default(), &mut sink)
-            .unwrap_err();
-        assert!(err.to_string().contains("does not fit"), "{err}");
     }
 }

@@ -130,12 +130,15 @@ echo "==> checkpoint/resume determinism (stop at round 4, resume, stitch)"
 # checkpoint, then resumed from it, must emit exactly the trace suffix
 # of an uninterrupted run — the stitched head+tail trace diffs clean
 # against the full one (3 workers; the resumed run inherits the worker
-# count from the checkpoint).
+# count from the checkpoint). The round-4 checkpoint must also equal the
+# committed golden byte for byte, so a change to the CMVC layout fails
+# here as well as in tests/checkpoint_golden.rs.
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 \
     --threads=3 --trace-jsonl="$r1" >/dev/null
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 \
     --threads=3 --checkpoint="$ck" --stop-at-round=4 \
     --trace-jsonl="$r2" >/dev/null
+cmp "$ck" tests/data/golden_clusters_round4.cmvc
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 \
     --resume-from="$ck" --trace-jsonl="$r3" >/dev/null
 cat "$r2" "$r3" >"$m1"
@@ -151,6 +154,7 @@ cat "$r2" "$r3" >"$m1"
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 --monitored \
     --threads=3 --checkpoint="$ck" --stop-at-round=4 \
     --trace-jsonl="$r2" >/dev/null
+cmp "$ck" tests/data/golden_clusters_round4_monitored.cmvc
 ./target/release/cmvrp simulate clusters:grid=12,k=3,jobs=180,seed=9 --monitored \
     --resume-from="$ck" --trace-jsonl="$r3" >/dev/null
 cat "$r2" "$r3" >"$m1"
