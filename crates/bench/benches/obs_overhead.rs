@@ -8,16 +8,20 @@
 //! with the checked-vs-unchecked overhead delta in the notes (skipped in
 //! `--quick` mode so test glue never clobbers the committed snapshot);
 //! `--baseline=PATH` pairs every row with a snapshot another build of this
-//! bench wrote, so the `trace_write/*` encoder rows compare across commits.
+//! bench wrote, so the `trace_write/*` encoder rows and the
+//! `trace_read/cmvb_to_jsonl` decoder row compare across commits.
 
 use cmvrp_bench::default_workloads;
 use cmvrp_bench::harness::Harness;
 use cmvrp_engine::{ExecConfig, Execution};
 use cmvrp_grid::GridBounds;
-use cmvrp_obs::{BinSink, Event, JsonlSink, NullSink, RingSink, Sink, TraceChecker, VecSink};
+use cmvrp_obs::{
+    BinReader, BinSink, Event, JsonlSink, NullSink, RingSink, Sink, TraceChecker, VecSink,
+};
 use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, spatial, JobSequence, Ordering};
 use std::hint::black_box;
+use std::io::Write;
 
 /// One run on one worker, checked inline when `check` is set (the verdict
 /// must be clean).
@@ -150,6 +154,27 @@ fn main() {
         }
         sink.flush_events();
         black_box(sink.written());
+    });
+    // The read path of the `cmvrp serve` trace op and every `cmvrp trace`
+    // subcommand: CMVB decoded frame by frame, each event rendered into
+    // one reused line on its way into a writer.
+    let cmvb = {
+        let mut sink = BinSink::new(Vec::new());
+        for ev in &events {
+            sink.record(ev);
+        }
+        sink.into_writer().expect("in-memory write")
+    };
+    h.bench_with_items("trace_read/cmvb_to_jsonl", n_events, || {
+        let mut out = std::io::sink();
+        let mut line = String::with_capacity(128);
+        for ev in BinReader::open(&cmvb).expect("own trace") {
+            line.clear();
+            ev.expect("own frame").append_json(&mut line);
+            line.push('\n');
+            out.write_all(line.as_bytes()).expect("discarding write");
+        }
+        black_box(line.len());
     });
 
     let mut notes: Vec<(&str, String)> = vec![

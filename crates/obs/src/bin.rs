@@ -17,8 +17,9 @@
 //! the same sense as the JSONL schema, and an unknown tag is a hard error.
 //!
 //! [`BinSink`] is the write side — a [`Sink`] like [`crate::JsonlSink`]
-//! but with no per-event allocation (one reusable scratch buffer) —
-//! and [`decode_trace`] the read side: its [`FrameError`]s carry the
+//! but with no per-event allocation (one reusable scratch buffer) — and
+//! [`BinReader`] the read side, one event per frame as it goes;
+//! [`decode_trace`] collects it. The reader's [`FrameError`]s carry the
 //! 1-based frame index and absolute byte offset, and no truncated or
 //! corrupt input makes it panic.
 
@@ -43,34 +44,37 @@ pub fn is_binary_trace(bytes: &[u8]) -> bool {
 
 /// Streams events as binary frames to any writer.
 ///
-/// The binary sibling of [`crate::JsonlSink`]: buffered writes, sticky I/O
-/// errors surfaced by [`BinSink::finish`], and — the point of the format —
-/// no per-event heap allocation: each event is encoded into one reusable
-/// scratch buffer.
+/// The binary sibling of [`crate::JsonlSink`]: sticky I/O errors surfaced
+/// by [`BinSink::finish`], and — the point of the format — no per-event
+/// heap allocation: each event is encoded into one reusable scratch
+/// buffer. The sink writes each frame straight into the writer it was
+/// given, so a `Vec<u8>` holds every recorded frame the moment
+/// [`Sink::record`] returns ([`BinSink::get_ref`] reads it while the sink
+/// keeps recording); [`BinSink::create`] puts a `BufWriter` over its file.
 #[derive(Debug)]
 pub struct BinSink<W: Write> {
-    writer: BufWriter<W>,
+    writer: W,
     scratch: Vec<u8>,
     written: u64,
     error: Option<io::Error>,
 }
 
-impl BinSink<File> {
-    /// Creates (truncating) a binary trace file at `path`.
+impl BinSink<BufWriter<File>> {
+    /// Creates (truncating) a binary trace file at `path`, buffered.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the file cannot be created.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(BinSink::new(File::create(path)?))
+        Ok(BinSink::new(BufWriter::new(File::create(path)?)))
     }
 }
 
 impl<W: Write> BinSink<W> {
-    /// Wraps an arbitrary writer and writes the magic + version header.
+    /// Takes an arbitrary writer and writes the magic + version header.
     pub fn new(writer: W) -> Self {
         let mut sink = BinSink {
-            writer: BufWriter::new(writer),
+            writer,
             scratch: Vec::with_capacity(64),
             written: 0,
             error: None,
@@ -87,6 +91,12 @@ impl<W: Write> BinSink<W> {
     /// Events successfully written so far.
     pub fn written(&self) -> u64 {
         self.written
+    }
+
+    /// The writer, holding every frame written so far (nothing is staged
+    /// inside the sink).
+    pub fn get_ref(&self) -> &W {
+        &self.writer
     }
 
     /// Flushes and returns the event count, or the first I/O error.
@@ -112,7 +122,8 @@ impl<W: Write> BinSink<W> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        self.writer.into_inner().map_err(|e| e.into_error())
+        self.writer.flush()?;
+        Ok(self.writer)
     }
 }
 
@@ -241,8 +252,63 @@ impl FieldReader for Cursor<'_> {
     }
 }
 
-/// Decodes a whole binary trace into events, stopping at the first error:
-/// past a corrupt frame no later frame boundary can be trusted.
+/// Reads a binary trace one event at a time, so a consumer holds one
+/// decoded event rather than the whole trace. The iterator stops after the
+/// first error: past a corrupt frame no later frame boundary can be
+/// trusted.
+///
+/// # Examples
+///
+/// ```
+/// use cmvrp_obs::{BinReader, BinSink, Event, Sink};
+///
+/// let mut sink = BinSink::new(Vec::new());
+/// sink.record(&Event::ProcessCrashed { t: 3, proc: 1 });
+/// let mut lines = String::new();
+/// for ev in BinReader::open(sink.get_ref()).unwrap() {
+///     ev.unwrap().append_json(&mut lines);
+/// }
+/// assert_eq!(lines, r#"{"ev":"process_crashed","t":3,"proc":1}"#);
+/// ```
+#[derive(Debug, Clone)]
+pub struct BinReader<'a> {
+    frames: Cursor<'a>,
+    failed: bool,
+}
+
+impl<'a> BinReader<'a> {
+    /// Checks the magic and version and positions the reader at the first
+    /// frame.
+    ///
+    /// # Errors
+    ///
+    /// A frame-0 [`FrameError`] when the magic bytes are wrong, the header
+    /// is truncated, or the version is newer than this build reads.
+    pub fn open(bytes: &'a [u8]) -> Result<BinReader<'a>, FrameError> {
+        Ok(BinReader {
+            frames: Cursor::open(bytes, BIN_MAGIC, BIN_VERSION)?,
+            failed: false,
+        })
+    }
+}
+
+impl Iterator for BinReader<'_> {
+    type Item = Result<Event, FrameError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let event = self
+            .frames
+            .next_frame()?
+            .and_then(|mut f| Event::read(&mut f));
+        self.failed = event.is_err();
+        Some(event)
+    }
+}
+
+/// Decodes a whole binary trace into events: [`BinReader`], collected.
 ///
 /// # Errors
 ///
@@ -250,12 +316,7 @@ impl FieldReader for Cursor<'_> {
 /// header is truncated, or the version is newer than this build reads;
 /// otherwise the first corrupt frame. No input makes it panic.
 pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Event>, FrameError> {
-    let mut frames = Cursor::open(bytes, BIN_MAGIC, BIN_VERSION)?;
-    let mut events = Vec::new();
-    while let Some(frame) = frames.next_frame() {
-        events.push(Event::read(&mut frame?)?);
-    }
-    Ok(events)
+    BinReader::open(bytes)?.collect()
 }
 
 #[cfg(test)]
@@ -313,6 +374,9 @@ mod tests {
             sink.record(ev);
         }
         assert_eq!(sink.written(), events.len() as u64);
+        // Nothing is staged in the sink: the writer already holds every
+        // frame, with no flush.
+        assert_eq!(decode_trace(sink.get_ref()).unwrap(), events);
         let bytes = sink.into_writer().unwrap();
         assert_eq!(decode_trace(&bytes).unwrap(), events);
     }

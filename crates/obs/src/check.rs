@@ -339,6 +339,32 @@ fn grow<T: Clone + Default>(v: &mut Vec<T>, i: usize) -> &mut T {
     &mut v[i]
 }
 
+/// A set of job sequence numbers, one bit each, grown to the highest
+/// number inserted: the job ledger of every shard checker reaches the
+/// highest global seq, so a bit per job rather than a `bool` keeps it an
+/// eighth of the size.
+#[derive(Debug, Default)]
+struct SeqSet {
+    words: Vec<u64>,
+}
+
+impl SeqSet {
+    fn contains(&self, seq: u64) -> bool {
+        self.words
+            .get((seq / 64) as usize)
+            .is_some_and(|w| w >> (seq % 64) & 1 == 1)
+    }
+
+    /// Adds `seq`, returning whether it was already there.
+    fn insert(&mut self, seq: u64) -> bool {
+        let word = grow(&mut self.words, (seq / 64) as usize);
+        let bit = 1 << (seq % 64);
+        let had = *word & bit != 0;
+        *word |= bit;
+        had
+    }
+}
+
 /// An in-flight message ledger entry: what we knew at send time.
 #[derive(Debug, Clone, Copy)]
 struct SendRecord {
@@ -385,8 +411,8 @@ pub struct TraceChecker {
     /// streams see a strictly increasing but non-contiguous slice of the
     /// globally pre-assigned numbers).
     seq_gaps_ok: bool,
-    arrived: Vec<bool>,
-    served: Vec<bool>,
+    arrived: SeqSet,
+    served: SeqSet,
     energy: Vec<u64>,
     capacity: Option<u64>,
     vehicles: Option<u64>,
@@ -672,7 +698,7 @@ impl TraceChecker {
                         format!("job seq {seq} arrived, expected seq {}", self.next_job_seq),
                     );
                 }
-                *grow(&mut self.arrived, *seq as usize) = true;
+                self.arrived.insert(*seq);
                 self.next_job_seq = self.next_job_seq.max(*seq + 1);
                 None
             }
@@ -683,17 +709,14 @@ impl TraceChecker {
                 cost,
             } => {
                 self.clock(line, *t);
-                if !self.arrived.get(*seq as usize).copied().unwrap_or(false) {
+                if !self.arrived.contains(*seq) {
                     self.report(
                         "job-ledger",
                         line,
                         format!("job seq {seq} served but never arrived"),
                     );
-                } else {
-                    let done = std::mem::replace(grow(&mut self.served, *seq as usize), true);
-                    if done {
-                        self.report("job-ledger", line, format!("job seq {seq} served twice"));
-                    }
+                } else if self.served.insert(*seq) {
+                    self.report("job-ledger", line, format!("job seq {seq} served twice"));
                 }
                 self.charge(line, *vehicle, *cost, "service");
                 let lamport = self.tick_lamport(*vehicle);

@@ -5,7 +5,7 @@
 //! back from a field reader in the same order. Those two functions are
 //! the schema. Each encoding implements the crate-private writer/reader
 //! pair once: JSONL here, over [`json::Object`] and the escaper
-//! ([`Event::to_json`], [`Event::from_json`]), and CMVB in [`crate::bin`],
+//! ([`Event::append_json`], [`Event::from_json`]), and CMVB in [`crate::bin`],
 //! over the frame codec. The query language ([`crate::query`]) finds a
 //! field's values by walking the event too, so a new field goes into the
 //! enum, the walk and the read, and both encodings and query matching
@@ -597,9 +597,15 @@ impl Event {
     /// Renders the event as one line of JSON (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut line = String::with_capacity(64);
-        self.walk(&mut line);
-        line.push('}');
+        self.append_json(&mut line);
         line
+    }
+
+    /// Appends [`Event::to_json`]'s line (no trailing newline) to `out`,
+    /// so a writer of many lines can reuse one buffer.
+    pub fn append_json(&self, out: &mut String) {
+        self.walk(out);
+        out.push('}');
     }
 
     /// Parses one JSONL line produced by [`Event::to_json`].
@@ -619,7 +625,7 @@ impl Event {
 }
 
 /// The JSONL writer: the walk opens the object with its `"ev"` tag and
-/// appends each field as `,"key":value`; [`Event::to_json`] closes it. An
+/// appends each field as `,"key":value`; [`Event::append_json`] closes it. An
 /// unclassified message leaves its `kind` out.
 impl FieldWriter for String {
     fn kind(&mut self, index: usize) {

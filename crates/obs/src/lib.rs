@@ -21,7 +21,8 @@
 //! - [`Sink`] — where events go: [`NullSink`] (default, free),
 //!   [`RingSink`] (bounded in-memory tail, used by tests), [`JsonlSink`]
 //!   (streaming JSON-lines file, used by `--trace-jsonl`), [`BinSink`]
-//!   (streaming binary frames, used by `--trace-bin`; see [`bin`]),
+//!   (streaming binary frames, used by `--trace-bin` and to hold each
+//!   `cmvrp serve` session's trace in memory; see [`bin`]),
 //!   [`VecSink`] (unbounded buffer, used by the sharded engine's
 //!   per-shard streams).
 //! - [`Metrics`] / [`Histogram`] — always-on counters, gauges, and
@@ -41,8 +42,9 @@
 //!   [`CausalIndex`] — the happens-before graph behind `cmvrp trace
 //!   explain` and the causal chains attached to violations.
 //! - [`load`] — the encoding-sniffing trace loader ([`load_trace`]):
-//!   normalizes JSONL and binary files to canonical JSONL text with a
-//!   scoped error for every truncation/corruption shape.
+//!   normalizes JSONL and binary files to canonical JSONL text (a binary
+//!   file frame by frame, never as a whole `Vec<Event>`) with a scoped
+//!   error for every truncation/corruption shape.
 //! - [`diff`] — semantic trace comparison ([`diff_lines`]): localizes the
 //!   first divergence between two runs and classifies it (payload drift /
 //!   reordering within a time band / different event set / truncation).
@@ -108,7 +110,8 @@
 //!
 //! The same vocabulary also has a compact binary form ([`bin`]): a
 //! magic/versioned header followed by length-prefixed varint frames,
-//! written by [`BinSink`] and decoded by [`decode_trace`]. `cmvrp trace
+//! written by [`BinSink`] and read one event at a time by [`BinReader`]
+//! ([`decode_trace`] collects it into a `Vec`). `cmvrp trace
 //! convert` translates between the two losslessly, and every trace
 //! consumer sniffs the magic bytes to accept either encoding.
 //!
@@ -143,7 +146,7 @@ pub mod replay;
 pub mod sink;
 pub mod span;
 
-pub use bin::{decode_trace, is_binary_trace, BinSink};
+pub use bin::{decode_trace, is_binary_trace, BinReader, BinSink};
 pub use check::{
     check_lines, CausalIndex, CausalNode, CheckReport, MergeChecker, TraceChecker, Violation,
     INVARIANTS,

@@ -12,7 +12,7 @@
 //! scoped error messages — never panics, and never a silently misparsed
 //! trace.
 
-use crate::bin::{decode_trace, is_binary_trace, BIN_MAGIC};
+use crate::bin::{is_binary_trace, BinReader, BIN_MAGIC};
 use crate::event::Event;
 
 /// The JSONL schema generation this build writes (v2 added the
@@ -98,17 +98,19 @@ pub fn load_trace_bytes(bytes: &[u8]) -> Result<LoadedTrace, String> {
     }
     if is_binary_trace(bytes) {
         let version = bytes.get(4).copied().unwrap_or(0);
-        let events = decode_trace(bytes).map_err(|e| e.to_string())?;
-        let mut text = String::with_capacity(events.len() * 64);
-        for ev in &events {
-            text.push_str(&ev.to_json());
+        // One frame at a time: the text is the only copy of the trace.
+        let mut text = String::new();
+        let mut events = 0;
+        for ev in BinReader::open(bytes).map_err(|e| e.to_string())? {
+            ev.map_err(|e| e.to_string())?.append_json(&mut text);
             text.push('\n');
+            events += 1;
         }
         return Ok(LoadedTrace {
             text,
             encoding: TraceEncoding::Binary,
             version,
-            events: events.len(),
+            events,
         });
     }
     let text = std::str::from_utf8(bytes)

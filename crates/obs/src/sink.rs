@@ -214,11 +214,14 @@ impl StaticSink for VecSink {}
 
 /// Streams events as JSON lines to any writer (hand-rolled, no serde).
 ///
-/// I/O errors are sticky: the first one is remembered and surfaced by
+/// Each line is rendered into one reused buffer, so recording allocates
+/// nothing once the buffer has grown to the longest line. I/O errors are
+/// sticky: the first one is remembered and surfaced by
 /// [`JsonlSink::finish`]; recording never panics mid-simulation.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: BufWriter<W>,
+    line: String,
     written: u64,
     error: Option<io::Error>,
 }
@@ -239,6 +242,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer: BufWriter::new(writer),
+            line: String::with_capacity(128),
             written: 0,
             error: None,
         }
@@ -281,12 +285,10 @@ impl<W: Write> Sink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let line = event.to_json();
-        let res = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"));
-        match res {
+        self.line.clear();
+        event.append_json(&mut self.line);
+        self.line.push('\n');
+        match self.writer.write_all(self.line.as_bytes()) {
             Ok(()) => self.written += 1,
             Err(e) => self.error = Some(e),
         }

@@ -4,9 +4,9 @@
 //! `cmvrp serve`: a hermetic multi-tenant simulation service.
 //!
 //! A [`Server`] listens on a `std::net::TcpListener` and hosts engine
-//! [`Session`]s behind a line-delimited JSON protocol: each
-//! request is one flat JSON object on one line, each response is one JSON
-//! line (plus, for `trace`, a counted block of raw event lines). One
+//! [`Session`]s behind a line-delimited JSON protocol: each request is one
+//! flat JSON object on one line of at most 64 KiB, each response is one
+//! JSON line (plus, for `trace`, a counted block of raw event lines). One
 //! connection owns its sessions — they are created, stepped, and closed
 //! by that client alone, and dropped when the connection ends — so the
 //! per-session determinism guarantee of the step API carries over to the
@@ -36,23 +36,42 @@
 //! | `open` | `session`, `workload`, `seed`, `capacity`, `threads`, `check`, `preload` | create a session; `preload:false` provisions for the workload's demand but queues nothing (arrivals come via `inject`) |
 //! | `inject` | `session`, `job` | queue one arrival `[x, y]`, applied at the next round barrier |
 //! | `advance` | `session`, `until` \| `rounds` | step the session (neither bound drains it to completion) |
-//! | `query` | `session` | live counters: clock, rounds, events, served/unserved, backlog |
+//! | `query` | `session` | live counters: clock, rounds, events, served/unserved, backlog, and `trace_bytes`, the bytes the session holds for its trace |
 //! | `trace` | `session` | the canonical merged trace so far, as raw event JSONL lines after a `lines`-counted header |
 //! | `close` | `session` | finish the session and report the final accounting |
 //!
 //! Responses are `{"ok":true,"op":...,...}` on success and
 //! `{"ok":false,"error":...}` on rejection; rejections name the offending
-//! input and the supported alternatives, like the CLI does.
+//! input and the supported alternatives, like the CLI does. A request line
+//! longer than 64 KiB is rejected the same way: the server reads no more
+//! than the limit, discards the rest of the line, and keeps serving the
+//! connection.
+//!
+//! ## What a session holds
+//!
+//! A session keeps its trace as the CMVB frames a [`BinSink`] writes into
+//! a `Vec<u8>` — about 10 bytes per event on the clustered workloads,
+//! against 80 for a decoded [`cmvrp_obs::Event`] — and `query` reports
+//! that size as `trace_bytes`. Every reply is written straight into the
+//! connection's buffered writer: `trace` decodes one frame at a time with
+//! a [`BinReader`] and renders each line into one reused buffer, so
+//! fetching a trace costs no more memory than holding it. The `lines`
+//! header is the sink's count of written frames. A frame the server wrote
+//! itself cannot fail to decode; if one did, the connection would end
+//! rather than carry a body shorter than its header.
 
 use cmvrp_engine::{ExecConfig, Session};
 use cmvrp_grid::pt2;
 use cmvrp_obs::json::{quote, Object};
-use cmvrp_obs::VecSink;
+use cmvrp_obs::{BinReader, BinSink, FrameError};
 use cmvrp_online::OnlineConfig;
 use cmvrp_scenario::Scenario;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+
+/// The longest request line the server reads, its newline excluded.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// How a [`Server`] listens.
 #[derive(Debug, Clone)]
@@ -156,24 +175,70 @@ struct ConnStats {
 
 /// Serves one client: reads request lines, writes response lines, until
 /// the peer closes. Sessions die with the connection.
-fn handle_connection(stream: TcpStream, max_sessions: usize) -> std::io::Result<ConnStats> {
-    let reader = BufReader::new(stream.try_clone()?);
+fn handle_connection(stream: TcpStream, max_sessions: usize) -> io::Result<ConnStats> {
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut conn = Connection::new(max_sessions);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        for out in conn.handle(&line) {
-            writer.write_all(out.as_bytes())?;
-            writer.write_all(b"\n")?;
+    let mut line = Vec::new();
+    loop {
+        match read_request(&mut reader, &mut line)? {
+            Request::End => return Ok(conn.stats),
+            Request::TooLong => {
+                conn.stats.requests += 1;
+                reject(
+                    &mut writer,
+                    &format!(
+                        "request line exceeds the {} KiB limit ({MAX_REQUEST_BYTES} \
+                         bytes); the rest of the line was discarded — send one flat \
+                         JSON object per line, under the limit",
+                        MAX_REQUEST_BYTES / 1024
+                    ),
+                )?;
+            }
+            Request::Line => {
+                let line = std::str::from_utf8(&line)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                if line.trim().is_empty() {
+                    continue;
+                }
+                conn.handle(line, &mut writer)?;
+            }
         }
         // The protocol is lockstep (one response block per request), so
         // every block must reach the peer before the next request.
         writer.flush()?;
     }
-    Ok(conn.stats)
+}
+
+/// What [`read_request`] found.
+#[derive(Debug, PartialEq, Eq)]
+enum Request {
+    /// A line within the limit, now in the buffer.
+    Line,
+    /// A line over [`MAX_REQUEST_BYTES`], read to its end and discarded.
+    TooLong,
+    /// The peer closed the connection.
+    End,
+}
+
+/// Reads one request line into `line`, without its `\n` or `\r\n`, as
+/// `BufRead::lines` would, but never holds more than
+/// [`MAX_REQUEST_BYTES`]: past the limit it skips to the line's end and
+/// drops it. A last line without a newline still counts.
+fn read_request(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Request> {
+    line.clear();
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+        return Ok(Request::End);
+    }
+    if line.pop_if(|b| *b == b'\n').is_some() {
+        line.pop_if(|b| *b == b'\r');
+    } else if line.len() > MAX_REQUEST_BYTES {
+        reader.skip_until(b'\n')?;
+        line.clear();
+        return Ok(Request::TooLong);
+    }
+    Ok(Request::Line)
 }
 
 /// One client's protocol state: its open sessions and counters. Public
@@ -185,10 +250,45 @@ struct Connection {
     stats: ConnStats,
 }
 
-/// An open session plus the trace it has streamed so far.
+/// An open session plus the trace it has streamed so far, as CMVB bytes.
 struct Tenant {
     session: Session<2>,
-    sink: VecSink,
+    sink: BinSink<Vec<u8>>,
+}
+
+/// Why a request got no `{"ok":true,...}` reply.
+enum Failure {
+    /// The request is wrong; the reply is `{"ok":false,"error":...}`.
+    Rejected(String),
+    /// The reply could not be written, or the session's own trace did not
+    /// decode; the connection ends.
+    Broken(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Rejected(msg)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Broken(e)
+    }
+}
+
+/// A session's trace frame that did not decode: the server wrote it, so
+/// this is a fault of the server, never of the request.
+fn corrupt_trace(e: FrameError) -> Failure {
+    Failure::Broken(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("session trace does not decode: {e}"),
+    ))
+}
+
+/// Writes a rejection line.
+fn reject(out: &mut dyn Write, msg: &str) -> io::Result<()> {
+    writeln!(out, "{{\"ok\":false,\"error\":{}}}", quote(msg))
 }
 
 const OPS: &str = "open, inject, advance, query, trace, close";
@@ -202,30 +302,38 @@ impl Connection {
         }
     }
 
-    /// Handles one request line, returning the response block: one JSON
-    /// line normally, a header plus raw event lines for `trace`, one
-    /// `{"ok":false,...}` line on any rejection.
-    fn handle(&mut self, line: &str) -> Vec<String> {
+    /// Handles one request line, writing its response block into `out`:
+    /// one JSON line normally, a header plus raw event lines for `trace`,
+    /// one `{"ok":false,...}` line on any rejection. Every op checks its
+    /// request before it writes, so a rejection never follows a partial
+    /// reply.
+    ///
+    /// # Errors
+    ///
+    /// A failed write, or a session trace that does not decode; either
+    /// ends the connection.
+    fn handle(&mut self, line: &str, out: &mut dyn Write) -> io::Result<()> {
         self.stats.requests += 1;
-        match self.dispatch(line) {
-            Ok(lines) => lines,
-            Err(msg) => vec![format!("{{\"ok\":false,\"error\":{}}}", quote(&msg))],
+        match self.dispatch(line, out) {
+            Ok(()) => Ok(()),
+            Err(Failure::Rejected(msg)) => reject(out, &msg),
+            Err(Failure::Broken(e)) => Err(e),
         }
     }
 
-    fn dispatch(&mut self, line: &str) -> Result<Vec<String>, String> {
+    fn dispatch(&mut self, line: &str, out: &mut dyn Write) -> Result<(), Failure> {
         let req = Object::parse(line, "request")?;
         let op = req
             .str("op")?
             .ok_or_else(|| format!("request has no \"op\"; supported ops: {OPS}"))?;
         match op {
-            "open" => self.op_open(&req),
-            "inject" => self.op_inject(&req),
-            "advance" => self.op_advance(&req),
-            "query" => self.op_query(&req),
-            "trace" => self.op_trace(&req),
-            "close" => self.op_close(&req),
-            other => Err(format!("unknown op {other:?}; supported ops: {OPS}")),
+            "open" => self.op_open(&req, out),
+            "inject" => self.op_inject(&req, out),
+            "advance" => self.op_advance(&req, out),
+            "query" => self.op_query(&req, out),
+            "trace" => self.op_trace(&req, out),
+            "close" => self.op_close(&req, out),
+            other => Err(format!("unknown op {other:?}; supported ops: {OPS}").into()),
         }
     }
 
@@ -247,7 +355,7 @@ impl Connection {
         ))
     }
 
-    fn op_open(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+    fn op_open(&mut self, req: &Object<'_>, out: &mut dyn Write) -> Result<(), Failure> {
         let id = req.str("session")?.ok_or_else(|| {
             "open needs a \"session\" id (any string the client picks)".to_string()
         })?;
@@ -255,7 +363,8 @@ impl Connection {
             return Err(format!(
                 "session {id:?} is already open; close it first, or pick \
                  another id"
-            ));
+            )
+            .into());
         }
         if self.tenants.len() >= self.max_sessions {
             return Err(format!(
@@ -263,7 +372,8 @@ impl Connection {
                  server's --max-sessions limit; close one first, or raise \
                  the limit at `cmvrp serve listen`",
                 self.tenants.len()
-            ));
+            )
+            .into());
         }
         let spec = req.str("workload")?.ok_or_else(|| {
             "open needs a \"workload\" spec, e.g. \"point:grid=11,demand=60\" \
@@ -282,7 +392,8 @@ impl Connection {
                  the script with `cmvrp scenario run`, or drop the [faults] \
                  section",
                 scenario.label()
-            ));
+            )
+            .into());
         }
         let mut online = OnlineConfig {
             seed: req.i64("seed")?.unwrap_or(1) as u64,
@@ -293,7 +404,7 @@ impl Connection {
         }
         let threads = req.i64("threads")?.unwrap_or(1);
         if threads < 1 {
-            return Err("\"threads\" must be at least 1".to_string());
+            return Err("\"threads\" must be at least 1".to_string().into());
         }
         let check = req.bool("check")?.unwrap_or(false);
         let preload = req.bool("preload")?.unwrap_or(true);
@@ -313,7 +424,8 @@ impl Connection {
         }
         .map_err(|e| e.to_string())?;
         let prov = session.provisioning();
-        let resp = format!(
+        writeln!(
+            out,
             "{{\"ok\":true,\"op\":\"open\",\"session\":{},\"capacity\":{},\
              \"cube_side\":{},\"shards\":{},\"queued\":{}}}",
             quote(id),
@@ -321,19 +433,19 @@ impl Connection {
             prov.side,
             session.shard_count(),
             session.work_remaining(),
-        );
+        )?;
         self.tenants.insert(
             id.to_string(),
             Tenant {
                 session,
-                sink: VecSink::new(),
+                sink: BinSink::new(Vec::new()),
             },
         );
         self.stats.sessions += 1;
-        Ok(vec![resp])
+        Ok(())
     }
 
-    fn op_inject(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+    fn op_inject(&mut self, req: &Object<'_>, out: &mut dyn Write) -> Result<(), Failure> {
         let id = self.session_id(req)?;
         let job = req
             .arr("job")?
@@ -344,21 +456,24 @@ impl Connection {
                 "\"job\" has {} coordinate(s) but sessions run on the \
                  2-dimensional grid; send [x,y]",
                 job.len()
-            ));
+            )
+            .into());
         };
         let tenant = self.tenants.get_mut(id).expect("session checked above");
         tenant
             .session
             .inject(pt2(x, y))
             .map_err(|e| e.to_string())?;
-        Ok(vec![format!(
+        writeln!(
+            out,
             "{{\"ok\":true,\"op\":\"inject\",\"session\":{},\"pending\":{}}}",
             quote(id),
             tenant.session.pending_injections(),
-        )])
+        )?;
+        Ok(())
     }
 
-    fn op_advance(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+    fn op_advance(&mut self, req: &Object<'_>, out: &mut dyn Write) -> Result<(), Failure> {
         let id = self.session_id(req)?;
         let until = req.i64("until")?;
         let rounds = req.i64("rounds")?;
@@ -368,13 +483,15 @@ impl Connection {
             (Some(_), Some(_)) => {
                 return Err("advance accepts \"until\":T or \"rounds\":N, not both; \
                      omit both to drain the session to completion"
-                    .to_string())
+                    .to_string()
+                    .into())
             }
             (Some(t), None) => tenant.session.advance_until(t as u64, &mut tenant.sink),
             (None, Some(n)) => tenant.session.advance_rounds(n as u64, &mut tenant.sink),
             (None, None) => tenant.session.drain(&mut tenant.sink),
         };
-        Ok(vec![format!(
+        writeln!(
+            out,
             "{{\"ok\":true,\"op\":\"advance\",\"session\":{},\"rounds\":{},\
              \"events\":{},\"now\":{},\"idle\":{}}}",
             quote(id),
@@ -382,18 +499,20 @@ impl Connection {
             step.events,
             step.now,
             step.idle,
-        )])
+        )?;
+        Ok(())
     }
 
-    fn op_query(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+    fn op_query(&mut self, req: &Object<'_>, out: &mut dyn Write) -> Result<(), Failure> {
         let id = self.session_id(req)?;
         no_extras(req, "query", &["op", "session"])?;
         let tenant = &self.tenants[id];
         let report = tenant.session.report();
-        Ok(vec![format!(
+        writeln!(
+            out,
             "{{\"ok\":true,\"op\":\"query\",\"session\":{},\"now\":{},\
              \"rounds\":{},\"events\":{},\"served\":{},\"unserved\":{},\
-             \"backlog\":{},\"injected\":{},\"idle\":{}}}",
+             \"backlog\":{},\"injected\":{},\"idle\":{},\"trace_bytes\":{}}}",
             quote(id),
             tenant.session.now(),
             tenant.session.rounds(),
@@ -403,24 +522,34 @@ impl Connection {
             tenant.session.work_remaining(),
             tenant.session.injected(),
             tenant.session.is_idle(),
-        )])
+            tenant.sink.get_ref().len(),
+        )?;
+        Ok(())
     }
 
-    fn op_trace(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+    /// Streams the trace: the header, then each frame decoded and
+    /// rendered into one reused line on its way into `out`.
+    fn op_trace(&mut self, req: &Object<'_>, out: &mut dyn Write) -> Result<(), Failure> {
         let id = self.session_id(req)?;
         no_extras(req, "trace", &["op", "session"])?;
-        let tenant = &self.tenants[id];
-        let mut lines = Vec::with_capacity(tenant.sink.len() + 1);
-        lines.push(format!(
+        let sink = &self.tenants[id].sink;
+        writeln!(
+            out,
             "{{\"ok\":true,\"op\":\"trace\",\"session\":{},\"lines\":{}}}",
             quote(id),
-            tenant.sink.len(),
-        ));
-        lines.extend(tenant.sink.events().iter().map(|ev| ev.to_json()));
-        Ok(lines)
+            sink.written(),
+        )?;
+        let mut line = String::with_capacity(128);
+        for ev in BinReader::open(sink.get_ref()).map_err(corrupt_trace)? {
+            line.clear();
+            ev.map_err(corrupt_trace)?.append_json(&mut line);
+            line.push('\n');
+            out.write_all(line.as_bytes())?;
+        }
+        Ok(())
     }
 
-    fn op_close(&mut self, req: &Object<'_>) -> Result<Vec<String>, String> {
+    fn op_close(&mut self, req: &Object<'_>, out: &mut dyn Write) -> Result<(), Failure> {
         let id = self.session_id(req)?;
         no_extras(req, "close", &["op", "session"])?;
         let tenant = self.tenants.remove(id).expect("session checked above");
@@ -430,7 +559,8 @@ impl Connection {
             Some(summary) => format!(",\"violations\":{}", summary.violations.len()),
             None => String::new(),
         };
-        Ok(vec![format!(
+        writeln!(
+            out,
             "{{\"ok\":true,\"op\":\"close\",\"session\":{},\"served\":{},\
              \"unserved\":{},\"max_energy\":{},\"events\":{}{}}}",
             quote(id),
@@ -439,7 +569,8 @@ impl Connection {
             run.report.max_energy_used,
             events,
             check,
-        )])
+        )?;
+        Ok(())
     }
 }
 
@@ -506,10 +637,20 @@ fn no_extras(req: &Object<'_>, op: &str, known: &[&str]) -> Result<(), String> {
 mod tests {
     use super::*;
     use cmvrp_grid::GridBounds;
+    use cmvrp_obs::VecSink;
     use cmvrp_workloads::{arrivals, Ordering, WorkloadConfig};
 
+    /// The response block `conn` writes for `line`, split into lines.
+    fn block(conn: &mut Connection, line: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        conn.handle(line, &mut out).expect("in-memory write");
+        let text = String::from_utf8(out).expect("utf8");
+        assert!(text.ends_with('\n'), "{text:?}");
+        text.lines().map(str::to_string).collect()
+    }
+
     fn one(conn: &mut Connection, line: &str) -> String {
-        let lines = conn.handle(line);
+        let lines = block(conn, line);
         assert_eq!(lines.len(), 1, "{lines:?}");
         lines.into_iter().next().expect("one line")
     }
@@ -531,6 +672,7 @@ mod tests {
         assert!(resp.contains("\"rounds\":3"), "{resp}");
         let resp = one(&mut conn, "{\"op\":\"query\",\"session\":\"a\"}");
         assert!(resp.contains("\"rounds\":3"), "{resp}");
+        assert!(resp.contains("\"trace_bytes\":"), "{resp}");
         let resp = one(&mut conn, "{\"op\":\"advance\",\"session\":\"a\"}");
         assert!(resp.contains("\"idle\":true"), "{resp}");
         let resp = one(&mut conn, "{\"op\":\"close\",\"session\":\"a\"}");
@@ -561,7 +703,7 @@ mod tests {
         }
         let resp = one(&mut conn, "{\"op\":\"advance\",\"session\":\"live\"}");
         assert!(resp.contains("\"idle\":true"), "{resp}");
-        let lines = conn.handle("{\"op\":\"trace\",\"session\":\"live\"}");
+        let lines = block(&mut conn, "{\"op\":\"trace\",\"session\":\"live\"}");
         assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
 
         let workload: WorkloadConfig = "point:grid=11,demand=20".parse().unwrap();
@@ -720,6 +862,105 @@ mod tests {
     }
 
     #[test]
+    fn an_over_long_request_line_is_refused_and_the_connection_goes_on() {
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            max_sessions: 1,
+            connections: 1,
+        })
+        .expect("bind");
+        let addr = server.local_addr().expect("addr").to_string();
+        let handle = std::thread::spawn(move || server.run().expect("serve"));
+        // A 1 MiB line between an open and a query of the same session.
+        let script = format!(
+            "{{\"op\":\"open\",\"session\":\"s\",\"workload\":\"point:grid=5,demand=3\"}}\n\
+             {{\"op\":\"query\",\"session\":\"{}\"}}\n\
+             {{\"op\":\"query\",\"session\":\"s\"}}\n",
+            "x".repeat(1 << 20)
+        );
+        let mut out = Vec::new();
+        send(&addr, &mut script.as_bytes(), &mut out).expect("client");
+        let text = String::from_utf8(out).expect("utf8");
+        let replies: Vec<&str> = text.lines().collect();
+        assert_eq!(replies.len(), 3, "{text}");
+        assert!(replies[0].starts_with("{\"ok\":true,\"op\":\"open\""));
+        assert!(
+            replies[1].starts_with("{\"ok\":false,\"error\":")
+                && replies[1].contains("64 KiB limit (65536 bytes)"),
+            "{}",
+            replies[1]
+        );
+        assert!(
+            replies[2].starts_with("{\"ok\":true,\"op\":\"query\",\"session\":\"s\""),
+            "{}",
+            replies[2]
+        );
+        let stats = handle.join().expect("join");
+        assert_eq!(stats.requests, 3);
+    }
+
+    #[test]
+    fn request_lines_end_at_the_newline_and_stop_at_the_limit() {
+        let at_limit = "a".repeat(MAX_REQUEST_BYTES);
+        let over = "b".repeat(MAX_REQUEST_BYTES + 1);
+        let huge = "c".repeat(1 << 20);
+        let input = format!("{at_limit}\n{over}\r\n{huge}\nx\r\n\ny\r");
+        // A 7-byte buffer splits every line across several reads.
+        let mut reader = BufReader::with_capacity(7, input.as_bytes());
+        let mut line = Vec::new();
+        let mut seen = Vec::new();
+        loop {
+            let request = read_request(&mut reader, &mut line).unwrap();
+            if request == Request::End {
+                break;
+            }
+            seen.push((request, String::from_utf8(line.clone()).unwrap()));
+        }
+        assert_eq!(
+            seen,
+            [
+                (Request::Line, at_limit),
+                (Request::TooLong, String::new()),
+                (Request::TooLong, String::new()),
+                (Request::Line, "x".to_string()),
+                (Request::Line, String::new()),
+                // `BufRead::lines` keeps a `\r` that ends no line.
+                (Request::Line, "y\r".to_string()),
+            ]
+        );
+        // The 1 MiB line was never held.
+        assert!(
+            line.capacity() <= MAX_REQUEST_BYTES * 2,
+            "{}",
+            line.capacity()
+        );
+    }
+
+    #[test]
+    fn a_session_trace_that_does_not_decode_ends_the_connection() {
+        let mut conn = Connection::new(1);
+        one(
+            &mut conn,
+            "{\"op\":\"open\",\"session\":\"s\",\"workload\":\"point:grid=5,demand=3\"}",
+        );
+        // A frame whose message-kind byte is out of range (the header the
+        // sink writes after these bytes is read as the frame's tail).
+        let tenant = conn.tenants.get_mut("s").unwrap();
+        tenant.sink = BinSink::new(b"CMVB\x01\x05\x01".to_vec());
+        let mut out = Vec::new();
+        let err = conn
+            .handle("{\"op\":\"trace\",\"session\":\"s\"}", &mut out)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("frame 1"), "{err}");
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(
+            text,
+            "{\"ok\":true,\"op\":\"trace\",\"session\":\"s\",\"lines\":0}\n"
+        );
+    }
+
+    #[test]
     fn parser_handles_escapes_and_rejects_garbage() {
         // Requests go through the shared flat-JSON reader: escapes decode,
         // and malformed requests come back as one rejection line each.
@@ -799,13 +1040,16 @@ mod tests {
                 bytes = (0..rng() % 64).map(|_| (rng() & 0xff) as u8).collect();
             }
             let line = String::from_utf8_lossy(&bytes);
-            let reply = conn.handle(&line);
+            let reply = block(&mut conn, &line);
             assert!(!reply.is_empty(), "{line}");
             assert!(reply[0].starts_with("{\"ok\":"), "{line}: {}", reply[0]);
             accepted += usize::from(reply[0].starts_with("{\"ok\":true"));
-            for out in &reply {
-                assert!(!out.contains('\n'), "{line}: {out}");
-            }
+            // One line per reply, plus a `trace` body of exactly `lines`.
+            let body = Object::parse(&reply[0], "reply")
+                .ok()
+                .and_then(|o| o.i64("lines").ok().flatten())
+                .unwrap_or(0);
+            assert_eq!(reply.len(), 1 + body as usize, "{line}: {reply:?}");
         }
         assert!(accepted > 400, "only {accepted} requests were served");
     }
