@@ -1,56 +1,41 @@
 #![warn(missing_docs)]
 
-//! Command-line interface for the CMVRP reproduction.
+//! Command-line interface for the CMVRP reproduction: the `cmvrp` binary.
+//! `cmvrp help` lists every subcommand and flag; README.md walks through
+//! them.
 //!
-//! Subcommands (see `cmvrp help`):
-//!
-//! * `solve` — compute the Chapter 2 quantities (`ω_c`, `ω*`,
-//!   Algorithm 1, the Lemma 2.2.5 plan) for a workload;
-//! * `simulate` — replay the workload through the Chapter 3 on-line
-//!   protocol and report the Theorem 1.4.2 accounting, optionally writing
-//!   a JSONL event trace (`--trace-jsonl`) and a metrics table
-//!   (`--metrics`);
-//! * `trace` — trace analytics: `check` (invariant monitors, violations
-//!   carry their causal chain), `stats` (the run's summary rebuilt from
-//!   the trace alone), `timeline <proc>` (per-process ledger with derived
-//!   Lamport clocks), `spans`
-//!   (phase-span aggregation), `convert` (JSONL ↔ binary, lossless),
-//!   `profile` (flight-recorder breakdown of a `--profile` run), `diff`
-//!   (first semantic divergence between two traces, exit code 1 when they
-//!   differ), `query` (filter events with a small expression language),
-//!   `explain` (happens-before chain leading to a chosen event);
-//! * `ckpt inspect` — summarize a `CMVC` checkpoint written by `simulate
-//!   --checkpoint` (see `cmvrp-ckpt`); `simulate --resume-from` continues
-//!   a run from one with a byte-identical trace tail;
-//! * `campaign` — run a spec'd panel of simulations with per-run
-//!   checkpoints, bounded-backoff retries from the last checkpoint, and a
-//!   dead-letter list (`run`, `status`, `retry-dead`);
-//! * `scenario` — the declarative workload surface: `check` validates a
-//!   scenario file, `run` executes it (honoring its `[faults]` script via
-//!   crash+resume) and emits a summary table comparing the paper bounds,
-//!   the literature baselines from `[report]`, and the protocol's cost;
-//! * `workloads` — list the built-in workload shapes.
-//!
-//! Every trace-reading subcommand accepts both encodings transparently:
-//! files are sniffed by the binary format's magic bytes and decoded back
-//! to the canonical event stream before analysis.
+//! Each subcommand is one row of `COMMANDS`: its words, its positional
+//! arguments, its flags with their help text, the function that runs it,
+//! and its usage text. One parser reads an argument list against its row,
+//! so the usage screen, dispatch and every usage error ("needs", "unknown
+//! option", "unexpected argument") come from the table. Valued flags are
+//! written `--name=value` or `--name value`; a separated value that begins
+//! with `--` is refused. The workspace takes no CLI dependencies;
+//! [`run_with_status`] is the entry point. One module per command family
+//! runs the rows: `offline` (`solve`, `show`, `sweep`, `experiment`,
+//! `workloads`), `run` (`simulate`, `scenario`), `trace`, `ckpt` (`ckpt`,
+//! `campaign`) and `serve`.
 //!
 //! Workloads are specified either inline as `shape:param=value,...`, e.g.
-//! `point:grid=11,demand=60` or `clusters:grid=12,k=3,jobs=200,seed=7`, or
-//! as `@path.toml` naming a scenario file — every place that takes a
-//! workload (simulate, campaign `workload =` lines, the serve wire `open`
-//! op) accepts both through the shared [`Scenario`] parser. Argument
-//! parsing is hand-rolled (the workspace takes no CLI dependencies);
-//! [`run`] is the testable entry point.
+//! `point:grid=11,demand=60`, or as `@path.toml` naming a scenario file;
+//! every place that takes a workload (simulate, campaign `workload =`
+//! lines, the serve wire `open` op) accepts both through the shared
+//! [`Scenario`] parser. Every trace-reading subcommand accepts both trace
+//! encodings, sniffed by the binary format's magic bytes.
 
-use cmvrp_core::Instance;
-use cmvrp_engine::{CheckScope, CheckSummary, CheckpointPolicy, EngineCheckpoint, ExecConfig};
-use cmvrp_obs::{BinSink, Event, JsonlSink, Metrics, Sink};
-use cmvrp_online::{OnlineConfig, OnlineReport};
-use cmvrp_scenario::{baselines, Baseline, Scenario};
-use cmvrp_workloads::{JobSequence, WorkloadConfig};
+mod args;
+mod ckpt;
+mod offline;
+mod run;
+mod serve;
+#[rustfmt::skip]
+mod table;
+mod trace;
+
+use args::{Args, Command};
+use cmvrp_scenario::Scenario;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use table::{COMMANDS, WORKLOADS};
 
 /// Errors surfaced to the user with exit code 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,139 +49,70 @@ impl std::fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-/// The full `trace` subcommand set — the single source for the usage
-/// screen and the dispatch errors (a test asserts they stay in sync).
-const TRACE_SUBCOMMANDS: [&str; 9] = [
-    "check", "stats", "timeline", "spans", "convert", "profile", "diff", "query", "explain",
-];
+/// Any error, surfaced to the user by its text.
+fn usage_error(e: impl ToString) -> UsageError {
+    UsageError(e.to_string())
+}
 
+/// What a command returns: the text to print and the exit status.
+type Outcome = Result<(String, i32), UsageError>;
+
+/// The usage screen, rendered from [`COMMANDS`].
 fn usage() -> String {
-    let experiment_ids = cmvrp_bench::experiment_ids();
-    format!(
-        "cmvrp — Capacitated Multivehicle Routing Problem (Gao, 2008)\n\
-     \n\
-     USAGE:\n\
-       cmvrp solve <workload>            off-line bounds + verified plan\n\
-       cmvrp simulate <workload> [opts]  run the on-line protocol\n\
-       cmvrp trace check <trace>         validate a trace against the invariant monitors\n\
-       cmvrp trace stats <trace>         summarize a recorded event trace\n\
-       cmvrp trace timeline <p> <trace>  event ledger of process <p> with Lamport clocks\n\
-       cmvrp trace spans <trace>         aggregate wall-clock phase spans\n\
-       cmvrp trace convert <in> <out>    convert a trace JSONL <-> binary (lossless,\n\
-                                         direction inferred from the input's encoding)\n\
-       cmvrp trace profile <trace>       flight-recorder breakdown of a --profile run\n\
-       cmvrp trace diff <a> <b>          first semantic divergence between two traces\n\
-                                         (exit 0 identical, 1 divergent; --context=N)\n\
-       cmvrp trace query <expr> <trace>  filter events with a query expression, e.g.\n\
-                                         'kind=delivered and proc=7 and t>=12'\n\
-       cmvrp trace explain <sel> <trace> causal chain leading to an event; <sel> is\n\
-                                         job:<seq>, proc:<id>, or line:<n>\n\
-       cmvrp ckpt inspect <file>         summarize a CMVC checkpoint file\n\
-       cmvrp campaign run <spec>         run a panel of simulations with per-run\n\
-                                         checkpoints, retries from the last\n\
-                                         checkpoint, and a dead-letter list\n\
-                                         (exit 1 when any run ends up dead)\n\
-       cmvrp campaign status <dir>       summarize a campaign's state file\n\
-                                         (exit 1 when the dead-letter list is\n\
-                                         non-empty)\n\
-       cmvrp campaign retry-dead <spec>  re-run dead-letter runs with a fresh\n\
-                                         retry budget, resuming from their\n\
-                                         checkpoints\n\
-       cmvrp serve listen [opts]         host engine sessions over TCP behind the\n\
-                                         line-delimited JSON protocol (ops: open,\n\
-                                         inject, advance, query, trace, close)\n\
-       cmvrp serve send <addr>           drive a server from stdin: one request\n\
-                                         line at a time, responses to stdout\n\
-       cmvrp scenario check <file>       parse + summarize a scenario file\n\
-       cmvrp scenario run <file> [opts]  execute a scenario file: protocol run\n\
-                                         (with its [faults] crash+resume script)\n\
-                                         plus the [report] baselines, as a\n\
-                                         summary table of paper bound vs\n\
-                                         baseline cost vs protocol cost\n\
-       cmvrp show <workload>             render the demand map as ASCII\n\
-       cmvrp experiment <id>             regenerate a thesis experiment ({experiment_ids})\n\
-       cmvrp sweep <shape> <d1> <d2> ..  omega* scaling across demands (point|line)\n\
-       cmvrp workloads                   list workload shapes\n\
-       cmvrp help                        this message\n\
-     \n\
-     WORKLOADS (inline spec or @file):\n\
-       point:grid=N,demand=D\n\
-       line:grid=N,demand=D\n\
-       square:grid=N,a=A,demand=D\n\
-       uniform:grid=N,jobs=J,seed=S\n\
-       clusters:grid=N,k=K,jobs=J,seed=S\n\
-       @scenario.toml    a scenario file ([substrate]/[demand]/[arrivals]/\n\
-                         [faults]/[report], see README \"Scenarios\"); accepted\n\
-                         everywhere a workload spec is: simulate, campaign\n\
-                         workload= lines, and the serve wire open op\n\
-     \n\
-     SCENARIO RUN OPTIONS:\n\
-       --seed=S        run seed (default 1; also the default arrival seed)\n\
-       --capacity=W    override the Lemma 3.3.1 provisioning\n\
-       --threads=N     worker threads (default 1; the summary is the same\n\
-                       for every N)\n\
-       --check         verify the invariant monitors inline\n\
-       --trace-jsonl=P stream the run's events to path P\n\
-     \n\
-     SIMULATE OPTIONS:\n\
-       --seed=S        message-delay seed (default 1)\n\
-       --capacity=W    override the Lemma 3.3.1 provisioning\n\
-       --threads=N     run the sharded engine on up to N worker threads\n\
-                       (default 1); traces are byte-identical for every N\n\
-       --monitored     enable the §3.2.5 heartbeat ring: each shard ticks\n\
-                       its own cubes after every job it releases; combines\n\
-                       with every other option\n\
-       --trace-jsonl P stream every event as JSON lines to path P\n\
-       --trace-bin P   stream every event in the length-prefixed binary\n\
-                       format to path P (same events, ~5x the write\n\
-                       throughput; decode with `cmvrp trace convert`);\n\
-                       not combinable with --trace-jsonl\n\
-       --profile       flight recorder: append one round_profile sample\n\
-                       per worker per round to the trace —\n\
-                       busy/barrier/merge/sink nanoseconds and event\n\
-                       counts; analyze with `cmvrp trace profile`\n\
-       --progress      live progress line on stderr (needs a terminal;\n\
-                       --progress=force paints without one)\n\
-       --checkpoint=F  write a CMVC snapshot of the run to F at round\n\
-                       barriers, atomically; resume with --resume-from,\n\
-                       inspect with `cmvrp ckpt inspect`\n\
-       --checkpoint-every=R  snapshot every R rounds (default 1; counts\n\
-                       absolute rounds, so a resumed run keeps the cadence;\n\
-                       needs --checkpoint)\n\
-       --stop-at-round=K  stop after round K (rounds count from 1); with\n\
-                       --checkpoint the final snapshot lands at K\n\
-       --resume-from=F continue a run from checkpoint F; the resumed trace\n\
-                       tail is byte-identical to the uninterrupted run's,\n\
-                       so concatenating head and tail traces equals a\n\
-                       one-shot trace (verify with `cmvrp trace diff`);\n\
-                       --threads defaults to the checkpoint's value and\n\
-                       may not disagree with it\n\
-       --metrics       print the always-on metrics registry\n\
-       --check         verify the invariant monitors inline while the run\n\
-                       streams (per-shard monitors plus merge-time\n\
-                       cross-shard monitors); any violation fails the run\n\
-                       naming the event and invariant\n\
-     \n\
-     TRACE CHECK OPTIONS:\n\
-       --capacity=W    battery capacity for traces without fleet_provisioned\n\
-     \n\
-     TRACE ANALYTICS OPTIONS:\n\
-       --where=EXPR    stats/timeline: restrict to events matching a query\n\
-                       expression (same language as `cmvrp trace query`)\n\
-       --context=N     diff: surrounding events to show around the first\n\
-                       divergence (default 3)\n\
-     \n\
-     CAMPAIGN OPTIONS:\n\
-       --dir=D         checkpoint + state directory (default <spec>.campaign)\n\
-       --bin=P         cmvrp binary to spawn per run (default: this\n\
-                       executable)\n\
-     \n\
-     SERVE LISTEN OPTIONS:\n\
-       --addr=H:P      bind address (default 127.0.0.1:7077; port 0 picks a\n\
-                       free port — the chosen address is printed first)\n\
-       --max-sessions=N  sessions one connection may hold open (default 16)\n\
-       --connections=N   serve N connections then exit (default 0: forever)\n"
-    )
+    let mut out = "cmvrp — Capacitated Multivehicle Routing Problem (Gao, 2008)\n\n".to_string();
+    let commands = COMMANDS.iter().map(|c| {
+        let opts = if c.flags.is_empty() { "" } else { " [opts]" };
+        let choices = c.args.iter().filter_map(|a| a.choices);
+        let choices: String = choices.map(|list| format!(" ({})", list())).collect();
+        let synopsis = format!("cmvrp {}{}{opts}", c.name(), c.arg_names());
+        (synopsis, format!("{}{choices}", c.about))
+    });
+    columns(&mut out, "USAGE", commands);
+    out.push_str(WORKLOADS);
+    for cmd in COMMANDS.iter().filter(|c| !c.flags.is_empty()) {
+        let title = format!("{} OPTIONS", cmd.name().to_uppercase());
+        let flags = cmd.flags.iter().map(|f| (f.0.into(), f.1.into()));
+        columns(&mut out, &title, flags);
+    }
+    out.push_str("A valued option is written --name=VALUE or --name VALUE.\n");
+    out
+}
+
+/// A titled section of two columns: each left cell padded to the widest,
+/// each right cell wrapped to 54 columns under its first line.
+fn columns(out: &mut String, title: &str, rows: impl Iterator<Item = (String, String)>) {
+    let rows: Vec<(String, String)> = rows.collect();
+    let width = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0) + 2;
+    let _ = writeln!(out, "{title}:");
+    for (left, right) in &rows {
+        let (mut left, mut line) = (left.as_str(), String::new());
+        for word in right.split(' ') {
+            if !line.is_empty() && line.chars().count() + word.chars().count() >= 54 {
+                let _ = writeln!(out, "  {left:width$}{line}");
+                (left, line) = ("", String::new());
+            }
+            line = if line.is_empty() {
+                word.into()
+            } else {
+                format!("{line} {word}")
+            };
+        }
+        let _ = writeln!(out, "  {left:width$}{line}");
+    }
+    out.push('\n');
+}
+
+/// `rows` under `header` as a column-aligned text table.
+fn table<const N: usize>(header: [&str; N], rows: impl IntoIterator<Item = [String; N]>) -> String {
+    let mut table = cmvrp_util::Table::new(header);
+    for row in rows {
+        table.row(row.into());
+    }
+    table.to_string()
+}
+
+fn help(_: &Args) -> Outcome {
+    Ok((usage(), 0))
 }
 
 /// Parses a workload spec — inline `shape:key=value,...` or a
@@ -205,1624 +121,65 @@ fn usage() -> String {
 /// the serve wire `open` op, so all three frontends reject unknown
 /// shapes/keys with identical errors; here they gain the CLI's help
 /// pointer.
-pub fn parse_workload(spec: &str) -> Result<Scenario, UsageError> {
+fn parse_workload(spec: &str) -> Result<Scenario, UsageError> {
     Scenario::from_spec(spec).map_err(|e| UsageError(format!("{e} (see `cmvrp help`)")))
 }
 
-fn cmd_sweep(shape: &str, demands: &[String]) -> Result<String, UsageError> {
-    use cmvrp_core::omega_star;
-    use cmvrp_util::table::fmt_f64;
-    use cmvrp_util::Table;
-    if demands.is_empty() {
-        return Err(UsageError("sweep needs at least one demand value".into()));
-    }
-    let parsed: Result<Vec<u64>, _> = demands.iter().map(|d| d.parse::<u64>()).collect();
-    let parsed = parsed.map_err(|_| UsageError("demands must be integers".into()))?;
-    let mut table = Table::new(vec!["d", "omega*", "growth vs prev"]);
-    let mut prev: Option<f64> = None;
-    for &d in &parsed {
-        let cfg = match shape {
-            "point" => WorkloadConfig::Point {
-                grid: 41,
-                demand: d,
-            },
-            "line" => WorkloadConfig::Line {
-                grid: 30,
-                demand: d,
-            },
-            other => {
-                return Err(UsageError(format!(
-                    "sweep supports point|line, not {other:?}"
-                )))
-            }
-        };
-        let (bounds, demand) = cfg.generate().map_err(|e| UsageError(e.to_string()))?;
-        let star = omega_star(&bounds, &demand).value.to_f64();
-        let growth = prev
-            .map(|p| format!("{:.3}", star / p))
-            .unwrap_or_else(|| "-".into());
-        table.row(vec![d.to_string(), fmt_f64(star), growth]);
-        prev = Some(star);
-    }
-    let law = match shape {
-        "point" => "expect cube-root growth: 8x demand -> ~2x omega*",
-        _ => "expect square-root growth: 4x demand -> ~2x omega*",
+/// The table row `args` selects, and the words after the row's own.
+fn command(args: &[String]) -> Result<(&'static Command, &[String]), UsageError> {
+    let first = match args.first().map(String::as_str) {
+        None | Some("--help" | "-h") => "help",
+        Some(word) => word,
     };
-    Ok(format!("{table}{law}\n"))
-}
-
-/// `experiment <id>`: the experiment `id` names in `cmvrp-bench`'s table,
-/// run at its default parameters.
-fn cmd_experiment(id: &str) -> Result<String, UsageError> {
-    let out = cmvrp_bench::experiment(id).ok_or_else(|| {
-        UsageError(format!(
-            "unknown experiment {id:?}; known: {}",
-            cmvrp_bench::experiment_ids()
-        ))
-    })?;
-    Ok(out.to_string())
-}
-
-fn cmd_show(spec: &str) -> Result<String, UsageError> {
-    let sc = parse_workload(spec)?;
-    let (bounds, demand) = sc
-        .demand
-        .generate()
-        .map_err(|e| UsageError(e.to_string()))?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "workload: {} (total demand {})",
-        sc.label(),
-        demand.total()
-    );
-    out.push_str(&cmvrp_grid::render_demand(&bounds, &demand));
-    Ok(out)
-}
-
-fn cmd_solve(spec: &str) -> Result<String, UsageError> {
-    let sc = parse_workload(spec)?;
-    let (bounds, demand) = sc
-        .demand
-        .generate()
-        .map_err(|e| UsageError(e.to_string()))?;
-    let inst = Instance::new(bounds, demand);
-    let mut out = String::new();
-    let _ = writeln!(out, "workload: {}", sc.label());
-    let _ = writeln!(out, "total demand: {}", inst.demand().total());
-    let _ = writeln!(out, "omega_c (Cor 2.2.7): {}", inst.omega_c());
-    let star = inst.omega_star();
-    let _ = writeln!(out, "omega*  (Thm 1.4.1): {}", star.value);
-    let _ = writeln!(out, "Algorithm 1 estimate: {}", inst.approx_woff());
-    let (lo, hi) = inst.woff_bounds();
-    let _ = writeln!(out, "Woff bounds: {lo} <= Woff <= {hi}");
-    let plan = inst
-        .plan_offline()
-        .map_err(|e| UsageError(format!("planning failed: {e}")))?;
-    let check = inst.verify(&plan);
-    let _ = writeln!(
-        out,
-        "plan: {} vehicles, max energy {}, valid: {}",
-        plan.len(),
-        check.max_energy,
-        check.is_valid()
-    );
-    Ok(out)
-}
-
-/// One simulate run, streaming events into the caller's sink. The
-/// [`ExecConfig`] names the worker count, the scheduling policy, and
-/// whether the run is verified inline — in which case the returned summary
-/// holds the verdict.
-fn run_simulation(
-    bounds: cmvrp_grid::GridBounds<2>,
-    jobs: &JobSequence<2>,
-    online: OnlineConfig,
-    exec: ExecConfig,
-    sink: &mut dyn Sink,
-    resume: Option<&EngineCheckpoint>,
-    observer: &mut dyn FnMut(EngineCheckpoint),
-) -> Result<(OnlineReport, Metrics, Option<CheckSummary>), UsageError> {
-    let run = exec
-        .execute_with_checkpoints(bounds, jobs, online, sink, resume, observer)
-        .map_err(|e| UsageError(e.to_string()))?;
-    Ok((run.report, run.metrics, run.check))
-}
-
-fn render_report(out: &mut String, label: &str, report: &OnlineReport) {
-    let _ = writeln!(out, "workload: {label}");
-    let _ = writeln!(out, "capacity: {}", report.capacity);
-    let _ = writeln!(
-        out,
-        "served: {}/{}",
-        report.served,
-        report.served + report.unserved
-    );
-    let _ = writeln!(out, "max energy used: {}", report.max_energy_used);
-    let _ = writeln!(
-        out,
-        "replacements: {} (failed: {})",
-        report.replacements, report.failed_replacements
-    );
-    let _ = writeln!(out, "messages: {}", report.messages);
-    let _ = writeln!(
-        out,
-        "msg delay: mean {:.2}, max {} (queue depth <= {})",
-        report.mean_msg_delay, report.max_msg_delay, report.max_queue_depth
-    );
-    let _ = writeln!(
-        out,
-        "waves: {} diffusions, {} heartbeat misses",
-        report.diffusions, report.heartbeat_misses
-    );
-    let _ = writeln!(
-        out,
-        "omega_c: {} (cube side {})",
-        report.omega_c, report.cube_side
-    );
-}
-
-fn render_metrics(out: &mut String, metrics: &Metrics) {
-    let mut table = cmvrp_util::Table::new(vec!["metric", "value"]);
-    for (name, value) in metrics.rows() {
-        table.row(vec![name, value]);
+    let rest = args.get(1..).unwrap_or_default();
+    if let Some(cmd) = COMMANDS.iter().find(|c| c.words == [first]) {
+        return Ok((cmd, rest));
     }
-    let _ = writeln!(out, "\nmetrics:");
-    let _ = write!(out, "{table}");
-}
-
-/// Renders the verdict of an inline check: a one-line all-clear, or a
-/// [`UsageError`] naming each offending event's location and invariant.
-/// `source` prefixes merged-stream locations (the trace path, or `"event"`
-/// when the run was not traced to disk); shard-scoped violations count
-/// that shard's local events instead.
-fn check_verdict(summary: &CheckSummary, source: &str) -> Result<String, UsageError> {
-    if summary.is_clean() {
-        return Ok(format!(
-            "check: {} events validated, all invariants hold\n",
-            summary.events
-        ));
-    }
-    let mut msg = format!(
-        "check FAILED: {} violation(s) in {} events\n",
-        summary.violations.len(),
-        summary.events
-    );
-    for sv in summary.violations.iter().take(10) {
-        let v = &sv.violation;
-        let _ = match sv.scope {
-            CheckScope::Merged => {
-                writeln!(msg, "  {source}:{}: [{}] {}", v.line, v.invariant, v.detail)
-            }
-            CheckScope::Shard(shard) => writeln!(
-                msg,
-                "  shard {shard} event {}: [{}] {}",
-                v.line, v.invariant, v.detail
-            ),
-        };
-    }
-    if summary.violations.len() > 10 {
-        let _ = writeln!(msg, "  ... and {} more", summary.violations.len() - 10);
-    }
-    Err(UsageError(msg))
-}
-
-fn cmd_simulate(spec: &str, opts: &[String]) -> Result<String, UsageError> {
-    let sc = parse_workload(spec)?;
-    if !sc.faults.is_empty() {
+    let family: Vec<&'static Command> = COMMANDS.iter().filter(|c| c.words[0] == first).collect();
+    if family.is_empty() {
+        let mut names: Vec<&str> = COMMANDS.iter().map(|c| c.words[0]).collect();
+        names.dedup();
+        let names = names.join("|");
         return Err(UsageError(format!(
-            "scenario {:?} scripts faults (crash_at_rounds); `cmvrp simulate` \
-             runs fault-free — supported alternatives: execute the script \
-             with `cmvrp scenario run`, or drop the [faults] section",
-            sc.label()
+            "unknown command {first:?}; supported: {names}"
         )));
     }
-    let mut online = OnlineConfig::default();
-    let mut want_metrics = false;
-    let mut check = false;
-    let mut trace: Option<String> = None;
-    let mut trace_bin: Option<String> = None;
-    let mut profile = false;
-    let mut progress = false;
-    let mut threads: Option<usize> = None;
-    let mut checkpoint: Option<String> = None;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut stop_at: Option<u64> = None;
-    let mut resume_from: Option<String> = None;
-    let mut i = 0;
-    while i < opts.len() {
-        let opt = &opts[i];
-        if let Some(v) = opt.strip_prefix("--threads=") {
-            let n: usize = v
-                .parse()
-                .map_err(|_| UsageError(format!("bad thread count {v:?}")))?;
-            if n == 0 {
-                return Err(UsageError("--threads must be at least 1".into()));
-            }
-            threads = Some(n);
-        } else if let Some(v) = opt.strip_prefix("--checkpoint=") {
-            checkpoint = Some(v.to_string());
-        } else if let Some(v) = opt.strip_prefix("--checkpoint-every=") {
-            let r: u64 = v
-                .parse()
-                .map_err(|_| UsageError(format!("bad checkpoint cadence {v:?}")))?;
-            if r == 0 {
-                return Err(UsageError("--checkpoint-every must be at least 1".into()));
-            }
-            checkpoint_every = Some(r);
-        } else if let Some(v) = opt.strip_prefix("--stop-at-round=") {
-            let k: u64 = v
-                .parse()
-                .map_err(|_| UsageError(format!("bad round number {v:?}")))?;
-            if k == 0 {
-                return Err(UsageError(
-                    "--stop-at-round=0 names no round: rounds count from 1; \
-                     supported alternatives: --stop-at-round=1 to stop after \
-                     the first round, or drop --stop-at-round to run to \
-                     completion"
-                        .into(),
-                ));
-            }
-            stop_at = Some(k);
-        } else if let Some(v) = opt.strip_prefix("--resume-from=") {
-            resume_from = Some(v.to_string());
-        } else if let Some(v) = opt.strip_prefix("--seed=") {
-            online.seed = v
-                .parse()
-                .map_err(|_| UsageError(format!("bad seed {v:?}")))?;
-        } else if let Some(v) = opt.strip_prefix("--capacity=") {
-            online.capacity_override = Some(
-                v.parse()
-                    .map_err(|_| UsageError(format!("bad capacity {v:?}")))?,
-            );
-        } else if opt == "--monitored" {
-            online.monitored = true;
-        } else if opt == "--metrics" {
-            want_metrics = true;
-        } else if opt == "--check" {
-            check = true;
-        } else if let Some(v) = opt.strip_prefix("--trace-jsonl=") {
-            trace = Some(v.to_string());
-        } else if opt == "--trace-jsonl" {
-            i += 1;
-            let path = opts
-                .get(i)
-                .ok_or_else(|| UsageError("--trace-jsonl needs a path".into()))?;
-            trace = Some(path.clone());
-        } else if let Some(v) = opt.strip_prefix("--trace-bin=") {
-            trace_bin = Some(v.to_string());
-        } else if opt == "--trace-bin" {
-            i += 1;
-            let path = opts
-                .get(i)
-                .ok_or_else(|| UsageError("--trace-bin needs a path".into()))?;
-            trace_bin = Some(path.clone());
-        } else if opt == "--profile" {
-            profile = true;
-        } else if opt == "--progress" {
-            use std::io::IsTerminal;
-            if !std::io::stderr().is_terminal() {
-                return Err(UsageError(
-                    "--progress paints a live line on stderr and needs a \
-                     terminal; supported alternatives: --progress=force to \
-                     paint anyway (e.g. into a log), or --profile to record \
-                     per-round samples into the trace for offline analysis \
-                     with `cmvrp trace profile`"
-                        .into(),
-                ));
-            }
-            progress = true;
-        } else if opt == "--progress=force" {
-            progress = true;
-        } else {
-            return Err(UsageError(format!("unknown option {opt:?}")));
-        }
-        i += 1;
-    }
-    if trace.is_some() && trace_bin.is_some() {
-        return Err(UsageError(
-            "--trace-jsonl and --trace-bin record the same event stream; \
-             pick one encoding (either converts to the other losslessly \
-             with `cmvrp trace convert <in> <out>`)"
-                .into(),
-        ));
-    }
-    if checkpoint_every.is_some() && checkpoint.is_none() {
-        return Err(UsageError(
-            "--checkpoint-every sets a snapshot cadence but nothing names \
-             the snapshot file; supported alternatives: add \
-             --checkpoint=FILE to write snapshots there, or drop \
-             --checkpoint-every"
-                .into(),
-        ));
-    }
-    // Resuming inherits the execution shape from the checkpoint unless the
-    // flags restate it; restating it *differently* is rejected here (the
-    // result would be sound — traces are thread-invariant — but almost
-    // certainly unintended).
-    let resume: Option<EngineCheckpoint> = match &resume_from {
-        None => None,
-        Some(path) => {
-            if !Path::new(path).exists() {
-                return Err(UsageError(format!(
-                    "--resume-from={path}: no such checkpoint file; supported \
-                     alternatives: write one first with `cmvrp simulate ... \
-                     --checkpoint={path}`, or drop --resume-from to start the \
-                     run fresh"
-                )));
-            }
-            let ckpt = cmvrp_ckpt::read_checkpoint(Path::new(path)).map_err(UsageError)?;
-            match threads {
-                None => threads = Some(ckpt.threads as usize),
-                Some(n) if n as u64 == ckpt.threads => {}
-                Some(n) => {
-                    return Err(UsageError(format!(
-                        "--threads={n} disagrees with the checkpoint, which \
-                         was written under --threads={}; supported \
-                         alternatives: drop --threads to inherit it from the \
-                         checkpoint, or start a fresh run (without \
-                         --resume-from) under the new worker count",
-                        ckpt.threads
-                    )))
-                }
-            }
-            Some(ckpt)
-        }
+    let subs: Vec<&str> = family.iter().map(|c| c.words[1]).collect();
+    let subs = subs.join("|");
+    let Some((sub, rest)) = rest.split_first() else {
+        return Err(UsageError(format!("{first} needs a subcommand: {subs}")));
     };
-    let exec = ExecConfig::new()
-        .threads(threads.unwrap_or(1))
-        .check(check)
-        .profile(profile)
-        .progress(progress)
-        .checkpoint(CheckpointPolicy {
-            every: checkpoint.as_ref().map(|_| checkpoint_every.unwrap_or(1)),
-            stop_at,
-        });
-    // The scenario layer owns workload materialization: with the default
-    // batch arrivals this is byte-for-byte the old generate-then-shuffle
-    // path, so flag-built and scenario-file runs stay trace-identical.
-    let (bounds, _, jobs) = sc
-        .generate(online.seed)
-        .map_err(|e| UsageError(e.to_string()))?;
-    let mut out = String::new();
-    if let (Some(ckpt), Some(path)) = (&resume, &resume_from) {
-        let _ = writeln!(
-            out,
-            "resume: round {} from {path} ({} trace events behind us)",
-            ckpt.rounds_completed, ckpt.trace_events
-        );
-    }
-    // The checkpoint observer: write each snapshot atomically, remembering
-    // the first I/O failure (surfaced after the run — the run itself is
-    // not aborted by a bad disk).
-    let mut snapshots = 0u64;
-    let mut last_round = 0u64;
-    let mut ckpt_io: Option<String> = None;
-    let ckpt_file = checkpoint.clone();
-    let mut observer = |c: EngineCheckpoint| {
-        let Some(path) = &ckpt_file else { return };
-        snapshots += 1;
-        last_round = c.rounds_completed;
-        if ckpt_io.is_none() {
-            if let Err(e) = cmvrp_ckpt::write_checkpoint(Path::new(path), &c) {
-                ckpt_io = Some(format!("checkpoint write to {path:?} failed: {e}"));
-            }
-        }
-    };
-    let resume_ref = resume.as_ref();
-    let (report, metrics, summary) = match (&trace, &trace_bin) {
-        (Some(path), None) => {
-            let mut sink = JsonlSink::create(path)
-                .map_err(|e| UsageError(format!("cannot create {path:?}: {e}")))?;
-            let result = run_simulation(
-                bounds,
-                &jobs,
-                online,
-                exec,
-                &mut sink,
-                resume_ref,
-                &mut observer,
-            )?;
-            let events = sink
-                .finish()
-                .map_err(|e| UsageError(format!("trace write to {path:?} failed: {e}")))?;
-            let _ = writeln!(out, "trace: {events} events -> {path}");
-            result
-        }
-        (None, Some(path)) => {
-            let mut sink = BinSink::create(path)
-                .map_err(|e| UsageError(format!("cannot create {path:?}: {e}")))?;
-            let result = run_simulation(
-                bounds,
-                &jobs,
-                online,
-                exec,
-                &mut sink,
-                resume_ref,
-                &mut observer,
-            )?;
-            let events = sink
-                .finish()
-                .map_err(|e| UsageError(format!("trace write to {path:?} failed: {e}")))?;
-            let _ = writeln!(out, "trace: {events} events -> {path} (binary)");
-            result
-        }
-        _ => run_simulation(
-            bounds,
-            &jobs,
-            online,
-            exec,
-            &mut cmvrp_obs::NullSink,
-            resume_ref,
-            &mut observer,
-        )?,
-    };
-    if let Some(e) = ckpt_io {
-        return Err(UsageError(e));
-    }
-    if let Some(path) = &checkpoint {
-        let _ = writeln!(
-            out,
-            "checkpoint: {snapshots} snapshot(s) -> {path} (last at round {last_round})"
-        );
-    }
-    if let Some(summary) = &summary {
-        out.push_str(&check_verdict(
-            summary,
-            trace.as_deref().or(trace_bin.as_deref()).unwrap_or("event"),
-        )?);
-    }
-    render_report(&mut out, &sc.label(), &report);
-    if want_metrics {
-        render_metrics(&mut out, &metrics);
-    }
-    Ok(out)
-}
-
-/// Loads a scenario file for the `scenario` subcommands; the bare path
-/// and the `@path` spec spelling are both accepted.
-fn load_scenario(path: &str) -> Result<Scenario, UsageError> {
-    let spec = match path.strip_prefix('@') {
-        Some(_) => path.to_string(),
-        None => format!("@{path}"),
-    };
-    Scenario::from_spec(&spec).map_err(UsageError)
-}
-
-/// Renders the descriptive header shared by `scenario check` and
-/// `scenario run`.
-fn render_scenario_header(out: &mut String, sc: &Scenario, jobs: u64) {
-    let side = sc.side();
-    let _ = writeln!(
-        out,
-        "substrate: {side}x{side} grid, {} vehicles",
-        side * side
-    );
-    let _ = writeln!(out, "demand: {} ({jobs} jobs)", sc.demand.label());
-    let _ = writeln!(out, "arrivals: {}", sc.arrivals.label());
-    if sc.faults.is_empty() {
-        let _ = writeln!(out, "faults: none");
-    } else {
-        let rounds: Vec<String> = sc
-            .faults
-            .crash_at_rounds
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        let _ = writeln!(out, "faults: crash at rounds {}", rounds.join(", "));
-    }
-}
-
-fn cmd_scenario_check(path: &str) -> Result<String, UsageError> {
-    let sc = load_scenario(path)?;
-    let (_, demand) = sc
-        .demand
-        .generate()
-        .map_err(|e| UsageError(e.to_string()))?;
-    let mut out = format!("scenario ok: {}\n", sc.label());
-    render_scenario_header(&mut out, &sc, demand.total());
-    let names: Vec<&str> = sc
-        .report
-        .baselines
-        .iter()
-        .map(|b| match b {
-            Baseline::Becker => "becker",
-            Baseline::Gn => "gn",
-        })
-        .collect();
-    let _ = writeln!(
-        out,
-        "report: {}",
-        if names.is_empty() {
-            "protocol only".to_string()
-        } else {
-            names.join(", ")
-        }
-    );
-    Ok(out)
-}
-
-/// `scenario run <file>`: one protocol run (honoring the `[faults]`
-/// crash+resume script) and the `[report]` baselines over the same
-/// instance, summarized as paper bound · baseline cost · protocol cost ·
-/// ratio.
-fn cmd_scenario_run(path: &str, opts: &[String]) -> Result<String, UsageError> {
-    let sc = load_scenario(path)?;
-    let mut online = OnlineConfig::default();
-    let mut threads = 1;
-    let mut check = false;
-    let mut trace: Option<String> = None;
-    for opt in opts {
-        if let Some(v) = opt.strip_prefix("--seed=") {
-            online.seed = v
-                .parse()
-                .map_err(|_| UsageError(format!("bad seed {v:?}")))?;
-        } else if let Some(v) = opt.strip_prefix("--capacity=") {
-            online.capacity_override = Some(
-                v.parse()
-                    .map_err(|_| UsageError(format!("bad capacity {v:?}")))?,
-            );
-        } else if let Some(v) = opt.strip_prefix("--threads=") {
-            let n: usize = v
-                .parse()
-                .map_err(|_| UsageError(format!("bad thread count {v:?}")))?;
-            if n == 0 {
-                return Err(UsageError("--threads must be at least 1".into()));
-            }
-            threads = n;
-        } else if opt == "--check" {
-            check = true;
-        } else if let Some(v) = opt.strip_prefix("--trace-jsonl=") {
-            trace = Some(v.to_string());
-        } else {
-            return Err(UsageError(format!(
-                "unknown option {opt:?}; scenario run accepts --seed=S, \
-                 --capacity=W, --threads=N, --check, --trace-jsonl=P"
-            )));
-        }
-    }
-    let exec = ExecConfig::new().threads(threads).check(check);
-    let (bounds, demand, jobs) = sc
-        .generate(online.seed)
-        .map_err(|e| UsageError(e.to_string()))?;
-    // ω* depends only on the demand. Solving it before the protocol run
-    // keeps the solver's flow network from stacking on top of the heap the
-    // run frees but the allocator keeps: solved afterwards, the two set
-    // the command's peak RSS together.
-    let inst = Instance::new(bounds, demand.clone());
-    let star = inst.omega_star().value;
-
-    // The protocol run: one-shot when fault-free; with a fault script,
-    // advance to each crash round, snapshot, tear the session down, and
-    // resume from the snapshot — the same checkpoint/resume seams
-    // `simulate --checkpoint/--resume-from` exercises across processes.
-    let engine_err = |e: cmvrp_engine::EngineError| UsageError(e.to_string());
-    let mut crashed_at: Vec<u64> = Vec::new();
-    let mut run_all = |sink: &mut dyn Sink| -> Result<cmvrp_engine::Execution, UsageError> {
-        if sc.faults.is_empty() {
-            return exec
-                .execute(bounds, &jobs, online, sink)
-                .map_err(engine_err);
-        }
-        let mut session = exec.build(bounds, &jobs, online).map_err(engine_err)?;
-        for &round in &sc.faults.crash_at_rounds {
-            let done = session.rounds();
-            if round > done {
-                session.advance_rounds(round - done, sink);
-            }
-            let snapshot = session.snapshot();
-            crashed_at.push(session.rounds());
-            drop(session); // the scripted crash
-            session = exec
-                .resume_build(bounds, &jobs, online, &snapshot)
-                .map_err(engine_err)?;
-        }
-        session.drain(sink);
-        Ok(session.finish())
-    };
-    let mut out = String::new();
-    let execution = match &trace {
-        Some(path) => {
-            let mut sink = JsonlSink::create(path)
-                .map_err(|e| UsageError(format!("cannot create {path:?}: {e}")))?;
-            let execution = run_all(&mut sink)?;
-            let events = sink
-                .finish()
-                .map_err(|e| UsageError(format!("trace write to {path:?} failed: {e}")))?;
-            let _ = writeln!(out, "trace: {events} events -> {path}");
-            execution
-        }
-        None => run_all(&mut cmvrp_obs::NullSink)?,
-    };
-
-    let mut header = format!("scenario: {} ({path})\n", sc.label());
-    render_scenario_header(&mut header, &sc, demand.total());
-    if !crashed_at.is_empty() {
-        let rounds: Vec<String> = crashed_at.iter().map(u64::to_string).collect();
-        let _ = writeln!(
-            header,
-            "recovery: crashed + resumed from snapshot at rounds {}",
-            rounds.join(", ")
-        );
-    }
-    header.push_str(&out);
-    let mut out = header;
-    if let Some(summary) = &execution.check {
-        out.push_str(&check_verdict(
-            summary,
-            trace.as_deref().unwrap_or("event"),
-        )?);
-    }
-
-    // The comparison table: paper bounds from Chapter 2, the [report]
-    // baselines, and the protocol's empirical cost — all on the same
-    // demand instance.
-    let report = &execution.report;
-    let capacity = sc.report.capacity.unwrap_or(report.capacity).max(1);
-    let fleet = sc
-        .report
-        .vehicles
-        .unwrap_or_else(|| demand.total().div_ceil(capacity).max(1));
-    let ratio = |cost: u64, bound: f64| -> String {
-        if bound <= 0.0 {
-            "-".into()
-        } else {
-            format!("{:.2}x", cost as f64 / bound)
-        }
-    };
-    let mut table = cmvrp_util::Table::new(vec!["quantity", "value", "vs bound"]);
-    table.row(vec![
-        "omega_c (Cor 2.2.7)".into(),
-        inst.omega_c().to_string(),
-        "-".into(),
-    ]);
-    table.row(vec![
-        "omega* (Thm 1.4.1)".into(),
-        star.to_string(),
-        "-".into(),
-    ]);
-    for baseline in &sc.report.baselines {
-        match baseline {
-            Baseline::Becker => {
-                let b = baselines::becker(&bounds, &demand, capacity);
-                table.row(vec![
-                    format!("becker tree-CVRP bound (Q={capacity})"),
-                    b.lower_bound.to_string(),
-                    "-".into(),
-                ]);
-                table.row(vec![
-                    format!("becker tree-CVRP tours (n={})", b.tours),
-                    b.tour_cost.to_string(),
-                    ratio(b.tour_cost, b.lower_bound as f64),
-                ]);
-            }
-            Baseline::Gn => {
-                let g = baselines::gn_makespan(&bounds, &demand, capacity, fleet);
-                table.row(vec![
-                    format!("gn makespan bound (m={fleet})"),
-                    g.lower_bound.to_string(),
-                    "-".into(),
-                ]);
-                table.row(vec![
-                    "gn makespan (sweep+LPT)".into(),
-                    g.makespan.to_string(),
-                    ratio(g.makespan, g.lower_bound as f64),
-                ]);
-            }
-        }
-    }
-    table.row(vec![
-        "protocol capacity W".into(),
-        report.capacity.to_string(),
-        ratio(report.capacity, star.to_f64()),
-    ]);
-    table.row(vec![
-        "protocol max energy".into(),
-        report.max_energy_used.to_string(),
-        ratio(report.max_energy_used, star.to_f64()),
-    ]);
-    table.row(vec![
-        "protocol served".into(),
-        format!("{}/{}", report.served, report.served + report.unserved),
-        "-".into(),
-    ]);
-    let _ = write!(out, "{table}");
-    Ok(out)
-}
-
-fn cmd_scenario(args: &[String]) -> Result<String, UsageError> {
-    match args.first().map(String::as_str) {
-        Some("check") => match args.get(1) {
-            Some(path) => cmd_scenario_check(path),
-            None => Err(UsageError("scenario check needs a scenario file".into())),
-        },
-        Some("run") => match args.get(1) {
-            Some(path) => cmd_scenario_run(path, &args[2..]),
-            None => Err(UsageError("scenario run needs a scenario file".into())),
-        },
-        Some(other) => Err(UsageError(format!(
-            "unknown scenario subcommand {other:?}; supported: check, run"
-        ))),
-        None => Err(UsageError(
-            "scenario needs a subcommand: check <file> | run <file> [opts]".into(),
-        )),
-    }
-}
-
-/// Loads a trace file through the hardened sniffing loader in `cmvrp-obs`
-/// (empty files, truncated magics, and partial trailing lines all come
-/// back as scoped errors), keeping the identity header for reports.
-fn load_trace_file(path: &str) -> Result<cmvrp_obs::LoadedTrace, UsageError> {
-    cmvrp_obs::load_trace(path).map_err(UsageError)
-}
-
-/// Loads a trace file as canonical JSONL text, whichever encoding it is
-/// in: binary traces (sniffed by the `CMVB` magic bytes) are decoded back
-/// to JSON lines, so every trace-reading subcommand accepts both formats.
-fn read_trace(path: &str) -> Result<String, UsageError> {
-    Ok(load_trace_file(path)?.text)
-}
-
-/// Scopes a trace parse error `(line, message)` to `path:line`.
-fn at_line(path: &str) -> impl Fn((usize, String)) -> UsageError + '_ {
-    move |(line, msg)| UsageError(format!("{path}:{line}: {msg}"))
-}
-
-/// Parses the shared `--where=EXPR` analytics option (and rejects
-/// anything else).
-fn parse_where(opts: &[String], sub: &str) -> Result<Option<cmvrp_obs::QueryExpr>, UsageError> {
-    let mut expr = None;
-    for opt in opts {
-        if let Some(v) = opt.strip_prefix("--where=") {
-            expr =
-                Some(cmvrp_obs::parse_query(v).map_err(|e| UsageError(format!("--where: {e}")))?);
-        } else {
-            return Err(UsageError(format!(
-                "unknown option {opt:?}; trace {sub} accepts --where=EXPR"
-            )));
-        }
-    }
-    Ok(expr)
-}
-
-/// `trace stats <trace> [--where=EXPR]`: the run's summary plus an
-/// identity header (encoding, schema version, event count), optionally
-/// restricted to events matching a query expression.
-fn cmd_trace_stats(path: &str, opts: &[String]) -> Result<String, UsageError> {
-    let filter = parse_where(opts, "stats")?;
-    let loaded = load_trace_file(path)?;
-    let mut out = format!("trace stats of {path}: {}\n", loaded.header());
-    let mut body = loaded.text;
-    if let Some(expr) = &filter {
-        let mut kept = String::new();
-        let mut matched = 0usize;
-        for item in cmvrp_obs::jsonl_events(body.lines()) {
-            let (_, line, ev) = item.map_err(at_line(path))?;
-            if expr.matches(&ev) {
-                matched += 1;
-                kept.push_str(line);
-                kept.push('\n');
-            }
-        }
-        let _ = writeln!(out, "where: {matched} of {} events match", loaded.events);
-        body = kept;
-    }
-    let summary = cmvrp_obs::summarize(body.lines()).map_err(at_line(path))?;
-    let mut table = cmvrp_util::Table::new(vec!["quantity", "value"]);
-    for (name, value) in summary.rows() {
-        table.row(vec![name, value]);
-    }
-    let _ = write!(out, "{table}");
-    Ok(out)
-}
-
-/// `trace diff <a> <b> [--context=N]`: first semantic divergence between
-/// two traces. Exit status 0 when identical, 1 when divergent.
-fn cmd_trace_diff(a: &str, b: &str, opts: &[String]) -> Result<(String, i32), UsageError> {
-    let mut context = 3usize;
-    for opt in opts {
-        if let Some(v) = opt.strip_prefix("--context=") {
-            context = v
-                .parse()
-                .map_err(|_| UsageError(format!("bad context {v:?}")))?;
-        } else {
-            return Err(UsageError(format!(
-                "unknown option {opt:?}; trace diff accepts --context=N"
-            )));
-        }
-    }
-    let loaded_a = load_trace_file(a)?;
-    let loaded_b = load_trace_file(b)?;
-    let report = cmvrp_obs::diff_lines(loaded_a.text.lines(), loaded_b.text.lines(), context)
-        .map_err(|e| {
-            let path = match e.side {
-                cmvrp_obs::Side::A => a,
-                cmvrp_obs::Side::B => b,
-            };
-            UsageError(format!("{path}: {e}"))
-        })?;
-    let mut out = format!(
-        "diff A={a} ({}) vs B={b} ({})\n",
-        loaded_a.header(),
-        loaded_b.header()
-    );
-    let Some(d) = report.divergence else {
-        let _ = writeln!(out, "identical: {} events agree", report.matched);
-        return Ok((out, 0));
-    };
-    let band = d
-        .time
-        .map(|t| format!(", time band t={t}"))
-        .unwrap_or_default();
-    let _ = writeln!(
-        out,
-        "first divergence at line {} (after {} matching events{band})",
-        d.line, report.matched
-    );
-    use cmvrp_obs::DivergenceKind::*;
-    match &d.kind {
-        PayloadDrift { kind, fields } => {
-            let _ = writeln!(out, "payload drift: same {kind} event, differing fields:");
-            for f in fields {
-                let _ = writeln!(out, "  {}: {} (A) vs {} (B)", f.field, f.a, f.b);
-            }
-        }
-        Reordered { t, band_len } => {
-            let _ = writeln!(
-                out,
-                "pure reordering within time band t={t}: the {band_len} remaining events \
-                 of the band carry the same multiset in a different order \
-                 (a merge-determinism bug, not a behavioral difference)"
-            );
-        }
-        EventSet { a_kind, b_kind } => {
-            let _ = writeln!(
-                out,
-                "different event sets: A carries {a_kind}, B carries {b_kind}"
-            );
-        }
-        Truncated { longer, extra } => {
-            let _ = writeln!(
-                out,
-                "truncation: trace {} has {extra} extra event(s) the other lacks",
-                longer.name()
-            );
-        }
-    }
-    for (name, window) in [("A", &d.context_a), ("B", &d.context_b)] {
-        let _ = writeln!(out, "context {name}:");
-        for (n, line) in window {
-            let marker = if *n == d.line { '>' } else { ' ' };
-            let _ = writeln!(out, " {marker} {n}: {line}");
-        }
-    }
-    Ok((out, 1))
-}
-
-/// `trace query <expr> <trace>`: print every event matching a filter
-/// expression, with its line number, plus a count summary.
-fn cmd_trace_query(expr_src: &str, path: &str) -> Result<String, UsageError> {
-    let expr = cmvrp_obs::parse_query(expr_src).map_err(|e| UsageError(e.to_string()))?;
-    let loaded = load_trace_file(path)?;
-    let mut out = String::new();
-    let mut matched = 0usize;
-    for item in cmvrp_obs::jsonl_events(loaded.text.lines()) {
-        let (n, line, ev) = item.map_err(at_line(path))?;
-        if expr.matches(&ev) {
-            matched += 1;
-            let _ = writeln!(out, "{n}: {}", line.trim());
-        }
-    }
-    let _ = writeln!(
-        out,
-        "matched {matched} of {} events in {path} ({})",
-        loaded.events,
-        loaded.header()
-    );
-    Ok(out)
-}
-
-/// `trace explain <sel> <trace>`: the happens-before chain leading to a
-/// chosen event, reconstructed from the checker's causal index. Selectors:
-/// `job:<seq>` (its serve, or arrival if unserved), `proc:<id>` (the
-/// process' last act), `line:<n>` (an exact trace line).
-fn cmd_trace_explain(selector: &str, path: &str) -> Result<String, UsageError> {
-    const CHAIN_CAP: usize = 12;
-    let loaded = load_trace_file(path)?;
-    let mut checker = cmvrp_obs::TraceChecker::new();
-    checker.record_causality();
-    for item in cmvrp_obs::jsonl_events(loaded.text.lines()) {
-        let (n, _, ev) = item.map_err(at_line(path))?;
-        checker.observe_at(n, &ev);
-    }
-    let ix = checker
-        .into_causal_index()
-        .expect("record_causality was enabled");
-    let bad_selector = || {
+    let cmd = family.into_iter().find(|c| c.words[1] == sub);
+    let unknown = || {
         UsageError(format!(
-            "bad selector {selector:?}; use job:<seq> (why was this job served), \
-             proc:<id> (the process' last act), or line:<n> (an exact trace line)"
+            "unknown {first} subcommand {sub:?}; supported: {subs}"
         ))
     };
-    let (kind, val) = selector.split_once(':').ok_or_else(bad_selector)?;
-    let n: u64 = val.parse().map_err(|_| bad_selector())?;
-    let target = match kind {
-        "job" => ix
-            .serve_line(n)
-            .or_else(|| ix.arrival_line(n))
-            .ok_or_else(|| UsageError(format!("job {n} does not appear in {path}")))?,
-        "proc" => ix
-            .last_line_of(n as usize)
-            .ok_or_else(|| UsageError(format!("process {n} never acts in {path}")))?,
-        "line" => {
-            let l = n as usize;
-            if ix.node(l).is_none() {
-                return Err(UsageError(format!(
-                    "line {l} of {path} carries no event (out of range or blank)"
-                )));
-            }
-            l
-        }
-        _ => return Err(bad_selector()),
-    };
-    let render = |n: &cmvrp_obs::CausalNode| {
-        let actor = n
-            .actor
-            .map(|(p, l)| format!("  [proc {p}, lamport {l}]"))
-            .unwrap_or_default();
-        format!("line {}: {}{actor}", n.line, n.json)
-    };
-    let mut out = format!("explain {selector} in {path} ({})\n", loaded.header());
-    let chain = ix.chain(target, CHAIN_CAP);
-    if chain.is_empty() {
-        let _ = writeln!(out, "no causal ancestors: the event is a root cause");
-    } else {
-        let _ = writeln!(
-            out,
-            "causal chain ({} happens-before ancestors, oldest first):",
-            chain.len()
-        );
-        for node in &chain {
-            let _ = writeln!(out, "  {}", render(node));
-        }
-    }
-    let target_node = ix.node(target).expect("target resolved above");
-    let _ = writeln!(out, "  => {}", render(target_node));
-    Ok(out)
-}
-
-/// `trace convert <in> <out>`: lossless JSONL ↔ binary translation, the
-/// direction inferred from the input's encoding. The input is read through
-/// the same loader as every other trace subcommand, so it refuses the same
-/// files.
-fn cmd_trace_convert(input: &str, output: &str) -> Result<String, UsageError> {
-    let loaded = load_trace_file(input)?;
-    if loaded.encoding == cmvrp_obs::TraceEncoding::Binary {
-        std::fs::write(output, &loaded.text)
-            .map_err(|e| UsageError(format!("cannot write {output:?}: {e}")))?;
-        return Ok(format!(
-            "converted {input} (binary) -> {output} (jsonl): {} events\n",
-            loaded.events
-        ));
-    }
-    let mut sink = BinSink::create(output)
-        .map_err(|e| UsageError(format!("cannot create {output:?}: {e}")))?;
-    for item in cmvrp_obs::jsonl_events(loaded.text.lines()) {
-        sink.record(&item.map_err(at_line(input))?.2);
-    }
-    let events = sink
-        .finish()
-        .map_err(|e| UsageError(format!("write to {output:?} failed: {e}")))?;
-    Ok(format!(
-        "converted {input} (jsonl) -> {output} (binary): {events} events\n"
-    ))
-}
-
-/// `trace profile <trace>`: aggregates the flight recorder's
-/// `round_profile` samples into a per-worker phase breakdown and a
-/// bucketed round timeline.
-fn cmd_trace_profile(path: &str) -> Result<String, UsageError> {
-    #[derive(Default, Clone)]
-    struct Acc {
-        rounds: u64,
-        busy: u64,
-        barrier: u64,
-        steals: u64,
-    }
-    let text = read_trace(path)?;
-    let mut per: std::collections::BTreeMap<u64, Acc> = std::collections::BTreeMap::new();
-    // round -> (busy over workers, wall = busy + barrier over workers,
-    // merge, sink); merge/sink are replicated on every worker's sample,
-    // so insertion keeps one copy per round.
-    let mut rounds: std::collections::BTreeMap<u64, (u64, u64, u64, u64)> =
-        std::collections::BTreeMap::new();
-    for item in cmvrp_obs::jsonl_events(text.lines()) {
-        let (_, _, ev) = item.map_err(at_line(path))?;
-        if let Event::RoundProfile {
-            round,
-            worker,
-            busy_ns,
-            barrier_wait_ns,
-            merge_ns,
-            sink_ns,
-            steals,
-            ..
-        } = ev
-        {
-            let (busy, barrier) = (busy_ns.max(0) as u64, barrier_wait_ns.max(0) as u64);
-            let acc = per.entry(worker).or_default();
-            acc.rounds += 1;
-            acc.busy += busy;
-            acc.barrier += barrier;
-            acc.steals += steals;
-            let r = rounds.entry(round).or_insert((0, 0, 0, 0));
-            r.0 += busy;
-            r.1 += busy + barrier;
-            r.2 = merge_ns.max(0) as u64;
-            r.3 = sink_ns.max(0) as u64;
-        }
-    }
-    if per.is_empty() {
-        return Ok(format!(
-            "no round_profile samples in {path}; record them with \
-             `cmvrp simulate <workload> --threads=N --profile`\n"
-        ));
-    }
-    let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-    let mut out = format!(
-        "profile of {path}: {} rounds, {} workers\n",
-        rounds.len(),
-        per.len()
-    );
-    let mut table = cmvrp_util::Table::new(vec![
-        "worker",
-        "rounds",
-        "busy_ms",
-        "barrier_ms",
-        "util%",
-        "steals",
-    ]);
-    let (mut busy_total, mut barrier_total, mut steals_total) = (0u64, 0u64, 0u64);
-    for (worker, acc) in &per {
-        let wall = acc.busy + acc.barrier;
-        table.row(vec![
-            worker.to_string(),
-            acc.rounds.to_string(),
-            ms(acc.busy),
-            ms(acc.barrier),
-            format!("{:.1}", 100.0 * acc.busy as f64 / (wall.max(1)) as f64),
-            acc.steals.to_string(),
-        ]);
-        busy_total += acc.busy;
-        barrier_total += acc.barrier;
-        steals_total += acc.steals;
-    }
-    let pool = per.len() as u64;
-    let stepping = (busy_total + barrier_total) / pool.max(1);
-    table.row(vec![
-        "all".into(),
-        rounds.len().to_string(),
-        ms(busy_total),
-        ms(barrier_total),
-        format!(
-            "{:.1}",
-            100.0 * busy_total as f64 / ((busy_total + barrier_total).max(1)) as f64
-        ),
-        steals_total.to_string(),
-    ]);
-    let _ = write!(out, "{table}");
-    let merge_total: u64 = rounds.values().map(|r| r.2).sum();
-    let sink_total: u64 = rounds.values().map(|r| r.3).sum();
-    let recorded = stepping + merge_total + sink_total;
-    let _ = writeln!(
-        out,
-        "phases: stepping {} ms + merge {} ms + sink {} ms = {} ms recorded",
-        ms(stepping),
-        ms(merge_total),
-        ms(sink_total),
-        ms(recorded)
-    );
-    // Bucketed utilization timeline: at most 20 buckets of consecutive
-    // rounds, each bar char worth 5% of worker utilization.
-    let ordered: Vec<(u64, (u64, u64, u64, u64))> = rounds.into_iter().collect();
-    let bucket_size = ordered.len().div_ceil(20);
-    let _ = writeln!(
-        out,
-        "timeline ({} rounds/bucket, each # = 5% busy):",
-        bucket_size
-    );
-    for bucket in ordered.chunks(bucket_size) {
-        let busy: u64 = bucket.iter().map(|(_, r)| r.0).sum();
-        let wall: u64 = bucket.iter().map(|(_, r)| r.1).sum();
-        let util = 100.0 * busy as f64 / wall.max(1) as f64;
-        let bar = "#".repeat((util / 5.0).round() as usize);
-        let _ = writeln!(
-            out,
-            "  rounds {:>5}-{:<5} {:>5.1}% {bar}",
-            bucket.first().map(|(r, _)| *r).unwrap_or(0),
-            bucket.last().map(|(r, _)| *r).unwrap_or(0),
-            util
-        );
-    }
-    Ok(out)
-}
-
-fn cmd_trace_check(path: &str, opts: &[String]) -> Result<String, UsageError> {
-    let mut capacity = None;
-    for opt in opts {
-        if let Some(v) = opt.strip_prefix("--capacity=") {
-            capacity = Some(
-                v.parse()
-                    .map_err(|_| UsageError(format!("bad capacity {v:?}")))?,
-            );
-        } else {
-            return Err(UsageError(format!("unknown option {opt:?}")));
-        }
-    }
-    let text = read_trace(path)?;
-    let report = cmvrp_obs::check_lines(text.lines(), capacity).map_err(at_line(path))?;
-    if report.is_clean() {
-        return Ok(format!(
-            "trace OK: {} events, {} invariants checked ({})\n",
-            report.events,
-            report.active.len(),
-            report.active.join(", ")
-        ));
-    }
-    let mut msg = format!(
-        "trace FAILED: {} violation(s) in {} events\n",
-        report.violations.len(),
-        report.events
-    );
-    for v in report.violations.iter().take(10) {
-        let _ = writeln!(msg, "{path}:{}: [{}] {}", v.line, v.invariant, v.detail);
-        // The offline checker records the causal index, so each violation
-        // carries the chain of events that led to the offending one.
-        if !v.chain.is_empty() {
-            let _ = writeln!(msg, "  caused by:");
-            for entry in &v.chain {
-                let _ = writeln!(msg, "    {entry}");
-            }
-        }
-    }
-    if report.violations.len() > 10 {
-        let _ = writeln!(msg, "... and {} more", report.violations.len() - 10);
-    }
-    Err(UsageError(msg))
-}
-
-fn cmd_trace_timeline(proc_arg: &str, path: &str, opts: &[String]) -> Result<String, UsageError> {
-    let proc: usize = proc_arg
-        .parse()
-        .map_err(|_| UsageError(format!("bad process id {proc_arg:?}")))?;
-    let filter = parse_where(opts, "timeline")?;
-    let text = read_trace(path)?;
-    let mut checker = cmvrp_obs::TraceChecker::new();
-    let mut table = cmvrp_util::Table::new(vec!["line", "lamport", "event"]);
-    let mut shown = 0u64;
-    for item in cmvrp_obs::jsonl_events(text.lines()) {
-        let (n, line, ev) = item.map_err(at_line(path))?;
-        // The checker attributes each event to one acting process and
-        // advances that process' Lamport clock; the timeline is the slice
-        // of that ledger belonging to `proc`.
-        if let Some((actor, lamport)) = checker.observe_at(n, &ev) {
-            if actor == proc && filter.as_ref().is_none_or(|expr| expr.matches(&ev)) {
-                table.row(vec![
-                    n.to_string(),
-                    lamport.to_string(),
-                    line.trim().to_string(),
-                ]);
-                shown += 1;
-            }
-        }
-    }
-    let filtered = if filter.is_some() {
-        " matching --where"
-    } else {
-        ""
-    };
-    Ok(format!(
-        "timeline of process {proc} ({shown}{filtered} events):\n{table}"
-    ))
-}
-
-fn cmd_trace_spans(path: &str) -> Result<String, UsageError> {
-    let text = read_trace(path)?;
-    // name -> (count, total_ns, max_ns)
-    let mut agg: std::collections::BTreeMap<String, (u64, u64, u64)> =
-        std::collections::BTreeMap::new();
-    for item in cmvrp_obs::jsonl_events(text.lines()) {
-        let (_, _, ev) = item.map_err(at_line(path))?;
-        if let Event::PhaseSpan {
-            name,
-            start_ns,
-            end_ns,
-        } = ev
-        {
-            let ns = end_ns.saturating_sub(start_ns);
-            let e = agg.entry(name).or_insert((0, 0, 0));
-            e.0 += 1;
-            e.1 += ns;
-            e.2 = e.2.max(ns);
-        }
-    }
-    if agg.is_empty() {
-        return Ok(format!("no phase spans in {path}\n"));
-    }
-    let mut rows: Vec<(String, (u64, u64, u64))> = agg.into_iter().collect();
-    rows.sort_by_key(|r| std::cmp::Reverse(r.1 .1)); // heaviest first
-    let mut table = cmvrp_util::Table::new(vec!["span", "count", "total_ns", "mean_ns", "max_ns"]);
-    for (name, (count, total, max)) in rows {
-        table.row(vec![
-            name,
-            count.to_string(),
-            total.to_string(),
-            format!("{:.0}", total as f64 / count as f64),
-            max.to_string(),
-        ]);
-    }
-    Ok(format!("spans of {path}:\n{table}"))
-}
-
-fn cmd_ckpt(args: &[String]) -> Result<String, UsageError> {
-    match args.first().map(String::as_str) {
-        Some("inspect") => match args.get(1) {
-            Some(path) => {
-                let ckpt = cmvrp_ckpt::read_checkpoint(Path::new(path)).map_err(UsageError)?;
-                Ok(cmvrp_ckpt::inspect(&ckpt))
-            }
-            None => Err(UsageError("ckpt inspect needs a checkpoint path".into())),
-        },
-        Some(other) => Err(UsageError(format!(
-            "unknown ckpt subcommand {other:?}; expected: inspect"
-        ))),
-        None => Err(UsageError("ckpt needs a subcommand: inspect".into())),
-    }
-}
-
-/// Renders campaign records as the status table; returns the text and the
-/// scriptable exit status (1 when the dead-letter list is non-empty).
-fn campaign_summary(records: &[cmvrp_ckpt::RunRecord]) -> (String, i32) {
-    let mut table = cmvrp_util::Table::new(vec!["run", "status", "attempts", "last error"]);
-    for r in records {
-        table.row(vec![
-            r.name.clone(),
-            if r.done { "done".into() } else { "DEAD".into() },
-            r.attempts.to_string(),
-            r.error.clone(),
-        ]);
-    }
-    let dead = records.iter().filter(|r| !r.done).count();
-    let mut out = table.to_string();
-    if dead > 0 {
-        let _ = writeln!(
-            out,
-            "dead-letter: {dead} run(s) exhausted their retries; re-run them \
-             with `cmvrp campaign retry-dead <spec> --dir=DIR`"
-        );
-    } else {
-        let _ = writeln!(out, "all {} run(s) completed", records.len());
-    }
-    (out, i32::from(dead > 0))
-}
-
-/// Shared option parsing for `campaign run` / `campaign retry-dead`:
-/// a positional spec path plus `--dir=` / `--bin=`.
-fn campaign_opts(verb: &str, args: &[String]) -> Result<(String, PathBuf, PathBuf), UsageError> {
-    let mut spec_path: Option<String> = None;
-    let mut dir: Option<String> = None;
-    let mut bin: Option<String> = None;
-    for a in args {
-        if let Some(v) = a.strip_prefix("--dir=") {
-            dir = Some(v.to_string());
-        } else if let Some(v) = a.strip_prefix("--bin=") {
-            bin = Some(v.to_string());
-        } else if a.starts_with("--") {
-            return Err(UsageError(format!("unknown option {a:?}")));
-        } else if spec_path.is_none() {
-            spec_path = Some(a.clone());
-        } else {
-            return Err(UsageError(format!("unexpected argument {a:?}")));
-        }
-    }
-    let spec_path =
-        spec_path.ok_or_else(|| UsageError(format!("campaign {verb} needs a spec path")))?;
-    let dir = dir
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("{spec_path}.campaign")));
-    let bin = match bin {
-        Some(b) => PathBuf::from(b),
-        None => std::env::current_exe()
-            .map_err(|e| UsageError(format!("cannot locate the cmvrp binary: {e}")))?,
-    };
-    Ok((spec_path, dir, bin))
-}
-
-fn cmd_campaign_run(args: &[String], only_dead: bool) -> Result<(String, i32), UsageError> {
-    let verb = if only_dead { "retry-dead" } else { "run" };
-    let (spec_path, dir, bin) = campaign_opts(verb, args)?;
-    let text = std::fs::read_to_string(&spec_path)
-        .map_err(|e| UsageError(format!("cannot read campaign spec {spec_path:?}: {e}")))?;
-    let mut runs =
-        cmvrp_ckpt::parse_spec(&text).map_err(|e| UsageError(format!("{spec_path}: {e}")))?;
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| UsageError(format!("cannot create campaign dir {dir:?}: {e}")))?;
-    let mut prior: Vec<cmvrp_ckpt::RunRecord> = Vec::new();
-    if only_dead {
-        prior = cmvrp_ckpt::load_state(&dir).map_err(UsageError)?;
-        runs.retain(|r| prior.iter().any(|p| p.name == r.name && !p.done));
-        if runs.is_empty() {
-            return Ok((
-                "dead-letter list is empty; nothing to retry\n".to_string(),
-                0,
-            ));
-        }
-    }
-    let mut exec = cmvrp_ckpt::ProcessExecutor { bin };
-    let mut log: Vec<String> = Vec::new();
-    let records = cmvrp_ckpt::run_campaign(&runs, &dir, &mut exec, &mut |line| {
-        log.push(line.to_string())
-    });
-    // retry-dead folds the fresh verdicts back over the previous state.
-    let merged: Vec<cmvrp_ckpt::RunRecord> = if only_dead {
-        prior
-            .into_iter()
-            .map(|p| {
-                records
-                    .iter()
-                    .find(|r| r.name == p.name)
-                    .cloned()
-                    .unwrap_or(p)
-            })
-            .collect()
-    } else {
-        records
-    };
-    cmvrp_ckpt::save_state(&dir, &merged)
-        .map_err(|e| UsageError(format!("cannot write campaign state in {dir:?}: {e}")))?;
-    let mut out = String::new();
-    for line in log {
-        let _ = writeln!(out, "{line}");
-    }
-    let (summary, status) = campaign_summary(&merged);
-    out.push_str(&summary);
-    let _ = writeln!(out, "state: {}", dir.join("state.tsv").display());
-    Ok((out, status))
-}
-
-fn cmd_campaign(args: &[String]) -> Result<(String, i32), UsageError> {
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_campaign_run(&args[1..], false),
-        Some("retry-dead") => cmd_campaign_run(&args[1..], true),
-        Some("status") => match args.get(1) {
-            Some(dir) => {
-                let records = cmvrp_ckpt::load_state(Path::new(dir)).map_err(UsageError)?;
-                Ok(campaign_summary(&records))
-            }
-            None => Err(UsageError(
-                "campaign status needs the campaign directory (<spec>.campaign)".into(),
-            )),
-        },
-        Some(other) => Err(UsageError(format!(
-            "unknown campaign subcommand {other:?}; expected one of: run|status|retry-dead"
-        ))),
-        None => Err(UsageError(
-            "campaign needs a subcommand: run|status|retry-dead".into(),
-        )),
-    }
-}
-
-fn cmd_trace(args: &[String]) -> Result<(String, i32), UsageError> {
-    let ok = |r: Result<String, UsageError>| r.map(|out| (out, 0));
-    match args.first().map(String::as_str) {
-        Some("check") => match args.get(1) {
-            Some(path) => ok(cmd_trace_check(path, &args[2..])),
-            None => Err(UsageError("trace check needs a trace path".into())),
-        },
-        Some("stats") => match args.get(1) {
-            Some(path) => ok(cmd_trace_stats(path, &args[2..])),
-            None => Err(UsageError("trace stats needs a trace path".into())),
-        },
-        Some("timeline") => match (args.get(1), args.get(2)) {
-            (Some(proc), Some(path)) => ok(cmd_trace_timeline(proc, path, &args[3..])),
-            _ => Err(UsageError(
-                "trace timeline needs a process id and a trace path".into(),
-            )),
-        },
-        Some("spans") => match args.get(1) {
-            Some(path) => ok(cmd_trace_spans(path)),
-            None => Err(UsageError("trace spans needs a trace path".into())),
-        },
-        Some("convert") => match (args.get(1), args.get(2)) {
-            (Some(input), Some(output)) => ok(cmd_trace_convert(input, output)),
-            _ => Err(UsageError(
-                "trace convert needs an input and an output path".into(),
-            )),
-        },
-        Some("profile") => match args.get(1) {
-            Some(path) => ok(cmd_trace_profile(path)),
-            None => Err(UsageError("trace profile needs a trace path".into())),
-        },
-        Some("diff") => match (args.get(1), args.get(2)) {
-            (Some(a), Some(b)) => cmd_trace_diff(a, b, &args[3..]),
-            _ => Err(UsageError("trace diff needs two trace paths".into())),
-        },
-        Some("query") => match (args.get(1), args.get(2)) {
-            (Some(expr), Some(path)) => ok(cmd_trace_query(expr, path)),
-            _ => Err(UsageError(
-                "trace query needs an expression and a trace path".into(),
-            )),
-        },
-        Some("explain") => match (args.get(1), args.get(2)) {
-            (Some(sel), Some(path)) => ok(cmd_trace_explain(sel, path)),
-            _ => Err(UsageError(
-                "trace explain needs a selector (job:<seq>|proc:<id>|line:<n>) \
-                 and a trace path"
-                    .into(),
-            )),
-        },
-        Some(other) => Err(UsageError(format!(
-            "unknown trace subcommand {other:?}; expected one of: {}",
-            TRACE_SUBCOMMANDS.join("|")
-        ))),
-        None => Err(UsageError(format!(
-            "trace needs a subcommand: {}",
-            TRACE_SUBCOMMANDS.join("|")
-        ))),
-    }
-}
-
-/// `serve listen`/`serve send`: the multi-tenant simulation service (see
-/// `cmvrp-serve`). `listen` prints the bound address eagerly — before
-/// blocking in the accept loop — so scripts starting a server on port 0
-/// can read the chosen port from the first stdout line.
-fn cmd_serve(args: &[String]) -> Result<String, UsageError> {
-    match args.first().map(String::as_str) {
-        Some("listen") => cmd_serve_listen(&args[1..]),
-        Some("send") => match args.get(1) {
-            Some(addr) => cmd_serve_send(addr, &args[2..]),
-            None => Err(UsageError(
-                "serve send needs a server address, e.g. `cmvrp serve send \
-                 127.0.0.1:7077` (the address `serve listen` printed)"
-                    .into(),
-            )),
-        },
-        Some(other) => Err(UsageError(format!(
-            "unknown serve subcommand {other:?}; supported: listen (host \
-             sessions over TCP), send (drive a server from stdin)"
-        ))),
-        None => Err(UsageError(
-            "serve needs a subcommand: listen (host sessions over TCP) or \
-             send (drive a server from stdin)"
-                .into(),
-        )),
-    }
-}
-
-fn cmd_serve_listen(opts: &[String]) -> Result<String, UsageError> {
-    let mut config = cmvrp_serve::ServeConfig::default();
-    for opt in opts {
-        if let Some(v) = opt.strip_prefix("--addr=") {
-            config.addr = v.to_string();
-        } else if let Some(v) = opt.strip_prefix("--max-sessions=") {
-            let n: usize = v
-                .parse()
-                .map_err(|_| UsageError(format!("bad session limit {v:?}")))?;
-            if n == 0 {
-                return Err(UsageError(
-                    "--max-sessions must be at least 1 (it bounds the \
-                     sessions one connection may hold open)"
-                        .into(),
-                ));
-            }
-            config.max_sessions = n;
-        } else if let Some(v) = opt.strip_prefix("--connections=") {
-            config.connections = v
-                .parse()
-                .map_err(|_| UsageError(format!("bad connection count {v:?}")))?;
-        } else {
-            return Err(UsageError(format!(
-                "unknown option {opt:?}; serve listen accepts --addr=H:P, \
-                 --max-sessions=N, and --connections=N"
-            )));
-        }
-    }
-    let server =
-        cmvrp_serve::Server::bind(config).map_err(|e| UsageError(format!("cannot bind: {e}")))?;
-    let addr = server
-        .local_addr()
-        .map_err(|e| UsageError(format!("cannot read bound address: {e}")))?;
-    {
-        use std::io::Write as _;
-        let mut stdout = std::io::stdout().lock();
-        let _ = writeln!(stdout, "serving on {addr}");
-        let _ = stdout.flush();
-    }
-    let stats = server
-        .run()
-        .map_err(|e| UsageError(format!("serve failed: {e}")))?;
-    Ok(format!(
-        "served {} connection(s): {} session(s), {} request(s)\n",
-        stats.connections, stats.sessions, stats.requests
-    ))
-}
-
-fn cmd_serve_send(addr: &str, opts: &[String]) -> Result<String, UsageError> {
-    if let Some(opt) = opts.first() {
-        return Err(UsageError(format!(
-            "unknown option {opt:?}; serve send takes only the server \
-             address and reads request lines from stdin"
-        )));
-    }
-    let stdin = std::io::stdin();
-    let mut out = Vec::new();
-    cmvrp_serve::send(addr, &mut stdin.lock(), &mut out)
-        .map_err(|e| UsageError(format!("serve send to {addr}: {e}")))?;
-    Ok(String::from_utf8_lossy(&out).into_owned())
-}
-
-/// Dispatches a CLI invocation; returns the text to print or a usage error.
-/// Thin wrapper over [`run_with_status`] that drops the exit status — kept
-/// for callers (and tests) that only care about the text.
-pub fn run(args: &[String]) -> Result<String, UsageError> {
-    run_with_status(args).map(|(out, _)| out)
+    Ok((cmd.ok_or_else(unknown)?, rest))
 }
 
 /// Dispatches a CLI invocation; returns the text to print plus the process
 /// exit status: 0 for success, 1 when `trace diff` found a semantic
-/// divergence (scriptable, like `cmp`/`diff`). Usage and I/O errors
-/// surface as `Err` and exit 2.
+/// divergence or a campaign has dead runs (scriptable, like `cmp`/`diff`).
+/// Usage and I/O errors surface as `Err` and exit 2.
 pub fn run_with_status(args: &[String]) -> Result<(String, i32), UsageError> {
-    if args.first().map(String::as_str) == Some("trace") {
-        return cmd_trace(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("campaign") {
-        return cmd_campaign(&args[1..]);
-    }
-    let out = match args.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(usage()),
-        Some("workloads") => Ok(
-            "point, line, square, uniform, clusters, @scenario.toml — see \
-             `cmvrp help` for parameters\n"
-                .to_string(),
-        ),
-        Some("sweep") => match args.get(1) {
-            Some(shape) => cmd_sweep(shape, &args[2..]),
-            None => Err(UsageError("sweep needs a shape (point|line)".into())),
-        },
-        Some("experiment") => match args.get(1) {
-            Some(id) => cmd_experiment(id),
-            None => Err(UsageError(format!(
-                "experiment needs an id ({})",
-                cmvrp_bench::experiment_ids()
-            ))),
-        },
-        Some("show") => match args.get(1) {
-            Some(spec) => cmd_show(spec),
-            None => Err(UsageError("show needs a workload spec".into())),
-        },
-        Some("solve") => match args.get(1) {
-            Some(spec) => cmd_solve(spec),
-            None => Err(UsageError("solve needs a workload spec".into())),
-        },
-        Some("simulate") => match args.get(1) {
-            Some(spec) => cmd_simulate(spec, &args[2..]),
-            None => Err(UsageError("simulate needs a workload spec".into())),
-        },
-        Some("scenario") => cmd_scenario(&args[1..]),
-        Some("ckpt") => cmd_ckpt(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some(other) => Err(UsageError(format!("unknown command {other:?}"))),
-    };
-    out.map(|s| (s, 0))
+    let (cmd, rest) = command(args)?;
+    (cmd.run)(&Args::parse(cmd, rest)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use args::Flag;
+    use cmvrp_workloads::WorkloadConfig;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// [`run_with_status`] without the exit status.
+    fn run(args: &[String]) -> Result<String, UsageError> {
+        run_with_status(args).map(|(out, _)| out)
     }
 
     #[test]
@@ -2630,29 +987,140 @@ mod tests {
         .into()
     }
 
+    /// The serve wire's ops, as a server's reply to an unknown op lists
+    /// them.
+    fn wire_ops() -> Vec<String> {
+        let server = cmvrp_serve::Server::bind(cmvrp_serve::ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            connections: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let listener = std::thread::spawn(move || server.run());
+        let mut reply = Vec::new();
+        cmvrp_serve::send(&addr, &mut &b"{\"op\":\"bogus\"}\n"[..], &mut reply).unwrap();
+        listener.join().unwrap().unwrap();
+        let reply = String::from_utf8(reply).unwrap();
+        let (_, ops) = reply.split_once("supported ops: ").expect("ops listed");
+        let ops = ops.split('"').next().unwrap();
+        ops.split(", ").map(String::from).collect()
+    }
+
+    /// README.md and DESIGN.md each name every subcommand of the table,
+    /// every wire op and every event kind (the rows of `cmvrp-obs`'s
+    /// schema table, which tier-1 `tests/event_schema.rs` pins).
     #[test]
-    fn trace_usage_and_errors_enumerate_all_subcommands() {
-        // The usage text, the no-subcommand error, and the
-        // unknown-subcommand error must all agree on the full set, so a
-        // new subcommand that forgets one of them fails here.
-        let usage_text = usage();
-        let no_sub = run(&argv("trace")).unwrap_err().0;
-        let unknown = run(&argv("trace bogus")).unwrap_err().0;
-        for sub in TRACE_SUBCOMMANDS {
-            assert!(
-                usage_text.contains(&format!("cmvrp trace {sub}")),
-                "usage misses trace {sub}"
-            );
-            assert!(
-                no_sub.contains(sub),
-                "no-subcommand error misses {sub}: {no_sub}"
-            );
-            assert!(
-                unknown.contains(sub),
-                "unknown-subcommand error misses {sub}: {unknown}"
-            );
+    fn docs_name_every_subcommand_wire_op_and_event_kind() {
+        let obs_docs = include_str!("../../obs/src/lib.rs");
+        let kinds: Vec<&str> = obs_docs
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | `"))
+            .filter_map(|l| Some(l.split_once("` | `")?.0))
+            .collect();
+        assert_eq!(kinds.len(), 13, "{kinds:?}");
+        let ops = wire_ops();
+        assert!(ops.iter().any(|op| op == "inject"), "{ops:?}");
+        let mut missing = Vec::new();
+        for (file, doc) in [
+            ("README.md", include_str!("../../../README.md")),
+            ("DESIGN.md", include_str!("../../../DESIGN.md")),
+        ] {
+            for cmd in COMMANDS {
+                let name = cmd.name();
+                let spellings = [
+                    format!("cmvrp {name}"),
+                    format!("-- {name}"),
+                    format!("`{name}`"),
+                    format!("`{name} "),
+                ];
+                if !spellings
+                    .iter()
+                    .any(|spelled| doc.contains(spelled.as_str()))
+                {
+                    missing.push(format!("{file}: subcommand {name}"));
+                }
+            }
+            for op in &ops {
+                if !doc.contains(&format!("\"op\":\"{op}\"")) && !doc.contains(&format!("`{op}`")) {
+                    missing.push(format!("{file}: wire op {op}"));
+                }
+            }
+            for kind in &kinds {
+                if !doc.contains(kind) {
+                    missing.push(format!("{file}: event kind {kind}"));
+                }
+            }
         }
-        assert!(unknown.contains("bogus"), "{unknown}");
+        assert!(missing.is_empty(), "never named: {missing:#?}");
+    }
+
+    /// The error `argv` gets from `cmd`'s row.
+    fn refused(cmd: &'static Command, argv: &[String]) -> String {
+        match Args::parse(cmd, argv) {
+            Ok(_) => panic!("{} accepted {argv:?}", cmd.name()),
+            Err(e) => e.0,
+        }
+    }
+
+    /// Every row gets the same parser: each valued flag takes `--name=v`
+    /// and `--name v` and refuses a following option as its value, each
+    /// switch refuses a value, and unknown options and missing arguments
+    /// get one error shape everywhere.
+    #[test]
+    fn every_command_parses_its_flags_one_way() {
+        for cmd in COMMANDS {
+            let name = cmd.name();
+            let with = |tail: &[&str]| -> Vec<String> {
+                let args = cmd.args.iter().map(|a| format!("<{}>", a.name));
+                args.chain(tail.iter().map(|t| t.to_string())).collect()
+            };
+            for Flag(spelling, _) in cmd.flags {
+                let long = spelling.split(['=', '[']).next().unwrap();
+                let flag = &long[2..];
+                if spelling.contains('=') && !spelling.contains('[') {
+                    for argv in [with(&[&format!("{long}=v")]), with(&[long, "v"])] {
+                        let args = Args::parse(cmd, &argv).unwrap();
+                        assert_eq!(args.value(flag), Some("v"), "{name} {argv:?}");
+                    }
+                    let err = refused(cmd, &with(&[long, "--x"]));
+                    assert!(err.starts_with(&format!("{long} needs a value")), "{err}");
+                    let err = refused(cmd, &with(&[long]));
+                    assert!(err.starts_with(&format!("{long} needs a value")), "{err}");
+                } else {
+                    assert!(Args::parse(cmd, &with(&[long])).unwrap().has(flag));
+                    let err = refused(cmd, &with(&[&format!("{long}=v")]));
+                    assert!(err.contains(&format!("is written {spelling}")), "{err}");
+                }
+            }
+            let err = refused(cmd, &with(&["--bogus"]));
+            let want = format!("unknown option \"--bogus\"; {name} accepts ");
+            assert!(err.starts_with(&want), "{err}");
+            if !cmd.args.last().is_some_and(|a| a.many) {
+                let err = refused(cmd, &with(&["extra"]));
+                assert!(err.starts_with("unexpected argument \"extra\""), "{err}");
+            }
+            if !cmd.args.is_empty() {
+                let err = refused(cmd, &[]);
+                assert!(err.starts_with(&format!("{name} needs ")), "{err}");
+            }
+        }
+    }
+
+    /// A valued flag followed by another flag is refused naming both,
+    /// rather than writing a trace file named after the second flag.
+    #[test]
+    fn a_flag_value_that_is_another_flag_is_refused() {
+        for (flag, next) in [("--trace-jsonl", "--check"), ("--trace-bin", "--metrics")] {
+            let err = run(&argv(&format!(
+                "simulate point:grid=4,demand=5 {flag} {next}"
+            )))
+            .unwrap_err()
+            .0;
+            assert!(err.starts_with(&format!("{flag} needs a value")), "{err}");
+            assert!(err.contains(next), "{err}");
+            assert!(!std::path::Path::new(next).exists(), "wrote {next}");
+        }
     }
 
     #[test]

@@ -40,14 +40,11 @@ pub mod alpha_h;
 pub mod density;
 pub mod grid_density;
 pub mod maxflow;
-pub mod mincost;
 pub mod transport;
 
 pub use density::{DensityProblem, DensityResult};
 pub use grid_density::{max_density_over_grid, GridDensityResult};
 pub use maxflow::{FlowNetwork, FlowStats};
-pub use mincost::MinCostFlow;
 pub use transport::{
-    min_travel_transport, min_uniform_supply, transport_feasible, transport_flows, TransportFlow,
-    TransportInstance,
+    min_uniform_supply, transport_feasible, transport_flows, TransportFlow, TransportInstance,
 };

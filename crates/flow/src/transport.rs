@@ -205,69 +205,6 @@ pub fn transport_flows<const D: usize>(
     Some(flows)
 }
 
-/// The classical Transportation-Problem objective that §2.2 contrasts with
-/// LP (2.1): among all feasible flow sets at uniform supply `omega` and
-/// radius `r`, the minimum total *travel* `Σ f_ij · ‖i−j‖` (the Earthmover
-/// cost) — returned with a witnessing flow set, or `None` when infeasible.
-///
-/// Computed by min-cost max-flow over the same bipartite structure with
-/// Manhattan distances as costs.
-pub fn min_travel_transport<const D: usize>(
-    bounds: &GridBounds<D>,
-    demand: &DemandMap<D>,
-    r: u64,
-    omega: Ratio,
-) -> Option<(Ratio, Vec<TransportFlow<D>>)> {
-    use crate::mincost::MinCostFlow;
-    if demand.total() == 0 {
-        return Some((Ratio::ZERO, Vec::new()));
-    }
-    if omega.is_negative() {
-        return None;
-    }
-    let suppliers: Vec<Point<D>> = dilate(bounds, demand.support(), r).iter().collect();
-    let demands: Vec<(Point<D>, u64)> = demand.iter().collect();
-    let q = omega.denom();
-    let p = omega.numer();
-    let ns = suppliers.len();
-    let nd = demands.len();
-    let sink = 1 + ns + nd;
-    let mut net = MinCostFlow::new(sink + 1);
-    let supplier_index: HashMap<Point<D>, usize> =
-        suppliers.iter().enumerate().map(|(i, s)| (*s, i)).collect();
-    for i in 0..ns {
-        net.add_edge(0, 1 + i, p, 0);
-    }
-    let mut handles = Vec::new();
-    let mut total: i128 = 0;
-    for (j, (pos, d)) in demands.iter().enumerate() {
-        let need = *d as i128 * q;
-        total += need;
-        net.add_edge(1 + ns + j, sink, need, 0);
-        for s in bounds.ball(*pos, r) {
-            let si = supplier_index[&s];
-            let h = net.add_edge(1 + si, 1 + ns + j, p, s.manhattan(*pos) as i64);
-            handles.push((s, *pos, h));
-        }
-    }
-    let (flow, cost) = net.max_flow_min_cost(0, sink);
-    if flow != total {
-        return None;
-    }
-    let flows = handles
-        .into_iter()
-        .filter_map(|(from, to, h)| {
-            let f = net.edge_flow(h);
-            (f > 0).then(|| TransportFlow {
-                from,
-                to,
-                amount: Ratio::new(f, q),
-            })
-        })
-        .collect();
-    Some((Ratio::new(cost, q), flows))
-}
-
 /// The exact LP (2.1) optimum for uniform supplies: by Lemma 2.2.2 this is
 /// the maximum density `max_T Σ_{x∈T} d(x) / |N_r(T)|`.
 pub fn min_uniform_supply<const D: usize>(
@@ -531,52 +468,6 @@ mod tests {
                 assert!(load <= v, "r={r}: supplier {s} ships {load} > {v}");
             }
         }
-    }
-
-    #[test]
-    fn min_travel_never_below_necessary() {
-        // Radius-1 demand of 5 at the center: 1 unit stays (0 travel) and
-        // 4 units come from distance 1 → minimal travel 4.
-        let b = GridBounds::square(5);
-        let d = demand_of(&[(pt2(2, 2), 5)]);
-        let (cost, flows) = min_travel_transport(&b, &d, 1, Ratio::ONE).unwrap();
-        assert_eq!(cost, Ratio::from_integer(4));
-        let delivered = flows.iter().fold(Ratio::ZERO, |acc, f| acc + f.amount);
-        assert_eq!(delivered, Ratio::from_integer(5));
-    }
-
-    #[test]
-    fn min_travel_prefers_close_suppliers() {
-        // With generous supply, all demand should come from distance 0.
-        let b = GridBounds::square(5);
-        let d = demand_of(&[(pt2(2, 2), 3)]);
-        let (cost, flows) = min_travel_transport(&b, &d, 2, Ratio::from_integer(10)).unwrap();
-        assert_eq!(cost, Ratio::ZERO);
-        assert_eq!(flows.len(), 1);
-        assert_eq!(flows[0].from, pt2(2, 2));
-    }
-
-    #[test]
-    fn min_travel_infeasible_matches_feasibility() {
-        let b = GridBounds::square(5);
-        let d = demand_of(&[(pt2(2, 2), 9)]);
-        // Below the LP optimum: infeasible on both oracles.
-        assert!(!transport_feasible(&b, &d, 1, Ratio::ONE));
-        assert!(min_travel_transport(&b, &d, 1, Ratio::ONE).is_none());
-    }
-
-    #[test]
-    fn earthmover_contrast_of_section_22() {
-        // The §2.2 contrast: raising ω leaves LP(2.1) feasibility fixed but
-        // *reduces* the minimal travel (more energy can stay local), while
-        // the LP(2.1) objective min-ω is blind to travel.
-        let b = GridBounds::square(7);
-        let d = demand_of(&[(pt2(3, 3), 12)]);
-        let v = min_uniform_supply(&b, &d, 2); // 12/13
-        let (cost_tight, _) = min_travel_transport(&b, &d, 2, v).unwrap();
-        let (cost_loose, _) = min_travel_transport(&b, &d, 2, Ratio::from_integer(12)).unwrap();
-        assert!(cost_loose < cost_tight);
-        assert_eq!(cost_loose, Ratio::ZERO);
     }
 
     #[test]

@@ -1235,18 +1235,36 @@ impl CheckReport {
 /// for line numbering. `capacity` seeds the energy monitor for traces
 /// without a `fleet_provisioned` event.
 ///
+/// Offline checking is forensics: every violation carries the chain of
+/// events that led to it. The causal index behind the chains keeps a copy
+/// of every event, so the lines are checked without it first and read a
+/// second time, with it, only when that pass finds a violation.
+///
 /// # Errors
 ///
 /// Returns `(1-based line number, parse error)` for the first malformed
 /// line — malformed input is a parse failure, not a violation.
 pub fn check_lines<'a, I>(lines: I, capacity: Option<u64>) -> Result<CheckReport, (usize, String)>
 where
-    I: IntoIterator<Item = &'a str>,
+    I: IntoIterator<Item = &'a str> + Clone,
 {
+    let report = check_pass(lines.clone(), capacity, false)?;
+    if report.is_clean() {
+        return Ok(report);
+    }
+    check_pass(lines, capacity, true)
+}
+
+/// One pass of [`check_lines`], with or without the causal index.
+fn check_pass<'a>(
+    lines: impl IntoIterator<Item = &'a str>,
+    capacity: Option<u64>,
+    causality: bool,
+) -> Result<CheckReport, (usize, String)> {
     let mut checker = TraceChecker::new();
-    // Offline checking is forensics: record the causal index so every
-    // violation carries the chain of events that led to it.
-    checker.record_causality();
+    if causality {
+        checker.record_causality();
+    }
     if let Some(w) = capacity {
         checker.set_capacity(w);
     }

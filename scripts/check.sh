@@ -26,17 +26,12 @@ fi
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
-echo "==> offline_bounds bench (each case once, release)"
-# Runs every case of the off-line bounds bench once in the release profile
-# and writes no snapshot: the exact-ω* cases on the benchmark's uniform
-# 120² and clusters 64² demands must still build and solve.
-cargo bench --offline -p cmvrp-bench --bench offline_bounds -- --test
-
-echo "==> online_sim bench (each case once, release)"
-# The same for the on-line engine bench, whose clusters256_flash case runs
-# the flash-crowd benchmark workload with the inline monitors on, and its
-# clusters256_flash_unchecked case runs it with them off.
-cargo bench --offline -p cmvrp-bench --bench online_sim -- --test
+echo "==> every bench target (each case once, release)"
+# Runs every case of every cmvrp-bench bench target once in the release
+# profile and writes no snapshot: among them the exact-ω* offline_bounds
+# cases on the benchmark's uniform 120² and clusters 64² demands, and the
+# online_sim flash-crowd cases with the inline monitors on and off.
+cargo bench --offline -p cmvrp-bench --benches -- --test
 
 echo "==> benchmark package (build + tests)"
 # `benchmark/` is a package of its own (not a workspace member) that
