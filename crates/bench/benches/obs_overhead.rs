@@ -8,15 +8,16 @@
 //! with the checked-vs-unchecked overhead delta in the notes (skipped in
 //! `--quick` mode so test glue never clobbers the committed snapshot);
 //! `--baseline=PATH` pairs every row with a snapshot another build of this
-//! bench wrote, so the `trace_write/*` encoder rows and the
-//! `trace_read/cmvb_to_jsonl` decoder row compare across commits.
+//! bench wrote, so the `trace_write/*` encoder rows and the `trace_read/*`
+//! decoder rows compare across commits.
 
 use cmvrp_bench::default_workloads;
 use cmvrp_bench::harness::Harness;
 use cmvrp_engine::{ExecConfig, Execution};
 use cmvrp_grid::GridBounds;
 use cmvrp_obs::{
-    BinReader, BinSink, Event, JsonlSink, NullSink, RingSink, Sink, TraceChecker, VecSink,
+    load_trace_bytes, replay, BinReader, BinSink, Event, JsonlSink, NullSink, RingSink, Sink,
+    TraceChecker, VecSink,
 };
 use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, spatial, JobSequence, Ordering};
@@ -155,9 +156,9 @@ fn main() {
         sink.flush_events();
         black_box(sink.written());
     });
-    // The read path of the `cmvrp serve` trace op and every `cmvrp trace`
-    // subcommand: CMVB decoded frame by frame, each event rendered into
-    // one reused line on its way into a writer.
+    // The read path of the `cmvrp serve` trace op: CMVB decoded frame by
+    // frame, each event rendered into one reused line on its way into a
+    // writer.
     let cmvb = {
         let mut sink = BinSink::new(Vec::new());
         for ev in &events {
@@ -176,6 +177,27 @@ fn main() {
         }
         black_box(line.len());
     });
+    // The read path of every `cmvrp trace` subcommand: one pass of the
+    // trace reader over a loaded trace, each event folded into the replay
+    // summary (`trace stats`), in each encoding.
+    let jsonl = {
+        let mut sink = JsonlSink::new(Vec::new());
+        for ev in &events {
+            sink.record(ev);
+        }
+        sink.into_writer().expect("in-memory write")
+    };
+    for (name, bytes) in [
+        ("trace_read/cmvb_events", &cmvb),
+        ("trace_read/jsonl_events", &jsonl),
+    ] {
+        let trace = load_trace_bytes(bytes).expect("own trace");
+        h.bench_with_items(name, n_events, || {
+            let summary = replay::summarize(trace.events()).expect("own trace");
+            assert_eq!(summary.events, n_events);
+            black_box(summary);
+        });
+    }
 
     let mut notes: Vec<(&str, String)> = vec![
         (

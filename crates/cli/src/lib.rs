@@ -591,8 +591,8 @@ mod tests {
             .unwrap()
             .parse()
             .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let summary = cmvrp_obs::summarize(text.lines()).unwrap();
+        let trace = cmvrp_obs::load_trace(&path_str).unwrap();
+        let summary = cmvrp_obs::summarize(trace.events()).unwrap();
         assert_eq!(summary.jobs_served, served);
         assert_eq!(stat("jobs_served"), served);
         assert_eq!(summary.jobs_unserved(), 0);
@@ -1138,7 +1138,7 @@ mod tests {
         assert!(out.contains("identical"), "{out}");
         assert!(out.contains("encoding JSONL"), "{out}");
         // Convert to binary and diff cross-encoding: still identical —
-        // the loader normalizes both sides to canonical JSONL first.
+        // the differ compares events, whatever their encoding.
         let bin = std::env::temp_dir().join("cmvrp_cli_diff_golden.bin");
         let bin_str = bin.to_str().unwrap().to_string();
         run(&[
@@ -1153,6 +1153,96 @@ mod tests {
         assert_eq!(status, 0, "{out}");
         assert!(out.contains("encoding CMVB"), "{out}");
         let _ = std::fs::remove_file(&bin);
+    }
+
+    /// Every trace tool prints the same report for a JSONL trace and for
+    /// its CMVB conversion, apart from the paths and the identity header.
+    #[test]
+    fn trace_tools_print_alike_on_both_encodings() {
+        let dir = std::env::temp_dir();
+        let profiled = dir.join("cmvrp_cli_alike_profile.jsonl");
+        let profiled = profiled.to_str().unwrap().to_string();
+        run(&argv(&format!(
+            "simulate point:grid=12,demand=250 --threads=2 --profile --trace-jsonl={profiled}"
+        )))
+        .unwrap();
+        let golden = golden_path();
+        // The diff partner is a copy, so its path is neither trace's.
+        let partner = dir.join("cmvrp_cli_alike_partner.jsonl");
+        std::fs::copy(&golden, &partner).unwrap();
+        let partner = partner.to_str().unwrap().to_string();
+        for (tag, jsonl) in [("golden", golden.clone()), ("profile", profiled.clone())] {
+            let bin = dir.join(format!("cmvrp_cli_alike_{tag}.bin"));
+            let bin = bin.to_str().unwrap().to_string();
+            run(&argv(&format!("trace convert {jsonl} {bin}"))).unwrap();
+            // Each command's words, with the trace path in place of `T`.
+            let commands: [&[&str]; 11] = [
+                &["stats", "T"],
+                &["stats", "T", "--where=kind=served and vehicle=13"],
+                &["check", "T"],
+                &["query", "kind=replacement_cycle or seq=5", "T"],
+                &["timeline", "13", "T"],
+                &["spans", "T"],
+                &["profile", "T"],
+                &["explain", "job:101", "T"],
+                &["explain", "proc:13", "T"],
+                &["explain", "line:300", "T"],
+                &["diff", &partner, "T"],
+            ];
+            for words in commands {
+                let report = |path: &str| {
+                    let args: Vec<String> = ["trace"]
+                        .iter()
+                        .chain(words)
+                        .map(|w| if *w == "T" { path } else { w }.to_string())
+                        .collect();
+                    let (out, status) = run_with_status(&args).unwrap_or_else(|e| (e.0, 2));
+                    let out = out.replace(path, "<trace>");
+                    let out = out.replace("encoding JSONL, schema v2", "<identity>");
+                    (
+                        out.replace("encoding CMVB, schema v1", "<identity>"),
+                        status,
+                    )
+                };
+                let (a, b) = (report(&jsonl), report(&bin));
+                assert_eq!(a, b, "trace {words:?} on {tag}");
+                assert!(!a.0.contains("encoding"), "{a:?}");
+            }
+            let _ = std::fs::remove_file(&bin);
+        }
+        let _ = std::fs::remove_file(&profiled);
+        let _ = std::fs::remove_file(&partner);
+    }
+
+    /// `check`, `timeline` and `explain` refuse a job seq or a process id
+    /// past the trace's bound with a scoped error instead of allocating
+    /// for it; `stats` keeps no state per id and reads both traces.
+    #[test]
+    fn trace_tools_refuse_ids_past_the_bound() {
+        let fleet = r#"{"ev":"fleet_provisioned","t":0,"vehicles":4,"capacity":10}"#;
+        let cases = [
+            (
+                "seq",
+                r#"{"ev":"job_arrived","t":1,"seq":400000000000,"pos":[0,0]}"#,
+            ),
+            (
+                "from",
+                r#"{"ev":"msg_sent","t":1,"from":400000000000,"to":1}"#,
+            ),
+        ];
+        for (field, line) in cases {
+            let path = std::env::temp_dir().join(format!("cmvrp_cli_huge_{field}.jsonl"));
+            std::fs::write(&path, format!("{fleet}\n{line}\n")).unwrap();
+            let path = path.to_str().unwrap().to_string();
+            for cmd in ["check", "timeline 1", "explain line:2"] {
+                let err = run(&argv(&format!("trace {cmd} {path}"))).unwrap_err();
+                let want = format!("{path}:2: \"{field}\" 400000000000 is past the bound");
+                assert!(err.0.starts_with(&want), "trace {cmd}: {err}");
+                assert!(err.0.ends_with(", 1048576"), "trace {cmd}: {err}");
+            }
+            run(&argv(&format!("trace stats {path}"))).unwrap();
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

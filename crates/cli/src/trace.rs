@@ -1,16 +1,17 @@
 //! The `trace` commands: analytics over a recorded trace in either
-//! encoding.
+//! encoding. Every command folds the events of the one reader in
+//! `cmvrp-obs` ([`cmvrp_obs::LoadedTrace::events`]) and renders an event
+//! to JSON only to print it.
 
 use crate::{table, usage_error, Args, Outcome, UsageError};
-use cmvrp_obs::{BinSink, Event, Sink};
+use cmvrp_obs::{BinSink, Event, JsonlSink, LoadedTrace, Sink, TraceEncoding};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Loads a trace in either encoding through the hardened sniffing loader
-/// in `cmvrp-obs` (empty files, truncated magics and partial trailing
-/// lines come back as scoped errors): canonical JSONL text plus the
-/// identity header reports print.
-fn load(path: &str) -> Result<cmvrp_obs::LoadedTrace, UsageError> {
+/// in `cmvrp-obs` (empty files, truncated magics, partial trailing lines
+/// and corrupt frames come back as scoped errors).
+fn load(path: &str) -> Result<LoadedTrace, UsageError> {
     cmvrp_obs::load_trace(path).map_err(UsageError)
 }
 
@@ -32,24 +33,17 @@ fn parse_where(a: &Args) -> Result<Option<cmvrp_obs::QueryExpr>, UsageError> {
 pub(crate) fn stats(a: &Args) -> Outcome {
     let path = a.pos(0);
     let filter = parse_where(a)?;
-    let loaded = load(path)?;
-    let mut out = format!("trace stats of {path}: {}\n", loaded.header());
-    let mut body = loaded.text;
-    if let Some(expr) = &filter {
-        let mut kept = String::new();
-        let mut matched = 0usize;
-        for item in cmvrp_obs::jsonl_events(body.lines()) {
-            let (_, line, ev) = item.map_err(at_line(path))?;
-            if expr.matches(&ev) {
-                matched += 1;
-                kept.push_str(line);
-                kept.push('\n');
-            }
-        }
-        let _ = writeln!(out, "where: {matched} of {} events match", loaded.events);
-        body = kept;
+    let trace = load(path)?;
+    let kept = trace.events().filter(|item| match (item, &filter) {
+        (Ok((_, ev)), Some(expr)) => expr.matches(ev),
+        _ => true,
+    });
+    let summary = cmvrp_obs::summarize(kept).map_err(at_line(path))?;
+    let mut out = format!("trace stats of {path}: {}\n", trace.header());
+    if filter.is_some() {
+        let (matched, events) = (summary.events, trace.events);
+        let _ = writeln!(out, "where: {matched} of {events} events match");
     }
-    let summary = cmvrp_obs::summarize(body.lines()).map_err(at_line(path))?;
     let rows = summary.rows().into_iter().map(|(k, v)| [k, v]);
     out.push_str(&table(["quantity", "value"], rows));
     Ok((out, 0))
@@ -60,20 +54,19 @@ pub(crate) fn stats(a: &Args) -> Outcome {
 pub(crate) fn diff(args: &Args) -> Outcome {
     let (a, b) = (args.pos(0), args.pos(1));
     let context = args.num("context")?.unwrap_or(3);
-    let loaded_a = load(a)?;
-    let loaded_b = load(b)?;
-    let report = cmvrp_obs::diff_lines(loaded_a.text.lines(), loaded_b.text.lines(), context)
-        .map_err(|e| {
-            let path = match e.side {
-                cmvrp_obs::Side::A => a,
-                cmvrp_obs::Side::B => b,
-            };
-            UsageError(format!("{path}: {e}"))
-        })?;
+    let trace_a = load(a)?;
+    let trace_b = load(b)?;
+    let report = cmvrp_obs::diff_traces(&trace_a, &trace_b, context).map_err(|e| {
+        let path = match e.side {
+            cmvrp_obs::Side::A => a,
+            cmvrp_obs::Side::B => b,
+        };
+        UsageError(format!("{path}: {e}"))
+    })?;
     let mut out = format!(
         "diff A={a} ({}) vs B={b} ({})\n",
-        loaded_a.header(),
-        loaded_b.header()
+        trace_a.header(),
+        trace_b.header()
     );
     let Some(d) = report.divergence else {
         let _ = writeln!(out, "identical: {} events agree", report.matched);
@@ -130,21 +123,21 @@ pub(crate) fn diff(args: &Args) -> Outcome {
 pub(crate) fn query(a: &Args) -> Outcome {
     let (expr_src, path) = (a.pos(0), a.pos(1));
     let expr = cmvrp_obs::parse_query(expr_src).map_err(usage_error)?;
-    let loaded = load(path)?;
+    let trace = load(path)?;
     let mut out = String::new();
     let mut matched = 0usize;
-    for item in cmvrp_obs::jsonl_events(loaded.text.lines()) {
-        let (n, line, ev) = item.map_err(at_line(path))?;
+    for item in trace.events() {
+        let (n, ev) = item.map_err(at_line(path))?;
         if expr.matches(&ev) {
             matched += 1;
-            let _ = writeln!(out, "{n}: {}", line.trim());
+            let _ = writeln!(out, "{n}: {}", ev.to_json());
         }
     }
     let _ = writeln!(
         out,
         "matched {matched} of {} events in {path} ({})",
-        loaded.events,
-        loaded.header()
+        trace.events,
+        trace.header()
     );
     Ok((out, 0))
 }
@@ -152,17 +145,17 @@ pub(crate) fn query(a: &Args) -> Outcome {
 /// `trace explain <sel> <trace>`: the happens-before chain leading to a
 /// chosen event, reconstructed from the checker's causal index. Selectors:
 /// `job:<seq>` (its serve, or arrival if unserved), `proc:<id>` (the
-/// process' last act), `line:<n>` (an exact trace line).
+/// process' last act), `line:<n>` (an exact trace line). The index holds
+/// no event, so the chain's lines are rendered by a second pass.
 pub(crate) fn explain(a: &Args) -> Outcome {
     let (selector, path) = (a.pos(0), a.pos(1));
     const CHAIN_CAP: usize = 12;
-    let loaded = load(path)?;
+    let trace = load(path)?;
     let mut checker = cmvrp_obs::TraceChecker::new();
     checker.record_causality();
-    for item in cmvrp_obs::jsonl_events(loaded.text.lines()) {
-        let (n, _, ev) = item.map_err(at_line(path))?;
-        checker.observe_at(n, &ev);
-    }
+    checker
+        .observe_trace(&trace, |_, _, _| {})
+        .map_err(at_line(path))?;
     let ix = checker.into_causal_index().expect("causality recorded");
     let bad_selector = || {
         UsageError(format!(
@@ -191,12 +184,16 @@ pub(crate) fn explain(a: &Args) -> Outcome {
         }
         _ => return Err(bad_selector()),
     };
+    let chain = ix.chain(target, CHAIN_CAP);
+    let target_node = ix.node(target).expect("target resolved above");
+    let lines = chain.iter().chain([&target_node]).map(|node| node.line);
+    let json = trace.render(lines).map_err(at_line(path))?;
     let render = |n: &cmvrp_obs::CausalNode| {
         let actor = n.actor.map(|(p, l)| format!("  [proc {p}, lamport {l}]"));
-        format!("line {}: {}{}", n.line, n.json, actor.unwrap_or_default())
+        let (line, actor) = (n.line, actor.unwrap_or_default());
+        format!("line {line}: {}{actor}", json[&line])
     };
-    let mut out = format!("explain {selector} in {path} ({})\n", loaded.header());
-    let chain = ix.chain(target, CHAIN_CAP);
+    let mut out = format!("explain {selector} in {path} ({})\n", trace.header());
     if chain.is_empty() {
         let _ = writeln!(out, "no causal ancestors: the event is a root cause");
     } else {
@@ -209,7 +206,6 @@ pub(crate) fn explain(a: &Args) -> Outcome {
             let _ = writeln!(out, "  {}", render(node));
         }
     }
-    let target_node = ix.node(target).expect("target resolved above");
     let _ = writeln!(out, "  => {}", render(target_node));
     Ok((out, 0))
 }
@@ -217,29 +213,40 @@ pub(crate) fn explain(a: &Args) -> Outcome {
 /// `trace convert <in> <out>`: lossless JSONL ↔ binary translation, the
 /// direction inferred from the input's encoding. The input is read through
 /// the same loader as every other trace subcommand, so it refuses the same
-/// files.
+/// files. The output is encoded in memory and written only once every
+/// event has been read: a corrupt input writes nothing, in one pass over a
+/// JSONL input, and `convert t t` reads `t` before it replaces it.
 pub(crate) fn convert(a: &Args) -> Outcome {
     let (input, output) = (a.pos(0), a.pos(1));
-    let loaded = load(input)?;
-    if loaded.encoding == cmvrp_obs::TraceEncoding::Binary {
-        std::fs::write(output, &loaded.text)
-            .map_err(|e| UsageError(format!("cannot write {output:?}: {e}")))?;
-        let out = format!(
-            "converted {input} (binary) -> {output} (jsonl): {} events\n",
-            loaded.events
-        );
-        return Ok((out, 0));
-    }
-    let mut sink = BinSink::create(output)
-        .map_err(|e| UsageError(format!("cannot create {output:?}: {e}")))?;
-    for item in cmvrp_obs::jsonl_events(loaded.text.lines()) {
-        sink.record(&item.map_err(at_line(input))?.2);
-    }
-    let events = sink
-        .finish()
-        .map_err(|e| UsageError(format!("write to {output:?} failed: {e}")))?;
-    let out = format!("converted {input} (jsonl) -> {output} (binary): {events} events\n");
+    let trace = load(input)?;
+    let (from, to, bytes) = match trace.encoding {
+        TraceEncoding::Binary => {
+            let bytes = encode(&trace, JsonlSink::new(Vec::new()), JsonlSink::into_writer);
+            ("binary", "jsonl", bytes)
+        }
+        TraceEncoding::Jsonl => {
+            let bytes = encode(&trace, BinSink::new(Vec::new()), BinSink::into_writer);
+            ("jsonl", "binary", bytes)
+        }
+    };
+    std::fs::write(output, bytes.map_err(at_line(input))?)
+        .map_err(|e| UsageError(format!("cannot write {output:?}: {e}")))?;
+    let events = trace.events;
+    let out = format!("converted {input} ({from}) -> {output} ({to}): {events} events\n");
     Ok((out, 0))
+}
+
+/// Records every event of `trace` into an in-memory sink and returns the
+/// bytes it wrote.
+fn encode<S: Sink>(
+    trace: &LoadedTrace,
+    mut sink: S,
+    bytes: fn(S) -> std::io::Result<Vec<u8>>,
+) -> Result<Vec<u8>, (usize, String)> {
+    for item in trace.events() {
+        sink.record(&item?.1);
+    }
+    Ok(bytes(sink).expect("writing to memory cannot fail"))
 }
 
 /// `trace profile <trace>`: aggregates the flight recorder's
@@ -255,13 +262,13 @@ pub(crate) fn profile(a: &Args) -> Outcome {
         steals: u64,
     }
     let path = a.pos(0);
-    let text = load(path)?.text;
+    let trace = load(path)?;
     let mut per: BTreeMap<u64, Acc> = BTreeMap::new();
     // round -> (its workers' samples, merge, sink); merge/sink are
     // replicated on every worker's sample, so assignment keeps one copy.
     let mut rounds: BTreeMap<u64, (Acc, u64, u64)> = BTreeMap::new();
-    for item in cmvrp_obs::jsonl_events(text.lines()) {
-        let (_, _, ev) = item.map_err(at_line(path))?;
+    for item in trace.events() {
+        let (_, ev) = item.map_err(at_line(path))?;
         let Event::RoundProfile {
             round,
             worker,
@@ -296,14 +303,8 @@ pub(crate) fn profile(a: &Args) -> Outcome {
     let row = |who: String, acc: &Acc| {
         let util = 100.0 * acc.busy as f64 / (acc.busy + acc.barrier).max(1) as f64;
         let (busy, barrier, util) = (ms(acc.busy), ms(acc.barrier), format!("{util:.1}"));
-        [
-            who,
-            acc.rounds.to_string(),
-            busy,
-            barrier,
-            util,
-            acc.steals.to_string(),
-        ]
+        let (rounds, steals) = (acc.rounds.to_string(), acc.steals.to_string());
+        [who, rounds, busy, barrier, util, steals]
     };
     let workers = per.len() as u64;
     let all = Acc {
@@ -361,8 +362,8 @@ pub(crate) fn profile(a: &Args) -> Outcome {
 pub(crate) fn check(a: &Args) -> Outcome {
     let path = a.pos(0);
     let capacity = a.num("capacity")?;
-    let text = load(path)?.text;
-    let report = cmvrp_obs::check_lines(text.lines(), capacity).map_err(at_line(path))?;
+    let trace = load(path)?;
+    let report = cmvrp_obs::check_trace(&trace, capacity).map_err(at_line(path))?;
     let (events, n) = (report.events, report.violations.len());
     if report.is_clean() {
         let (count, names) = (report.active.len(), report.active.join(", "));
@@ -393,20 +394,21 @@ pub(crate) fn timeline(a: &Args) -> Outcome {
         .parse()
         .map_err(|_| UsageError(format!("bad process id {proc_arg:?}")))?;
     let filter = parse_where(a)?;
-    let text = load(path)?.text;
+    let trace = load(path)?;
     let mut checker = cmvrp_obs::TraceChecker::new();
     let mut rows = Vec::new();
-    for item in cmvrp_obs::jsonl_events(text.lines()) {
-        let (n, line, ev) = item.map_err(at_line(path))?;
-        // The checker attributes each event to one acting process and
-        // advances that process' Lamport clock; the timeline is the slice
-        // of that ledger belonging to `proc`.
-        if let Some((actor, lamport)) = checker.observe_at(n, &ev) {
-            if actor == proc && filter.as_ref().is_none_or(|expr| expr.matches(&ev)) {
-                rows.push([n.to_string(), lamport.to_string(), line.trim().to_string()]);
+    // The checker attributes each event to one acting process and advances
+    // that process' Lamport clock; the timeline is the slice of that ledger
+    // belonging to `proc`.
+    checker
+        .observe_trace(&trace, |n, ev, acted| {
+            if let Some((actor, lamport)) = acted {
+                if actor == proc && filter.as_ref().is_none_or(|expr| expr.matches(ev)) {
+                    rows.push([n.to_string(), lamport.to_string(), ev.to_json()]);
+                }
             }
-        }
-    }
+        })
+        .map_err(at_line(path))?;
     let shown = rows.len();
     let filtered = filter.map_or("", |_| " matching --where");
     let table = table(["line", "lamport", "event"], rows);
@@ -416,22 +418,22 @@ pub(crate) fn timeline(a: &Args) -> Outcome {
 
 pub(crate) fn spans(a: &Args) -> Outcome {
     let path = a.pos(0);
-    let text = load(path)?.text;
+    let trace = load(path)?;
     // name -> (count, total_ns, max_ns)
     let mut agg: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    for item in cmvrp_obs::jsonl_events(text.lines()) {
-        let (_, _, ev) = item.map_err(at_line(path))?;
-        if let Event::PhaseSpan {
-            name,
-            start_ns,
-            end_ns,
-        } = ev
+    for item in trace.events() {
+        if let (
+            _,
+            Event::PhaseSpan {
+                name,
+                start_ns,
+                end_ns,
+            },
+        ) = item.map_err(at_line(path))?
         {
             let ns = end_ns.saturating_sub(start_ns);
             let e = agg.entry(name).or_insert((0, 0, 0));
-            e.0 += 1;
-            e.1 += ns;
-            e.2 = e.2.max(ns);
+            (e.0, e.1, e.2) = (e.0 + 1, e.1 + ns, e.2.max(ns));
         }
     }
     if agg.is_empty() {
@@ -441,13 +443,8 @@ pub(crate) fn spans(a: &Args) -> Outcome {
     rows.sort_by_key(|r| std::cmp::Reverse(r.1 .1)); // heaviest first
     let rows = rows.into_iter().map(|(name, (count, total, max))| {
         let mean = format!("{:.0}", total as f64 / count as f64);
-        [
-            name,
-            count.to_string(),
-            total.to_string(),
-            mean,
-            max.to_string(),
-        ]
+        let (count, total, max) = (count.to_string(), total.to_string(), max.to_string());
+        [name, count, total, mean, max]
     });
     let table = table(["span", "count", "total_ns", "mean_ns", "max_ns"], rows);
     Ok((format!("spans of {path}:\n{table}"), 0))

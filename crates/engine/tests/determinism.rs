@@ -5,7 +5,7 @@
 
 use cmvrp_engine::{ExecConfig, ShardedOnlineSim};
 use cmvrp_grid::GridBounds;
-use cmvrp_obs::{check_lines, JsonlSink, NullSink};
+use cmvrp_obs::{check_trace, load_trace_bytes, JsonlSink, NullSink};
 use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, Ordering, WorkloadConfig};
 
@@ -150,8 +150,8 @@ fn merged_trace_passes_every_monitor() {
         // single-stream checker too (every monitor, including the ones
         // the inline split covers shard-locally).
         let (trace, _) = traced_run(&config, ExecConfig::new().threads(8));
-        let text = String::from_utf8(trace).expect("utf8 trace");
-        let offline = check_lines(text.lines(), None).expect("parse merged trace");
+        let trace = load_trace_bytes(&trace).expect("load merged trace");
+        let offline = check_trace(&trace, None).expect("parse merged trace");
         assert!(
             offline.is_clean(),
             "{}: offline violations {:?}",

@@ -3,7 +3,7 @@
 //! byte of the protocol events.
 
 use cmvrp_engine::ExecConfig;
-use cmvrp_obs::{check_lines, Event, JsonlSink, NullSink};
+use cmvrp_obs::{check_trace, load_trace_bytes, Event, JsonlSink, NullSink};
 use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, Ordering, WorkloadConfig};
 
@@ -47,7 +47,9 @@ fn profile_samples_are_well_formed_and_account_for_every_event() {
     let lines = traced_lines(exec.profile(true));
     // The profiled trace satisfies every monitor — including the new
     // `profile` monitor over the samples themselves.
-    let report = check_lines(lines.iter().map(String::as_str), None).expect("parse");
+    let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let trace = load_trace_bytes(text.as_bytes()).expect("load");
+    let report = check_trace(&trace, None).expect("parse");
     assert!(report.is_clean(), "{:?}", report.violations);
 
     let mut samples = Vec::new();

@@ -8,7 +8,7 @@
 //! diverging event.
 
 use cmvrp_engine::{CheckpointPolicy, EngineError, ExecConfig, Session};
-use cmvrp_obs::{diff_lines, JsonlSink};
+use cmvrp_obs::{diff_traces, load_trace_bytes, JsonlSink};
 use cmvrp_online::OnlineConfig;
 use cmvrp_workloads::{arrivals, JobSequence, Ordering, WorkloadConfig};
 
@@ -36,7 +36,8 @@ fn assert_identical(reference: &str, stepped: &str, label: &str) {
     if reference == stepped {
         return;
     }
-    let report = diff_lines(reference.lines(), stepped.lines(), 3).expect("parseable traces");
+    let load = |text: &str| load_trace_bytes(text.as_bytes()).expect("loadable trace");
+    let report = diff_traces(&load(reference), &load(stepped), 3).expect("parseable traces");
     panic!(
         "{label}: stepped trace diverges from one-shot after {} matched events: {:#?}",
         report.matched, report.divergence

@@ -18,10 +18,9 @@
 //!
 //! [`BinSink`] is the write side — a [`Sink`] like [`crate::JsonlSink`]
 //! but with no per-event allocation (one reusable scratch buffer) — and
-//! [`BinReader`] the read side, one event per frame as it goes;
-//! [`decode_trace`] collects it. The reader's [`FrameError`]s carry the
-//! 1-based frame index and absolute byte offset, and no truncated or
-//! corrupt input makes it panic.
+//! [`BinReader`] the read side, one event per frame as it goes. The
+//! reader's [`FrameError`]s carry the 1-based frame index and absolute
+//! byte offset, and no truncated or corrupt input makes it panic.
 
 use crate::event::{DropReason, Event, FieldReader, FieldWriter, MsgKind, KINDS};
 use crate::frame::{self, put_i64, put_i64s, put_str, put_u64, Cursor, FrameError};
@@ -308,20 +307,16 @@ impl Iterator for BinReader<'_> {
     }
 }
 
-/// Decodes a whole binary trace into events: [`BinReader`], collected.
-///
-/// # Errors
-///
-/// The first [`FrameError`]: frame 0 when the magic bytes are wrong, the
-/// header is truncated, or the version is newer than this build reads;
-/// otherwise the first corrupt frame. No input makes it panic.
-pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Event>, FrameError> {
-    BinReader::open(bytes)?.collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode(bytes: &[u8]) -> Vec<Event> {
+        BinReader::open(bytes)
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .unwrap()
+    }
 
     #[test]
     fn header_is_magic_plus_version() {
@@ -330,7 +325,7 @@ mod tests {
         assert_eq!(bytes, vec![b'C', b'M', b'V', b'B', BIN_VERSION]);
         assert!(is_binary_trace(&bytes));
         assert!(!is_binary_trace(b"{\"ev\":\"msg_sent\""));
-        assert_eq!(decode_trace(&bytes).unwrap(), Vec::new());
+        assert_eq!(decode(&bytes), Vec::new());
     }
 
     #[test]
@@ -376,9 +371,9 @@ mod tests {
         assert_eq!(sink.written(), events.len() as u64);
         // Nothing is staged in the sink: the writer already holds every
         // frame, with no flush.
-        assert_eq!(decode_trace(sink.get_ref()).unwrap(), events);
+        assert_eq!(decode(sink.get_ref()), events);
         let bytes = sink.into_writer().unwrap();
-        assert_eq!(decode_trace(&bytes).unwrap(), events);
+        assert_eq!(decode(&bytes), events);
     }
 
     struct FailingWriter;

@@ -8,8 +8,10 @@
 //! * **online** — each shard of the sharded engine feeds its checker the
 //!   events every round appended, at the end of that round, and a
 //!   [`MergeChecker`] watches the merged stream (`simulate --check`);
-//! * **offline** — fed a recorded JSONL trace line by line
-//!   ([`check_lines`], `cmvrp trace check`).
+//! * **offline** — fed a recorded trace, in either encoding, event by
+//!   event through the one reader ([`check_trace`], `cmvrp trace check`;
+//!   [`TraceChecker::observe_trace`] is the pass `check`, `timeline` and
+//!   `explain` share).
 //!
 //! ## Invariant catalog
 //!
@@ -48,10 +50,21 @@
 //! the index backwards to print why an event happened, and every
 //! [`Violation`] found while the index is live carries the chain of events
 //! leading to the offending one ([`Violation::chain`]). The index stores
-//! one node per trace line, so it is for offline forensics; online checking
-//! leaves it off.
+//! one node per trace line — its edges and actor, not the event — so it is
+//! for offline forensics; online checking leaves it off.
+//!
+//! ## Bounds
+//!
+//! Per-process and per-job state lives in flat vectors indexed by process
+//! id and job seq. Offline, [`TraceChecker::observe_trace`] first refuses
+//! a process id not below the larger of the `fleet_provisioned` fleet and
+//! 2^20, and a job seq not below the larger of the trace's event count and
+//! 2^20. An engine trace stays below both: vehicle ids
+//! are below the fleet, and jobs are numbered from 0 with one arrival
+//! event each; the floor covers resumed tails, which have no header.
 
-use crate::event::{DropReason, Event, MsgKind};
+use crate::event::{DropReason, Event, FieldWriter, MsgKind};
+use crate::load::LoadedTrace;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -81,8 +94,8 @@ pub struct Violation {
     /// Human-readable description of the violation.
     pub detail: String,
     /// Causal chain leading to the offending event, oldest first, as
-    /// rendered `line N: {event}` entries. Populated only when the checker
-    /// ran with [`TraceChecker::record_causality`]; empty otherwise.
+    /// rendered `line N: {event}` entries. Populated by [`check_trace`];
+    /// empty otherwise.
     pub chain: Vec<String>,
 }
 
@@ -109,10 +122,6 @@ impl fmt::Display for Violation {
 pub struct CausalNode {
     /// 1-based trace line of the event.
     pub line: usize,
-    /// The event's wire tag (see [`Event::kind`]).
-    pub kind: &'static str,
-    /// The event rendered as canonical JSON.
-    pub json: String,
     /// Lines of the event's direct happens-before predecessors (program
     /// order plus the cross-process edge, when one exists), ascending.
     pub preds: Vec<usize>,
@@ -261,8 +270,6 @@ impl CausalIndex {
         preds.dedup();
         *grow(&mut self.nodes, line) = Some(CausalNode {
             line,
-            kind: ev.kind(),
-            json: ev.to_json(),
             preds,
             actor: None,
         });
@@ -271,6 +278,40 @@ impl CausalIndex {
     fn set_actor(&mut self, line: usize, actor: usize, lamport: u64) {
         if let Some(Some(node)) = self.nodes.get_mut(line) {
             node.actor = Some((actor, lamport));
+        }
+    }
+}
+
+/// The least bound on process ids and job seqs in an offline check: 2^20,
+/// the vehicles of a 1024×1024 grid (see the [module docs](self#bounds)).
+const ID_FLOOR: usize = 1 << 20;
+
+/// Walks an event's fields and keeps the first process id or job seq past
+/// its bound.
+struct Bounds {
+    procs: usize,
+    seqs: usize,
+    err: Option<String>,
+}
+
+impl FieldWriter for Bounds {
+    fn kind(&mut self, _index: usize) {}
+
+    fn u64(&mut self, key: &'static str, v: u64) {
+        if key == "seq" && v >= self.seqs as u64 && self.err.is_none() {
+            self.err = Some(format!(
+                "{key:?} {v} is past the bound on job seqs, {}",
+                self.seqs
+            ));
+        }
+    }
+
+    fn id(&mut self, key: &'static str, v: usize) {
+        if v >= self.procs && self.err.is_none() {
+            self.err = Some(format!(
+                "{key:?} {v} is past the bound on process ids, {}",
+                self.procs
+            ));
         }
     }
 }
@@ -461,12 +502,6 @@ impl TraceChecker {
         }
     }
 
-    /// The recorded causal index, when [`TraceChecker::record_causality`]
-    /// is on.
-    pub fn causal_index(&self) -> Option<&CausalIndex> {
-        self.causal.as_ref()
-    }
-
     /// Consumes the checker, yielding the causal index (if recorded).
     pub fn into_causal_index(self) -> Option<CausalIndex> {
         self.causal
@@ -509,8 +544,8 @@ impl TraceChecker {
     }
 
     fn report(&mut self, invariant: &'static str, line: usize, detail: String) {
-        // The chain is attached lazily (in `finish`): at this point the
-        // offending event's own node may not be recorded yet.
+        // The chain is attached by `check_trace`, which renders its lines
+        // in a pass of its own.
         self.violations.push(Violation {
             invariant,
             line,
@@ -934,6 +969,39 @@ impl TraceChecker {
         acted
     }
 
+    /// Observes every event of a loaded trace (offline mode), handing
+    /// `each` the line, the event and what [`TraceChecker::observe_at`]
+    /// returned, after bounding its ids and seqs ([module docs](self#bounds)).
+    ///
+    /// # Errors
+    ///
+    /// `(line number, message)` for a line that does not parse, or for an
+    /// id or seq past its bound, naming the field and the bound.
+    pub fn observe_trace(
+        &mut self,
+        trace: &LoadedTrace,
+        mut each: impl FnMut(usize, &Event, Option<(usize, u64)>),
+    ) -> Result<(), (usize, String)> {
+        let mut bounds = Bounds {
+            procs: ID_FLOOR,
+            seqs: trace.events.max(ID_FLOOR),
+            err: None,
+        };
+        for item in trace.events() {
+            let (line, ev) = item?;
+            if let Event::FleetProvisioned { vehicles, .. } = ev {
+                bounds.procs = usize::try_from(vehicles).map_or(usize::MAX, |v| v.max(ID_FLOOR));
+            }
+            ev.walk(&mut bounds);
+            if let Some(msg) = bounds.err.take() {
+                return Err((line, msg));
+            }
+            let acted = self.observe_at(line, &ev);
+            each(line, &ev, acted);
+        }
+        Ok(())
+    }
+
     /// Records `ev` into the causal index (when recording), resolving the
     /// cross-process predecessor edge from checker state *before* the
     /// monitors below consume it (the matched send is popped, the open
@@ -1089,22 +1157,6 @@ impl TraceChecker {
                 ),
             );
         }
-        // With the causal index live, attach to every violation the chain
-        // of events leading to the offending one (done here, not at report
-        // time: the offender's own node is recorded after the monitors
-        // run, and finish-time violations point at earlier lines anyway).
-        if let Some(ix) = &self.causal {
-            const CHAIN_CAP: usize = 8;
-            for v in &mut self.violations {
-                if v.chain.is_empty() {
-                    v.chain = ix
-                        .chain(v.line, CHAIN_CAP)
-                        .iter()
-                        .map(|n| format!("line {}: {}", n.line, n.json))
-                        .collect();
-                }
-            }
-        }
     }
 }
 
@@ -1213,7 +1265,7 @@ impl MergeChecker {
     }
 }
 
-/// Outcome of an offline [`check_lines`] run.
+/// Outcome of an offline [`check_trace`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckReport {
     /// Events checked (blank lines excluded).
@@ -1231,54 +1283,58 @@ impl CheckReport {
     }
 }
 
-/// Checks a whole JSONL trace; blank lines are skipped but still counted
-/// for line numbering. `capacity` seeds the energy monitor for traces
-/// without a `fleet_provisioned` event.
+/// Checks a whole trace, in either encoding. `capacity` seeds the energy
+/// monitor for traces without a `fleet_provisioned` event.
 ///
-/// Offline checking is forensics: every violation carries the chain of
-/// events that led to it. The causal index behind the chains keeps a copy
-/// of every event, so the lines are checked without it first and read a
-/// second time, with it, only when that pass finds a violation.
+/// Offline checking is forensics: every violation carries the chain of at
+/// most 8 events that led to it. A clean trace is read once; a failing one
+/// a second time with the causal index, and a third to render the chains.
 ///
 /// # Errors
 ///
-/// Returns `(1-based line number, parse error)` for the first malformed
-/// line — malformed input is a parse failure, not a violation.
-pub fn check_lines<'a, I>(lines: I, capacity: Option<u64>) -> Result<CheckReport, (usize, String)>
-where
-    I: IntoIterator<Item = &'a str> + Clone,
-{
-    let report = check_pass(lines.clone(), capacity, false)?;
-    if report.is_clean() {
-        return Ok(report);
-    }
-    check_pass(lines, capacity, true)
-}
-
-/// One pass of [`check_lines`], with or without the causal index.
-fn check_pass<'a>(
-    lines: impl IntoIterator<Item = &'a str>,
+/// Returns `(1-based line number, message)` for the first malformed line,
+/// or for a process id or job seq past its bound
+/// ([`TraceChecker::observe_trace`]) — malformed input is a parse failure,
+/// not a violation.
+pub fn check_trace(
+    trace: &LoadedTrace,
     capacity: Option<u64>,
-    causality: bool,
 ) -> Result<CheckReport, (usize, String)> {
-    let mut checker = TraceChecker::new();
-    if causality {
-        checker.record_causality();
+    let pass = |causality: bool| {
+        let mut checker = TraceChecker::new();
+        if causality {
+            checker.record_causality();
+        }
+        if let Some(w) = capacity {
+            checker.set_capacity(w);
+        }
+        checker.observe_trace(trace, |_, _, _| {})?;
+        checker.finish();
+        Ok::<_, (usize, String)>(checker)
+    };
+    let mut checker = pass(false)?;
+    if !checker.is_clean() {
+        checker = pass(true)?;
     }
-    if let Some(w) = capacity {
-        checker.set_capacity(w);
-    }
-    for item in crate::event::jsonl_events(lines) {
-        let (line, _, ev) = item?;
-        checker.observe_at(line, &ev);
-    }
-    checker.finish();
-    let active = checker.active_invariants();
-    Ok(CheckReport {
+    let mut report = CheckReport {
         events: checker.events(),
         violations: checker.violations().to_vec(),
-        active,
-    })
+        active: checker.active_invariants(),
+    };
+    let Some(ix) = checker.into_causal_index() else {
+        return Ok(report);
+    };
+    let chains: Vec<Vec<usize>> = report
+        .violations
+        .iter()
+        .map(|v| ix.chain(v.line, 8).iter().map(|n| n.line).collect())
+        .collect();
+    let json = trace.render(chains.iter().flatten().copied())?;
+    for (v, chain) in report.violations.iter_mut().zip(chains) {
+        let entry = |line| format!("line {line}: {}", json[&line]);
+        v.chain = chain.into_iter().map(entry).collect();
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1351,9 +1407,14 @@ mod tests {
         ]
     }
 
+    /// `events` as a loaded JSONL trace.
+    fn trace_of(events: &[Event]) -> LoadedTrace {
+        let text: String = events.iter().map(|ev| ev.to_json() + "\n").collect();
+        crate::load_trace_bytes(text.as_bytes()).unwrap()
+    }
+
     fn check(events: &[Event]) -> CheckReport {
-        let lines: Vec<String> = events.iter().map(Event::to_json).collect();
-        check_lines(lines.iter().map(String::as_str), None).unwrap()
+        check_trace(&trace_of(events), None).unwrap()
     }
 
     #[test]
@@ -1484,12 +1545,11 @@ mod tests {
             vehicle: 0,
             cost: 50,
         }];
-        let lines: Vec<String> = events.iter().map(Event::to_json).collect();
         // Without W the monitor is idle; seq-never-arrived still fires.
-        let lax = check_lines(lines.iter().map(String::as_str), None).unwrap();
+        let lax = check_trace(&trace_of(&events), None).unwrap();
         assert!(lax.violations.iter().all(|v| v.invariant != "capacity"));
         assert!(!lax.active.contains(&"capacity"));
-        let strict = check_lines(lines.iter().map(String::as_str), Some(10)).unwrap();
+        let strict = check_trace(&trace_of(&events), Some(10)).unwrap();
         assert!(strict.violations.iter().any(|v| v.invariant == "capacity"));
     }
 

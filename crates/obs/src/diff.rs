@@ -4,7 +4,7 @@
 //! merged trace, byte-identical across every (workers × checked)
 //! combination. When that breaks — or when two runs of the same
 //! instance are compared on purpose — a byte-level `cmp` only says *that*
-//! they differ. [`diff_lines`] says *where* (line/frame number and the
+//! they differ. [`diff_traces`] says *where* (line/frame number and the
 //! simulation-time band), *which event*, and *why*, classifying the first
 //! divergence into a small taxonomy:
 //!
@@ -20,14 +20,17 @@
 //!   shown.
 //! - **Truncated** — one stream is a strict prefix of the other.
 //!
-//! The comparison is lockstep and streaming: memory is O(context window
-//! plus current time band), never O(trace). Both inputs are canonical JSONL
-//! text — the sniffing loader ([`crate::load`]) already normalizes binary
-//! traces, so line numbers here are frame numbers there.
+//! Both traces come through the one reader ([`crate::load`]) and are
+//! compared as [`Event`]s, whatever their encoding or JSONL spelling (keys
+//! outside the schema are ignored). Within one encoding equal lines or
+//! frames are equal events, so an agreeing prefix is compared as bytes and
+//! decoded only from the first difference. Values and context lines print
+//! as [`Event::to_json`] writes them. Memory is O(time band) beyond the
+//! files' bytes; the context windows are read by a second pass.
 
 use crate::event::Event;
 use crate::json::Object;
-use std::collections::VecDeque;
+use crate::load::{LoadedTrace, Record};
 use std::fmt;
 
 /// A scoped failure while diffing: which input, which line, what broke.
@@ -79,9 +82,10 @@ impl Side {
 pub struct FieldDelta {
     /// Field name.
     pub field: String,
-    /// Raw JSON value in trace A (`"<absent>"` when missing).
+    /// The value in trace A as the JSONL writer spells it (`"<absent>"`
+    /// when missing).
     pub a: String,
-    /// Raw JSON value in trace B.
+    /// The value in trace B.
     pub b: String,
 }
 
@@ -136,7 +140,7 @@ pub struct Divergence {
     pub context_b: Vec<(usize, String)>,
 }
 
-/// Outcome of a [`diff_lines`] run.
+/// Outcome of a [`diff_traces`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffReport {
     /// Events that matched before the divergence (the whole trace when
@@ -154,126 +158,42 @@ impl DiffReport {
     }
 }
 
-/// One side's stream state: numbered non-blank lines, a ring buffer of
-/// recently consumed lines, one-line lookahead, and a bounded after-mark
-/// log for context-window capture.
-struct Stream<'a, I: Iterator<Item = &'a str>> {
-    lines: std::iter::Enumerate<I>,
-    peeked: Option<(usize, &'a str)>,
-    /// Recently consumed lines, oldest first (bounded by `context + 1`).
-    recent: VecDeque<(usize, &'a str)>,
-    /// Snapshot of `recent` at [`Stream::mark`] — the "before" half of
-    /// the context window, ending with the divergence line.
-    pre: Vec<(usize, &'a str)>,
-    /// The first `context` lines consumed after the mark.
-    log: Vec<(usize, &'a str)>,
-    logging: bool,
-    context: usize,
-    side: Side,
+/// Decodes a record of trace `side`, scoping a parse error to it.
+fn parse(side: Side, record: &Record<'_>) -> Result<Event, DiffError> {
+    record
+        .event()
+        .map_err(|(line, msg)| DiffError { side, line, msg })
 }
 
-impl<'a, I: Iterator<Item = &'a str>> Stream<'a, I> {
-    fn new(lines: I, context: usize, side: Side) -> Self {
-        Stream {
-            lines: lines.enumerate(),
-            peeked: None,
-            recent: VecDeque::with_capacity(context + 2),
-            pre: Vec::new(),
-            log: Vec::new(),
-            logging: false,
-            context,
-            side,
-        }
-    }
-
-    /// The next non-blank line without consuming it.
-    fn peek(&mut self) -> Option<(usize, &'a str)> {
-        if self.peeked.is_none() {
-            for (i, line) in self.lines.by_ref() {
-                if !line.trim().is_empty() {
-                    self.peeked = Some((i + 1, line));
-                    break;
-                }
-            }
-        }
-        self.peeked
-    }
-
-    /// Consumes the next non-blank line, remembering it for context.
-    fn next_line(&mut self) -> Option<(usize, &'a str)> {
-        let item = self.peek()?;
-        self.peeked = None;
-        if self.recent.len() > self.context {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(item);
-        if self.logging && self.log.len() < self.context {
-            self.log.push(item);
-        }
-        Some(item)
-    }
-
-    /// Reads a line as an object (for field-level reports) and an event.
-    fn parse(&self, item: (usize, &'a str)) -> Result<(Object<'a>, Event), DiffError> {
-        let scoped = |msg| DiffError {
-            side: self.side,
-            line: item.0,
-            msg,
-        };
-        let object = Object::parse(item.1, "event").map_err(scoped)?;
-        let event = Event::from_object(&object).map_err(scoped)?;
-        Ok((object, event))
-    }
-
-    /// Anchors the context window here: everything consumed so far (up to
-    /// `context + 1` lines, ending with the just-consumed divergence
-    /// line) is the "before" half; the next `context` consumed lines
-    /// become the "after" half, however they are consumed.
-    fn mark(&mut self) {
-        self.pre = self.recent.iter().copied().collect();
-        self.log.clear();
-        self.logging = true;
-    }
-
-    /// Completes the window started by [`Stream::mark`], pulling more
-    /// lines if classification consumed fewer than `context` of them.
-    fn take_window(&mut self) -> Vec<(usize, String)> {
-        while self.log.len() < self.context && self.next_line().is_some() {}
-        self.logging = false;
-        self.pre
-            .iter()
-            .chain(self.log.iter())
-            .map(|(n, l)| (*n, (*l).to_string()))
-            .collect()
-    }
-
-    /// Consumes every immediately following event in time band `t`,
-    /// returning their texts (`seed`, the already-consumed divergence
-    /// line, leads the band).
-    fn drain_band(&mut self, t: u64, seed: &'a str) -> Result<Vec<&'a str>, DiffError> {
-        let mut band = vec![seed];
-        while let Some(item) = self.peek() {
-            let (_, ev) = self.parse(item)?;
-            if ev.time() == Some(t) {
-                self.next_line();
-                band.push(item.1);
-            } else {
-                break;
-            }
-        }
-        Ok(band)
-    }
+/// The records at positions `first..end` of `trace`, rendered for
+/// printing; a JSONL line that does not parse is shown as written.
+fn window(trace: &LoadedTrace, first: usize, end: usize) -> Vec<(usize, String)> {
+    let render = |r: &Record<'_>| match r.event() {
+        Ok(ev) => ev.to_json(),
+        Err(_) => String::from_utf8_lossy(r.raw()).into_owned(),
+    };
+    let records = trace.records().skip(first).take(end - first);
+    records.map(|r| (r.line(), render(&r))).collect()
 }
 
-/// The exact spelling of `key`'s value in `o`.
-fn raw_value<'a>(o: &Object<'a>, key: &str) -> Option<&'a str> {
-    o.fields().find(|&(k, _)| k == key).map(|(_, v)| v)
+/// An event's CMVB payload: equal payloads are equal events.
+fn payload(ev: &Event) -> Vec<u8> {
+    let mut payload = Vec::new();
+    ev.walk(&mut payload);
+    payload
 }
 
-/// Field-by-field comparison of two same-kind events, each value in its
-/// exact spelling so the report shows what the traces show.
-fn field_deltas(a: &Object<'_>, b: &Object<'_>) -> Vec<FieldDelta> {
+/// Field-by-field comparison of two same-kind events: A's fields, then
+/// any only B has, each value spelled as the event's canonical line
+/// ([`Event::to_json`]) spells it.
+fn field_deltas(a: &Event, b: &Event) -> Vec<FieldDelta> {
     const ABSENT: &str = "<absent>";
+    fn value<'a>(o: &Object<'a>, key: &str) -> Option<&'a str> {
+        o.fields().find(|&(k, _)| k == key).map(|(_, v)| v)
+    }
+    let (a, b) = (a.to_json(), b.to_json());
+    let parse = |line| Object::parse(line, "event").expect("the writer's own line parses");
+    let (a, b) = (parse(&a), parse(&b));
     let delta = |field: &str, a: &str, b: &str| FieldDelta {
         field: field.to_string(),
         a: a.to_string(),
@@ -281,150 +201,141 @@ fn field_deltas(a: &Object<'_>, b: &Object<'_>) -> Vec<FieldDelta> {
     };
     let mut deltas = Vec::new();
     for (key, va) in a.fields() {
-        match raw_value(b, key) {
+        match value(&b, key) {
             Some(vb) if vb == va => {}
             vb => deltas.push(delta(key, va, vb.unwrap_or(ABSENT))),
         }
     }
     for (key, vb) in b.fields() {
-        if raw_value(a, key).is_none() {
+        if value(&a, key).is_none() {
             deltas.push(delta(key, ABSENT, vb));
         }
     }
     deltas
 }
 
-/// Compares two canonical JSONL event streams lockstep and localizes the
-/// first divergence; see the [module docs](self) for the taxonomy.
-/// `context` is the ± window of surrounding lines captured from each
-/// trace (memory stays O(context + band)).
+/// Compares two traces event by event and localizes the first
+/// divergence; see the [module docs](self) for the taxonomy. `context` is
+/// the ± window of surrounding events captured from each trace.
 ///
 /// # Errors
 ///
-/// Returns a [`DiffError`] for the first unparseable line of either
-/// input. Byte-identical prefixes are *not* parsed (the fast path is a
-/// string compare); parsing starts at the first textual difference.
-pub fn diff_lines<'a, A, B>(a: A, b: B, context: usize) -> Result<DiffReport, DiffError>
-where
-    A: Iterator<Item = &'a str>,
-    B: Iterator<Item = &'a str>,
-{
-    let mut sa = Stream::new(a, context, Side::A);
-    let mut sb = Stream::new(b, context, Side::B);
+/// Returns a [`DiffError`] for the first line of either input that does
+/// not parse. Within one encoding an agreeing prefix is compared as bytes
+/// and *not* parsed; parsing starts at the first byte difference.
+pub fn diff_traces(
+    a: &LoadedTrace,
+    b: &LoadedTrace,
+    context: usize,
+) -> Result<DiffReport, DiffError> {
+    let same_encoding = a.encoding == b.encoding;
+    let (mut sa, mut sb) = (a.records().peekable(), b.records().peekable());
+    // Both sides advance one record per step, so the `matched` records
+    // consumed so far sit at the same positions in both traces.
     let mut matched = 0usize;
-    loop {
-        match (sa.peek(), sb.peek()) {
+    let (line, ev_a, ev_b) = loop {
+        match (sa.next(), sb.next()) {
             (None, None) => {
                 return Ok(DiffReport {
                     matched,
                     divergence: None,
                 })
             }
-            (Some(_), None) | (None, Some(_)) => {
-                let (longer, line) = match sa.peek() {
-                    Some((n, _)) => (Side::A, n),
-                    None => (Side::B, sb.peek().expect("one side non-empty").0),
-                };
-                sa.mark();
-                sb.mark();
-                // Drain the longer side to count the extras; the first
-                // `context` of them land in its window log.
-                let mut extra = 0usize;
-                loop {
-                    let more = match longer {
-                        Side::A => sa.next_line().is_some(),
-                        Side::B => sb.next_line().is_some(),
-                    };
-                    if !more {
-                        break;
+            (Some(ra), Some(rb)) => {
+                // Within one encoding equal bytes are equal events.
+                if !(same_encoding && ra.raw() == rb.raw()) {
+                    let (ev_a, ev_b) = (parse(Side::A, &ra)?, parse(Side::B, &rb)?);
+                    if ev_a != ev_b {
+                        break (ra.line(), ev_a, ev_b);
                     }
-                    extra += 1;
                 }
-                return Ok(DiffReport {
-                    matched,
-                    divergence: Some(Divergence {
-                        line,
-                        time: None,
-                        kind: DivergenceKind::Truncated { longer, extra },
-                        context_a: sa.take_window(),
-                        context_b: sb.take_window(),
-                    }),
-                });
+                matched += 1;
             }
-            (Some((la, ta)), Some((lb, tb))) => {
-                if ta == tb {
-                    sa.next_line();
-                    sb.next_line();
-                    matched += 1;
-                    continue;
-                }
-                // First textual difference: parse both sides, anchor the
-                // context windows at the diverging lines, and classify.
-                let (obj_a, ev_a) = sa.parse((la, ta))?;
-                let (obj_b, ev_b) = sb.parse((lb, tb))?;
-                sa.next_line();
-                sb.next_line();
-                sa.mark();
-                sb.mark();
-                let (t_a, t_b) = (ev_a.time(), ev_b.time());
-                let time = t_a.or(t_b);
-                let kind = if let (Some(t), true) = (t_a, t_a == t_b) {
-                    // Same time band on both sides: a permutation of the
-                    // band is reordering, anything else falls through.
-                    // The band prefix before this point matched byte for
-                    // byte, so comparing band suffixes from here on is
-                    // exact.
-                    let band_a = sa.drain_band(t, ta)?;
-                    let band_b = sb.drain_band(t, tb)?;
-                    let mut sorted_a = band_a.clone();
-                    let mut sorted_b = band_b.clone();
-                    sorted_a.sort_unstable();
-                    sorted_b.sort_unstable();
-                    if sorted_a == sorted_b {
-                        Some(DivergenceKind::Reordered {
-                            t,
-                            band_len: band_a.len(),
-                        })
-                    } else {
-                        None
-                    }
-                } else {
-                    None
+            (ra, rb) => {
+                let (longer, first, rest) = match ra {
+                    Some(r) => (Side::A, r, sa.count()),
+                    None => (Side::B, rb.expect("one side goes on"), sb.count()),
                 };
-                let kind = kind.unwrap_or_else(|| {
-                    if ev_a.kind() == ev_b.kind() {
-                        DivergenceKind::PayloadDrift {
-                            kind: ev_a.kind().to_string(),
-                            fields: field_deltas(&obj_a, &obj_b),
-                        }
-                    } else {
-                        DivergenceKind::EventSet {
-                            a_kind: ev_a.kind().to_string(),
-                            b_kind: ev_b.kind().to_string(),
-                        }
-                    }
-                });
+                // The window shows the last `context + 1` shared events
+                // and the first `context` extras of the longer side.
+                let (from, to) = (matched.saturating_sub(context + 1), matched + context);
                 return Ok(DiffReport {
                     matched,
                     divergence: Some(Divergence {
-                        line: la,
-                        time,
-                        kind,
-                        context_a: sa.take_window(),
-                        context_b: sb.take_window(),
+                        line: first.line(),
+                        time: None,
+                        kind: DivergenceKind::Truncated {
+                            longer,
+                            extra: 1 + rest,
+                        },
+                        context_a: window(a, from, to),
+                        context_b: window(b, from, to),
                     }),
                 });
             }
         }
+    };
+    let (t_a, t_b) = (ev_a.time(), ev_b.time());
+    let mut kind = if ev_a.kind() == ev_b.kind() {
+        DivergenceKind::PayloadDrift {
+            kind: ev_a.kind().to_string(),
+            fields: field_deltas(&ev_a, &ev_b),
+        }
+    } else {
+        DivergenceKind::EventSet {
+            a_kind: ev_a.kind().to_string(),
+            b_kind: ev_b.kind().to_string(),
+        }
+    };
+    if let (Some(t), true) = (t_a, t_a == t_b) {
+        // Same time band on both sides: a permutation of the band is
+        // reordering. The band prefix before this point agreed event for
+        // event, so comparing band suffixes from here on is exact.
+        let band = |side, first: Event, records: &mut std::iter::Peekable<_>| {
+            let mut band = vec![first];
+            while let Some(record) = records.peek() {
+                let ev = parse(side, record)?;
+                if ev.time() != Some(t) {
+                    break;
+                }
+                records.next();
+                band.push(ev);
+            }
+            Ok::<_, DiffError>(band)
+        };
+        let mut band_a = band(Side::A, ev_a, &mut sa)?;
+        let mut band_b = band(Side::B, ev_b, &mut sb)?;
+        band_a.sort_by_cached_key(payload);
+        band_b.sort_by_cached_key(payload);
+        if band_a == band_b {
+            kind = DivergenceKind::Reordered {
+                t,
+                band_len: band_a.len(),
+            };
+        }
     }
+    let (from, to) = (matched.saturating_sub(context), matched + context + 1);
+    Ok(DiffReport {
+        matched,
+        divergence: Some(Divergence {
+            line,
+            time: t_a.or(t_b),
+            kind,
+            context_a: window(a, from, to),
+            context_b: window(b, from, to),
+        }),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::MsgKind;
 
-    fn lines(text: &str) -> impl Iterator<Item = &str> {
-        text.lines()
+    /// Diffs two JSONL texts.
+    fn diff(a: &str, b: &str, context: usize) -> Result<DiffReport, DiffError> {
+        let load = |text: &str| crate::load_trace_bytes(text.as_bytes()).unwrap();
+        diff_traces(&load(a), &load(b), context)
     }
 
     const BASE: &str = "{\"ev\":\"fleet_provisioned\",\"t\":0,\"vehicles\":4,\"capacity\":10}\n\
@@ -435,7 +346,7 @@ mod tests {
 
     #[test]
     fn identical_traces_report_identical() {
-        let report = diff_lines(lines(BASE), lines(BASE), 3).unwrap();
+        let report = diff(BASE, BASE, 3).unwrap();
         assert!(report.is_identical());
         assert_eq!(report.matched, 5);
     }
@@ -443,7 +354,7 @@ mod tests {
     #[test]
     fn payload_drift_names_line_round_and_fields() {
         let mutated = BASE.replace("\"vehicle\":2", "\"vehicle\":9");
-        let report = diff_lines(lines(BASE), lines(&mutated), 2).unwrap();
+        let report = diff(BASE, &mutated, 2).unwrap();
         let d = report.divergence.unwrap();
         assert_eq!(d.line, 3);
         assert_eq!(d.time, Some(1));
@@ -473,7 +384,7 @@ mod tests {
             {\"ev\":\"job_arrived\",\"t\":1,\"seq\":0,\"pos\":[0,0]}\n\
             {\"ev\":\"job_arrived\",\"t\":2,\"seq\":1,\"pos\":[1,0]}\n\
             {\"ev\":\"job_served\",\"t\":2,\"seq\":1,\"vehicle\":3,\"cost\":1}\n";
-        let report = diff_lines(lines(BASE), lines(swapped), 1).unwrap();
+        let report = diff(BASE, swapped, 1).unwrap();
         let d = report.divergence.unwrap();
         assert_eq!(d.line, 2);
         assert_eq!(d.time, Some(1));
@@ -492,7 +403,7 @@ mod tests {
             "{\"ev\":\"job_served\",\"t\":1,\"seq\":0,\"vehicle\":2,\"cost\":1}",
             "{\"ev\":\"process_crashed\",\"t\":1,\"proc\":2}",
         );
-        let report = diff_lines(lines(BASE), lines(&changed), 1).unwrap();
+        let report = diff(BASE, &changed, 1).unwrap();
         let d = report.divergence.unwrap();
         match d.kind {
             DivergenceKind::EventSet { a_kind, b_kind } => {
@@ -506,7 +417,7 @@ mod tests {
     #[test]
     fn truncation_names_the_longer_side_and_extra_count() {
         let short: String = BASE.lines().take(3).map(|l| format!("{l}\n")).collect();
-        let report = diff_lines(lines(&short), lines(BASE), 2).unwrap();
+        let report = diff(&short, BASE, 2).unwrap();
         let d = report.divergence.unwrap();
         assert_eq!(d.line, 4);
         match d.kind {
@@ -528,7 +439,7 @@ mod tests {
             "{\"ev\":\"job_arrived\",\"t\":2,\"seq\":1,\"pos\":[1,0]}",
             "{\"ev\":\"job_arrived\",\"t\":3,\"seq\":1,\"pos\":[1,0]}",
         );
-        let report = diff_lines(lines(BASE), lines(&shifted), 1).unwrap();
+        let report = diff(BASE, &shifted, 1).unwrap();
         let d = report.divergence.unwrap();
         match &d.kind {
             DivergenceKind::PayloadDrift { fields, .. } => {
@@ -545,7 +456,7 @@ mod tests {
             "{\"ev\":\"job_served\",\"t\":1,\"seq\":0,\"vehicle\":2,\"cost\":1}",
             "not json at all",
         );
-        let e = diff_lines(lines(BASE), lines(&broken), 1).unwrap_err();
+        let e = diff(BASE, &broken, 1).unwrap_err();
         assert_eq!(e.side, Side::B);
         assert_eq!(e.line, 3);
     }
@@ -557,28 +468,52 @@ mod tests {
             "{\"ev\":\"job_arrived\",\"t\":1,\"seq\":0,\"pos\":[0,0]}\n\n",
         );
         // Same event sequence, one blank line inserted: still identical.
-        let report = diff_lines(lines(BASE), lines(&padded), 1).unwrap();
+        let report = diff(BASE, &padded, 1).unwrap();
         assert!(report.is_identical());
         // A mutation after the blank line reports the *physical* line.
         let mutated = padded.replace("\"vehicle\":2", "\"vehicle\":9");
-        let report = diff_lines(lines(BASE), lines(&mutated), 1).unwrap();
+        let report = diff(BASE, &mutated, 1).unwrap();
         let d = report.divergence.unwrap();
         assert_eq!(d.line, 3); // line number in trace A
         assert!(d.context_b.iter().any(|(n, _)| *n == 4)); // physical in B
     }
 
     #[test]
-    fn field_deltas_report_raw_spellings_of_strings_arrays_and_escapes() {
-        let a = Object::parse(
-            "{\"ev\":\"phase_span\",\"name\":\"a,\\\"b[\",\"pos\":[1,-2],\"t\":3}",
-            "event",
-        )
-        .unwrap();
-        let b = Object::parse(
-            "{\"ev\":\"phase_span\",\"name\":\"a,\\\"c[\",\"pos\":[1,-2],\"u\":3}",
-            "event",
-        )
-        .unwrap();
+    fn equal_events_are_identical_whatever_their_spelling() {
+        // Spaces after ':' and ',', another key order, and an unknown key.
+        let respelled = BASE
+            .replace(
+                "\"t\":1,\"seq\":0,\"pos\":[0,0]",
+                "\"seq\": 0, \"t\": 1, \"pos\": [0, 0], \"x\": 7",
+            )
+            .replace(":10}", ": 10 }");
+        assert_ne!(respelled, BASE);
+        let report = diff(BASE, &respelled, 1).unwrap();
+        assert!(report.is_identical(), "{report:?}");
+        assert_eq!(report.matched, 5);
+        // A real change after the re-spelled line is still found, and the
+        // context shows the re-spelled line in canonical form.
+        let mutated = respelled.replace("\"vehicle\":2", "\"vehicle\":9");
+        let d = diff(BASE, &mutated, 1).unwrap().divergence.unwrap();
+        assert_eq!(d.line, 3);
+        assert_eq!(
+            d.context_b[0],
+            (2, BASE.lines().nth(1).unwrap().trim().to_string())
+        );
+    }
+
+    #[test]
+    fn field_deltas_spell_values_as_the_writer_does() {
+        let a = Event::PhaseSpan {
+            name: "a,\"b[".into(),
+            start_ns: 3,
+            end_ns: 9,
+        };
+        let b = Event::PhaseSpan {
+            name: "a,\"c[".into(),
+            start_ns: 3,
+            end_ns: 8,
+        };
         let delta = |field: &str, a: &str, b: &str| FieldDelta {
             field: field.into(),
             a: a.into(),
@@ -588,9 +523,19 @@ mod tests {
             field_deltas(&a, &b),
             vec![
                 delta("name", "\"a,\\\"b[\"", "\"a,\\\"c[\""),
-                delta("t", "3", "<absent>"),
-                delta("u", "<absent>", "3"),
+                delta("end_ns", "9", "8"),
             ]
+        );
+        // An unclassified message has no `kind` at all.
+        let sent = |kind| Event::MsgSent {
+            t: 1,
+            from: 0,
+            to: 1,
+            kind,
+        };
+        assert_eq!(
+            field_deltas(&sent(None), &sent(Some(MsgKind::Query))),
+            vec![delta("kind", "<absent>", "\"query\"")]
         );
     }
 }

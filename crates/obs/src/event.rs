@@ -608,19 +608,14 @@ impl Event {
         out.push('}');
     }
 
-    /// Parses one JSONL line produced by [`Event::to_json`].
+    /// Parses one JSONL line produced by [`Event::to_json`]. Keys outside
+    /// the event's schema are ignored: the schema is append-only.
     ///
     /// # Errors
     ///
     /// Returns a message describing the first malformed construct.
     pub fn from_json(line: &str) -> Result<Event, String> {
-        Event::from_object(&Object::parse(line, "event")?)
-    }
-
-    /// Reads an event from a parsed line. Keys outside the event's schema
-    /// are ignored: the schema is append-only.
-    pub(crate) fn from_object(mut o: &Object<'_>) -> Result<Event, String> {
-        Event::read(&mut o)
+        Event::read(&mut &Object::parse(line, "event")?)
     }
 }
 
@@ -756,23 +751,6 @@ impl FieldReader for &Object<'_> {
             .map(Some)
             .ok_or_else(|| format!("unknown msg kind {name:?}"))
     }
-}
-
-/// Reads the events of a JSONL trace, one per line. Blank lines are
-/// skipped but still counted, so every item carries its 1-based physical
-/// line number and the line itself; a malformed line yields
-/// `Err((line number, parse error))`.
-pub fn jsonl_events<'a>(
-    lines: impl IntoIterator<Item = &'a str>,
-) -> impl Iterator<Item = Result<(usize, &'a str, Event), (usize, String)>> {
-    lines
-        .into_iter()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| match Event::from_json(line) {
-            Ok(ev) => Ok((i + 1, line, ev)),
-            Err(msg) => Err((i + 1, msg)),
-        })
 }
 
 #[cfg(test)]
@@ -988,20 +966,6 @@ mod tests {
                 Err(e) => assert!(!e.is_empty(), "{line}"),
             }
         }
-    }
-
-    #[test]
-    fn jsonl_events_number_physical_lines() {
-        let text = "{\"ev\":\"process_crashed\",\"t\":1,\"proc\":2}\n\n  \nnot json\n";
-        let items: Vec<_> = jsonl_events(text.lines()).collect();
-        assert_eq!(items.len(), 2);
-        let (n, line, ev) = items[0].clone().unwrap();
-        assert_eq!(
-            (n, line),
-            (1, "{\"ev\":\"process_crashed\",\"t\":1,\"proc\":2}")
-        );
-        assert_eq!(ev, Event::ProcessCrashed { t: 1, proc: 2 });
-        assert_eq!(items[1].clone().unwrap_err().0, 4);
     }
 
     #[test]

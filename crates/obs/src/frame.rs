@@ -244,6 +244,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// The bytes not read yet.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
     /// Whether every byte has been read.
     pub fn at_end(&self) -> bool {
         self.pos >= self.bytes.len()

@@ -41,13 +41,14 @@
 //!   With [`TraceChecker::record_causality`] it also builds a
 //!   [`CausalIndex`] — the happens-before graph behind `cmvrp trace
 //!   explain` and the causal chains attached to violations.
-//! - [`load`] — the encoding-sniffing trace loader ([`load_trace`]):
-//!   normalizes JSONL and binary files to canonical JSONL text (a binary
-//!   file frame by frame, never as a whole `Vec<Event>`) with a scoped
+//! - [`load`] — the one trace reader ([`load_trace`]): keeps a JSONL or
+//!   binary file's bytes and reads its events from the start, as often as
+//!   a consumer needs a pass ([`LoadedTrace::events`]), with a scoped
 //!   error for every truncation/corruption shape.
-//! - [`diff`] — semantic trace comparison ([`diff_lines`]): localizes the
-//!   first divergence between two runs and classifies it (payload drift /
-//!   reordering within a time band / different event set / truncation).
+//! - [`diff`] — semantic trace comparison ([`diff_traces`]): localizes the
+//!   first divergent event between two runs and classifies it (payload
+//!   drift / reordering within a time band / different event set /
+//!   truncation).
 //! - [`query`] — a small filter expression language over events
 //!   ([`parse_query`]), e.g. `kind=delivered and proc=7 and time>=12`,
 //!   powering `cmvrp trace query` and `--where` on the analyzers.
@@ -105,27 +106,25 @@
 //! escaper, [`json::quote`]: string values (the `phase_span` name)
 //! accept the escapes `\" \\ \/ \n \t \r \uXXXX`, so every event is
 //! exactly one line whatever its name holds. A key repeated within one
-//! line is an error. [`jsonl_events`] reads a whole trace, numbering
-//! physical lines.
+//! line is an error. [`LoadedTrace::events`] reads a whole trace,
+//! numbering physical lines.
 //!
 //! The same vocabulary also has a compact binary form ([`bin`]): a
 //! magic/versioned header followed by length-prefixed varint frames,
-//! written by [`BinSink`] and read one event at a time by [`BinReader`]
-//! ([`decode_trace`] collects it into a `Vec`). `cmvrp trace
-//! convert` translates between the two losslessly, and every trace
-//! consumer sniffs the magic bytes to accept either encoding.
+//! written by [`BinSink`] and read one event at a time by [`BinReader`].
+//! `cmvrp trace convert` translates between the two losslessly, and the
+//! trace reader sniffs the magic bytes to accept either encoding.
 //!
 //! ## Example
 //!
 //! ```
-//! use cmvrp_obs::{Event, JsonlSink, Sink, replay};
+//! use cmvrp_obs::{load_trace_bytes, replay, BinSink, Event, Sink};
 //!
-//! let mut sink = JsonlSink::new(Vec::new());
+//! let mut sink = BinSink::new(Vec::new());
 //! sink.record(&Event::JobArrived { t: 1, seq: 0, pos: vec![3, 4] });
 //! sink.record(&Event::JobServed { t: 1, seq: 0, vehicle: 9, cost: 1 });
-//! let trace = sink.into_writer().unwrap();
-//! let text = String::from_utf8(trace).unwrap();
-//! let summary = replay::summarize(text.lines()).unwrap();
+//! let trace = load_trace_bytes(sink.get_ref()).unwrap();
+//! let summary = replay::summarize(trace.events()).unwrap();
 //! assert_eq!(summary.jobs_served, 1);
 //! assert_eq!(summary.jobs_unserved(), 0);
 //! ```
@@ -146,13 +145,13 @@ pub mod replay;
 pub mod sink;
 pub mod span;
 
-pub use bin::{decode_trace, is_binary_trace, BinReader, BinSink};
+pub use bin::{is_binary_trace, BinReader, BinSink};
 pub use check::{
-    check_lines, CausalIndex, CausalNode, CheckReport, MergeChecker, TraceChecker, Violation,
+    check_trace, CausalIndex, CausalNode, CheckReport, MergeChecker, TraceChecker, Violation,
     INVARIANTS,
 };
-pub use diff::{diff_lines, DiffError, DiffReport, Divergence, DivergenceKind, FieldDelta, Side};
-pub use event::{jsonl_events, DropReason, Event, MsgKind};
+pub use diff::{diff_traces, DiffError, DiffReport, Divergence, DivergenceKind, FieldDelta, Side};
+pub use event::{DropReason, Event, MsgKind};
 pub use frame::FrameError;
 pub use load::{load_trace, load_trace_bytes, LoadedTrace, TraceEncoding, JSONL_SCHEMA_VERSION};
 pub use metrics::{Histogram, Metrics, DEFAULT_BUCKETS};

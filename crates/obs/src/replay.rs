@@ -1,10 +1,10 @@
-//! Trace replay: rebuild a run's headline numbers from its JSONL trace
-//! alone.
+//! Trace replay: rebuild a run's headline numbers from its trace alone.
 //!
 //! `cmvrp trace stats <trace>` uses this to check that a trace is
 //! self-contained — served/unserved job counts, message-wave totals, and
 //! the delay distribution must all be derivable without rerunning the
-//! simulator.
+//! simulator. [`summarize`] folds the events of the one reader
+//! ([`crate::LoadedTrace::events`]) into [`ReplaySummary::absorb`].
 
 use crate::event::{DropReason, Event};
 use crate::metrics::Histogram;
@@ -64,42 +64,38 @@ impl ReplaySummary {
     /// Renders the summary as `(name, value)` rows for table output,
     /// in a stable order.
     pub fn rows(&self) -> Vec<(String, String)> {
-        let mut rows: Vec<(String, String)> = vec![
-            ("events".into(), self.events.to_string()),
-            ("msgs_sent".into(), self.msgs_sent.to_string()),
-            ("msgs_delivered".into(), self.msgs_delivered.to_string()),
-            ("msgs_lost".into(), self.msgs_lost.to_string()),
-            ("msgs_to_crashed".into(), self.msgs_to_crashed.to_string()),
-            ("jobs_arrived".into(), self.jobs_arrived.to_string()),
-            ("jobs_served".into(), self.jobs_served.to_string()),
-            ("jobs_unserved".into(), self.jobs_unserved().to_string()),
-            ("energy".into(), self.energy.to_string()),
-            (
-                "diffusions_started".into(),
-                self.diffusions_started.to_string(),
-            ),
-            (
-                "diffusions_completed".into(),
-                self.diffusions_completed.to_string(),
-            ),
-            ("diffusions_found".into(), self.diffusions_found.to_string()),
-            (
-                "replacement_cycles".into(),
-                self.replacement_cycles.to_string(),
-            ),
-            ("heartbeat_misses".into(), self.heartbeat_misses.to_string()),
-            ("crashes".into(), self.crashes.to_string()),
-            ("last_t".into(), self.last_t.to_string()),
+        let counts = [
+            ("events", self.events),
+            ("msgs_sent", self.msgs_sent),
+            ("msgs_delivered", self.msgs_delivered),
+            ("msgs_lost", self.msgs_lost),
+            ("msgs_to_crashed", self.msgs_to_crashed),
+            ("jobs_arrived", self.jobs_arrived),
+            ("jobs_served", self.jobs_served),
+            ("jobs_unserved", self.jobs_unserved()),
+            ("energy", self.energy),
+            ("diffusions_started", self.diffusions_started),
+            ("diffusions_completed", self.diffusions_completed),
+            ("diffusions_found", self.diffusions_found),
+            ("replacement_cycles", self.replacement_cycles),
+            ("heartbeat_misses", self.heartbeat_misses),
+            ("crashes", self.crashes),
+            ("last_t", self.last_t),
         ];
-        if self.round_profiles > 0 {
-            rows.push(("round_profiles".into(), self.round_profiles.to_string()));
-        }
-        if let Some(v) = self.fleet_vehicles {
-            rows.push(("fleet_vehicles".into(), v.to_string()));
-        }
-        if let Some(w) = self.fleet_capacity {
-            rows.push(("fleet_capacity".into(), w.to_string()));
-        }
+        let optional = [
+            (
+                "round_profiles",
+                Some(self.round_profiles).filter(|&n| n > 0),
+            ),
+            ("fleet_vehicles", self.fleet_vehicles),
+            ("fleet_capacity", self.fleet_capacity),
+        ];
+        let present = optional.into_iter().filter_map(|(k, v)| Some((k, v?)));
+        let mut rows: Vec<(String, String)> = counts
+            .into_iter()
+            .chain(present)
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
         if let Some(h) = &self.delay_hist {
             rows.push(("msg_delay.mean".into(), format!("{:.2}", h.mean())));
             rows.push(("msg_delay.max".into(), h.max().to_string()));
@@ -113,66 +109,45 @@ impl ReplaySummary {
     /// Folds one event into the summary.
     pub fn absorb(&mut self, ev: &Event) {
         self.events += 1;
+        // Heartbeat misses are stamped in tick rounds, off the simulation
+        // clock, and still count toward `last_t`.
+        if let Some(t) = ev.time() {
+            self.last_t = self.last_t.max(t);
+        }
         match ev {
-            Event::MsgSent { t, .. } => {
-                self.msgs_sent += 1;
-                self.last_t = self.last_t.max(*t);
-            }
-            Event::MsgDelivered { t, delay, .. } => {
+            Event::MsgSent { .. } => self.msgs_sent += 1,
+            Event::MsgDelivered { delay, .. } => {
                 self.msgs_delivered += 1;
-                self.last_t = self.last_t.max(*t);
                 self.delay_hist
                     .get_or_insert_with(|| Histogram::with_bounds(&crate::metrics::DEFAULT_BUCKETS))
                     .observe(*delay);
             }
-            Event::MsgDropped { t, reason, .. } => {
-                match reason {
-                    DropReason::Lost => self.msgs_lost += 1,
-                    DropReason::RecipientCrashed => self.msgs_to_crashed += 1,
-                }
-                self.last_t = self.last_t.max(*t);
-            }
-            Event::JobArrived { t, .. } => {
-                self.jobs_arrived += 1;
-                self.last_t = self.last_t.max(*t);
-            }
-            Event::JobServed { t, cost, .. } => {
+            Event::MsgDropped { reason, .. } => match reason {
+                DropReason::Lost => self.msgs_lost += 1,
+                DropReason::RecipientCrashed => self.msgs_to_crashed += 1,
+            },
+            Event::JobArrived { .. } => self.jobs_arrived += 1,
+            Event::JobServed { cost, .. } => {
                 self.jobs_served += 1;
                 self.energy += cost;
-                self.last_t = self.last_t.max(*t);
             }
-            Event::DiffusionStarted { t, .. } => {
-                self.diffusions_started += 1;
-                self.last_t = self.last_t.max(*t);
-            }
-            Event::DiffusionCompleted { t, found, .. } => {
+            Event::DiffusionStarted { .. } => self.diffusions_started += 1,
+            Event::DiffusionCompleted { found, .. } => {
                 self.diffusions_completed += 1;
-                if *found {
-                    self.diffusions_found += 1;
-                }
-                self.last_t = self.last_t.max(*t);
+                self.diffusions_found += u64::from(*found);
             }
-            Event::ReplacementCycle { t, .. } => {
-                self.replacement_cycles += 1;
-                self.last_t = self.last_t.max(*t);
-            }
+            Event::ReplacementCycle { .. } => self.replacement_cycles += 1,
             Event::HeartbeatMissed { t, .. } => {
                 self.heartbeat_misses += 1;
                 self.last_t = self.last_t.max(*t);
             }
             Event::FleetProvisioned {
-                t,
-                vehicles,
-                capacity,
+                vehicles, capacity, ..
             } => {
                 self.fleet_vehicles = Some(*vehicles);
                 self.fleet_capacity = Some(*capacity);
-                self.last_t = self.last_t.max(*t);
             }
-            Event::ProcessCrashed { t, .. } => {
-                self.crashes += 1;
-                self.last_t = self.last_t.max(*t);
-            }
+            Event::ProcessCrashed { .. } => self.crashes += 1,
             Event::PhaseSpan {
                 name,
                 start_ns,
@@ -181,26 +156,24 @@ impl ReplaySummary {
                 let entry = self.span_ns.entry(name.clone()).or_insert(0);
                 *entry += end_ns.saturating_sub(*start_ns);
             }
-            Event::RoundProfile { .. } => {
-                self.round_profiles += 1;
-            }
+            Event::RoundProfile { .. } => self.round_profiles += 1,
         }
     }
 }
 
-/// Summarizes a trace from its JSONL lines; blank lines are skipped.
+/// Summarizes a trace's numbered events, as [`crate::LoadedTrace::events`]
+/// reads them.
 ///
 /// # Errors
 ///
-/// Returns `(1-based line number, parse error)` for the first malformed
-/// line.
-pub fn summarize<'a, I>(lines: I) -> Result<ReplaySummary, (usize, String)>
-where
-    I: IntoIterator<Item = &'a str>,
-{
+/// The first `Err` item, e.g. `(1-based line number, parse error)` for a
+/// malformed JSONL line.
+pub fn summarize<E>(
+    events: impl IntoIterator<Item = Result<(usize, Event), E>>,
+) -> Result<ReplaySummary, E> {
     let mut summary = ReplaySummary::default();
-    for item in crate::event::jsonl_events(lines) {
-        summary.absorb(&item?.2);
+    for item in events {
+        summary.absorb(&item?.1);
     }
     Ok(summary)
 }
@@ -294,10 +267,18 @@ mod tests {
         ]
     }
 
+    /// The events of `text`, read as a JSONL trace.
+    fn summarize_jsonl(text: &str) -> Result<ReplaySummary, (usize, String)> {
+        summarize(crate::load_trace_bytes(text.as_bytes()).unwrap().events())
+    }
+
+    fn jsonl(events: &[Event]) -> String {
+        events.iter().map(|ev| ev.to_json() + "\n").collect()
+    }
+
     #[test]
     fn summarize_reconstructs_counts() {
-        let lines: Vec<String> = trace().iter().map(Event::to_json).collect();
-        let s = summarize(lines.iter().map(String::as_str)).unwrap();
+        let s = summarize_jsonl(&jsonl(&trace())).unwrap();
         assert_eq!(s.events, 15);
         assert_eq!(s.msgs_sent, 2);
         assert_eq!(s.msgs_delivered, 1);
@@ -329,9 +310,9 @@ mod tests {
             kind: None,
         }
         .to_json();
-        let s = summarize(vec![good.as_str(), "", "  "]).unwrap();
+        let s = summarize_jsonl(&format!("{good}\n\n  \n")).unwrap();
         assert_eq!(s.events, 1);
-        let err = summarize(vec![good.as_str(), "", "nope"]).unwrap_err();
+        let err = summarize_jsonl(&format!("{good}\n\nnope\n")).unwrap_err();
         assert_eq!(err.0, 3);
     }
 
@@ -339,14 +320,13 @@ mod tests {
     fn malformed_first_line_is_line_one() {
         // Line numbers are 1-based everywhere: the very first line must be
         // reported as line 1, not 0.
-        let err = summarize(vec!["not json"]).unwrap_err();
+        let err = summarize_jsonl("not json\n").unwrap_err();
         assert_eq!(err.0, 1);
     }
 
     #[test]
     fn rows_include_spans_and_delays() {
-        let lines: Vec<String> = trace().iter().map(Event::to_json).collect();
-        let s = summarize(lines.iter().map(String::as_str)).unwrap();
+        let s = summarize_jsonl(&jsonl(&trace())).unwrap();
         let rows = s.rows();
         assert!(rows.iter().any(|(n, v)| n == "span.solve.ns" && v == "300"));
         assert!(rows.iter().any(|(n, _)| n == "msg_delay.mean"));

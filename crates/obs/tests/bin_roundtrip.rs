@@ -1,12 +1,17 @@
-//! Adversarial decoder tests for the binary trace format: [`decode_trace`]
+//! Adversarial decoder tests for the binary trace format: [`BinReader`]
 //! must return a *scoped* error — frame index plus byte offset — and never
 //! panic, whatever bytes it is handed. Corruption is generated
 //! deterministically (a hand-rolled LCG, no third-party fuzzer) so
 //! failures replay exactly.
 
 use cmvrp_obs::bin::BIN_VERSION;
-use cmvrp_obs::{decode_trace, is_binary_trace, BinSink, DropReason, Event, MsgKind};
-use cmvrp_obs::{jsonl_events, load_trace_bytes, Sink, StaticSink};
+use cmvrp_obs::{is_binary_trace, BinReader, BinSink, DropReason, Event, FrameError, MsgKind};
+use cmvrp_obs::{load_trace_bytes, Sink, StaticSink};
+
+/// A whole binary trace, decoded: [`BinReader`], collected.
+fn decode(bytes: &[u8]) -> Result<Vec<Event>, FrameError> {
+    BinReader::open(bytes)?.collect()
+}
 
 /// One event of every variant, with annotated and unannotated message
 /// forms, negative coordinates, and span names that need escaping in
@@ -125,7 +130,7 @@ fn every_variant_roundtrips() {
     let events = samples();
     let bytes = encode(&events);
     assert!(is_binary_trace(&bytes));
-    assert_eq!(decode_trace(&bytes).unwrap(), events);
+    assert_eq!(decode(&bytes).unwrap(), events);
 }
 
 #[test]
@@ -134,22 +139,29 @@ fn jsonl_and_binary_encodings_agree() {
     // must reproduce the original line byte for byte.
     let lines: Vec<String> = samples().iter().map(Event::to_json).collect();
     let parsed: Vec<Event> = lines.iter().map(|l| Event::from_json(l).unwrap()).collect();
-    let back = decode_trace(&encode(&parsed)).unwrap();
+    let back = decode(&encode(&parsed)).unwrap();
     let relines: Vec<String> = back.iter().map(Event::to_json).collect();
     assert_eq!(relines, lines);
 }
 
 #[test]
 fn binary_to_jsonl_to_binary_is_byte_identical() {
-    // The `trace convert` path in the other direction: the loader's JSONL
-    // holds one line per event, and re-encoding it reproduces the bytes.
+    // The `trace convert` path in the other direction: the reader's
+    // events written as JSONL lines, read back and re-encoded, reproduce
+    // the bytes.
     let bytes = encode(&samples());
     let loaded = load_trace_bytes(&bytes).unwrap();
     assert_eq!(loaded.events, samples().len());
-    assert_eq!(loaded.text.lines().count(), samples().len());
-    let events: Vec<Event> = jsonl_events(loaded.text.lines())
-        .map(|item| item.unwrap().2)
+    let text: String = loaded
+        .events()
+        .map(|item| item.unwrap().1.to_json() + "\n")
         .collect();
+    let events: Vec<Event> = load_trace_bytes(text.as_bytes())
+        .unwrap()
+        .events()
+        .map(|item| item.unwrap().1)
+        .collect();
+    assert_eq!(events.len(), samples().len());
     assert_eq!(encode(&events), bytes);
 }
 
@@ -157,12 +169,12 @@ fn binary_to_jsonl_to_binary_is_byte_identical() {
 fn empty_trace_is_just_the_header() {
     let bytes = encode(&[]);
     assert_eq!(bytes.len(), 5);
-    assert_eq!(decode_trace(&bytes).unwrap(), Vec::new());
+    assert_eq!(decode(&bytes).unwrap(), Vec::new());
 }
 
 #[test]
 fn bad_magic_is_a_header_error() {
-    let err = decode_trace(b"NOPE\x01rest").unwrap_err();
+    let err = decode(b"NOPE\x01rest").unwrap_err();
     assert_eq!(err.frame, 0);
     assert_eq!(err.offset, 0);
     assert!(err.to_string().contains("magic"), "{err}");
@@ -171,7 +183,7 @@ fn bad_magic_is_a_header_error() {
 #[test]
 fn truncated_header_is_a_header_error() {
     for n in 0..5 {
-        let err = decode_trace(&b"CMVB\x01"[..n]).unwrap_err();
+        let err = decode(&b"CMVB\x01"[..n]).unwrap_err();
         assert_eq!(err.frame, 0, "prefix of {n} bytes");
         assert!(err.to_string().contains("header"), "{err}");
     }
@@ -179,7 +191,7 @@ fn truncated_header_is_a_header_error() {
 
 #[test]
 fn future_version_is_refused_by_name() {
-    let err = decode_trace(b"CMVB\x63").unwrap_err();
+    let err = decode(b"CMVB\x63").unwrap_err();
     assert_eq!(err.frame, 0);
     assert_eq!(err.offset, 4);
     assert!(err.to_string().contains("version 99"), "{err}");
@@ -192,7 +204,7 @@ fn every_truncation_errors_with_scope_and_never_panics() {
     for n in 5..bytes.len() {
         // A cut can only land cleanly between frames (fewer events) or
         // inside one (scoped error); it can never invent events.
-        match decode_trace(&bytes[..n]) {
+        match decode(&bytes[..n]) {
             Ok(decoded) => assert!(decoded.len() < events.len(), "prefix of {n} bytes"),
             Err(e) => {
                 assert!(e.frame >= 1, "prefix of {n}: {e}");
@@ -211,7 +223,7 @@ fn corrupt_length_prefix_is_scoped_to_its_frame() {
     let mut corrupt = bytes[..5].to_vec();
     corrupt.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f]);
     corrupt.extend_from_slice(&bytes[6..]);
-    let err = decode_trace(&corrupt).unwrap_err();
+    let err = decode(&corrupt).unwrap_err();
     assert_eq!(err.frame, 1);
     assert_eq!(err.offset, 5);
     assert!(err.to_string().contains("exceeds remaining"), "{err}");
@@ -219,7 +231,7 @@ fn corrupt_length_prefix_is_scoped_to_its_frame() {
     // A zero-length frame is equally corrupt (every payload has a tag).
     let mut zero = bytes[..5].to_vec();
     zero.push(0);
-    let err = decode_trace(&zero).unwrap_err();
+    let err = decode(&zero).unwrap_err();
     assert_eq!(err.frame, 1);
     assert!(err.to_string().contains("empty frame"), "{err}");
 }
@@ -230,7 +242,7 @@ fn unknown_tag_is_scoped_to_its_frame() {
     let mut corrupt = bytes.clone();
     // Frame 1: [len][tag ...]; the tag is the byte after the 1-byte length.
     corrupt[6] = 0xEE;
-    let err = decode_trace(&corrupt).unwrap_err();
+    let err = decode(&corrupt).unwrap_err();
     assert_eq!(err.frame, 1);
     assert!(err.to_string().contains("unknown event tag"), "{err}");
 }
@@ -256,7 +268,7 @@ fn random_byte_flips_never_panic() {
             let i = (rng() % bytes.len() as u64) as usize;
             bytes[i] ^= (rng() % 255 + 1) as u8;
         }
-        if let Err(e) = decode_trace(&bytes) {
+        if let Err(e) = decode(&bytes) {
             let header_ok = is_binary_trace(&bytes) && bytes[4] <= BIN_VERSION;
             assert_eq!(e.frame == 0, !header_ok, "{e}");
             assert!(e.offset <= bytes.len(), "{e}");
@@ -283,7 +295,7 @@ fn random_garbage_never_panics() {
             bytes[..4].copy_from_slice(b"CMVB");
             bytes[4] = 1;
         }
-        if let Err(e) = decode_trace(&bytes) {
+        if let Err(e) = decode(&bytes) {
             assert!(e.offset <= bytes.len(), "{e}");
         }
     }

@@ -10,7 +10,7 @@
 //! * the committed golden trace under `tests/data/`, mutated textually,
 //!   so the end-to-end JSONL schema stays covered too.
 
-use cmvrp_obs::{check_lines, CheckReport, Event, MergeChecker, TraceChecker};
+use cmvrp_obs::{check_trace, load_trace_bytes, CheckReport, Event, MergeChecker, TraceChecker};
 
 /// A minimal clean trace exercising every monitor: a served job, one full
 /// Dijkstra–Scholten search (2 queries, 2 replies, zero deficit at
@@ -45,7 +45,9 @@ fn base() -> Vec<String> {
 }
 
 fn check(lines: &[String]) -> CheckReport {
-    check_lines(lines.iter().map(String::as_str), None).expect("trace must parse")
+    let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let trace = load_trace_bytes(text.as_bytes()).expect("trace must load");
+    check_trace(&trace, None).expect("trace must parse")
 }
 
 /// Asserts the report rejects the trace with a violation of `invariant`
@@ -342,7 +344,7 @@ fn golden_overspend_rejected() {
     assert_rejects(&check(&t), "capacity", i + 1);
 }
 
-/// A violation detected by `check_lines` must arrive with its causal
+/// A violation detected by `check_trace` must arrive with its causal
 /// chain: the happens-before ancestors of the offending event, so the
 /// report explains *how the run got there*, not just where it broke.
 #[test]

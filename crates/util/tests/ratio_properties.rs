@@ -1,103 +1,126 @@
 //! Property tests: `Ratio` behaves like the rational field (on the value
 //! ranges the workspace uses).
+//!
+//! Each property runs a fixed number of cases drawn from a seeded
+//! [`Rng`], so every failure names a reproducible case.
 
-// Property tests require the external `proptest` crate, which this
-// workspace cannot fetch in its hermetic (offline) build. They are gated
-// behind the off-by-default `proptest` cargo feature; enabling it also
-// requires uncommenting the proptest dev-dependency (network needed).
-#![cfg(feature = "proptest")]
+use cmvrp_util::{Ratio, Rng};
 
-use cmvrp_util::Ratio;
-use proptest::prelude::*;
+/// Cases per property.
+const CASES: usize = 256;
 
-fn ratio_strategy() -> impl Strategy<Value = Ratio> {
-    // Small components keep products inside i128 across repeated ops.
-    (-10_000i128..10_000, 1i128..10_000).prop_map(|(n, d)| Ratio::new(n, d))
+/// An integer in `lo..hi`.
+fn int(rng: &mut Rng, lo: i64, hi: i64) -> i128 {
+    i128::from(rng.gen_range(lo..hi))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// A rational with small components, which keep products inside `i128`
+/// across repeated ops.
+fn ratio(rng: &mut Rng) -> Ratio {
+    Ratio::new(int(rng, -10_000, 10_000), int(rng, 1, 10_000))
+}
 
-    #[test]
-    fn addition_commutes_and_associates(
-        a in ratio_strategy(),
-        b in ratio_strategy(),
-        c in ratio_strategy(),
-    ) {
-        prop_assert_eq!(a + b, b + a);
-        prop_assert_eq!((a + b) + c, a + (b + c));
-        prop_assert_eq!(a + Ratio::ZERO, a);
+/// Runs `property` on `CASES` triples of rationals from a seeded stream.
+fn for_triples(seed: u64, property: impl Fn(Ratio, Ratio, Ratio)) {
+    let mut rng = Rng::seed_from_u64(seed);
+    for _ in 0..CASES {
+        property(ratio(&mut rng), ratio(&mut rng), ratio(&mut rng));
     }
+}
 
-    #[test]
-    fn multiplication_commutes_and_distributes(
-        a in ratio_strategy(),
-        b in ratio_strategy(),
-        c in ratio_strategy(),
-    ) {
-        prop_assert_eq!(a * b, b * a);
-        prop_assert_eq!(a * (b + c), a * b + a * c);
-        prop_assert_eq!(a * Ratio::ONE, a);
-    }
+#[test]
+fn addition_commutes_and_associates() {
+    for_triples(0xADD, |a, b, c| {
+        assert_eq!(a + b, b + a);
+        assert_eq!((a + b) + c, a + (b + c));
+        assert_eq!(a + Ratio::ZERO, a);
+    });
+}
 
-    #[test]
-    fn subtraction_and_negation(a in ratio_strategy(), b in ratio_strategy()) {
-        prop_assert_eq!(a - b, a + (-b));
-        prop_assert_eq!(a - a, Ratio::ZERO);
-        prop_assert_eq!(-(-a), a);
-    }
+#[test]
+fn multiplication_commutes_and_distributes() {
+    for_triples(0x3C1, |a, b, c| {
+        assert_eq!(a * b, b * a);
+        assert_eq!(a * (b + c), a * b + a * c);
+        assert_eq!(a * Ratio::ONE, a);
+    });
+}
 
-    #[test]
-    fn division_inverts_multiplication(a in ratio_strategy(), b in ratio_strategy()) {
-        prop_assume!(!b.is_zero());
-        prop_assert_eq!((a / b) * b, a);
-        prop_assert_eq!(b * b.recip(), Ratio::ONE);
-    }
+#[test]
+fn subtraction_and_negation() {
+    for_triples(0x5B, |a, b, _| {
+        assert_eq!(a - b, a + (-b));
+        assert_eq!(a - a, Ratio::ZERO);
+        assert_eq!(-(-a), a);
+    });
+}
 
-    #[test]
-    fn ordering_is_total_and_compatible(
-        a in ratio_strategy(),
-        b in ratio_strategy(),
-        c in ratio_strategy(),
-    ) {
+#[test]
+fn division_inverts_multiplication() {
+    for_triples(0xD1, |a, b, _| {
+        if b.is_zero() {
+            return;
+        }
+        assert_eq!((a / b) * b, a);
+        assert_eq!(b * b.recip(), Ratio::ONE);
+    });
+}
+
+#[test]
+fn ordering_is_total_and_compatible() {
+    for_triples(0x0D, |a, b, c| {
         // Trichotomy.
         let cases = [a < b, a == b, a > b];
-        prop_assert_eq!(cases.iter().filter(|&&x| x).count(), 1);
+        assert_eq!(cases.iter().filter(|&&x| x).count(), 1);
         // Translation invariance.
-        prop_assert_eq!(a < b, a + c < b + c);
+        assert_eq!(a < b, a + c < b + c);
         // Scaling by a positive rational preserves order.
         if c.is_positive() {
-            prop_assert_eq!(a < b, a * c < b * c);
+            assert_eq!(a < b, a * c < b * c);
         }
-    }
+    });
+}
 
-    #[test]
-    fn floor_ceil_bracket(a in ratio_strategy()) {
+#[test]
+fn floor_ceil_bracket() {
+    for_triples(0xF1, |a, _, _| {
         let fl = Ratio::from_integer(a.floor());
         let ce = Ratio::from_integer(a.ceil());
-        prop_assert!(fl <= a);
-        prop_assert!(a <= ce);
-        prop_assert!(ce - fl <= Ratio::ONE);
-        prop_assert_eq!(fl == ce, a.is_integer());
-    }
+        assert!(fl <= a);
+        assert!(a <= ce);
+        assert!(ce - fl <= Ratio::ONE);
+        assert_eq!(fl == ce, a.is_integer());
+    });
+}
 
-    #[test]
-    fn reduction_is_canonical(n in -10_000i128..10_000, d in 1i128..10_000, k in 1i128..50) {
+#[test]
+fn reduction_is_canonical() {
+    let mut rng = Rng::seed_from_u64(0xCA);
+    for _ in 0..CASES {
+        let (n, d, k) = (
+            int(&mut rng, -10_000, 10_000),
+            int(&mut rng, 1, 10_000),
+            int(&mut rng, 1, 50),
+        );
         // Scaling numerator and denominator leaves the value unchanged.
-        prop_assert_eq!(Ratio::new(n, d), Ratio::new(n * k, d * k));
+        assert_eq!(Ratio::new(n, d), Ratio::new(n * k, d * k), "{n}/{d} by {k}");
     }
+}
 
-    #[test]
-    fn to_f64_is_monotone(a in ratio_strategy(), b in ratio_strategy()) {
+#[test]
+fn to_f64_is_monotone() {
+    for_triples(0xF64, |a, b, _| {
         if a < b {
-            prop_assert!(a.to_f64() <= b.to_f64());
+            assert!(a.to_f64() <= b.to_f64());
         }
-    }
+    });
+}
 
-    #[test]
-    fn min_max_abs(a in ratio_strategy(), b in ratio_strategy()) {
-        prop_assert_eq!(a.min(b) + a.max(b), a + b);
-        prop_assert!(a.abs() >= a);
-        prop_assert!(a.abs() >= -a);
-    }
+#[test]
+fn min_max_abs() {
+    for_triples(0xAB5, |a, b, _| {
+        assert_eq!(a.min(b) + a.max(b), a + b);
+        assert!(a.abs() >= a);
+        assert!(a.abs() >= -a);
+    });
 }

@@ -49,6 +49,23 @@ echo "==> trace check (golden trace)"
 ./target/release/cmvrp trace check tests/data/golden_point.jsonl
 ./target/release/cmvrp simulate point:grid=6,demand=200 --seed=3 --check >/dev/null
 
+echo "==> trace tools on both encodings (golden trace as CMVB, re-spelled JSONL)"
+# The trace reader is blind to encoding and JSONL spelling: the golden
+# trace converted to CMVB must pass every monitor and diff identical to
+# the JSONL original (exit 0), and so must a copy spelled with a space
+# after every ':' and ',' and one key no schema version has.
+gb=$(mktemp)
+gr=$(mktemp)
+trap 'rm -f "$gb" "$gr"' EXIT
+./target/release/cmvrp trace convert tests/data/golden_point.jsonl "$gb" >/dev/null
+./target/release/cmvrp trace check "$gb"
+./target/release/cmvrp trace diff tests/data/golden_point.jsonl "$gb" >/dev/null
+sed -e 's/:/: /g' -e 's/,/, /g' -e '2s/}$/, "unknown": 1}/' \
+    tests/data/golden_point.jsonl >"$gr"
+./target/release/cmvrp trace diff tests/data/golden_point.jsonl "$gr" >/dev/null
+./target/release/cmvrp trace diff "$gb" "$gr" >/dev/null
+rm -f "$gb" "$gr"
+
 echo "==> sharded determinism + inline check (1, 2 and 3 workers)"
 # The parallel-engine oracle: the streamed merged trace must be
 # semantically identical across worker counts — 1, 2 and 3 workers own

@@ -9,9 +9,19 @@
 
 use cmvrp::obs::bin::BIN_MAGIC;
 use cmvrp::obs::{
-    decode_trace, diff_lines, jsonl_events, load_trace_bytes, BinSink, DropReason, Event,
-    FrameError, MsgKind, Sink,
+    diff_traces, load_trace_bytes, BinReader, BinSink, DropReason, Event, FrameError, LoadedTrace,
+    MsgKind, Sink,
 };
+
+/// A whole CMVB trace, decoded frame by frame.
+fn decode(bytes: &[u8]) -> Result<Vec<Event>, FrameError> {
+    BinReader::open(bytes)?.collect()
+}
+
+/// One JSONL line, loaded as a trace.
+fn jsonl(line: &str) -> LoadedTrace {
+    load_trace_bytes(format!("{line}\n").as_bytes()).unwrap()
+}
 
 /// The samples of `crates/obs/tests/bin_roundtrip.rs`: every variant, the
 /// message `kind` absent and present, both drop reasons, negative
@@ -213,16 +223,23 @@ fn every_sample_writes_its_pinned_line_and_frame() {
 fn every_pinned_line_and_frame_decodes_to_its_sample() {
     for (ev, line, frame) in pinned() {
         assert_eq!(Event::from_json(line).as_ref(), Ok(&ev), "{line}");
-        assert_eq!(decode_trace(&cmvb(&[frame])), Ok(vec![ev]), "{line}");
+        assert_eq!(decode(&cmvb(&[frame])), Ok(vec![ev]), "{line}");
     }
-    // All frames in one trace, and that trace loaded as the JSONL lines.
+    // All frames in one trace, read by the trace reader as the samples,
+    // numbered by frame, and printed as the JSONL lines.
     let (events, lines): (Vec<Event>, Vec<&str>) =
         pinned().into_iter().map(|(ev, line, _)| (ev, line)).unzip();
     let frames: Vec<&[u8]> = pinned().into_iter().map(|(_, _, frame)| frame).collect();
     let bytes = cmvb(&frames);
-    assert_eq!(decode_trace(&bytes), Ok(events));
+    assert_eq!(decode(&bytes), Ok(events.clone()));
     let loaded = load_trace_bytes(&bytes).unwrap();
-    assert_eq!(loaded.text, format!("{}\n", lines.join("\n")));
+    let read: Result<Vec<(usize, Event)>, _> = loaded.events().collect();
+    assert_eq!(
+        read,
+        Ok(events.into_iter().zip(1..).map(|(e, n)| (n, e)).collect())
+    );
+    let printed = loaded.render(1..=lines.len()).unwrap();
+    assert_eq!(printed.into_values().collect::<Vec<_>>(), lines);
 }
 
 #[test]
@@ -245,11 +262,11 @@ fn jsonl_decoders_name_what_they_refuse() {
     ];
     for (line, msg) in cases {
         assert_eq!(Event::from_json(line), Err(msg.to_string()), "{line}");
-        let first = jsonl_events([line]).next().unwrap();
+        let first = jsonl(line).events().next().unwrap();
         assert_eq!(first, Err((1, msg.to_string())), "{line}");
         // `trace diff` reads a line only where the two traces differ.
         let other = r#"{"ev":"process_crashed","t":7,"proc":11}"#;
-        let err = diff_lines([line].into_iter(), [other].into_iter(), 0).unwrap_err();
+        let err = diff_traces(&jsonl(line), &jsonl(other), 0).unwrap_err();
         assert_eq!(err.to_string(), format!("trace A, line 1: {msg}"));
     }
 }
@@ -271,7 +288,7 @@ fn cmvb_decoders_name_frame_offset_and_byte() {
             offset,
             msg: msg.to_string(),
         };
-        assert_eq!(decode_trace(&bytes), Err(want));
+        assert_eq!(decode(&bytes), Err(want));
         assert_eq!(
             load_trace_bytes(&bytes),
             Err(format!("frame 2 at byte {offset}: {msg}"))

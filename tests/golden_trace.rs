@@ -8,7 +8,7 @@
 //! workload must produce a trace the offline checker also accepts — online
 //! and offline validation agree.
 
-use cmvrp::obs::{check_lines, replay, JsonlSink};
+use cmvrp::obs::{check_trace, load_trace_bytes, replay, JsonlSink, LoadedTrace};
 use cmvrp::online::OnlineConfig;
 use cmvrp::workloads::{arrivals, spatial, Ordering};
 use cmvrp::ExecConfig;
@@ -16,9 +16,13 @@ use cmvrp_grid::GridBounds;
 
 const GOLDEN: &str = include_str!("data/golden_point.jsonl");
 
+fn golden() -> LoadedTrace {
+    load_trace_bytes(GOLDEN.as_bytes()).expect("golden trace loads")
+}
+
 #[test]
 fn golden_trace_passes_every_monitor() {
-    let report = check_lines(GOLDEN.lines(), None).expect("golden trace parses");
+    let report = check_trace(&golden(), None).expect("golden trace parses");
     assert!(report.is_clean(), "{:#?}", report.violations);
     assert_eq!(report.events as usize, GOLDEN.lines().count());
     // Kinds are annotated and the fleet line is present, so no monitor
@@ -28,7 +32,7 @@ fn golden_trace_passes_every_monitor() {
 
 #[test]
 fn golden_trace_replay_matches_headline_numbers() {
-    let summary = replay::summarize(GOLDEN.lines()).expect("golden trace parses");
+    let summary = replay::summarize(golden().events()).expect("golden trace parses");
     assert_eq!(summary.jobs_arrived, 200);
     assert_eq!(summary.jobs_served, 200);
     assert_eq!(summary.jobs_unserved(), 0);
@@ -52,8 +56,8 @@ fn online_check_and_offline_check_agree() {
     let online = run.check.expect("checked run");
     assert!(online.is_clean(), "online: {:#?}", online.violations);
 
-    let text = String::from_utf8(jsonl.into_writer().expect("flush")).expect("utf8");
-    let offline = check_lines(text.lines(), None).expect("trace parses");
+    let trace = load_trace_bytes(&jsonl.into_writer().expect("flush")).expect("trace loads");
+    let offline = check_trace(&trace, None).expect("trace parses");
     assert!(offline.is_clean(), "offline: {:#?}", offline.violations);
     assert_eq!(offline.events, online.events);
 }

@@ -7,7 +7,7 @@
 
 use cmvrp::ckpt::{decode_checkpoint, encode_checkpoint};
 use cmvrp::grid::{pt2, DemandMap, GridBounds};
-use cmvrp::obs::{check_lines, Event, JsonlSink, NullSink, Sink, VecSink};
+use cmvrp::obs::{check_trace, load_trace_bytes, Event, JsonlSink, NullSink, Sink, VecSink};
 use cmvrp::online::OnlineConfig;
 use cmvrp::workloads::{arrivals, JobSequence, Ordering, WorkloadConfig};
 use cmvrp::{CheckpointPolicy, EngineCheckpoint, ExecConfig, ShardedOnlineSim};
@@ -147,7 +147,8 @@ fn monitored_fault_trace_is_byte_identical_across_worker_counts() {
         match &baseline {
             None => {
                 let text = String::from_utf8(trace.clone()).expect("utf8");
-                let offline = check_lines(text.lines(), None).expect("trace parses");
+                let loaded = load_trace_bytes(&trace).expect("trace loads");
+                let offline = check_trace(&loaded, None).expect("trace parses");
                 assert!(offline.is_clean(), "{:?}", offline.violations);
                 assert!(text.contains("\"ev\":\"heartbeat_missed\""));
                 assert!(text.contains("\"ev\":\"process_crashed\""));
